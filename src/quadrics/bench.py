@@ -5,13 +5,15 @@ discriminant nonnegative?  The classical kernel computes a, b, c from the
 world-frame quadric every time; the separated kernel builds the per-ray
 quantities once, then spends per object either the sphere fast path (one
 cross product, a subtraction, two dot products and a multiply-add) or the
-generic two matrix-vector products.  Detection loops run vectorized across
-the objects of each ray, which is the data layout the separated form is
-designed for.
+generic two matrix-vector products.  Detection runs in tiles of
+(rays x objects) through the batched kernels of `kernels`, over a
+struct-of-arrays table of the objects' coefficients, which is the data
+layout the separated form is designed for.
 
-The loop body feeds an order-independent checksum (XOR of a mix of per-ray
-hit counts), which is printed in the CSV; identical checksums across
-methods, runs, and worker counts are the determinism contract.  Timing
+The per-ray hit counts feed an order-independent checksum (XOR of a mix of
+each count with its ray index), which is printed in the CSV; identical
+checksums across methods, runs, and worker counts are the determinism
+contract.  Timing
 columns are wall-clock and naturally vary run to run; every other column is
 byte-stable for a fixed seed.
 """
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import classical_hit_counts, coefficient_table, ray_cache, separated_hit_counts
 from .quadric import Sphere
 from .rng import Xorshift64Star, mix64
 from .scene import Scene
@@ -96,15 +99,8 @@ def generate_rays(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return origins, dirs
 
 
-def _world_matrices(scene: Scene) -> np.ndarray:
-    mats = np.empty((len(scene.objects), 4, 4), dtype=np.float64)
-    for i, obj in enumerate(scene.objects):
-        mats[i] = np.array(obj.world_matrix().to_mat4().m, dtype=np.float64).reshape(4, 4)
-    return mats
-
-
-def _sphere_split(scene: Scene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(centers, r_squared, generic-object index array) for the separated path."""
+def _sphere_split(scene: Scene) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(centers, r_squared, generic-object indices) for the separated path."""
     centers, r2, other = [], [], []
     for i, obj in enumerate(scene.objects):
         if isinstance(obj.kind, Sphere) and obj.rot is None:
@@ -115,73 +111,28 @@ def _sphere_split(scene: Scene) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (
         np.array(centers, dtype=np.float64).reshape(-1, 3),
         np.array(r2, dtype=np.float64),
-        np.array(other, dtype=np.intp),
+        other,
     )
 
 
-def _classical_hits(mats: np.ndarray, origin: np.ndarray, direction: np.ndarray) -> int:
-    s4 = np.array([direction[0], direction[1], direction[2], 0.0])
-    x4 = np.array([origin[0], origin[1], origin[2], 1.0])
-    qs = mats @ s4
-    qx = mats @ x4
-    a = qs @ s4
-    b = qs @ x4
-    c = qx @ x4
-    d = b * b - a * c
-    return int(np.count_nonzero(d >= 0.0))
-
-
-def _separated_hits(
-    sphere_centers: np.ndarray,
-    sphere_r2: np.ndarray,
-    generic_mats: np.ndarray,
-    origin: np.ndarray,
-    direction: np.ndarray,
-    moment: np.ndarray,
-    dir_norm_sq: float,
-) -> int:
-    hits = 0
-    if sphere_centers.shape[0]:
-        m = moment - np.cross(direction, sphere_centers)
-        d = sphere_r2 * dir_norm_sq - (m * m).sum(axis=1)
-        hits += int(np.count_nonzero(d >= 0.0))
-    if generic_mats.shape[0]:
-        s4 = np.array([direction[0], direction[1], direction[2], 0.0])
-        x4 = np.array([origin[0], origin[1], origin[2], 1.0])
-        u = generic_mats @ s4
-        v = generic_mats @ x4
-        # R entries come straight from the precomputed per-ray moment.
-        r12 = -moment[2]
-        r13 = moment[1]
-        r14 = -direction[0]
-        r23 = -moment[0]
-        r24 = -direction[1]
-        r34 = -direction[2]
-        d = (
-            r12 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-            + r13 * (u[:, 0] * v[:, 2] - u[:, 2] * v[:, 0])
-            + r14 * (u[:, 0] * v[:, 3] - u[:, 3] * v[:, 0])
-            + r23 * (u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1])
-            + r24 * (u[:, 1] * v[:, 3] - u[:, 3] * v[:, 1])
-            + r34 * (u[:, 2] * v[:, 3] - u[:, 3] * v[:, 2])
-        )
-        hits += int(np.count_nonzero(d >= 0.0))
-    return hits
-
-
-def _checksum_update(checksum: int, ray_index: int, ray_hits: int) -> int:
-    return checksum ^ mix64(((ray_index + 1) * _CHECKSUM_STRIDE) ^ ray_hits)
+def _checksum(ray_hits: np.ndarray, offset: int) -> int:
+    """XOR over rays of mix64(((offset + i + 1) * stride) ^ hits_i), mod 2^64."""
+    index = np.arange(offset + 1, offset + 1 + ray_hits.shape[0], dtype=np.uint64)
+    mixed = mix64((index * np.uint64(_CHECKSUM_STRIDE)) ^ ray_hits.astype(np.uint64))
+    return int(np.bitwise_xor.reduce(mixed))
 
 
 def _bench_chunk(
     args: tuple[Scene, str, np.ndarray, np.ndarray, int, int]
 ) -> tuple[int, int, list[int], list[int]]:
     scene, method, origins, dirs, offset, reps = args
-    n = origins.shape[0]
-    mats = _world_matrices(scene)
-    if method == "separated":
+    point = (origins[:, 0], origins[:, 1], origins[:, 2], 1.0)
+    direction = (dirs[:, 0], dirs[:, 1], dirs[:, 2], 0.0)
+    if method == "classical":
+        table = coefficient_table([obj.world_matrix() for obj in scene.objects])
+    else:
         sphere_centers, sphere_r2, other_idx = _sphere_split(scene)
-        generic_mats = mats[other_idx]
+        generic = coefficient_table([scene.objects[i].world_matrix() for i in other_idx])
 
     hits_total = 0
     checksum = 0
@@ -190,27 +141,19 @@ def _bench_chunk(
     for rep in range(reps):
         t0 = time.perf_counter_ns()
         if method == "separated":
-            moments = np.cross(dirs, origins)
-            dir_norm_sq = (dirs * dirs).sum(axis=1)
+            cache = ray_cache(point, direction)
         t1 = time.perf_counter_ns()
         precompute_ns.append(t1 - t0 if method == "separated" else 0)
 
-        rep_hits = 0
-        rep_checksum = 0
         t2 = time.perf_counter_ns()
         if method == "classical":
-            for i in range(n):
-                h = _classical_hits(mats, origins[i], dirs[i])
-                rep_hits += h
-                rep_checksum = _checksum_update(rep_checksum, offset + i, h)
+            ray_hits = classical_hit_counts(table, point, direction)
         else:
-            for i in range(n):
-                h = _separated_hits(
-                    sphere_centers, sphere_r2, generic_mats,
-                    origins[i], dirs[i], moments[i], dir_norm_sq[i],
-                )
-                rep_hits += h
-                rep_checksum = _checksum_update(rep_checksum, offset + i, h)
+            ray_hits = separated_hit_counts(
+                sphere_centers, sphere_r2, generic, point, direction, cache
+            )
+        rep_hits = int(ray_hits.sum())
+        rep_checksum = _checksum(ray_hits, offset)
         t3 = time.perf_counter_ns()
         detect_ns.append(t3 - t2)
 

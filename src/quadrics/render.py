@@ -7,8 +7,12 @@ is the image plane; the shade of a hit at parameter t is
     value = max(1, round(255 / max(t, 1)))
 
 which keeps every hit nonzero and darkens with distance.  Misses are 0.
-Pixels are computed independently, so output bytes are identical for any
-worker count.
+
+Pixels are evaluated in tiles of (pixels x objects) by the batched kernels
+of `kernels`, which keep the scalar kernels' arithmetic term by term, so an
+image equals, byte for byte, a per-pixel loop over `intersect_classical` or
+`intersect_separated` and `hit_parameters`.  Pixels are computed
+independently, so output bytes are identical for any worker count.
 """
 from __future__ import annotations
 
@@ -17,11 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import BinaryIO
 
-from .classical import Miss, hit_parameters, intersect_classical
-from .geometry import HomogeneousDirection, HomogeneousPoint, Vec3, cross
-from .quadric import QuadricMatrix
+import numpy as np
+
+from .geometry import Vec3, cross
+from .kernels import coefficient_table, nearest_hits
 from .scene import Scene
-from .separated import intersect_separated, make_ray_cache
 
 __all__ = ["Image", "render_detection", "write_pgm", "pgm_bytes"]
 
@@ -77,39 +81,32 @@ def _camera_frame(scene: Scene) -> _CameraFrame:
     )
 
 
-def _pixel_value(t_nearest: float | None) -> int:
-    if t_nearest is None:
-        return 0
-    return max(1, min(255, int(255.0 / max(t_nearest, 1.0) + 0.5)))
+def _pixel_values(nearest: np.ndarray) -> np.ndarray:
+    """max(1, min(255, int(255 / max(t, 1) + 0.5))) per pixel; 0 where t is NaN (no hit)."""
+    shade = np.clip(np.floor(255.0 / np.maximum(nearest, 1.0) + 0.5), 1.0, 255.0)
+    return np.where(np.isnan(nearest), 0.0, shade).astype(np.uint8)
 
 
 def _render_rows(
-    scene: Scene, method: str, matrices: list[QuadricMatrix], row_start: int, row_end: int
+    frame: _CameraFrame, method: str, table: np.ndarray, row_start: int, row_end: int
 ) -> bytes:
-    frame = _camera_frame(scene)
-    origin = HomogeneousPoint.from_euclidean(frame.origin)
-    out = bytearray()
-    for row in range(row_start, row_end):
-        for col in range(frame.width):
-            d = frame.ray_direction(col, row)
-            direction = HomogeneousDirection.from_euclidean(d)
-            cache = make_ray_cache(origin, direction) if method == "separated" else None
-            t_nearest: float | None = None
-            for q in matrices:
-                if cache is not None:
-                    result = intersect_separated(q, cache)
-                else:
-                    result = intersect_classical(q, origin, direction)
-                if isinstance(result, Miss):
-                    continue
-                for t in hit_parameters(result):
-                    if t > 0.0 and (t_nearest is None or t < t_nearest):
-                        t_nearest = t
-            out.append(_pixel_value(t_nearest))
-    return bytes(out)
+    width, height = frame.width, frame.height
+    u = ((np.arange(width) + 0.5) / width * 2.0 - 1.0) * frame.half_w
+    v = (1.0 - (np.arange(row_start, row_end) + 0.5) / height * 2.0) * frame.half_h
+    # forward + u*right + v*up, component by component, one row per image row.
+    f, r, up = frame.forward, frame.right, frame.up
+    direction = (
+        ((f.x + u * r.x)[None, :] + (v * up.x)[:, None]).ravel(),
+        ((f.y + u * r.y)[None, :] + (v * up.y)[:, None]).ravel(),
+        ((f.z + u * r.z)[None, :] + (v * up.z)[:, None]).ravel(),
+        0.0,
+    )
+    point = (frame.origin.x, frame.origin.y, frame.origin.z, 1.0)
+    nearest = nearest_hits(table, point, direction, method)
+    return _pixel_values(nearest).tobytes()
 
 
-def _render_chunk(args: tuple[Scene, str, list[QuadricMatrix], int, int]) -> bytes:
+def _render_chunk(args: tuple[_CameraFrame, str, np.ndarray, int, int]) -> bytes:
     return _render_rows(*args)
 
 
@@ -119,11 +116,12 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
         raise ValueError(f"unknown method {method!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    matrices = [obj.world_matrix() for obj in scene.objects]
-    height, width = scene.camera.height, scene.camera.width
+    frame = _camera_frame(scene)
+    table = coefficient_table([obj.world_matrix() for obj in scene.objects])
+    height, width = frame.height, frame.width
 
     if workers == 1:
-        pixels = _render_rows(scene, method, matrices, 0, height)
+        pixels = _render_rows(frame, method, table, 0, height)
         return Image(width=width, height=height, pixels=pixels)
 
     rows_per_chunk = max(1, -(-height // workers))
@@ -131,7 +129,7 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
     start = 0
     while start < height:
         end = min(start + rows_per_chunk, height)
-        chunks.append((scene, method, matrices, start, end))
+        chunks.append((frame, method, table, start, end))
         start = end
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_render_chunk, chunks))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,17 +10,23 @@ from quadrics import (
     discriminant_separated,
     make_ray_cache,
 )
+from quadrics import kernels
 from quadrics.bench import (
     CSV_HEADER,
     BenchStats,
-    _classical_hits,
-    _separated_hits,
+    _checksum,
     _sphere_split,
-    _world_matrices,
     generate_rays,
     run_benchmark,
     to_csv,
 )
+from quadrics.kernels import (
+    classical_hit_counts,
+    coefficient_table,
+    ray_cache,
+    separated_hit_counts,
+)
+from quadrics.rng import mix64
 from quadrics.scene import generate_scene
 
 
@@ -59,40 +67,60 @@ class TestCounts:
         assert classical.detections == separated.detections == 200 * 60
 
 
+class TestChecksum:
+    def test_equals_the_documented_per_ray_loop(self):
+        hits = np.array([0, 3, 1, 7, 0, 2**20, 15], dtype=np.int64)
+        for offset in (0, 37, 2**40):
+            expected = 0
+            for i, h in enumerate(hits):
+                expected ^= mix64(((offset + i + 1) * 0x9E3779B97F4A7C15) ^ int(h))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # uint64 products wrap silently
+                assert _checksum(hits, offset) == expected
+
+
 class TestVectorizedKernelsMatchScalar:
-    def test_classical_vectorized_counts(self):
+    # Every check runs at the default tile size and at one that splits the
+    # 40 rays into tiles of 3, the last one partial.
+    TILE_SIZES = (kernels.TILE_PAIRS, 50)
+
+    def test_classical_vectorized_counts(self, monkeypatch):
         sc = generate_scene(21, 15)
-        mats = _world_matrices(sc)
         world = [obj.world_matrix() for obj in sc.objects]
         origins, dirs = generate_rays(21, 40)
-        for i in range(40):
-            p = HomogeneousPoint(*origins[i], 1.0)
-            s = HomogeneousDirection(*dirs[i], 0.0)
-            scalar = 0
-            for q in world:
-                cf = coefficients(q, p, s)
-                if cf.b * cf.b - cf.a * cf.c >= 0.0:
-                    scalar += 1
-            assert _classical_hits(mats, origins[i], dirs[i]) == scalar
+        table = coefficient_table(world)
+        for tile_pairs in self.TILE_SIZES:
+            monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
+            counts = classical_hit_counts(table, (*origins.T, 1.0), (*dirs.T, 0.0))
+            for i in range(40):
+                p = HomogeneousPoint(*origins[i], 1.0)
+                s = HomogeneousDirection(*dirs[i], 0.0)
+                scalar = 0
+                for q in world:
+                    cf = coefficients(q, p, s)
+                    if cf.b * cf.b - cf.a * cf.c >= 0.0:
+                        scalar += 1
+                assert counts[i] == scalar
 
-    def test_separated_vectorized_counts(self):
+    def test_separated_vectorized_counts(self, monkeypatch):
         sc = generate_scene(22, 15)
-        mats = _world_matrices(sc)
         centers, r2, other_idx = _sphere_split(sc)
-        generic = mats[other_idx]
         world = [obj.world_matrix() for obj in sc.objects]
+        generic = coefficient_table([world[i] for i in other_idx])
+        assert len(r2) and len(other_idx)  # both paths run
         origins, dirs = generate_rays(22, 40)
-        moments = np.cross(dirs, origins)
-        dir_norm_sq = (dirs * dirs).sum(axis=1)
-        for i in range(40):
-            p = HomogeneousPoint(*origins[i], 1.0)
-            s = HomogeneousDirection(*dirs[i], 0.0)
-            cache = make_ray_cache(p, s)
-            scalar = sum(1 for q in world if discriminant_separated(q, cache) >= 0.0)
-            got = _separated_hits(
-                centers, r2, generic, origins[i], dirs[i], moments[i], dir_norm_sq[i]
+        point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
+        for tile_pairs in self.TILE_SIZES:
+            monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
+            counts = separated_hit_counts(
+                centers, r2, generic, point, direction, ray_cache(point, direction)
             )
-            assert got == scalar
+            for i in range(40):
+                p = HomogeneousPoint(*origins[i], 1.0)
+                s = HomogeneousDirection(*dirs[i], 0.0)
+                cache = make_ray_cache(p, s)
+                scalar = sum(1 for q in world if discriminant_separated(q, cache) >= 0.0)
+                assert counts[i] == scalar
 
 
 class TestCsv:

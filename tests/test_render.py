@@ -1,9 +1,30 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
-from quadrics.render import Image, pgm_bytes, render_detection
-from quadrics.scene import generate_scene, parse_scene, serialize_scene
+from _helpers import random_rotation
+from quadrics import (
+    HomogeneousDirection,
+    HomogeneousPoint,
+    QuadricMatrix,
+    Vec3,
+    hit_parameters,
+    intersect_classical,
+    intersect_separated,
+    kernels,
+    make_ray_cache,
+)
+from quadrics.quadric import (
+    Ellipsoid,
+    General,
+    HyperbolicParaboloid,
+    OneSheetHyperboloid,
+    Sphere,
+)
+from quadrics.render import Image, _camera_frame, pgm_bytes, render_detection
+from quadrics.scene import Camera, Scene, SceneObject, generate_scene, parse_scene, serialize_scene
 
 DISC_SCENE = "camera 0 0 5 0 0 0 0 1 0 60 101 101\nsphere 0 0 0 1\n"
 
@@ -89,3 +110,111 @@ class TestPgm:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             render_detection(parse_scene(DISC_SCENE), method="fancy")
+
+
+def reference_render(scene: Scene, method: str) -> tuple[bytes, set[str]]:
+    """Per-pixel scalar loop: the image bytes and the result kinds met on the way."""
+    frame = _camera_frame(scene)
+    origin = HomogeneousPoint.from_euclidean(frame.origin)
+    matrices = [obj.world_matrix() for obj in scene.objects]
+    pixels = bytearray()
+    kinds = set()
+    for row in range(frame.height):
+        for col in range(frame.width):
+            direction = HomogeneousDirection.from_euclidean(frame.ray_direction(col, row))
+            cache = make_ray_cache(origin, direction)
+            nearest = None
+            for q in matrices:
+                if method == "separated":
+                    result = intersect_separated(q, cache)
+                else:
+                    result = intersect_classical(q, origin, direction)
+                kinds.add(type(result).__name__)
+                for t in hit_parameters(result):
+                    if t > 0.0 and (nearest is None or t < nearest):
+                        nearest = t
+            pixels.append(
+                0 if nearest is None else max(1, min(255, int(255.0 / max(nearest, 1.0) + 0.5)))
+            )
+    return bytes(pixels), kinds
+
+
+def _camera(width: int, height: int, origin=Vec3(1.0, 2.0, 14.0), look_at=Vec3(0.0, 0.0, 0.0)):
+    return Camera(origin, look_at, Vec3(0.0, 1.0, 0.0), 60.0, width, height)
+
+
+def _mixed_objects() -> tuple[SceneObject, ...]:
+    rng = np.random.default_rng(5)
+    return (
+        SceneObject(Sphere(1.5), Vec3(-3.0, 1.0, 0.0)),
+        SceneObject(Ellipsoid(2.0, 0.8, 1.2), Vec3(2.5, -1.0, 1.0), random_rotation(rng)),
+        SceneObject(OneSheetHyperboloid(0.6, 0.9, 1.1), Vec3(0.0, 0.0, -6.0), random_rotation(rng)),
+        SceneObject(HyperbolicParaboloid(1.0, 2.0), Vec3(1.0, 3.0, -3.0)),
+        SceneObject(Sphere(0.7), Vec3(0.5, -2.5, 3.0), random_rotation(rng)),
+        SceneObject(General(QuadricMatrix(1.0, 0.5, -0.25, -4.0, a12=0.3, a14=0.5, a34=-0.2))),
+    )
+
+
+class TestBatchedMatchesScalarLoop:
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    @pytest.mark.parametrize("size", [(1, 1), (7, 5), (16, 11)])
+    @pytest.mark.parametrize("tile_pairs", [13, kernels.TILE_PAIRS])
+    def test_every_kind_rotated_and_raw(self, method, size, tile_pairs, monkeypatch):
+        # 13 pairs over 6 objects is 2 rays per tile: tiles end mid-row.
+        monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
+        scene = Scene(_camera(*size), _mixed_objects())
+        expected, _ = reference_render(scene, method)
+        assert render_detection(scene, method).pixels == expected
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    def test_paraboloid_along_its_axis_gives_linear_hits(self, method):
+        scene = Scene(
+            _camera(9, 9, origin=Vec3(0.0, 0.0, 10.0)),
+            (SceneObject(HyperbolicParaboloid(1.0, 1.0)),),
+        )
+        expected, kinds = reference_render(scene, method)
+        assert "LinearHit" in kinds
+        assert render_detection(scene, method).pixels == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_counts(self, workers):
+        scene = Scene(_camera(7, 5), _mixed_objects())
+        for method in ("classical", "separated"):
+            expected, _ = reference_render(scene, method)
+            assert render_detection(scene, method, workers=workers).pixels == expected
+
+
+class TestExtremeInputs:
+    """Overflow must behave as in Python floats, with no numpy warning escaping."""
+
+    SCENES = {
+        "huge-coefficients": Scene(
+            _camera(9, 7, origin=Vec3(0.0, 0.0, 10.0)),
+            (
+                SceneObject(General(QuadricMatrix(1e300, 1e300, 1e300, -1e300))),
+                SceneObject(General(QuadricMatrix(1e300, 2e299, 1e298, -3e299, a12=1e299, a34=-1e300))),
+                SceneObject(General(QuadricMatrix(1e300, 1.0, 1.0, -1.0, a14=1e300))),
+                # The centre ray meets it where 0 * inf makes the separated
+                # discriminant NaN; a NaN survives the early reject, and the
+                # pair is a LinearHit.
+                SceneObject(General(QuadricMatrix(0.0, 0.0, 0.0, 0.0, a13=1e300, a24=1e300, a34=-1e300))),
+                SceneObject(Sphere(1.0), Vec3(2.0, 0.0, 0.0)),
+            ),
+        ),
+        # A unit sphere 1e7 from the origin: both routes still report Degenerate
+        # (a known misclassification, kept as is here).
+        "far-sphere": Scene(
+            _camera(9, 7, origin=Vec3(1e7 - 5.0, 0.5, 0.0), look_at=Vec3(1e7, 0.5, 0.0)),
+            (SceneObject(Sphere(1.0), Vec3(1e7, 0.0, 0.0)),),
+        ),
+    }
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    def test_matches_scalar_loop_without_warnings(self, name, method):
+        scene = self.SCENES[name]
+        expected, _ = reference_render(scene, method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            image = render_detection(scene, method)
+        assert image.pixels == expected
