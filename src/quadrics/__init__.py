@@ -27,8 +27,6 @@ from .geometry import (
     Vec3,
     compose,
     cross,
-    cross_matrix,
-    mat_vec,
     rotation,
     to_euclidean,
     translation,
@@ -48,7 +46,6 @@ from .separated import (
     EndpointMatrix,
     RayCache,
     RMatrix,
-    detect_separated,
     discriminant_separated,
     intersect_separated,
     make_ray_cache,
@@ -68,12 +65,10 @@ __all__ = [
     "Mat3",
     "Mat4",
     "cross",
-    "cross_matrix",
     "translation",
     "rotation",
     "compose",
     "transpose",
-    "mat_vec",
     "to_euclidean",
     "QuadricMatrix",
     "QuadricKind",
@@ -104,7 +99,6 @@ __all__ = [
     "discriminant_separated",
     "sphere_discriminant",
     "sphere_discriminant_projective",
-    "detect_separated",
     "intersect_separated",
     "__version__",
 ]

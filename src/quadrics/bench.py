@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import classical_hit_counts, coefficient_table, ray_cache, separated_hit_counts
+from .kernels import (
+    METHODS, classical_hit_counts, coefficient_table, ray_cache, separated_hit_counts,
+)
 from .quadric import Sphere
 from .rng import Xorshift64Star, mix64
 from .scene import Scene
@@ -48,8 +50,6 @@ CSV_HEADER = (
 # XORed into the scene seed so the ray stream is decoupled from object draws.
 RAY_SEED_SALT = 0x9E3779B97F4A7C15
 _CHECKSUM_STRIDE = 0x9E3779B97F4A7C15
-
-BENCH_METHODS = ("classical", "separated")
 
 
 @dataclass(frozen=True)
@@ -174,16 +174,14 @@ def _run_one_method(
 ) -> BenchStats:
     rays = origins.shape[0]
     objects = len(scene.objects)
+    per = -(-rays // workers)
+    chunks = [
+        (scene, method, origins[start:start + per], dirs[start:start + per], start, reps)
+        for start in range(0, rays, per)
+    ]
     if workers == 1:
-        chunk_results = [_bench_chunk((scene, method, origins, dirs, 0, reps))]
+        chunk_results = list(map(_bench_chunk, chunks))
     else:
-        per = max(1, -(-rays // workers))
-        chunks = []
-        start = 0
-        while start < rays:
-            end = min(start + per, rays)
-            chunks.append((scene, method, origins[start:end], dirs[start:end], start, reps))
-            start = end
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk_results = list(pool.map(_bench_chunk, chunks))
 
@@ -222,14 +220,14 @@ def run_benchmark(
     Returns one BenchStats per method; timings are medians over `reps`
     repetitions of the same work.
     """
-    if method not in BENCH_METHODS and method != "both":
+    if method not in METHODS and method != "both":
         raise ValueError(f"unknown method {method!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     origins, dirs = generate_rays(seed, rays)
-    methods = list(BENCH_METHODS) if method == "both" else [method]
+    methods = list(METHODS) if method == "both" else [method]
     return [_run_one_method(scene, m, origins, dirs, reps, workers) for m in methods]
 
 

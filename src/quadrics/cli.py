@@ -10,6 +10,7 @@ import sys
 from typing import Sequence
 
 from . import bench, check, render, scene
+from .kernels import METHODS
 
 __all__ = ["main"]
 
@@ -27,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_render = sub.add_parser("render", parents=[], help="render a detection image to PGM")
     p_render.add_argument("scene_file")
-    p_render.add_argument("--method", choices=render.METHODS, default="separated")
+    p_render.add_argument("--method", choices=METHODS, default="separated")
     p_render.add_argument("-o", "--output", required=True)
     p_render.add_argument("--workers", type=int, default=1)
     p_render.set_defaults(func=_cmd_render)
@@ -36,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.add_argument("--objects", type=int, required=True)
     p_bench.add_argument("--rays", type=int, required=True)
-    p_bench.add_argument("--method", choices=("classical", "separated", "both"), default="both")
+    p_bench.add_argument("--method", choices=(*METHODS, "both"), default="both")
     p_bench.add_argument("--reps", type=int, default=1)
     p_bench.add_argument("-o", "--output", required=True)
     p_bench.add_argument("--workers", type=int, default=1)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = [
     "Vec3",
@@ -17,12 +16,10 @@ __all__ = [
     "Mat3",
     "Mat4",
     "cross",
-    "cross_matrix",
     "translation",
     "rotation",
     "compose",
     "transpose",
-    "mat_vec",
     "to_euclidean",
 ]
 
@@ -146,14 +143,6 @@ class Mat3:
     def at(self, i: int, j: int) -> float:
         return self.m[3 * i + j]
 
-    def apply(self, v: Vec3) -> Vec3:
-        m = self.m
-        return Vec3(
-            m[0] * v.x + m[1] * v.y + m[2] * v.z,
-            m[3] * v.x + m[4] * v.y + m[5] * v.z,
-            m[6] * v.x + m[7] * v.y + m[8] * v.z,
-        )
-
     def transposed(self) -> Mat3:
         m = self.m
         return Mat3((m[0], m[3], m[6], m[1], m[4], m[7], m[2], m[5], m[8]))
@@ -170,15 +159,6 @@ class Mat4:
             raise ValueError("Mat4 needs exactly 16 entries")
         _require_finite("Mat4", *self.m)
 
-    @staticmethod
-    def identity() -> Mat4:
-        return Mat4(
-            (1.0, 0.0, 0.0, 0.0,
-             0.0, 1.0, 0.0, 0.0,
-             0.0, 0.0, 1.0, 0.0,
-             0.0, 0.0, 0.0, 1.0)
-        )
-
     def at(self, i: int, j: int) -> float:
         return self.m[4 * i + j]
 
@@ -190,16 +170,6 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
         u.z * v.x - u.x * v.z,
         u.x * v.y - u.y * v.x,
     )
-
-
-def cross_matrix(w: Vec3) -> Mat3:
-    """Antisymmetric matrix K with K.apply(v) == cross(w, v).
-
-    Each off-diagonal value is computed once and mirrored with negation, so
-    antisymmetry is exact by construction.
-    """
-    wx, wy, wz = w.x, w.y, w.z
-    return Mat3((0.0, -wz, wy, wz, 0.0, -wx, -wy, wx, 0.0))
 
 
 def translation(c: Vec3) -> Mat4:
@@ -239,20 +209,6 @@ def compose(a: Mat4, b: Mat4) -> Mat4:
 def transpose(a: Mat4) -> Mat4:
     m = a.m
     return Mat4(tuple(m[4 * j + i] for i in range(4) for j in range(4)))
-
-
-def mat_vec(a: Mat4, v: Sequence[float]) -> tuple[float, float, float, float]:
-    """a . v for a length-4 vector, rows accumulated left to right."""
-    if len(v) != 4:
-        raise ValueError("mat_vec needs a length-4 vector")
-    m = a.m
-    v0, v1, v2, v3 = v
-    return (
-        m[0] * v0 + m[1] * v1 + m[2] * v2 + m[3] * v3,
-        m[4] * v0 + m[5] * v1 + m[6] * v2 + m[7] * v3,
-        m[8] * v0 + m[9] * v1 + m[10] * v2 + m[11] * v3,
-        m[12] * v0 + m[13] * v1 + m[14] * v2 + m[15] * v3,
-    )
 
 
 def to_euclidean(p: HomogeneousPoint) -> Vec3:

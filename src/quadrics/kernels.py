@@ -26,6 +26,7 @@ from .classical import LINEAR_EPS, TANGENT_EPS
 from .quadric import QuadricMatrix
 
 __all__ = [
+    "METHODS",
     "TILE_PAIRS",
     "coefficient_table",
     "tiles",
@@ -39,6 +40,9 @@ __all__ = [
     "classical_hit_counts",
     "separated_hit_counts",
 ]
+
+# The two routes every detection entry point (render, bench, CLI) accepts.
+METHODS = ("classical", "separated")
 
 # Pairs evaluated per tile.  A tile is whole rays against every object, so
 # it holds max(1, TILE_PAIRS // objects) rays, and a float64 temporary is

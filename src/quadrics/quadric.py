@@ -1,16 +1,22 @@
-"""Symmetric 4x4 quadric-surface matrices.
+"""Symmetric 4x4 quadric-surface matrices and the catalog of named surfaces.
 
 A quadric surface is the zero set of x^T Q x for a symmetric 4x4 matrix Q.
 Only the 10 independent coefficients are stored, so every materialized
-matrix is symmetric by construction.  Includes the catalog of surfaces in
-fundamental (centered, axis-aligned) position and the rigid-transform
-pipeline Q = T^T Q0 T that places them in the world frame.
+matrix is symmetric by construction.  `transform` places a surface in the
+world frame as Q = T^T Q0 T.
+
+`CATALOG` maps each scene directive to its kind: one class per surface
+(`Sphere`, `Ellipsoid`, ...), in fundamental (centered, axis-aligned)
+position, plus `General` for raw coefficients.  Each class validates its
+shape parameters once, at construction, so a malformed scene fails at parse
+time and not in the kernels, and builds its matrix in `matrix()`; the
+lower-case factories (`sphere`, `ellipsoid`, ...) are entry points over them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 from .geometry import HomogeneousPoint, Mat4, compose, transpose
 
@@ -26,14 +32,13 @@ __all__ = [
     "bilinear_form",
     "apply",
     "transform",
-    "to_text",
-    "from_text",
     "Sphere",
     "Ellipsoid",
     "OneSheetHyperboloid",
     "HyperbolicParaboloid",
     "General",
     "QuadricKind",
+    "CATALOG",
 ]
 
 # Serialization order for the 10 coefficients (used by the scene format).
@@ -126,34 +131,6 @@ def evaluate(q: QuadricMatrix, x: HomogeneousPoint) -> float:
     return quadratic_form(q, x.as_tuple())
 
 
-def sphere(radius: float) -> QuadricMatrix:
-    """Sphere of the given radius in fundamental position: diag(1, 1, 1, -r^2)."""
-    if not radius > 0.0:
-        raise ValueError(f"sphere: non-positive radius {radius!r}")
-    return QuadricMatrix(1.0, 1.0, 1.0, -(radius * radius))
-
-
-def ellipsoid(a: float, b: float, c: float) -> QuadricMatrix:
-    """Axis-aligned ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 - 1 = 0."""
-    if not (a > 0.0 and b > 0.0 and c > 0.0):
-        raise ValueError(f"ellipsoid: non-positive semi-axis in {(a, b, c)!r}")
-    return QuadricMatrix(1.0 / (a * a), 1.0 / (b * b), 1.0 / (c * c), -1.0)
-
-
-def one_sheet_hyperboloid(a: float, b: float, c: float) -> QuadricMatrix:
-    """One-sheet hyperboloid x^2/a^2 + y^2/b^2 - z^2/c^2 - 1 = 0."""
-    if not (a > 0.0 and b > 0.0 and c > 0.0):
-        raise ValueError(f"one_sheet_hyperboloid: non-positive semi-axis in {(a, b, c)!r}")
-    return QuadricMatrix(1.0 / (a * a), 1.0 / (b * b), -1.0 / (c * c), -1.0)
-
-
-def hyperbolic_paraboloid(a: float, b: float) -> QuadricMatrix:
-    """Hyperbolic paraboloid x^2/a^2 - y^2/b^2 - 2z = 0; not diagonal (a34 = -1)."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"hyperbolic_paraboloid: non-positive semi-axis in {(a, b)!r}")
-    return QuadricMatrix(1.0 / (a * a), -1.0 / (b * b), 0.0, 0.0, a34=-1.0)
-
-
 def transform(q0: QuadricMatrix, t: Mat4) -> QuadricMatrix:
     """T^T Q0 T for a rigid transform T, re-symmetrized into coefficient form.
 
@@ -173,81 +150,94 @@ def transform(q0: QuadricMatrix, t: Mat4) -> QuadricMatrix:
     )
 
 
-def to_text(q: QuadricMatrix) -> str:
-    """10 whitespace-separated decimals in the documented coefficient order."""
-    return " ".join(repr(float(c)) for c in q.coefficients())
+# Catalog shape parameters must lie in [2^-511, 2^511]: then r^2 and 1/a^2
+# are normal floats, so no coefficient of a catalog matrix is zero or non-finite.
+_PARAM_MIN = 2.0 ** -511
+_PARAM_MAX = 2.0 ** 511
 
 
-def from_text(text: str) -> QuadricMatrix:
-    parts = text.split()
-    if len(parts) != 10:
-        raise ValueError(f"quadric text needs 10 numbers, got {len(parts)}")
-    values = [float(p) for p in parts]
-    return QuadricMatrix(*values)
+def _shape_error(kind: str, noun: str, params: tuple[float, ...]) -> ValueError:
+    shown = repr(params[0]) if len(params) == 1 else f"in {params!r}"
+    if all(p > 0.0 for p in params):
+        return ValueError(f"{kind}: {noun} out of range {shown} (must lie in [2^-511, 2^511])")
+    return ValueError(f"{kind}: non-positive {noun} {shown}")
 
-
-# Catalog tags for scene objects.  Shape parameters are validated here so a
-# malformed scene fails at parse time, not in the kernels.
 
 @dataclass(frozen=True, slots=True)
 class Sphere:
+    """Sphere of radius r in fundamental position: diag(1, 1, 1, -r^2)."""
+
+    directive: ClassVar[str] = "sphere"
     r: float
 
     def __post_init__(self) -> None:
-        if not self.r > 0.0:
-            raise ValueError(f"sphere: non-positive radius {self.r!r}")
+        if not _PARAM_MIN <= self.r <= _PARAM_MAX:
+            raise _shape_error("sphere", "radius", (self.r,))
 
     def matrix(self) -> QuadricMatrix:
-        return sphere(self.r)
+        return QuadricMatrix(1.0, 1.0, 1.0, -(self.r * self.r))
 
 
 @dataclass(frozen=True, slots=True)
 class Ellipsoid:
+    """Axis-aligned ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 - 1 = 0."""
+
+    directive: ClassVar[str] = "ellipsoid"
     a: float
     b: float
     c: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0 and self.c > 0.0):
-            raise ValueError(f"ellipsoid: non-positive semi-axis in {(self.a, self.b, self.c)!r}")
+        if not (_PARAM_MIN <= self.a <= _PARAM_MAX and _PARAM_MIN <= self.b <= _PARAM_MAX
+                and _PARAM_MIN <= self.c <= _PARAM_MAX):
+            raise _shape_error("ellipsoid", "semi-axis", (self.a, self.b, self.c))
 
     def matrix(self) -> QuadricMatrix:
-        return ellipsoid(self.a, self.b, self.c)
+        a, b, c = self.a, self.b, self.c
+        return QuadricMatrix(1.0 / (a * a), 1.0 / (b * b), 1.0 / (c * c), -1.0)
 
 
 @dataclass(frozen=True, slots=True)
 class OneSheetHyperboloid:
+    """One-sheet hyperboloid x^2/a^2 + y^2/b^2 - z^2/c^2 - 1 = 0."""
+
+    directive: ClassVar[str] = "hyperboloid1"
     a: float
     b: float
     c: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0 and self.c > 0.0):
-            raise ValueError(
-                f"one_sheet_hyperboloid: non-positive semi-axis in {(self.a, self.b, self.c)!r}"
-            )
+        if not (_PARAM_MIN <= self.a <= _PARAM_MAX and _PARAM_MIN <= self.b <= _PARAM_MAX
+                and _PARAM_MIN <= self.c <= _PARAM_MAX):
+            raise _shape_error("one_sheet_hyperboloid", "semi-axis", (self.a, self.b, self.c))
 
     def matrix(self) -> QuadricMatrix:
-        return one_sheet_hyperboloid(self.a, self.b, self.c)
+        a, b, c = self.a, self.b, self.c
+        return QuadricMatrix(1.0 / (a * a), 1.0 / (b * b), -1.0 / (c * c), -1.0)
 
 
 @dataclass(frozen=True, slots=True)
 class HyperbolicParaboloid:
+    """Hyperbolic paraboloid x^2/a^2 - y^2/b^2 - 2z = 0; not diagonal (a34 = -1)."""
+
+    directive: ClassVar[str] = "hparaboloid"
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"hyperbolic_paraboloid: non-positive semi-axis in {(self.a, self.b)!r}")
+        if not (_PARAM_MIN <= self.a <= _PARAM_MAX and _PARAM_MIN <= self.b <= _PARAM_MAX):
+            raise _shape_error("hyperbolic_paraboloid", "semi-axis", (self.a, self.b))
 
     def matrix(self) -> QuadricMatrix:
-        return hyperbolic_paraboloid(self.a, self.b)
+        a, b = self.a, self.b
+        return QuadricMatrix(1.0 / (a * a), -1.0 / (b * b), 0.0, 0.0, a34=-1.0)
 
 
 @dataclass(frozen=True, slots=True)
 class General:
     """Raw 10-coefficient quadric; never classified back into a named kind."""
 
+    directive: ClassVar[str] = "quadric"
     q: QuadricMatrix
 
     def matrix(self) -> QuadricMatrix:
@@ -255,3 +245,25 @@ class General:
 
 
 QuadricKind = Union[Sphere, Ellipsoid, OneSheetHyperboloid, HyperbolicParaboloid, General]
+
+# Scene keyword -> kind: the single list of the scene format's object directives.
+CATALOG: dict[str, type[QuadricKind]] = {
+    kind.directive: kind
+    for kind in (Sphere, Ellipsoid, OneSheetHyperboloid, HyperbolicParaboloid, General)
+}
+
+
+def sphere(radius: float) -> QuadricMatrix:
+    return Sphere(radius).matrix()
+
+
+def ellipsoid(a: float, b: float, c: float) -> QuadricMatrix:
+    return Ellipsoid(a, b, c).matrix()
+
+
+def one_sheet_hyperboloid(a: float, b: float, c: float) -> QuadricMatrix:
+    return OneSheetHyperboloid(a, b, c).matrix()
+
+
+def hyperbolic_paraboloid(a: float, b: float) -> QuadricMatrix:
+    return HyperbolicParaboloid(a, b).matrix()

@@ -19,17 +19,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import BinaryIO
 
 import numpy as np
 
 from .geometry import Vec3, cross
-from .kernels import coefficient_table, nearest_hits
+from .kernels import METHODS, coefficient_table, nearest_hits
 from .scene import Scene
 
 __all__ = ["Image", "render_detection", "write_pgm", "pgm_bytes"]
-
-METHODS = ("classical", "separated")
 
 
 @dataclass(frozen=True)
@@ -87,12 +86,10 @@ def _pixel_values(nearest: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(nearest), 0.0, shade).astype(np.uint8)
 
 
-def _render_rows(
-    frame: _CameraFrame, method: str, table: np.ndarray, row_start: int, row_end: int
-) -> bytes:
+def _render_rows(frame: _CameraFrame, method: str, table: np.ndarray, rows: range) -> bytes:
     width, height = frame.width, frame.height
     u = ((np.arange(width) + 0.5) / width * 2.0 - 1.0) * frame.half_w
-    v = (1.0 - (np.arange(row_start, row_end) + 0.5) / height * 2.0) * frame.half_h
+    v = (1.0 - (np.arange(rows.start, rows.stop) + 0.5) / height * 2.0) * frame.half_h
     # forward + u*right + v*up, component by component, one row per image row.
     f, r, up = frame.forward, frame.right, frame.up
     direction = (
@@ -106,10 +103,6 @@ def _render_rows(
     return _pixel_values(nearest).tobytes()
 
 
-def _render_chunk(args: tuple[_CameraFrame, str, np.ndarray, int, int]) -> bytes:
-    return _render_rows(*args)
-
-
 def render_detection(scene: Scene, method: str = "separated", workers: int = 1) -> Image:
     """Trace one primary ray per pixel against every object."""
     if method not in METHODS:
@@ -118,22 +111,15 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
         raise ValueError("workers must be >= 1")
     frame = _camera_frame(scene)
     table = coefficient_table([obj.world_matrix() for obj in scene.objects])
-    height, width = frame.height, frame.width
-
+    rows = range(frame.height)
     if workers == 1:
-        pixels = _render_rows(frame, method, table, 0, height)
-        return Image(width=width, height=height, pixels=pixels)
-
-    rows_per_chunk = max(1, -(-height // workers))
-    chunks = []
-    start = 0
-    while start < height:
-        end = min(start + rows_per_chunk, height)
-        chunks.append((frame, method, table, start, end))
-        start = end
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_render_chunk, chunks))
-    return Image(width=width, height=height, pixels=b"".join(parts))
+        pixels = _render_rows(frame, method, table, rows)
+    else:
+        per = -(-len(rows) // workers)
+        chunks = [rows[start:start + per] for start in range(0, len(rows), per)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pixels = b"".join(pool.map(partial(_render_rows, frame, method, table), chunks))
+    return Image(width=frame.width, height=frame.height, pixels=pixels)
 
 
 def pgm_bytes(image: Image) -> bytes:

@@ -15,13 +15,21 @@ files stay diff-able and any language can parse it:
 rotation of the preceding object; `quadric` coefficients are world frame
 unless an xform follows.  Blank lines and lines starting with '#' are
 ignored.
+
+The object directives are the keys of `quadric.CATALOG`: `parse_scene`
+builds each kind through it and takes each directive's arity from the kind's
+fields.  Every malformed line raises `SceneParseError` with its line number
+and the failed check's own message.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 
 from .geometry import Mat3, Vec3, compose, rotation, translation
 from .quadric import (
+    CATALOG,
+    COEFFICIENT_ORDER,
     Ellipsoid,
     General,
     HyperbolicParaboloid,
@@ -107,20 +115,24 @@ class Scene:
             raise ValueError("scene: needs at least one object")
 
 
-_OBJECT_ARITY = {"sphere": 4, "ellipsoid": 6, "hyperboloid1": 6, "hparaboloid": 5, "quadric": 10}
+_OBJECT_ARITY = {
+    name: len(COEFFICIENT_ORDER) if kind is General else 3 + len(fields(kind))
+    for name, kind in CATALOG.items()
+}
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _floats(parts: list[str], line: int) -> list[float]:
+def _floats(parts: list[str]) -> list[float]:
     out = []
     for p in parts:
         try:
             out.append(float(p))
         except ValueError:
-            raise SceneParseError(line, f"malformed number {p!r}") from None
+            raise ValueError(f"malformed number {p!r}") from None
     return out
 
 
-def _check_rotation(m: Mat3, line: int) -> None:
+def _check_rotation(m: Mat3) -> None:
     # R^T R must be the identity within ROTATION_TOL, det within it of +1.
     rt = m.transposed()
     for i in range(3):
@@ -128,95 +140,71 @@ def _check_rotation(m: Mat3, line: int) -> None:
             got = sum(rt.at(i, k) * m.at(k, j) for k in range(3))
             want = 1.0 if i == j else 0.0
             if abs(got - want) > ROTATION_TOL:
-                raise SceneParseError(line, "xform rotation is not orthonormal")
+                raise ValueError("xform rotation is not orthonormal")
     a = m.m
     det = (a[0] * (a[4] * a[8] - a[5] * a[7])
            - a[1] * (a[3] * a[8] - a[5] * a[6])
            + a[2] * (a[3] * a[7] - a[4] * a[6]))
     if abs(det - 1.0) > ROTATION_TOL:
-        raise SceneParseError(line, "xform rotation determinant is not +1")
-
-
-def _make_kind(directive: str, values: list[float], line: int) -> tuple[QuadricKind, Vec3]:
-    try:
-        if directive == "sphere":
-            return Sphere(values[3]), Vec3(*values[:3])
-        if directive == "ellipsoid":
-            return Ellipsoid(*values[3:]), Vec3(*values[:3])
-        if directive == "hyperboloid1":
-            return OneSheetHyperboloid(*values[3:]), Vec3(*values[:3])
-        if directive == "hparaboloid":
-            return HyperbolicParaboloid(*values[3:]), Vec3(*values[:3])
-        if directive == "quadric":
-            return General(QuadricMatrix(*values)), Vec3(0.0, 0.0, 0.0)
-    except ValueError as exc:
-        raise SceneParseError(line, _describe_value_error(directive, exc)) from None
-    raise SceneParseError(line, f"unknown directive {directive!r}")
-
-
-def _describe_value_error(directive: str, exc: ValueError) -> str:
-    msg = str(exc)
-    if "non-positive" in msg:
-        if directive == "sphere":
-            return "non-positive radius"
-        return "non-positive shape parameter"
-    return msg
+        raise ValueError("xform rotation determinant is not +1")
 
 
 def parse_scene(text: str) -> Scene:
-    """Parse and validate; any defect raises SceneParseError with a line number."""
+    """Parse and validate; any defect raises SceneParseError with a line number.
+
+    Each line's checks, and the constructors it calls, raise ValueError; the
+    one handler below turns every one of them into a SceneParseError.
+    """
     camera: Camera | None = None
     objects: list[SceneObject] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = stripped.split()
-        directive, args = parts[0], parts[1:]
-
-        if directive == "camera":
-            if camera is not None:
-                raise SceneParseError(line_no, "duplicate camera")
-            if len(args) != 12:
-                raise SceneParseError(line_no, f"camera needs 12 numbers, got {len(args)}")
-            vals = _floats(args[:10], line_no)
-            for dim in args[10:]:
-                if not dim.lstrip("+-").isdigit():
-                    raise SceneParseError(line_no, f"malformed integer {dim!r}")
-            width, height = int(args[10]), int(args[11])
-            try:
+        directive, *args = stripped.split()
+        try:
+            if directive == "camera":
+                if camera is not None:
+                    raise ValueError("duplicate camera")
+                if len(args) != 12:
+                    raise ValueError(f"camera needs 12 numbers, got {len(args)}")
+                vals = _floats(args[:10])
+                for dim in args[10:]:
+                    if not _INTEGER.fullmatch(dim):
+                        raise ValueError(f"malformed integer {dim!r}")
                 camera = Camera(
                     origin=Vec3(*vals[0:3]),
                     look_at=Vec3(*vals[3:6]),
                     up=Vec3(*vals[6:9]),
                     vfov_deg=vals[9],
-                    width=width,
-                    height=height,
+                    width=int(args[10]),
+                    height=int(args[11]),
                 )
-            except ValueError as exc:
-                raise SceneParseError(line_no, str(exc)) from None
-        elif directive == "xform":
-            if not objects:
-                raise SceneParseError(line_no, "xform with no preceding object")
-            if objects[-1].rot is not None:
-                raise SceneParseError(line_no, "object already has an xform")
-            if len(args) != 9:
-                raise SceneParseError(line_no, f"xform needs 9 numbers, got {len(args)}")
-            rot = Mat3(tuple(_floats(args, line_no)))
-            _check_rotation(rot, line_no)
-            prev = objects[-1]
-            objects[-1] = SceneObject(kind=prev.kind, center=prev.center, rot=rot)
-        elif directive in _OBJECT_ARITY:
-            arity = _OBJECT_ARITY[directive]
-            if len(args) != arity:
-                raise SceneParseError(
-                    line_no, f"{directive} needs {arity} numbers, got {len(args)}"
-                )
-            values = _floats(args, line_no)
-            kind, center = _make_kind(directive, values, line_no)
-            objects.append(SceneObject(kind=kind, center=center))
-        else:
-            raise SceneParseError(line_no, f"unknown directive {directive!r}")
+            elif directive == "xform":
+                if not objects:
+                    raise ValueError("xform with no preceding object")
+                if objects[-1].rot is not None:
+                    raise ValueError("object already has an xform")
+                if len(args) != 9:
+                    raise ValueError(f"xform needs 9 numbers, got {len(args)}")
+                rot = Mat3(tuple(_floats(args)))
+                _check_rotation(rot)
+                prev = objects[-1]
+                objects[-1] = SceneObject(kind=prev.kind, center=prev.center, rot=rot)
+            elif directive in CATALOG:
+                arity = _OBJECT_ARITY[directive]
+                if len(args) != arity:
+                    raise ValueError(f"{directive} needs {arity} numbers, got {len(args)}")
+                values = _floats(args)
+                kind = CATALOG[directive]
+                if kind is General:
+                    objects.append(SceneObject(kind=General(QuadricMatrix(*values))))
+                else:
+                    objects.append(SceneObject(kind=kind(*values[3:]), center=Vec3(*values[:3])))
+            else:
+                raise ValueError(f"unknown directive {directive!r}")
+        except ValueError as exc:
+            raise SceneParseError(line_no, str(exc)) from None
 
     if camera is None:
         raise SceneParseError(max(1, text.count("\n") + 1), "missing camera")
@@ -270,7 +258,7 @@ def generate_scene(
     if n_objects < 1:
         raise ValueError("generate_scene: need at least one object")
     for kind in kind_mix:
-        if kind not in ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid"):
+        if CATALOG.get(kind, General) is General:
             raise ValueError(f"generate_scene: unknown kind {kind!r} in mix")
     if not kind_mix:
         raise ValueError("generate_scene: empty kind mix")

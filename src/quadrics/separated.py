@@ -8,11 +8,17 @@ where (x) is the outer product, so R is an antisymmetric 4x4 matrix that
 depends only on the line.  Building R (and a few derived quantities) once
 per ray moves work out of the per-surface loop; for spheres the per-surface
 cost collapses further to a cross product and two dot products.
+
+R is kept as its six independent entries (`RMatrix`).  It can be built from
+a point and a direction, from two points, or from the 2x2 sub-determinants
+of the endpoint matrix; the three entry points share one arithmetic body,
+so they agree entry for entry, exactly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .classical import (
     TANGENT_EPS,
@@ -22,7 +28,7 @@ from .classical import (
     coefficients,
     solve,
 )
-from .geometry import HomogeneousDirection, HomogeneousPoint, Mat4, Vec3, cross
+from .geometry import HomogeneousDirection, HomogeneousPoint, Vec3, cross
 from .quadric import QuadricMatrix, apply
 
 __all__ = [
@@ -36,7 +42,6 @@ __all__ = [
     "discriminant_separated",
     "sphere_discriminant",
     "sphere_discriminant_projective",
-    "detect_separated",
     "intersect_separated",
 ]
 
@@ -59,14 +64,6 @@ class RMatrix:
     def entries(self) -> tuple[float, float, float, float, float, float]:
         return (self.r12, self.r13, self.r14, self.r23, self.r24, self.r34)
 
-    def to_mat4(self) -> Mat4:
-        return Mat4(
-            (0.0, self.r12, self.r13, self.r14,
-             -self.r12, 0.0, self.r23, self.r24,
-             -self.r13, -self.r23, 0.0, self.r34,
-             -self.r14, -self.r24, -self.r34, 0.0)
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class EndpointMatrix:
@@ -84,57 +81,39 @@ class EndpointMatrix:
                     raise ValueError(f"EndpointMatrix: non-finite entry {v!r}")
 
 
+def _line_matrix(x: Sequence[float], s: Sequence[float]) -> RMatrix:
+    """r_ij = x_i*s_j - s_i*x_j for two homogeneous 4-vectors x and s."""
+    x0, x1, x2, x3 = x
+    s0, s1, s2, s3 = s
+    return RMatrix(
+        r12=x0 * s1 - s0 * x1,
+        r13=x0 * s2 - s0 * x2,
+        r14=x0 * s3 - s0 * x3,
+        r23=x1 * s2 - s1 * x2,
+        r24=x1 * s3 - s1 * x3,
+        r34=x2 * s3 - s2 * x3,
+    )
+
+
 def r_from_point_dir(point: HomogeneousPoint, direction: HomogeneousDirection) -> RMatrix:
     """R = x_A (x) s - s (x) x_A, i.e. r_ij = x_i*s_j - s_i*x_j."""
-    x, y, z, w = point.as_tuple()
-    sx, sy, sz, sw = direction.as_tuple()
-    return RMatrix(
-        r12=x * sy - sx * y,
-        r13=x * sz - sx * z,
-        r14=x * sw - sx * w,
-        r23=y * sz - sy * z,
-        r24=y * sw - sy * w,
-        r34=z * sw - sz * w,
-    )
+    return _line_matrix(point.as_tuple(), direction.as_tuple())
 
 
 def r_from_two_points(point_a: HomogeneousPoint, point_b: HomogeneousPoint) -> RMatrix:
-    """Line matrix from two homogeneous points, with s = x_B - x_A componentwise.
-
-    Shares the arithmetic of r_from_point_dir, so the two constructions agree
-    entry for entry, exactly.
-    """
-    sx = point_b.x - point_a.x
-    sy = point_b.y - point_a.y
-    sz = point_b.z - point_a.z
-    sw = point_b.w - point_a.w
-    r = RMatrix(
-        r12=point_a.x * sy - sx * point_a.y,
-        r13=point_a.x * sz - sx * point_a.z,
-        r14=point_a.x * sw - sx * point_a.w,
-        r23=point_a.y * sz - sy * point_a.z,
-        r24=point_a.y * sw - sy * point_a.w,
-        r34=point_a.z * sw - sz * point_a.w,
-    )
-    if all(e == 0.0 for e in r.entries()):
-        raise ValueError("degenerate line: points are projectively equal")
-    return r
+    """Line matrix from two homogeneous points: the endpoint matrix with rows x_A, x_B."""
+    return r_from_subdeterminants(EndpointMatrix(point_a.as_tuple(), point_b.as_tuple()))
 
 
 def r_from_subdeterminants(m: EndpointMatrix) -> RMatrix:
     """Line matrix from the 2x2 column sub-determinants of the endpoint matrix.
 
-    det[col_i | col_j] = x_Ai*x_Bj - x_Bi*x_Aj equals the r_ij of
-    r_from_two_points; the entries are produced through the identical
-    expressions so the agreement is exact.
+    det[col_i | col_j] = x_Ai*x_Bj - x_Bi*x_Aj is computed as the r_ij of
+    r_from_point_dir with s = x_B - x_A componentwise, so the constructions
+    agree entry for entry, exactly.
     """
-    a, b = m.row_a, m.row_b
-    entries = []
-    for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        sj = b[j] - a[j]
-        si = b[i] - a[i]
-        entries.append(a[i] * sj - si * a[j])
-    r = RMatrix(*entries)
+    a = m.row_a
+    r = _line_matrix(a, [bi - ai for ai, bi in zip(a, m.row_b)])
     if all(e == 0.0 for e in r.entries()):
         raise ValueError("degenerate line: endpoint matrix is rank deficient")
     return r
@@ -246,11 +225,6 @@ def sphere_discriminant_projective(
     b = sig_x * dx + sig_y * dy + sig_z * dz - r_sq * (s_w * w_a)
     c = dx * dx + dy * dy + dz * dz - r_sq * (w_a * w_a)
     return b * b - a * c
-
-
-def detect_separated(q: QuadricMatrix, cache: RayCache) -> bool:
-    """Detection only: does the line meet the surface (sign of D)?"""
-    return discriminant_separated(q, cache) >= 0.0
 
 
 def intersect_separated(q: QuadricMatrix, cache: RayCache) -> IntersectionResult:

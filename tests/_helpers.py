@@ -3,7 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from quadrics import HomogeneousDirection, HomogeneousPoint, Mat3, QuadricMatrix
+from quadrics import HomogeneousDirection, HomogeneousPoint, Mat3, Mat4, QuadricMatrix
+
+IDENTITY4 = Mat4(
+    (1.0, 0.0, 0.0, 0.0,
+     0.0, 1.0, 0.0, 0.0,
+     0.0, 0.0, 1.0, 0.0,
+     0.0, 0.0, 0.0, 1.0)
+)
 
 
 def random_rotation(rng: np.random.Generator) -> Mat3:

@@ -29,6 +29,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 1" in err and "non-positive radius" in err
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            (MINIMAL + "xform nan 0 0 0 1 0 0 0 1\n", 3),
+            (MINIMAL + "ellipsoid 0 0 0 1e-200 1 1\n", 3),
+            (MINIMAL + "sphere 0 0 0 1e200\n", 3),
+            ("camera 0 0 5 0 0 0 0 1 0 60 +-5 16\nsphere 0 0 0 1\n", 1),
+        ],
+    )
+    def test_every_malformed_line_is_two(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["render", str(bad), "-o", str(tmp_path / "img.pgm")]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
     def test_check_failure_is_three(self, monkeypatch, capsys):
         failing = CheckReport(cases=1, comparisons=1,
                               failures=[CheckFailure(0, "discriminant mismatch", 1.0, -1.0)])

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import form_term_scale, random_quadric, random_rotation
+from _helpers import IDENTITY4, form_term_scale, random_quadric, random_rotation
 from quadrics import (
     HomogeneousPoint,
     Mat3,
-    Mat4,
     Vec3,
     compose,
     ellipsoid,
     evaluate,
     hyperbolic_paraboloid,
-    mat_vec,
     one_sheet_hyperboloid,
     rotation,
     sphere,
@@ -21,10 +19,14 @@ from quadrics import (
     translation,
 )
 from quadrics.quadric import (
+    CATALOG,
+    Ellipsoid,
+    General,
+    HyperbolicParaboloid,
+    OneSheetHyperboloid,
     QuadricMatrix,
-    from_text,
+    Sphere,
     quadratic_form,
-    to_text,
 )
 
 
@@ -61,6 +63,41 @@ class TestCatalog:
     def test_non_positive_parameters_rejected(self, ctor, args):
         with pytest.raises(ValueError, match="non-positive"):
             ctor(*args)
+
+    @pytest.mark.parametrize(
+        "ctor,args",
+        [
+            (sphere, (1e200,)),
+            (sphere, (1e-170,)),
+            (ellipsoid, (1e-200, 1.0, 1.0)),
+            (ellipsoid, (1.0, 1.0, math.inf)),
+            (one_sheet_hyperboloid, (1.0, 1.0, 1e300)),
+            (hyperbolic_paraboloid, (1.0, 1e-160)),
+        ],
+    )
+    def test_degenerate_parameters_rejected(self, ctor, args):
+        # r^2 or 1/a^2 would be zero or non-finite
+        with pytest.raises(ValueError, match="out of range"):
+            ctor(*args)
+
+    def test_parameter_range_edges(self):
+        lo, hi = 2.0 ** -511, 2.0 ** 511
+        for edge in (lo, hi):
+            assert sphere(edge).a44 in (-(2.0 ** -1022), -(2.0 ** 1022))
+            assert ellipsoid(edge, edge, edge).a11 in (2.0 ** -1022, 2.0 ** 1022)
+        for beyond in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+            with pytest.raises(ValueError, match="out of range"):
+                ellipsoid(1.0, beyond, 1.0)
+
+    def test_catalog_maps_each_directive_to_its_kind(self):
+        assert CATALOG == {
+            "sphere": Sphere,
+            "ellipsoid": Ellipsoid,
+            "hyperboloid1": OneSheetHyperboloid,
+            "hparaboloid": HyperbolicParaboloid,
+            "quadric": General,
+        }
+        assert all(kind.directive == name for name, kind in CATALOG.items())
 
 
 class TestEvaluate:
@@ -107,7 +144,7 @@ class TestSymmetry:
 class TestTransform:
     def test_identity_is_noop(self):
         q = ellipsoid(2, 1, 0.5)
-        assert transform(q, Mat4.identity()) == q
+        assert transform(q, IDENTITY4) == q
 
     def test_translated_sphere_surface_and_center(self):
         q = transform(sphere(1.0), translation(Vec3(2, 0, 0)))
@@ -130,7 +167,7 @@ class TestTransform:
                 translation(Vec3(*rng.uniform(-2, 2, size=3))),
             )
             x = HomogeneousPoint(*rng.uniform(-10, 10, size=3), 1.0)
-            tx = mat_vec(t, x.as_tuple())
+            tx = tuple(np.array(t.m).reshape(4, 4) @ x.as_tuple())
             lhs = evaluate(transform(q, t), x)
             rhs = quadratic_form(q, tx)
             tol = 1e-12 * max(1.0, abs(lhs), abs(rhs), form_term_scale(q, tx))
@@ -194,19 +231,3 @@ class TestCatalogSurfaceSampling:
         v = rng.uniform(-3, 3, size=self.N)
         pts = np.stack([a * u, b * v, (u * u - v * v) / 2.0], axis=1)
         self._assert_on_surface(hyperbolic_paraboloid(a, b), pts)
-
-
-class TestSerialization:
-    def test_documented_order(self):
-        q = QuadricMatrix(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-        assert to_text(q) == "1.0 2.0 3.0 4.0 5.0 6.0 7.0 8.0 9.0 10.0"
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            q = random_quadric(rng)
-            assert from_text(to_text(q)) == q
-
-    def test_wrong_count_rejected(self):
-        with pytest.raises(ValueError):
-            from_text("1 2 3")

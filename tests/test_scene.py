@@ -1,8 +1,18 @@
+import numpy as np
 import pytest
 
+from _helpers import random_quadric
 from quadrics import HomogeneousPoint, evaluate
-from quadrics.quadric import Ellipsoid, General, Sphere
+from quadrics.quadric import (
+    Ellipsoid,
+    General,
+    HyperbolicParaboloid,
+    OneSheetHyperboloid,
+    Sphere,
+)
 from quadrics.scene import (
+    Scene,
+    SceneObject,
     SceneParseError,
     generate_scene,
     parse_scene,
@@ -114,8 +124,49 @@ class TestParse:
             parse_scene(MINIMAL + "xform 1 0 0 0 1 0 0 0 -1\n")
 
     def test_malformed_image_size(self):
-        with pytest.raises(SceneParseError, match="malformed integer"):
-            parse_scene("camera 0 0 5 0 0 0 0 1 0 60 64.5 64\nsphere 0 0 0 1\n")
+        for size in ("64.5", "+-5", "\u00b2", "6_4"):
+            with pytest.raises(SceneParseError, match="malformed integer") as exc_info:
+                parse_scene(f"camera 0 0 5 0 0 0 0 1 0 60 {size} 64\nsphere 0 0 0 1\n")
+            assert exc_info.value.line == 1
+
+    def test_non_finite_xform_reports_line(self):
+        with pytest.raises(SceneParseError, match="non-finite") as exc_info:
+            parse_scene(MINIMAL + "xform nan 0 0 0 1 0 0 0 1\n")
+        assert exc_info.value.line == 3
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "sphere 0 0 0 1e200",
+            "sphere 0 0 0 1e-170",
+            "ellipsoid 0 0 0 1e-200 1 1",
+            "hyperboloid1 0 0 0 1 1 1e300",
+            "hparaboloid 0 0 0 1 1e-160",
+        ],
+    )
+    def test_degenerate_shape_parameter_reports_line(self, line):
+        with pytest.raises(SceneParseError, match="out of range") as exc_info:
+            parse_scene(MINIMAL + line + "\n")
+        assert exc_info.value.line == 3
+
+    def test_kind_message_passes_through(self):
+        with pytest.raises(SceneParseError) as exc_info:
+            parse_scene(MINIMAL + "ellipsoid 0 0 0 1 -2 1\n")
+        want = "line 3: ellipsoid: non-positive semi-axis in (1.0, -2.0, 1.0)"
+        assert str(exc_info.value) == want
+
+    def test_quadric_coefficient_order(self):
+        sc = parse_scene(MINIMAL + "quadric 1 2 3 4 5 6 7 8 9 10\n")
+        q = sc.objects[1].kind.q
+        assert (q.a11, q.a22, q.a33, q.a44) == (1.0, 2.0, 3.0, 4.0)
+        assert (q.a12, q.a13, q.a23) == (5.0, 6.0, 7.0)
+        assert (q.a14, q.a24, q.a34) == (8.0, 9.0, 10.0)
+        want = "quadric 1.0 2.0 3.0 4.0 5.0 6.0 7.0 8.0 9.0 10.0"
+        assert serialize_scene(sc).splitlines()[2] == want
+
+    def test_quadric_wrong_count(self):
+        with pytest.raises(SceneParseError, match="quadric needs 10 numbers, got 3"):
+            parse_scene(MINIMAL + "quadric 1 2 3\n")
 
     def test_camera_validation_is_a_parse_error(self):
         with pytest.raises(SceneParseError, match="origin equals look-at"):
@@ -184,6 +235,13 @@ class TestRoundTrip:
         sc = generate_scene(99, 25)
         assert parse_scene(serialize_scene(sc)) == sc
 
+    def test_random_quadric_coefficients_round_trip(self):
+        rng = np.random.default_rng(21)
+        camera = parse_scene(MINIMAL).camera
+        objects = tuple(SceneObject(General(random_quadric(rng))) for _ in range(50))
+        sc = Scene(camera=camera, objects=objects)
+        assert parse_scene(serialize_scene(sc)) == sc
+
 
 class TestGenerate:
     def test_determinism(self):
@@ -223,3 +281,51 @@ class TestGenerate:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown kind"):
             generate_scene(3, 2, kind_mix=("cube",))
+
+
+class TestGolden:
+    """The documented draw order and the catalog's matrices, pinned as literals."""
+
+    MIX = ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid")
+    TEXT = (
+        "camera 0.0 0.0 30.0 0.0 0.0 0.0 0.0 1.0 0.0 60.0 256 256\n"
+        "ellipsoid 3.89822659357964 -0.3319200264119022 -2.3226872913854706"
+        " 1.3559414249061044 0.8135963139471204 1.9612691869578975\n"
+        "hparaboloid -1.9148780897094113 9.34700810570623 8.638362551979313"
+        " 0.6112442796371667 1.3781626053337426\n"
+        "sphere -1.5415594809150353 7.672928595948239 -3.3864730818600215"
+        " 1.717925651467797\n"
+        "hyperboloid1 -0.8394188487778802 5.842941183406987 -2.5997789175198305"
+        " 0.7354091270624712 0.15736974123727335 1.892586975870753\n"
+        "hyperboloid1 -4.679678629539135 -0.33457049352028534 3.6358019958277943"
+        " 1.0242586626209118 1.7966440669076276 1.47673949601458\n"
+        "hyperboloid1 1.0524865712217348 5.380822921722732 5.855737701791705"
+        " 1.9444646904784253 1.1435949710701758 1.1067622828587682\n"
+        "sphere 3.1526523211166833 2.0583149163796506 6.996959606584998"
+        " 1.8044862736592089\n"
+        "hparaboloid -4.393273100106483 -3.206421988774597 2.5644428582167293"
+        " 1.6576713645038985 0.6088496960229298\n"
+    )
+    # World matrices of objects 0..3, one per kind, in COEFFICIENT_ORDER.
+    WORLD = (
+        (Ellipsoid, (0.543898852005974, 1.5107133093893268, 0.2599714098613473,
+                     8.834129967116343, 0.0, 0.0, 0.0,
+                     -2.1202409691071247, 0.5014360015533176, 0.6038322898085148)),
+        (HyperbolicParaboloid, (2.676519331240942, -0.5265008498835886, 0.0,
+                                -18.907694332028527, 0.0, 0.0, 0.0,
+                                5.1252082240769665, 4.921207711523121, -1.0)),
+        (Sphere, (1.0, 1.0, 1.0, 69.7671702619107, 0.0, 0.0, 0.0,
+                  1.5415594809150353, -7.672928595948239, 3.3864730818600215)),
+        (OneSheetHyperboloid, (1.8490215334747846, 40.379184027255356, -0.27918257320686113,
+                               1376.9597067711995, 0.0, 0.0, 0.0,
+                               1.5521035269949144, -235.93319730521992, -0.7258129679621342)),
+    )
+
+    def test_generated_scene_text(self):
+        assert serialize_scene(generate_scene(4, 8, self.MIX)) == self.TEXT
+
+    def test_world_matrices(self):
+        objects = generate_scene(4, 8, self.MIX).objects
+        for obj, (kind, coefficients) in zip(objects, self.WORLD):
+            assert isinstance(obj.kind, kind)
+            assert obj.world_matrix().coefficients() == coefficients

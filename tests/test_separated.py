@@ -15,7 +15,6 @@ from quadrics import (
     Vec3,
     coefficients,
     cross,
-    detect_separated,
     discriminant_separated,
     intersect_classical,
     intersect_separated,
@@ -33,7 +32,13 @@ from quadrics.rng import Xorshift64Star
 
 
 def _materialize(r):
-    return np.array(r.to_mat4().m).reshape(4, 4)
+    r12, r13, r14, r23, r24, r34 = r.entries()
+    return np.array(
+        [[0.0, r12, r13, r14],
+         [-r12, 0.0, r23, r24],
+         [-r13, -r23, 0.0, r34],
+         [-r14, -r24, -r34, 0.0]]
+    )
 
 
 class TestRFromPointDir:
@@ -388,9 +393,3 @@ class TestIntersectSeparated:
                 band = 1e-6 * max(1.0, cf.b * cf.b, abs(cf.a * cf.c))
                 same = type(rc) is type(rs)
                 assert same or abs(cf.b * cf.b - cf.a * cf.c) <= band
-
-    def test_detect_flag(self):
-        hit = make_ray_cache(HomogeneousPoint(2, 0, 0, 1), HomogeneousDirection(-1, 0, 0, 0))
-        miss = make_ray_cache(HomogeneousPoint(2, 2, 0, 1), HomogeneousDirection(-1, 0, 0, 0))
-        assert detect_separated(sphere(1.0), hit) is True
-        assert detect_separated(sphere(1.0), miss) is False
