@@ -8,7 +8,9 @@ cross product, a subtraction, two dot products and a multiply-add) or the
 generic two matrix-vector products.  Detection runs in tiles of
 (rays x objects) through the batched kernels of `kernels`, over a
 struct-of-arrays table of the objects' coefficients, which is the data
-layout the separated form is designed for.
+layout the separated form is designed for.  `run_benchmark` builds that
+table once per call with `kernels.world_table` and passes each chunk the
+arrays, not the scene; the separated method takes the non-sphere columns.
 
 The per-ray hit counts feed an order-independent checksum (XOR of a mix of
 each count with its ray index), which is printed in the CSV; identical
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    METHODS, classical_hit_counts, coefficient_table, ray_cache, separated_hit_counts,
+    METHODS, classical_hit_counts, ray_cache, separated_hit_counts, world_table,
 )
 from .quadric import Sphere
-from .rng import Xorshift64Star, mix64
+from .rng import float_stream, mix64
 from .scene import Scene
 
 __all__ = [
@@ -49,6 +51,8 @@ CSV_HEADER = (
 
 # XORed into the scene seed so the ray stream is decoupled from object draws.
 RAY_SEED_SALT = 0x9E3779B97F4A7C15
+# Directions whose squared length is below this are drawn again.
+_MIN_DIR_NORM_SQ = 1e-12
 _CHECKSUM_STRIDE = 0x9E3779B97F4A7C15
 
 
@@ -77,26 +81,37 @@ def generate_rays(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     Stream seed is `seed XOR RAY_SEED_SALT`.  Per ray: three origin draws,
     then three direction draws, redrawing all three while the direction's
     squared length is below 1e-12.
+
+    The stream comes from `rng.float_stream` as triples of draws.  Each
+    triple is either an origin, a direction, or a rejected direction: after
+    an origin, rejected triples are skipped until one is long enough, and
+    the triple after that is the next origin.  So a triple is an origin when
+    an odd number of triples lies between it and the last rejected one
+    before it (or it is at an even index and none is).  The whole layout
+    comes from one running maximum; when redraws leave fewer than `count`
+    directions, a stream twice as long is drawn.
     """
     if count < 1:
         raise ValueError("need at least one ray")
-    rng = Xorshift64Star(seed ^ RAY_SEED_SALT)
-    origins = np.empty((count, 3), dtype=np.float64)
-    dirs = np.empty((count, 3), dtype=np.float64)
-    for i in range(count):
-        origins[i, 0] = rng.uniform(-10.0, 10.0)
-        origins[i, 1] = rng.uniform(-10.0, 10.0)
-        origins[i, 2] = rng.uniform(-10.0, 10.0)
-        while True:
-            dx = rng.uniform(-1.0, 1.0)
-            dy = rng.uniform(-1.0, 1.0)
-            dz = rng.uniform(-1.0, 1.0)
-            if dx * dx + dy * dy + dz * dz >= 1e-12:
-                break
-        dirs[i, 0] = dx
-        dirs[i, 1] = dy
-        dirs[i, 2] = dz
-    return origins, dirs
+    triples = 2 * count
+    while True:
+        draws = float_stream(seed ^ RAY_SEED_SALT, 3 * triples).reshape(triples, 3)
+        d = _uniform(-1.0, 1.0, draws)
+        rejected = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] < _MIN_DIR_NORM_SQ
+        index = np.arange(triples)
+        last_rejected = np.maximum.accumulate(np.where(rejected, index, -2))
+        before = np.concatenate(([-2], last_rejected[:-1]))
+        is_origin = (index - before) % 2 == 0
+        is_direction = ~is_origin & ~rejected
+        if np.count_nonzero(is_direction) >= count:
+            break
+        triples *= 2
+    return _uniform(-10.0, 10.0, draws[is_origin][:count]), d[is_direction][:count]
+
+
+def _uniform(lo: float, hi: float, draws: np.ndarray) -> np.ndarray:
+    """`Xorshift64Star.uniform(lo, hi)` applied to `next_float` draws."""
+    return lo + (hi - lo) * draws
 
 
 def _sphere_split(scene: Scene) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -123,16 +138,12 @@ def _checksum(ray_hits: np.ndarray, offset: int) -> int:
 
 
 def _bench_chunk(
-    args: tuple[Scene, str, np.ndarray, np.ndarray, int, int]
+    args: tuple[str, tuple, np.ndarray, np.ndarray, int, int]
 ) -> tuple[int, int, list[int], list[int]]:
-    scene, method, origins, dirs, offset, reps = args
+    """Detection for one ray range; `tables` lead the arguments of the method's kernel."""
+    method, tables, origins, dirs, offset, reps = args
     point = (origins[:, 0], origins[:, 1], origins[:, 2], 1.0)
     direction = (dirs[:, 0], dirs[:, 1], dirs[:, 2], 0.0)
-    if method == "classical":
-        table = coefficient_table([obj.world_matrix() for obj in scene.objects])
-    else:
-        sphere_centers, sphere_r2, other_idx = _sphere_split(scene)
-        generic = coefficient_table([scene.objects[i].world_matrix() for i in other_idx])
 
     hits_total = 0
     checksum = 0
@@ -147,11 +158,9 @@ def _bench_chunk(
 
         t2 = time.perf_counter_ns()
         if method == "classical":
-            ray_hits = classical_hit_counts(table, point, direction)
+            ray_hits = classical_hit_counts(*tables, point, direction)
         else:
-            ray_hits = separated_hit_counts(
-                sphere_centers, sphere_r2, generic, point, direction, cache
-            )
+            ray_hits = separated_hit_counts(*tables, point, direction, cache)
         rep_hits = int(ray_hits.sum())
         rep_checksum = _checksum(ray_hits, offset)
         t3 = time.perf_counter_ns()
@@ -166,17 +175,24 @@ def _bench_chunk(
 
 def _run_one_method(
     scene: Scene,
+    table: np.ndarray,
     method: str,
     origins: np.ndarray,
     dirs: np.ndarray,
     reps: int,
     workers: int,
 ) -> BenchStats:
+    """One method's stats; `table` is `world_table(scene.objects)`."""
     rays = origins.shape[0]
     objects = len(scene.objects)
+    if method == "classical":
+        tables: tuple = (table,)
+    else:
+        centers, r_sq, generic = _sphere_split(scene)
+        tables = (centers, r_sq, table[:, generic])
     per = -(-rays // workers)
     chunks = [
-        (scene, method, origins[start:start + per], dirs[start:start + per], start, reps)
+        (method, tables, origins[start:start + per], dirs[start:start + per], start, reps)
         for start in range(0, rays, per)
     ]
     if workers == 1:
@@ -227,8 +243,9 @@ def run_benchmark(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     origins, dirs = generate_rays(seed, rays)
+    table = world_table(scene.objects)
     methods = list(METHODS) if method == "both" else [method]
-    return [_run_one_method(scene, m, origins, dirs, reps, workers) for m in methods]
+    return [_run_one_method(scene, table, m, origins, dirs, reps, workers) for m in methods]
 
 
 def to_csv(stats: list[BenchStats]) -> str:

@@ -1,12 +1,14 @@
 """Batched intersection kernels over tiles of (rays x objects).
 
-Objects are a struct-of-arrays table (`coefficient_table`): row k holds the
-k-th of the 10 quadric coefficients, in `COEFFICIENT_ORDER`, for every
-object.  A ray component is either an array with one entry per ray or a
-plain float shared by every ray (a camera origin, w = 1, s_w = 0).  Inside a
-tile the per-ray arrays become columns, so numpy broadcasting evaluates all
-(ray, object) pairs of the tile at once, and a term that depends on the
-objects alone is computed once per tile, not once per pair.
+Objects are a struct-of-arrays table: row k holds the k-th of the 10
+quadric coefficients, in `COEFFICIENT_ORDER`, for every object.
+`world_table` builds it from scene objects, every world matrix at once and
+bit-identical to `SceneObject.world_matrix`.  A ray component is either an
+array with one entry per ray or a plain float shared by every ray (a camera
+origin, w = 1, s_w = 0).  Inside a tile the per-ray arrays become columns,
+so numpy broadcasting evaluates all (ray, object) pairs of the tile at once,
+and a term that depends on the objects alone is computed once per tile, not
+once per pair.
 
 Every formula keeps the operand order of its scalar counterpart in
 `quadric`, `classical` and `separated`.  numpy float64 ufuncs round exactly
@@ -18,17 +20,19 @@ that a pair does not take are evaluated for every pair, then discarded.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 import numpy as np
 
 from .classical import LINEAR_EPS, TANGENT_EPS
-from .quadric import QuadricMatrix
+
+if TYPE_CHECKING:
+    from .scene import SceneObject
 
 __all__ = [
     "METHODS",
     "TILE_PAIRS",
-    "coefficient_table",
+    "world_table",
     "tiles",
     "coefficients",
     "line_matrix",
@@ -54,10 +58,62 @@ Component = Union[float, np.ndarray]
 Vec4 = Sequence[Component]
 
 
-def coefficient_table(matrices: Sequence[QuadricMatrix]) -> np.ndarray:
-    """(10, objects) float64 table; row k is coefficient k of every object."""
-    rows = [q.coefficients() for q in matrices]
-    return np.array(rows, dtype=np.float64).reshape(-1, 10).T.copy()
+# to_mat4 layout: entry (i, j) of the symmetric matrix is coefficient _SYMMETRIC[i][j].
+_SYMMETRIC = np.array([[0, 4, 5, 7], [4, 1, 6, 8], [5, 6, 2, 9], [7, 8, 9, 3]])
+# Entry (i, j) of each coefficient in COEFFICIENT_ORDER: the diagonal, then i < j.
+_ROWS = np.array([0, 1, 2, 3, 0, 0, 1, 0, 1, 2])
+_COLS = np.array([0, 1, 2, 3, 1, 2, 2, 3, 3, 3])
+
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`geometry.compose` on (n, 4, 4) stacks: acc = 0.0, then acc + a_ik * b_kj for k = 0..3."""
+    acc = np.zeros(a.shape)
+    for k in range(4):
+        acc = acc + a[:, :, k, None] * b[:, None, k, :]
+    return acc
+
+
+def world_table(objects: Sequence[SceneObject]) -> np.ndarray:
+    """(10, objects) table of every `SceneObject.world_matrix()`, built at once.
+
+    T (the translation, after the transposed rotation where there is one),
+    Q0 T, T^T (Q0 T) and the (i, j)/(j, i) averaging of `quadric.transform`
+    run on (objects, 4, 4) stacks through `_compose`, which keeps the scalar
+    summation order and every term, products with 0 and 1 included, so
+    signed zeros and rounding match the scalar build bit for bit.  Raises
+    ValueError where the scalar build would: a non-finite entry of T, Q0 T
+    or the product, or an object whose coefficients are all zero.
+    """
+    n = len(objects)
+    if n == 0:
+        return np.empty((10, 0))
+    q0 = np.array([o.kind.coefficients() for o in objects])
+    t = np.zeros((n, 4, 4))
+    t[:, range(4), range(4)] = 1.0
+    t[:, :3, 3] = -np.array([o.center.as_tuple() for o in objects])
+    rotated = [i for i, o in enumerate(objects) if o.rot is not None]
+    with np.errstate(all="ignore"):
+        if rotated:
+            # rotation(rot^T): the transposed 3x3 block, w row and column untouched.
+            r = np.zeros((len(rotated), 4, 4))
+            rot = np.array([objects[i].rot.m for i in rotated]).reshape(-1, 3, 3)
+            r[:, :3, :3] = rot.transpose(0, 2, 1)
+            r[:, 3, 3] = 1.0
+            t[rotated] = _compose(r, t[rotated])
+        q0_t = _compose(q0[:, _SYMMETRIC], t)
+        p = _compose(t.transpose(0, 2, 1), q0_t)
+        table = p[:, _ROWS, _COLS]
+        table[:, 4:] = 0.5 * (table[:, 4:] + p[:, _COLS[4:], _ROWS[4:]])
+    # One check covers T, Q0 T and the product: every entry of each reaches
+    # the table through products and sums, and x * inf, x * NaN and a sum
+    # with either are never finite.
+    for bad, what in (
+        (~np.isfinite(table).all(axis=1), "world matrix: non-finite coefficient"),
+        ((table == 0.0).all(axis=1), "all coefficients zero"),
+    ):
+        if bad.any():
+            raise ValueError(f"object {int(np.argmax(bad))}: {what}")
+    return table.T.copy()
 
 
 def tiles(rays: int, objects: int) -> Iterator[slice]:

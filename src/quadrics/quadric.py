@@ -9,8 +9,13 @@ world frame as Q = T^T Q0 T.
 (`Sphere`, `Ellipsoid`, ...), in fundamental (centered, axis-aligned)
 position, plus `General` for raw coefficients.  Each class validates its
 shape parameters once, at construction, so a malformed scene fails at parse
-time and not in the kernels, and builds its matrix in `matrix()`; the
-lower-case factories (`sphere`, `ellipsoid`, ...) are entry points over them.
+time and not in the kernels.  `coefficients()` gives its matrix's 10
+coefficients in `COEFFICIENT_ORDER` and `matrix()` wraps them in a validated
+`QuadricMatrix`; the batched world-matrix build reads the tuple, since the
+parameter range makes the validation redundant.  `max_abs_coefficient()`
+gives the largest |coefficient| from the parameters alone, for the scene
+parser's per-object placement bound.  The lower-case factories (`sphere`,
+`ellipsoid`, ...) are entry points over the classes.
 """
 from __future__ import annotations
 
@@ -174,8 +179,14 @@ class Sphere:
         if not _PARAM_MIN <= self.r <= _PARAM_MAX:
             raise _shape_error("sphere", "radius", (self.r,))
 
+    def coefficients(self) -> tuple[float, ...]:
+        return (1.0, 1.0, 1.0, -(self.r * self.r), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def max_abs_coefficient(self) -> float:
+        return max(1.0, self.r * self.r)
+
     def matrix(self) -> QuadricMatrix:
-        return QuadricMatrix(1.0, 1.0, 1.0, -(self.r * self.r))
+        return QuadricMatrix(*self.coefficients())
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,9 +203,16 @@ class Ellipsoid:
                 and _PARAM_MIN <= self.c <= _PARAM_MAX):
             raise _shape_error("ellipsoid", "semi-axis", (self.a, self.b, self.c))
 
-    def matrix(self) -> QuadricMatrix:
+    def coefficients(self) -> tuple[float, ...]:
         a, b, c = self.a, self.b, self.c
-        return QuadricMatrix(1.0 / (a * a), 1.0 / (b * b), 1.0 / (c * c), -1.0)
+        return (1.0 / (a * a), 1.0 / (b * b), 1.0 / (c * c), -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def max_abs_coefficient(self) -> float:
+        m = min(self.a, self.b, self.c)
+        return max(1.0, 1.0 / (m * m))
+
+    def matrix(self) -> QuadricMatrix:
+        return QuadricMatrix(*self.coefficients())
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,9 +229,16 @@ class OneSheetHyperboloid:
                 and _PARAM_MIN <= self.c <= _PARAM_MAX):
             raise _shape_error("one_sheet_hyperboloid", "semi-axis", (self.a, self.b, self.c))
 
-    def matrix(self) -> QuadricMatrix:
+    def coefficients(self) -> tuple[float, ...]:
         a, b, c = self.a, self.b, self.c
-        return QuadricMatrix(1.0 / (a * a), 1.0 / (b * b), -1.0 / (c * c), -1.0)
+        return (1.0 / (a * a), 1.0 / (b * b), -1.0 / (c * c), -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def max_abs_coefficient(self) -> float:
+        m = min(self.a, self.b, self.c)
+        return max(1.0, 1.0 / (m * m))
+
+    def matrix(self) -> QuadricMatrix:
+        return QuadricMatrix(*self.coefficients())
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,9 +253,16 @@ class HyperbolicParaboloid:
         if not (_PARAM_MIN <= self.a <= _PARAM_MAX and _PARAM_MIN <= self.b <= _PARAM_MAX):
             raise _shape_error("hyperbolic_paraboloid", "semi-axis", (self.a, self.b))
 
-    def matrix(self) -> QuadricMatrix:
+    def coefficients(self) -> tuple[float, ...]:
         a, b = self.a, self.b
-        return QuadricMatrix(1.0 / (a * a), -1.0 / (b * b), 0.0, 0.0, a34=-1.0)
+        return (1.0 / (a * a), -1.0 / (b * b), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0)
+
+    def max_abs_coefficient(self) -> float:
+        m = min(self.a, self.b)
+        return max(1.0, 1.0 / (m * m))
+
+    def matrix(self) -> QuadricMatrix:
+        return QuadricMatrix(*self.coefficients())
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,6 +271,12 @@ class General:
 
     directive: ClassVar[str] = "quadric"
     q: QuadricMatrix
+
+    def coefficients(self) -> tuple[float, ...]:
+        return self.q.coefficients()
+
+    def max_abs_coefficient(self) -> float:
+        return self.q.max_abs_coefficient()
 
     def matrix(self) -> QuadricMatrix:
         return self.q

@@ -25,7 +25,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .geometry import Vec3, cross
-from .kernels import METHODS, coefficient_table, nearest_hits
+from .kernels import METHODS, nearest_hits, world_table
 from .scene import Scene
 
 __all__ = ["Image", "render_detection", "write_pgm", "pgm_bytes"]
@@ -110,7 +110,7 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
     if workers < 1:
         raise ValueError("workers must be >= 1")
     frame = _camera_frame(scene)
-    table = coefficient_table([obj.world_matrix() for obj in scene.objects])
+    table = world_table(scene.objects)
     rows = range(frame.height)
     if workers == 1:
         pixels = _render_rows(frame, method, table, rows)

@@ -10,10 +10,22 @@ reproduce the streams bit-exactly:
 
 Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2^-53.  A zero seed
 is replaced by 0x9E3779B97F4A7C15.  Integer draws below n use output mod n.
+
+`Xorshift64Star` draws one value at a time and is the reference.
+`xorshift64star_stream` returns the same sequence as a uint64 array: the
+state update without the multiply is linear over GF(2), so after 64 steps
+in Python the array doubles by jumping every state it holds m steps ahead
+at once.  The jump L^m is a 64x64 bit matrix, applied as eight 256-entry
+tables indexed by the bytes of the state; the tables of L^2m are built by
+squaring L^m, so no jump is ever found by stepping.
 """
 from __future__ import annotations
 
-__all__ = ["Xorshift64Star", "mix64"]
+from functools import cache
+
+import numpy as np
+
+__all__ = ["Xorshift64Star", "mix64", "xorshift64star_stream", "float_stream"]
 
 _MASK64 = (1 << 64) - 1
 _MULTIPLIER = 2685821657736338717
@@ -50,6 +62,80 @@ class Xorshift64Star:
         if n <= 0:
             raise ValueError("int_below needs n >= 1")
         return self.next_u64() % n
+
+
+# Steps taken one at a time before the array starts doubling.
+_HEAD = 64
+_BYTE = np.uint64(0xFF)
+_BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
+
+
+def _step(s: int) -> int:
+    """The state update of `Xorshift64Star.next_u64`; linear over GF(2)."""
+    s ^= s >> 12
+    s ^= (s << 25) & _MASK64
+    s ^= s >> 27
+    return s
+
+
+def _tables(columns: np.ndarray) -> np.ndarray:
+    """(8, 256) tables of the bit matrix whose column i is the image of bit i.
+
+    Entry [k, v] is the image of v << 8k: the XOR of the columns of the bits
+    set in v.
+    """
+    out = np.zeros((8, 256), dtype=np.uint64)
+    for bit in range(8):
+        out[:, 1 << bit:2 << bit] = out[:, :1 << bit] ^ columns[bit::8, None]
+    return out
+
+
+def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(states)
+    for k in range(8):
+        out ^= tables[k][(states >> _BYTE_SHIFTS[k]) & _BYTE]
+    return out
+
+
+@cache
+def _jump(log2_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, tables) of the update applied 2^log2_steps times.
+
+    Read-only: the cache hands the same arrays to every caller.
+    """
+    if log2_steps == 0:
+        columns = np.array([_step(1 << i) for i in range(64)], dtype=np.uint64)
+    else:
+        half_columns, half_tables = _jump(log2_steps - 1)
+        columns = _apply(half_tables, half_columns)
+    tables = _tables(columns)
+    columns.setflags(write=False)
+    tables.setflags(write=False)
+    return columns, tables
+
+
+def xorshift64star_stream(seed: int, n: int) -> np.ndarray:
+    """The first n `Xorshift64Star(seed).next_u64()` values, as uint64."""
+    if n < 0:
+        raise ValueError("stream length must be >= 0")
+    states = np.empty(n, dtype=np.uint64)
+    s = Xorshift64Star(seed).state
+    for i in range(min(n, _HEAD)):
+        s = _step(s)
+        states[i] = s
+    filled, log2_steps = _HEAD, _HEAD.bit_length() - 1
+    while filled < n:
+        take = min(filled, n - filled)
+        states[filled:filled + take] = _apply(_jump(log2_steps)[1], states[:take])
+        filled += take
+        log2_steps += 1
+    return states * np.uint64(_MULTIPLIER)
+
+
+def float_stream(seed: int, n: int) -> np.ndarray:
+    """The first n `Xorshift64Star(seed).next_float()` values, as float64."""
+    top = xorshift64star_stream(seed, n) >> np.uint64(11)
+    return top.astype(np.float64) * _TWO_POW_MINUS_53
 
 
 def mix64(x: int) -> int:

@@ -19,7 +19,10 @@ ignored.
 The object directives are the keys of `quadric.CATALOG`: `parse_scene`
 builds each kind through it and takes each directive's arity from the kind's
 fields.  Every malformed line raises `SceneParseError` with its line number
-and the failed check's own message.
+and the failed check's own message.  That includes objects whose world
+matrix could overflow: `max|Q0| * (1 + |cx| + |cy| + |cz|)^2` must not
+exceed 2^1021, a bound taken from the kind's parameters and the center
+alone, so no matrix is built while parsing.
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ __all__ = [
 ]
 
 ROTATION_TOL = 1e-8
+_PLACEMENT_MAX = 2.0 ** 1021
 DEFAULT_KIND_MIX = ("sphere", "ellipsoid")
 
 _GENERATED_CAMERA_TAIL = (60.0, 256, 256)  # vfov, width, height
@@ -149,6 +153,19 @@ def _check_rotation(m: Mat3) -> None:
         raise ValueError("xform rotation determinant is not +1")
 
 
+def _check_placement(obj: SceneObject) -> None:
+    # Every column of |T| sums to at most sqrt(3) * (1 + |cx| + |cy| + |cz|),
+    # whatever the xform, so under this bound each entry of Q0 T, T^T Q0 T and
+    # the averaged coefficients stays below 2^1024: the world matrix is finite.
+    c = obj.center
+    span = 1.0 + abs(c.x) + abs(c.y) + abs(c.z)
+    bound = obj.kind.max_abs_coefficient() * span * span
+    if not bound <= _PLACEMENT_MAX:
+        raise ValueError(
+            f"placement overflows: max|Q0| * (1 + |cx| + |cy| + |cz|)^2 = {bound!r} exceeds 2^1021"
+        )
+
+
 def parse_scene(text: str) -> Scene:
     """Parse and validate; any defect raises SceneParseError with a line number.
 
@@ -198,9 +215,11 @@ def parse_scene(text: str) -> Scene:
                 values = _floats(args)
                 kind = CATALOG[directive]
                 if kind is General:
-                    objects.append(SceneObject(kind=General(QuadricMatrix(*values))))
+                    obj = SceneObject(kind=General(QuadricMatrix(*values)))
                 else:
-                    objects.append(SceneObject(kind=kind(*values[3:]), center=Vec3(*values[:3])))
+                    obj = SceneObject(kind=kind(*values[3:]), center=Vec3(*values[:3]))
+                _check_placement(obj)
+                objects.append(obj)
             else:
                 raise ValueError(f"unknown directive {directive!r}")
         except ValueError as exc:

@@ -13,6 +13,11 @@ IDENTITY4 = Mat4(
 )
 
 
+def coefficient_table(matrices) -> np.ndarray:
+    """(10, objects) table of already built matrices, as the kernels take it."""
+    return np.array([q.coefficients() for q in matrices]).reshape(-1, 10).T.copy()
+
+
 def random_rotation(rng: np.random.Generator) -> Mat3:
     """Uniform-ish random proper rotation from a normalized quaternion."""
     q = rng.normal(size=4)

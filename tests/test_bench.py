@@ -1,8 +1,10 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from _helpers import coefficient_table
 from quadrics import (
     HomogeneousDirection,
     HomogeneousPoint,
@@ -10,9 +12,10 @@ from quadrics import (
     discriminant_separated,
     make_ray_cache,
 )
-from quadrics import kernels
+from quadrics import bench, kernels
 from quadrics.bench import (
     CSV_HEADER,
+    RAY_SEED_SALT,
     BenchStats,
     _checksum,
     _sphere_split,
@@ -22,15 +25,50 @@ from quadrics.bench import (
 )
 from quadrics.kernels import (
     classical_hit_counts,
-    coefficient_table,
     ray_cache,
     separated_hit_counts,
 )
-from quadrics.rng import mix64
-from quadrics.scene import generate_scene
+from quadrics.render import render_detection
+from quadrics.rng import Xorshift64Star, mix64
+from quadrics.scene import SceneObject, generate_scene
+
+
+def _reference_rays(seed: int, count: int, min_norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """The documented per-ray loop over `Xorshift64Star.uniform`."""
+    rng = Xorshift64Star(seed ^ RAY_SEED_SALT)
+    origins = np.empty((count, 3))
+    dirs = np.empty((count, 3))
+    for i in range(count):
+        origins[i] = [rng.uniform(-10.0, 10.0) for _ in range(3)]
+        while True:
+            dx, dy, dz = (rng.uniform(-1.0, 1.0) for _ in range(3))
+            if dx * dx + dy * dy + dz * dz >= min_norm_sq:
+                break
+        dirs[i] = dx, dy, dz
+    return origins, dirs
 
 
 class TestRayGeneration:
+    @pytest.mark.parametrize("seed", [1, 7, -3, RAY_SEED_SALT])
+    def test_equals_the_per_ray_loop(self, seed):
+        for count in (1, 2, 33, 3000):
+            got = generate_rays(seed, count)
+            want = _reference_rays(seed, count, 1e-12)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("min_norm_sq", [0.5, 1.5, 2.5])
+    def test_redraws_match_the_per_ray_loop(self, monkeypatch, min_norm_sq):
+        monkeypatch.setattr(bench, "_MIN_DIR_NORM_SQ", min_norm_sq)
+        for seed in (1, RAY_SEED_SALT):
+            for count in (1, 2, 3, 40, 301):
+                got = generate_rays(seed, count)
+                want = _reference_rays(seed, count, min_norm_sq)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+        # Redraws did happen: rays no longer sit at every other triple.
+        assert not np.array_equal(generate_rays(1, 301)[1], _reference_rays(1, 301, 0.0)[1])
+
     def test_deterministic(self):
         a = generate_rays(5, 20)
         b = generate_rays(5, 20)
@@ -65,6 +103,27 @@ class TestCounts:
         assert classical.hits == separated.hits
         assert classical.checksum == separated.checksum
         assert classical.detections == separated.detections == 200 * 60
+
+
+class TestNoScalarSetUp:
+    """Render and bench build their set-up in batches, never through the scalar reference."""
+
+    def test_results_unchanged_when_the_scalar_set_up_raises(self, monkeypatch):
+        scene = generate_scene(31, 40, ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid"))
+        scene = dataclasses.replace(
+            scene, camera=dataclasses.replace(scene.camera, width=12, height=9)
+        )
+        images = [render_detection(scene, m).pixels for m in ("classical", "separated")]
+        stats = run_benchmark(scene, rays=300, seed=31)
+
+        def forbidden(*args):
+            raise AssertionError("scalar set-up called")
+
+        monkeypatch.setattr(SceneObject, "world_matrix", forbidden)
+        monkeypatch.setattr(Xorshift64Star, "next_u64", forbidden)
+        assert [render_detection(scene, m).pixels for m in ("classical", "separated")] == images
+        again = run_benchmark(scene, rays=300, seed=31)
+        assert [(s.hits, s.checksum) for s in again] == [(s.hits, s.checksum) for s in stats]
 
 
 class TestChecksum:

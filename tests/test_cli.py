@@ -44,6 +44,12 @@ class TestExitCodes:
         assert main(["render", str(bad), "-o", str(tmp_path / "img.pgm")]) == 2
         assert f"line {line}:" in capsys.readouterr().err
 
+    def test_overflowing_placement_is_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(MINIMAL + "sphere 1e200 0 0 1\n")
+        assert main(["render", str(bad), "-o", str(tmp_path / "img.pgm")]) == 2
+        assert "line 3: placement overflows" in capsys.readouterr().err
+
     def test_check_failure_is_three(self, monkeypatch, capsys):
         failing = CheckReport(cases=1, comparisons=1,
                               failures=[CheckFailure(0, "discriminant mismatch", 1.0, -1.0)])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from _helpers import random_quadric, random_ray
+from _helpers import coefficient_table, random_quadric, random_ray, random_rotation
 from quadrics import (
     QuadraticCoeffs,
+    QuadricMatrix,
     Vec3,
     coefficients,
     discriminant_separated,
@@ -15,7 +16,9 @@ from quadrics import (
     solve,
     sphere_discriminant,
 )
-from quadrics.kernels import coefficient_table, nearest_hits
+from quadrics.kernels import nearest_hits, world_table
+from quadrics.quadric import Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere
+from quadrics.scene import SceneObject, generate_scene
 
 
 def _scalar_nearest(matrices, point, direction, method) -> float:
@@ -103,3 +106,72 @@ def test_nearest_root_equals_solve(a, b, c, a_scale, d):
         assert got == min(positive)
     else:
         assert np.isnan(got)
+
+
+def _scalar_world_table(objects) -> np.ndarray:
+    return np.array([o.world_matrix().coefficients() for o in objects]).reshape(-1, 10).T
+
+
+def _assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestWorldTable:
+    """`world_table` against the scalar `SceneObject.world_matrix`, bit for bit."""
+
+    ALL_KINDS = ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid")
+
+    @pytest.mark.parametrize(
+        "mix",
+        [("sphere",), ("sphere", "ellipsoid"), ALL_KINDS, ("hparaboloid",), ("hyperboloid1",)],
+    )
+    def test_generated_scenes(self, mix):
+        for seed in range(25):
+            objects = generate_scene(seed, 1 + 7 * seed, mix).objects
+            _assert_bits_equal(world_table(objects), _scalar_world_table(objects))
+
+    def test_far_placed_rotated_objects(self):
+        rng = np.random.default_rng(11)
+        objects = []
+        for i in range(200):
+            kind = (
+                Sphere(float(rng.uniform(0.1, 3.0))),
+                Ellipsoid(*(float(v) for v in rng.uniform(0.1, 3.0, 3))),
+                OneSheetHyperboloid(*(float(v) for v in rng.uniform(0.1, 3.0, 3))),
+                HyperbolicParaboloid(*(float(v) for v in rng.uniform(0.1, 3.0, 2))),
+            )[i % 4]
+            center = Vec3(*(float(v) for v in rng.uniform(-1.0, 1.0, 3) * 10.0 ** (i % 7)))
+            rot = random_rotation(rng) if i % 3 else None
+            objects.append(SceneObject(kind, center, rot))
+        _assert_bits_equal(world_table(objects), _scalar_world_table(objects))
+
+    def test_raw_quadric_with_negative_zeros(self):
+        q = General(QuadricMatrix(-0.0, 1.0, -0.0, -1.0, a12=-0.0, a13=0.0, a14=-0.0, a34=0.5))
+        rng = np.random.default_rng(12)
+        objects = [SceneObject(q), SceneObject(q, rot=random_rotation(rng))]
+        _assert_bits_equal(world_table(objects), _scalar_world_table(objects))
+        # 0.0 + (-0.0) * 1.0 is +0.0: the scalar build drops the signs, and so does the table.
+        signs = np.signbit(world_table(objects[:1])[:, 0]).tolist()
+        assert signs == [False, False, False, True] + [False] * 6
+
+    def test_single_object_and_all_spheres(self):
+        one = (SceneObject(Ellipsoid(1.0, 2.0, 3.0), Vec3(4.0, -5.0, 6.0)),)
+        _assert_bits_equal(world_table(one), _scalar_world_table(one))
+        spheres = generate_scene(3, 17, ("sphere",)).objects
+        _assert_bits_equal(world_table(spheres), _scalar_world_table(spheres))
+        assert world_table(()).shape == (10, 0)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            SceneObject(Sphere(1.0), Vec3(1e200, 0.0, 0.0)),
+            SceneObject(Ellipsoid(1e-150, 1.0, 1.0), Vec3(1e10, 0.0, 0.0)),
+            SceneObject(General(QuadricMatrix(1e308, 1.0, 1.0, 1.0, a12=1e308))),
+        ],
+    )
+    def test_overflowing_object_raises(self, obj):
+        with pytest.raises(ValueError):
+            obj.world_matrix()
+        with pytest.raises(ValueError, match="object 1"):
+            world_table([SceneObject(Sphere(1.0)), obj])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,20 @@ class TestCatalog:
         # r^2 or 1/a^2 would be zero or non-finite
         with pytest.raises(ValueError, match="out of range"):
             ctor(*args)
+
+    def test_coefficients_and_their_largest_magnitude(self):
+        lo, hi = 2.0 ** -511, 2.0 ** 511
+        rng = np.random.default_rng(6)
+        params = [lo, hi, 0.5, 1.0, 3.0] + [float(v) for v in rng.uniform(0.1, 2.0, 10)]
+        for kind in (Sphere, Ellipsoid, OneSheetHyperboloid, HyperbolicParaboloid):
+            arity = len(dataclasses.fields(kind))
+            for i in range(len(params)):
+                shape = kind(*(params[(i + k) % len(params)] for k in range(arity)))
+                assert shape.coefficients() == shape.matrix().coefficients()
+                assert shape.max_abs_coefficient() == shape.matrix().max_abs_coefficient()
+        q = random_quadric(rng)
+        assert General(q).coefficients() == q.coefficients()
+        assert General(q).max_abs_coefficient() == q.max_abs_coefficient()
 
     def test_parameter_range_edges(self):
         lo, hi = 2.0 ** -511, 2.0 ** 511

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,37 @@ class TestParse:
         with pytest.raises(SceneParseError, match="out of range") as exc_info:
             parse_scene(MINIMAL + line + "\n")
         assert exc_info.value.line == 3
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "sphere 1e200 0 0 1",
+            "sphere 1.6e153 1.6e153 -1.6e153 1",
+            "ellipsoid 1e60 0 0 1e-100 1 1",
+            "quadric 1e308 0 0 0 0 0 0 0 0 0",
+        ],
+    )
+    def test_overflowing_placement_reports_line(self, line):
+        with pytest.raises(SceneParseError, match="placement overflows") as exc_info:
+            parse_scene(MINIMAL + line + "\n")
+        assert exc_info.value.line == 3
+
+    XFORMS = ["", "xform 0.6 -0.8 0 0.8 0.6 0 0 0 1", "xform 0 0 1 1 0 0 0 1 0"]
+
+    @pytest.mark.parametrize("xform", XFORMS)
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "sphere 1.5e153 1.5e153 -1.5e153 1",
+            "sphere 0 0 0 1e153",
+            "ellipsoid 1e53 -1e53 1e53 1e-100 1 1",
+            "hparaboloid 1e100 0 -1e100 1e-53 1",
+            "quadric 1e307 1e307 1e307 1e307 1e307 1e307 1e307 1e307 1e307 1e307",
+        ],
+    )
+    def test_placement_under_the_bound_has_a_finite_world_matrix(self, line, xform):
+        obj = parse_scene(MINIMAL + line + "\n" + xform + "\n").objects[1]
+        assert obj.world_matrix().max_abs_coefficient() < math.inf
 
     def test_kind_message_passes_through(self):
         with pytest.raises(SceneParseError) as exc_info:
