@@ -8,9 +8,10 @@ cross product, a subtraction, two dot products and a multiply-add) or the
 generic two matrix-vector products.  Detection runs in tiles of
 (rays x objects) through the batched kernels of `kernels`, over a
 struct-of-arrays table of the objects' coefficients, which is the data
-layout the separated form is designed for.  `run_benchmark` builds that
-table once per call with `kernels.world_table` and passes each chunk the
-arrays, not the scene; the separated method takes the non-sphere columns.
+layout the separated form is designed for.  Each method builds, once per
+call, only the columns it reads with `kernels.world_table`: classical every
+object, separated the objects off the sphere fast path.  Each chunk gets the
+arrays, not the scene.
 
 The per-ray hit counts feed an order-independent checksum (XOR of a mix of
 each count with its ray index), which is printed in the CSV; identical
@@ -175,21 +176,20 @@ def _bench_chunk(
 
 def _run_one_method(
     scene: Scene,
-    table: np.ndarray,
     method: str,
     origins: np.ndarray,
     dirs: np.ndarray,
     reps: int,
     workers: int,
 ) -> BenchStats:
-    """One method's stats; `table` is `world_table(scene.objects)`."""
+    """One method's stats, over the coefficient columns that method reads."""
     rays = origins.shape[0]
     objects = len(scene.objects)
     if method == "classical":
-        tables: tuple = (table,)
+        tables: tuple = (world_table(scene.objects),)
     else:
         centers, r_sq, generic = _sphere_split(scene)
-        tables = (centers, r_sq, table[:, generic])
+        tables = (centers, r_sq, world_table(scene.objects, generic))
     per = -(-rays // workers)
     chunks = [
         (method, tables, origins[start:start + per], dirs[start:start + per], start, reps)
@@ -243,9 +243,8 @@ def run_benchmark(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     origins, dirs = generate_rays(seed, rays)
-    table = world_table(scene.objects)
     methods = list(METHODS) if method == "both" else [method]
-    return [_run_one_method(scene, table, m, origins, dirs, reps, workers) for m in methods]
+    return [_run_one_method(scene, m, origins, dirs, reps, workers) for m in methods]
 
 
 def to_csv(stats: list[BenchStats]) -> str:

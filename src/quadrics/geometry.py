@@ -68,6 +68,8 @@ class Vec3:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
+        if n == math.inf:
+            raise ValueError(f"cannot normalize: length overflows in {self!r}")
         return Vec3(self.x / n, self.y / n, self.z / n)
 
     def as_tuple(self) -> tuple[float, float, float]:

@@ -73,8 +73,11 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def world_table(objects: Sequence[SceneObject]) -> np.ndarray:
+def world_table(objects: Sequence[SceneObject], index: Sequence[int] | None = None) -> np.ndarray:
     """(10, objects) table of every `SceneObject.world_matrix()`, built at once.
+
+    With `index`, the table holds only `objects[i]` for i in `index`, in
+    that order; errors still name each object by its position in `objects`.
 
     T (the translation, after the transposed rotation where there is one),
     Q0 T, T^T (Q0 T) and the (i, j)/(j, i) averaging of `quadric.transform`
@@ -84,6 +87,9 @@ def world_table(objects: Sequence[SceneObject]) -> np.ndarray:
     ValueError where the scalar build would: a non-finite entry of T, Q0 T
     or the product, or an object whose coefficients are all zero.
     """
+    if index is None:
+        index = range(len(objects))
+    objects = [objects[i] for i in index]
     n = len(objects)
     if n == 0:
         return np.empty((10, 0))
@@ -112,7 +118,7 @@ def world_table(objects: Sequence[SceneObject]) -> np.ndarray:
         ((table == 0.0).all(axis=1), "all coefficients zero"),
     ):
         if bad.any():
-            raise ValueError(f"object {int(np.argmax(bad))}: {what}")
+            raise ValueError(f"object {index[int(np.argmax(bad))]}: {what}")
     return table.T.copy()
 
 

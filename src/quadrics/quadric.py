@@ -7,15 +7,19 @@ world frame as Q = T^T Q0 T.
 
 `CATALOG` maps each scene directive to its kind: one class per surface
 (`Sphere`, `Ellipsoid`, ...), in fundamental (centered, axis-aligned)
-position, plus `General` for raw coefficients.  Each class validates its
-shape parameters once, at construction, so a malformed scene fails at parse
-time and not in the kernels.  `coefficients()` gives its matrix's 10
-coefficients in `COEFFICIENT_ORDER` and `matrix()` wraps them in a validated
-`QuadricMatrix`; the batched world-matrix build reads the tuple, since the
-parameter range makes the validation redundant.  `max_abs_coefficient()`
-gives the largest |coefficient| from the parameters alone, for the scene
-parser's per-object placement bound.  The lower-case factories (`sphere`,
-`ellipsoid`, ...) are entry points over the classes.
+position, plus `General` for raw coefficients.  A surface kind is one
+declaration on the private base `_Shape`: its `directive`, its shape
+parameters as fields in directive order, their range check in
+`__post_init__` and `coefficients()`, its matrix's 10 coefficients in
+`COEFFICIENT_ORDER`.  The base derives the rest: `params()` (the field
+values, which the scene text and the seeded generator read), `matrix()` (a
+validated `QuadricMatrix`) and `max_abs_coefficient()` (the largest
+|coefficient|, for the scene parser's per-object placement bound).  The range
+check runs once, at construction, so a malformed scene fails at parse time
+and not in the kernels; the batched world-matrix build reads
+`coefficients()`, since the parameter range makes the validation redundant.
+The lower-case factories (`sphere`, `ellipsoid`, ...) are entry points over
+the classes.
 """
 from __future__ import annotations
 
@@ -169,7 +173,29 @@ def _shape_error(kind: str, noun: str, params: tuple[float, ...]) -> ValueError:
 
 
 @dataclass(frozen=True, slots=True)
-class Sphere:
+class _Shape:
+    """A catalog kind in fundamental position, centred at the origin.
+
+    A kind declares its `directive`, its shape parameters as fields (in
+    directive order), their range check in `__post_init__` and
+    `coefficients()`; the base derives everything else from those.
+    """
+
+    directive: ClassVar[str]
+
+    def params(self) -> tuple[float, ...]:
+        """The shape parameters in directive order."""
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def max_abs_coefficient(self) -> float:
+        return max(map(abs, self.coefficients()))
+
+    def matrix(self) -> QuadricMatrix:
+        return QuadricMatrix(*self.coefficients())
+
+
+@dataclass(frozen=True, slots=True)
+class Sphere(_Shape):
     """Sphere of radius r in fundamental position: diag(1, 1, 1, -r^2)."""
 
     directive: ClassVar[str] = "sphere"
@@ -177,20 +203,14 @@ class Sphere:
 
     def __post_init__(self) -> None:
         if not _PARAM_MIN <= self.r <= _PARAM_MAX:
-            raise _shape_error("sphere", "radius", (self.r,))
+            raise _shape_error("sphere", "radius", self.params())
 
     def coefficients(self) -> tuple[float, ...]:
         return (1.0, 1.0, 1.0, -(self.r * self.r), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    def max_abs_coefficient(self) -> float:
-        return max(1.0, self.r * self.r)
-
-    def matrix(self) -> QuadricMatrix:
-        return QuadricMatrix(*self.coefficients())
-
 
 @dataclass(frozen=True, slots=True)
-class Ellipsoid:
+class Ellipsoid(_Shape):
     """Axis-aligned ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 - 1 = 0."""
 
     directive: ClassVar[str] = "ellipsoid"
@@ -201,22 +221,15 @@ class Ellipsoid:
     def __post_init__(self) -> None:
         if not (_PARAM_MIN <= self.a <= _PARAM_MAX and _PARAM_MIN <= self.b <= _PARAM_MAX
                 and _PARAM_MIN <= self.c <= _PARAM_MAX):
-            raise _shape_error("ellipsoid", "semi-axis", (self.a, self.b, self.c))
+            raise _shape_error("ellipsoid", "semi-axis", self.params())
 
     def coefficients(self) -> tuple[float, ...]:
         a, b, c = self.a, self.b, self.c
         return (1.0 / (a * a), 1.0 / (b * b), 1.0 / (c * c), -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    def max_abs_coefficient(self) -> float:
-        m = min(self.a, self.b, self.c)
-        return max(1.0, 1.0 / (m * m))
-
-    def matrix(self) -> QuadricMatrix:
-        return QuadricMatrix(*self.coefficients())
-
 
 @dataclass(frozen=True, slots=True)
-class OneSheetHyperboloid:
+class OneSheetHyperboloid(_Shape):
     """One-sheet hyperboloid x^2/a^2 + y^2/b^2 - z^2/c^2 - 1 = 0."""
 
     directive: ClassVar[str] = "hyperboloid1"
@@ -227,22 +240,15 @@ class OneSheetHyperboloid:
     def __post_init__(self) -> None:
         if not (_PARAM_MIN <= self.a <= _PARAM_MAX and _PARAM_MIN <= self.b <= _PARAM_MAX
                 and _PARAM_MIN <= self.c <= _PARAM_MAX):
-            raise _shape_error("one_sheet_hyperboloid", "semi-axis", (self.a, self.b, self.c))
+            raise _shape_error("one_sheet_hyperboloid", "semi-axis", self.params())
 
     def coefficients(self) -> tuple[float, ...]:
         a, b, c = self.a, self.b, self.c
         return (1.0 / (a * a), 1.0 / (b * b), -1.0 / (c * c), -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    def max_abs_coefficient(self) -> float:
-        m = min(self.a, self.b, self.c)
-        return max(1.0, 1.0 / (m * m))
-
-    def matrix(self) -> QuadricMatrix:
-        return QuadricMatrix(*self.coefficients())
-
 
 @dataclass(frozen=True, slots=True)
-class HyperbolicParaboloid:
+class HyperbolicParaboloid(_Shape):
     """Hyperbolic paraboloid x^2/a^2 - y^2/b^2 - 2z = 0; not diagonal (a34 = -1)."""
 
     directive: ClassVar[str] = "hparaboloid"
@@ -251,18 +257,11 @@ class HyperbolicParaboloid:
 
     def __post_init__(self) -> None:
         if not (_PARAM_MIN <= self.a <= _PARAM_MAX and _PARAM_MIN <= self.b <= _PARAM_MAX):
-            raise _shape_error("hyperbolic_paraboloid", "semi-axis", (self.a, self.b))
+            raise _shape_error("hyperbolic_paraboloid", "semi-axis", self.params())
 
     def coefficients(self) -> tuple[float, ...]:
         a, b = self.a, self.b
         return (1.0 / (a * a), -1.0 / (b * b), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0)
-
-    def max_abs_coefficient(self) -> float:
-        m = min(self.a, self.b)
-        return max(1.0, 1.0 / (m * m))
-
-    def matrix(self) -> QuadricMatrix:
-        return QuadricMatrix(*self.coefficients())
 
 
 @dataclass(frozen=True, slots=True)

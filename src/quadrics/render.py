@@ -16,7 +16,6 @@ independently, so output bytes are identical for any worker count.
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -24,9 +23,8 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .geometry import Vec3, cross
 from .kernels import METHODS, nearest_hits, world_table
-from .scene import Scene
+from .scene import Camera, Scene
 
 __all__ = ["Image", "render_detection", "write_pgm", "pgm_bytes"]
 
@@ -38,46 +36,9 @@ class Image:
     pixels: bytes  # row-major, one byte per pixel
 
     def at(self, col: int, row: int) -> int:
+        if not (0 <= col < self.width and 0 <= row < self.height):
+            raise IndexError(f"pixel ({col}, {row}) outside the {self.width}x{self.height} image")
         return self.pixels[row * self.width + col]
-
-
-@dataclass(frozen=True)
-class _CameraFrame:
-    origin: Vec3
-    forward: Vec3
-    right: Vec3
-    up: Vec3
-    half_w: float
-    half_h: float
-    width: int
-    height: int
-
-    def ray_direction(self, col: int, row: int) -> Vec3:
-        u = ((col + 0.5) / self.width * 2.0 - 1.0) * self.half_w
-        v = (1.0 - (row + 0.5) / self.height * 2.0) * self.half_h
-        return self.forward + u * self.right + v * self.up
-
-
-def _camera_frame(scene: Scene) -> _CameraFrame:
-    cam = scene.camera
-    forward = (cam.look_at - cam.origin).normalized()
-    side = cross(forward, cam.up)
-    if side.norm_sq() == 0.0:
-        raise ValueError("camera: up vector is parallel to the view direction")
-    right = side.normalized()
-    up = cross(right, forward)
-    half_h = math.tan(math.radians(cam.vfov_deg) * 0.5)
-    half_w = half_h * (cam.width / cam.height)
-    return _CameraFrame(
-        origin=cam.origin,
-        forward=forward,
-        right=right,
-        up=up,
-        half_w=half_w,
-        half_h=half_h,
-        width=cam.width,
-        height=cam.height,
-    )
 
 
 def _pixel_values(nearest: np.ndarray) -> np.ndarray:
@@ -86,19 +47,19 @@ def _pixel_values(nearest: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(nearest), 0.0, shade).astype(np.uint8)
 
 
-def _render_rows(frame: _CameraFrame, method: str, table: np.ndarray, rows: range) -> bytes:
-    width, height = frame.width, frame.height
-    u = ((np.arange(width) + 0.5) / width * 2.0 - 1.0) * frame.half_w
-    v = (1.0 - (np.arange(rows.start, rows.stop) + 0.5) / height * 2.0) * frame.half_h
+def _render_rows(cam: Camera, method: str, table: np.ndarray, rows: range) -> bytes:
+    width, height = cam.width, cam.height
+    f, r, up, half_w, half_h = cam.frame()
+    u = ((np.arange(width) + 0.5) / width * 2.0 - 1.0) * half_w
+    v = (1.0 - (np.arange(rows.start, rows.stop) + 0.5) / height * 2.0) * half_h
     # forward + u*right + v*up, component by component, one row per image row.
-    f, r, up = frame.forward, frame.right, frame.up
     direction = (
         ((f.x + u * r.x)[None, :] + (v * up.x)[:, None]).ravel(),
         ((f.y + u * r.y)[None, :] + (v * up.y)[:, None]).ravel(),
         ((f.z + u * r.z)[None, :] + (v * up.z)[:, None]).ravel(),
         0.0,
     )
-    point = (frame.origin.x, frame.origin.y, frame.origin.z, 1.0)
+    point = (cam.origin.x, cam.origin.y, cam.origin.z, 1.0)
     nearest = nearest_hits(table, point, direction, method)
     return _pixel_values(nearest).tobytes()
 
@@ -109,17 +70,17 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
         raise ValueError(f"unknown method {method!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    frame = _camera_frame(scene)
+    cam = scene.camera
     table = world_table(scene.objects)
-    rows = range(frame.height)
+    rows = range(cam.height)
     if workers == 1:
-        pixels = _render_rows(frame, method, table, rows)
+        pixels = _render_rows(cam, method, table, rows)
     else:
         per = -(-len(rows) // workers)
         chunks = [rows[start:start + per] for start in range(0, len(rows), per)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pixels = b"".join(pool.map(partial(_render_rows, frame, method, table), chunks))
-    return Image(width=frame.width, height=frame.height, pixels=pixels)
+            pixels = b"".join(pool.map(partial(_render_rows, cam, method, table), chunks))
+    return Image(width=cam.width, height=cam.height, pixels=pixels)
 
 
 def pgm_bytes(image: Image) -> bytes:

@@ -16,32 +16,26 @@ rotation of the preceding object; `quadric` coefficients are world frame
 unless an xform follows.  Blank lines and lines starting with '#' are
 ignored.
 
-The object directives are the keys of `quadric.CATALOG`: `parse_scene`
-builds each kind through it and takes each directive's arity from the kind's
-fields.  Every malformed line raises `SceneParseError` with its line number
-and the failed check's own message.  That includes objects whose world
-matrix could overflow: `max|Q0| * (1 + |cx| + |cy| + |cz|)^2` must not
-exceed 2^1021, a bound taken from the kind's parameters and the center
-alone, so no matrix is built while parsing.
+The object directives are the keys of `quadric.CATALOG`, and this module
+names no kind but `General` (raw coefficients, no centre).  A catalog kind
+is written as its directive, the centre and `params()`; `parse_scene` takes
+its arity from the kind's fields (3 + one per shape parameter) and builds it
+through `CATALOG`; `generate_scene` draws one value per field.  Every
+malformed line raises `SceneParseError` with its line number and the failed
+check's own message.  That includes a camera whose view basis is degenerate
+(`Camera.frame`) and objects whose world matrix could overflow:
+`max|Q0| * (1 + |cx| + |cy| + |cz|)^2` must not exceed 2^1021, a bound taken
+from the kind's parameters and the center alone, so no matrix is built
+while parsing.
 """
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .geometry import Mat3, Vec3, compose, rotation, translation
-from .quadric import (
-    CATALOG,
-    COEFFICIENT_ORDER,
-    Ellipsoid,
-    General,
-    HyperbolicParaboloid,
-    OneSheetHyperboloid,
-    QuadricKind,
-    QuadricMatrix,
-    Sphere,
-    transform,
-)
+from .geometry import Mat3, Vec3, compose, cross, rotation, translation
+from .quadric import CATALOG, COEFFICIENT_ORDER, General, QuadricKind, QuadricMatrix, transform
 from .rng import Xorshift64Star
 
 __all__ = [
@@ -89,6 +83,34 @@ class Camera:
         if self.origin == self.look_at:
             raise ValueError("camera: origin equals look-at point")
 
+    def frame(self) -> tuple[Vec3, Vec3, Vec3, float, float]:
+        """The view basis and the image plane's half extents at t = 1.
+
+        Returns (forward, right, up, half_w, half_h), the three vectors
+        orthonormal; ValueError when the view direction or the up vector is
+        degenerate.  Not derived in `__post_init__`: `parse_scene` checks it
+        once per camera line, and generated cameras are valid by construction.
+        """
+        forward = (self.look_at - self.origin).normalized()
+        side = cross(forward, self.up)
+        if side.norm_sq() == 0.0:
+            raise ValueError("camera: up vector is parallel to the view direction")
+        right = side.normalized()
+        up = cross(right, forward)
+        half_h = math.tan(math.radians(self.vfov_deg) * 0.5)
+        return forward, right, up, half_h * (self.width / self.height), half_h
+
+    def ray_direction(self, col: int, row: int) -> Vec3:
+        """forward + u*right + v*up through the centre of pixel (col, row).
+
+        One pixel at a time: the scalar reference of the batched directions
+        in `render`.
+        """
+        forward, right, up, half_w, half_h = self.frame()
+        u = ((col + 0.5) / self.width * 2.0 - 1.0) * half_w
+        v = (1.0 - (row + 0.5) / self.height * 2.0) * half_h
+        return forward + u * right + v * up
+
 
 @dataclass(frozen=True)
 class SceneObject:
@@ -119,10 +141,6 @@ class Scene:
             raise ValueError("scene: needs at least one object")
 
 
-_OBJECT_ARITY = {
-    name: len(COEFFICIENT_ORDER) if kind is General else 3 + len(fields(kind))
-    for name, kind in CATALOG.items()
-}
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -197,6 +215,7 @@ def parse_scene(text: str) -> Scene:
                     width=int(args[10]),
                     height=int(args[11]),
                 )
+                camera.frame()
             elif directive == "xform":
                 if not objects:
                     raise ValueError("xform with no preceding object")
@@ -209,11 +228,11 @@ def parse_scene(text: str) -> Scene:
                 prev = objects[-1]
                 objects[-1] = SceneObject(kind=prev.kind, center=prev.center, rot=rot)
             elif directive in CATALOG:
-                arity = _OBJECT_ARITY[directive]
+                kind = CATALOG[directive]
+                arity = len(COEFFICIENT_ORDER) if kind is General else 3 + len(kind.__match_args__)
                 if len(args) != arity:
                     raise ValueError(f"{directive} needs {arity} numbers, got {len(args)}")
                 values = _floats(args)
-                kind = CATALOG[directive]
                 if kind is General:
                     obj = SceneObject(kind=General(QuadricMatrix(*values)))
                 else:
@@ -233,7 +252,7 @@ def parse_scene(text: str) -> Scene:
 
 
 def _fmt(values: tuple[float, ...] | list[float]) -> str:
-    return " ".join(repr(float(v)) for v in values)
+    return " ".join(map(repr, map(float, values)))
 
 
 def serialize_scene(scene: Scene) -> str:
@@ -246,19 +265,10 @@ def serialize_scene(scene: Scene) -> str:
     ]
     for obj in scene.objects:
         k = obj.kind
-        c = obj.center.as_tuple()
-        if isinstance(k, Sphere):
-            lines.append("sphere " + _fmt(c + (k.r,)))
-        elif isinstance(k, Ellipsoid):
-            lines.append("ellipsoid " + _fmt(c + (k.a, k.b, k.c)))
-        elif isinstance(k, OneSheetHyperboloid):
-            lines.append("hyperboloid1 " + _fmt(c + (k.a, k.b, k.c)))
-        elif isinstance(k, HyperbolicParaboloid):
-            lines.append("hparaboloid " + _fmt(c + (k.a, k.b)))
-        elif isinstance(k, General):
+        if isinstance(k, General):
             lines.append("quadric " + _fmt(k.q.coefficients()))
-        else:  # pragma: no cover - union is closed
-            raise TypeError(f"unserializable kind {k!r}")
+        else:
+            lines.append(f"{k.directive} " + _fmt(obj.center.as_tuple() + k.params()))
         if obj.rot is not None:
             lines.append("xform " + _fmt(obj.rot.m))
     return "\n".join(lines) + "\n"
@@ -270,9 +280,10 @@ def generate_scene(
     """Deterministic random scene from the documented xorshift64* stream.
 
     Draw order per object: one kind selector (only when the mix has more
-    than one entry), then center x, y, z uniform in [-10, 10], then the
-    shape parameters uniform in [0.1, 2] in directive order.  The camera is
-    fixed at (0, 0, 30) looking at the origin, up +y, vfov 60, 256x256.
+    than one entry), then center x, y, z uniform in [-10, 10], then one
+    draw uniform in [0.1, 2] per field of the kind (its shape parameters, in
+    directive order).  The camera is fixed at (0, 0, 30) looking at the
+    origin, up +y, vfov 60, 256x256.
     """
     if n_objects < 1:
         raise ValueError("generate_scene: need at least one object")
@@ -287,17 +298,9 @@ def generate_scene(
     for _ in range(n_objects):
         name = kind_mix[rng.int_below(len(kind_mix))] if len(kind_mix) > 1 else kind_mix[0]
         center = Vec3(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0))
-        if name == "sphere":
-            kind: QuadricKind = Sphere(rng.uniform(0.1, 2.0))
-        elif name == "ellipsoid":
-            kind = Ellipsoid(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
-        elif name == "hyperboloid1":
-            kind = OneSheetHyperboloid(
-                rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
-            )
-        else:
-            kind = HyperbolicParaboloid(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
-        objects.append(SceneObject(kind=kind, center=center))
+        kind = CATALOG[name]
+        shape = kind(*[rng.uniform(0.1, 2.0) for _ in kind.__match_args__])
+        objects.append(SceneObject(kind=shape, center=center))
 
     vfov, width, height = _GENERATED_CAMERA_TAIL
     camera = Camera(

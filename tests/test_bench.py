@@ -28,9 +28,11 @@ from quadrics.kernels import (
     ray_cache,
     separated_hit_counts,
 )
+from quadrics.geometry import Vec3
+from quadrics.quadric import Ellipsoid, Sphere
 from quadrics.render import render_detection
 from quadrics.rng import Xorshift64Star, mix64
-from quadrics.scene import SceneObject, generate_scene
+from quadrics.scene import Scene, SceneObject, generate_scene
 
 
 def _reference_rays(seed: int, count: int, min_norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +126,44 @@ class TestNoScalarSetUp:
         assert [render_detection(scene, m).pixels for m in ("classical", "separated")] == images
         again = run_benchmark(scene, rays=300, seed=31)
         assert [(s.hits, s.checksum) for s in again] == [(s.hits, s.checksum) for s in stats]
+
+
+class TestTablePerMethod:
+    """Each method builds only the coefficient columns it reads."""
+
+    def _built_shapes(self, monkeypatch, scene, method):
+        shapes = []
+
+        def recording(*args):
+            table = kernels.world_table(*args)
+            shapes.append(table.shape)
+            return table
+
+        monkeypatch.setattr(bench, "world_table", recording)
+        run_benchmark(scene, rays=20, method=method, seed=3)
+        return shapes
+
+    def test_separated_tabulates_only_the_generic_objects(self, monkeypatch):
+        spheres = generate_scene(8, 12, ("sphere",))
+        assert self._built_shapes(monkeypatch, spheres, "separated") == [(10, 0)]
+        mixed = generate_scene(8, 12, ("sphere", "ellipsoid"))
+        generic = _sphere_split(mixed)[2]
+        assert 0 < len(generic) < 12
+        assert self._built_shapes(monkeypatch, mixed, "separated") == [(10, len(generic))]
+        assert self._built_shapes(monkeypatch, mixed, "classical") == [(10, 12)]
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    def test_overflow_names_the_scene_object(self, method):
+        scene = Scene(
+            generate_scene(1, 1).camera,
+            (
+                SceneObject(Sphere(1.0)),
+                SceneObject(Ellipsoid(1.0, 2.0, 3.0)),
+                SceneObject(Ellipsoid(1e-150, 1.0, 1.0), Vec3(1e10, 0.0, 0.0)),
+            ),
+        )
+        with pytest.raises(ValueError, match="object 2: world matrix: non-finite"):
+            run_benchmark(scene, rays=4, method=method)
 
 
 class TestChecksum:

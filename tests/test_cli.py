@@ -44,6 +44,20 @@ class TestExitCodes:
         assert main(["render", str(bad), "-o", str(tmp_path / "img.pgm")]) == 2
         assert f"line {line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "camera,message",
+        [
+            ("camera 0 0 5 0 0 0 0 0 1 60 8 8", "camera: up vector is parallel to the view"),
+            ("camera 1e308 0 0 -1e308 0 0 0 1 0 60 8 8", "Vec3: non-finite component -inf"),
+            ("camera 0 0 5 0 0 0 1e300 1e300 0 60 8 8", "cannot normalize: length overflows"),
+        ],
+    )
+    def test_degenerate_camera_view_is_two(self, tmp_path, capsys, camera, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"# view\n{camera}\nsphere 0 0 0 1\n")
+        assert main(["render", str(bad), "-o", str(tmp_path / "img.pgm")]) == 2
+        assert f"line 2: {message}" in capsys.readouterr().err
+
     def test_overflowing_placement_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text(MINIMAL + "sphere 1e200 0 0 1\n")

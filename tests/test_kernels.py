@@ -175,3 +175,11 @@ class TestWorldTable:
             obj.world_matrix()
         with pytest.raises(ValueError, match="object 1"):
             world_table([SceneObject(Sphere(1.0)), obj])
+        with pytest.raises(ValueError, match="object 2"):
+            world_table([obj, SceneObject(Sphere(1.0)), obj], [1, 2])
+
+    def test_index_selects_and_orders_the_columns(self):
+        objects = generate_scene(9, 6, self.ALL_KINDS).objects
+        full = world_table(objects)
+        _assert_bits_equal(world_table(objects, [4, 1, 2]), full[:, [4, 1, 2]])
+        assert world_table(objects, []).shape == (10, 0)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -85,12 +84,20 @@ class TestCatalog:
         lo, hi = 2.0 ** -511, 2.0 ** 511
         rng = np.random.default_rng(6)
         params = [lo, hi, 0.5, 1.0, 3.0] + [float(v) for v in rng.uniform(0.1, 2.0, 10)]
-        for kind in (Sphere, Ellipsoid, OneSheetHyperboloid, HyperbolicParaboloid):
-            arity = len(dataclasses.fields(kind))
+        for kind in CATALOG.values():
+            if kind is General:
+                continue
+            arity = len(kind.__match_args__)
             for i in range(len(params)):
-                shape = kind(*(params[(i + k) % len(params)] for k in range(arity)))
+                values = tuple(params[(i + k) % len(params)] for k in range(arity))
+                shape = kind(*values)
+                assert shape.params() == values
                 assert shape.coefficients() == shape.matrix().coefficients()
                 assert shape.max_abs_coefficient() == shape.matrix().max_abs_coefficient()
+                # The closed form from the parameters: 1/(x*x) falls as x grows.
+                m = min(values)
+                closed = max(1.0, m * m) if kind is Sphere else max(1.0, 1.0 / (m * m))
+                assert shape.max_abs_coefficient() == closed
         q = random_quadric(rng)
         assert General(q).coefficients() == q.coefficients()
         assert General(q).max_abs_coefficient() == q.max_abs_coefficient()

@@ -23,7 +23,7 @@ from quadrics.quadric import (
     OneSheetHyperboloid,
     Sphere,
 )
-from quadrics.render import Image, _camera_frame, pgm_bytes, render_detection
+from quadrics.render import Image, pgm_bytes, render_detection
 from quadrics.scene import Camera, Scene, SceneObject, generate_scene, parse_scene, serialize_scene
 
 DISC_SCENE = "camera 0 0 5 0 0 0 0 1 0 60 101 101\nsphere 0 0 0 1\n"
@@ -101,6 +101,18 @@ class TestWorkers:
             render_detection(parse_scene(DISC_SCENE), workers=0)
 
 
+class TestImage:
+    def test_at_reads_row_major(self):
+        img = Image(width=3, height=2, pixels=bytes([0, 1, 2, 3, 4, 5]))
+        assert [img.at(col, row) for row in range(2) for col in range(3)] == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("col,row", [(3, 0), (-1, 0), (0, 2), (0, -1), (2, 5)])
+    def test_at_outside_the_image_raises(self, col, row):
+        img = Image(width=3, height=2, pixels=bytes(6))
+        with pytest.raises(IndexError, match="outside the 3x2 image"):
+            img.at(col, row)
+
+
 class TestPgm:
     def test_header_and_payload(self):
         img = Image(width=3, height=2, pixels=bytes([0, 128, 255, 1, 2, 3]))
@@ -114,14 +126,14 @@ class TestPgm:
 
 def reference_render(scene: Scene, method: str) -> tuple[bytes, set[str]]:
     """Per-pixel scalar loop: the image bytes and the result kinds met on the way."""
-    frame = _camera_frame(scene)
-    origin = HomogeneousPoint.from_euclidean(frame.origin)
+    cam = scene.camera
+    origin = HomogeneousPoint.from_euclidean(cam.origin)
     matrices = [obj.world_matrix() for obj in scene.objects]
     pixels = bytearray()
     kinds = set()
-    for row in range(frame.height):
-        for col in range(frame.width):
-            direction = HomogeneousDirection.from_euclidean(frame.ray_direction(col, row))
+    for row in range(cam.height):
+        for col in range(cam.width):
+            direction = HomogeneousDirection.from_euclidean(cam.ray_direction(col, row))
             cache = make_ray_cache(origin, direction)
             nearest = None
             for q in matrices:

@@ -1,16 +1,21 @@
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
 
 from _helpers import random_quadric
-from quadrics import HomogeneousPoint, evaluate
+from quadrics import HomogeneousPoint, evaluate, scene
+from quadrics.kernels import world_table
 from quadrics.quadric import (
+    CATALOG,
     Ellipsoid,
     General,
     HyperbolicParaboloid,
     OneSheetHyperboloid,
     Sphere,
+    _Shape,
 )
 from quadrics.scene import (
     Scene,
@@ -362,3 +367,76 @@ class TestGolden:
         for obj, (kind, coefficients) in zip(objects, self.WORLD):
             assert isinstance(obj.kind, kind)
             assert obj.world_matrix().coefficients() == coefficients
+
+
+@dataclass(frozen=True, slots=True)
+class EllipticCylinder(_Shape):
+    """x^2/a^2 + y^2/b^2 - 1 = 0: a kind declared here and nowhere else."""
+
+    directive: ClassVar[str] = "ecylinder"
+    a: float
+    b: float
+
+    def __post_init__(self) -> None:
+        if not (0.05 <= self.a <= 4.0 and 0.05 <= self.b <= 4.0):
+            raise ValueError(f"ecylinder: semi-axis out of range in {self.params()!r}")
+
+    def coefficients(self) -> tuple[float, ...]:
+        a, b = self.a, self.b
+        return (1.0 / (a * a), 1.0 / (b * b), 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+class TestKindIsOneClass:
+    """Registering a class in CATALOG is all a new kind takes: scene.py names no kind."""
+
+    @pytest.fixture(autouse=True)
+    def register(self, monkeypatch):
+        monkeypatch.setitem(CATALOG, EllipticCylinder.directive, EllipticCylinder)
+
+    def test_scene_module_names_no_catalog_shape(self):
+        named = [v for v in vars(scene).values() if isinstance(v, type) and issubclass(v, _Shape)]
+        assert named == []
+
+    def test_parse_serialize_parse(self):
+        text = MINIMAL + "ecylinder 1.5 -2 0.25 0.5 3\nxform 0 -1 0 1 0 0 0 0 1\n"
+        first = parse_scene(text)
+        assert first.objects[1].kind == EllipticCylinder(0.5, 3.0)
+        assert first.objects[1].center.as_tuple() == (1.5, -2.0, 0.25)
+        canonical = serialize_scene(first)
+        assert canonical.splitlines()[2:] == [
+            "ecylinder 1.5 -2.0 0.25 0.5 3.0",
+            "xform 0.0 -1.0 0.0 1.0 0.0 0.0 0.0 0.0 1.0",
+        ]
+        assert parse_scene(canonical) == first
+
+    def test_arity_and_range_check_come_from_the_class(self):
+        with pytest.raises(SceneParseError, match="line 3: ecylinder needs 5 numbers, got 4"):
+            parse_scene(MINIMAL + "ecylinder 0 0 0 1\n")
+        with pytest.raises(SceneParseError, match="line 3: ecylinder: semi-axis out of range"):
+            parse_scene(MINIMAL + "ecylinder 0 0 0 1 9\n")
+
+    def test_generated_draws_one_value_per_field(self):
+        generated = generate_scene(5, 6, ("sphere", "ecylinder"))
+        # The documented draw order, replayed: selector, centre, one draw per field.
+        rng = Xorshift64Star(5)
+        for obj in generated.objects:
+            kind = (Sphere, EllipticCylinder)[rng.int_below(2)]
+            center = tuple(rng.uniform(-10.0, 10.0) for _ in range(3))
+            assert obj.center.as_tuple() == center
+            assert obj.kind == kind(*(rng.uniform(0.1, 2.0) for _ in kind.__match_args__))
+        assert {type(o.kind) for o in generated.objects} == {Sphere, EllipticCylinder}
+        assert serialize_scene(generated).splitlines()[1:3] == self.GENERATED
+
+    GENERATED = [
+        "sphere 1.7203130090213996 0.8404411420151341 -0.8178730726402623 0.34902508987458547",
+        "ecylinder -8.121587632742369 -6.07378564039295 3.4110580430064346"
+        " 1.8123140737703105 1.5113605495639084",
+    ]
+
+    def test_world_table_equals_world_matrix(self):
+        objects = generate_scene(6, 9, ("ecylinder", "hparaboloid")).objects
+        objects += parse_scene(MINIMAL + "ecylinder 1 2 3 2 1\nxform 0 0 1 0 1 0 -1 0 0\n").objects
+        want = np.array([o.world_matrix().coefficients() for o in objects]).T
+        got = world_table(objects)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
