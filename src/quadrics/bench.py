@@ -10,27 +10,28 @@ generic two matrix-vector products.  Detection runs in tiles of
 struct-of-arrays table of the objects' coefficients, which is the data
 layout the separated form is designed for.  Each method builds, once per
 call, only the columns it reads with `kernels.world_table`: classical every
-object, separated the objects off the sphere fast path.  Each chunk gets the
-arrays, not the scene.
+object, separated the objects off the sphere fast path.
 
-The per-ray hit counts feed an order-independent checksum (XOR of a mix of
-each count with its ray index), which is printed in the CSV; identical
-checksums across methods, runs, and worker counts are the determinism
-contract.  Timing
-columns are wall-clock and naturally vary run to run; every other column is
-byte-stable for a fixed seed.
+`kernels.map_ranges` gives each worker a range of rays, as `render` does
+with image rows; a worker gets arrays, not the scene, and returns per-ray
+hit counts and per-repetition times.  The hit total and the checksum (an
+XOR over rays of a mix of each count with its ray index) are computed once,
+over all rays, outside the timed spans.  Identical checksums across methods,
+runs, and worker counts are the determinism contract.  Timing columns are
+wall-clock and vary run to run; every other column is byte-stable for a
+fixed seed.
 """
 from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .kernels import (
-    METHODS, classical_hit_counts, ray_cache, separated_hit_counts, world_table,
+    METHODS, classical_hit_counts, map_ranges, ray_cache, separated_hit_counts, world_table,
 )
 from .quadric import Sphere
 from .rng import float_stream, mix64
@@ -131,58 +132,53 @@ def _sphere_split(scene: Scene) -> tuple[np.ndarray, np.ndarray, list[int]]:
     )
 
 
-def _checksum(ray_hits: np.ndarray, offset: int) -> int:
-    """XOR over rays of mix64(((offset + i + 1) * stride) ^ hits_i), mod 2^64."""
-    index = np.arange(offset + 1, offset + 1 + ray_hits.shape[0], dtype=np.uint64)
+def _checksum(ray_hits: np.ndarray) -> int:
+    """XOR over rays of mix64(((i + 1) * stride) ^ hits_i), mod 2^64."""
+    index = np.arange(1, 1 + ray_hits.shape[0], dtype=np.uint64)
     mixed = mix64((index * np.uint64(_CHECKSUM_STRIDE)) ^ ray_hits.astype(np.uint64))
     return int(np.bitwise_xor.reduce(mixed))
 
 
-def _bench_chunk(
-    args: tuple[str, tuple, np.ndarray, np.ndarray, int, int]
-) -> tuple[int, int, list[int], list[int]]:
-    """Detection for one ray range; `tables` lead the arguments of the method's kernel."""
-    method, tables, origins, dirs, offset, reps = args
-    point = (origins[:, 0], origins[:, 1], origins[:, 2], 1.0)
-    direction = (dirs[:, 0], dirs[:, 1], dirs[:, 2], 0.0)
+def _detect_rays(
+    method: str, tables: tuple, origins: np.ndarray, dirs: np.ndarray, reps: int, rays: range
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """Per-ray hit counts over `rays`, and each repetition's precompute and detect ns.
 
-    hits_total = 0
-    checksum = 0
+    `tables` lead the arguments of the method's kernel.  Raises
+    AssertionError when a repetition's counts differ from the first one's.
+    """
+    o, d = origins[rays.start:rays.stop], dirs[rays.start:rays.stop]
+    point = (o[:, 0], o[:, 1], o[:, 2], 1.0)
+    direction = (d[:, 0], d[:, 1], d[:, 2], 0.0)
+    ray_hits = None
     precompute_ns: list[int] = []
     detect_ns: list[int] = []
-    for rep in range(reps):
-        t0 = time.perf_counter_ns()
-        if method == "separated":
-            cache = ray_cache(point, direction)
-        t1 = time.perf_counter_ns()
-        precompute_ns.append(t1 - t0 if method == "separated" else 0)
-
-        t2 = time.perf_counter_ns()
+    for _ in range(reps):
+        t0 = t1 = time.perf_counter_ns()
         if method == "classical":
-            ray_hits = classical_hit_counts(*tables, point, direction)
+            counts = classical_hit_counts(*tables, point, direction)
         else:
-            ray_hits = separated_hit_counts(*tables, point, direction, cache)
-        rep_hits = int(ray_hits.sum())
-        rep_checksum = _checksum(ray_hits, offset)
-        t3 = time.perf_counter_ns()
-        detect_ns.append(t3 - t2)
-
-        if rep == 0:
-            hits_total, checksum = rep_hits, rep_checksum
-        elif (rep_hits, rep_checksum) != (hits_total, checksum):
+            cache = ray_cache(point, direction)
+            t1 = time.perf_counter_ns()
+            counts = separated_hit_counts(*tables, point, direction, cache)
+        t2 = time.perf_counter_ns()
+        precompute_ns.append(t1 - t0)
+        detect_ns.append(t2 - t1)
+        if ray_hits is None:
+            ray_hits = counts
+        elif not np.array_equal(counts, ray_hits):
             raise AssertionError("nondeterministic detection results across repetitions")
-    return hits_total, checksum, precompute_ns, detect_ns
+    return ray_hits, precompute_ns, detect_ns
 
 
 def _run_one_method(
-    scene: Scene,
-    method: str,
-    origins: np.ndarray,
-    dirs: np.ndarray,
-    reps: int,
-    workers: int,
+    scene: Scene, method: str, origins: np.ndarray, dirs: np.ndarray, reps: int, workers: int
 ) -> BenchStats:
-    """One method's stats, over the coefficient columns that method reads."""
+    """One method's stats, over the coefficient columns that method reads.
+
+    Counts are joined in ray order; each repetition's times are summed over
+    the worker ranges before the median.
+    """
     rays = origins.shape[0]
     objects = len(scene.objects)
     if method == "classical":
@@ -190,36 +186,21 @@ def _run_one_method(
     else:
         centers, r_sq, generic = _sphere_split(scene)
         tables = (centers, r_sq, world_table(scene.objects, generic))
-    per = -(-rays // workers)
-    chunks = [
-        (method, tables, origins[start:start + per], dirs[start:start + per], start, reps)
-        for start in range(0, rays, per)
-    ]
-    if workers == 1:
-        chunk_results = list(map(_bench_chunk, chunks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(_bench_chunk, chunks))
-
-    hits = sum(r[0] for r in chunk_results)
-    checksum = 0
-    for r in chunk_results:
-        checksum ^= r[1]
-    pre_by_rep = [sum(r[2][rep] for r in chunk_results) for rep in range(reps)]
-    det_by_rep = [sum(r[3][rep] for r in chunk_results) for rep in range(reps)]
-    precompute_ns = int(statistics.median(pre_by_rep))
-    detect_ns = int(statistics.median(det_by_rep))
+    worker = partial(_detect_rays, method, tables, origins, dirs, reps)
+    hit_arrays, pre_ns, det_ns = zip(*map_ranges(worker, rays, workers))
+    ray_hits = np.concatenate(hit_arrays)
+    detect_ns = int(statistics.median(sum(rep) for rep in zip(*det_ns)))
     detections = rays * objects
     return BenchStats(
         method=method,
         objects=objects,
         rays=rays,
         detections=detections,
-        hits=hits,
-        precompute_ns_total=precompute_ns,
+        hits=int(ray_hits.sum()),
+        precompute_ns_total=int(statistics.median(sum(rep) for rep in zip(*pre_ns))),
         detect_ns_total=detect_ns,
         detect_ns_per_test=detect_ns / detections,
-        checksum=checksum,
+        checksum=_checksum(ray_hits),
     )
 
 

@@ -101,9 +101,7 @@ def coefficients(
 
 
 def solve(
-    coeffs: QuadraticCoeffs,
-    a_scale: float | None = None,
-    discriminant: float | None = None,
+    coeffs: QuadraticCoeffs, a_scale: float, discriminant: float | None = None
 ) -> IntersectionResult:
     """Classify and solve a*t^2 + 2*b*t + c = 0.
 
@@ -111,15 +109,12 @@ def solve(
     t1 = q/a, t2 = c/q instead of the textbook formula, which loses the
     small root when b^2 >> a*c.
 
-    `a_scale` overrides the magnitude against which a ~ 0 is judged
-    (callers with access to Q and s pass ||Q||*||s||^2).  `discriminant`
+    `a_scale` is the magnitude against which a ~ 0 is judged; the
+    intersection routes pass max|Q_ij|*||s||^2.  `discriminant`
     substitutes an externally computed D for both classification and root
     extraction; the result then reports that value.
     """
     a, b, c = coeffs.a, coeffs.b, coeffs.c
-    if a_scale is None:
-        a_scale = max(abs(a), abs(b), abs(c))
-
     if abs(a) <= LINEAR_EPS * a_scale:
         # 2*b*t + c = 0
         if abs(b) > LINEAR_EPS * max(a_scale, abs(c)):

@@ -20,7 +20,8 @@ that a pair does not take are evaluated for every pair, then discarded.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "TILE_PAIRS",
     "world_table",
     "tiles",
+    "map_ranges",
     "coefficients",
     "line_matrix",
     "ray_cache",
@@ -126,6 +128,20 @@ def tiles(rays: int, objects: int) -> Iterator[slice]:
     """Consecutive ray ranges of about TILE_PAIRS pairs each."""
     step = max(1, TILE_PAIRS // max(1, objects))
     return (slice(lo, lo + step) for lo in range(0, rays, step))
+
+
+def map_ranges(fn: Callable[[range], object], n: int, workers: int) -> list:
+    """fn(r) for each of at most `workers` consecutive ranges covering range(n), in order.
+
+    Ranges hold ceil(n / workers) items, the last one the rest.  One worker
+    runs `fn` in this process; more run it in a pool of one process per range.
+    """
+    per = -(-n // workers)
+    ranges = [range(lo, min(lo + per, n)) for lo in range(0, n, per)]
+    if workers == 1:
+        return [fn(r) for r in ranges]
+    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+        return list(pool.map(fn, ranges))
 
 
 def _take(vec: Sequence[Component], index) -> tuple:

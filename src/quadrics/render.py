@@ -16,14 +16,13 @@ independently, so output bytes are identical for any worker count.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import BinaryIO
 
 import numpy as np
 
-from .kernels import METHODS, nearest_hits, world_table
+from .kernels import METHODS, map_ranges, nearest_hits, world_table
 from .scene import Camera, Scene
 
 __all__ = ["Image", "render_detection", "write_pgm", "pgm_bytes"]
@@ -72,15 +71,8 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
         raise ValueError("workers must be >= 1")
     cam = scene.camera
     table = world_table(scene.objects)
-    rows = range(cam.height)
-    if workers == 1:
-        pixels = _render_rows(cam, method, table, rows)
-    else:
-        per = -(-len(rows) // workers)
-        chunks = [rows[start:start + per] for start in range(0, len(rows), per)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pixels = b"".join(pool.map(partial(_render_rows, cam, method, table), chunks))
-    return Image(width=cam.width, height=cam.height, pixels=pixels)
+    rows = map_ranges(partial(_render_rows, cam, method, table), cam.height, workers)
+    return Image(width=cam.width, height=cam.height, pixels=b"".join(rows))
 
 
 def pgm_bytes(image: Image) -> bytes:

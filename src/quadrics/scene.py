@@ -256,16 +256,22 @@ def _fmt(values: tuple[float, ...] | list[float]) -> str:
 
 
 def serialize_scene(scene: Scene) -> str:
-    """Canonical text form; floats use shortest round-trip representation."""
+    """Canonical text form; floats use shortest round-trip representation.
+
+    A `quadric` line has no centre, and folding one into the coefficients is
+    wrong once an `xform` follows, so a `General` object off the origin raises.
+    """
     cam = scene.camera
     lines = [
         "camera "
         + _fmt(cam.origin.as_tuple() + cam.look_at.as_tuple() + cam.up.as_tuple() + (cam.vfov_deg,))
         + f" {cam.width} {cam.height}"
     ]
-    for obj in scene.objects:
+    for i, obj in enumerate(scene.objects):
         k = obj.kind
         if isinstance(k, General):
+            if obj.center != Vec3(0.0, 0.0, 0.0):
+                raise ValueError(f"object {i}: a quadric has no centre in the scene text")
             lines.append("quadric " + _fmt(k.q.coefficients()))
         else:
             lines.append(f"{k.directive} " + _fmt(obj.center.as_tuple() + k.params()))

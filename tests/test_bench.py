@@ -169,13 +169,12 @@ class TestTablePerMethod:
 class TestChecksum:
     def test_equals_the_documented_per_ray_loop(self):
         hits = np.array([0, 3, 1, 7, 0, 2**20, 15], dtype=np.int64)
-        for offset in (0, 37, 2**40):
-            expected = 0
-            for i, h in enumerate(hits):
-                expected ^= mix64(((offset + i + 1) * 0x9E3779B97F4A7C15) ^ int(h))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # uint64 products wrap silently
-                assert _checksum(hits, offset) == expected
+        expected = 0
+        for i, h in enumerate(hits):
+            expected ^= mix64(((i + 1) * 0x9E3779B97F4A7C15) ^ int(h))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # uint64 products wrap silently
+            assert _checksum(hits) == expected
 
 
 class TestVectorizedKernelsMatchScalar:
@@ -251,13 +250,32 @@ class TestRepsAndWorkers:
         assert stats[0].detections == 240
 
     def test_worker_counts_agree(self):
+        # 64 rays split 64 / 32+32 / 22+22+20: the last range is shorter.
         sc = generate_scene(7, 9)
-        one = run_benchmark(sc, rays=64, method="both", seed=7, workers=1)
-        two = run_benchmark(sc, rays=64, method="both", seed=7, workers=2)
-        for a, b in zip(one, two):
-            assert (a.method, a.hits, a.checksum, a.detections) == (
-                b.method, b.hits, b.checksum, b.detections
-            )
+        one, two, three = (
+            run_benchmark(sc, rays=64, method="both", seed=7, workers=w) for w in (1, 2, 3)
+        )
+        assert [s.method for s in one] == ["classical", "separated"]
+        for runs in zip(one, two, three):
+            assert len({(s.method, s.hits, s.checksum, s.detections) for s in runs}) == 1
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    def test_repetitions_that_disagree_raise(self, monkeypatch, method):
+        name = f"{method}_hit_counts"
+        kernel = getattr(bench, name)
+        calls = []
+
+        def drifting(*args):
+            counts = kernel(*args)
+            calls.append(1)
+            return counts + 1 if len(calls) == 2 else counts
+
+        monkeypatch.setattr(bench, name, drifting)
+        sc = generate_scene(6, 8)
+        run_benchmark(sc, rays=30, method=method, reps=1, seed=6)
+        calls.clear()
+        with pytest.raises(AssertionError, match="nondeterministic"):
+            run_benchmark(sc, rays=30, method=method, reps=2, seed=6)
 
     def test_invalid_arguments(self):
         sc = generate_scene(1, 1)

@@ -53,25 +53,29 @@ class TestCoefficients:
 
 class TestSolve:
     def test_two_roots(self):
-        r = solve(QuadraticCoeffs(1.0, -2.0, 3.0))
+        r = solve(QuadraticCoeffs(1.0, -2.0, 3.0), a_scale=1.0)
         assert r == Two(t1=1.0, t2=3.0, d=1.0)
 
     def test_tangent_perfect_square(self):
-        r = solve(QuadraticCoeffs(1.0, -2.0, 4.0))
+        r = solve(QuadraticCoeffs(1.0, -2.0, 4.0), a_scale=1.0)
         assert isinstance(r, Tangent)
         assert r.t == 2.0 and r.d == 0.0
 
     def test_miss(self):
-        r = solve(QuadraticCoeffs(1.0, 0.0, 1.0))
+        r = solve(QuadraticCoeffs(1.0, 0.0, 1.0), a_scale=1.0)
         assert r == Miss(d=-1.0)
 
     def test_linear_hit(self):
-        r = solve(QuadraticCoeffs(0.0, 1.0, -4.0))
+        r = solve(QuadraticCoeffs(0.0, 1.0, -4.0), a_scale=1.0)
         assert r == LinearHit(t=2.0)
 
     def test_degenerate(self):
-        assert isinstance(solve(QuadraticCoeffs(0.0, 0.0, 1.0)), Degenerate)
-        assert isinstance(solve(QuadraticCoeffs(0.0, 0.0, 0.0)), Degenerate)
+        assert isinstance(solve(QuadraticCoeffs(0.0, 0.0, 1.0), a_scale=1.0), Degenerate)
+        assert isinstance(solve(QuadraticCoeffs(0.0, 0.0, 0.0), a_scale=1.0), Degenerate)
+
+    def test_a_scale_is_required(self):
+        with pytest.raises(TypeError):
+            solve(QuadraticCoeffs(1.0, -2.0, 3.0))
 
     def test_matches_textbook_formula_at_benign_inputs(self):
         rng = np.random.default_rng(42)
@@ -84,7 +88,7 @@ class TestSolve:
             if d <= 1e-3:
                 continue
             found += 1
-            r = solve(QuadraticCoeffs(a, b, c))
+            r = solve(QuadraticCoeffs(a, b, c), a_scale=1.0)
             assert isinstance(r, Two)
             lit = sorted([(-b - math.sqrt(d)) / a, (-b + math.sqrt(d)) / a])
             assert r.t1 == pytest.approx(lit[0], rel=1e-12, abs=1e-12)
@@ -92,7 +96,7 @@ class TestSolve:
 
     def test_cancellation_safe_small_root(self):
         # b^2 >> a*c: the textbook formula loses the small root entirely
-        r = solve(QuadraticCoeffs(1.0, -1e8, 1.0))
+        r = solve(QuadraticCoeffs(1.0, -1e8, 1.0), a_scale=1.0)
         assert isinstance(r, Two)
         # product of roots is c/a: residual checks both roots survived
         assert r.t1 * r.t2 == pytest.approx(1.0, rel=1e-9)

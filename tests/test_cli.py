@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quadrics
 import quadrics.check as check_module
 from quadrics.bench import CSV_HEADER
 from quadrics.check import CheckFailure, CheckReport
@@ -121,23 +124,25 @@ class TestCommands:
         assert stable(a) == stable(b)
 
 
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m quadrics ARGS` on the package these tests import, whatever PYTHONPATH is."""
+    paths = [str(Path(quadrics.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "quadrics", *args], capture_output=True, text=True, env=env
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         scene_file = tmp_path / "scene.txt"
         scene_file.write_text(MINIMAL)
         out = tmp_path / "img.pgm"
-        proc = subprocess.run(
-            [sys.executable, "-m", "quadrics", "render", str(scene_file), "-o", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_module("render", str(scene_file), "-o", str(out))
         assert proc.returncode == 0, proc.stderr
         assert out.read_bytes().startswith(b"P5\n")
 
     def test_python_dash_m_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "quadrics", "transmogrify"],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_module("transmogrify")
         assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: quadrics")

@@ -16,7 +16,7 @@ from quadrics import (
     solve,
     sphere_discriminant,
 )
-from quadrics.kernels import nearest_hits, world_table
+from quadrics.kernels import map_ranges, nearest_hits, world_table
 from quadrics.quadric import Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere
 from quadrics.scene import SceneObject, generate_scene
 
@@ -183,3 +183,25 @@ class TestWorldTable:
         full = world_table(objects)
         _assert_bits_equal(world_table(objects, [4, 1, 2]), full[:, [4, 1, 2]])
         assert world_table(objects, []).shape == (10, 0)
+
+
+def _bounds(r: range) -> tuple[int, int]:
+    return r.start, r.stop
+
+
+class TestMapRanges:
+    @pytest.mark.parametrize("n, workers", [(1, 1), (7, 1), (64, 3), (64, 2), (10, 4), (2, 3)])
+    def test_ranges_cover_in_order(self, n, workers):
+        ranges = map_ranges(_bounds, n, workers)
+        assert 1 <= len(ranges) <= min(n, workers)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert all(lo < hi for lo, hi in ranges)
+
+    def test_even_split_with_the_rest_last(self):
+        assert map_ranges(_bounds, 64, 3) == [(0, 22), (22, 44), (44, 64)]
+
+    def test_single_worker_runs_in_process(self):
+        seen = []
+        assert map_ranges(seen.append, 5, 1) == [None]
+        assert seen == [range(0, 5)]

@@ -8,12 +8,14 @@ import pytest
 from _helpers import random_quadric
 from quadrics import HomogeneousPoint, evaluate, scene
 from quadrics.kernels import world_table
+from quadrics.geometry import Vec3
 from quadrics.quadric import (
     CATALOG,
     Ellipsoid,
     General,
     HyperbolicParaboloid,
     OneSheetHyperboloid,
+    QuadricMatrix,
     Sphere,
     _Shape,
 )
@@ -279,6 +281,15 @@ class TestRoundTrip:
         objects = tuple(SceneObject(General(random_quadric(rng))) for _ in range(50))
         sc = Scene(camera=camera, objects=objects)
         assert parse_scene(serialize_scene(sc)) == sc
+
+    def test_quadric_off_the_origin_is_refused(self):
+        # The quadric line has no centre: written as is, this object would
+        # parse back with a44 = -1 instead of its world a44 = 8.
+        placed = SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, -1.0)), Vec3(3.0, 0.0, 0.0))
+        assert placed.world_matrix().a44 == 8.0
+        sc = Scene(parse_scene(MINIMAL).camera, (SceneObject(Sphere(1.0)), placed))
+        with pytest.raises(ValueError, match="object 1: a quadric has no centre"):
+            serialize_scene(sc)
 
 
 class TestGenerate:
