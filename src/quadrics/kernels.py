@@ -17,9 +17,19 @@ bit; the scalar functions stay the reference the tests compare against.
 The tile loops run under `np.errstate(all="ignore")`: overflow gives inf and
 NaN silently, as Python float arithmetic does, and the branches of `solve`
 that a pair does not take are evaluated for every pair, then discarded.
+
+`nearest_hits` runs in two stages.  Stage 1 (`keep_pairs`, per tile)
+tests the pairs of the bounded columns (spheres and ellipsoids, see
+`bounding_spheres`) against a conservative bounding sphere and keeps only
+those it cannot rule out; the unbounded columns bypass it.  Stage 2
+computes the roots of every kept pair in one batch, in chunks of at most
+TILE_PAIRS pairs; it runs once per call unless more than TILE_PAIRS pairs
+are kept, so memory stays bounded.  The cull drops only pairs whose kernel
+result is provably a Miss (see `cull_radii`), so it never decides a result.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 
@@ -34,6 +44,7 @@ __all__ = [
     "METHODS",
     "TILE_PAIRS",
     "world_table",
+    "bounding_spheres",
     "tiles",
     "map_ranges",
     "coefficients",
@@ -42,6 +53,8 @@ __all__ = [
     "discriminant_separated",
     "sphere_discriminant",
     "nearest_root",
+    "cull_radii",
+    "keep_pairs",
     "nearest_hits",
     "classical_hit_counts",
     "separated_hit_counts",
@@ -50,10 +63,11 @@ __all__ = [
 # The two routes every detection entry point (render, bench, CLI) accepts.
 METHODS = ("classical", "separated")
 
-# Pairs evaluated per tile.  A tile is whole rays against every object, so
-# it holds max(1, TILE_PAIRS // objects) rays, and a float64 temporary is
-# 64 KiB.  On the benchmark workloads 4096 was slower with 1000 objects and
-# 16384 was no faster but used more memory.
+# Pairs evaluated per tile, and per stage-2 chunk of `nearest_hits`.  A tile
+# is whole rays against every object, so it holds max(1, TILE_PAIRS //
+# objects) rays, and a float64 temporary is 64 KiB; a stage-2 chunk is at
+# most TILE_PAIRS kept pairs.  On the benchmark workloads 4096 was slower
+# with 1000 objects and 16384 was no faster but used more memory.
 TILE_PAIRS = 8192
 
 Component = Union[float, np.ndarray]
@@ -73,6 +87,17 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(4):
         acc = acc + a[:, :, k, None] * b[:, None, k, :]
     return acc
+
+
+def _placements(objects: Sequence[SceneObject]) -> tuple:
+    """Fundamental coefficients (n, 10), centres (n, 3), rotated indices, rotations (r, 3, 3)."""
+    rotated = [i for i, o in enumerate(objects) if o.rot is not None]
+    return (
+        np.array([o.kind.coefficients() for o in objects]).reshape(-1, 10),
+        np.array([o.center.as_tuple() for o in objects]).reshape(-1, 3),
+        rotated,
+        np.array([objects[i].rot.m for i in rotated]).reshape(-1, 3, 3),
+    )
 
 
 def world_table(objects: Sequence[SceneObject], index: Sequence[int] | None = None) -> np.ndarray:
@@ -95,16 +120,14 @@ def world_table(objects: Sequence[SceneObject], index: Sequence[int] | None = No
     n = len(objects)
     if n == 0:
         return np.empty((10, 0))
-    q0 = np.array([o.kind.coefficients() for o in objects])
+    q0, centers, rotated, rot = _placements(objects)
     t = np.zeros((n, 4, 4))
     t[:, range(4), range(4)] = 1.0
-    t[:, :3, 3] = -np.array([o.center.as_tuple() for o in objects])
-    rotated = [i for i, o in enumerate(objects) if o.rot is not None]
+    t[:, :3, 3] = -centers
     with np.errstate(all="ignore"):
         if rotated:
             # rotation(rot^T): the transposed 3x3 block, w row and column untouched.
             r = np.zeros((len(rotated), 4, 4))
-            rot = np.array([objects[i].rot.m for i in rotated]).reshape(-1, 3, 3)
             r[:, :3, :3] = rot.transpose(0, 2, 1)
             r[:, 3, 3] = 1.0
             t[rotated] = _compose(r, t[rotated])
@@ -124,6 +147,41 @@ def world_table(objects: Sequence[SceneObject], index: Sequence[int] | None = No
     return table.T.copy()
 
 
+def bounding_spheres(objects: Sequence[SceneObject]) -> np.ndarray:
+    """(7, objects) table of bounding-sphere terms for the stage-1 cull; NaN columns are unbounded.
+
+    Boundedness is read off the kind's fundamental `coefficients()`: a
+    column is bounded when a11, a22, a33 > 0, a44 < 0 and the six
+    off-diagonal coefficients are 0 (spheres and ellipsoids, and a raw
+    quadric of that form).  Such a surface is (x - c)^T M (x - c) = nu with
+    M = Rot A Rot^T, A = diag(a11, a22, a33), nu = -a44 and c = obj.center,
+    so it lies within R^2 = nu / min(a11, a22, a33) of c when Rot is a
+    rotation.  Rot is only orthonormal within eps = max|Rot^T Rot - I|, so
+    the eigenvalues of M lie in [m (1 - k), lam (1 + k)] with k = 3 eps,
+    m = min(a_ii) and lam = max(a_ii) (Gershgorin on Rot^T Rot).
+
+    Rows: centre x, y, z, then m (1 - k), lam (1 + k), tau (1 + k) with
+    tau = a11 + a22 + a33, and nu.  k also carries 2^-45 for the rounding of
+    these products; a rotation with k > 1/4 leaves its column unbounded.
+    """
+    q0, centers, rotated, rot = _placements(objects)
+    diag = q0[:, :3]
+    eps = np.zeros(len(objects))
+    eps[rotated] = abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2), initial=0.0)
+    k = 3.0 * eps + 2.0 ** -45
+    m = diag.min(axis=1)
+    bounded = (m > 0.0) & (q0[:, 3] < 0.0) & ~q0[:, 4:].any(axis=1) & (k <= 0.25)
+    table = np.array([
+        *centers.T,
+        m * (1.0 - k),
+        diag.max(axis=1) * (1.0 + k),
+        diag.sum(axis=1) * (1.0 + k),
+        -q0[:, 3],
+    ]).reshape(7, -1)
+    table[:, ~bounded] = np.nan
+    return table
+
+
 def tiles(rays: int, objects: int) -> Iterator[slice]:
     """Consecutive ray ranges of about TILE_PAIRS pairs each."""
     step = max(1, TILE_PAIRS // max(1, objects))
@@ -134,13 +192,15 @@ def map_ranges(fn: Callable[[range], object], n: int, workers: int) -> list:
     """fn(r) for each of at most `workers` consecutive ranges covering range(n), in order.
 
     Ranges hold ceil(n / workers) items, the last one the rest.  One worker
-    runs `fn` in this process; more run it in a pool of one process per range.
+    runs `fn` in this process; more run it in a pool of one process per
+    range, but never more processes than this process may run on CPUs
+    (`os.sched_getaffinity`).  The ranges do not depend on the pool size.
     """
     per = -(-n // workers)
     ranges = [range(lo, min(lo + per, n)) for lo in range(0, n, per)]
     if workers == 1:
         return [fn(r) for r in ranges]
-    with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(ranges), len(os.sched_getaffinity(0)))) as pool:
         return list(pool.map(fn, ranges))
 
 
@@ -278,35 +338,186 @@ def nearest_root(a, b, c, a_scale, d=None):
     )
 
 
-def nearest_hits(table: np.ndarray, point: Vec4, direction: Vec4, method: str) -> np.ndarray:
+def cull_radii(
+    spheres: np.ndarray, max_abs: np.ndarray, point: Vec4, direction: Vec4
+) -> np.ndarray:
+    """Stage-1 squared radius R'^2 of each column for these rays; +inf where every pair is kept.
+
+    `spheres` is `bounding_spheres`, `max_abs` each column's largest
+    |coefficient| in the kernels' table.  `keep_pairs` drops a pair only
+    when its line misses the sphere of radius R' about c, and R' is derived
+    so that both routes then classify the pair as Miss.  It needs rays with
+    w = 1 and s_w = 0; other rays keep every pair.  Below, x + t s is a ray,
+    v = x - c, rho the distance from c to the line, u = 2^-53, m, lam,
+    tau, nu the rows of `spheres` and R^2 = nu / m.  |x| and |s| are taken
+    over all the call's rays (max |x|, max |s|_1, min |s|^2), so R' is one
+    number per column; the call needs at least one ray.
+
+    1. Exact discriminant.  In the inner product <p, q> = p^T M q, the
+       quadric gives a = <s, s> >= m |s|^2, b = <s, v>, c = <v, v> - nu and
+       b^2 - a c = <s,v>^2 - <s,s><v,v> + nu <s,s> <= a (nu - m rho^2),
+       because <s,s><v,v> - <s,v>^2 = <s,s> min_t <v + t s, v + t s>.
+    2. Tangency band.  b^2 <= a lam |v|^2 and |a c| <= a (lam |v|^2 + nu),
+       so TANGENT_EPS max(b^2, |ac|) <= a m TANGENT_EPS (lam / m V^2 + R^2)
+       with V = max |x - c| over the rays.
+    3. Rounding.  Both routes' d, and the b^2 and |ac| of the band, lie
+       within E = 2^-44 (A_sx^2 + A_s A_x) of the exact values, where A_s,
+       A_sx, A_x sum the absolute terms of a, b, c over T^T Q0 T (T the
+       placement): the world-table build, the forms, and the separated
+       product s^T Q R Q x (whose absolute terms sum to at most
+       2 (A_sx^2 + A_s A_x)) account for about 150u of the 512u.  Row i < 3
+       of |T| takes |s| to at most sqrt(1 + k) |s| and (|x|, 1) to at most
+       sqrt(1 + k) L with L = |x| + |c|, so A_s <= tau |s|^2,
+       A_sx <= tau |s| L, A_x <= tau L^2 + nu and
+       E / (a m) <= 2^-44 tau (2 tau L^2 + nu) / m^2.
+       The kernels work in world coordinates, so this term grows with the
+       distance of camera and object from the origin, and far-placed
+       objects keep more pairs.
+    4. Range.  With g = max(1, max|Q|) max(1, |s|_1) max(1, 1 + |x|_1), no
+       intermediate of either route exceeds 2^5 g^4, so g <= 2^250 rules
+       out overflow; underflow adds at most 2^-1050 g^4 to d and
+       2^-1050 g^2 to a.
+    5. Linear branch.  |a| > LINEAR_EPS max|Q| |s|^2 holds for every ray when
+       m > LINEAR_EPS max|Q| + 2^-44 tau + 2^-1050 g^2 / min |s|^2;
+       otherwise (far centres, for one) the column keeps every pair.
+
+    So rho^2 > need = R^2 + TANGENT_EPS (lam / m V^2 + R^2)
+    + 2^-44 tau (2 tau L^2 + nu) / m^2 + 2^-1050 g^4 / (m^2 min |s|^2)
+    gives d < -band: a Miss on both routes, whose early reject only rejects
+    more.  The test (s.w)^2 < |s|^2 (|w|^2 - R'^2) with w = c - x, in
+    floats, errs by less than 27u |s|^2 (|w|^2 + R'^2), and |w| <= V, so
+    R'^2 = (need + 2^-45 V^2)(1 + 2^-45) + 2^-1060 covers it, and the
+    relative error of this function's own arithmetic.  Any non-finite term
+    makes R'^2 inf or NaN, and `keep_pairs` keeps every pair of that column.
+    """
+    if not (np.asarray(point[3]) == 1.0).all() or not (np.asarray(direction[3]) == 0.0).all():
+        return np.full(spheres.shape[1], np.inf)
+    cx, cy, cz, m, lam, tau, nu = spheres
+    x, y, z = (np.asarray(v)[..., None] for v in point[:3])
+    sx, sy, sz = direction[:3]
+    with np.errstate(all="ignore"):
+        l_sq = np.sqrt(x * x + y * y + z * z).max() + np.sqrt(cx * cx + cy * cy + cz * cz)
+        l_sq *= l_sq
+        wx, wy, wz = cx - x, cy - y, cz - z
+        v_sq = np.atleast_2d(wx * wx + wy * wy + wz * wz).max(axis=0)
+        s_sq = (sx * sx + sy * sy + sz * sz).min()
+        g = np.maximum(max_abs, 1.0) * max(1.0, (abs(sx) + abs(sy) + abs(sz)).max())
+        g *= 1.0 + (abs(x) + abs(y) + abs(z)).max()
+        g_sq = g * g
+        r_sq = nu / m
+        need = (
+            r_sq
+            + TANGENT_EPS * (lam / m * v_sq + r_sq)
+            + 2.0 ** -44 * tau * (2.0 * tau * l_sq + nu) / m / m
+            + 2.0 ** -1050 * g_sq * g_sq / m / m / s_sq
+        )
+        r_prime_sq = (need + 2.0 ** -45 * v_sq) * (1.0 + 2.0 ** -45) + 2.0 ** -1060
+        linear_free = m > LINEAR_EPS * max_abs + 2.0 ** -44 * tau + 2.0 ** -1050 * g_sq / s_sq
+        decides = linear_free & (g <= 2.0 ** 250)
+    return np.where(decides, r_prime_sq, np.inf)
+
+
+def keep_pairs(centers: np.ndarray, r_sq: np.ndarray, point: Vec4, direction: Vec4) -> tuple:
+    """Stage 1: (ray, column) indices of the pairs whose line may meet the sphere about each centre.
+
+    `centers` is (3, columns), `r_sq` each column's R'^2 from `cull_radii`.
+    A pair is dropped when (s.w)^2 < |s|^2 (|w|^2 - R'^2) with w = c - x,
+    the paper's sphere discriminant |s|^2 R'^2 - |s x w|^2 < 0 written by
+    the Lagrange identity; a shared origin makes w and |w|^2 - R'^2
+    per-column terms.  NaN keeps the pair, and so does an origin inside the
+    sphere.
+    """
+    x, y, z = _take(point[:3], _COLUMN)
+    sx, sy, sz = _take(direction[:3], _COLUMN)
+    wx, wy, wz = centers[0] - x, centers[1] - y, centers[2] - z
+    h = wx * wx + wy * wy + wz * wz - r_sq
+    sw = sx * wx + sy * wy + sz * wz
+    return np.nonzero(~(sw * sw < (sx * sx + sy * sy + sz * sz) * h))
+
+
+def _joined(groups: list, width: int) -> tuple:
+    if not groups:
+        return tuple(np.empty(0, dtype=np.intp) for _ in range(width))
+    return tuple(np.concatenate(column) for column in zip(*groups))
+
+
+def _stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept) -> None:
+    """Stage 2 of `nearest_hits`: the roots of the pairs stage 1 kept, folded into `out`.
+
+    `culled` holds (rays, columns) from the cull and `kept` (rays, columns,
+    d) from the separated early reject; both lists are emptied.  In chunks
+    of at most TILE_PAIRS pairs, the separated route first gives the culled
+    pairs their d and the same early reject; then every pair gets a, b, c
+    and `nearest_root` at once, and `out` keeps each ray's minimum.
+    """
+    rays, cols = _joined(culled, 2)
+    d = None
+    if method == "separated":
+        d = np.empty(len(rays))
+        for c in tiles(len(rays), 1):
+            pt, dr = _take(point, rays[c]), _take(direction, rays[c])
+            d[c] = discriminant_separated(table[:, cols[c]], line_matrix(pt, dr), pt, dr)
+        survive = ~(d < -TANGENT_EPS)
+        kept.append((rays[survive], cols[survive], d[survive]))
+        rays, cols, d = _joined(kept, 3)
+    culled.clear()
+    kept.clear()
+    for c in tiles(len(rays), 1):
+        r, o = rays[c], cols[c]
+        a, b, cc = coefficients(table[:, o], _take(point, r), _take(direction, r))
+        t = nearest_root(a, b, cc, max_abs[o] * s_sq[r], None if d is None else d[c])
+        np.fmin.at(out, r, t)
+
+
+def nearest_hits(
+    table: np.ndarray, point: Vec4, direction: Vec4, method: str, spheres: np.ndarray
+) -> np.ndarray:
     """Per ray, the nearest positive t over every object; NaN when none is crossed.
 
     Equals, per ray, the minimum over objects of the positive
-    `hit_parameters` of `intersect_classical` or `intersect_separated`.  The
-    separated route compacts the pairs that survive d >= -TANGENT_EPS and
-    computes a, b, c and roots for those alone.
+    `hit_parameters` of `intersect_classical` or `intersect_separated`.
+    `spheres` is `bounding_spheres` of the table's objects.  Stage 1 runs
+    per tile: the columns that `cull_radii` lets decide go through
+    `keep_pairs`; the others take the dense path, with roots on the
+    classical route and the discriminant with the d >= -TANGENT_EPS early
+    reject on the separated route.  Stage 2 (`_stage2`) runs once the kept
+    pairs reach TILE_PAIRS, and after the last tile.
     """
     rays = len(direction[0])
-    objects = table.shape[1]
+    if not rays:
+        return np.empty(0)
     max_abs = np.abs(table).max(axis=0)
     sx, sy, sz, sw = direction
     s_sq = sx * sx + sy * sy + sz * sz + sw * sw
-    out = np.empty(rays)
+    r_sq = cull_radii(spheres, max_abs, point, direction)
+    cullable = r_sq < np.inf
+    cull_cols, dense_cols = np.flatnonzero(cullable), np.flatnonzero(~cullable)
+    centers, r_sq = spheres[:3, cull_cols], r_sq[cull_cols]
+    dense_table, dense_max = table[:, dense_cols], max_abs[dense_cols]
+    out = np.full(rays, np.nan)
+    culled, kept, pending = [], [], 0
     with np.errstate(all="ignore"):
-        for sl in tiles(rays, objects):
+        for sl in tiles(rays, table.shape[1]):
             pt, dr = _take(point, sl), _take(direction, sl)
-            a_scale = max_abs * s_sq[sl, None]
-            if method == "classical":
-                a, b, c = coefficients(table, _take(pt, _COLUMN), _take(dr, _COLUMN))
-                t = nearest_root(a, b, c, a_scale)
-            else:
-                r = _take(line_matrix(pt, dr), _COLUMN)
-                d = discriminant_separated(table, r, _take(pt, _COLUMN), _take(dr, _COLUMN))
-                ri, oi = np.nonzero(~(d < -TANGENT_EPS))
-                a, b, c = coefficients(table[:, oi], _take(pt, ri), _take(dr, ri))
-                t = np.full(d.shape, np.nan)
-                t[ri, oi] = nearest_root(a, b, c, a_scale[ri, oi], d[ri, oi])
-            out[sl] = np.fmin.reduce(t, axis=1)
+            if len(cull_cols):
+                ri, oi = keep_pairs(centers, r_sq, pt, dr)
+                culled.append((ri + sl.start, cull_cols[oi]))
+                pending += len(ri)
+            if len(dense_cols):
+                pc, dc = _take(pt, _COLUMN), _take(dr, _COLUMN)
+                if method == "classical":
+                    a, b, c = coefficients(dense_table, pc, dc)
+                    t = nearest_root(a, b, c, dense_max * s_sq[sl, None])
+                    out[sl] = np.fmin(out[sl], np.fmin.reduce(t, axis=1))
+                else:
+                    r = _take(line_matrix(pt, dr), _COLUMN)
+                    d = discriminant_separated(dense_table, r, pc, dc)
+                    ri, oi = np.nonzero(~(d < -TANGENT_EPS))
+                    kept.append((ri + sl.start, dense_cols[oi], d[ri, oi]))
+                    pending += len(ri)
+            if pending >= TILE_PAIRS or (pending and sl.stop >= rays):
+                _stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept)
+                pending = 0
     return out
 
 

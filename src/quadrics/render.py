@@ -8,11 +8,16 @@ is the image plane; the shade of a hit at parameter t is
 
 which keeps every hit nonzero and darkens with distance.  Misses are 0.
 
-Pixels are evaluated in tiles of (pixels x objects) by the batched kernels
-of `kernels`, which keep the scalar kernels' arithmetic term by term, so an
-image equals, byte for byte, a per-pixel loop over `intersect_classical` or
-`intersect_separated` and `hit_parameters`.  Pixels are computed
-independently, so output bytes are identical for any worker count.
+Pixels are evaluated by `kernels.nearest_hits` in two stages.  Stage 1
+tests each tile of (pixels x spheres and ellipsoids) against conservative
+bounding spheres (`kernels.bounding_spheres`, `kernels.cull_radii`) and
+keeps only the pairs it cannot rule out; the unbounded kinds bypass it.
+Stage 2 computes the roots of the kept pairs in one batch.  The kernels keep
+the scalar kernels' arithmetic term by term and the cull drops only pairs
+they classify as Miss, so an image equals, byte for byte, a per-pixel loop
+over `intersect_classical` or `intersect_separated` and `hit_parameters`.
+Pixels are computed independently, so output bytes are identical for any
+worker count.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .kernels import METHODS, map_ranges, nearest_hits, world_table
+from .kernels import METHODS, bounding_spheres, map_ranges, nearest_hits, world_table
 from .scene import Camera, Scene
 
 __all__ = ["Image", "render_detection", "write_pgm", "pgm_bytes"]
@@ -46,7 +51,9 @@ def _pixel_values(nearest: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(nearest), 0.0, shade).astype(np.uint8)
 
 
-def _render_rows(cam: Camera, method: str, table: np.ndarray, rows: range) -> bytes:
+def _render_rows(
+    cam: Camera, method: str, table: np.ndarray, spheres: np.ndarray, rows: range
+) -> bytes:
     width, height = cam.width, cam.height
     f, r, up, half_w, half_h = cam.frame()
     u = ((np.arange(width) + 0.5) / width * 2.0 - 1.0) * half_w
@@ -59,7 +66,7 @@ def _render_rows(cam: Camera, method: str, table: np.ndarray, rows: range) -> by
         0.0,
     )
     point = (cam.origin.x, cam.origin.y, cam.origin.z, 1.0)
-    nearest = nearest_hits(table, point, direction, method)
+    nearest = nearest_hits(table, point, direction, method, spheres)
     return _pixel_values(nearest).tobytes()
 
 
@@ -70,8 +77,8 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cam = scene.camera
-    table = world_table(scene.objects)
-    rows = map_ranges(partial(_render_rows, cam, method, table), cam.height, workers)
+    table, spheres = world_table(scene.objects), bounding_spheres(scene.objects)
+    rows = map_ranges(partial(_render_rows, cam, method, table, spheres), cam.height, workers)
     return Image(width=cam.width, height=cam.height, pixels=b"".join(rows))
 
 

@@ -3,6 +3,9 @@ import pytest
 
 from _helpers import coefficient_table, random_quadric, random_ray, random_rotation
 from quadrics import (
+    HomogeneousDirection,
+    HomogeneousPoint,
+    Mat3,
     QuadraticCoeffs,
     QuadricMatrix,
     Vec3,
@@ -16,7 +19,7 @@ from quadrics import (
     solve,
     sphere_discriminant,
 )
-from quadrics.kernels import map_ranges, nearest_hits, world_table
+from quadrics.kernels import bounding_spheres, keep_pairs, map_ranges, nearest_hits, world_table
 from quadrics.quadric import Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere
 from quadrics.scene import SceneObject, generate_scene
 
@@ -45,10 +48,125 @@ def test_nearest_hits_equal_the_scalar_kernels_with_per_ray_origins(method, monk
     rays = [random_ray(rng) for _ in range(25)]
     point = tuple(np.array([p.as_tuple()[k] for p, _ in rays]) for k in range(3)) + (1.0,)
     direction = tuple(np.array([s.as_tuple()[k] for _, s in rays]) for k in range(3)) + (0.0,)
-    got = nearest_hits(coefficient_table(matrices), point, direction, method)
+    spheres = bounding_spheres([SceneObject(General(q)) for q in matrices])
+    got = nearest_hits(coefficient_table(matrices), point, direction, method, spheres)
     expected = np.array([_scalar_nearest(matrices, p, s, method) for p, s in rays])
     assert np.array_equal(got, expected, equal_nan=True)
     assert not np.all(np.isnan(expected))
+
+
+@pytest.mark.parametrize("method", ["classical", "separated"])
+@pytest.mark.parametrize("tile_pairs", [13, kernels.TILE_PAIRS])
+def test_nearest_hits_cull_with_per_ray_origins(method, tile_pairs, monkeypatch):
+    # Rays from their own origins aimed near bounded and unbounded objects:
+    # the cull (per-pair w = c - x) changes nothing, and it does drop pairs.
+    monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
+    rng = np.random.default_rng(17)
+    objects = [
+        SceneObject(Sphere(1.0), Vec3(0.0, 0.0, 0.0)),
+        SceneObject(Ellipsoid(2.0, 0.5, 1.0), Vec3(4.0, 1.0, -2.0), random_rotation(rng)),
+        SceneObject(Ellipsoid(0.3, 1.5, 0.7), Vec3(-3.0, -2.0, 1.0)),
+        SceneObject(OneSheetHyperboloid(0.5, 0.7, 0.9), Vec3(1.0, 5.0, 0.0), random_rotation(rng)),
+        SceneObject(HyperbolicParaboloid(1.0, 2.0), Vec3(-4.0, 4.0, -4.0)),
+        SceneObject(Sphere(0.8), Vec3(2.0, -4.0, 3.0), random_rotation(rng)),
+    ]
+    origins = rng.uniform(-12.0, 12.0, size=(40, 3))
+    targets = np.array([o.center.as_tuple() for o in objects])[rng.integers(0, 6, 40)]
+    dirs = targets + rng.normal(scale=1.5, size=(40, 3)) - origins
+    point = (*origins.T, 1.0)
+    direction = (*dirs.T, 0.0)
+    rays = [
+        (HomogeneousPoint(*o, 1.0), HomogeneousDirection(*d, 0.0))
+        for o, d in zip(origins.tolist(), dirs.tolist())
+    ]
+    matrices = [o.world_matrix() for o in objects]
+    expected = np.array([_scalar_nearest(matrices, p, s, method) for p, s in rays])
+    table, spheres = world_table(objects), bounding_spheres(objects)
+    kept = []
+
+    def spy(*args):
+        ri, oi = keep_pairs(*args)
+        kept.append(len(ri))
+        return ri, oi
+
+    monkeypatch.setattr(kernels, "keep_pairs", spy)
+    got = nearest_hits(table, point, direction, method, spheres)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert 0 < sum(kept) < 40 * 4 and np.count_nonzero(~np.isnan(expected)) > 10
+    # Cull off: every column unbounded.
+    monkeypatch.setattr(kernels, "cull_radii", lambda spheres, *_: np.full(spheres.shape[1], np.inf))
+    got = nearest_hits(table, point, direction, method, spheres)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("method", ["classical", "separated"])
+def test_stage2_batches_stay_bounded(method, monkeypatch):
+    # An origin inside every sphere keeps every pair: stage 2 must run
+    # several times, each on fewer than two tiles' worth of pairs.
+    monkeypatch.setattr(kernels, "TILE_PAIRS", 50)
+    objects = [SceneObject(Sphere(r), Vec3(0.1 * r, 0.0, 0.0)) for r in (2.0, 3.0, 4.0)]
+    rng = np.random.default_rng(4)
+    direction = (*rng.normal(size=(3, 400)), 0.0)
+    point = (0.0, 0.0, 0.0, 1.0)
+    sizes = []
+    stage2 = kernels._stage2
+
+    def spy(out, table, max_abs, s_sq, point, direction, method, culled, kept):
+        sizes.append(sum(len(group[0]) for group in culled + kept))
+        stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept)
+
+    monkeypatch.setattr(kernels, "_stage2", spy)
+    got = nearest_hits(world_table(objects), point, direction, method, bounding_spheres(objects))
+    assert sum(sizes) == 400 * 3 and len(sizes) > 10 and max(sizes) < 2 * 50 + 3
+    origin = HomogeneousPoint(0.0, 0.0, 0.0, 1.0)
+    matrices = [o.world_matrix() for o in objects]
+    expected = [
+        _scalar_nearest(matrices, origin, HomogeneousDirection(*s, 0.0), method)
+        for s in zip(*direction[:3])
+    ]
+    assert np.array_equal(got, expected)
+
+
+class TestBoundingSpheres:
+    ROT = random_rotation(np.random.default_rng(2))
+
+    def test_bounded_kinds_from_their_coefficients(self):
+        objects = [
+            SceneObject(Sphere(2.0), Vec3(1.0, 2.0, 3.0)),
+            SceneObject(Ellipsoid(1.0, 4.0, 0.5), Vec3(-1.0, 0.0, 0.0), self.ROT),
+            SceneObject(General(QuadricMatrix(4.0, 1.0, 2.0, -8.0))),
+            SceneObject(OneSheetHyperboloid(1.0, 1.0, 1.0)),
+            SceneObject(HyperbolicParaboloid(1.0, 1.0)),
+            SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, -1.0, a14=0.5))),
+            SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, 1.0))),
+            SceneObject(General(QuadricMatrix(1.0, 0.0, 1.0, -1.0))),
+        ]
+        table = bounding_spheres(objects)
+        assert table.shape == (7, 8)
+        assert np.isnan(table[:, 3:]).all() and not np.isnan(table[:, :3]).any()
+        cx, cy, cz, m, lam, tau, nu = table[:, :3]
+        assert cx.tolist() == [1.0, -1.0, 0.0] and cy.tolist() == [2.0, 0.0, 0.0]
+        assert cz.tolist() == [3.0, 0.0, 0.0]
+        # R^2 = -a44 / min(a11, a22, a33), within the 2^-45 (and rotation) allowance.
+        assert np.allclose(nu / m, [4.0, 16.0, 8.0], rtol=1e-12, atol=0.0)
+        assert np.all(nu / m >= [4.0, 16.0, 8.0])
+        assert np.all(lam >= [1.0, 4.0, 4.0]) and np.all(tau >= [3.0, 1.0 + 1.0 / 16.0 + 4.0, 7.0])
+
+    def test_a_matrix_far_from_a_rotation_leaves_the_column_unbounded(self):
+        skew = Mat3((1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        near = Mat3((1.0 + 1e-9, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        table = bounding_spheres([SceneObject(Sphere(1.0), rot=m) for m in (skew, near)])
+        assert np.isnan(table[:, 0]).all()
+        # Off by 2e-9 in Rot^T Rot: the radius grows by that, not more.
+        assert 1.0 < table[6, 1] / table[3, 1] < 1.0 + 1e-8
+
+    def test_keep_pairs_keeps_an_origin_inside_and_nan(self):
+        centers = np.array([[0.0, 10.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        r_sq = np.array([4.0, 1.0, np.nan])
+        # From (0, 0, 1) along +y: inside the first sphere, missing the second by far.
+        direction = (np.array([0.0]), np.array([1.0]), np.array([0.0]), 0.0)
+        ri, oi = keep_pairs(centers, r_sq, (0.0, 0.0, 1.0, 1.0), direction)
+        assert oi.tolist() == [0, 2] and ri.tolist() == [0, 0]
 
 
 def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
@@ -205,3 +323,30 @@ class TestMapRanges:
         seen = []
         assert map_ranges(seen.append, 5, 1) == [None]
         assert seen == [range(0, 5)]
+
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
+        # 5000 workers on 10^6 rays: 5000 ranges, as many as asked, but a
+        # pool of 3 processes.  The fake pool runs in-process.
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(kernels, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        ranges = map_ranges(_bounds, 10**6, 5000)
+        assert pools == [3]
+        assert len(ranges) == 5000 and ranges[0] == (0, 200) and ranges[-1] == (999800, 10**6)
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert map_ranges(_bounds, 5, 4) == [(0, 2), (2, 4), (4, 5)] and pools[-1] == 3
+        assert map_ranges(_bounds, 4, 2) == [(0, 2), (2, 4)] and pools[-1] == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from quadrics import (
     HomogeneousPoint,
     QuadricMatrix,
     Vec3,
+    cross,
     hit_parameters,
     intersect_classical,
     intersect_separated,
@@ -230,3 +232,178 @@ class TestExtremeInputs:
             warnings.simplefilter("error")
             image = render_detection(scene, method)
         assert image.pixels == expected
+
+
+def _no_cull(spheres, max_abs, point, direction):
+    """Stand-in for `kernels.cull_radii` that leaves every column unbounded."""
+    return np.full(spheres.shape[1], np.inf)
+
+
+class _KeptPairs:
+    """Spy on `kernels.keep_pairs`: counts the pairs stage 1 tests and keeps."""
+
+    def __init__(self, monkeypatch):
+        self.tested = self.kept = 0
+        self.inner = kernels.keep_pairs
+        monkeypatch.setattr(kernels, "keep_pairs", self)
+
+    def __call__(self, centers, r_sq, point, direction):
+        ri, oi = self.inner(centers, r_sq, point, direction)
+        self.tested += len(direction[0]) * len(r_sq)
+        self.kept += len(ri)
+        return ri, oi
+
+
+def _grazing_spheres(cam: Camera, factors) -> tuple[SceneObject, ...]:
+    """Spheres on a pixel's ray, radius the distance to the left neighbour's ray times a factor.
+
+    At 1 - 1e-9 the ray passes just outside the sphere yet inside the
+    tangency band: a Tangent hit on the classical route, which a cull
+    without margin would drop.  1 - 1e-8 is a Miss just outside the band.
+    """
+    objects = []
+    for k, factor in enumerate(factors):
+        # Grazed pixels are 3 columns and 2 rows apart, so no other sphere covers one.
+        col, row = 1 + 3 * (k % 2), 1 + 2 * (k // 2)
+        center = cam.origin + 10.0 * cam.ray_direction(col + 1, row)
+        s = cam.ray_direction(col, row)
+        w = center - cam.origin
+        rho = math.sqrt(cross(s, w).norm_sq() / s.norm_sq())
+        objects.append(SceneObject(Sphere(rho * factor), center))
+    return tuple(objects)
+
+
+_GRAZING_CAMERA = _camera(9, 7, origin=Vec3(0.0, 0.0, 0.0), look_at=Vec3(0.0, 0.0, -1.0))
+_FAR_GRAZING_CAMERA = _camera(9, 7, origin=Vec3(3e5, -3e5, 3e5), look_at=Vec3(3e5, -3e5, 3e5 - 1.0))
+_ROT = random_rotation(np.random.default_rng(21))
+_HUGE = 2.0 ** 500
+_TINY = 2.0 ** -500
+
+CULL_SCENES = {
+    "grazing": Scene(
+        _GRAZING_CAMERA,
+        _grazing_spheres(
+            _GRAZING_CAMERA, (1.0, 1.0 - 1e-11, 1.0 + 1e-11, 1.0 - 1e-9, 1.0 - 3e-9, 1.0 - 1e-8)
+        ),
+    ),
+    # Half a million units out, the kernels' rounding, not the band, decides
+    # these grazing pairs: the cull's rounding term keeps them.
+    "far-grazing": Scene(
+        _FAR_GRAZING_CAMERA,
+        _grazing_spheres(
+            _FAR_GRAZING_CAMERA,
+            (1.0 - 1e-8, 1.0 - 3e-8, 1.0 - 1e-7, 1.0 - 3e-7, 1.0 - 1e-6, 1.0 - 3e-6),
+        ),
+    ),
+    # The camera is inside the ellipsoid's and the first sphere's bounding
+    # spheres, outside the ellipsoid; two objects sit behind it.
+    "camera-inside": Scene(
+        _camera(9, 7, origin=Vec3(0.0, 1.5, 0.0), look_at=Vec3(0.0, 1.5, -1.0)),
+        (
+            SceneObject(Ellipsoid(4.0, 0.5, 0.5)),
+            SceneObject(Sphere(3.0), Vec3(0.0, 1.0, 0.0)),
+            SceneObject(Ellipsoid(3.0, 0.4, 0.6), Vec3(1.0, 1.0, -1.0), _ROT),
+            SceneObject(Sphere(1.0), Vec3(0.0, 1.5, 8.0)),
+            SceneObject(Ellipsoid(1.0, 2.0, 0.5), Vec3(0.5, 1.0, 5.0), _ROT),
+        ),
+    ),
+    "far-placed": Scene(
+        _camera(9, 7, origin=Vec3(1e6 + 3.0, -2e6, 3e6 + 12.0), look_at=Vec3(1e6, -2e6, 3e6)),
+        (
+            SceneObject(Sphere(1.0), Vec3(1e6, -2e6, 3e6)),
+            SceneObject(Ellipsoid(2.0, 0.5, 1.0), Vec3(1e6 + 2.0, -2e6 + 1.0, 3e6), _ROT),
+            SceneObject(Sphere(0.5), Vec3(1e7, 0.0, 0.0)),
+        ),
+    ),
+    "far-sphere": TestExtremeInputs.SCENES["far-sphere"],
+    # 1e-12 max|Q| |s|^2 exceeds a = |s|^2 here, so every pair takes the
+    # linear branch, and |b| is large enough for a LinearHit whether or not
+    # the line comes near the sphere: the cull must keep every pair.
+    "far-linear": Scene(
+        _camera(9, 7, origin=Vec3(1e7 - 200.0, 0.0, 0.0), look_at=Vec3(1e7, 0.0, 0.0)),
+        (SceneObject(Sphere(1.0), Vec3(1e7, 0.0, 0.0)),),
+    ),
+    "axis-ratio": Scene(
+        _camera(11, 9, origin=Vec3(0.0, 0.0, 20.0)),
+        (
+            SceneObject(Ellipsoid(8.0, 8.0 * 2.0 ** -20, 1.0), Vec3(-2.0, 0.0, 0.0)),
+            SceneObject(Ellipsoid(8.0, 8.0 * 2.0 ** -20, 1.0), Vec3(2.0, 1.0, 0.0), _ROT),
+            SceneObject(Ellipsoid(2.0 ** -10, 2.0 ** 10, 1.0), Vec3(0.0, -2.0, 0.0), _ROT),
+        ),
+    ),
+    "radius-2^500": Scene(
+        _camera(9, 7, origin=Vec3(0.0, 0.0, 3.0 * _HUGE), look_at=Vec3(0.0, 0.0, 0.0)),
+        (
+            SceneObject(Sphere(_HUGE)),
+            SceneObject(Ellipsoid(_HUGE, 0.5 * _HUGE, 2.0 * _HUGE), Vec3(_HUGE, 0.0, 0.0), _ROT),
+        ),
+    ),
+    "radius-2^-500": Scene(
+        _camera(9, 7, origin=Vec3(0.0, 0.0, 4.0 * _TINY), look_at=Vec3(0.0, 0.0, 0.0)),
+        (
+            SceneObject(Sphere(_TINY)),
+            SceneObject(Ellipsoid(_TINY, 0.5 * _TINY, 2.0 * _TINY), Vec3(_TINY, 0.0, 0.0), _ROT),
+        ),
+    ),
+    "all-bounded": Scene(_camera(12, 10), generate_scene(4, 12).objects),
+    "all-unbounded": Scene(
+        _camera(12, 10),
+        generate_scene(5, 8, ("hyperboloid1", "hparaboloid")).objects + _mixed_objects()[-1:],
+    ),
+    "mixed": Scene(_camera(12, 10), _mixed_objects()),
+    "none-kept": Scene(
+        _camera(9, 7, origin=Vec3(0.0, 0.0, 0.0), look_at=Vec3(0.0, 0.0, -1.0)),
+        (
+            SceneObject(Sphere(1.0), Vec3(50.0, 0.0, 0.0)),
+            SceneObject(Ellipsoid(1.0, 2.0, 3.0), Vec3(0.0, -40.0, 0.0), _ROT),
+        ),
+    ),
+}
+
+
+class TestBoundingCull:
+    """The stage-1 cull never changes an image: cull on, cull off and the scalar loop agree."""
+
+    @staticmethod
+    def _check(scene, method, monkeypatch, workers=1) -> set[str]:
+        expected, kinds = reference_render(scene, method)
+        on = render_detection(scene, method, workers)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "cull_radii", _no_cull)
+            off = render_detection(scene, method, workers)
+        assert on.pixels == off.pixels == expected
+        return kinds
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    @pytest.mark.parametrize("name", sorted(CULL_SCENES))
+    @pytest.mark.parametrize("tile_pairs", [13, kernels.TILE_PAIRS])
+    def test_scene(self, name, method, tile_pairs, monkeypatch):
+        # 13 pairs per tile and per stage-2 chunk: both end mid-row.
+        monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
+        kinds = self._check(CULL_SCENES[name], method, monkeypatch)
+        # The scenes built to reach the tangency band and the linear branch do.
+        wanted = {"grazing": "Tangent", "far-linear": "LinearHit"}
+        assert name not in wanted or wanted[name] in kinds
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_counts(self, workers, monkeypatch):
+        for method in ("classical", "separated"):
+            self._check(CULL_SCENES["mixed"], method, monkeypatch, workers)
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    def test_none_kept(self, method, monkeypatch):
+        spy = _KeptPairs(monkeypatch)
+        image = render_detection(CULL_SCENES["none-kept"], method)
+        assert set(image.pixels) == {0}
+        assert spy.tested == 9 * 7 * 2 and spy.kept == 0
+
+    def test_kept_fraction(self, monkeypatch):
+        # A units or margin error that culls nothing, or leaves columns
+        # out of the cull, fails here: every column of this scene is
+        # bounded and near the origin.
+        scene = generate_scene(3, 200)
+        scene = Scene(dataclasses.replace(scene.camera, width=64, height=64), scene.objects)
+        spy = _KeptPairs(monkeypatch)
+        render_detection(scene, "separated")
+        assert spy.tested == 64 * 64 * 200
+        assert 0 < spy.kept <= 0.01 * spy.tested
