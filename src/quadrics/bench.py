@@ -10,7 +10,9 @@ generic two matrix-vector products.  Detection runs in tiles of
 struct-of-arrays table of the objects' coefficients, which is the data
 layout the separated form is designed for.  Each method builds, once per
 call, only the columns it reads with `kernels.world_table`: classical every
-object, separated the objects off the sphere fast path.
+object, separated the objects off the sphere fast path.  Likewise the
+separated route builds the per-ray line matrix R only when some object is
+off the sphere fast path, the only reader of R.
 
 `kernels.map_ranges` gives each worker a range of rays, as `render` does
 with image rows; a worker gets arrays, not the scene, and returns per-ray
@@ -31,7 +33,8 @@ from functools import partial
 import numpy as np
 
 from .kernels import (
-    METHODS, classical_hit_counts, map_ranges, ray_cache, separated_hit_counts, world_table,
+    METHODS, classical_hit_counts, line_matrix, map_ranges, separated_hit_counts,
+    sphere_ray_terms, world_table,
 )
 from .quadric import Sphere
 from .rng import float_stream, mix64
@@ -158,9 +161,12 @@ def _detect_rays(
         if method == "classical":
             counts = classical_hit_counts(*tables, point, direction)
         else:
-            cache = ray_cache(point, direction)
+            # Terms before R: in the other order the generic kernel timed 4-10%
+            # slower on detect-wide (in-process A/B), with the same work.
+            terms = sphere_ray_terms(point, direction)
+            lines = line_matrix(point, direction) if tables[2].shape[1] else None
             t1 = time.perf_counter_ns()
-            counts = separated_hit_counts(*tables, point, direction, cache)
+            counts = separated_hit_counts(*tables, point, direction, lines, terms)
         t2 = time.perf_counter_ns()
         precompute_ns.append(t1 - t0)
         detect_ns.append(t2 - t1)

@@ -20,7 +20,7 @@ that a pair does not take are evaluated for every pair, then discarded.
 
 `nearest_hits` runs in two stages.  Stage 1 (`keep_pairs`, per tile)
 tests the pairs of the bounded columns (spheres and ellipsoids, see
-`bounding_spheres`) against a conservative bounding sphere and keeps only
+`render_tables`) against a conservative bounding sphere and keeps only
 those it cannot rule out; the unbounded columns bypass it.  Stage 2
 computes the roots of every kept pair in one batch, in chunks of at most
 TILE_PAIRS pairs; it runs once per call unless more than TILE_PAIRS pairs
@@ -44,12 +44,12 @@ __all__ = [
     "METHODS",
     "TILE_PAIRS",
     "world_table",
-    "bounding_spheres",
+    "render_tables",
     "tiles",
     "map_ranges",
     "coefficients",
     "line_matrix",
-    "ray_cache",
+    "sphere_ray_terms",
     "discriminant_separated",
     "sphere_discriminant",
     "nearest_root",
@@ -116,11 +116,15 @@ def world_table(objects: Sequence[SceneObject], index: Sequence[int] | None = No
     """
     if index is None:
         index = range(len(objects))
-    objects = [objects[i] for i in index]
-    n = len(objects)
+    return _world_table(_placements([objects[i] for i in index]), index)
+
+
+def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
+    """`world_table` from the `_placements` of the objects `index` names."""
+    q0, centers, rotated, rot = placed
+    n = len(q0)
     if n == 0:
         return np.empty((10, 0))
-    q0, centers, rotated, rot = _placements(objects)
     t = np.zeros((n, 4, 4))
     t[:, range(4), range(4)] = 1.0
     t[:, :3, 3] = -centers
@@ -147,8 +151,20 @@ def world_table(objects: Sequence[SceneObject], index: Sequence[int] | None = No
     return table.T.copy()
 
 
-def bounding_spheres(objects: Sequence[SceneObject]) -> np.ndarray:
-    """(7, objects) table of bounding-sphere terms for the stage-1 cull; NaN columns are unbounded.
+def render_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray]:
+    """(`world_table(objects)`, bounding spheres) of `nearest_hits`, from one pass over the objects.
+
+    The bounding spheres are a (7, objects) table of terms for the stage-1
+    cull; NaN columns are unbounded.  Both tables are built from one
+    `_placements`, so the world table equals `world_table(objects)` bit for
+    bit.
+    """
+    placed = _placements(objects)
+    return _world_table(placed, range(len(objects))), _bounding_spheres(placed)
+
+
+def _bounding_spheres(placed: tuple) -> np.ndarray:
+    """(7, objects) bounding-sphere table of `render_tables` from the objects' `_placements`.
 
     Boundedness is read off the kind's fundamental `coefficients()`: a
     column is bounded when a11, a22, a33 > 0, a44 < 0 and the six
@@ -164,9 +180,9 @@ def bounding_spheres(objects: Sequence[SceneObject]) -> np.ndarray:
     tau = a11 + a22 + a33, and nu.  k also carries 2^-45 for the rounding of
     these products; a rotation with k > 1/4 leaves its column unbounded.
     """
-    q0, centers, rotated, rot = _placements(objects)
+    q0, centers, rotated, rot = placed
     diag = q0[:, :3]
-    eps = np.zeros(len(objects))
+    eps = np.zeros(len(q0))
     eps[rotated] = abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2), initial=0.0)
     k = 3.0 * eps + 2.0 ** -45
     m = diag.min(axis=1)
@@ -271,12 +287,15 @@ def line_matrix(point: Vec4, direction: Vec4) -> tuple:
     )
 
 
-def ray_cache(point: Vec4, direction: Vec4) -> tuple:
-    """Per-ray (R entries, moment dir3 x origin3, |dir3|^2), as `separated.make_ray_cache`."""
+def sphere_ray_terms(point: Vec4, direction: Vec4) -> tuple:
+    """Per-ray (moment dir3 x origin3, |dir3|^2) of the sphere fast path.
+
+    As the moment and dir_norm_sq of `separated.make_ray_cache`; the R-factored
+    form reads `line_matrix` instead.
+    """
     x, y, z, _ = point
     sx, sy, sz, _ = direction
-    moment = (sy * z - sz * y, sz * x - sx * z, sx * y - sy * x)
-    return line_matrix(point, direction), moment, sx * sx + sy * sy + sz * sz
+    return (sy * z - sz * y, sz * x - sx * z, sx * y - sy * x), sx * sx + sy * sy + sz * sz
 
 
 def discriminant_separated(q, r: Sequence[Component], point: Vec4, direction: Vec4):
@@ -343,7 +362,7 @@ def cull_radii(
 ) -> np.ndarray:
     """Stage-1 squared radius R'^2 of each column for these rays; +inf where every pair is kept.
 
-    `spheres` is `bounding_spheres`, `max_abs` each column's largest
+    `spheres` is from `render_tables`, `max_abs` each column's largest
     |coefficient| in the kernels' table.  `keep_pairs` drops a pair only
     when its line misses the sphere of radius R' about c, and R' is derived
     so that both routes then classify the pair as Miss.  It needs rays with
@@ -476,7 +495,7 @@ def nearest_hits(
 
     Equals, per ray, the minimum over objects of the positive
     `hit_parameters` of `intersect_classical` or `intersect_separated`.
-    `spheres` is `bounding_spheres` of the table's objects.  Stage 1 runs
+    `spheres` is the bounding-sphere table of `render_tables`.  Stage 1 runs
     per tile: the columns that `cull_radii` lets decide go through
     `keep_pairs`; the others take the dense path, with roots on the
     classical route and the discriminant with the d >= -TANGENT_EPS early
@@ -539,16 +558,19 @@ def separated_hit_counts(
     generic: np.ndarray,
     point: Vec4,
     direction: Vec4,
-    cache: tuple,
+    lines: tuple | None,
+    terms: tuple,
 ) -> np.ndarray:
     """Per ray, the number of objects with a nonnegative separated discriminant.
 
     Spheres (`centers`, `r_sq`) take the moment fast path, the objects of
-    the `generic` coefficient table the R-factored form.  `cache` is
-    `ray_cache(point, direction)`; the sphere path needs Euclidean rays.
+    the `generic` coefficient table the R-factored form.  `lines` is
+    `line_matrix(point, direction)`, read only when `generic` has columns,
+    and `terms` is `sphere_ray_terms(point, direction)`; the sphere path
+    needs Euclidean rays.
     """
     rays = len(direction[0])
-    r, moment, dir_norm_sq = cache
+    moment, dir_norm_sq = terms
     counts = np.zeros(rays, dtype=np.int64)
     with np.errstate(all="ignore"):
         for sl in tiles(rays, len(r_sq) + generic.shape[1]):
@@ -561,7 +583,7 @@ def separated_hit_counts(
                 counts[sl] += np.count_nonzero(d >= 0.0, axis=1)
             if generic.shape[1]:
                 d = discriminant_separated(
-                    generic, _take(r, rows), _take(point, rows), _take(direction, rows)
+                    generic, _take(lines, rows), _take(point, rows), _take(direction, rows)
                 )
                 counts[sl] += np.count_nonzero(d >= 0.0, axis=1)
     return counts

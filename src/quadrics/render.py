@@ -10,7 +10,7 @@ which keeps every hit nonzero and darkens with distance.  Misses are 0.
 
 Pixels are evaluated by `kernels.nearest_hits` in two stages.  Stage 1
 tests each tile of (pixels x spheres and ellipsoids) against conservative
-bounding spheres (`kernels.bounding_spheres`, `kernels.cull_radii`) and
+bounding spheres (`kernels.render_tables`, `kernels.cull_radii`) and
 keeps only the pairs it cannot rule out; the unbounded kinds bypass it.
 Stage 2 computes the roots of the kept pairs in one batch.  The kernels keep
 the scalar kernels' arithmetic term by term and the cull drops only pairs
@@ -27,7 +27,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .kernels import METHODS, bounding_spheres, map_ranges, nearest_hits, world_table
+from .kernels import METHODS, map_ranges, nearest_hits, render_tables
 from .scene import Camera, Scene
 
 __all__ = ["Image", "render_detection", "write_pgm", "pgm_bytes"]
@@ -77,7 +77,7 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cam = scene.camera
-    table, spheres = world_table(scene.objects), bounding_spheres(scene.objects)
+    table, spheres = render_tables(scene.objects)
     rows = map_ranges(partial(_render_rows, cam, method, table, spheres), cam.height, workers)
     return Image(width=cam.width, height=cam.height, pixels=b"".join(rows))
 

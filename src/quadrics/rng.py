@@ -12,15 +12,21 @@ Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2^-53.  A zero seed
 is replaced by 0x9E3779B97F4A7C15.  Integer draws below n use output mod n.
 
 `Xorshift64Star` draws one value at a time and is the reference.
-`xorshift64star_stream` returns the same sequence as a uint64 array: the
-state update without the multiply is linear over GF(2), so after 64 steps
-in Python the array doubles by jumping every state it holds m steps ahead
+`xorshift64star_stream` returns the same sequence as a uint64 array, laid
+out as a grid of K rows by L lanes: lane j holds states jK .. jK + K - 1,
+and the array reads the grid lane by lane.  Each row follows from the one
+above by the plain update on an L-vector.  The lane starts (row 0) follow
+from the seed by jump-ahead: the update without the multiply is linear over
+GF(2), so after 64 steps in Python, of which every K-th is a lane start,
+row 0 doubles by jumping every start it holds m = 64, 128, ... steps ahead
 at once.  The jump L^m is a 64x64 bit matrix, applied as eight 256-entry
 tables indexed by the bytes of the state; the tables of L^2m are built by
-squaring L^m, so no jump is ever found by stepping.
+squaring L^m, so no jump is ever found by stepping.  K grows with n (see
+`_rows`): at K = 1 the grid is one row and the stream is the doubling alone.
 """
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -64,10 +70,11 @@ class Xorshift64Star:
         return self.next_u64() % n
 
 
-# Steps taken one at a time before the array starts doubling.
+# Steps taken one at a time before the lane starts double; K divides it.
 _HEAD = 64
-_BYTE = np.uint64(0xFF)
-_BYTE_SHIFTS = np.arange(0, 64, 8, dtype=np.uint64)
+# Each byte k of a state indexes row k of a (8, 256) table, flattened.
+_BYTE_OFFSETS = np.arange(0, 8 * 256, 256)
+_SHIFTS = tuple(np.uint64(k) for k in (12, 25, 27))
 
 
 def _step(s: int) -> int:
@@ -91,10 +98,9 @@ def _tables(columns: np.ndarray) -> np.ndarray:
 
 
 def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(states)
-    for k in range(8):
-        out ^= tables[k][(states >> _BYTE_SHIFTS[k]) & _BYTE]
-    return out
+    """The bit matrix of `tables` applied to each state: the XOR of its eight byte images."""
+    state_bytes = np.asarray(states, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.bitwise_xor.reduce(tables.reshape(-1)[state_bytes + _BYTE_OFFSETS], axis=1)
 
 
 @cache
@@ -114,22 +120,52 @@ def _jump(log2_steps: int) -> tuple[np.ndarray, np.ndarray]:
     return columns, tables
 
 
+def _rows(n: int) -> int:
+    """Rows K of the lane grid for n states: the largest power of two with 36 K^2 <= n, at most 64.
+
+    A row costs six numpy calls whatever its length, and a lane start eight
+    table lookups, so K trades per-call cost against per-lane cost and grows
+    as sqrt(n).  Timed with numpy 2.4 on a 2-core Xeon, this K was the
+    fastest power of two for 300 to 18000 states, and within 12% of it up
+    to 80000.
+    """
+    return min(_HEAD, 1 << max(0, math.isqrt(n // 36).bit_length() - 1))
+
+
 def xorshift64star_stream(seed: int, n: int) -> np.ndarray:
     """The first n `Xorshift64Star(seed).next_u64()` values, as uint64."""
     if n < 0:
         raise ValueError("stream length must be >= 0")
-    states = np.empty(n, dtype=np.uint64)
+    rows = _rows(n)
+    lanes = -(-n // rows)
     s = Xorshift64Star(seed).state
-    for i in range(min(n, _HEAD)):
+    head = []
+    for _ in range(min(n, _HEAD)):
         s = _step(s)
-        states[i] = s
-    filled, log2_steps = _HEAD, _HEAD.bit_length() - 1
-    while filled < n:
-        take = min(filled, n - filled)
-        states[filled:filled + take] = _apply(_jump(log2_steps)[1], states[:take])
+        head.append(s)
+    grid = np.empty((rows, lanes), dtype=np.uint64)
+    starts, head_starts = grid[0], head[::rows]
+    filled = len(head_starts)
+    starts[:filled] = head_starts
+    # Whenever lanes remain to fill, the starts held cover filled * rows = 64
+    # states: each doubling jumps them that far.
+    log2_steps = (filled * rows).bit_length() - 1
+    while filled < lanes:
+        take = min(filled, lanes - filled)
+        starts[filled:filled + take] = _apply(_jump(log2_steps)[1], starts[:take])
         filled += take
         log2_steps += 1
-    return states * np.uint64(_MULTIPLIER)
+    shift = np.empty_like(starts)
+    for r in range(1, rows):
+        row = grid[r]
+        np.right_shift(grid[r - 1], _SHIFTS[0], out=shift)
+        np.bitwise_xor(grid[r - 1], shift, out=row)
+        np.left_shift(row, _SHIFTS[1], out=shift)
+        row ^= shift
+        np.right_shift(row, _SHIFTS[2], out=shift)
+        row ^= shift
+    # Lane-major: lane j holds states j*rows .. j*rows + rows - 1.
+    return grid.T.reshape(-1)[:n] * np.uint64(_MULTIPLIER)
 
 
 def float_stream(seed: int, n: int) -> np.ndarray:

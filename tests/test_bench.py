@@ -25,8 +25,9 @@ from quadrics.bench import (
 )
 from quadrics.kernels import (
     classical_hit_counts,
-    ray_cache,
+    line_matrix,
     separated_hit_counts,
+    sphere_ray_terms,
 )
 from quadrics.geometry import Vec3
 from quadrics.quadric import Ellipsoid, Sphere
@@ -53,7 +54,8 @@ def _reference_rays(seed: int, count: int, min_norm_sq: float) -> tuple[np.ndarr
 class TestRayGeneration:
     @pytest.mark.parametrize("seed", [1, 7, -3, RAY_SEED_SALT])
     def test_equals_the_per_ray_loop(self, seed):
-        for count in (1, 2, 33, 3000):
+        # 1536 rays draw 9216 values, where the stream's row count doubles.
+        for count in (1, 2, 33, 500, 1536, 3000):
             got = generate_rays(seed, count)
             want = _reference_rays(seed, count, 1e-12)
             assert got[0].tobytes() == want[0].tobytes()
@@ -152,6 +154,19 @@ class TestTablePerMethod:
         assert self._built_shapes(monkeypatch, mixed, "separated") == [(10, len(generic))]
         assert self._built_shapes(monkeypatch, mixed, "classical") == [(10, 12)]
 
+    def test_separated_builds_lines_only_for_generic_objects(self, monkeypatch):
+        scenes = [generate_scene(8, 12, ("sphere",)), generate_scene(8, 12, ("sphere", "ellipsoid"))]
+        stats = [(s.hits, s.checksum) for sc in scenes for s in run_benchmark(sc, rays=20, seed=3)]
+        built = []
+
+        def recording(point, direction):
+            built.append(len(direction[0]))
+            return kernels.line_matrix(point, direction)
+
+        monkeypatch.setattr(bench, "line_matrix", recording)
+        again = [(s.hits, s.checksum) for sc in scenes for s in run_benchmark(sc, rays=20, seed=3)]
+        assert again == stats and built == [20]
+
     @pytest.mark.parametrize("method", ["classical", "separated"])
     def test_overflow_names_the_scene_object(self, method):
         scene = Scene(
@@ -211,7 +226,8 @@ class TestVectorizedKernelsMatchScalar:
         for tile_pairs in self.TILE_SIZES:
             monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
             counts = separated_hit_counts(
-                centers, r2, generic, point, direction, ray_cache(point, direction)
+                centers, r2, generic, point, direction,
+                line_matrix(point, direction), sphere_ray_terms(point, direction),
             )
             for i in range(40):
                 p = HomogeneousPoint(*origins[i], 1.0)

@@ -19,7 +19,7 @@ from quadrics import (
     solve,
     sphere_discriminant,
 )
-from quadrics.kernels import bounding_spheres, keep_pairs, map_ranges, nearest_hits, world_table
+from quadrics.kernels import keep_pairs, map_ranges, nearest_hits, render_tables, world_table
 from quadrics.quadric import Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere
 from quadrics.scene import SceneObject, generate_scene
 
@@ -48,7 +48,7 @@ def test_nearest_hits_equal_the_scalar_kernels_with_per_ray_origins(method, monk
     rays = [random_ray(rng) for _ in range(25)]
     point = tuple(np.array([p.as_tuple()[k] for p, _ in rays]) for k in range(3)) + (1.0,)
     direction = tuple(np.array([s.as_tuple()[k] for _, s in rays]) for k in range(3)) + (0.0,)
-    spheres = bounding_spheres([SceneObject(General(q)) for q in matrices])
+    spheres = render_tables([SceneObject(General(q)) for q in matrices])[1]
     got = nearest_hits(coefficient_table(matrices), point, direction, method, spheres)
     expected = np.array([_scalar_nearest(matrices, p, s, method) for p, s in rays])
     assert np.array_equal(got, expected, equal_nan=True)
@@ -81,7 +81,7 @@ def test_nearest_hits_cull_with_per_ray_origins(method, tile_pairs, monkeypatch)
     ]
     matrices = [o.world_matrix() for o in objects]
     expected = np.array([_scalar_nearest(matrices, p, s, method) for p, s in rays])
-    table, spheres = world_table(objects), bounding_spheres(objects)
+    table, spheres = render_tables(objects)
     kept = []
 
     def spy(*args):
@@ -116,7 +116,8 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
         stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept)
 
     monkeypatch.setattr(kernels, "_stage2", spy)
-    got = nearest_hits(world_table(objects), point, direction, method, bounding_spheres(objects))
+    table, spheres = render_tables(objects)
+    got = nearest_hits(table, point, direction, method, spheres)
     assert sum(sizes) == 400 * 3 and len(sizes) > 10 and max(sizes) < 2 * 50 + 3
     origin = HomogeneousPoint(0.0, 0.0, 0.0, 1.0)
     matrices = [o.world_matrix() for o in objects]
@@ -141,7 +142,7 @@ class TestBoundingSpheres:
             SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, 1.0))),
             SceneObject(General(QuadricMatrix(1.0, 0.0, 1.0, -1.0))),
         ]
-        table = bounding_spheres(objects)
+        table = render_tables(objects)[1]
         assert table.shape == (7, 8)
         assert np.isnan(table[:, 3:]).all() and not np.isnan(table[:, :3]).any()
         cx, cy, cz, m, lam, tau, nu = table[:, :3]
@@ -155,7 +156,7 @@ class TestBoundingSpheres:
     def test_a_matrix_far_from_a_rotation_leaves_the_column_unbounded(self):
         skew = Mat3((1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
         near = Mat3((1.0 + 1e-9, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
-        table = bounding_spheres([SceneObject(Sphere(1.0), rot=m) for m in (skew, near)])
+        table = render_tables([SceneObject(Sphere(1.0), rot=m) for m in (skew, near)])[1]
         assert np.isnan(table[:, 0]).all()
         # Off by 2e-9 in Rot^T Rot: the radius grows by that, not more.
         assert 1.0 < table[6, 1] / table[3, 1] < 1.0 + 1e-8
@@ -177,7 +178,8 @@ def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
     direction = tuple(np.array([s.as_tuple()[k] for _, s in rays])[:, None] for k in range(3)) + (0.0,)
     table = coefficient_table(matrices)
     a, b, c = kernels.coefficients(table, point, direction)
-    r, moment, dir_norm_sq = kernels.ray_cache(point, direction)
+    r = kernels.line_matrix(point, direction)
+    moment, dir_norm_sq = kernels.sphere_ray_terms(point, direction)
     d = kernels.discriminant_separated(table, r, point, direction)
     centers = rng.uniform(-5.0, 5.0, size=(9, 3))
     r_sq = rng.uniform(0.1, 2.0, size=9) ** 2
@@ -248,6 +250,7 @@ class TestWorldTable:
         for seed in range(25):
             objects = generate_scene(seed, 1 + 7 * seed, mix).objects
             _assert_bits_equal(world_table(objects), _scalar_world_table(objects))
+            _assert_bits_equal(render_tables(objects)[0], _scalar_world_table(objects))
 
     def test_far_placed_rotated_objects(self):
         rng = np.random.default_rng(11)
@@ -263,6 +266,7 @@ class TestWorldTable:
             rot = random_rotation(rng) if i % 3 else None
             objects.append(SceneObject(kind, center, rot))
         _assert_bits_equal(world_table(objects), _scalar_world_table(objects))
+        _assert_bits_equal(render_tables(objects)[0], _scalar_world_table(objects))
 
     def test_raw_quadric_with_negative_zeros(self):
         q = General(QuadricMatrix(-0.0, 1.0, -0.0, -1.0, a12=-0.0, a13=0.0, a14=-0.0, a34=0.5))
@@ -279,6 +283,7 @@ class TestWorldTable:
         spheres = generate_scene(3, 17, ("sphere",)).objects
         _assert_bits_equal(world_table(spheres), _scalar_world_table(spheres))
         assert world_table(()).shape == (10, 0)
+        assert [t.shape for t in render_tables(())] == [(10, 0), (7, 0)]
 
     @pytest.mark.parametrize(
         "obj",
@@ -293,6 +298,8 @@ class TestWorldTable:
             obj.world_matrix()
         with pytest.raises(ValueError, match="object 1"):
             world_table([SceneObject(Sphere(1.0)), obj])
+        with pytest.raises(ValueError, match="object 1"):
+            render_tables([SceneObject(Sphere(1.0)), obj])
         with pytest.raises(ValueError, match="object 2"):
             world_table([obj, SceneObject(Sphere(1.0)), obj], [1, 2])
 
