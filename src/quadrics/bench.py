@@ -87,31 +87,31 @@ def generate_rays(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     then three direction draws, redrawing all three while the direction's
     squared length is below 1e-12.
 
-    The stream comes from `rng.float_stream` as triples of draws.  Each
-    triple is either an origin, a direction, or a rejected direction: after
-    an origin, rejected triples are skipped until one is long enough, and
-    the triple after that is the next origin.  So a triple is an origin when
-    an odd number of triples lies between it and the last rejected one
-    before it (or it is at an even index and none is).  The whole layout
-    comes from one running maximum; when redraws leave fewer than `count`
-    directions, a stream twice as long is drawn.
+    The stream comes from `rng.float_stream` as triples of draws, and the
+    rule is applied to the whole batch: a short triple (one whose direction
+    would be too short) that falls in a direction slot of the triples kept
+    so far is dropped, since it is redrawn; the kept triples are then
+    origins and directions in turn.  Short triples are rare (none among the
+    benchmark's rays), so they are walked in Python.  When drops leave fewer
+    than `count` rays, a stream twice as long is drawn.
     """
     if count < 1:
         raise ValueError("need at least one ray")
-    triples = 2 * count
+    slots = triples = 2 * count
     while True:
         draws = float_stream(seed ^ RAY_SEED_SALT, 3 * triples).reshape(triples, 3)
         d = _uniform(-1.0, 1.0, draws)
-        rejected = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] < _MIN_DIR_NORM_SQ
-        index = np.arange(triples)
-        last_rejected = np.maximum.accumulate(np.where(rejected, index, -2))
-        before = np.concatenate(([-2], last_rejected[:-1]))
-        is_origin = (index - before) % 2 == 0
-        is_direction = ~is_origin & ~rejected
-        if np.count_nonzero(is_direction) >= count:
+        norm_sq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+        dropped = []
+        for i in np.flatnonzero(norm_sq < _MIN_DIR_NORM_SQ).tolist():
+            if (i - len(dropped)) % 2:
+                dropped.append(i)
+        if dropped:
+            draws = np.delete(draws, dropped, axis=0)
+        if len(draws) >= slots:
             break
         triples *= 2
-    return _uniform(-10.0, 10.0, draws[is_origin][:count]), d[is_direction][:count]
+    return _uniform(-10.0, 10.0, draws[0:slots:2]), _uniform(-1.0, 1.0, draws[1:slots:2])
 
 
 def _uniform(lo: float, hi: float, draws: np.ndarray) -> np.ndarray:

@@ -19,13 +19,13 @@ NaN silently, as Python float arithmetic does, and the branches of `solve`
 that a pair does not take are evaluated for every pair, then discarded.
 
 `nearest_hits` runs in two stages.  Stage 1 (`keep_pairs`, per tile)
-tests the pairs of the bounded columns (spheres and ellipsoids, see
-`render_tables`) against a conservative bounding sphere and keeps only
-those it cannot rule out; the unbounded columns bypass it.  Stage 2
-computes the roots of every kept pair in one batch, in chunks of at most
-TILE_PAIRS pairs; it runs once per call unless more than TILE_PAIRS pairs
-are kept, so memory stays bounded.  The cull drops only pairs whose kernel
-result is provably a Miss (see `cull_radii`), so it never decides a result.
+tests each pair against a conservative bounding sphere of its column and
+keeps only those it cannot rule out; an unbounded column (see
+`render_tables`) keeps every pair.  Stage 2 roots every kept pair in one
+batch.  It runs as soon as TILE_PAIRS pairs are kept and after the last
+tile, so memory stays bounded, and once per call on most images.  The cull
+drops only pairs whose kernel result is provably a Miss (see
+`cull_radii`), so it never decides a result.
 """
 from __future__ import annotations
 
@@ -63,11 +63,12 @@ __all__ = [
 # The two routes every detection entry point (render, bench, CLI) accepts.
 METHODS = ("classical", "separated")
 
-# Pairs evaluated per tile, and per stage-2 chunk of `nearest_hits`.  A tile
-# is whole rays against every object, so it holds max(1, TILE_PAIRS //
-# objects) rays, and a float64 temporary is 64 KiB; a stage-2 chunk is at
-# most TILE_PAIRS kept pairs.  On the benchmark workloads 4096 was slower
-# with 1000 objects and 16384 was no faster but used more memory.
+# Pairs evaluated per tile.  A tile is whole rays against every object, so
+# it holds max(1, TILE_PAIRS // objects) rays, and a float64 temporary is 64
+# KiB.  `nearest_hits` roots its kept pairs once they reach TILE_PAIRS, so a
+# stage-2 batch holds fewer than TILE_PAIRS pairs plus one tile's.  On the
+# benchmark workloads 4096 was slower with 1000 objects and 16384 was no
+# faster but used more memory.
 TILE_PAIRS = 8192
 
 Component = Union[float, np.ndarray]
@@ -454,38 +455,31 @@ def keep_pairs(centers: np.ndarray, r_sq: np.ndarray, point: Vec4, direction: Ve
     return np.nonzero(~(sw * sw < (sx * sx + sy * sy + sz * sz) * h))
 
 
-def _joined(groups: list, width: int) -> tuple:
-    if not groups:
-        return tuple(np.empty(0, dtype=np.intp) for _ in range(width))
+def _joined(groups: list) -> tuple:
     return tuple(np.concatenate(column) for column in zip(*groups))
 
 
 def _stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept) -> None:
     """Stage 2 of `nearest_hits`: the roots of the pairs stage 1 kept, folded into `out`.
 
-    `culled` holds (rays, columns) from the cull and `kept` (rays, columns,
-    d) from the separated early reject; both lists are emptied.  In chunks
-    of at most TILE_PAIRS pairs, the separated route first gives the culled
-    pairs their d and the same early reject; then every pair gets a, b, c
-    and `nearest_root` at once, and `out` keeps each ray's minimum.
+    `culled` holds (rays, columns) from `keep_pairs` and `kept` (rays,
+    columns, d) from the separated early reject; both lists are emptied.
+    The separated route first gives the culled pairs their d and the same
+    early reject; then every pair gets a, b, c and `nearest_root` in one
+    pass, and `out` keeps each ray's minimum.
     """
-    rays, cols = _joined(culled, 2)
+    rays, cols = _joined(culled)
     d = None
     if method == "separated":
-        d = np.empty(len(rays))
-        for c in tiles(len(rays), 1):
-            pt, dr = _take(point, rays[c]), _take(direction, rays[c])
-            d[c] = discriminant_separated(table[:, cols[c]], line_matrix(pt, dr), pt, dr)
+        pt, dr = _take(point, rays), _take(direction, rays)
+        d = discriminant_separated(table[:, cols], line_matrix(pt, dr), pt, dr)
         survive = ~(d < -TANGENT_EPS)
         kept.append((rays[survive], cols[survive], d[survive]))
-        rays, cols, d = _joined(kept, 3)
+        rays, cols, d = _joined(kept)
     culled.clear()
     kept.clear()
-    for c in tiles(len(rays), 1):
-        r, o = rays[c], cols[c]
-        a, b, cc = coefficients(table[:, o], _take(point, r), _take(direction, r))
-        t = nearest_root(a, b, cc, max_abs[o] * s_sq[r], None if d is None else d[c])
-        np.fmin.at(out, r, t)
+    a, b, c = coefficients(table[:, cols], _take(point, rays), _take(direction, rays))
+    np.fmin.at(out, rays, nearest_root(a, b, c, max_abs[cols] * s_sq[rays], d))
 
 
 def nearest_hits(
@@ -496,11 +490,13 @@ def nearest_hits(
     Equals, per ray, the minimum over objects of the positive
     `hit_parameters` of `intersect_classical` or `intersect_separated`.
     `spheres` is the bounding-sphere table of `render_tables`.  Stage 1 runs
-    per tile: the columns that `cull_radii` lets decide go through
-    `keep_pairs`; the others take the dense path, with roots on the
-    classical route and the discriminant with the d >= -TANGENT_EPS early
-    reject on the separated route.  Stage 2 (`_stage2`) runs once the kept
-    pairs reach TILE_PAIRS, and after the last tile.
+    per tile and roots nothing.  Every column goes through `keep_pairs`,
+    except that the separated route filters the columns `cull_radii` leaves
+    undecided by their discriminant with the d >= -TANGENT_EPS early
+    reject; on the classical route their infinite R'^2 or NaN centre keeps
+    every pair.  Stage 2 (`_stage2`) roots the kept pairs once they reach
+    TILE_PAIRS, and after the last tile, so a batch holds fewer than
+    TILE_PAIRS pairs plus one tile's.
     """
     rays = len(direction[0])
     if not rays:
@@ -509,31 +505,24 @@ def nearest_hits(
     sx, sy, sz, sw = direction
     s_sq = sx * sx + sy * sy + sz * sz + sw * sw
     r_sq = cull_radii(spheres, max_abs, point, direction)
-    cullable = r_sq < np.inf
-    cull_cols, dense_cols = np.flatnonzero(cullable), np.flatnonzero(~cullable)
+    dense = ~(r_sq < np.inf) & (method == "separated")
+    cull_cols, dense_cols = np.flatnonzero(~dense), np.flatnonzero(dense)
     centers, r_sq = spheres[:3, cull_cols], r_sq[cull_cols]
-    dense_table, dense_max = table[:, dense_cols], max_abs[dense_cols]
+    dense_table = table[:, dense_cols]
     out = np.full(rays, np.nan)
     culled, kept, pending = [], [], 0
     with np.errstate(all="ignore"):
         for sl in tiles(rays, table.shape[1]):
             pt, dr = _take(point, sl), _take(direction, sl)
-            if len(cull_cols):
-                ri, oi = keep_pairs(centers, r_sq, pt, dr)
-                culled.append((ri + sl.start, cull_cols[oi]))
-                pending += len(ri)
+            ri, oi = keep_pairs(centers, r_sq, pt, dr)
+            culled.append((ri + sl.start, cull_cols[oi]))
+            pending += len(ri)
             if len(dense_cols):
-                pc, dc = _take(pt, _COLUMN), _take(dr, _COLUMN)
-                if method == "classical":
-                    a, b, c = coefficients(dense_table, pc, dc)
-                    t = nearest_root(a, b, c, dense_max * s_sq[sl, None])
-                    out[sl] = np.fmin(out[sl], np.fmin.reduce(t, axis=1))
-                else:
-                    r = _take(line_matrix(pt, dr), _COLUMN)
-                    d = discriminant_separated(dense_table, r, pc, dc)
-                    ri, oi = np.nonzero(~(d < -TANGENT_EPS))
-                    kept.append((ri + sl.start, dense_cols[oi], d[ri, oi]))
-                    pending += len(ri)
+                r = _take(line_matrix(pt, dr), _COLUMN)
+                d = discriminant_separated(dense_table, r, _take(pt, _COLUMN), _take(dr, _COLUMN))
+                ri, oi = np.nonzero(~(d < -TANGENT_EPS))
+                kept.append((ri + sl.start, dense_cols[oi], d[ri, oi]))
+                pending += len(ri)
             if pending >= TILE_PAIRS or (pending and sl.stop >= rays):
                 _stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept)
                 pending = 0

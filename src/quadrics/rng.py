@@ -16,13 +16,13 @@ is replaced by 0x9E3779B97F4A7C15.  Integer draws below n use output mod n.
 out as a grid of K rows by L lanes: lane j holds states jK .. jK + K - 1,
 and the array reads the grid lane by lane.  Each row follows from the one
 above by the plain update on an L-vector.  The lane starts (row 0) follow
-from the seed by jump-ahead: the update without the multiply is linear over
-GF(2), so after 64 steps in Python, of which every K-th is a lane start,
-row 0 doubles by jumping every start it holds m = 64, 128, ... steps ahead
-at once.  The jump L^m is a 64x64 bit matrix, applied as eight 256-entry
-tables indexed by the bytes of the state; the tables of L^2m are built by
-squaring L^m, so no jump is ever found by stepping.  K grows with n (see
-`_rows`): at K = 1 the grid is one row and the stream is the doubling alone.
+from the first state by jump-ahead: the update without the multiply is
+linear over GF(2), so row 0 doubles by jumping every start it holds
+m = K, 2K, 4K, ... steps ahead at once.  The jump L^m is a 64x64 bit matrix,
+applied as eight 256-entry tables indexed by the bytes of the state; the
+tables of L^2m are built by squaring L^m, so no jump is ever found by
+stepping.  K grows with n (see `_rows`): at K = 1 the grid is one row and
+the stream is the doubling alone.
 """
 from __future__ import annotations
 
@@ -70,8 +70,6 @@ class Xorshift64Star:
         return self.next_u64() % n
 
 
-# Steps taken one at a time before the lane starts double; K divides it.
-_HEAD = 64
 # Each byte k of a state indexes row k of a (8, 256) table, flattened.
 _BYTE_OFFSETS = np.arange(0, 8 * 256, 256)
 _SHIFTS = tuple(np.uint64(k) for k in (12, 25, 27))
@@ -127,9 +125,9 @@ def _rows(n: int) -> int:
     table lookups, so K trades per-call cost against per-lane cost and grows
     as sqrt(n).  Timed with numpy 2.4 on a 2-core Xeon, this K was the
     fastest power of two for 300 to 18000 states, and within 12% of it up
-    to 80000.
+    to 80000; K stops at 64, beyond the sizes timed.
     """
-    return min(_HEAD, 1 << max(0, math.isqrt(n // 36).bit_length() - 1))
+    return min(64, 1 << max(0, math.isqrt(n // 36).bit_length() - 1))
 
 
 def xorshift64star_stream(seed: int, n: int) -> np.ndarray:
@@ -138,18 +136,11 @@ def xorshift64star_stream(seed: int, n: int) -> np.ndarray:
         raise ValueError("stream length must be >= 0")
     rows = _rows(n)
     lanes = -(-n // rows)
-    s = Xorshift64Star(seed).state
-    head = []
-    for _ in range(min(n, _HEAD)):
-        s = _step(s)
-        head.append(s)
     grid = np.empty((rows, lanes), dtype=np.uint64)
-    starts, head_starts = grid[0], head[::rows]
-    filled = len(head_starts)
-    starts[:filled] = head_starts
-    # Whenever lanes remain to fill, the starts held cover filled * rows = 64
-    # states: each doubling jumps them that far.
-    log2_steps = (filled * rows).bit_length() - 1
+    starts = grid[0]
+    starts[:1] = _step(Xorshift64Star(seed).state)
+    # The starts held cover filled * rows states: each doubling jumps them that far.
+    filled, log2_steps = 1, rows.bit_length() - 1
     while filled < lanes:
         take = min(filled, lanes - filled)
         starts[filled:filled + take] = _apply(_jump(log2_steps)[1], starts[:take])

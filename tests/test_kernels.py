@@ -102,23 +102,32 @@ def test_nearest_hits_cull_with_per_ray_origins(method, tile_pairs, monkeypatch)
 @pytest.mark.parametrize("method", ["classical", "separated"])
 def test_stage2_batches_stay_bounded(method, monkeypatch):
     # An origin inside every sphere keeps every pair: stage 2 must run
-    # several times, each on fewer than two tiles' worth of pairs.
+    # several times, each on fewer than two tiles' worth of pairs, and root
+    # each batch in one `nearest_root` call.
     monkeypatch.setattr(kernels, "TILE_PAIRS", 50)
     objects = [SceneObject(Sphere(r), Vec3(0.1 * r, 0.0, 0.0)) for r in (2.0, 3.0, 4.0)]
     rng = np.random.default_rng(4)
     direction = (*rng.normal(size=(3, 400)), 0.0)
     point = (0.0, 0.0, 0.0, 1.0)
-    sizes = []
-    stage2 = kernels._stage2
+    sizes, roots = [], []
+    stage2, nearest_root = kernels._stage2, kernels.nearest_root
 
     def spy(out, table, max_abs, s_sq, point, direction, method, culled, kept):
         sizes.append(sum(len(group[0]) for group in culled + kept))
+        calls = len(roots)
         stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept)
+        assert len(roots) == calls + 1
+
+    def root_spy(a, b, c, a_scale, d=None):
+        roots.append(len(a))
+        return nearest_root(a, b, c, a_scale, d)
 
     monkeypatch.setattr(kernels, "_stage2", spy)
+    monkeypatch.setattr(kernels, "nearest_root", root_spy)
     table, spheres = render_tables(objects)
     got = nearest_hits(table, point, direction, method, spheres)
     assert sum(sizes) == 400 * 3 and len(sizes) > 10 and max(sizes) < 2 * 50 + 3
+    assert len(roots) == len(sizes) and max(roots) < 2 * 50
     origin = HomogeneousPoint(0.0, 0.0, 0.0, 1.0)
     matrices = [o.world_matrix() for o in objects]
     expected = [

@@ -378,7 +378,7 @@ class TestBoundingCull:
     @pytest.mark.parametrize("name", sorted(CULL_SCENES))
     @pytest.mark.parametrize("tile_pairs", [13, kernels.TILE_PAIRS])
     def test_scene(self, name, method, tile_pairs, monkeypatch):
-        # 13 pairs per tile and per stage-2 chunk: both end mid-row.
+        # 13 pairs per tile: tiles and stage-2 batches end mid-row.
         monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
         kinds = self._check(CULL_SCENES[name], method, monkeypatch)
         # The scenes built to reach the tangency band and the linear branch do.
@@ -396,6 +396,18 @@ class TestBoundingCull:
         image = render_detection(CULL_SCENES["none-kept"], method)
         assert set(image.pixels) == {0}
         assert spy.tested == 9 * 7 * 2 and spy.kept == 0
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    def test_unbounded_columns(self, method, monkeypatch):
+        # An unbounded column keeps every pair of `keep_pairs`, so the
+        # classical route roots them all in stage 2; the separated route
+        # filters them by their discriminant instead.
+        scene = CULL_SCENES["all-unbounded"]
+        spy = _KeptPairs(monkeypatch)
+        expected, _ = reference_render(scene, method)
+        assert render_detection(scene, method).pixels == expected
+        pairs = 12 * 10 * len(scene.objects) if method == "classical" else 0
+        assert spy.tested == spy.kept == pairs
 
     def test_kept_fraction(self, monkeypatch):
         # A units or margin error that culls nothing, or leaves columns

@@ -8,11 +8,12 @@ from quadrics.rng import Xorshift64Star, _rows, float_stream, xorshift64star_str
 # 0 takes the zero-state replacement.
 SEEDS = [0, -12345, 2**64 + 7, 0x9E3779B97F4A7C15, 1]
 # The stream is a grid of K rows by ceil(n / K) lanes.  K = 1, 2, 4, ... 64
-# changes at n = 36 K^2, a multiple of both row counts; 64 steps are taken
-# in Python before the lane starts double.  The benchmark draws 6 per ray.
+# changes at n = 36 K^2, a multiple of both row counts.  The lane starts
+# double from the first state alone: at K = 1, n = 2 takes the first
+# doubling and n = 3 the second.  The benchmark draws 6 per ray.
 ROW_CHANGES = [36 * 4**j for j in range(1, 7)]
 LENGTHS = (
-    [0, 1, 63, 64, 65]
+    [0, 1, 2, 3, 63, 64, 65]
     + [64 * 2**k + e for k in (1, 2, 5) for e in (-1, 1)]
     + [n + e for n in ROW_CHANGES + [6 * 500, 6 * 3000] for e in (-1, 0, 1)]
 )
