@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -49,11 +49,6 @@ __all__ = [
     "to_csv",
 ]
 
-CSV_HEADER = (
-    "method,objects,rays,detections,hits,"
-    "precompute_ns_total,detect_ns_total,detect_ns_per_test,checksum"
-)
-
 # XORed into the scene seed so the ray stream is decoupled from object draws.
 RAY_SEED_SALT = 0x9E3779B97F4A7C15
 # Directions whose squared length is below this are drawn again.
@@ -63,6 +58,8 @@ _CHECKSUM_STRIDE = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class BenchStats:
+    """One CSV row: the fields in order are the columns, each written in its `format`."""
+
     method: str
     objects: int
     rays: int
@@ -70,7 +67,7 @@ class BenchStats:
     hits: int
     precompute_ns_total: int
     detect_ns_total: int
-    detect_ns_per_test: float
+    detect_ns_per_test: float = field(metadata={"format": ".3f"})
     checksum: int
 
     def __post_init__(self) -> None:
@@ -78,6 +75,10 @@ class BenchStats:
             raise ValueError("hits cannot exceed detections")
         if min(self.precompute_ns_total, self.detect_ns_total) < 0:
             raise ValueError("times must be nonnegative")
+
+
+_COLUMNS = [(f.name, f.metadata.get("format", "")) for f in fields(BenchStats)]
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def generate_rays(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -227,8 +228,6 @@ def run_benchmark(
         raise ValueError(f"unknown method {method!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     origins, dirs = generate_rays(seed, rays)
     methods = list(METHODS) if method == "both" else [method]
     return [_run_one_method(scene, m, origins, dirs, reps, workers) for m in methods]
@@ -237,9 +236,5 @@ def run_benchmark(
 def to_csv(stats: list[BenchStats]) -> str:
     lines = [CSV_HEADER]
     for s in stats:
-        lines.append(
-            f"{s.method},{s.objects},{s.rays},{s.detections},{s.hits},"
-            f"{s.precompute_ns_total},{s.detect_ns_total},"
-            f"{s.detect_ns_per_test:.3f},{s.checksum}"
-        )
+        lines.append(",".join(format(getattr(s, name), spec) for name, spec in _COLUMNS))
     return "\n".join(lines) + "\n"

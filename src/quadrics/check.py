@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .classical import (
     TANGENT_EPS,
     LinearHit,
-    Miss,
     Tangent,
     Two,
     _a_scale,
@@ -129,8 +128,6 @@ def oracle_check(seed: int, cases: int) -> CheckReport:
                 report.failures.append(
                     CheckFailure(index, "root mismatch", d_classical, d_separated)
                 )
-        elif isinstance(res_c, Miss) and isinstance(res_s, Miss):
-            pass
     return report
 
 

@@ -213,6 +213,8 @@ def map_ranges(fn: Callable[[range], object], n: int, workers: int) -> list:
     range, but never more processes than this process may run on CPUs
     (`os.sched_getaffinity`).  The ranges do not depend on the pool size.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     per = -(-n // workers)
     ranges = [range(lo, min(lo + per, n)) for lo in range(0, n, per)]
     if workers == 1:

@@ -7,14 +7,17 @@ world frame as Q = T^T Q0 T.
 
 `CATALOG` maps each scene directive to its kind: one class per surface
 (`Sphere`, `Ellipsoid`, ...), in fundamental (centered, axis-aligned)
-position, plus `General` for raw coefficients.  A surface kind is one
-declaration on the private base `_Shape`: its `directive`, its shape
-parameters as fields in directive order, their range check in
-`__post_init__` and `coefficients()`, its matrix's 10 coefficients in
-`COEFFICIENT_ORDER`.  The base derives the rest: `params()` (the field
-values, which the scene text and the seeded generator read), `matrix()` (a
-validated `QuadricMatrix`) and `max_abs_coefficient()` (the largest
-|coefficient|, for the scene parser's per-object placement bound).  The range
+position, plus `General` for raw coefficients; `CATALOG` is built from the
+members of the `QuadricKind` union, so a kind is listed once.  A surface kind
+is one declaration on the private base `_Shape`: its `directive`, its shape
+parameters as fields in directive order and `coefficients()`, its matrix's
+10 coefficients in `COEFFICIENT_ORDER`.  The base derives the rest: the range
+check of every parameter in `__post_init__` (the message names the kind by
+its directive and each parameter by the class's `noun`), `params()` (the
+field values, which the scene text and the seeded generator read),
+`matrix()` (a validated `QuadricMatrix`) and `max_abs_coefficient()` (the
+largest |coefficient|, for the scene parser's per-object placement bound).
+A kind overrides `__post_init__` only for a range of its own.  The range
 check runs once, at construction, so a malformed scene fails at parse time
 and not in the kernels; the batched world-matrix build reads
 `coefficients()`, since the parameter range makes the validation redundant.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union
+from typing import ClassVar, Sequence, Union, get_args
 
 from .geometry import HomogeneousPoint, Mat4, compose, transpose
 
@@ -177,11 +180,19 @@ class _Shape:
     """A catalog kind in fundamental position, centred at the origin.
 
     A kind declares its `directive`, its shape parameters as fields (in
-    directive order), their range check in `__post_init__` and
-    `coefficients()`; the base derives everything else from those.
+    directive order) and `coefficients()`; the base derives everything else
+    from those.  Every parameter must lie in [2^-511, 2^511]; a kind with a
+    range of its own overrides `__post_init__`.  `noun` names a parameter in
+    the range message.
     """
 
     directive: ClassVar[str]
+    noun: ClassVar[str] = "semi-axis"
+
+    def __post_init__(self) -> None:
+        for name in self.__match_args__:
+            if not _PARAM_MIN <= getattr(self, name) <= _PARAM_MAX:
+                raise _shape_error(self.directive, self.noun, self.params())
 
     def params(self) -> tuple[float, ...]:
         """The shape parameters in directive order."""
@@ -199,11 +210,8 @@ class Sphere(_Shape):
     """Sphere of radius r in fundamental position: diag(1, 1, 1, -r^2)."""
 
     directive: ClassVar[str] = "sphere"
+    noun: ClassVar[str] = "radius"
     r: float
-
-    def __post_init__(self) -> None:
-        if not _PARAM_MIN <= self.r <= _PARAM_MAX:
-            raise _shape_error("sphere", "radius", self.params())
 
     def coefficients(self) -> tuple[float, ...]:
         return (1.0, 1.0, 1.0, -(self.r * self.r), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -217,11 +225,6 @@ class Ellipsoid(_Shape):
     a: float
     b: float
     c: float
-
-    def __post_init__(self) -> None:
-        if not (_PARAM_MIN <= self.a <= _PARAM_MAX and _PARAM_MIN <= self.b <= _PARAM_MAX
-                and _PARAM_MIN <= self.c <= _PARAM_MAX):
-            raise _shape_error("ellipsoid", "semi-axis", self.params())
 
     def coefficients(self) -> tuple[float, ...]:
         a, b, c = self.a, self.b, self.c
@@ -237,11 +240,6 @@ class OneSheetHyperboloid(_Shape):
     b: float
     c: float
 
-    def __post_init__(self) -> None:
-        if not (_PARAM_MIN <= self.a <= _PARAM_MAX and _PARAM_MIN <= self.b <= _PARAM_MAX
-                and _PARAM_MIN <= self.c <= _PARAM_MAX):
-            raise _shape_error("one_sheet_hyperboloid", "semi-axis", self.params())
-
     def coefficients(self) -> tuple[float, ...]:
         a, b, c = self.a, self.b, self.c
         return (1.0 / (a * a), 1.0 / (b * b), -1.0 / (c * c), -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -254,10 +252,6 @@ class HyperbolicParaboloid(_Shape):
     directive: ClassVar[str] = "hparaboloid"
     a: float
     b: float
-
-    def __post_init__(self) -> None:
-        if not (_PARAM_MIN <= self.a <= _PARAM_MAX and _PARAM_MIN <= self.b <= _PARAM_MAX):
-            raise _shape_error("hyperbolic_paraboloid", "semi-axis", self.params())
 
     def coefficients(self) -> tuple[float, ...]:
         a, b = self.a, self.b
@@ -281,13 +275,10 @@ class General:
         return self.q
 
 
+# The single list of kinds; CATALOG maps each one's scene keyword to it.
 QuadricKind = Union[Sphere, Ellipsoid, OneSheetHyperboloid, HyperbolicParaboloid, General]
 
-# Scene keyword -> kind: the single list of the scene format's object directives.
-CATALOG: dict[str, type[QuadricKind]] = {
-    kind.directive: kind
-    for kind in (Sphere, Ellipsoid, OneSheetHyperboloid, HyperbolicParaboloid, General)
-}
+CATALOG: dict[str, type[QuadricKind]] = {kind.directive: kind for kind in get_args(QuadricKind)}
 
 
 def sphere(radius: float) -> QuadricMatrix:

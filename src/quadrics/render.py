@@ -75,8 +75,6 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
     """Trace one primary ray per pixel against every object."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     cam = scene.camera
     table, spheres = render_tables(scene.objects)
     rows = map_ranges(partial(_render_rows, cam, method, table, spheres), cam.height, workers)

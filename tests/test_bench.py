@@ -244,6 +244,10 @@ class TestCsv:
             "precompute_ns_total,detect_ns_total,detect_ns_per_test,checksum"
         )
 
+    def test_row_bytes_exact(self):
+        stats = BenchStats("separated", 3, 4, 12, 5, 7, 1234, 1234 / 12, 42)
+        assert to_csv([stats]) == CSV_HEADER + "\nseparated,3,4,12,5,7,1234,102.833,42\n"
+
     def test_schema(self):
         sc = generate_scene(4, 5)
         stats = run_benchmark(sc, rays=10, method="both", seed=4)

@@ -340,6 +340,11 @@ class TestMapRanges:
         assert map_ranges(seen.append, 5, 1) == [None]
         assert seen == [range(0, 5)]
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            map_ranges(_bounds, 5, workers)
+
     def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
         # 5000 workers on 10^6 rays: 5000 ranges, as many as asked, but a
         # pool of 3 processes.  The fake pool runs in-process.

@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -26,8 +28,22 @@ from quadrics.quadric import (
     OneSheetHyperboloid,
     QuadricMatrix,
     Sphere,
+    _Shape,
     quadratic_form,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class Cone(_Shape):
+    """x^2/a^2 + y^2/b^2 - z^2 = 0: a kind with no `__post_init__` of its own."""
+
+    directive: ClassVar[str] = "cone"
+    a: float
+    b: float
+
+    def coefficients(self) -> tuple[float, ...]:
+        a, b = self.a, self.b
+        return (1.0 / (a * a), 1.0 / (b * b), -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestCatalog:
@@ -110,6 +126,24 @@ class TestCatalog:
         for beyond in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
             with pytest.raises(ValueError, match="out of range"):
                 ellipsoid(1.0, beyond, 1.0)
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            ((1.0, -2.0), "cone: non-positive semi-axis in (1.0, -2.0)"),
+            ((0.0, 1.0), "cone: non-positive semi-axis in (0.0, 1.0)"),
+            ((1.0, 1e300),
+             "cone: semi-axis out of range in (1.0, 1e+300) (must lie in [2^-511, 2^511])"),
+            ((1e-160, 1.0),
+             "cone: semi-axis out of range in (1e-160, 1.0) (must lie in [2^-511, 2^511])"),
+        ],
+    )
+    def test_a_kind_without_post_init_gets_the_base_range_check(self, args, want):
+        with pytest.raises(ValueError) as exc_info:
+            Cone(*args)
+        assert str(exc_info.value) == want
+        lo, hi = 2.0 ** -511, 2.0 ** 511
+        assert Cone(lo, hi).params() == (lo, hi)
 
     def test_catalog_maps_each_directive_to_its_kind(self):
         assert CATALOG == {

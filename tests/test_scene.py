@@ -195,6 +195,21 @@ class TestParse:
         want = "line 3: ellipsoid: non-positive semi-axis in (1.0, -2.0, 1.0)"
         assert str(exc_info.value) == want
 
+    @pytest.mark.parametrize(
+        "line, want",
+        [
+            ("hyperboloid1 0 0 0 1 1 0",
+             "line 3: hyperboloid1: non-positive semi-axis in (1.0, 1.0, 0.0)"),
+            ("hparaboloid 0 0 0 1 1e300",
+             "line 3: hparaboloid: semi-axis out of range in (1.0, 1e+300)"
+             " (must lie in [2^-511, 2^511])"),
+        ],
+    )
+    def test_kind_message_names_the_directive(self, line, want):
+        with pytest.raises(SceneParseError) as exc_info:
+            parse_scene(MINIMAL + line + "\n")
+        assert str(exc_info.value) == want
+
     def test_quadric_coefficient_order(self):
         sc = parse_scene(MINIMAL + "quadric 1 2 3 4 5 6 7 8 9 10\n")
         q = sc.objects[1].kind.q
