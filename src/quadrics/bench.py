@@ -33,12 +33,12 @@ from functools import partial
 import numpy as np
 
 from .kernels import (
-    METHODS, classical_hit_counts, line_matrix, map_ranges, separated_hit_counts,
-    sphere_ray_terms, world_table,
+    METHODS, classical_hit_counts, map_ranges, separated_hit_counts, sphere_ray_terms, world_table,
 )
 from .quadric import Sphere
 from .rng import float_stream, mix64
 from .scene import Scene
+from .separated import line_entries
 
 __all__ = [
     "BenchStats",
@@ -165,7 +165,7 @@ def _detect_rays(
             # Terms before R: in the other order the generic kernel timed 4-10%
             # slower on detect-wide (in-process A/B), with the same work.
             terms = sphere_ray_terms(point, direction)
-            lines = line_matrix(point, direction) if tables[2].shape[1] else None
+            lines = line_entries(point, direction) if tables[2].shape[1] else None
             t1 = time.perf_counter_ns()
             counts = separated_hit_counts(*tables, point, direction, lines, terms)
         t2 = time.perf_counter_ns()

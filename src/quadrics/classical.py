@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Sequence, Union
 
 from .geometry import HomogeneousDirection, HomogeneousPoint
 from .quadric import QuadricMatrix, bilinear_form, quadratic_form
@@ -27,6 +27,7 @@ __all__ = [
     "Degenerate",
     "IntersectionResult",
     "coefficients",
+    "coefficient_terms",
     "solve",
     "intersect_classical",
     "hit_parameters",
@@ -91,13 +92,17 @@ def coefficients(
     q: QuadricMatrix, point: HomogeneousPoint, direction: HomogeneousDirection
 ) -> QuadraticCoeffs:
     """a = s^T Q s, b = s^T Q x_A, c = x_A^T Q x_A via the symmetric expansion."""
-    s = direction.as_tuple()
-    x = point.as_tuple()
-    return QuadraticCoeffs(
-        a=quadratic_form(q, s),
-        b=bilinear_form(q, s, x),
-        c=quadratic_form(q, x),
-    )
+    terms = coefficient_terms(q.coefficients(), point.as_tuple(), direction.as_tuple())
+    return QuadraticCoeffs(*terms)
+
+
+def coefficient_terms(q: Iterable, x: Sequence, s: Sequence) -> tuple:
+    """(a, b, c) of `coefficients` from Q's coefficients and the 4-vectors x_A and s.
+
+    q and the components of x and s are what `quadratic_form` takes: floats,
+    or a (10, objects) table and arrays for every (line, object) pair.
+    """
+    return quadratic_form(q, s), bilinear_form(q, s, x), quadratic_form(q, x)
 
 
 def solve(

@@ -10,10 +10,14 @@ so numpy broadcasting evaluates all (ray, object) pairs of the tile at once,
 and a term that depends on the objects alone is computed once per tile, not
 once per pair.
 
-Every formula keeps the operand order of its scalar counterpart in
-`quadric`, `classical` and `separated`.  numpy float64 ufuncs round exactly
-as Python floats do, so each pair gets the scalar kernels' value bit for
-bit; the scalar functions stay the reference the tests compare against.
+The pair formulas are not written here: the tiles run the reference's own
+tuple-level forms on arrays, `classical.coefficient_terms` (a, b, c) and
+`separated.line_entries` / `factored_discriminant` (R and s^T Q R Q x),
+which unpack a (10, objects) table as they unpack a `QuadricMatrix`.  numpy
+float64 ufuncs round exactly as Python floats do, so each pair gets the
+scalar kernels' value bit for bit by construction.  What is batched here,
+the sphere fast path and the classification in `nearest_root`, keeps the
+operand order of its scalar counterpart, and the tests compare both.
 The tile loops run under `np.errstate(all="ignore")`: overflow gives inf and
 NaN silently, as Python float arithmetic does, and the branches of `solve`
 that a pair does not take are evaluated for every pair, then discarded.
@@ -35,7 +39,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .classical import LINEAR_EPS, TANGENT_EPS
+from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
+from .separated import factored_discriminant, line_entries
 
 if TYPE_CHECKING:
     from .scene import SceneObject
@@ -47,10 +52,7 @@ __all__ = [
     "render_tables",
     "tiles",
     "map_ranges",
-    "coefficients",
-    "line_matrix",
     "sphere_ray_terms",
-    "discriminant_separated",
     "sphere_discriminant",
     "nearest_root",
     "cull_radii",
@@ -211,13 +213,14 @@ def map_ranges(fn: Callable[[range], object], n: int, workers: int) -> list:
     Ranges hold ceil(n / workers) items, the last one the rest.  One worker
     runs `fn` in this process; more run it in a pool of one process per
     range, but never more processes than this process may run on CPUs
-    (`os.sched_getaffinity`).  The ranges do not depend on the pool size.
+    (`os.sched_getaffinity`).  The ranges do not depend on the pool size;
+    n = 0 gives no range, so [], and starts no pool.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    per = -(-n // workers)
+    per = max(1, -(-n // workers))
     ranges = [range(lo, min(lo + per, n)) for lo in range(0, n, per)]
-    if workers == 1:
+    if workers == 1 or not ranges:
         return [fn(r) for r in ranges]
     with ProcessPoolExecutor(max_workers=min(len(ranges), len(os.sched_getaffinity(0)))) as pool:
         return list(pool.map(fn, ranges))
@@ -231,89 +234,15 @@ def _take(vec: Sequence[Component], index) -> tuple:
 _COLUMN = np.s_[:, None]
 
 
-def _quadratic_form(q, v: Vec4):
-    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = q
-    x, y, z, w = v
-    return (
-        a11 * x * x + a22 * y * y + a33 * z * z + a44 * w * w
-        + 2.0 * (a12 * x * y + a13 * x * z + a23 * y * z
-                 + a14 * x * w + a24 * y * w + a34 * z * w)
-    )
-
-
-def _bilinear_form(q, u: Vec4, v: Vec4):
-    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = q
-    ux, uy, uz, uw = u
-    vx, vy, vz, vw = v
-    return (
-        a11 * ux * vx + a22 * uy * vy + a33 * uz * vz + a44 * uw * vw
-        + a12 * (ux * vy + uy * vx)
-        + a13 * (ux * vz + uz * vx)
-        + a23 * (uy * vz + uz * vy)
-        + a14 * (ux * vw + uw * vx)
-        + a24 * (uy * vw + uw * vy)
-        + a34 * (uz * vw + uw * vz)
-    )
-
-
-def _apply(q, v: Vec4) -> tuple:
-    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = q
-    x, y, z, w = v
-    return (
-        a11 * x + a12 * y + a13 * z + a14 * w,
-        a12 * x + a22 * y + a23 * z + a24 * w,
-        a13 * x + a23 * y + a33 * z + a34 * w,
-        a14 * x + a24 * y + a34 * z + a44 * w,
-    )
-
-
-def coefficients(q, point: Vec4, direction: Vec4) -> tuple:
-    """Classical (a, b, c) of a*t^2 + 2*b*t + c = 0, as `classical.coefficients`."""
-    return (
-        _quadratic_form(q, direction),
-        _bilinear_form(q, direction, point),
-        _quadratic_form(q, point),
-    )
-
-
-def line_matrix(point: Vec4, direction: Vec4) -> tuple:
-    """(r12, r13, r14, r23, r24, r34) per ray, as `separated.r_from_point_dir`."""
-    x, y, z, w = point
-    sx, sy, sz, sw = direction
-    return (
-        x * sy - sx * y,
-        x * sz - sx * z,
-        x * sw - sx * w,
-        y * sz - sy * z,
-        y * sw - sy * w,
-        z * sw - sz * w,
-    )
-
-
 def sphere_ray_terms(point: Vec4, direction: Vec4) -> tuple:
     """Per-ray (moment dir3 x origin3, |dir3|^2) of the sphere fast path.
 
     As the moment and dir_norm_sq of `separated.make_ray_cache`; the R-factored
-    form reads `line_matrix` instead.
+    form reads `separated.line_entries` instead.
     """
     x, y, z, _ = point
     sx, sy, sz, _ = direction
     return (sy * z - sz * y, sz * x - sx * z, sx * y - sy * x), sx * sx + sy * sy + sz * sz
-
-
-def discriminant_separated(q, r: Sequence[Component], point: Vec4, direction: Vec4):
-    """D = s^T Q R Q x_A, as `separated.discriminant_separated`."""
-    u = _apply(q, direction)
-    v = _apply(q, point)
-    r12, r13, r14, r23, r24, r34 = r
-    return (
-        r12 * (u[0] * v[1] - u[1] * v[0])
-        + r13 * (u[0] * v[2] - u[2] * v[0])
-        + r14 * (u[0] * v[3] - u[3] * v[0])
-        + r23 * (u[1] * v[2] - u[2] * v[1])
-        + r24 * (u[1] * v[3] - u[3] * v[1])
-        + r34 * (u[2] * v[3] - u[3] * v[2])
-    )
 
 
 def sphere_discriminant(centers: np.ndarray, r_sq: np.ndarray, moment, dir3, dir_norm_sq):
@@ -457,6 +386,11 @@ def keep_pairs(centers: np.ndarray, r_sq: np.ndarray, point: Vec4, direction: Ve
     return np.nonzero(~(sw * sw < (sx * sx + sy * sy + sz * sz) * h))
 
 
+def _survives(d):
+    """The separated early reject of `intersect_separated`: True where d >= -TANGENT_EPS or NaN."""
+    return ~(d < -TANGENT_EPS)
+
+
 def _joined(groups: list) -> tuple:
     return tuple(np.concatenate(column) for column in zip(*groups))
 
@@ -474,13 +408,13 @@ def _stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept) -
     d = None
     if method == "separated":
         pt, dr = _take(point, rays), _take(direction, rays)
-        d = discriminant_separated(table[:, cols], line_matrix(pt, dr), pt, dr)
-        survive = ~(d < -TANGENT_EPS)
+        d = factored_discriminant(table[:, cols], line_entries(pt, dr), pt, dr)
+        survive = _survives(d)
         kept.append((rays[survive], cols[survive], d[survive]))
         rays, cols, d = _joined(kept)
     culled.clear()
     kept.clear()
-    a, b, c = coefficients(table[:, cols], _take(point, rays), _take(direction, rays))
+    a, b, c = coefficient_terms(table[:, cols], _take(point, rays), _take(direction, rays))
     np.fmin.at(out, rays, nearest_root(a, b, c, max_abs[cols] * s_sq[rays], d))
 
 
@@ -494,11 +428,11 @@ def nearest_hits(
     `spheres` is the bounding-sphere table of `render_tables`.  Stage 1 runs
     per tile and roots nothing.  Every column goes through `keep_pairs`,
     except that the separated route filters the columns `cull_radii` leaves
-    undecided by their discriminant with the d >= -TANGENT_EPS early
-    reject; on the classical route their infinite R'^2 or NaN centre keeps
-    every pair.  Stage 2 (`_stage2`) roots the kept pairs once they reach
-    TILE_PAIRS, and after the last tile, so a batch holds fewer than
-    TILE_PAIRS pairs plus one tile's.
+    undecided by their discriminant with the early reject `_survives`; on
+    the classical route their infinite R'^2 or NaN centre keeps every pair.
+    Stage 2 (`_stage2`) roots the kept pairs once they reach TILE_PAIRS, and
+    after the last tile, so a batch holds fewer than TILE_PAIRS pairs plus
+    one tile's.
     """
     rays = len(direction[0])
     if not rays:
@@ -520,9 +454,9 @@ def nearest_hits(
             culled.append((ri + sl.start, cull_cols[oi]))
             pending += len(ri)
             if len(dense_cols):
-                r = _take(line_matrix(pt, dr), _COLUMN)
-                d = discriminant_separated(dense_table, r, _take(pt, _COLUMN), _take(dr, _COLUMN))
-                ri, oi = np.nonzero(~(d < -TANGENT_EPS))
+                r = _take(line_entries(pt, dr), _COLUMN)
+                d = factored_discriminant(dense_table, r, _take(pt, _COLUMN), _take(dr, _COLUMN))
+                ri, oi = np.nonzero(_survives(d))
                 kept.append((ri + sl.start, dense_cols[oi], d[ri, oi]))
                 pending += len(ri)
             if pending >= TILE_PAIRS or (pending and sl.stop >= rays):
@@ -538,7 +472,7 @@ def classical_hit_counts(table: np.ndarray, point: Vec4, direction: Vec4) -> np.
     with np.errstate(all="ignore"):
         for sl in tiles(rays, table.shape[1]):
             rows = (sl, None)
-            a, b, c = coefficients(table, _take(point, rows), _take(direction, rows))
+            a, b, c = coefficient_terms(table, _take(point, rows), _take(direction, rows))
             counts[sl] = np.count_nonzero(b * b - a * c >= 0.0, axis=1)
     return counts
 
@@ -556,9 +490,9 @@ def separated_hit_counts(
 
     Spheres (`centers`, `r_sq`) take the moment fast path, the objects of
     the `generic` coefficient table the R-factored form.  `lines` is
-    `line_matrix(point, direction)`, read only when `generic` has columns,
-    and `terms` is `sphere_ray_terms(point, direction)`; the sphere path
-    needs Euclidean rays.
+    `separated.line_entries(point, direction)`, read only when `generic`
+    has columns, and `terms` is `sphere_ray_terms(point, direction)`; the
+    sphere path needs Euclidean rays.
     """
     rays = len(direction[0])
     moment, dir_norm_sq = terms
@@ -573,7 +507,7 @@ def separated_hit_counts(
                 )
                 counts[sl] += np.count_nonzero(d >= 0.0, axis=1)
             if generic.shape[1]:
-                d = discriminant_separated(
+                d = factored_discriminant(
                     generic, _take(lines, rows), _take(point, rows), _take(direction, rows)
                 )
                 counts[sl] += np.count_nonzero(d >= 0.0, axis=1)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence, Union, get_args
+from typing import ClassVar, Iterable, Iterator, Sequence, Union, get_args
 
 from .geometry import HomogeneousPoint, Mat4, compose, transpose
 
@@ -90,6 +90,10 @@ class QuadricMatrix:
                 self.a12, self.a13, self.a23,
                 self.a14, self.a24, self.a34)
 
+    def __iter__(self) -> Iterator[float]:
+        """The coefficients, so `a11, ..., a34 = q` unpacks them."""
+        return iter(self.coefficients())
+
     def max_abs_coefficient(self) -> float:
         return max(abs(c) for c in self.coefficients())
 
@@ -102,39 +106,48 @@ class QuadricMatrix:
         )
 
 
-def quadratic_form(q: QuadricMatrix, v: Sequence[float]) -> float:
-    """v^T Q v through the 10-coefficient expansion with factor-2 cross terms."""
+def quadratic_form(q: Iterable, v: Sequence) -> float:
+    """v^T Q v through the 10-coefficient expansion with factor-2 cross terms.
+
+    Q is anything that unpacks into the 10 coefficients in
+    `COEFFICIENT_ORDER`: a `QuadricMatrix`, or a (10, objects) table whose
+    rows broadcast against array components of v.  The same holds for
+    `bilinear_form` and `apply`.
+    """
+    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = q
     x, y, z, w = v
     return (
-        q.a11 * x * x + q.a22 * y * y + q.a33 * z * z + q.a44 * w * w
-        + 2.0 * (q.a12 * x * y + q.a13 * x * z + q.a23 * y * z
-                 + q.a14 * x * w + q.a24 * y * w + q.a34 * z * w)
+        a11 * x * x + a22 * y * y + a33 * z * z + a44 * w * w
+        + 2.0 * (a12 * x * y + a13 * x * z + a23 * y * z
+                 + a14 * x * w + a24 * y * w + a34 * z * w)
     )
 
 
-def bilinear_form(q: QuadricMatrix, u: Sequence[float], v: Sequence[float]) -> float:
+def bilinear_form(q: Iterable, u: Sequence, v: Sequence) -> float:
     """u^T Q v (symmetric in u, v)."""
+    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = q
     ux, uy, uz, uw = u
     vx, vy, vz, vw = v
     return (
-        q.a11 * ux * vx + q.a22 * uy * vy + q.a33 * uz * vz + q.a44 * uw * vw
-        + q.a12 * (ux * vy + uy * vx)
-        + q.a13 * (ux * vz + uz * vx)
-        + q.a23 * (uy * vz + uz * vy)
-        + q.a14 * (ux * vw + uw * vx)
-        + q.a24 * (uy * vw + uw * vy)
-        + q.a34 * (uz * vw + uw * vz)
+        a11 * ux * vx + a22 * uy * vy + a33 * uz * vz + a44 * uw * vw
+        + a12 * (ux * vy + uy * vx)
+        + a13 * (ux * vz + uz * vx)
+        + a23 * (uy * vz + uz * vy)
+        + a14 * (ux * vw + uw * vx)
+        + a24 * (uy * vw + uw * vy)
+        + a34 * (uz * vw + uw * vz)
     )
 
 
-def apply(q: QuadricMatrix, v: Sequence[float]) -> tuple[float, float, float, float]:
+def apply(q: Iterable, v: Sequence) -> tuple:
     """Q . v for a length-4 vector."""
+    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = q
     x, y, z, w = v
     return (
-        q.a11 * x + q.a12 * y + q.a13 * z + q.a14 * w,
-        q.a12 * x + q.a22 * y + q.a23 * z + q.a24 * w,
-        q.a13 * x + q.a23 * y + q.a33 * z + q.a34 * w,
-        q.a14 * x + q.a24 * y + q.a34 * z + q.a44 * w,
+        a11 * x + a12 * y + a13 * z + a14 * w,
+        a12 * x + a22 * y + a23 * z + a24 * w,
+        a13 * x + a23 * y + a33 * z + a34 * w,
+        a14 * x + a24 * y + a34 * z + a44 * w,
     )
 
 

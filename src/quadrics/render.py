@@ -13,8 +13,8 @@ tests each tile of (pixels x spheres and ellipsoids) against conservative
 bounding spheres (`kernels.render_tables`, `kernels.cull_radii`) and
 keeps only the pairs it cannot rule out; the unbounded kinds keep every
 pair, or on the separated route every pair its discriminant does not
-reject.  Stage 2 computes the roots of the kept pairs in one batch.  The kernels keep
-the scalar kernels' arithmetic term by term and the cull drops only pairs
+reject.  Stage 2 computes the roots of the kept pairs in one batch.  The kernels run
+the scalar kernels' own pair formulas on arrays and the cull drops only pairs
 they classify as Miss, so an image equals, byte for byte, a per-pixel loop
 over `intersect_classical` or `intersect_separated` and `hit_parameters`.
 Pixels are computed independently, so output bytes are identical for any

@@ -12,13 +12,15 @@ cost collapses further to a cross product and two dot products.
 R is kept as its six independent entries (`RMatrix`).  It can be built from
 a point and a direction, from two points, or from the 2x2 sub-determinants
 of the endpoint matrix; the three entry points share one arithmetic body,
-so they agree entry for entry, exactly.
+`line_entries`, so they agree entry for entry, exactly.  `line_entries` and
+`factored_discriminant` take plain tuples, so the batched kernels run the
+same bodies on arrays of lines and tables of quadrics.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .classical import (
     TANGENT_EPS,
@@ -39,7 +41,9 @@ __all__ = [
     "r_from_point_dir",
     "r_from_two_points",
     "r_from_subdeterminants",
+    "line_entries",
     "discriminant_separated",
+    "factored_discriminant",
     "sphere_discriminant",
     "sphere_discriminant_projective",
     "intersect_separated",
@@ -81,23 +85,27 @@ class EndpointMatrix:
                     raise ValueError(f"EndpointMatrix: non-finite entry {v!r}")
 
 
-def _line_matrix(x: Sequence[float], s: Sequence[float]) -> RMatrix:
-    """r_ij = x_i*s_j - s_i*x_j for two homogeneous 4-vectors x and s."""
+def line_entries(x: Sequence, s: Sequence) -> tuple:
+    """R's six entries (r12, r13, r14, r23, r24, r34), r_ij = x_i*s_j - s_i*x_j.
+
+    x and s are homogeneous 4-vectors whose components are floats or arrays
+    that broadcast together, so one body serves a single line and a batch.
+    """
     x0, x1, x2, x3 = x
     s0, s1, s2, s3 = s
-    return RMatrix(
-        r12=x0 * s1 - s0 * x1,
-        r13=x0 * s2 - s0 * x2,
-        r14=x0 * s3 - s0 * x3,
-        r23=x1 * s2 - s1 * x2,
-        r24=x1 * s3 - s1 * x3,
-        r34=x2 * s3 - s2 * x3,
+    return (
+        x0 * s1 - s0 * x1,
+        x0 * s2 - s0 * x2,
+        x0 * s3 - s0 * x3,
+        x1 * s2 - s1 * x2,
+        x1 * s3 - s1 * x3,
+        x2 * s3 - s2 * x3,
     )
 
 
 def r_from_point_dir(point: HomogeneousPoint, direction: HomogeneousDirection) -> RMatrix:
     """R = x_A (x) s - s (x) x_A, i.e. r_ij = x_i*s_j - s_i*x_j."""
-    return _line_matrix(point.as_tuple(), direction.as_tuple())
+    return RMatrix(*line_entries(point.as_tuple(), direction.as_tuple()))
 
 
 def r_from_two_points(point_a: HomogeneousPoint, point_b: HomogeneousPoint) -> RMatrix:
@@ -113,10 +121,10 @@ def r_from_subdeterminants(m: EndpointMatrix) -> RMatrix:
     agree entry for entry, exactly.
     """
     a = m.row_a
-    r = _line_matrix(a, [bi - ai for ai, bi in zip(a, m.row_b)])
-    if all(e == 0.0 for e in r.entries()):
+    r = line_entries(a, [bi - ai for ai, bi in zip(a, m.row_b)])
+    if all(e == 0.0 for e in r):
         raise ValueError("degenerate line: endpoint matrix is rank deficient")
-    return r
+    return RMatrix(*r)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,21 +167,32 @@ def make_ray_cache(point: HomogeneousPoint, direction: HomogeneousDirection) -> 
 
 
 def discriminant_separated(q: QuadricMatrix, cache: RayCache) -> float:
-    """D = s^T Q^T R Q x_A as two matrix-vector products and a bilinear form.
+    """D = s^T Q^T R Q x_A of one line, by `factored_discriminant`.
 
-    Q is symmetric, so Q^T s = Q s.  Equals b^2 - a*c of the classical route
-    up to floating-point rounding.
+    Equals b^2 - a*c of the classical route up to floating-point rounding.
     """
-    u = apply(q, cache.direction.as_tuple())
-    v = apply(q, cache.point.as_tuple())
-    r = cache.r
+    point, direction = cache.point.as_tuple(), cache.direction.as_tuple()
+    return factored_discriminant(q.coefficients(), cache.r.entries(), point, direction)
+
+
+def factored_discriminant(q: Iterable, r: Sequence, x: Sequence, s: Sequence):
+    """D = s^T Q R Q x as two matrix-vector products and a bilinear form in R.
+
+    Q is symmetric, so Q^T s = Q s.  q unpacks into Q's 10 coefficients as
+    `quadric.apply` takes them, r into R's six entries from `line_entries`;
+    a (10, objects) table with array components of r, x and s gives D for
+    every (line, object) pair.
+    """
+    u = apply(q, s)
+    v = apply(q, x)
+    r12, r13, r14, r23, r24, r34 = r
     return (
-        r.r12 * (u[0] * v[1] - u[1] * v[0])
-        + r.r13 * (u[0] * v[2] - u[2] * v[0])
-        + r.r14 * (u[0] * v[3] - u[3] * v[0])
-        + r.r23 * (u[1] * v[2] - u[2] * v[1])
-        + r.r24 * (u[1] * v[3] - u[3] * v[1])
-        + r.r34 * (u[2] * v[3] - u[3] * v[2])
+        r12 * (u[0] * v[1] - u[1] * v[0])
+        + r13 * (u[0] * v[2] - u[2] * v[0])
+        + r14 * (u[0] * v[3] - u[3] * v[0])
+        + r23 * (u[1] * v[2] - u[2] * v[1])
+        + r24 * (u[1] * v[3] - u[3] * v[1])
+        + r34 * (u[2] * v[3] - u[3] * v[2])
     )
 
 

@@ -23,17 +23,13 @@ from quadrics.bench import (
     run_benchmark,
     to_csv,
 )
-from quadrics.kernels import (
-    classical_hit_counts,
-    line_matrix,
-    separated_hit_counts,
-    sphere_ray_terms,
-)
+from quadrics.kernels import classical_hit_counts, separated_hit_counts, sphere_ray_terms
 from quadrics.geometry import Vec3
 from quadrics.quadric import Ellipsoid, Sphere
 from quadrics.render import render_detection
 from quadrics.rng import Xorshift64Star, mix64
 from quadrics.scene import Scene, SceneObject, generate_scene
+from quadrics.separated import line_entries
 
 
 def _reference_rays(seed: int, count: int, min_norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
@@ -161,9 +157,9 @@ class TestTablePerMethod:
 
         def recording(point, direction):
             built.append(len(direction[0]))
-            return kernels.line_matrix(point, direction)
+            return line_entries(point, direction)
 
-        monkeypatch.setattr(bench, "line_matrix", recording)
+        monkeypatch.setattr(bench, "line_entries", recording)
         again = [(s.hits, s.checksum) for sc in scenes for s in run_benchmark(sc, rays=20, seed=3)]
         assert again == stats and built == [20]
 
@@ -227,7 +223,7 @@ class TestVectorizedKernelsMatchScalar:
             monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
             counts = separated_hit_counts(
                 centers, r2, generic, point, direction,
-                line_matrix(point, direction), sphere_ray_terms(point, direction),
+                line_entries(point, direction), sphere_ray_terms(point, direction),
             )
             for i in range(40):
                 p = HomogeneousPoint(*origins[i], 1.0)

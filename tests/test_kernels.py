@@ -19,9 +19,13 @@ from quadrics import (
     solve,
     sphere_discriminant,
 )
+from quadrics.classical import coefficient_terms
 from quadrics.kernels import keep_pairs, map_ranges, nearest_hits, render_tables, world_table
-from quadrics.quadric import Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere
+from quadrics.quadric import (
+    Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere, apply,
+)
 from quadrics.scene import SceneObject, generate_scene
+from quadrics.separated import factored_discriminant, line_entries
 
 
 def _scalar_nearest(matrices, point, direction, method) -> float:
@@ -180,25 +184,31 @@ class TestBoundingSpheres:
 
 
 def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
+    # The batched kernels call the reference's tuple-level forms on the
+    # coefficient table; this checks the broadcasting, and the sphere fast
+    # path, which is written twice.
     rng = np.random.default_rng(8)
     matrices = [random_quadric(rng) for _ in range(9)]
     rays = [random_ray(rng) for _ in range(11)]
     point = tuple(np.array([p.as_tuple()[k] for p, _ in rays])[:, None] for k in range(3)) + (1.0,)
     direction = tuple(np.array([s.as_tuple()[k] for _, s in rays])[:, None] for k in range(3)) + (0.0,)
     table = coefficient_table(matrices)
-    a, b, c = kernels.coefficients(table, point, direction)
-    r = kernels.line_matrix(point, direction)
+    a, b, c = coefficient_terms(table, point, direction)
+    r = line_entries(point, direction)
     moment, dir_norm_sq = kernels.sphere_ray_terms(point, direction)
-    d = kernels.discriminant_separated(table, r, point, direction)
+    d = factored_discriminant(table, r, point, direction)
+    qx = apply(table, point)
     centers = rng.uniform(-5.0, 5.0, size=(9, 3))
     r_sq = rng.uniform(0.1, 2.0, size=9) ** 2
     d_sphere = kernels.sphere_discriminant(centers, r_sq, moment, direction[:3], dir_norm_sq)
     for i, (p, s) in enumerate(rays):
         cache = make_ray_cache(p, s)
+        assert tuple(e[i, 0] for e in r) == cache.r.entries()
         for j, q in enumerate(matrices):
             cf = coefficients(q, p, s)
             assert (a[i, j], b[i, j], c[i, j]) == (cf.a, cf.b, cf.c)
             assert d[i, j] == discriminant_separated(q, cache)
+            assert tuple(e[i, j] for e in qx) == apply(q, p.as_tuple())
             center = Vec3(*centers[j])
             assert d_sphere[i, j] == sphere_discriminant(center, float(np.sqrt(r_sq[j])), cache)
 
@@ -339,6 +349,16 @@ class TestMapRanges:
         seen = []
         assert map_ranges(seen.append, 5, 1) == [None]
         assert seen == [range(0, 5)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_no_items_give_no_ranges_and_no_pool(self, workers, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError(f"pool of {max_workers} started")
+
+        monkeypatch.setattr(kernels, "ProcessPoolExecutor", no_pool)
+        seen = []
+        assert map_ranges(seen.append, 0, workers) == []
+        assert seen == []
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_is_rejected(self, workers):

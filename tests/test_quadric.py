@@ -188,6 +188,10 @@ class TestSymmetry:
                 for j in range(4):
                     assert m.at(i, j) == m.at(j, i)
 
+    def test_unpacks_into_its_coefficients(self):
+        q = QuadricMatrix(1.0, 2.0, 3.0, -4.0, 0.5, -0.0, 6.0, 7.0, 8.0, 9.0)
+        assert tuple(q) == q.coefficients()
+
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             QuadricMatrix(0, 0, 0, 0)
