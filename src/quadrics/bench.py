@@ -1,27 +1,34 @@
 """Deterministic detection benchmark: classical vs separated kernels.
 
 Both methods answer the same question per (ray, object) pair: is the
-discriminant nonnegative?  The classical kernel computes a, b, c from the
-world-frame quadric every time; the separated kernel builds the per-ray
-quantities once, then spends per object either the sphere fast path (one
-cross product, a subtraction, two dot products and a multiply-add) or the
-generic two matrix-vector products.  Detection runs in tiles of
-(rays x objects) through the batched kernels of `kernels`, over a
-struct-of-arrays table of the objects' coefficients, which is the data
-layout the separated form is designed for.  Each method builds, once per
-call, only the columns it reads with `kernels.world_table`: classical every
-object, separated the objects off the sphere fast path.  Likewise the
-separated route builds the per-ray line matrix R only when some object is
-off the sphere fast path, the only reader of R.
+discriminant nonnegative?  Detection runs in tiles of (rays x objects)
+through the lifted kernels of `kernels`, over a struct-of-arrays table of
+the objects' coefficients, which is the data layout the separated form is
+designed for.  Each method first lifts every ray once per call, the
+precompute phase: classical into a, b and c as linear forms in Q's 10
+coefficients, separated into R and the 55 weights of s^T Q R Q x as a
+quadratic form in them.  Detection is then one matrix product per tile:
+classical (3 x rays, 10) @ (10, objects) and b^2 - a*c, separated
+(rays, 55) @ (55, objects) against the objects' coefficient products.
+Plain spheres stay on the separated route's moment fast path (one cross
+product, a subtraction, two dot products and a multiply-add per pair).
+Each method builds, once per call, only the columns it reads with
+`kernels.world_table`: classical every object, separated the objects off
+the sphere fast path.  Likewise the separated route builds R and the
+weights only when some object is off the sphere fast path, their only
+reader.
 
 `kernels.map_ranges` gives each worker a range of rays, as `render` does
 with image rows; a worker gets arrays, not the scene, and returns per-ray
 hit counts and per-repetition times.  The hit total and the checksum (an
 XOR over rays of a mix of each count with its ray index) are computed once,
 over all rays, outside the timed spans.  Identical checksums across methods,
-runs, and worker counts are the determinism contract.  Timing columns are
-wall-clock and vary run to run; every other column is byte-stable for a
-fixed seed.
+runs, and worker counts are the determinism contract.  A BLAS product sums
+in its own order, so a lifted discriminant is not the scalar kernels' value
+bit for bit; it lies within a derived rounding bound of the exact one, and
+the hit counts and checksums equal those of the per-pair forms on generated
+scenes.  Timing columns are wall-clock and vary run to run; every other
+column is byte-stable for a fixed seed.
 """
 from __future__ import annotations
 
@@ -33,7 +40,8 @@ from functools import partial
 import numpy as np
 
 from .kernels import (
-    METHODS, classical_hit_counts, map_ranges, separated_hit_counts, sphere_ray_terms, world_table,
+    METHODS, classical_counts, classical_lift, map_ranges, separated_counts, separated_lift,
+    sphere_ray_terms, world_table,
 )
 from .quadric import Sphere
 from .rng import float_stream, mix64
@@ -158,16 +166,20 @@ def _detect_rays(
     precompute_ns: list[int] = []
     detect_ns: list[int] = []
     for _ in range(reps):
-        t0 = t1 = time.perf_counter_ns()
+        t0 = time.perf_counter_ns()
         if method == "classical":
-            counts = classical_hit_counts(*tables, point, direction)
+            lifted = classical_lift(point, direction)
+            t1 = time.perf_counter_ns()
+            counts = classical_counts(*tables, lifted)
         else:
             # Terms before R: in the other order the generic kernel timed 4-10%
             # slower on detect-wide (in-process A/B), with the same work.
             terms = sphere_ray_terms(point, direction)
-            lines = line_entries(point, direction) if tables[2].shape[1] else None
+            weights = None
+            if tables[2].shape[1]:
+                weights = separated_lift(line_entries(point, direction), point, direction)
             t1 = time.perf_counter_ns()
-            counts = separated_hit_counts(*tables, point, direction, lines, terms)
+            counts = separated_counts(*tables, direction, weights, terms)
         t2 = time.perf_counter_ns()
         precompute_ns.append(t1 - t0)
         detect_ns.append(t2 - t1)

@@ -10,17 +10,30 @@ so numpy broadcasting evaluates all (ray, object) pairs of the tile at once,
 and a term that depends on the objects alone is computed once per tile, not
 once per pair.
 
-The pair formulas are not written here: the tiles run the reference's own
-tuple-level forms on arrays, `classical.coefficient_terms` (a, b, c) and
-`separated.line_entries` / `factored_discriminant` (R and s^T Q R Q x),
-which unpack a (10, objects) table as they unpack a `QuadricMatrix`.  numpy
-float64 ufuncs round exactly as Python floats do, so each pair gets the
-scalar kernels' value bit for bit by construction.  What is batched here,
-the sphere fast path and the classification in `nearest_root`, keeps the
-operand order of its scalar counterpart, and the tests compare both.
-The tile loops run under `np.errstate(all="ignore")`: overflow gives inf and
-NaN silently, as Python float arithmetic does, and the branches of `solve`
-that a pair does not take are evaluated for every pair, then discarded.
+The pair formulas are not written here: render's tiles run the
+reference's own tuple-level forms on arrays, `classical.coefficient_terms`
+(a, b, c) and `separated.line_entries` / `factored_discriminant` (R and
+s^T Q R Q x), which unpack a (10, objects) table as they unpack a
+`QuadricMatrix`.  numpy float64 ufuncs round exactly as Python floats do,
+so each pair gets the scalar kernels' value bit for bit by construction.
+What is batched here, the sphere fast path and the classification in
+`nearest_root`, keeps the operand order of its scalar counterpart, and the
+tests compare both.  The tile loops run under `np.errstate(all="ignore")`:
+overflow gives inf and NaN silently, as Python float arithmetic does, and
+the branches of `solve` that a pair does not take are evaluated for every
+pair, then discarded.
+
+Bench's hit counts use lifted forms instead.  a, b, c and s^T Q R Q x are
+linear and quadratic forms in Q's 10 coefficients, so a ray becomes, once
+per call, a vector of weights (`classical_lift`, `separated_lift`), and a
+tile of rays x objects is one matrix product with the coefficient table or
+its 55 pairwise products (`pair_products`).  The lifted vectors are the
+reference forms run on the 10x10 unit table, so no pair formula is written
+twice.  A BLAS product sums in its own order, so these kernels are not
+bit-identical to the scalar ones per pair.  What holds, and the tests
+check: equal hit counts with the per-pair forms on generated scenes, and
+each lifted D within a derived rounding bound of the exact b^2 - a c, so
+the same sign wherever the exact value lies outside it.
 
 `nearest_hits` runs in two stages.  Stage 1 (`keep_pairs`, per tile)
 tests each pair against a conservative bounding sphere of its column and
@@ -40,7 +53,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
-from .separated import factored_discriminant, line_entries
+from .quadric import apply
+from .separated import factored_discriminant, line_bilinear, line_entries
 
 if TYPE_CHECKING:
     from .scene import SceneObject
@@ -58,7 +72,12 @@ __all__ = [
     "cull_radii",
     "keep_pairs",
     "nearest_hits",
+    "classical_lift",
+    "classical_counts",
     "classical_hit_counts",
+    "separated_lift",
+    "pair_products",
+    "separated_counts",
     "separated_hit_counts",
 ]
 
@@ -72,6 +91,18 @@ METHODS = ("classical", "separated")
 # benchmark workloads 4096 was slower with 1000 objects and 16384 was no
 # faster but used more memory.
 TILE_PAIRS = 8192
+
+# Q's 10 coefficients as a table of 10 unit quadrics, one (10, 1) column
+# each: a reference form run on it with per-ray components gives a
+# (10, rays) array, each ray's weight on each coefficient.
+_UNIT = np.eye(10)[:, :, None]
+# The four axes e_i along the first and along the second of three axes:
+# `line_bilinear` on the two gives R's (4, 4) matrix, e_i^T R e_k, per ray.
+_AXES = tuple(np.eye(4)[i].reshape(4, 1, 1) for i in range(4))
+_AXES_ACROSS = tuple(np.eye(4)[i].reshape(1, 4, 1) for i in range(4))
+# Coefficient index pairs (a, b), a <= b, of the 55 products of `pair_products`.
+_PAIR_A, _PAIR_B = np.triu_indices(10)
+_CROSS = _PAIR_A != _PAIR_B
 
 Component = Union[float, np.ndarray]
 Vec4 = Sequence[Component]
@@ -201,9 +232,13 @@ def _bounding_spheres(placed: tuple) -> np.ndarray:
     return table
 
 
+def _tile_rays(objects: int) -> int:
+    return max(1, TILE_PAIRS // max(1, objects))
+
+
 def tiles(rays: int, objects: int) -> Iterator[slice]:
     """Consecutive ray ranges of about TILE_PAIRS pairs each."""
-    step = max(1, TILE_PAIRS // max(1, objects))
+    step = _tile_rays(objects)
     return (slice(lo, lo + step) for lo in range(0, rays, step))
 
 
@@ -465,15 +500,110 @@ def nearest_hits(
     return out
 
 
-def classical_hit_counts(table: np.ndarray, point: Vec4, direction: Vec4) -> np.ndarray:
-    """Per ray, the number of objects with b^2 - a*c >= 0."""
-    rays = len(direction[0])
+def classical_lift(point: Vec4, direction: Vec4) -> np.ndarray:
+    """(rays, 3, 10): each ray's a, b and c as linear forms in Q's 10 coefficients.
+
+    `classical.coefficient_terms` run on the unit table, so entry (k, i) is
+    the weight of coefficient i in the ray's k-th term; a ray's rows times a
+    (10, objects) table are its a, b and c against every object.
+    """
+    terms = coefficient_terms(_UNIT, point, direction)
+    return np.stack(np.broadcast_arrays(*terms)).transpose(2, 0, 1).copy()
+
+
+def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
+    """Per ray of `classical_lift`, the number of objects with b^2 - a*c >= 0.
+
+    Each tile is one product (3 x rays, 10) @ (10, objects), then b^2 - a*c,
+    in buffers allocated once per call.
+    """
+    rays, objects = len(lifted), table.shape[1]
     counts = np.empty(rays, dtype=np.int64)
+    rows = min(rays, _tile_rays(objects))
+    abc = np.empty((rows, 3, objects))
+    bb, ac = np.empty((2, rows, objects))
     with np.errstate(all="ignore"):
-        for sl in tiles(rays, table.shape[1]):
-            rows = (sl, None)
-            a, b, c = coefficient_terms(table, _take(point, rows), _take(direction, rows))
-            counts[sl] = np.count_nonzero(b * b - a * c >= 0.0, axis=1)
+        for sl in tiles(rays, objects):
+            block = lifted[sl]
+            m = len(block)
+            np.matmul(block.reshape(3 * m, 10), table, out=abc[:m].reshape(3 * m, objects))
+            a, b, c = abc[:m, 0], abc[:m, 1], abc[:m, 2]
+            np.multiply(b, b, out=bb[:m])
+            np.multiply(a, c, out=ac[:m])
+            counts[sl] = np.count_nonzero(np.subtract(bb[:m], ac[:m], out=bb[:m]) >= 0.0, axis=1)
+    return counts
+
+
+def classical_hit_counts(table: np.ndarray, point: Vec4, direction: Vec4) -> np.ndarray:
+    """Per ray, the number of objects with b^2 - a*c >= 0.
+
+    `classical_lift`, then `classical_counts`.
+    """
+    return classical_counts(table, classical_lift(point, direction))
+
+
+def separated_lift(lines: tuple, point: Vec4, direction: Vec4) -> np.ndarray:
+    """(rays, 55): each ray's weights on the coefficient products of `pair_products`.
+
+    D = u^T R v with u = Q s and v = Q x, both linear in Q's coefficients,
+    so D is a quadratic form in them: D = sum over a, b of q_a q_b W_ab, with
+    W_ab = u(e_a)^T R v(e_b) over the unit quadrics e_a.  `quadric.apply`
+    on the unit table gives U and V, the u(e_a) and v(e_b) of every a, b, as
+    (4, 10) per ray; `separated.line_bilinear` on pairs of axes gives R as
+    (4, 4), so W = U^T R V.  Folding W_ab + W_ba (a < b) and W_aa pairs each
+    product once.  `lines` is `separated.line_entries(point, direction)`.
+    """
+    r = line_bilinear(lines, _AXES, _AXES_ACROSS)
+    u = np.stack(apply(_UNIT, direction))
+    v = np.stack(apply(_UNIT, point))
+    w = u.transpose(2, 1, 0) @ r.transpose(2, 0, 1) @ v.transpose(2, 0, 1)
+    folded = w[:, _PAIR_A, _PAIR_B]
+    folded[:, _CROSS] += w[:, _PAIR_B[_CROSS], _PAIR_A[_CROSS]]
+    return folded
+
+
+def pair_products(table: np.ndarray) -> np.ndarray:
+    """(55, objects): the products q_a q_b, a <= b, of each column's coefficients."""
+    return table[_PAIR_A] * table[_PAIR_B]
+
+
+def separated_counts(
+    centers: np.ndarray,
+    r_sq: np.ndarray,
+    generic: np.ndarray,
+    direction: Vec4,
+    weights: np.ndarray | None,
+    terms: tuple,
+) -> np.ndarray:
+    """Per ray, the number of objects with a nonnegative separated discriminant.
+
+    Spheres (`centers`, `r_sq`) take the moment fast path; `terms` is
+    `sphere_ray_terms(point, direction)`, and the sphere path needs
+    Euclidean rays.  The objects of the `generic` coefficient table take the
+    lifted form: each tile is one product `weights` @ `pair_products(generic)`
+    into a buffer allocated once per call.  `weights` is `separated_lift`,
+    read only when `generic` has columns.  Each half runs its own tiles of
+    about TILE_PAIRS pairs.
+    """
+    rays, objects = len(direction[0]), generic.shape[1]
+    moment, dir_norm_sq = terms
+    counts = np.zeros(rays, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        if len(r_sq):
+            for sl in tiles(rays, len(r_sq)):
+                rows = (sl, None)
+                d = sphere_discriminant(
+                    centers, r_sq, _take(moment, rows), _take(direction[:3], rows),
+                    dir_norm_sq[rows],
+                )
+                counts[sl] += np.count_nonzero(d >= 0.0, axis=1)
+        if objects:
+            products = pair_products(generic)
+            d = np.empty((min(rays, _tile_rays(objects)), objects))
+            for sl in tiles(rays, objects):
+                w = weights[sl]
+                np.matmul(w, products, out=d[:len(w)])
+                counts[sl] += np.count_nonzero(d[:len(w)] >= 0.0, axis=1)
     return counts
 
 
@@ -486,29 +616,10 @@ def separated_hit_counts(
     lines: tuple | None,
     terms: tuple,
 ) -> np.ndarray:
-    """Per ray, the number of objects with a nonnegative separated discriminant.
+    """`separated_counts` with the weights of `separated_lift(lines, point, direction)`.
 
-    Spheres (`centers`, `r_sq`) take the moment fast path, the objects of
-    the `generic` coefficient table the R-factored form.  `lines` is
-    `separated.line_entries(point, direction)`, read only when `generic`
-    has columns, and `terms` is `sphere_ray_terms(point, direction)`; the
-    sphere path needs Euclidean rays.
+    `lines` is `separated.line_entries(point, direction)`, read only when
+    `generic` has columns.
     """
-    rays = len(direction[0])
-    moment, dir_norm_sq = terms
-    counts = np.zeros(rays, dtype=np.int64)
-    with np.errstate(all="ignore"):
-        for sl in tiles(rays, len(r_sq) + generic.shape[1]):
-            rows = (sl, None)
-            if len(r_sq):
-                d = sphere_discriminant(
-                    centers, r_sq, _take(moment, rows), _take(direction[:3], rows),
-                    dir_norm_sq[rows],
-                )
-                counts[sl] += np.count_nonzero(d >= 0.0, axis=1)
-            if generic.shape[1]:
-                d = factored_discriminant(
-                    generic, _take(lines, rows), _take(point, rows), _take(direction, rows)
-                )
-                counts[sl] += np.count_nonzero(d >= 0.0, axis=1)
-    return counts
+    weights = separated_lift(lines, point, direction) if generic.shape[1] else None
+    return separated_counts(centers, r_sq, generic, direction, weights, terms)

@@ -44,6 +44,7 @@ __all__ = [
     "line_entries",
     "discriminant_separated",
     "factored_discriminant",
+    "line_bilinear",
     "sphere_discriminant",
     "sphere_discriminant_projective",
     "intersect_separated",
@@ -183,8 +184,15 @@ def factored_discriminant(q: Iterable, r: Sequence, x: Sequence, s: Sequence):
     a (10, objects) table with array components of r, x and s gives D for
     every (line, object) pair.
     """
-    u = apply(q, s)
-    v = apply(q, x)
+    return line_bilinear(r, apply(q, s), apply(q, x))
+
+
+def line_bilinear(r: Sequence, u: Sequence, v: Sequence):
+    """u^T R v of the 4-vectors u and v, from R's six entries (`line_entries`).
+
+    R is antisymmetric, so each entry r_ij pairs with the minor
+    u_i v_j - u_j v_i.  Components broadcast, as in `factored_discriminant`.
+    """
     r12, r13, r14, r23, r24, r34 = r
     return (
         r12 * (u[0] * v[1] - u[1] * v[0])

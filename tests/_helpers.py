@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from quadrics import HomogeneousDirection, HomogeneousPoint, Mat3, Mat4, QuadricMatrix
@@ -65,3 +67,31 @@ def form_term_scale(q: QuadricMatrix, v: tuple[float, float, float, float]) -> f
         + 2.0 * (abs(q.a12 * x * y) + abs(q.a13 * x * z) + abs(q.a23 * y * z)
                  + abs(q.a14 * x * w) + abs(q.a24 * y * w) + abs(q.a34 * z * w))
     )
+
+
+def exact_terms(q, x, s) -> tuple[Fraction, Fraction, Fraction]:
+    """a = s^T Q s, b = s^T Q x and c = x^T Q x, exactly.
+
+    q holds Q's 10 coefficients in `COEFFICIENT_ORDER`, x and s are
+    homogeneous 4-vectors, all floats: every float is a rational, so
+    `Fraction` arithmetic gives the exact values of the forms for the very
+    inputs the kernels see.  Q is laid out here as its full symmetric 4x4
+    matrix, so no code is shared with either route.
+    """
+    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = (Fraction(float(v)) for v in q)
+    m = ((a11, a12, a13, a14), (a12, a22, a23, a24), (a13, a23, a33, a34), (a14, a24, a34, a44))
+    xf = [Fraction(float(v)) for v in x]
+    sf = [Fraction(float(v)) for v in s]
+    ms = [sum(m[i][j] * sf[j] for j in range(4)) for i in range(4)]
+    mx = [sum(m[i][j] * xf[j] for j in range(4)) for i in range(4)]
+    return (
+        sum(sf[i] * ms[i] for i in range(4)),
+        sum(xf[i] * ms[i] for i in range(4)),
+        sum(xf[i] * mx[i] for i in range(4)),
+    )
+
+
+def exact_discriminant(q, x, s) -> Fraction:
+    """b^2 - a*c of `exact_terms`, exactly; its sign is the true classification."""
+    a, b, c = exact_terms(q, x, s)
+    return b * b - a * c

@@ -105,6 +105,16 @@ class TestCounts:
         assert classical.detections == separated.detections == 200 * 60
 
 
+class TestPrecompute:
+    def test_both_methods_time_a_per_ray_lift(self):
+        # Generic objects on both routes: classical lifts a, b, c and
+        # separated lifts R and its weights, each timed as precompute.
+        scene = generate_scene(5, 30, ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid"))
+        stats = run_benchmark(scene, rays=50, seed=5)
+        assert [s.method for s in stats] == ["classical", "separated"]
+        assert all(s.precompute_ns_total > 0 for s in stats)
+
+
 class TestNoScalarSetUp:
     """Render and bench build their set-up in batches, never through the scalar reference."""
 
@@ -277,7 +287,7 @@ class TestRepsAndWorkers:
 
     @pytest.mark.parametrize("method", ["classical", "separated"])
     def test_repetitions_that_disagree_raise(self, monkeypatch, method):
-        name = f"{method}_hit_counts"
+        name = f"{method}_counts"
         kernel = getattr(bench, name)
         calls = []
 

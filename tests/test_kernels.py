@@ -1,7 +1,12 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from _helpers import coefficient_table, random_quadric, random_ray, random_rotation
+from _helpers import (
+    coefficient_table, exact_discriminant, random_quadric, random_ray, random_rotation,
+)
 from quadrics import (
     HomogeneousDirection,
     HomogeneousPoint,
@@ -19,8 +24,12 @@ from quadrics import (
     solve,
     sphere_discriminant,
 )
+from quadrics.bench import _sphere_split, generate_rays
 from quadrics.classical import coefficient_terms
-from quadrics.kernels import keep_pairs, map_ranges, nearest_hits, render_tables, world_table
+from quadrics.kernels import (
+    classical_hit_counts, keep_pairs, map_ranges, nearest_hits, render_tables,
+    separated_hit_counts, sphere_ray_terms, world_table,
+)
 from quadrics.quadric import (
     Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere, apply,
 )
@@ -391,3 +400,187 @@ class TestMapRanges:
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
         assert map_ranges(_bounds, 5, 4) == [(0, 2), (2, 4), (4, 5)] and pools[-1] == 3
         assert map_ranges(_bounds, 4, 2) == [(0, 2), (2, 4)] and pools[-1] == 2
+
+
+KIND_MIXES = [
+    ("sphere",),
+    ("sphere", "ellipsoid"),
+    ("hyperboloid1", "hparaboloid"),
+    ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid"),
+]
+# Rounding factors on any term of each route's lifted D; see `_rounding_bound`.
+LIFT_ROUNDINGS = {"classical": 26, "separated": 67}
+
+
+def _columns(vec) -> tuple:
+    return tuple(v[:, None] if isinstance(v, np.ndarray) else v for v in vec)
+
+
+def _shifted_scene(seed: int, objects: int, mix, rays: int, shift: float) -> tuple:
+    """Generated objects and `generate_rays` rays, all moved by `shift` along x."""
+    moved = [
+        dataclasses.replace(o, center=Vec3(o.center.x + shift, o.center.y, o.center.z))
+        for o in generate_scene(seed, objects, mix).objects
+    ]
+    origins, dirs = generate_rays(seed, rays)
+    origins[:, 0] += shift
+    return moved, (*origins.T, 1.0), (*dirs.T, 0.0)
+
+
+def _lifted_discriminants(table: np.ndarray, point, direction) -> dict:
+    """Per pair, each route's lifted D: the kernels' per-ray lift times the whole table."""
+    a, b, c = np.moveaxis(kernels.classical_lift(point, direction) @ table, 1, 0)
+    w = kernels.separated_lift(line_entries(point, direction), point, direction)
+    return {"classical": b * b - a * c, "separated": w @ kernels.pair_products(table)}
+
+
+def _rounding_bound(table: np.ndarray, point, direction, route: str) -> np.ndarray:
+    """Per pair, a bound on |lifted D - exact D|: gamma_n (B^2 + A C), n = LIFT_ROUNDINGS[route].
+
+    A, B, C are a, b, c with |Q|, |s| and |x| in place of Q, s and x: the
+    sums of the absolute terms.  gamma_n = n u / (1 - n u), u = 2^-53,
+    bounds the relative error of a term that passes through n roundings,
+    in any order (Higham, Accuracy and Stability of Numerical Algorithms,
+    lemma 3.1), so the error of D is at most gamma_n times the sum of its
+    absolute terms.  Products with the unit table's 0 and 1, and sums with
+    exact zeros, do not round.  No term underflows in these scenes.
+
+    Classical: an entry of alpha(s) or gamma(x) is a product of two ray
+    components (one rounding), one of beta(s, x) at most a sum of two (two);
+    the product with the table adds a multiplication and at most nine
+    additions.  So |a_hat - a| <= gamma_11 A, |b_hat - b| <= gamma_12 B and
+    |c_hat - c| <= gamma_11 C, and b^2 - a c, two products and a
+    subtraction, carries at most 2 * 12 + 2 = 26 factors on any term.
+
+    Separated: r_ij = x_i s_j - s_i x_j (2 roundings); R's matrix from
+    `line_bilinear` on the axes holds each r_ij or its negative, exactly;
+    U and V are ray components, exactly; W = U^T R V is two products of
+    four terms, each a product and three additions (8); the fold (1); the
+    coefficient product q_a q_b (1); and the BLAS dot product of 55 terms, a
+    product and at most 54 additions (55): 67 in all.  The absolute terms sum
+    to sum_{i<j} (|x_i s_j| + |s_i x_j|)(U_i V_j + U_j V_i) with U = |Q||s|
+    and V = |Q||x|, which is at most B^2 + A C.
+
+    The bound is computed in floats from nonnegative terms, so it is itself
+    low by a relative 2^-47 at most, far below what gamma_(n+1) - gamma_n
+    leaves; `_inside` reads it with n + 1.
+    """
+    q = np.abs(table)
+    x, s = (tuple(np.abs(v) for v in _columns(vec)) for vec in (point, direction))
+    a, b, c = coefficient_terms(q, x, s)
+    n = LIFT_ROUNDINGS[route] + 1
+    return n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53) * (b * b + a * c)
+
+
+def _ray(point, direction, i: int) -> tuple:
+    """Ray i's point and direction as 4-tuples of floats."""
+    return tuple(
+        tuple(v[i] if isinstance(v, np.ndarray) else v for v in vec) for vec in (point, direction)
+    )
+
+
+class TestLiftedKernels:
+    """Bench's lifted kernels against the exact oracle and the per-pair forms.
+
+    A BLAS product sums in its own order, so the lifted D is not the
+    per-pair forms' D bit for bit.  What holds: D within `_rounding_bound`
+    of the exact b^2 - a c, so its sign wherever the exact value lies
+    outside the bound, and equal hit counts on generated scenes.
+    """
+
+    @pytest.mark.parametrize("shift", [0.0, 1e5])
+    def test_signs_equal_the_exact_oracle_outside_the_rounding_bound(self, shift):
+        inside = dict.fromkeys(LIFT_ROUNDINGS, 0)
+        margin = dict.fromkeys(LIFT_ROUNDINGS, np.inf)
+        pairs = 0
+        for seed in (1, 2):
+            objects, point, direction = _shifted_scene(seed, 12, KIND_MIXES[-1], 30, shift)
+            table = world_table(objects)
+            lifted = _lifted_discriminants(table, point, direction)
+            bounds = {route: _rounding_bound(table, point, direction, route) for route in lifted}
+            rays = [_ray(point, direction, i) for i in range(30)]
+            exact = [[exact_discriminant(q, x, s) for q in table.T] for x, s in rays]
+            counts = {
+                "classical": classical_hit_counts(table, point, direction),
+                "separated": separated_hit_counts(
+                    np.empty((0, 3)), np.empty(0), table, point, direction,
+                    line_entries(point, direction), sphere_ray_terms(point, direction),
+                ),
+            }
+            for route, d in lifted.items():
+                for i, row in enumerate(exact):
+                    sure_hits = possible_hits = 0
+                    for j, truth in enumerate(row):
+                        bound = bounds[route][i, j]
+                        assert abs(Fraction(float(d[i, j])) - truth) <= bound, (route, i, j)
+                        margin[route] = min(margin[route], abs(truth) / bound)
+                        if abs(truth) > bound:
+                            assert (d[i, j] >= 0.0) == (truth >= 0), (route, i, j)
+                            sure_hits += truth > 0
+                            possible_hits += truth > 0
+                        else:
+                            inside[route] += 1
+                            possible_hits += 1
+                    assert sure_hits <= counts[route][i] <= possible_hits
+            pairs += table.shape[1] * len(rays)
+        smallest = {route: f"{float(m):.3g}" for route, m in margin.items()}
+        print(f"shift {shift:g}: pairs inside the rounding bound, of {pairs}: {inside}")
+        print(f"shift {shift:g}: smallest |exact D| / bound: {smallest}")
+
+    @pytest.mark.parametrize("mix", KIND_MIXES)
+    @pytest.mark.parametrize("tile_pairs", [kernels.TILE_PAIRS, 50])
+    def test_hit_counts_equal_the_pair_forms(self, mix, tile_pairs, monkeypatch):
+        # Per ray, the counts of the per-pair forms the lifted ones replace:
+        # `coefficient_terms` (classical), and the sphere fast path plus the
+        # R-factored D (separated).
+        monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
+        for seed in range(1, 9):
+            scene = generate_scene(seed, 20, mix)
+            origins, dirs = generate_rays(seed, 60)
+            point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
+            x, s = _columns(point), _columns(direction)
+            table = world_table(scene.objects)
+            a, b, c = coefficient_terms(table, x, s)
+            expected = np.count_nonzero(b * b - a * c >= 0.0, axis=1)
+            assert np.array_equal(classical_hit_counts(table, point, direction), expected)
+
+            centers, r_sq, generic_index = _sphere_split(scene)
+            generic = world_table(scene.objects, generic_index)
+            lines, terms = line_entries(point, direction), sphere_ray_terms(point, direction)
+            moment, dir_norm_sq = terms
+            d_spheres = kernels.sphere_discriminant(
+                centers, r_sq, _columns(moment), s[:3], dir_norm_sq[:, None]
+            )
+            d_generic = factored_discriminant(generic, _columns(lines), x, s)
+            expected = np.count_nonzero(d_spheres >= 0.0, axis=1)
+            expected += np.count_nonzero(d_generic >= 0.0, axis=1)
+            got = separated_hit_counts(centers, r_sq, generic, point, direction, lines, terms)
+            assert np.array_equal(got, expected)
+
+    def test_shifted_disagreements_lie_inside_the_rounding_bound(self):
+        # Moved 1e5 along x, the table's entries reach 1e10 and D cancels
+        # more.  Each pair whose sign differs between a lifted form and the
+        # per-pair form it replaces is resolved by the exact oracle; both
+        # are right outside their rounding bounds, and the lifted bound is
+        # the larger.
+        tally = {route: {"pairs": 0, "disagree": 0, "lifted right": 0} for route in LIFT_ROUNDINGS}
+        for mix in KIND_MIXES:
+            for seed in range(1, 9):
+                objects, point, direction = _shifted_scene(seed, 20, mix, 60, 1e5)
+                table = world_table(objects)
+                x, s = _columns(point), _columns(direction)
+                a, b, c = coefficient_terms(table, x, s)
+                lines = _columns(line_entries(point, direction))
+                pair_forms = {
+                    "classical": b * b - a * c,
+                    "separated": factored_discriminant(table, lines, x, s),
+                }
+                for route, d in _lifted_discriminants(table, point, direction).items():
+                    bound = _rounding_bound(table, point, direction, route)
+                    tally[route]["pairs"] += d.size
+                    for i, j in zip(*np.nonzero((d >= 0.0) != (pair_forms[route] >= 0.0))):
+                        truth = exact_discriminant(table[:, j], *_ray(point, direction, i))
+                        assert abs(truth) <= bound[i, j], (route, mix, seed, i, j)
+                        tally[route]["disagree"] += 1
+                        tally[route]["lifted right"] += (d[i, j] >= 0.0) == (truth >= 0)
+        print(f"shift 1e5, lifted against the per-pair forms: {tally}")
