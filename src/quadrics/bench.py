@@ -10,8 +10,10 @@ coefficients, separated into R and the 55 weights of s^T Q R Q x as a
 quadratic form in them.  Detection is then one matrix product per tile:
 classical (3 x rays, 10) @ (10, objects) and b^2 - a*c, separated
 (rays, 55) @ (55, objects) against the objects' coefficient products.
-Plain spheres stay on the separated route's moment fast path (one cross
-product, a subtraction, two dot products and a multiply-add per pair).
+Plain spheres stay on the separated route's moment fast path, the
+reference's own `separated.line_moment` per ray and
+`separated.moment_discriminant` per pair (one cross product, a
+subtraction, two dot products and a multiply-add).
 Each method builds, once per call, only the columns it reads with
 `kernels.world_table`: classical every object, separated the objects off
 the sphere fast path.  Likewise the separated route builds R and the
@@ -41,12 +43,12 @@ import numpy as np
 
 from .kernels import (
     METHODS, classical_counts, classical_lift, map_ranges, separated_counts, separated_lift,
-    sphere_ray_terms, world_table,
+    world_table,
 )
 from .quadric import Sphere
 from .rng import float_stream, mix64
 from .scene import Scene
-from .separated import line_entries
+from .separated import line_entries, line_moment
 
 __all__ = [
     "BenchStats",
@@ -174,7 +176,7 @@ def _detect_rays(
         else:
             # Terms before R: in the other order the generic kernel timed 4-10%
             # slower on detect-wide (in-process A/B), with the same work.
-            terms = sphere_ray_terms(point, direction)
+            terms = line_moment(point, direction)
             weights = None
             if tables[2].shape[1]:
                 weights = separated_lift(line_entries(point, direction), point, direction)

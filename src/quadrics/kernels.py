@@ -14,11 +14,12 @@ The pair formulas are not written here: render's tiles run the
 reference's own tuple-level forms on arrays, `classical.coefficient_terms`
 (a, b, c) and `separated.line_entries` / `factored_discriminant` (R and
 s^T Q R Q x), which unpack a (10, objects) table as they unpack a
-`QuadricMatrix`.  numpy float64 ufuncs round exactly as Python floats do,
-so each pair gets the scalar kernels' value bit for bit by construction.
-What is batched here, the sphere fast path and the classification in
-`nearest_root`, keeps the operand order of its scalar counterpart, and the
-tests compare both.  The tile loops run under `np.errstate(all="ignore")`:
+`QuadricMatrix`, and bench's sphere tiles run `separated.line_moment` and
+`moment_discriminant` on arrays of rays and spheres.  numpy float64 ufuncs
+round exactly as Python floats do, so each pair gets the scalar kernels'
+value bit for bit by construction.  What is batched here, the
+classification in `nearest_root`, keeps the operand order of `solve`, and
+the tests compare both.  The tile loops run under `np.errstate(all="ignore")`:
 overflow gives inf and NaN silently, as Python float arithmetic does, and
 the branches of `solve` that a pair does not take are evaluated for every
 pair, then discarded.
@@ -54,7 +55,7 @@ import numpy as np
 
 from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
 from .quadric import apply
-from .separated import factored_discriminant, line_bilinear, line_entries
+from .separated import factored_discriminant, line_bilinear, line_entries, moment_discriminant
 
 if TYPE_CHECKING:
     from .scene import SceneObject
@@ -66,19 +67,15 @@ __all__ = [
     "render_tables",
     "tiles",
     "map_ranges",
-    "sphere_ray_terms",
-    "sphere_discriminant",
     "nearest_root",
     "cull_radii",
     "keep_pairs",
     "nearest_hits",
     "classical_lift",
     "classical_counts",
-    "classical_hit_counts",
     "separated_lift",
     "pair_products",
     "separated_counts",
-    "separated_hit_counts",
 ]
 
 # The two routes every detection entry point (render, bench, CLI) accepts.
@@ -267,31 +264,6 @@ def _take(vec: Sequence[Component], index) -> tuple:
 
 
 _COLUMN = np.s_[:, None]
-
-
-def sphere_ray_terms(point: Vec4, direction: Vec4) -> tuple:
-    """Per-ray (moment dir3 x origin3, |dir3|^2) of the sphere fast path.
-
-    As the moment and dir_norm_sq of `separated.make_ray_cache`; the R-factored
-    form reads `separated.line_entries` instead.
-    """
-    x, y, z, _ = point
-    sx, sy, sz, _ = direction
-    return (sy * z - sz * y, sz * x - sx * z, sx * y - sy * x), sx * sx + sy * sy + sz * sz
-
-
-def sphere_discriminant(centers: np.ndarray, r_sq: np.ndarray, moment, dir3, dir_norm_sq):
-    """r^2*|dir|^2 - |moment - dir x center|^2 per pair, as `separated.sphere_discriminant`.
-
-    `centers` is (spheres, 3); the cross product is taken component by
-    component, so no (rays, spheres, 3) temporary is built.
-    """
-    cx, cy, cz = centers.T
-    sx, sy, sz = dir3
-    mx = moment[0] - (sy * cz - sz * cy)
-    my = moment[1] - (sz * cx - sx * cz)
-    mz = moment[2] - (sx * cy - sy * cx)
-    return r_sq * dir_norm_sq - (mx * mx + my * my + mz * mz)
 
 
 def _positive(mask, t):
@@ -534,14 +506,6 @@ def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     return counts
 
 
-def classical_hit_counts(table: np.ndarray, point: Vec4, direction: Vec4) -> np.ndarray:
-    """Per ray, the number of objects with b^2 - a*c >= 0.
-
-    `classical_lift`, then `classical_counts`.
-    """
-    return classical_counts(table, classical_lift(point, direction))
-
-
 def separated_lift(lines: tuple, point: Vec4, direction: Vec4) -> np.ndarray:
     """(rays, 55): each ray's weights on the coefficient products of `pair_products`.
 
@@ -577,8 +541,9 @@ def separated_counts(
 ) -> np.ndarray:
     """Per ray, the number of objects with a nonnegative separated discriminant.
 
-    Spheres (`centers`, `r_sq`) take the moment fast path; `terms` is
-    `sphere_ray_terms(point, direction)`, and the sphere path needs
+    Spheres (`centers`, `r_sq`) take the moment fast path,
+    `separated.moment_discriminant` on (ray, sphere) tiles; `terms` is
+    `separated.line_moment(point, direction)`, and the sphere path needs
     Euclidean rays.  The objects of the `generic` coefficient table take the
     lifted form: each tile is one product `weights` @ `pair_products(generic)`
     into a buffer allocated once per call.  `weights` is `separated_lift`,
@@ -592,8 +557,8 @@ def separated_counts(
         if len(r_sq):
             for sl in tiles(rays, len(r_sq)):
                 rows = (sl, None)
-                d = sphere_discriminant(
-                    centers, r_sq, _take(moment, rows), _take(direction[:3], rows),
+                d = moment_discriminant(
+                    centers.T, r_sq, _take(moment, rows), _take(direction[:3], rows),
                     dir_norm_sq[rows],
                 )
                 counts[sl] += np.count_nonzero(d >= 0.0, axis=1)
@@ -606,20 +571,3 @@ def separated_counts(
                 counts[sl] += np.count_nonzero(d[:len(w)] >= 0.0, axis=1)
     return counts
 
-
-def separated_hit_counts(
-    centers: np.ndarray,
-    r_sq: np.ndarray,
-    generic: np.ndarray,
-    point: Vec4,
-    direction: Vec4,
-    lines: tuple | None,
-    terms: tuple,
-) -> np.ndarray:
-    """`separated_counts` with the weights of `separated_lift(lines, point, direction)`.
-
-    `lines` is `separated.line_entries(point, direction)`, read only when
-    `generic` has columns.
-    """
-    weights = separated_lift(lines, point, direction) if generic.shape[1] else None
-    return separated_counts(centers, r_sq, generic, direction, weights, terms)

@@ -2,7 +2,9 @@
 
 A pixel is lit when some object is crossed at a positive line parameter.
 Ray directions are left unnormalized as forward + u*right + v*up, so t = 1
-is the image plane; the shade of a hit at parameter t is
+is the image plane; `Camera.pixel_directions` gives them for a block of
+rows at once, with the same body as the per-pixel `Camera.ray_direction`.
+The shade of a hit at parameter t is
 
     value = max(1, round(255 / max(t, 1)))
 
@@ -55,17 +57,8 @@ def _pixel_values(nearest: np.ndarray) -> np.ndarray:
 def _render_rows(
     cam: Camera, method: str, table: np.ndarray, spheres: np.ndarray, rows: range
 ) -> bytes:
-    width, height = cam.width, cam.height
-    f, r, up, half_w, half_h = cam.frame()
-    u = ((np.arange(width) + 0.5) / width * 2.0 - 1.0) * half_w
-    v = (1.0 - (np.arange(rows.start, rows.stop) + 0.5) / height * 2.0) * half_h
-    # forward + u*right + v*up, component by component, one row per image row.
-    direction = (
-        ((f.x + u * r.x)[None, :] + (v * up.x)[:, None]).ravel(),
-        ((f.y + u * r.y)[None, :] + (v * up.y)[:, None]).ravel(),
-        ((f.z + u * r.z)[None, :] + (v * up.z)[:, None]).ravel(),
-        0.0,
-    )
+    x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(rows.start, rows.stop)[:, None])
+    direction = (x.ravel(), y.ravel(), z.ravel(), 0.0)
     point = (cam.origin.x, cam.origin.y, cam.origin.z, 1.0)
     nearest = nearest_hits(table, point, direction, method, spheres)
     return _pixel_values(nearest).tobytes()

@@ -101,15 +101,23 @@ class Camera:
         return forward, right, up, half_h * (self.width / self.height), half_h
 
     def ray_direction(self, col: int, row: int) -> Vec3:
-        """forward + u*right + v*up through the centre of pixel (col, row).
+        """forward + u*right + v*up through the centre of pixel (col, row), as a Vec3.
 
-        One pixel at a time: the scalar reference of the batched directions
-        in `render`.
+        One pixel at a time; `render` calls `pixel_directions` on arrays of
+        columns and rows.
         """
-        forward, right, up, half_w, half_h = self.frame()
+        return Vec3(*self.pixel_directions(col, row))
+
+    def pixel_directions(self, col, row) -> tuple:
+        """x, y, z of (forward + u*right) + v*up through the centre of pixel (col, row).
+
+        col and row are ints or integer arrays that broadcast together, so
+        one body gives one pixel's direction and a block of rows' at once.
+        """
+        f, r, up, half_w, half_h = self.frame()
         u = ((col + 0.5) / self.width * 2.0 - 1.0) * half_w
         v = (1.0 - (row + 0.5) / self.height * 2.0) * half_h
-        return forward + u * right + v * up
+        return f.x + u * r.x + v * up.x, f.y + u * r.y + v * up.y, f.z + u * r.z + v * up.z
 
 
 @dataclass(frozen=True)

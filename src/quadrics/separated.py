@@ -7,14 +7,17 @@ The discriminant of the intersection quadratic factors as
 where (x) is the outer product, so R is an antisymmetric 4x4 matrix that
 depends only on the line.  Building R (and a few derived quantities) once
 per ray moves work out of the per-surface loop; for spheres the per-surface
-cost collapses further to a cross product and two dot products.
+cost collapses further to a cross product and two dot products: the line's
+moment and |dir|^2 (`line_moment`) are built once per line, and
+`moment_discriminant` is the per-sphere step.
 
 R is kept as its six independent entries (`RMatrix`).  It can be built from
 a point and a direction, from two points, or from the 2x2 sub-determinants
 of the endpoint matrix; the three entry points share one arithmetic body,
-`line_entries`, so they agree entry for entry, exactly.  `line_entries` and
-`factored_discriminant` take plain tuples, so the batched kernels run the
-same bodies on arrays of lines and tables of quadrics.
+`line_entries`, so they agree entry for entry, exactly.  `line_entries`,
+`factored_discriminant`, `line_moment` and `moment_discriminant` take plain
+tuples, so the batched kernels run the same bodies on arrays of lines, of
+spheres and tables of quadrics.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .classical import (
     coefficients,
     solve,
 )
-from .geometry import HomogeneousDirection, HomogeneousPoint, Vec3, cross
+from .geometry import HomogeneousDirection, HomogeneousPoint, Vec3
 from .quadric import QuadricMatrix, apply
 
 __all__ = [
@@ -45,6 +48,8 @@ __all__ = [
     "discriminant_separated",
     "factored_discriminant",
     "line_bilinear",
+    "line_moment",
+    "moment_discriminant",
     "sphere_discriminant",
     "sphere_discriminant_projective",
     "intersect_separated",
@@ -153,18 +158,29 @@ def make_ray_cache(point: HomogeneousPoint, direction: HomogeneousDirection) -> 
     dir3 = direction.xyz()
     if dir3.x == 0.0 and dir3.y == 0.0 and dir3.z == 0.0:
         raise ValueError("degenerate direction: spatial part is zero")
-    origin3 = point.xyz()
+    moment, dir_norm_sq = line_moment(point.as_tuple(), direction.as_tuple())
     return RayCache(
         point=point,
         direction=direction,
-        origin3=origin3,
+        origin3=point.xyz(),
         dir3=dir3,
         point_w=point.w,
         dir_w=direction.sw,
-        moment=cross(dir3, origin3),
-        dir_norm_sq=dir3.norm_sq(),
+        moment=Vec3(*moment),
+        dir_norm_sq=dir_norm_sq,
         r=r_from_point_dir(point, direction),
     )
+
+
+def line_moment(x: Sequence, s: Sequence) -> tuple:
+    """(dir3 x origin3, |dir3|^2) of the line through x along s, the sphere path's per-line terms.
+
+    x and s are homogeneous 4-vectors whose components are floats or arrays
+    that broadcast together, as in `line_entries`; w is not read.
+    """
+    x0, x1, x2, _ = x
+    s0, s1, s2, _ = s
+    return (s1 * x2 - s2 * x1, s2 * x0 - s0 * x2, s0 * x1 - s1 * x0), s0 * s0 + s1 * s1 + s2 * s2
 
 
 def discriminant_separated(q: QuadricMatrix, cache: RayCache) -> float:
@@ -209,16 +225,39 @@ def sphere_discriminant(center: Vec3, radius: float, cache: RayCache) -> float:
 
     With delta = origin3 - center, computes r^2*|dir|^2 - |dir x delta|^2,
     where dir x delta = moment - dir x center costs one cross product and a
-    subtraction per sphere.  The Lagrange form is used instead of the
-    equivalent triple-product chain dir . [(dir x delta) x delta + r^2*dir];
-    both equal the classical b^2 - a*c for the translated sphere.
+    subtraction per sphere (`moment_discriminant`).  The Lagrange form is
+    used instead of the equivalent triple-product chain
+    dir . [(dir x delta) x delta + r^2*dir]; both equal the classical
+    b^2 - a*c for the translated sphere.  Raises ValueError when the result
+    is not finite (an overflowing radius or cross product).
     """
     if not radius > 0.0:
         raise ValueError(f"sphere_discriminant: non-positive radius {radius!r}")
     if cache.point_w != 1.0 or cache.dir_w != 0.0:
         raise ValueError("sphere_discriminant needs a Euclidean ray (w_A = 1, s_w = 0)")
-    m = cache.moment - cross(cache.dir3, center)
-    return radius * radius * cache.dir_norm_sq - m.norm_sq()
+    d = moment_discriminant(
+        center.as_tuple(), radius * radius, cache.moment.as_tuple(), cache.dir3.as_tuple(),
+        cache.dir_norm_sq,
+    )
+    if not math.isfinite(d):
+        raise ValueError(f"sphere_discriminant: non-finite result {d!r}")
+    return d
+
+
+def moment_discriminant(center: Sequence, r_sq, moment: Sequence, dir3: Sequence, dir_norm_sq):
+    """r^2*|dir|^2 - |moment - dir x center|^2, component by component.
+
+    `moment` and `dir_norm_sq` are `line_moment`'s.  Every argument's
+    components are floats or arrays that broadcast together: (3, spheres)
+    centres against per-ray columns give every (ray, sphere) pair with no
+    (rays, spheres, 3) temporary.
+    """
+    cx, cy, cz = center
+    sx, sy, sz = dir3
+    mx = moment[0] - (sy * cz - sz * cy)
+    my = moment[1] - (sz * cx - sx * cz)
+    mz = moment[2] - (sx * cy - sy * cx)
+    return r_sq * dir_norm_sq - (mx * mx + my * my + mz * mz)
 
 
 def sphere_discriminant_projective(

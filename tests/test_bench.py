@@ -23,13 +23,13 @@ from quadrics.bench import (
     run_benchmark,
     to_csv,
 )
-from quadrics.kernels import classical_hit_counts, separated_hit_counts, sphere_ray_terms
+from quadrics.kernels import classical_counts, classical_lift, separated_counts, separated_lift
 from quadrics.geometry import Vec3
 from quadrics.quadric import Ellipsoid, Sphere
 from quadrics.render import render_detection
 from quadrics.rng import Xorshift64Star, mix64
 from quadrics.scene import Scene, SceneObject, generate_scene
-from quadrics.separated import line_entries
+from quadrics.separated import line_entries, line_moment
 
 
 def _reference_rays(seed: int, count: int, min_norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +210,7 @@ class TestVectorizedKernelsMatchScalar:
         table = coefficient_table(world)
         for tile_pairs in self.TILE_SIZES:
             monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
-            counts = classical_hit_counts(table, (*origins.T, 1.0), (*dirs.T, 0.0))
+            counts = classical_counts(table, classical_lift((*origins.T, 1.0), (*dirs.T, 0.0)))
             for i in range(40):
                 p = HomogeneousPoint(*origins[i], 1.0)
                 s = HomogeneousDirection(*dirs[i], 0.0)
@@ -231,9 +231,9 @@ class TestVectorizedKernelsMatchScalar:
         point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
         for tile_pairs in self.TILE_SIZES:
             monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
-            counts = separated_hit_counts(
-                centers, r2, generic, point, direction,
-                line_entries(point, direction), sphere_ray_terms(point, direction),
+            weights = separated_lift(line_entries(point, direction), point, direction)
+            counts = separated_counts(
+                centers, r2, generic, direction, weights, line_moment(point, direction)
             )
             for i in range(40):
                 p = HomogeneousPoint(*origins[i], 1.0)

@@ -1,8 +1,10 @@
 import pytest
 
+import quadrics.check as check_module
 import quadrics.separated as separated_module
 from quadrics.check import format_report, oracle_check
-from quadrics.separated import RMatrix
+from quadrics.classical import Miss
+from quadrics.separated import RMatrix, discriminant_separated
 
 
 class TestOracleCheck:
@@ -36,6 +38,24 @@ class TestOracleCheck:
         report = oracle_check(seed=5, cases=50)
         text = format_report(report)
         assert "50 cases" in text and "50 comparisons" in text and "0 failures" in text
+        assert f"{report.band_ties} band ties" in text
+
+    def test_band_ties_are_counted(self, monkeypatch):
+        # Every separated result becomes a Miss, so each pair classical does
+        # not call a Miss is a classification mismatch: a failure at the
+        # real band, a counted tie once the band covers every discriminant.
+        monkeypatch.setattr(
+            check_module, "intersect_separated",
+            lambda q, cache: Miss(d=discriminant_separated(q, cache)),
+        )
+        narrow = oracle_check(seed=7, cases=200)
+        mismatches = [f for f in narrow.failures if f.reason.startswith("classification")]
+        assert mismatches and len(mismatches) == len(narrow.failures)
+        monkeypatch.setattr(check_module, "TANGENT_EPS", 1e100)
+        wide = oracle_check(seed=7, cases=200)
+        assert wide.ok
+        assert wide.band_ties == narrow.band_ties + len(mismatches)
+        assert f"0 failures, {wide.band_ties} band ties" in format_report(wide)
 
     def test_report_lists_at_most_ten_failures(self, monkeypatch):
         real = separated_module.r_from_point_dir

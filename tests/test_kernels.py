@@ -27,14 +27,16 @@ from quadrics import (
 from quadrics.bench import _sphere_split, generate_rays
 from quadrics.classical import coefficient_terms
 from quadrics.kernels import (
-    classical_hit_counts, keep_pairs, map_ranges, nearest_hits, render_tables,
-    separated_hit_counts, sphere_ray_terms, world_table,
+    classical_counts, classical_lift, keep_pairs, map_ranges, nearest_hits, render_tables,
+    separated_counts, separated_lift, world_table,
 )
 from quadrics.quadric import (
     Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere, apply,
 )
 from quadrics.scene import SceneObject, generate_scene
-from quadrics.separated import factored_discriminant, line_entries
+from quadrics.separated import (
+    factored_discriminant, line_entries, line_moment, moment_discriminant,
+)
 
 
 def _scalar_nearest(matrices, point, direction, method) -> float:
@@ -194,8 +196,8 @@ class TestBoundingSpheres:
 
 def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
     # The batched kernels call the reference's tuple-level forms on the
-    # coefficient table; this checks the broadcasting, and the sphere fast
-    # path, which is written twice.
+    # coefficient table and on arrays of spheres; this checks the
+    # broadcasting.
     rng = np.random.default_rng(8)
     matrices = [random_quadric(rng) for _ in range(9)]
     rays = [random_ray(rng) for _ in range(11)]
@@ -204,15 +206,17 @@ def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
     table = coefficient_table(matrices)
     a, b, c = coefficient_terms(table, point, direction)
     r = line_entries(point, direction)
-    moment, dir_norm_sq = kernels.sphere_ray_terms(point, direction)
+    moment, dir_norm_sq = line_moment(point, direction)
     d = factored_discriminant(table, r, point, direction)
     qx = apply(table, point)
     centers = rng.uniform(-5.0, 5.0, size=(9, 3))
     r_sq = rng.uniform(0.1, 2.0, size=9) ** 2
-    d_sphere = kernels.sphere_discriminant(centers, r_sq, moment, direction[:3], dir_norm_sq)
+    d_sphere = moment_discriminant(centers.T, r_sq, moment, direction[:3], dir_norm_sq)
     for i, (p, s) in enumerate(rays):
         cache = make_ray_cache(p, s)
         assert tuple(e[i, 0] for e in r) == cache.r.entries()
+        assert tuple(e[i, 0] for e in moment) == cache.moment.as_tuple()
+        assert dir_norm_sq[i, 0] == cache.dir_norm_sq
         for j, q in enumerate(matrices):
             cf = coefficients(q, p, s)
             assert (a[i, j], b[i, j], c[i, j]) == (cf.a, cf.b, cf.c)
@@ -500,11 +504,12 @@ class TestLiftedKernels:
             bounds = {route: _rounding_bound(table, point, direction, route) for route in lifted}
             rays = [_ray(point, direction, i) for i in range(30)]
             exact = [[exact_discriminant(q, x, s) for q in table.T] for x, s in rays]
+            weights = separated_lift(line_entries(point, direction), point, direction)
             counts = {
-                "classical": classical_hit_counts(table, point, direction),
-                "separated": separated_hit_counts(
-                    np.empty((0, 3)), np.empty(0), table, point, direction,
-                    line_entries(point, direction), sphere_ray_terms(point, direction),
+                "classical": classical_counts(table, classical_lift(point, direction)),
+                "separated": separated_counts(
+                    np.empty((0, 3)), np.empty(0), table, direction, weights,
+                    line_moment(point, direction),
                 ),
             }
             for route, d in lifted.items():
@@ -542,19 +547,21 @@ class TestLiftedKernels:
             table = world_table(scene.objects)
             a, b, c = coefficient_terms(table, x, s)
             expected = np.count_nonzero(b * b - a * c >= 0.0, axis=1)
-            assert np.array_equal(classical_hit_counts(table, point, direction), expected)
+            got = classical_counts(table, classical_lift(point, direction))
+            assert np.array_equal(got, expected)
 
             centers, r_sq, generic_index = _sphere_split(scene)
             generic = world_table(scene.objects, generic_index)
-            lines, terms = line_entries(point, direction), sphere_ray_terms(point, direction)
+            lines, terms = line_entries(point, direction), line_moment(point, direction)
             moment, dir_norm_sq = terms
-            d_spheres = kernels.sphere_discriminant(
-                centers, r_sq, _columns(moment), s[:3], dir_norm_sq[:, None]
+            d_spheres = moment_discriminant(
+                centers.T, r_sq, _columns(moment), s[:3], dir_norm_sq[:, None]
             )
             d_generic = factored_discriminant(generic, _columns(lines), x, s)
             expected = np.count_nonzero(d_spheres >= 0.0, axis=1)
             expected += np.count_nonzero(d_generic >= 0.0, axis=1)
-            got = separated_hit_counts(centers, r_sq, generic, point, direction, lines, terms)
+            weights = separated_lift(lines, point, direction)
+            got = separated_counts(centers, r_sq, generic, direction, weights, terms)
             assert np.array_equal(got, expected)
 
     def test_shifted_disagreements_lie_inside_the_rounding_bound(self):

@@ -115,6 +115,20 @@ class TestImage:
             img.at(col, row)
 
 
+class TestPixelDirections:
+    def test_arrays_equal_the_per_pixel_directions(self):
+        # Render passes a row of columns against a column of rows; each
+        # entry is `ray_direction`'s Vec3 component for that pixel, exactly.
+        cam = Camera(Vec3(1.5, -2.0, 4.0), Vec3(0.3, 0.2, -0.1), Vec3(0.2, 1.0, 0.1), 47.0, 7, 5)
+        xyz = cam.pixel_directions(np.arange(7), np.arange(1, 5)[:, None])
+        assert all(component.shape == (4, 7) for component in xyz)
+        for row in range(1, 5):
+            for col in range(7):
+                expected = cam.ray_direction(col, row)
+                assert isinstance(expected, Vec3)
+                assert tuple(c[row - 1, col] for c in xyz) == expected.as_tuple()
+
+
 class TestPgm:
     def test_header_and_payload(self):
         img = Image(width=3, height=2, pixels=bytes([0, 128, 255, 1, 2, 3]))

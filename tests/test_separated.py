@@ -226,6 +226,18 @@ class TestSphereDiscriminant:
         with pytest.raises(ValueError, match="Euclidean"):
             sphere_discriminant(Vec3(0, 0, 0), 1.0, cache)
 
+    def test_overflowing_cross_product_raises(self):
+        # dir x center = (0, 0, -1e310): the result is not finite.
+        cache = make_ray_cache(HomogeneousPoint(0, 0, 0, 1), HomogeneousDirection(0, 1e10, 0, 0))
+        with pytest.raises(ValueError):
+            sphere_discriminant(Vec3(1e300, 0, 0), 1.0, cache)
+
+    def test_overflowing_radius_raises(self):
+        # r^2 = inf: the reference fails loudly instead of returning inf.
+        cache = make_ray_cache(HomogeneousPoint(0, 0, 0, 1), HomogeneousDirection(1, 0, 0, 0))
+        with pytest.raises(ValueError, match="non-finite"):
+            sphere_discriminant(Vec3(0, 0, 0), 1e200, cache)
+
     def test_matches_triple_product_form(self):
         rng = np.random.default_rng(42)
         for _ in range(500):
