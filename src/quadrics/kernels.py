@@ -15,9 +15,10 @@ reference's own tuple-level forms on arrays, `classical.coefficient_terms`
 (a, b, c) and `separated.line_entries` / `factored_discriminant` (R and
 s^T Q R Q x), which unpack a (10, objects) table as they unpack a
 `QuadricMatrix`, and bench's sphere tiles run `separated.line_moment` and
-`moment_discriminant` on arrays of rays and spheres.  numpy float64 ufuncs
-round exactly as Python floats do, so each pair gets the scalar kernels'
-value bit for bit by construction.  What is batched here, the
+`moment_discriminant` on arrays of rays and spheres; render's separated
+early reject is `separated.early_reject`.  numpy float64 ufuncs round
+exactly as Python floats do, so each pair gets the scalar kernels' value
+bit for bit by construction.  What is batched here, the
 classification in `nearest_root`, keeps the operand order of `solve`, and
 the tests compare both.  The tile loops run under `np.errstate(all="ignore")`:
 overflow gives inf and NaN silently, as Python float arithmetic does, and
@@ -55,7 +56,9 @@ import numpy as np
 
 from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
 from .quadric import apply
-from .separated import factored_discriminant, line_bilinear, line_entries, moment_discriminant
+from .separated import (
+    early_reject, factored_discriminant, line_bilinear, line_entries, moment_discriminant,
+)
 
 if TYPE_CHECKING:
     from .scene import SceneObject
@@ -393,36 +396,8 @@ def keep_pairs(centers: np.ndarray, r_sq: np.ndarray, point: Vec4, direction: Ve
     return np.nonzero(~(sw * sw < (sx * sx + sy * sy + sz * sz) * h))
 
 
-def _survives(d):
-    """The separated early reject of `intersect_separated`: True where d >= -TANGENT_EPS or NaN."""
-    return ~(d < -TANGENT_EPS)
-
-
 def _joined(groups: list) -> tuple:
     return tuple(np.concatenate(column) for column in zip(*groups))
-
-
-def _stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept) -> None:
-    """Stage 2 of `nearest_hits`: the roots of the pairs stage 1 kept, folded into `out`.
-
-    `culled` holds (rays, columns) from `keep_pairs` and `kept` (rays,
-    columns, d) from the separated early reject; both lists are emptied.
-    The separated route first gives the culled pairs their d and the same
-    early reject; then every pair gets a, b, c and `nearest_root` in one
-    pass, and `out` keeps each ray's minimum.
-    """
-    rays, cols = _joined(culled)
-    d = None
-    if method == "separated":
-        pt, dr = _take(point, rays), _take(direction, rays)
-        d = factored_discriminant(table[:, cols], line_entries(pt, dr), pt, dr)
-        survive = _survives(d)
-        kept.append((rays[survive], cols[survive], d[survive]))
-        rays, cols, d = _joined(kept)
-    culled.clear()
-    kept.clear()
-    a, b, c = coefficient_terms(table[:, cols], _take(point, rays), _take(direction, rays))
-    np.fmin.at(out, rays, nearest_root(a, b, c, max_abs[cols] * s_sq[rays], d))
 
 
 def nearest_hits(
@@ -435,11 +410,13 @@ def nearest_hits(
     `spheres` is the bounding-sphere table of `render_tables`.  Stage 1 runs
     per tile and roots nothing.  Every column goes through `keep_pairs`,
     except that the separated route filters the columns `cull_radii` leaves
-    undecided by their discriminant with the early reject `_survives`; on
-    the classical route their infinite R'^2 or NaN centre keeps every pair.
-    Stage 2 (`_stage2`) roots the kept pairs once they reach TILE_PAIRS, and
-    after the last tile, so a batch holds fewer than TILE_PAIRS pairs plus
-    one tile's.
+    undecided by their discriminant with `separated.early_reject`; on the
+    classical route their infinite R'^2 or NaN centre keeps every pair.
+    Stage 2 roots the kept pairs once they reach TILE_PAIRS, and after the
+    last tile, so a batch holds fewer than TILE_PAIRS pairs plus one tile's.
+    The separated route first gives the pairs `keep_pairs` kept their d and
+    the same early reject; then every pair gets a, b, c and `nearest_root`
+    in one pass, and each ray keeps its minimum.
     """
     rays = len(direction[0])
     if not rays:
@@ -463,12 +440,21 @@ def nearest_hits(
             if len(dense_cols):
                 r = _take(line_entries(pt, dr), _COLUMN)
                 d = factored_discriminant(dense_table, r, _take(pt, _COLUMN), _take(dr, _COLUMN))
-                ri, oi = np.nonzero(_survives(d))
+                ri, oi = np.nonzero(~early_reject(d))
                 kept.append((ri + sl.start, dense_cols[oi], d[ri, oi]))
                 pending += len(ri)
             if pending >= TILE_PAIRS or (pending and sl.stop >= rays):
-                _stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept)
-                pending = 0
+                ri, oi = _joined(culled)
+                d = None
+                if method == "separated":
+                    pt, dr = _take(point, ri), _take(direction, ri)
+                    d = factored_discriminant(table[:, oi], line_entries(pt, dr), pt, dr)
+                    survive = ~early_reject(d)
+                    kept.append((ri[survive], oi[survive], d[survive]))
+                    ri, oi, d = _joined(kept)
+                culled, kept, pending = [], [], 0
+                a, b, c = coefficient_terms(table[:, oi], _take(point, ri), _take(direction, ri))
+                np.fmin.at(out, ri, nearest_root(a, b, c, max_abs[oi] * s_sq[ri], d))
     return out
 
 

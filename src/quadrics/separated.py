@@ -17,7 +17,8 @@ of the endpoint matrix; the three entry points share one arithmetic body,
 `line_entries`, so they agree entry for entry, exactly.  `line_entries`,
 `factored_discriminant`, `line_moment` and `moment_discriminant` take plain
 tuples, so the batched kernels run the same bodies on arrays of lines, of
-spheres and tables of quadrics.
+spheres and tables of quadrics.  The early reject that spares a pair its
+coefficient work, `early_reject`, likewise takes a float or an array.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ __all__ = [
     "moment_discriminant",
     "sphere_discriminant",
     "sphere_discriminant_projective",
+    "early_reject",
     "intersect_separated",
 ]
 
@@ -144,10 +146,7 @@ class RayCache:
 
     point: HomogeneousPoint
     direction: HomogeneousDirection
-    origin3: Vec3
     dir3: Vec3
-    point_w: float
-    dir_w: float
     moment: Vec3
     dir_norm_sq: float
     r: RMatrix
@@ -162,10 +161,7 @@ def make_ray_cache(point: HomogeneousPoint, direction: HomogeneousDirection) -> 
     return RayCache(
         point=point,
         direction=direction,
-        origin3=point.xyz(),
         dir3=dir3,
-        point_w=point.w,
-        dir_w=direction.sw,
         moment=Vec3(*moment),
         dir_norm_sq=dir_norm_sq,
         r=r_from_point_dir(point, direction),
@@ -233,7 +229,7 @@ def sphere_discriminant(center: Vec3, radius: float, cache: RayCache) -> float:
     """
     if not radius > 0.0:
         raise ValueError(f"sphere_discriminant: non-positive radius {radius!r}")
-    if cache.point_w != 1.0 or cache.dir_w != 0.0:
+    if cache.point.w != 1.0 or cache.direction.sw != 0.0:
         raise ValueError("sphere_discriminant needs a Euclidean ray (w_A = 1, s_w = 0)")
     d = moment_discriminant(
         center.as_tuple(), radius * radius, cache.moment.as_tuple(), cache.dir3.as_tuple(),
@@ -293,15 +289,23 @@ def sphere_discriminant_projective(
     return b * b - a * c
 
 
+def early_reject(d):
+    """True where the separated discriminant d rejects its pair as a Miss: d < -TANGENT_EPS.
+
+    d is a float or an array, judged elementwise; NaN is not rejected.
+    """
+    return d < -TANGENT_EPS
+
+
 def intersect_separated(q: QuadricMatrix, cache: RayCache) -> IntersectionResult:
     """Full intersection driven by the separated discriminant.
 
-    A clearly negative D rejects the pair before any coefficient work; only
-    surviving pairs pay for a, b, c and root extraction.  The reported
-    discriminant is the separated one.
+    A clearly negative D (`early_reject`) rejects the pair before any
+    coefficient work; only surviving pairs pay for a, b, c and root
+    extraction.  The reported discriminant is the separated one.
     """
     d = discriminant_separated(q, cache)
-    if d < -TANGENT_EPS:
+    if early_reject(d):
         return Miss(d=d)
     coeffs = coefficients(q, cache.point, cache.direction)
     return solve(coeffs, a_scale=_a_scale(q, cache.direction), discriminant=d)

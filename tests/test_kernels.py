@@ -125,19 +125,19 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
     direction = (*rng.normal(size=(3, 400)), 0.0)
     point = (0.0, 0.0, 0.0, 1.0)
     sizes, roots = [], []
-    stage2, nearest_root = kernels._stage2, kernels.nearest_root
+    coefficient_terms, nearest_root = kernels.coefficient_terms, kernels.nearest_root
 
-    def spy(out, table, max_abs, s_sq, point, direction, method, culled, kept):
-        sizes.append(sum(len(group[0]) for group in culled + kept))
-        calls = len(roots)
-        stage2(out, table, max_abs, s_sq, point, direction, method, culled, kept)
-        assert len(roots) == calls + 1
+    def spy(table, x, s):
+        # Stage 2 computes a, b, c once per batch, for every pair it roots.
+        sizes.append(table.shape[1])
+        return coefficient_terms(table, x, s)
 
     def root_spy(a, b, c, a_scale, d=None):
+        assert len(roots) == len(sizes) - 1 and len(a) == sizes[-1]
         roots.append(len(a))
         return nearest_root(a, b, c, a_scale, d)
 
-    monkeypatch.setattr(kernels, "_stage2", spy)
+    monkeypatch.setattr(kernels, "coefficient_terms", spy)
     monkeypatch.setattr(kernels, "nearest_root", root_spy)
     table, spheres = render_tables(objects)
     got = nearest_hits(table, point, direction, method, spheres)

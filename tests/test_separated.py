@@ -28,7 +28,9 @@ from quadrics import (
     transform,
     translation,
 )
+from quadrics.classical import TANGENT_EPS
 from quadrics.rng import Xorshift64Star
+from quadrics.separated import early_reject
 
 
 def _materialize(r):
@@ -247,7 +249,7 @@ class TestSphereDiscriminant:
             cache = make_ray_cache(p, s)
             got = sphere_discriminant(center, radius, cache)
             sig = cache.dir3
-            delta = cache.origin3 - center
+            delta = cache.point.xyz() - center
             triple = sig.dot(cross(cross(sig, delta), delta)) + radius * radius * sig.dot(sig)
             scale = max(1.0, abs(got), sig.norm_sq() * delta.norm_sq())
             assert abs(got - triple) <= 1e-10 * scale
@@ -355,6 +357,16 @@ class TestProjectiveSignInvariance:
             assert abs(d_scaled - factor * d_base) <= max(tol, 1e-9 * max(1.0, abs(d_scaled)))
             if abs(d_base) > 1e-9 * max(1.0, abs(d_base)):
                 assert (d_scaled >= 0.0) == (d_base >= 0.0)
+
+
+class TestEarlyReject:
+    def test_threshold_and_nan_on_floats_and_arrays(self):
+        below = float(np.nextafter(-TANGENT_EPS, -np.inf))
+        values = [-TANGENT_EPS, below, math.nan, 0.0, -1.0, math.inf, -math.inf]
+        verdicts = [early_reject(v) for v in values]
+        assert verdicts == [False, True, False, False, True, False, True]
+        assert early_reject(np.array(values)).tolist() == verdicts
+        assert early_reject(np.array(values).reshape(7, 1)).ravel().tolist() == verdicts
 
 
 class TestIntersectSeparated:
