@@ -1,10 +1,11 @@
 """Reproductions of the misclassifications ROADMAP item 2 describes, as strict xfails.
 
 Each test asserts the right answer, checked against the exact oracle of
-`_helpers.exact_terms` where one exists.  Today both routes get these cases
-wrong or disagree on them, so each test fails on an assertion; the fix of
-item 2 has to flip them to passing, and `xfail_strict` makes the suite say
-so.
+`_helpers.exact_terms` where one exists; the oracle's roots are checked in a
+plain test that must pass, so a broken set-up cannot hide inside an xfail.
+Today both routes get these cases wrong or disagree on them, so each test
+fails on an assertion; the fix of item 2 has to flip them to passing, and
+`xfail_strict` makes the suite say so.
 """
 import math
 
@@ -41,6 +42,28 @@ def _exact_roots(q, point, direction) -> tuple[float, float]:
     return float((-b - root) / a), float((-b + root) / a)
 
 
+# Each case: the quadric, the ray, and the roots the oracle must give for it.
+_FAR_SPHERE = (
+    transform(sphere(1.0), translation(Vec3(1e7, 0.0, 0.0))),
+    HomogeneousPoint(1e7 - 5.0, 0.5, 0.0, 1.0),
+    HomogeneousDirection(1.0, 0.0, 0.0, 0.0),
+)
+_HUGE_SPHERE = (
+    sphere(1e75),
+    HomogeneousPoint(0.0, 0.0, 5e75, 1.0),
+    HomogeneousDirection(0.0, 0.0, -1.0, 0.0),
+)
+
+
+@pytest.mark.parametrize("case, expected, tolerance", [
+    (_FAR_SPHERE, (4.13397, 5.86603), {"abs": 1e-5}),
+    (_HUGE_SPHERE, (4e75, 6e75), {"rel": 1e-6}),
+])
+def test_oracle_roots_of_the_two_hit_cases(case, expected, tolerance):
+    """The set-up of the two xfails below: must pass, so a broken oracle cannot hide there."""
+    assert _exact_roots(*case) == pytest.approx(expected, **tolerance)
+
+
 def _assert_two(result, roots):
     assert isinstance(result, Two)
     assert result.t1 == pytest.approx(roots[0], rel=1e-6)
@@ -52,12 +75,8 @@ def _assert_two(result, roots):
     reason="ROADMAP item 2: `_a_scale` judges a against a44, which carries length^2 units",
 )
 def test_far_placed_sphere_is_hit_twice():
-    q = transform(sphere(1.0), translation(Vec3(1e7, 0.0, 0.0)))
-    point = HomogeneousPoint(1e7 - 5.0, 0.5, 0.0, 1.0)
-    direction = HomogeneousDirection(1.0, 0.0, 0.0, 0.0)
-    roots = _exact_roots(q, point, direction)
-    assert roots == pytest.approx((4.13397, 5.86603), abs=1e-5)
-    for result in _both_routes(q, point, direction):
+    roots = _exact_roots(*_FAR_SPHERE)
+    for result in _both_routes(*_FAR_SPHERE):
         _assert_two(result, roots)
 
 
@@ -66,12 +85,8 @@ def test_far_placed_sphere_is_hit_twice():
     reason="ROADMAP item 2: `_a_scale` judges a against a44, which carries length^2 units",
 )
 def test_huge_sphere_is_hit_twice():
-    q = sphere(1e75)
-    point = HomogeneousPoint(0.0, 0.0, 5e75, 1.0)
-    direction = HomogeneousDirection(0.0, 0.0, -1.0, 0.0)
-    roots = _exact_roots(q, point, direction)
-    assert roots == pytest.approx((4e75, 6e75), rel=1e-6)
-    for result in _both_routes(q, point, direction):
+    roots = _exact_roots(*_HUGE_SPHERE)
+    for result in _both_routes(*_HUGE_SPHERE):
         _assert_two(result, roots)
 
 

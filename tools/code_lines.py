@@ -1,16 +1,15 @@
-"""Print the code lines and raw lines of the Python files under a package directory.
+"""Print the code lines and raw lines of the Python files under src/quadrics.
 
 Code lines hold at least one token that is not a comment, with docstrings
 (module, class and function) left out; raw lines are every line of every
-file.  Run from the repository root:
+file.  Run:
 
-    python3 tools/code_lines.py [DIRECTORY]    # default: src/quadrics
+    python3 tools/code_lines.py
 """
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -40,12 +39,12 @@ def count(source: str) -> tuple[int, int]:
     return len(code - docstring_lines(ast.parse(source))), len(source.splitlines())
 
 
-def main(argv: list[str]) -> None:
-    root = Path(argv[0] if argv else "src/quadrics")
+def main() -> None:
+    root = Path(__file__).resolve().parents[1] / "src" / "quadrics"
     totals = [count(p.read_text()) for p in sorted(root.rglob("*.py"))]
     print(f"code lines: {sum(c for c, _ in totals)}")
     print(f"raw lines: {sum(r for _, r in totals)}")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
