@@ -139,9 +139,9 @@ def r_from_subdeterminants(m: EndpointMatrix) -> RMatrix:
 class RayCache:
     """Everything about one line that the per-surface tests reuse.
 
-    `moment` is dir3 x origin3, the line's moment vector: it is the
+    `moment` is dir3 x point.xyz(), the line's moment vector: it is the
     cross-product vector behind the 3x3 block of R, and the sphere fast path
-    turns it into dir3 x (origin3 - center) with a single subtraction.
+    turns it into dir3 x (point.xyz() - center) with a single subtraction.
     """
 
     point: HomogeneousPoint
