@@ -14,10 +14,12 @@ Plain spheres stay on the separated route's moment fast path, the
 reference's own `separated.line_moment` per ray and
 `separated.moment_discriminant` per pair (one cross product, a
 subtraction, two dot products and a multiply-add).
-Each method builds, once per call, only the columns it reads with
-`kernels.world_table`: classical every object, separated the objects off
-the sphere fast path.  Likewise the separated route builds R and the
-weights only when some object is off the sphere fast path, their only
+Bench picks a method's tables once per call, times its lift and its
+count, and joins the results; the kernels own the layout.  Classical reads
+`kernels.world_table` of every object.  Separated reads
+`kernels.separated_tables`, which keeps the plain spheres for the fast path
+and tabulates only the other objects, and it lifts R and the weights
+(`kernels.separated_lift`) only when that table has columns, their only
 reader.
 
 `kernels.map_ranges` gives each worker a range of rays, as `render` does
@@ -43,12 +45,11 @@ import numpy as np
 
 from .kernels import (
     METHODS, classical_counts, classical_lift, map_ranges, separated_counts, separated_lift,
-    world_table,
+    separated_tables, world_table,
 )
-from .quadric import Sphere
 from .rng import float_stream, mix64
 from .scene import Scene
-from .separated import line_entries, line_moment
+from .separated import line_moment
 
 __all__ = [
     "BenchStats",
@@ -130,22 +131,6 @@ def _uniform(lo: float, hi: float, draws: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * draws
 
 
-def _sphere_split(scene: Scene) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(centers, r_squared, generic-object indices) for the separated path."""
-    centers, r2, other = [], [], []
-    for i, obj in enumerate(scene.objects):
-        if isinstance(obj.kind, Sphere) and obj.rot is None:
-            centers.append(obj.center.as_tuple())
-            r2.append(obj.kind.r * obj.kind.r)
-        else:
-            other.append(i)
-    return (
-        np.array(centers, dtype=np.float64).reshape(-1, 3),
-        np.array(r2, dtype=np.float64),
-        other,
-    )
-
-
 def _checksum(ray_hits: np.ndarray) -> int:
     """XOR over rays of mix64(((i + 1) * stride) ^ hits_i), mod 2^64."""
     index = np.arange(1, 1 + ray_hits.shape[0], dtype=np.uint64)
@@ -177,9 +162,7 @@ def _detect_rays(
             # Terms before R: in the other order the generic kernel timed 4-10%
             # slower on detect-wide (in-process A/B), with the same work.
             terms = line_moment(point, direction)
-            weights = None
-            if tables[2].shape[1]:
-                weights = separated_lift(line_entries(point, direction), point, direction)
+            weights = separated_lift(point, direction) if tables[2].shape[1] else None
             t1 = time.perf_counter_ns()
             counts = separated_counts(*tables, direction, weights, terms)
         t2 = time.perf_counter_ns()
@@ -201,12 +184,9 @@ def _run_one_method(
     the worker ranges before the median.
     """
     rays = origins.shape[0]
-    objects = len(scene.objects)
-    if method == "classical":
-        tables: tuple = (world_table(scene.objects),)
-    else:
-        centers, r_sq, generic = _sphere_split(scene)
-        tables = (centers, r_sq, world_table(scene.objects, generic))
+    objs = scene.objects
+    objects = len(objs)
+    tables = (world_table(objs),) if method == "classical" else separated_tables(objs)
     worker = partial(_detect_rays, method, tables, origins, dirs, reps)
     hit_arrays, pre_ns, det_ns = zip(*map_ranges(worker, rays, workers))
     ray_hits = np.concatenate(hit_arrays)

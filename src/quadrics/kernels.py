@@ -31,7 +31,9 @@ per call, a vector of weights (`classical_lift`, `separated_lift`), and a
 tile of rays x objects is one matrix product with the coefficient table or
 its 55 pairwise products (`pair_products`).  The lifted vectors are the
 reference forms run on the 10x10 unit table, so no pair formula is written
-twice.  A BLAS product sums in its own order, so these kernels are not
+twice.  `separated_tables` owns the separated route's split: a `Sphere`
+with no rotation takes the moment fast path, every other object the lifted
+form.  A BLAS product sums in its own order, so these kernels are not
 bit-identical to the scalar ones per pair.  What holds, and the tests
 check: equal hit counts with the per-pair forms on generated scenes, and
 each lifted D within a derived rounding bound of the exact b^2 - a c, so
@@ -55,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
-from .quadric import apply
+from .quadric import Sphere, apply
 from .separated import (
     early_reject, factored_discriminant, line_bilinear, line_entries, moment_discriminant,
 )
@@ -76,6 +78,7 @@ __all__ = [
     "nearest_hits",
     "classical_lift",
     "classical_counts",
+    "separated_tables",
     "separated_lift",
     "pair_products",
     "separated_counts",
@@ -134,11 +137,8 @@ def _placements(objects: Sequence[SceneObject]) -> tuple:
     )
 
 
-def world_table(objects: Sequence[SceneObject], index: Sequence[int] | None = None) -> np.ndarray:
+def world_table(objects: Sequence[SceneObject]) -> np.ndarray:
     """(10, objects) table of every `SceneObject.world_matrix()`, built at once.
-
-    With `index`, the table holds only `objects[i]` for i in `index`, in
-    that order; errors still name each object by its position in `objects`.
 
     T (the translation, after the transposed rotation where there is one),
     Q0 T, T^T (Q0 T) and the (i, j)/(j, i) averaging of `quadric.transform`
@@ -148,13 +148,14 @@ def world_table(objects: Sequence[SceneObject], index: Sequence[int] | None = No
     ValueError where the scalar build would: a non-finite entry of T, Q0 T
     or the product, or an object whose coefficients are all zero.
     """
-    if index is None:
-        index = range(len(objects))
-    return _world_table(_placements([objects[i] for i in index]), index)
+    return _world_table(_placements(objects), range(len(objects)))
 
 
 def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
-    """`world_table` from the `_placements` of the objects `index` names."""
+    """`world_table` from `placed`, the `_placements` of the objects at positions `index`.
+
+    An error names its object by that position.
+    """
     q0, centers, rotated, rot = placed
     n = len(q0)
     if n == 0:
@@ -245,19 +246,21 @@ def tiles(rays: int, objects: int) -> Iterator[slice]:
 def map_ranges(fn: Callable[[range], object], n: int, workers: int) -> list:
     """fn(r) for each of at most `workers` consecutive ranges covering range(n), in order.
 
-    Ranges hold ceil(n / workers) items, the last one the rest.  One worker
-    runs `fn` in this process; more run it in a pool of one process per
-    range, but never more processes than this process may run on CPUs
-    (`os.sched_getaffinity`).  The ranges do not depend on the pool size;
-    n = 0 gives no range, so [], and starts no pool.
+    Ranges hold ceil(n / workers) items, the last one the rest.  They run in
+    a pool of one process per range, but never more processes than this
+    process may run on CPUs (`os.sched_getaffinity`); a pool that would hold
+    fewer than two processes is not started, and `fn` runs in this process
+    (one worker, one range, one usable CPU, or n = 0, which gives no range,
+    so []).  The ranges do not depend on the pool size.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     per = max(1, -(-n // workers))
     ranges = [range(lo, min(lo + per, n)) for lo in range(0, n, per)]
-    if workers == 1 or not ranges:
+    processes = min(len(ranges), len(os.sched_getaffinity(0)))
+    if processes < 2:
         return [fn(r) for r in ranges]
-    with ProcessPoolExecutor(max_workers=min(len(ranges), len(os.sched_getaffinity(0)))) as pool:
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(fn, ranges))
 
 
@@ -418,6 +421,8 @@ def nearest_hits(
     the same early reject; then every pair gets a, b, c and `nearest_root`
     in one pass, and each ray keeps its minimum.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     rays = len(direction[0])
     if not rays:
         return np.empty(0)
@@ -492,7 +497,29 @@ def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     return counts
 
 
-def separated_lift(lines: tuple, point: Vec4, direction: Vec4) -> np.ndarray:
+def separated_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centres as (3, spheres), r^2, generic coefficient table): the tables of `separated_counts`.
+
+    A `Sphere` with no rotation takes the moment fast path; every other
+    object goes, in scene order, into a (10, objects) table built as
+    `world_table` builds it, whose errors name each object by its position
+    in `objects`.
+    """
+    centers, r_sq, generic = [], [], []
+    for i, obj in enumerate(objects):
+        if isinstance(obj.kind, Sphere) and obj.rot is None:
+            centers.append(obj.center.as_tuple())
+            r_sq.append(obj.kind.r * obj.kind.r)
+        else:
+            generic.append(i)
+    return (
+        np.array(centers, dtype=np.float64).reshape(-1, 3).T,
+        np.array(r_sq, dtype=np.float64),
+        _world_table(_placements([objects[i] for i in generic]), generic),
+    )
+
+
+def separated_lift(point: Vec4, direction: Vec4) -> np.ndarray:
     """(rays, 55): each ray's weights on the coefficient products of `pair_products`.
 
     D = u^T R v with u = Q s and v = Q x, both linear in Q's coefficients,
@@ -501,9 +528,9 @@ def separated_lift(lines: tuple, point: Vec4, direction: Vec4) -> np.ndarray:
     on the unit table gives U and V, the u(e_a) and v(e_b) of every a, b, as
     (4, 10) per ray; `separated.line_bilinear` on pairs of axes gives R as
     (4, 4), so W = U^T R V.  Folding W_ab + W_ba (a < b) and W_aa pairs each
-    product once.  `lines` is `separated.line_entries(point, direction)`.
+    product once.
     """
-    r = line_bilinear(lines, _AXES, _AXES_ACROSS)
+    r = line_bilinear(line_entries(point, direction), _AXES, _AXES_ACROSS)
     u = np.stack(apply(_UNIT, direction))
     v = np.stack(apply(_UNIT, point))
     w = u.transpose(2, 1, 0) @ r.transpose(2, 0, 1) @ v.transpose(2, 0, 1)
@@ -527,7 +554,8 @@ def separated_counts(
 ) -> np.ndarray:
     """Per ray, the number of objects with a nonnegative separated discriminant.
 
-    Spheres (`centers`, `r_sq`) take the moment fast path,
+    The first three arguments are `separated_tables(objects)`.  Spheres
+    (`centers`, `r_sq`) take the moment fast path,
     `separated.moment_discriminant` on (ray, sphere) tiles; `terms` is
     `separated.line_moment(point, direction)`, and the sphere path needs
     Euclidean rays.  The objects of the `generic` coefficient table take the
@@ -544,7 +572,7 @@ def separated_counts(
             for sl in tiles(rays, len(r_sq)):
                 rows = (sl, None)
                 d = moment_discriminant(
-                    centers.T, r_sq, _take(moment, rows), _take(direction[:3], rows),
+                    centers, r_sq, _take(moment, rows), _take(direction[:3], rows),
                     dir_norm_sq[rows],
                 )
                 counts[sl] += np.count_nonzero(d >= 0.0, axis=1)

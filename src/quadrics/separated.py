@@ -169,10 +169,11 @@ def make_ray_cache(point: HomogeneousPoint, direction: HomogeneousDirection) -> 
 
 
 def line_moment(x: Sequence, s: Sequence) -> tuple:
-    """(dir3 x origin3, |dir3|^2) of the line through x along s, the sphere path's per-line terms.
+    """(dir3 x x3, |dir3|^2) of the line through x along s, the sphere path's per-line terms.
 
-    x and s are homogeneous 4-vectors whose components are floats or arrays
-    that broadcast together, as in `line_entries`; w is not read.
+    dir3 and x3 are the first three components of s and x.  x and s are
+    homogeneous 4-vectors whose components are floats or arrays that
+    broadcast together, as in `line_entries`; w is not read.
     """
     x0, x1, x2, _ = x
     s0, s1, s2, _ = s
@@ -219,7 +220,7 @@ def line_bilinear(r: Sequence, u: Sequence, v: Sequence):
 def sphere_discriminant(center: Vec3, radius: float, cache: RayCache) -> float:
     """Discriminant against a sphere, reusing the cached per-line moment.
 
-    With delta = origin3 - center, computes r^2*|dir|^2 - |dir x delta|^2,
+    With delta = cache.point.xyz() - center, computes r^2*|dir|^2 - |dir x delta|^2,
     where dir x delta = moment - dir x center costs one cross product and a
     subtraction per sphere (`moment_discriminant`).  The Lagrange form is
     used instead of the equivalent triple-product chain
@@ -266,7 +267,7 @@ def sphere_discriminant_projective(
     the sphere equation scaled by (w_A + s_w*t)^2 gives a quadratic with
 
         a' = |sig'|^2 - r^2*s_w^2      sig' = dir3 - s_w*center
-        b' = sig'.delta - r^2*s_w*w_A  delta = origin3 - w_A*center
+        b' = sig'.delta - r^2*s_w*w_A  delta = point.xyz() - w_A*center
         c' = |delta|^2 - r^2*w_A^2
 
     and D' = b'^2 - a'*c', whose sign matches the Euclidean classification

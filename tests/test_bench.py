@@ -18,12 +18,13 @@ from quadrics.bench import (
     RAY_SEED_SALT,
     BenchStats,
     _checksum,
-    _sphere_split,
     generate_rays,
     run_benchmark,
     to_csv,
 )
-from quadrics.kernels import classical_counts, classical_lift, separated_counts, separated_lift
+from quadrics.kernels import (
+    classical_counts, classical_lift, separated_counts, separated_lift, separated_tables,
+)
 from quadrics.geometry import Vec3
 from quadrics.quadric import Ellipsoid, Sphere
 from quadrics.render import render_detection
@@ -140,14 +141,22 @@ class TestTablePerMethod:
     """Each method builds only the coefficient columns it reads."""
 
     def _built_shapes(self, monkeypatch, scene, method):
+        # The shape of each coefficient table built: `world_table`'s, and
+        # the generic table of `separated_tables`.
         shapes = []
 
-        def recording(*args):
-            table = kernels.world_table(*args)
+        def recording_world(objects):
+            table = kernels.world_table(objects)
             shapes.append(table.shape)
             return table
 
-        monkeypatch.setattr(bench, "world_table", recording)
+        def recording_separated(objects):
+            tables = kernels.separated_tables(objects)
+            shapes.append(tables[2].shape)
+            return tables
+
+        monkeypatch.setattr(bench, "world_table", recording_world)
+        monkeypatch.setattr(bench, "separated_tables", recording_separated)
         run_benchmark(scene, rays=20, method=method, seed=3)
         return shapes
 
@@ -155,9 +164,9 @@ class TestTablePerMethod:
         spheres = generate_scene(8, 12, ("sphere",))
         assert self._built_shapes(monkeypatch, spheres, "separated") == [(10, 0)]
         mixed = generate_scene(8, 12, ("sphere", "ellipsoid"))
-        generic = _sphere_split(mixed)[2]
-        assert 0 < len(generic) < 12
-        assert self._built_shapes(monkeypatch, mixed, "separated") == [(10, len(generic))]
+        generic = separated_tables(mixed.objects)[2].shape[1]
+        assert 0 < generic < 12
+        assert self._built_shapes(monkeypatch, mixed, "separated") == [(10, generic)]
         assert self._built_shapes(monkeypatch, mixed, "classical") == [(10, 12)]
 
     def test_separated_builds_lines_only_for_generic_objects(self, monkeypatch):
@@ -169,7 +178,7 @@ class TestTablePerMethod:
             built.append(len(direction[0]))
             return line_entries(point, direction)
 
-        monkeypatch.setattr(bench, "line_entries", recording)
+        monkeypatch.setattr(kernels, "line_entries", recording)
         again = [(s.hits, s.checksum) for sc in scenes for s in run_benchmark(sc, rays=20, seed=3)]
         assert again == stats and built == [20]
 
@@ -223,15 +232,14 @@ class TestVectorizedKernelsMatchScalar:
 
     def test_separated_vectorized_counts(self, monkeypatch):
         sc = generate_scene(22, 15)
-        centers, r2, other_idx = _sphere_split(sc)
+        centers, r2, generic = separated_tables(sc.objects)
         world = [obj.world_matrix() for obj in sc.objects]
-        generic = coefficient_table([world[i] for i in other_idx])
-        assert len(r2) and len(other_idx)  # both paths run
+        assert len(r2) and generic.shape[1]  # both paths run
         origins, dirs = generate_rays(22, 40)
         point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
         for tile_pairs in self.TILE_SIZES:
             monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
-            weights = separated_lift(line_entries(point, direction), point, direction)
+            weights = separated_lift(point, direction)
             counts = separated_counts(
                 centers, r2, generic, direction, weights, line_moment(point, direction)
             )

@@ -68,7 +68,7 @@ class TestExitCodes:
         assert "line 3: placement overflows" in capsys.readouterr().err
 
     def test_check_failure_is_three(self, monkeypatch, capsys):
-        failing = CheckReport(cases=1, comparisons=1,
+        failing = CheckReport(cases=1,
                               failures=[CheckFailure(0, "discriminant mismatch", 1.0, -1.0)])
         monkeypatch.setattr(check_module, "oracle_check", lambda seed, cases: failing)
         assert main(["check", "--seed", "1", "--cases", "1"]) == 3

@@ -24,11 +24,11 @@ from quadrics import (
     solve,
     sphere_discriminant,
 )
-from quadrics.bench import _sphere_split, generate_rays
+from quadrics.bench import generate_rays
 from quadrics.classical import coefficient_terms
 from quadrics.kernels import (
     classical_counts, classical_lift, keep_pairs, map_ranges, nearest_hits, render_tables,
-    separated_counts, separated_lift, world_table,
+    separated_counts, separated_lift, separated_tables, world_table,
 )
 from quadrics.quadric import (
     Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere, apply,
@@ -112,6 +112,14 @@ def test_nearest_hits_cull_with_per_ray_origins(method, tile_pairs, monkeypatch)
     monkeypatch.setattr(kernels, "cull_radii", lambda spheres, *_: np.full(spheres.shape[1], np.inf))
     got = nearest_hits(table, point, direction, method, spheres)
     assert np.array_equal(got, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("method", ["Separated", "bogus", ""])
+def test_nearest_hits_rejects_an_unknown_route(method):
+    table, spheres = render_tables([SceneObject(Sphere(1.0))])
+    point, direction = (0.0, 0.0, 5.0, 1.0), (np.array([0.0]), 0.0, -1.0, 0.0)
+    with pytest.raises(ValueError, match="unknown method"):
+        nearest_hits(table, point, direction, method, spheres)
 
 
 @pytest.mark.parametrize("method", ["classical", "separated"])
@@ -320,7 +328,7 @@ class TestWorldTable:
     @pytest.mark.parametrize(
         "obj",
         [
-            SceneObject(Sphere(1.0), Vec3(1e200, 0.0, 0.0)),
+            SceneObject(Sphere(1.0), Vec3(1e200, 0.0, 0.0), Mat3.identity()),
             SceneObject(Ellipsoid(1e-150, 1.0, 1.0), Vec3(1e10, 0.0, 0.0)),
             SceneObject(General(QuadricMatrix(1e308, 1.0, 1.0, 1.0, a12=1e308))),
         ],
@@ -333,17 +341,24 @@ class TestWorldTable:
         with pytest.raises(ValueError, match="object 1"):
             render_tables([SceneObject(Sphere(1.0)), obj])
         with pytest.raises(ValueError, match="object 2"):
-            world_table([obj, SceneObject(Sphere(1.0)), obj], [1, 2])
+            separated_tables([SceneObject(Sphere(1.0)), SceneObject(Ellipsoid(1.0, 2.0, 3.0)), obj])
 
     def test_index_selects_and_orders_the_columns(self):
         objects = generate_scene(9, 6, self.ALL_KINDS).objects
         full = world_table(objects)
-        _assert_bits_equal(world_table(objects, [4, 1, 2]), full[:, [4, 1, 2]])
-        assert world_table(objects, []).shape == (10, 0)
+        generic = [i for i, o in enumerate(objects) if not isinstance(o.kind, Sphere)]
+        assert 0 < len(generic) < len(objects)
+        _assert_bits_equal(separated_tables(objects)[2], full[:, generic])
+        spheres = generate_scene(9, 10, ("sphere",)).objects
+        assert separated_tables(spheres)[2].shape == (10, 0)
 
 
 def _bounds(r: range) -> tuple[int, int]:
     return r.start, r.stop
+
+
+def _no_pool(max_workers):
+    raise AssertionError(f"pool of {max_workers} started")
 
 
 class TestMapRanges:
@@ -365,13 +380,18 @@ class TestMapRanges:
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_no_items_give_no_ranges_and_no_pool(self, workers, monkeypatch):
-        def no_pool(max_workers):
-            raise AssertionError(f"pool of {max_workers} started")
-
-        monkeypatch.setattr(kernels, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(kernels, "ProcessPoolExecutor", _no_pool)
         seen = []
         assert map_ranges(seen.append, 0, workers) == []
         assert seen == []
+
+    def test_a_pool_of_one_process_is_not_started(self, monkeypatch):
+        # One range (n = 1 on two workers), or one usable CPU: `fn` runs in
+        # this process, on the ranges a pool would get.
+        monkeypatch.setattr(kernels, "ProcessPoolExecutor", _no_pool)
+        assert map_ranges(_bounds, 1, 2) == [(0, 1)]
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0})
+        assert map_ranges(_bounds, 100, 4) == [(0, 25), (25, 50), (50, 75), (75, 100)]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_is_rejected(self, workers):
@@ -434,7 +454,7 @@ def _shifted_scene(seed: int, objects: int, mix, rays: int, shift: float) -> tup
 def _lifted_discriminants(table: np.ndarray, point, direction) -> dict:
     """Per pair, each route's lifted D: the kernels' per-ray lift times the whole table."""
     a, b, c = np.moveaxis(kernels.classical_lift(point, direction) @ table, 1, 0)
-    w = kernels.separated_lift(line_entries(point, direction), point, direction)
+    w = kernels.separated_lift(point, direction)
     return {"classical": b * b - a * c, "separated": w @ kernels.pair_products(table)}
 
 
@@ -504,7 +524,7 @@ class TestLiftedKernels:
             bounds = {route: _rounding_bound(table, point, direction, route) for route in lifted}
             rays = [_ray(point, direction, i) for i in range(30)]
             exact = [[exact_discriminant(q, x, s) for q in table.T] for x, s in rays]
-            weights = separated_lift(line_entries(point, direction), point, direction)
+            weights = separated_lift(point, direction)
             counts = {
                 "classical": classical_counts(table, classical_lift(point, direction)),
                 "separated": separated_counts(
@@ -550,17 +570,16 @@ class TestLiftedKernels:
             got = classical_counts(table, classical_lift(point, direction))
             assert np.array_equal(got, expected)
 
-            centers, r_sq, generic_index = _sphere_split(scene)
-            generic = world_table(scene.objects, generic_index)
+            centers, r_sq, generic = separated_tables(scene.objects)
             lines, terms = line_entries(point, direction), line_moment(point, direction)
             moment, dir_norm_sq = terms
             d_spheres = moment_discriminant(
-                centers.T, r_sq, _columns(moment), s[:3], dir_norm_sq[:, None]
+                centers, r_sq, _columns(moment), s[:3], dir_norm_sq[:, None]
             )
             d_generic = factored_discriminant(generic, _columns(lines), x, s)
             expected = np.count_nonzero(d_spheres >= 0.0, axis=1)
             expected += np.count_nonzero(d_generic >= 0.0, axis=1)
-            weights = separated_lift(lines, point, direction)
+            weights = separated_lift(point, direction)
             got = separated_counts(centers, r_sq, generic, direction, weights, terms)
             assert np.array_equal(got, expected)
 
