@@ -3,12 +3,16 @@
 Objects are a struct-of-arrays table: row k holds the k-th of the 10
 quadric coefficients, in `COEFFICIENT_ORDER`, for every object.
 `world_table` builds it from scene objects, every world matrix at once and
-bit-identical to `SceneObject.world_matrix`.  A ray component is either an
-array with one entry per ray or a plain float shared by every ray (a camera
-origin, w = 1, s_w = 0).  Inside a tile the per-ray arrays become columns,
-so numpy broadcasting evaluates all (ray, object) pairs of the tile at once,
-and a term that depends on the objects alone is computed once per tile, not
-once per pair.
+bit-identical to `SceneObject.world_matrix`; Q's 4x4 layout is read from
+`quadric.COEFFICIENT_ENTRIES`.  A ray component is either an array with one
+entry per ray or a plain float shared by every ray.  Render's rays share
+one camera origin: `nearest_hits`, `keep_pairs` and `cull_radii` take it as
+three floats and the pixel directions as three arrays, and the pair forms
+receive them as (x, y, z, 1) and (sx, sy, sz, 0).  Bench's rays each have
+an origin, with w = 1 and s_w = 0 as floats.  Inside a tile the per-ray
+arrays become columns, so numpy broadcasting evaluates all (ray, object)
+pairs of the tile at once, and a term that depends on the objects alone is
+computed once per tile, not once per pair.
 
 The pair formulas are not written here: render's tiles run the
 reference's own tuple-level forms on arrays, `classical.coefficient_terms`
@@ -29,9 +33,9 @@ Bench's hit counts use lifted forms instead.  a, b, c and s^T Q R Q x are
 linear and quadratic forms in Q's 10 coefficients, so a ray becomes, once
 per call, a vector of weights (`classical_lift`, `separated_lift`), and a
 tile of rays x objects is one matrix product with the coefficient table or
-its 55 pairwise products (`pair_products`).  The lifted vectors are the
-reference forms run on the 10x10 unit table, so no pair formula is written
-twice.  `separated_tables` owns the separated route's split: a `Sphere`
+its 55 pairwise products (`pair_products`); both routes' counts run in one
+tile loop.  The lifted vectors are the reference forms run on the 10x10
+unit table, so no pair formula is written twice.  `separated_tables` owns the separated route's split: a `Sphere`
 with no rotation takes the moment fast path, every other object the lifted
 form.  A BLAS product sums in its own order, so these kernels are not
 bit-identical to the scalar ones per pair.  What holds, and the tests
@@ -57,7 +61,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
-from .quadric import Sphere, apply
+from .quadric import COEFFICIENT_ENTRIES, Sphere, apply
 from .separated import (
     early_reject, factored_discriminant, line_bilinear, line_entries, moment_discriminant,
 )
@@ -109,13 +113,12 @@ _CROSS = _PAIR_A != _PAIR_B
 
 Component = Union[float, np.ndarray]
 Vec4 = Sequence[Component]
+# Render's rays: one camera origin (x, y, z) and the pixels' (sx, sy, sz) arrays.
+Origin = Sequence[float]
+Directions = Sequence[np.ndarray]
 
-
-# to_mat4 layout: entry (i, j) of the symmetric matrix is coefficient _SYMMETRIC[i][j].
-_SYMMETRIC = np.array([[0, 4, 5, 7], [4, 1, 6, 8], [5, 6, 2, 9], [7, 8, 9, 3]])
-# Entry (i, j) of each coefficient in COEFFICIENT_ORDER: the diagonal, then i < j.
-_ROWS = np.array([0, 1, 2, 3, 0, 0, 1, 0, 1, 2])
-_COLS = np.array([0, 1, 2, 3, 1, 2, 2, 3, 3, 3])
+# Entry (i, j), i <= j, of each coefficient of Q's symmetric 4x4 matrix.
+_ROWS, _COLS = np.array(COEFFICIENT_ENTRIES).T
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,6 +163,8 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
     n = len(q0)
     if n == 0:
         return np.empty((10, 0))
+    q0_mat = np.empty((n, 4, 4))
+    q0_mat[:, _ROWS, _COLS] = q0_mat[:, _COLS, _ROWS] = q0
     t = np.zeros((n, 4, 4))
     t[:, range(4), range(4)] = 1.0
     t[:, :3, 3] = -centers
@@ -170,10 +175,10 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
             r[:, :3, :3] = rot.transpose(0, 2, 1)
             r[:, 3, 3] = 1.0
             t[rotated] = _compose(r, t[rotated])
-        q0_t = _compose(q0[:, _SYMMETRIC], t)
-        p = _compose(t.transpose(0, 2, 1), q0_t)
+        p = _compose(t.transpose(0, 2, 1), _compose(q0_mat, t))
         table = p[:, _ROWS, _COLS]
-        table[:, 4:] = 0.5 * (table[:, 4:] + p[:, _COLS[4:], _ROWS[4:]])
+        off = _ROWS != _COLS
+        table[:, off] = 0.5 * (table[:, off] + p[:, _COLS[off], _ROWS[off]])
     # One check covers T, Q0 T and the product: every entry of each reaches
     # the table through products and sums, and x * inf, x * NaN and a sum
     # with either are never finite.
@@ -264,9 +269,9 @@ def map_ranges(fn: Callable[[range], object], n: int, workers: int) -> list:
         return list(pool.map(fn, ranges))
 
 
-def _take(vec: Sequence[Component], index) -> tuple:
-    """The per-ray components of `vec` indexed by `index`; shared floats pass through."""
-    return tuple(v[index] if isinstance(v, np.ndarray) else v for v in vec)
+def _take(vec: Sequence[np.ndarray], index) -> tuple:
+    """Each per-ray array of `vec` indexed by `index`."""
+    return tuple(v[index] for v in vec)
 
 
 _COLUMN = np.s_[:, None]
@@ -303,19 +308,20 @@ def nearest_root(a, b, c, a_scale, d=None):
 
 
 def cull_radii(
-    spheres: np.ndarray, max_abs: np.ndarray, point: Vec4, direction: Vec4
+    spheres: np.ndarray, max_abs: np.ndarray, origin: Origin, direction: Directions
 ) -> np.ndarray:
     """Stage-1 squared radius R'^2 of each column for these rays; +inf where every pair is kept.
 
     `spheres` is from `render_tables`, `max_abs` each column's largest
-    |coefficient| in the kernels' table.  `keep_pairs` drops a pair only
-    when its line misses the sphere of radius R' about c, and R' is derived
-    so that both routes then classify the pair as Miss.  It needs rays with
-    w = 1 and s_w = 0; other rays keep every pair.  Below, x + t s is a ray,
-    v = x - c, rho the distance from c to the line, u = 2^-53, m, lam,
-    tau, nu the rows of `spheres` and R^2 = nu / m.  |x| and |s| are taken
-    over all the call's rays (max |x|, max |s|_1, min |s|^2), so R' is one
-    number per column; the call needs at least one ray.
+    |coefficient| in the kernels' table, `origin` the camera's (x, y, z)
+    and `direction` the pixels' (sx, sy, sz) arrays.  `keep_pairs` drops a
+    pair only when its line misses the sphere of radius R' about c, and R'
+    is derived so that both routes then classify the pair as Miss.  Below,
+    x + t s is a ray, x the camera origin, v = x - c, rho the distance from
+    c to the line, u = 2^-53, m, lam, tau, nu the rows of `spheres` and
+    R^2 = nu / m.  |s| is taken over all the call's rays (max |s|_1,
+    min |s|^2), so R' is one number per column; the call needs at least one
+    ray.
 
     1. Exact discriminant.  In the inner product <p, q> = p^T M q, the
        quadric gives a = <s, s> >= m |s|^2, b = <s, v>, c = <v, v> - nu and
@@ -323,7 +329,7 @@ def cull_radii(
        because <s,s><v,v> - <s,v>^2 = <s,s> min_t <v + t s, v + t s>.
     2. Tangency band.  b^2 <= a lam |v|^2 and |a c| <= a (lam |v|^2 + nu),
        so TANGENT_EPS max(b^2, |ac|) <= a m TANGENT_EPS (lam / m V^2 + R^2)
-       with V = max |x - c| over the rays.
+       with V = |x - c|.
     3. Rounding.  Both routes' d, and the b^2 and |ac| of the band, lie
        within E = 2^-44 (A_sx^2 + A_s A_x) of the exact values, where A_s,
        A_sx, A_x sum the absolute terms of a, b, c over T^T Q0 T (T the
@@ -354,19 +360,17 @@ def cull_radii(
     relative error of this function's own arithmetic.  Any non-finite term
     makes R'^2 inf or NaN, and `keep_pairs` keeps every pair of that column.
     """
-    if not (np.asarray(point[3]) == 1.0).all() or not (np.asarray(direction[3]) == 0.0).all():
-        return np.full(spheres.shape[1], np.inf)
     cx, cy, cz, m, lam, tau, nu = spheres
-    x, y, z = (np.asarray(v)[..., None] for v in point[:3])
-    sx, sy, sz = direction[:3]
+    x, y, z = origin
+    sx, sy, sz = direction
     with np.errstate(all="ignore"):
-        l_sq = np.sqrt(x * x + y * y + z * z).max() + np.sqrt(cx * cx + cy * cy + cz * cz)
+        l_sq = np.sqrt(x * x + y * y + z * z) + np.sqrt(cx * cx + cy * cy + cz * cz)
         l_sq *= l_sq
         wx, wy, wz = cx - x, cy - y, cz - z
-        v_sq = np.atleast_2d(wx * wx + wy * wy + wz * wz).max(axis=0)
+        v_sq = wx * wx + wy * wy + wz * wz
         s_sq = (sx * sx + sy * sy + sz * sz).min()
         g = np.maximum(max_abs, 1.0) * max(1.0, (abs(sx) + abs(sy) + abs(sz)).max())
-        g *= 1.0 + (abs(x) + abs(y) + abs(z)).max()
+        g *= 1.0 + (abs(x) + abs(y) + abs(z))
         g_sq = g * g
         r_sq = nu / m
         need = (
@@ -381,18 +385,21 @@ def cull_radii(
     return np.where(decides, r_prime_sq, np.inf)
 
 
-def keep_pairs(centers: np.ndarray, r_sq: np.ndarray, point: Vec4, direction: Vec4) -> tuple:
+def keep_pairs(
+    centers: np.ndarray, r_sq: np.ndarray, origin: Origin, direction: Directions
+) -> tuple:
     """Stage 1: (ray, column) indices of the pairs whose line may meet the sphere about each centre.
 
-    `centers` is (3, columns), `r_sq` each column's R'^2 from `cull_radii`.
-    A pair is dropped when (s.w)^2 < |s|^2 (|w|^2 - R'^2) with w = c - x,
-    the paper's sphere discriminant |s|^2 R'^2 - |s x w|^2 < 0 written by
-    the Lagrange identity; a shared origin makes w and |w|^2 - R'^2
-    per-column terms.  NaN keeps the pair, and so does an origin inside the
-    sphere.
+    `centers` is (3, columns), `r_sq` each column's R'^2 from `cull_radii`,
+    `origin` the camera's x as three floats and `direction` the rays' s as
+    three arrays.  A pair is dropped when (s.w)^2 < |s|^2 (|w|^2 - R'^2)
+    with w = c - x, the paper's sphere discriminant
+    |s|^2 R'^2 - |s x w|^2 < 0 written by the Lagrange identity; the one
+    origin makes w and |w|^2 - R'^2 per-column terms.  NaN keeps the pair,
+    and so does an origin inside the sphere.
     """
-    x, y, z = _take(point[:3], _COLUMN)
-    sx, sy, sz = _take(direction[:3], _COLUMN)
+    x, y, z = origin
+    sx, sy, sz = _take(direction, _COLUMN)
     wx, wy, wz = centers[0] - x, centers[1] - y, centers[2] - z
     h = wx * wx + wy * wy + wz * wz - r_sq
     sw = sx * wx + sy * wy + sz * wz
@@ -404,12 +411,15 @@ def _joined(groups: list) -> tuple:
 
 
 def nearest_hits(
-    table: np.ndarray, point: Vec4, direction: Vec4, method: str, spheres: np.ndarray
+    table: np.ndarray, origin: Origin, direction: Directions, method: str, spheres: np.ndarray
 ) -> np.ndarray:
     """Per ray, the nearest positive t over every object; NaN when none is crossed.
 
-    Equals, per ray, the minimum over objects of the positive
-    `hit_parameters` of `intersect_classical` or `intersect_separated`.
+    The rays are render's: one camera `origin` (x, y, z) as floats, and
+    `direction` the pixels' (sx, sy, sz) as arrays.  Equals, per ray, the
+    minimum over objects of the positive `hit_parameters` of
+    `intersect_classical` or `intersect_separated` for the homogeneous ray
+    (x, y, z, 1) + t (sx, sy, sz, 0), the vectors the pair forms receive.
     `spheres` is the bounding-sphere table of `render_tables`.  Stage 1 runs
     per tile and roots nothing.  Every column goes through `keep_pairs`,
     except that the separated route filters the columns `cull_radii` leaves
@@ -427,24 +437,25 @@ def nearest_hits(
     if not rays:
         return np.empty(0)
     max_abs = np.abs(table).max(axis=0)
-    sx, sy, sz, sw = direction
-    s_sq = sx * sx + sy * sy + sz * sz + sw * sw
-    r_sq = cull_radii(spheres, max_abs, point, direction)
+    sx, sy, sz = direction
+    s_sq = sx * sx + sy * sy + sz * sz
+    r_sq = cull_radii(spheres, max_abs, origin, direction)
     dense = ~(r_sq < np.inf) & (method == "separated")
     cull_cols, dense_cols = np.flatnonzero(~dense), np.flatnonzero(dense)
     centers, r_sq = spheres[:3, cull_cols], r_sq[cull_cols]
     dense_table = table[:, dense_cols]
+    point = (*origin, 1.0)
     out = np.full(rays, np.nan)
     culled, kept, pending = [], [], 0
     with np.errstate(all="ignore"):
         for sl in tiles(rays, table.shape[1]):
-            pt, dr = _take(point, sl), _take(direction, sl)
-            ri, oi = keep_pairs(centers, r_sq, pt, dr)
+            s = _take(direction, sl)
+            ri, oi = keep_pairs(centers, r_sq, origin, s)
             culled.append((ri + sl.start, cull_cols[oi]))
             pending += len(ri)
             if len(dense_cols):
-                r = _take(line_entries(pt, dr), _COLUMN)
-                d = factored_discriminant(dense_table, r, _take(pt, _COLUMN), _take(dr, _COLUMN))
+                dr = (*_take(s, _COLUMN), 0.0)
+                d = factored_discriminant(dense_table, line_entries(point, dr), point, dr)
                 ri, oi = np.nonzero(~early_reject(d))
                 kept.append((ri + sl.start, dense_cols[oi], d[ri, oi]))
                 pending += len(ri)
@@ -452,13 +463,13 @@ def nearest_hits(
                 ri, oi = _joined(culled)
                 d = None
                 if method == "separated":
-                    pt, dr = _take(point, ri), _take(direction, ri)
-                    d = factored_discriminant(table[:, oi], line_entries(pt, dr), pt, dr)
+                    dr = (*_take(direction, ri), 0.0)
+                    d = factored_discriminant(table[:, oi], line_entries(point, dr), point, dr)
                     survive = ~early_reject(d)
                     kept.append((ri[survive], oi[survive], d[survive]))
                     ri, oi, d = _joined(kept)
                 culled, kept, pending = [], [], 0
-                a, b, c = coefficient_terms(table[:, oi], _take(point, ri), _take(direction, ri))
+                a, b, c = coefficient_terms(table[:, oi], point, (*_take(direction, ri), 0.0))
                 np.fmin.at(out, ri, nearest_root(a, b, c, max_abs[oi] * s_sq[ri], d))
     return out
 
@@ -474,6 +485,18 @@ def classical_lift(point: Vec4, direction: Vec4) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*terms)).transpose(2, 0, 1).copy()
 
 
+def _count_tiles(counts: np.ndarray, objects: int, discriminant: Callable) -> None:
+    """Add to `counts` each ray's number of D >= 0 over `objects` objects: bench's one tile loop.
+
+    The rays run in `tiles`; `discriminant(sl)` gives D on the (rays,
+    objects) tile of the ray range sl.  Floating-point errors stay silent:
+    overflow gives inf and NaN, and NaN counts as no hit.
+    """
+    with np.errstate(all="ignore"):
+        for sl in tiles(len(counts), objects):
+            counts[sl] += np.count_nonzero(discriminant(sl) >= 0.0, axis=1)
+
+
 def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     """Per ray of `classical_lift`, the number of objects with b^2 - a*c >= 0.
 
@@ -481,19 +504,21 @@ def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     in buffers allocated once per call.
     """
     rays, objects = len(lifted), table.shape[1]
-    counts = np.empty(rays, dtype=np.int64)
+    counts = np.zeros(rays, dtype=np.int64)
     rows = min(rays, _tile_rays(objects))
     abc = np.empty((rows, 3, objects))
     bb, ac = np.empty((2, rows, objects))
-    with np.errstate(all="ignore"):
-        for sl in tiles(rays, objects):
-            block = lifted[sl]
-            m = len(block)
-            np.matmul(block.reshape(3 * m, 10), table, out=abc[:m].reshape(3 * m, objects))
-            a, b, c = abc[:m, 0], abc[:m, 1], abc[:m, 2]
-            np.multiply(b, b, out=bb[:m])
-            np.multiply(a, c, out=ac[:m])
-            counts[sl] = np.count_nonzero(np.subtract(bb[:m], ac[:m], out=bb[:m]) >= 0.0, axis=1)
+
+    def discriminant(sl: slice) -> np.ndarray:
+        block = lifted[sl]
+        m = len(block)
+        np.matmul(block.reshape(3 * m, 10), table, out=abc[:m].reshape(3 * m, objects))
+        a, b, c = abc[:m, 0], abc[:m, 1], abc[:m, 2]
+        np.multiply(b, b, out=bb[:m])
+        np.multiply(a, c, out=ac[:m])
+        return np.subtract(bb[:m], ac[:m], out=bb[:m])
+
+    _count_tiles(counts, objects, discriminant)
     return counts
 
 
@@ -567,21 +592,22 @@ def separated_counts(
     rays, objects = len(direction[0]), generic.shape[1]
     moment, dir_norm_sq = terms
     counts = np.zeros(rays, dtype=np.int64)
-    with np.errstate(all="ignore"):
-        if len(r_sq):
-            for sl in tiles(rays, len(r_sq)):
-                rows = (sl, None)
-                d = moment_discriminant(
-                    centers, r_sq, _take(moment, rows), _take(direction[:3], rows),
-                    dir_norm_sq[rows],
-                )
-                counts[sl] += np.count_nonzero(d >= 0.0, axis=1)
-        if objects:
-            products = pair_products(generic)
-            d = np.empty((min(rays, _tile_rays(objects)), objects))
-            for sl in tiles(rays, objects):
-                w = weights[sl]
-                np.matmul(w, products, out=d[:len(w)])
-                counts[sl] += np.count_nonzero(d[:len(w)] >= 0.0, axis=1)
+
+    def spheres(sl: slice) -> np.ndarray:
+        rows = (sl, None)
+        return moment_discriminant(
+            centers, r_sq, _take(moment, rows), _take(direction[:3], rows), dir_norm_sq[rows]
+        )
+
+    def lifted(sl: slice) -> np.ndarray:
+        w = weights[sl]
+        return np.matmul(w, products, out=d[:len(w)])
+
+    if len(r_sq):
+        _count_tiles(counts, len(r_sq), spheres)
+    if objects:
+        products = pair_products(generic)
+        d = np.empty((min(rays, _tile_rays(objects)), objects))
+        _count_tiles(counts, objects, lifted)
     return counts
 

@@ -35,6 +35,7 @@ from .geometry import HomogeneousPoint, Mat4, compose, transpose
 __all__ = [
     "QuadricMatrix",
     "COEFFICIENT_ORDER",
+    "COEFFICIENT_ENTRIES",
     "sphere",
     "ellipsoid",
     "one_sheet_hyperboloid",
@@ -55,6 +56,14 @@ __all__ = [
 
 # Serialization order for the 10 coefficients (used by the scene format).
 COEFFICIENT_ORDER = ("a11", "a22", "a33", "a44", "a12", "a13", "a23", "a14", "a24", "a34")
+# Q's symmetric 4x4 layout, read off the names: coefficient aij sits at
+# entries (i - 1, j - 1) and (j - 1, i - 1).  The only copy of the layout.
+COEFFICIENT_ENTRIES = tuple((int(name[1]) - 1, int(name[2]) - 1) for name in COEFFICIENT_ORDER)
+
+
+def _max_abs_coefficient(q) -> float:
+    """The largest |coefficient| of `q.coefficients()`; every kind's `max_abs_coefficient`."""
+    return max(map(abs, q.coefficients()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,16 +103,13 @@ class QuadricMatrix:
         """The coefficients, so `a11, ..., a34 = q` unpacks them."""
         return iter(self.coefficients())
 
-    def max_abs_coefficient(self) -> float:
-        return max(abs(c) for c in self.coefficients())
+    max_abs_coefficient = _max_abs_coefficient
 
     def to_mat4(self) -> Mat4:
-        return Mat4(
-            (self.a11, self.a12, self.a13, self.a14,
-             self.a12, self.a22, self.a23, self.a24,
-             self.a13, self.a23, self.a33, self.a34,
-             self.a14, self.a24, self.a34, self.a44)
-        )
+        m = [0.0] * 16
+        for c, (i, j) in zip(self.coefficients(), COEFFICIENT_ENTRIES):
+            m[4 * i + j] = m[4 * j + i] = c
+        return Mat4(tuple(m))
 
 
 def quadratic_form(q: Iterable, v: Sequence) -> float:
@@ -160,19 +166,13 @@ def transform(q0: QuadricMatrix, t: Mat4) -> QuadricMatrix:
     """T^T Q0 T for a rigid transform T, re-symmetrized into coefficient form.
 
     The floating-point product can be asymmetric in the last ulp; averaging
-    the (i, j)/(j, i) entries absorbs that so downstream algebra can keep
-    relying on exact symmetry.
+    the (i, j)/(j, i) entries of each off-diagonal coefficient absorbs that
+    so downstream algebra can keep relying on exact symmetry.
     """
     p = compose(transpose(t), compose(q0.to_mat4(), t))
-
-    def avg(i: int, j: int) -> float:
-        return 0.5 * (p.at(i, j) + p.at(j, i))
-
-    return QuadricMatrix(
-        a11=p.at(0, 0), a22=p.at(1, 1), a33=p.at(2, 2), a44=p.at(3, 3),
-        a12=avg(0, 1), a13=avg(0, 2), a23=avg(1, 2),
-        a14=avg(0, 3), a24=avg(1, 3), a34=avg(2, 3),
-    )
+    return QuadricMatrix(*(
+        p.at(i, j) if i == j else 0.5 * (p.at(i, j) + p.at(j, i)) for i, j in COEFFICIENT_ENTRIES
+    ))
 
 
 # Catalog shape parameters must lie in [2^-511, 2^511]: then r^2 and 1/a^2
@@ -211,8 +211,7 @@ class _Shape:
         """The shape parameters in directive order."""
         return tuple([getattr(self, name) for name in self.__match_args__])
 
-    def max_abs_coefficient(self) -> float:
-        return max(map(abs, self.coefficients()))
+    max_abs_coefficient = _max_abs_coefficient
 
     def matrix(self) -> QuadricMatrix:
         return QuadricMatrix(*self.coefficients())
@@ -281,8 +280,7 @@ class General:
     def coefficients(self) -> tuple[float, ...]:
         return self.q.coefficients()
 
-    def max_abs_coefficient(self) -> float:
-        return self.q.max_abs_coefficient()
+    max_abs_coefficient = _max_abs_coefficient
 
     def matrix(self) -> QuadricMatrix:
         return self.q

@@ -58,9 +58,8 @@ def _render_rows(
     cam: Camera, method: str, table: np.ndarray, spheres: np.ndarray, rows: range
 ) -> bytes:
     x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(rows.start, rows.stop)[:, None])
-    direction = (x.ravel(), y.ravel(), z.ravel(), 0.0)
-    point = (cam.origin.x, cam.origin.y, cam.origin.z, 1.0)
-    nearest = nearest_hits(table, point, direction, method, spheres)
+    direction = (x.ravel(), y.ravel(), z.ravel())
+    nearest = nearest_hits(table, cam.origin.as_tuple(), direction, method, spheres)
     return _pixel_values(nearest).tobytes()
 
 

@@ -53,28 +53,36 @@ def _scalar_nearest(matrices, point, direction, method) -> float:
     return nearest
 
 
+def _split(directions) -> tuple:
+    """The (sx, sy, sz) arrays of `HomogeneousDirection`s, as `nearest_hits` takes them."""
+    return tuple(np.array(v) for v in zip(*(s.as_tuple()[:3] for s in directions)))
+
+
 @pytest.mark.parametrize("method", ["classical", "separated"])
-def test_nearest_hits_equal_the_scalar_kernels_with_per_ray_origins(method, monkeypatch):
-    # Raw quadrics, and rays with origins of their own (render shares one
-    # camera origin); tiles of 2 rays split the 25 rays unevenly.
+def test_nearest_hits_equal_the_scalar_kernels_from_several_origins(method, monkeypatch):
+    # Raw quadrics seen from 5 origins, one `nearest_hits` call of 5 rays
+    # each; tiles of 2 rays split each call's 5 rays unevenly.
     monkeypatch.setattr(kernels, "TILE_PAIRS", 2 * 12)
     rng = np.random.default_rng(3)
     matrices = [random_quadric(rng) for _ in range(12)]
-    rays = [random_ray(rng) for _ in range(25)]
-    point = tuple(np.array([p.as_tuple()[k] for p, _ in rays]) for k in range(3)) + (1.0,)
-    direction = tuple(np.array([s.as_tuple()[k] for _, s in rays]) for k in range(3)) + (0.0,)
+    table = coefficient_table(matrices)
     spheres = render_tables([SceneObject(General(q)) for q in matrices])[1]
-    got = nearest_hits(coefficient_table(matrices), point, direction, method, spheres)
-    expected = np.array([_scalar_nearest(matrices, p, s, method) for p, s in rays])
-    assert np.array_equal(got, expected, equal_nan=True)
+    expected = []
+    for _ in range(5):
+        origin = random_ray(rng)[0]
+        directions = [random_ray(rng)[1] for _ in range(5)]
+        got = nearest_hits(table, origin.as_tuple()[:3], _split(directions), method, spheres)
+        want = [_scalar_nearest(matrices, origin, s, method) for s in directions]
+        assert np.array_equal(got, want, equal_nan=True)
+        expected += want
     assert not np.all(np.isnan(expected))
 
 
 @pytest.mark.parametrize("method", ["classical", "separated"])
 @pytest.mark.parametrize("tile_pairs", [13, kernels.TILE_PAIRS])
-def test_nearest_hits_cull_with_per_ray_origins(method, tile_pairs, monkeypatch):
-    # Rays from their own origins aimed near bounded and unbounded objects:
-    # the cull (per-pair w = c - x) changes nothing, and it does drop pairs.
+def test_nearest_hits_cull_from_several_origins(method, tile_pairs, monkeypatch):
+    # 40 rays, 8 from each of 5 origins, aimed near bounded and unbounded
+    # objects: the cull changes nothing, and it does drop pairs.
     monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
     rng = np.random.default_rng(17)
     objects = [
@@ -85,16 +93,14 @@ def test_nearest_hits_cull_with_per_ray_origins(method, tile_pairs, monkeypatch)
         SceneObject(HyperbolicParaboloid(1.0, 2.0), Vec3(-4.0, 4.0, -4.0)),
         SceneObject(Sphere(0.8), Vec3(2.0, -4.0, 3.0), random_rotation(rng)),
     ]
-    origins = rng.uniform(-12.0, 12.0, size=(40, 3))
-    targets = np.array([o.center.as_tuple() for o in objects])[rng.integers(0, 6, 40)]
-    dirs = targets + rng.normal(scale=1.5, size=(40, 3)) - origins
-    point = (*origins.T, 1.0)
-    direction = (*dirs.T, 0.0)
-    rays = [
-        (HomogeneousPoint(*o, 1.0), HomogeneousDirection(*d, 0.0))
-        for o, d in zip(origins.tolist(), dirs.tolist())
-    ]
+    origins = rng.uniform(-12.0, 12.0, size=(5, 1, 3))
+    targets = np.array([o.center.as_tuple() for o in objects])[rng.integers(0, 6, (5, 8))]
+    dirs = targets + rng.normal(scale=1.5, size=(5, 8, 3)) - origins
     matrices = [o.world_matrix() for o in objects]
+    rays = [
+        (HomogeneousPoint(*o[0], 1.0), HomogeneousDirection(*d, 0.0))
+        for o, ds in zip(origins.tolist(), dirs.tolist()) for d in ds
+    ]
     expected = np.array([_scalar_nearest(matrices, p, s, method) for p, s in rays])
     table, spheres = render_tables(objects)
     kept = []
@@ -104,22 +110,26 @@ def test_nearest_hits_cull_with_per_ray_origins(method, tile_pairs, monkeypatch)
         kept.append(len(ri))
         return ri, oi
 
+    def run() -> np.ndarray:
+        return np.concatenate([
+            nearest_hits(table, tuple(o[0]), tuple(d.T), method, spheres)
+            for o, d in zip(origins.tolist(), dirs)
+        ])
+
     monkeypatch.setattr(kernels, "keep_pairs", spy)
-    got = nearest_hits(table, point, direction, method, spheres)
-    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(run(), expected, equal_nan=True)
     assert 0 < sum(kept) < 40 * 4 and np.count_nonzero(~np.isnan(expected)) > 10
     # Cull off: every column unbounded.
     monkeypatch.setattr(kernels, "cull_radii", lambda spheres, *_: np.full(spheres.shape[1], np.inf))
-    got = nearest_hits(table, point, direction, method, spheres)
-    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(run(), expected, equal_nan=True)
 
 
 @pytest.mark.parametrize("method", ["Separated", "bogus", ""])
 def test_nearest_hits_rejects_an_unknown_route(method):
     table, spheres = render_tables([SceneObject(Sphere(1.0))])
-    point, direction = (0.0, 0.0, 5.0, 1.0), (np.array([0.0]), 0.0, -1.0, 0.0)
+    origin, direction = (0.0, 0.0, 5.0), (np.array([0.0]), np.array([0.0]), np.array([-1.0]))
     with pytest.raises(ValueError, match="unknown method"):
-        nearest_hits(table, point, direction, method, spheres)
+        nearest_hits(table, origin, direction, method, spheres)
 
 
 @pytest.mark.parametrize("method", ["classical", "separated"])
@@ -130,8 +140,8 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
     monkeypatch.setattr(kernels, "TILE_PAIRS", 50)
     objects = [SceneObject(Sphere(r), Vec3(0.1 * r, 0.0, 0.0)) for r in (2.0, 3.0, 4.0)]
     rng = np.random.default_rng(4)
-    direction = (*rng.normal(size=(3, 400)), 0.0)
-    point = (0.0, 0.0, 0.0, 1.0)
+    direction = tuple(rng.normal(size=(3, 400)))
+    origin = (0.0, 0.0, 0.0)
     sizes, roots = [], []
     coefficient_terms, nearest_root = kernels.coefficient_terms, kernels.nearest_root
 
@@ -148,14 +158,14 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
     monkeypatch.setattr(kernels, "coefficient_terms", spy)
     monkeypatch.setattr(kernels, "nearest_root", root_spy)
     table, spheres = render_tables(objects)
-    got = nearest_hits(table, point, direction, method, spheres)
+    got = nearest_hits(table, origin, direction, method, spheres)
     assert sum(sizes) == 400 * 3 and len(sizes) > 10 and max(sizes) < 2 * 50 + 3
     assert len(roots) == len(sizes) and max(roots) < 2 * 50
-    origin = HomogeneousPoint(0.0, 0.0, 0.0, 1.0)
+    point = HomogeneousPoint(*origin, 1.0)
     matrices = [o.world_matrix() for o in objects]
     expected = [
-        _scalar_nearest(matrices, origin, HomogeneousDirection(*s, 0.0), method)
-        for s in zip(*direction[:3])
+        _scalar_nearest(matrices, point, HomogeneousDirection(*s, 0.0), method)
+        for s in zip(*direction)
     ]
     assert np.array_equal(got, expected)
 
@@ -197,8 +207,8 @@ class TestBoundingSpheres:
         centers = np.array([[0.0, 10.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         r_sq = np.array([4.0, 1.0, np.nan])
         # From (0, 0, 1) along +y: inside the first sphere, missing the second by far.
-        direction = (np.array([0.0]), np.array([1.0]), np.array([0.0]), 0.0)
-        ri, oi = keep_pairs(centers, r_sq, (0.0, 0.0, 1.0, 1.0), direction)
+        direction = (np.array([0.0]), np.array([1.0]), np.array([0.0]))
+        ri, oi = keep_pairs(centers, r_sq, (0.0, 0.0, 1.0), direction)
         assert oi.tolist() == [0, 2] and ri.tolist() == [0, 0]
 
 
@@ -496,6 +506,21 @@ def _rounding_bound(table: np.ndarray, point, direction, route: str) -> np.ndarr
     return n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53) * (b * b + a * c)
 
 
+def _fold(rows: np.ndarray, sign: float) -> np.ndarray:
+    """(rays, 55): B_a B_b + sign A_a C_b of the rows A, B, C, folded as in `pair_products`.
+
+    Entry (a, b), a < b, is the (a, b) term plus the (b, a) term; entry (a, a)
+    is the (a, a) term alone.
+    """
+    a, b, c = np.moveaxis(rows, 1, 0)
+    m = b[:, :, None] * b[:, None, :] + sign * (a[:, :, None] * c[:, None, :])
+    i, j = np.triu_indices(10)
+    cross = i != j
+    folded = m[:, i, j]
+    folded[:, cross] += m[:, j[cross], i[cross]]
+    return folded
+
+
 def _ray(point, direction, i: int) -> tuple:
     """Ray i's point and direction as 4-tuples of floats."""
     return tuple(
@@ -551,6 +576,47 @@ class TestLiftedKernels:
         smallest = {route: f"{float(m):.3g}" for route, m in margin.items()}
         print(f"shift {shift:g}: pairs inside the rounding bound, of {pairs}: {inside}")
         print(f"shift {shift:g}: smallest |exact D| / bound: {smallest}")
+
+    @pytest.mark.parametrize("shift", [0.0, 1e5])
+    def test_separated_lift_is_the_classical_rows_folded(self, shift):
+        """`separated_lift` equals B (x) B - A (x) C folded, A, B, C the rows of `classical_lift`.
+
+        R = x s^T - s x^T has rank 2, so s^T Q R Q x = b^2 - a c as
+        polynomials in Q's coefficients, and the weight of q_a q_b is
+        2 B_a B_b - A_a C_b - A_b C_a for a < b and B_a^2 - A_a C_a for a = b.
+        Lifted, the separated route thus evaluates b^2 - a c with 55 weights
+        against classical's 30 (3 rows of 10) and 3 operations per pair.
+
+        The bound is gamma_n times the absolute terms, as in
+        `_rounding_bound`.  With A+, B+, C+ the rows of `classical_lift` on
+        |x| and |s|, and M+_ab = B+_a B+_b + A+_a C+_b, the absolute terms of
+        either side's entry (a, b) sum to T = M+_ab + M+_ba for a < b and
+        M+_aa for a = b: for the separated side, W_ab = u(e_a)^T R v(e_b) has
+        the absolute terms sum_ij |u_i| (|x_i s_j| + |s_i x_j|) |v_j|, which
+        is (|u|.|x|)(|s|.|v|) + (|u|.|s|)(|x|.|v|) = M+_ab.
+
+        Classical: an entry of A or C is a product of two ray components (1
+        rounding), one of B at most a sum of two products (2); the fold's
+        products (1), subtraction (1) and sum (1) make at most 2 + 2 + 3 = 7
+        on any term.  Separated: r_ij (2), U^T R and (U^T R) V, two products
+        of four terms (4 + 4), the fold (1): 11, as in `_rounding_bound`
+        without the coefficient product and the dot product with the table.
+        So |separated - fold| <= (gamma_11 + gamma_7) T <= gamma_18 T.  T in
+        floats is low by at most 7 roundings of nonnegative terms, and the
+        difference is rounded once; gamma_20 covers both.
+        """
+        origins, dirs = generate_rays(1, 40)
+        origins[:, 0] += shift
+        point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
+        absolute = (tuple(np.abs(v) for v in point), tuple(np.abs(v) for v in direction))
+        terms = _fold(classical_lift(*absolute), 1.0)
+        folded = _fold(classical_lift(point, direction), -1.0)
+        diff = np.abs(separated_lift(point, direction) - folded)
+        n = 20
+        assert np.all(diff <= n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53) * terms)
+        assert np.count_nonzero(terms) > 0.5 * terms.size
+        worst = float((diff / np.where(terms > 0.0, terms, 1.0)).max() / 2.0 ** -53)
+        print(f"shift {shift:g}: largest |separated - fold| / terms: {worst:.3g} u")
 
     @pytest.mark.parametrize("mix", KIND_MIXES)
     @pytest.mark.parametrize("tile_pairs", [kernels.TILE_PAIRS, 50])

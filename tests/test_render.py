@@ -248,7 +248,7 @@ class TestExtremeInputs:
         assert image.pixels == expected
 
 
-def _no_cull(spheres, max_abs, point, direction):
+def _no_cull(spheres, max_abs, origin, direction):
     """Stand-in for `kernels.cull_radii` that leaves every column unbounded."""
     return np.full(spheres.shape[1], np.inf)
 
@@ -261,8 +261,8 @@ class _KeptPairs:
         self.inner = kernels.keep_pairs
         monkeypatch.setattr(kernels, "keep_pairs", self)
 
-    def __call__(self, centers, r_sq, point, direction):
-        ri, oi = self.inner(centers, r_sq, point, direction)
+    def __call__(self, centers, r_sq, origin, direction):
+        ri, oi = self.inner(centers, r_sq, origin, direction)
         self.tested += len(direction[0]) * len(r_sq)
         self.kept += len(ri)
         return ri, oi

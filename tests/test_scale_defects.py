@@ -25,7 +25,8 @@ from quadrics import (
     transform,
     translation,
 )
-from quadrics.quadric import General
+from quadrics.bench import run_benchmark
+from quadrics.quadric import General, Sphere
 from quadrics.render import render_detection
 from quadrics.scene import Camera, Scene, SceneObject
 
@@ -112,3 +113,24 @@ def test_overflowing_coefficients_light_the_same_pixels_on_both_routes():
     scene = Scene(camera, (SceneObject(General(q)),))
     classical, separated = (render_detection(scene, m).pixels for m in ("classical", "separated"))
     assert [v > 0 for v in classical] == [v > 0 for v in separated]
+
+
+def _bench_outcome(scene, method) -> tuple:
+    """("raises", the error's type) or ("counts", hits, checksum) of one bench route."""
+    try:
+        (stats,) = run_benchmark(scene, 100, method)
+    except ValueError as exc:
+        return ("raises", type(exc))
+    return ("counts", stats.hits, stats.checksum)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: bench classical raises on the far sphere's non-finite world matrix; "
+    "separated's moment path reads its -inf discriminants as misses",
+)
+def test_far_plain_sphere_gets_one_outcome_on_both_bench_routes():
+    camera = Camera(Vec3(0.0, 0.0, 10.0), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), 60.0, 9, 7)
+    far = Vec3(1e200, 0.0, 0.0)
+    scene = Scene(camera, (SceneObject(Sphere(1.0)), SceneObject(Sphere(1.0), far)))
+    assert _bench_outcome(scene, "classical") == _bench_outcome(scene, "separated")
