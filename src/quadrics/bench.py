@@ -5,11 +5,13 @@ discriminant nonnegative?  Detection runs in tiles of (rays x objects)
 through the lifted kernels of `kernels`, over a struct-of-arrays table of
 the objects' coefficients, which is the data layout the separated form is
 designed for.  Each method first lifts every ray once per call, the
-precompute phase: classical into a, b and c as linear forms in Q's 10
-coefficients, separated into R and the 55 weights of s^T Q R Q x as a
-quadratic form in them.  Detection is then one matrix product per tile:
-classical (3 x rays, 10) @ (10, objects) and b^2 - a*c, separated
-(rays, 55) @ (55, objects) against the objects' coefficient products.
+precompute phase, reading each weight off Q's layout
+(`quadric.COEFFICIENT_ENTRIES`): classical into a, b and c as linear forms
+in Q's 10 coefficients, separated into R and the 55 weights of
+s^T Q R Q x as a quadratic form in them.  Detection is then one matrix
+product per tile: classical (3 x rays, 10) @ (10, objects) and
+b^2 - a*c, separated (rays, 55) @ (55, objects) against the objects'
+coefficient products.
 Plain spheres stay on the separated route's moment fast path, the
 reference's own `separated.line_moment` per ray and
 `separated.moment_discriminant` per pair (one cross product, a
@@ -159,8 +161,6 @@ def _detect_rays(
             t1 = time.perf_counter_ns()
             counts = classical_counts(*tables, lifted)
         else:
-            # Terms before R: in the other order the generic kernel timed 4-10%
-            # slower on detect-wide (in-process A/B), with the same work.
             terms = line_moment(point, direction)
             weights = separated_lift(point, direction) if tables[2].shape[1] else None
             t1 = time.perf_counter_ns()

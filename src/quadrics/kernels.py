@@ -34,8 +34,11 @@ linear and quadratic forms in Q's 10 coefficients, so a ray becomes, once
 per call, a vector of weights (`classical_lift`, `separated_lift`), and a
 tile of rays x objects is one matrix product with the coefficient table or
 its 55 pairwise products (`pair_products`); both routes' counts run in one
-tile loop.  The lifted vectors are the reference forms run on the 10x10
-unit table, so no pair formula is written twice.  `separated_tables` owns the separated route's split: a `Sphere`
+tile loop.  The lifts read each weight off Q's layout,
+`quadric.COEFFICIENT_ENTRIES`: coefficient (i, j) weighs u_i v_j + u_j v_i
+in u^T Q v, and Q_k v holds v_j in row i and v_i in row j.  A test pins
+both lifts to the reference forms run on the 10x10 unit table, number for
+number.  `separated_tables` owns the separated route's split: a `Sphere`
 with no rotation takes the moment fast path, every other object the lifted
 form.  A BLAS product sums in its own order, so these kernels are not
 bit-identical to the scalar ones per pair.  What holds, and the tests
@@ -54,6 +57,7 @@ drops only pairs whose kernel result is provably a Miss (see
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
@@ -61,7 +65,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
-from .quadric import COEFFICIENT_ENTRIES, Sphere, apply
+from .quadric import COEFFICIENT_ENTRIES, Sphere
 from .separated import (
     early_reject, factored_discriminant, line_bilinear, line_entries, moment_discriminant,
 )
@@ -99,10 +103,6 @@ METHODS = ("classical", "separated")
 # faster but used more memory.
 TILE_PAIRS = 8192
 
-# Q's 10 coefficients as a table of 10 unit quadrics, one (10, 1) column
-# each: a reference form run on it with per-ray components gives a
-# (10, rays) array, each ray's weight on each coefficient.
-_UNIT = np.eye(10)[:, :, None]
 # The four axes e_i along the first and along the second of three axes:
 # `line_bilinear` on the two gives R's (4, 4) matrix, e_i^T R e_k, per ray.
 _AXES = tuple(np.eye(4)[i].reshape(4, 1, 1) for i in range(4))
@@ -119,6 +119,7 @@ Directions = Sequence[np.ndarray]
 
 # Entry (i, j), i <= j, of each coefficient of Q's symmetric 4x4 matrix.
 _ROWS, _COLS = np.array(COEFFICIENT_ENTRIES).T
+_NON_FINITE = "world matrix: non-finite coefficient"
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,7 +184,7 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
     # the table through products and sums, and x * inf, x * NaN and a sum
     # with either are never finite.
     for bad, what in (
-        (~np.isfinite(table).all(axis=1), "world matrix: non-finite coefficient"),
+        (~np.isfinite(table).all(axis=1), _NON_FINITE),
         ((table == 0.0).all(axis=1), "all coefficients zero"),
     ):
         if bad.any():
@@ -474,15 +475,37 @@ def nearest_hits(
     return out
 
 
+def _form_weights(u: Vec4, v: Vec4) -> list:
+    """Each coefficient's weight in u^T Q v, in `COEFFICIENT_ORDER`, read off Q's layout.
+
+    Coefficient k sits at entries (i, j) and (j, i) of Q
+    (`quadric.COEFFICIENT_ENTRIES`), so its weight is u_i v_j, plus u_j v_i
+    when i != j: the terms `quadric.bilinear_form` multiplies it by.
+    """
+    return [u[i] * v[j] if i == j else u[i] * v[j] + u[j] * v[i] for i, j in COEFFICIENT_ENTRIES]
+
+
 def classical_lift(point: Vec4, direction: Vec4) -> np.ndarray:
     """(rays, 3, 10): each ray's a, b and c as linear forms in Q's 10 coefficients.
 
-    `classical.coefficient_terms` run on the unit table, so entry (k, i) is
-    the weight of coefficient i in the ray's k-th term; a ray's rows times a
-    (10, objects) table are its a, b and c against every object.
+    Entry (k, i) is the weight of coefficient i in the ray's k-th term:
+    `_form_weights` of (s, s), (s, x) and (x, x), so a ray's rows times a
+    (10, objects) table are its a, b and c against every object.  Components
+    are floats or (rays,) arrays; floats alone give one ray.  For finite
+    rays the weights equal `classical.coefficient_terms` run on the 10x10
+    unit table (a zero weight's sign aside), which the tests check: the
+    unit table only adds exact zeros to these products and sums, and
+    2 (u_i u_j) = u_i u_j + u_j u_i exactly.
     """
-    terms = coefficient_terms(_UNIT, point, direction)
-    return np.stack(np.broadcast_arrays(*terms)).transpose(2, 0, 1).copy()
+    # Filled in place, in the layout `classical_counts` reads: a transposed
+    # copy allocated a second buffer, 720 KiB at 3000 rays, above glibc's
+    # mmap threshold, which page-faulted afresh on each call (0.7 ms of a
+    # 2.7 ms bench call).
+    lifted = np.empty((np.broadcast(*point, *direction).size, 3, 10))
+    for row, (u, v) in enumerate(((direction, direction), (direction, point), (point, point))):
+        for k, weight in enumerate(_form_weights(u, v)):
+            lifted[:, row, k] = weight
+    return lifted
 
 
 def _count_tiles(counts: np.ndarray, objects: int, discriminant: Callable) -> None:
@@ -527,21 +550,46 @@ def separated_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.nda
 
     A `Sphere` with no rotation takes the moment fast path; every other
     object goes, in scene order, into a (10, objects) table built as
-    `world_table` builds it, whose errors name each object by its position
-    in `objects`.
+    `world_table` builds it.  Raises ValueError where `world_table(objects)`
+    would, with its message, naming the first failing object by its
+    position in `objects`: a fast-path sphere fails when its world matrix's
+    a44 = |c|^2 - r^2, summed in `_compose`'s order, is not finite, the only
+    coefficient of such a sphere that can leave the floats.
     """
     centers, r_sq, generic = [], [], []
+
+    def generic_table() -> np.ndarray:
+        return _world_table(_placements([objects[i] for i in generic]), generic)
+
     for i, obj in enumerate(objects):
         if isinstance(obj.kind, Sphere) and obj.rot is None:
-            centers.append(obj.center.as_tuple())
+            x, y, z = obj.center.as_tuple()
             r_sq.append(obj.kind.r * obj.kind.r)
+            if not math.isfinite(0.0 + x * x + y * y + z * z - r_sq[-1]):
+                generic_table()  # an earlier failing object is named first
+                raise ValueError(f"object {i}: {_NON_FINITE}")
+            centers.append((x, y, z))
         else:
             generic.append(i)
     return (
         np.array(centers, dtype=np.float64).reshape(-1, 3).T,
         np.array(r_sq, dtype=np.float64),
-        _world_table(_placements([objects[i] for i in generic]), generic),
+        generic_table(),
     )
+
+
+def _applied(v: Vec4) -> np.ndarray:
+    """(4, 10, rays): Q_k v for each unit quadric Q_k of Q's layout.
+
+    Coefficient k at (i, j) (`quadric.COEFFICIENT_ENTRIES`) puts v_j in row
+    i and v_i in row j of Q_k v, and zeros elsewhere: `quadric.apply` on
+    the unit quadric, for finite v (a zero's sign aside).
+    """
+    out = np.zeros((4, 10, np.broadcast(*v).size))
+    for k, (i, j) in enumerate(COEFFICIENT_ENTRIES):
+        out[i, k] = v[j]
+        out[j, k] = v[i]
+    return out
 
 
 def separated_lift(point: Vec4, direction: Vec4) -> np.ndarray:
@@ -549,15 +597,16 @@ def separated_lift(point: Vec4, direction: Vec4) -> np.ndarray:
 
     D = u^T R v with u = Q s and v = Q x, both linear in Q's coefficients,
     so D is a quadratic form in them: D = sum over a, b of q_a q_b W_ab, with
-    W_ab = u(e_a)^T R v(e_b) over the unit quadrics e_a.  `quadric.apply`
-    on the unit table gives U and V, the u(e_a) and v(e_b) of every a, b, as
-    (4, 10) per ray; `separated.line_bilinear` on pairs of axes gives R as
-    (4, 4), so W = U^T R V.  Folding W_ab + W_ba (a < b) and W_aa pairs each
-    product once.
+    W_ab = u(e_a)^T R v(e_b) over the unit quadrics e_a.  `_applied` reads
+    U and V, the u(e_a) and v(e_b) of every a, b, off Q's layout as (4, 10)
+    per ray; `separated.line_bilinear` on pairs of axes gives R as (4, 4),
+    so W = U^T R V.  Folding W_ab + W_ba (a < b) and W_aa pairs each product
+    once.  For finite rays U and V equal `quadric.apply` on the 10x10 unit
+    table, so the weights equal those of the unit-table forms, which the
+    tests check.
     """
     r = line_bilinear(line_entries(point, direction), _AXES, _AXES_ACROSS)
-    u = np.stack(apply(_UNIT, direction))
-    v = np.stack(apply(_UNIT, point))
+    u, v = _applied(direction), _applied(point)
     w = u.transpose(2, 1, 0) @ r.transpose(2, 0, 1) @ v.transpose(2, 0, 1)
     folded = w[:, _PAIR_A, _PAIR_B]
     folded[:, _CROSS] += w[:, _PAIR_B[_CROSS], _PAIR_A[_CROSS]]

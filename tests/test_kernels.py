@@ -353,6 +353,19 @@ class TestWorldTable:
         with pytest.raises(ValueError, match="object 2"):
             separated_tables([SceneObject(Sphere(1.0)), SceneObject(Ellipsoid(1.0, 2.0, 3.0)), obj])
 
+    def test_far_plain_sphere_is_named_as_world_table_names_it(self):
+        # A fast-path sphere whose a44 overflows fails with world_table's
+        # message, and the first failing object is named on both routes.
+        far = SceneObject(Sphere(1.0), Vec3(1e200, 0.0, 0.0))
+        bad = SceneObject(General(QuadricMatrix(1e308, 1.0, 1.0, 1.0, a12=1e308)))
+        for objects, first in (([far, bad], "object 0"), ([bad, far], "object 0"),
+                               ([SceneObject(Sphere(1.0)), far], "object 1")):
+            with pytest.raises(ValueError, match=first) as expected:
+                world_table(objects)
+            with pytest.raises(ValueError) as got:
+                separated_tables(objects)
+            assert str(got.value) == str(expected.value)
+
     def test_index_selects_and_orders_the_columns(self):
         objects = generate_scene(9, 6, self.ALL_KINDS).objects
         full = world_table(objects)
@@ -476,8 +489,9 @@ def _rounding_bound(table: np.ndarray, point, direction, route: str) -> np.ndarr
     bounds the relative error of a term that passes through n roundings,
     in any order (Higham, Accuracy and Stability of Numerical Algorithms,
     lemma 3.1), so the error of D is at most gamma_n times the sum of its
-    absolute terms.  Products with the unit table's 0 and 1, and sums with
-    exact zeros, do not round.  No term underflows in these scenes.
+    absolute terms.  The lifts read each weight off Q's layout, so their
+    only roundings are the products and sums of ray components counted
+    below.  No term underflows in these scenes.
 
     Classical: an entry of alpha(s) or gamma(x) is a product of two ray
     components (one rounding), one of beta(s, x) at most a sum of two (two);
@@ -526,6 +540,44 @@ def _ray(point, direction, i: int) -> tuple:
     return tuple(
         tuple(v[i] if isinstance(v, np.ndarray) else v for v in vec) for vec in (point, direction)
     )
+
+
+def _unit_table_lifts(point, direction, monkeypatch) -> tuple:
+    """Both lifts from the reference forms run on the 10x10 unit table.
+
+    Classical: `coefficient_terms` on the unit table.  Separated:
+    `separated_lift` with U and V from `quadric.apply` on the unit table.
+    """
+    unit = np.eye(10)[:, :, None]
+    terms = coefficient_terms(unit, point, direction)
+    classical = np.stack(np.broadcast_arrays(*terms)).transpose(2, 0, 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_applied", lambda v: np.stack(apply(unit, v)))
+        separated = separated_lift(point, direction)
+    return classical, separated
+
+
+def _lift_cases() -> dict:
+    origins, dirs = generate_rays(3, 200)
+    shifted = origins + np.array([1e5, -1e5, 1e5])
+    signs = np.array([0.0, -0.0, -1.5, 2.0, -3.0, 0.25])
+    grid = np.array(np.meshgrid(*[signs] * 3)).reshape(3, -1)
+    return {
+        "generated": ((*origins.T, 1.0), (*dirs.T, 0.0)),
+        "shifted by 1e5": ((*shifted.T, 1.0), (*dirs.T, 0.0)),
+        "negative and zero components": ((*grid, 1.0), (*np.roll(grid, 1, axis=1), 0.0)),
+        "one ray of floats": ((-2.5, 0.0, 7.0, 1.0), (0.5, -1.0, -0.0, 0.0)),
+    }
+
+
+@pytest.mark.parametrize("case", _lift_cases())
+def test_lifts_equal_the_unit_table_forms(case, monkeypatch):
+    # Equal as numbers (np.array_equal): the unit table adds exact zeros, so
+    # a zero weight's sign may differ, and no count reads it.
+    point, direction = _lift_cases()[case]
+    classical, separated = _unit_table_lifts(point, direction, monkeypatch)
+    assert np.array_equal(classical_lift(point, direction), classical)
+    assert np.array_equal(separated_lift(point, direction), separated)
 
 
 class TestLiftedKernels:

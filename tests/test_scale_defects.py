@@ -3,12 +3,16 @@
 Each test asserts the right answer, checked against the exact oracle of
 `_helpers.exact_terms` where one exists; the oracle's roots are checked in a
 plain test that must pass, so a broken set-up cannot hide inside an xfail.
-Today both routes get these cases wrong or disagree on them, so each test
-fails on an assertion; the fix of item 2 has to flip them to passing, and
-`xfail_strict` makes the suite say so.
+Where both routes still get a case wrong or disagree on it, its test fails
+on an assertion and is marked xfail; the fix of item 2 has to flip them to
+passing, and `xfail_strict` makes the suite say so.  The far plain sphere
+is fixed: both bench routes refuse its world matrix, and its tests are
+plain.
 """
 import math
+import sys
 
+import numpy as np
 import pytest
 
 from _helpers import exact_terms
@@ -54,6 +58,7 @@ _HUGE_SPHERE = (
     HomogeneousPoint(0.0, 0.0, 5e75, 1.0),
     HomogeneousDirection(0.0, 0.0, -1.0, 0.0),
 )
+_CAMERA = Camera(Vec3(0.0, 0.0, 10.0), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), 60.0, 9, 7)
 
 
 @pytest.mark.parametrize("case, expected, tolerance", [
@@ -109,8 +114,7 @@ def test_near_tangent_ray_gets_one_kind_on_both_routes():
 )
 def test_overflowing_coefficients_light_the_same_pixels_on_both_routes():
     q = QuadricMatrix(0.0, 0.0, 0.0, 0.0, a13=1e300, a24=1e300, a34=-1e300)
-    camera = Camera(Vec3(0.0, 0.0, 10.0), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), 60.0, 9, 7)
-    scene = Scene(camera, (SceneObject(General(q)),))
+    scene = Scene(_CAMERA, (SceneObject(General(q)),))
     classical, separated = (render_detection(scene, m).pixels for m in ("classical", "separated"))
     assert [v > 0 for v in classical] == [v > 0 for v in separated]
 
@@ -124,13 +128,28 @@ def _bench_outcome(scene, method) -> tuple:
     return ("counts", stats.hits, stats.checksum)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 2: bench classical raises on the far sphere's non-finite world matrix; "
-    "separated's moment path reads its -inf discriminants as misses",
-)
+def _near_and_far(far: Vec3) -> Scene:
+    return Scene(_CAMERA, (SceneObject(Sphere(1.0)), SceneObject(Sphere(1.0), far)))
+
+
 def test_far_plain_sphere_gets_one_outcome_on_both_bench_routes():
-    camera = Camera(Vec3(0.0, 0.0, 10.0), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), 60.0, 9, 7)
-    far = Vec3(1e200, 0.0, 0.0)
-    scene = Scene(camera, (SceneObject(Sphere(1.0)), SceneObject(Sphere(1.0), far)))
+    scene = _near_and_far(Vec3(1e200, 0.0, 0.0))
     assert _bench_outcome(scene, "classical") == _bench_outcome(scene, "separated")
+    assert _bench_outcome(scene, "separated") == ("raises", ValueError)
+
+
+def test_plain_spheres_at_the_overflow_edge_get_one_outcome_on_both_bench_routes():
+    # |c|^2 leaves the floats at |c| = sqrt(max float), about 1.34e154; the
+    # sweep crosses it with the centre on one axis and spread over three.
+    edge = math.sqrt(sys.float_info.max)
+    sizes = np.geomspace(1e153, 1e155, 9).tolist()
+    sizes += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    outcomes = set()
+    for size in sizes:
+        spread = size / math.sqrt(3.0)
+        for far in (Vec3(size, 0.0, 0.0), Vec3(0.0, -size, 0.0), Vec3(spread, -spread, spread)):
+            scene = _near_and_far(far)
+            classical = _bench_outcome(scene, "classical")
+            assert classical == _bench_outcome(scene, "separated"), far
+            outcomes.add(classical[0])
+    assert outcomes == {"raises", "counts"}
