@@ -5,11 +5,14 @@ quadric coefficients, in `COEFFICIENT_ORDER`, for every object.
 `world_table` builds it from scene objects, every world matrix at once and
 bit-identical to `SceneObject.world_matrix`; Q's 4x4 layout is read from
 `quadric.COEFFICIENT_ENTRIES`.  A ray component is either an array with one
-entry per ray or a plain float shared by every ray.  Render's rays share
-one camera origin: `nearest_hits`, `keep_pairs` and `cull_radii` take it as
-three floats and the pixel directions as three arrays, and the pair forms
-receive them as (x, y, z, 1) and (sx, sy, sz, 0).  Bench's rays each have
-an origin, with w = 1 and s_w = 0 as floats.  Inside a tile the per-ray
+entry per ray or a plain float shared by every ray.  Render works in
+camera-relative coordinates: `render_tables`, the one place the camera
+origin enters render's kernels, subtracts it from every centre before it
+builds its tables, so every pixel's ray starts at (0, 0, 0, 1).
+`nearest_hits`, `keep_pairs` and `cull_radii` take the pixel directions as
+three arrays, and the pair forms receive the rays as (0, 0, 0, 1) and
+(sx, sy, sz, 0).  Bench's rays each have an origin, in world coordinates,
+with w = 1 and s_w = 0 as floats.  Inside a tile the per-ray
 arrays become columns, so numpy broadcasting evaluates all (ray, object)
 pairs of the tile at once, and a term that depends on the objects alone is
 computed once per tile, not once per pair.
@@ -113,9 +116,9 @@ _CROSS = _PAIR_A != _PAIR_B
 
 Component = Union[float, np.ndarray]
 Vec4 = Sequence[Component]
-# Render's rays: one camera origin (x, y, z) and the pixels' (sx, sy, sz) arrays.
-Origin = Sequence[float]
+# Render's rays: the pixels' (sx, sy, sz) arrays, each from the camera at _CAMERA.
 Directions = Sequence[np.ndarray]
+_CAMERA = (0.0, 0.0, 0.0, 1.0)
 
 # Entry (i, j), i <= j, of each coefficient of Q's symmetric 4x4 matrix.
 _ROWS, _COLS = np.array(COEFFICIENT_ENTRIES).T
@@ -192,15 +195,20 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
     return table.T.copy()
 
 
-def render_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray]:
-    """(`world_table(objects)`, bounding spheres) of `nearest_hits`, from one pass over the objects.
+def render_tables(
+    objects: Sequence[SceneObject], origin: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(world table, bounding spheres) of `nearest_hits`, relative to the camera at `origin`.
 
-    The bounding spheres are a (7, objects) table of terms for the stage-1
-    cull; NaN columns are unbounded.  Both tables are built from one
-    `_placements`, so the world table equals `world_table(objects)` bit for
-    bit.
+    Every centre becomes c - origin, the one float subtraction of
+    `Vec3.__sub__` per component (a `General` object's centre 0 becomes
+    0 - origin), so the world table equals `world_table` of the objects moved
+    to those centres bit for bit.  The bounding spheres are a (7, objects)
+    table of terms for the stage-1 cull; NaN columns are unbounded.  Both
+    tables are built from one `_placements`.
     """
-    placed = _placements(objects)
+    q0, centers, rotated, rot = _placements(objects)
+    placed = (q0, centers - np.array(origin, dtype=np.float64), rotated, rot)
     return _world_table(placed, range(len(objects))), _bounding_spheres(placed)
 
 
@@ -211,7 +219,7 @@ def _bounding_spheres(placed: tuple) -> np.ndarray:
     column is bounded when a11, a22, a33 > 0, a44 < 0 and the six
     off-diagonal coefficients are 0 (spheres and ellipsoids, and a raw
     quadric of that form).  Such a surface is (x - c)^T M (x - c) = nu with
-    M = Rot A Rot^T, A = diag(a11, a22, a33), nu = -a44 and c = obj.center,
+    M = Rot A Rot^T, A = diag(a11, a22, a33), nu = -a44 and c the centre,
     so it lies within R^2 = nu / min(a11, a22, a33) of c when Rot is a
     rotation.  Rot is only orthonormal within eps = max|Rot^T Rot - I|, so
     the eigenvalues of M lie in [m (1 - k), lam (1 + k)] with k = 3 eps,
@@ -308,103 +316,95 @@ def nearest_root(a, b, c, a_scale, d=None):
     )
 
 
-def cull_radii(
-    spheres: np.ndarray, max_abs: np.ndarray, origin: Origin, direction: Directions
-) -> np.ndarray:
+def cull_radii(spheres: np.ndarray, max_abs: np.ndarray, direction: Directions) -> np.ndarray:
     """Stage-1 squared radius R'^2 of each column for these rays; +inf where every pair is kept.
 
     `spheres` is from `render_tables`, `max_abs` each column's largest
-    |coefficient| in the kernels' table, `origin` the camera's (x, y, z)
-    and `direction` the pixels' (sx, sy, sz) arrays.  `keep_pairs` drops a
-    pair only when its line misses the sphere of radius R' about c, and R'
-    is derived so that both routes then classify the pair as Miss.  Below,
-    x + t s is a ray, x the camera origin, v = x - c, rho the distance from
-    c to the line, u = 2^-53, m, lam, tau, nu the rows of `spheres` and
-    R^2 = nu / m.  |s| is taken over all the call's rays (max |s|_1,
-    min |s|^2), so R' is one number per column; the call needs at least one
-    ray.
+    |coefficient| in the kernels' table and `direction` the pixels'
+    (sx, sy, sz) arrays.  `keep_pairs` drops a pair only when its line
+    misses the sphere of radius R' about c, and R' is derived so that both
+    routes then classify the pair as Miss.  Below, t s is a ray from the
+    camera at x = 0 (render's coordinates), c the centre relative to it,
+    rho the distance from c to the line, u = 2^-53, m, lam, tau, nu the rows
+    of `spheres` and R^2 = nu / m.  |s| is taken over all the call's rays
+    (max |s|_1, min |s|^2), so R' is one number per column; the call needs
+    at least one ray.
 
     1. Exact discriminant.  In the inner product <p, q> = p^T M q, the
-       quadric gives a = <s, s> >= m |s|^2, b = <s, v>, c = <v, v> - nu and
-       b^2 - a c = <s,v>^2 - <s,s><v,v> + nu <s,s> <= a (nu - m rho^2),
-       because <s,s><v,v> - <s,v>^2 = <s,s> min_t <v + t s, v + t s>.
-    2. Tangency band.  b^2 <= a lam |v|^2 and |a c| <= a (lam |v|^2 + nu),
-       so TANGENT_EPS max(b^2, |ac|) <= a m TANGENT_EPS (lam / m V^2 + R^2)
-       with V = |x - c|.
-    3. Rounding.  Both routes' d, and the b^2 and |ac| of the band, lie
+       quadric gives a = <s, s> >= m |s|^2, b = -<s, c>, c' = <c, c> - nu and
+       b^2 - a c' = <s,c>^2 - <s,s><c,c> + nu <s,s> <= a (nu - m rho^2),
+       because <s,s><c,c> - <s,c>^2 = <s,s> min_t <t s - c, t s - c>.
+    2. Tangency band.  b^2 <= a lam |c|^2 and |a c'| <= a (lam |c|^2 + nu),
+       so TANGENT_EPS max(b^2, |ac'|) <= a m TANGENT_EPS (lam / m |c|^2 + R^2).
+    3. Rounding.  Both routes' d, and the b^2 and |ac'| of the band, lie
        within E = 2^-44 (A_sx^2 + A_s A_x) of the exact values, where A_s,
-       A_sx, A_x sum the absolute terms of a, b, c over T^T Q0 T (T the
+       A_sx, A_x sum the absolute terms of a, b, c' over T^T Q0 T (T the
        placement): the world-table build, the forms, and the separated
        product s^T Q R Q x (whose absolute terms sum to at most
-       2 (A_sx^2 + A_s A_x)) account for about 150u of the 512u.  Row i < 3
-       of |T| takes |s| to at most sqrt(1 + k) |s| and (|x|, 1) to at most
-       sqrt(1 + k) L with L = |x| + |c|, so A_s <= tau |s|^2,
-       A_sx <= tau |s| L, A_x <= tau L^2 + nu and
-       E / (a m) <= 2^-44 tau (2 tau L^2 + nu) / m^2.
-       The kernels work in world coordinates, so this term grows with the
-       distance of camera and object from the origin, and far-placed
-       objects keep more pairs.
-    4. Range.  With g = max(1, max|Q|) max(1, |s|_1) max(1, 1 + |x|_1), no
-       intermediate of either route exceeds 2^5 g^4, so g <= 2^250 rules
-       out overflow; underflow adds at most 2^-1050 g^4 to d and
-       2^-1050 g^2 to a.
+       2 (A_sx^2 + A_s A_x)) account for about 150u of the 512u.  The ray
+       point is (0, 0, 0, 1), so T takes it to its last column, the
+       rotated -c: row i < 3 of |T| takes |s| to at most sqrt(1 + k) |s|
+       and the point to at most sqrt(1 + k) |c|.  So A_s <= tau |s|^2,
+       A_sx <= tau |s| |c|, A_x <= tau |c|^2 + nu and
+       E / (a m) <= 2^-44 tau (2 tau |c|^2 + nu) / m^2.  |c|^2 is summed in
+       floats, at least 1 - 3u times the exact value, and 512u (1 - 3u)
+       still exceeds the 150u with room, so the term stays an upper bound.
+       Render's coordinates put the camera at 0, so this term grows with
+       the distance from the camera, not from the world origin.
+    4. Range.  With g = max(1, max|Q|) max(1, |s|_1), and the point's
+       entries at most 1 in absolute value, no intermediate of either route
+       exceeds 2^5 g^4, so g <= 2^250 rules out overflow; underflow adds at
+       most 2^-1050 g^4 to d and 2^-1050 g^2 to a.
     5. Linear branch.  |a| > LINEAR_EPS max|Q| |s|^2 holds for every ray when
        m > LINEAR_EPS max|Q| + 2^-44 tau + 2^-1050 g^2 / min |s|^2;
-       otherwise (far centres, for one) the column keeps every pair.
+       otherwise (centres far from the camera, for one) the column keeps
+       every pair.
 
-    So rho^2 > need = R^2 + TANGENT_EPS (lam / m V^2 + R^2)
-    + 2^-44 tau (2 tau L^2 + nu) / m^2 + 2^-1050 g^4 / (m^2 min |s|^2)
+    So rho^2 > need = R^2 + TANGENT_EPS (lam / m |c|^2 + R^2)
+    + 2^-44 tau (2 tau |c|^2 + nu) / m^2 + 2^-1050 g^4 / (m^2 min |s|^2)
     gives d < -band: a Miss on both routes, whose early reject only rejects
-    more.  The test (s.w)^2 < |s|^2 (|w|^2 - R'^2) with w = c - x, in
-    floats, errs by less than 27u |s|^2 (|w|^2 + R'^2), and |w| <= V, so
-    R'^2 = (need + 2^-45 V^2)(1 + 2^-45) + 2^-1060 covers it, and the
-    relative error of this function's own arithmetic.  Any non-finite term
-    makes R'^2 inf or NaN, and `keep_pairs` keeps every pair of that column.
+    more.  The test (s.c)^2 < |s|^2 (|c|^2 - R'^2), in floats, errs by less
+    than 27u |s|^2 (|c|^2 + R'^2), so R'^2 = (need + 2^-45 |c|^2)(1 + 2^-45)
+    + 2^-1060 covers it, and the relative error of this function's own
+    arithmetic.  Any non-finite term makes R'^2 inf or NaN, and `keep_pairs`
+    keeps every pair of that column.
     """
     cx, cy, cz, m, lam, tau, nu = spheres
-    x, y, z = origin
     sx, sy, sz = direction
     with np.errstate(all="ignore"):
-        l_sq = np.sqrt(x * x + y * y + z * z) + np.sqrt(cx * cx + cy * cy + cz * cz)
-        l_sq *= l_sq
-        wx, wy, wz = cx - x, cy - y, cz - z
-        v_sq = wx * wx + wy * wy + wz * wz
+        c_sq = cx * cx + cy * cy + cz * cz
         s_sq = (sx * sx + sy * sy + sz * sz).min()
         g = np.maximum(max_abs, 1.0) * max(1.0, (abs(sx) + abs(sy) + abs(sz)).max())
-        g *= 1.0 + (abs(x) + abs(y) + abs(z))
         g_sq = g * g
         r_sq = nu / m
         need = (
             r_sq
-            + TANGENT_EPS * (lam / m * v_sq + r_sq)
-            + 2.0 ** -44 * tau * (2.0 * tau * l_sq + nu) / m / m
+            + TANGENT_EPS * (lam / m * c_sq + r_sq)
+            + 2.0 ** -44 * tau * (2.0 * tau * c_sq + nu) / m / m
             + 2.0 ** -1050 * g_sq * g_sq / m / m / s_sq
         )
-        r_prime_sq = (need + 2.0 ** -45 * v_sq) * (1.0 + 2.0 ** -45) + 2.0 ** -1060
+        r_prime_sq = (need + 2.0 ** -45 * c_sq) * (1.0 + 2.0 ** -45) + 2.0 ** -1060
         linear_free = m > LINEAR_EPS * max_abs + 2.0 ** -44 * tau + 2.0 ** -1050 * g_sq / s_sq
         decides = linear_free & (g <= 2.0 ** 250)
     return np.where(decides, r_prime_sq, np.inf)
 
 
-def keep_pairs(
-    centers: np.ndarray, r_sq: np.ndarray, origin: Origin, direction: Directions
-) -> tuple:
+def keep_pairs(centers: np.ndarray, r_sq: np.ndarray, direction: Directions) -> tuple:
     """Stage 1: (ray, column) indices of the pairs whose line may meet the sphere about each centre.
 
-    `centers` is (3, columns), `r_sq` each column's R'^2 from `cull_radii`,
-    `origin` the camera's x as three floats and `direction` the rays' s as
-    three arrays.  A pair is dropped when (s.w)^2 < |s|^2 (|w|^2 - R'^2)
-    with w = c - x, the paper's sphere discriminant
-    |s|^2 R'^2 - |s x w|^2 < 0 written by the Lagrange identity; the one
-    origin makes w and |w|^2 - R'^2 per-column terms.  NaN keeps the pair,
-    and so does an origin inside the sphere.
+    `centers` is (3, columns), relative to the camera, `r_sq` each column's
+    R'^2 from `cull_radii` and `direction` the rays' s as three arrays.  A
+    pair is dropped when (s.c)^2 < |s|^2 (|c|^2 - R'^2), the paper's sphere
+    discriminant |s|^2 R'^2 - |s x c|^2 < 0 written by the Lagrange
+    identity for a line through the camera at 0; |c|^2 - R'^2 is a
+    per-column term.  NaN keeps the pair, and so does a camera inside the
+    sphere.
     """
-    x, y, z = origin
     sx, sy, sz = _take(direction, _COLUMN)
-    wx, wy, wz = centers[0] - x, centers[1] - y, centers[2] - z
-    h = wx * wx + wy * wy + wz * wz - r_sq
-    sw = sx * wx + sy * wy + sz * wz
-    return np.nonzero(~(sw * sw < (sx * sx + sy * sy + sz * sz) * h))
+    cx, cy, cz = centers
+    h = cx * cx + cy * cy + cz * cz - r_sq
+    sc = sx * cx + sy * cy + sz * cz
+    return np.nonzero(~(sc * sc < (sx * sx + sy * sy + sz * sz) * h))
 
 
 def _joined(groups: list) -> tuple:
@@ -412,16 +412,17 @@ def _joined(groups: list) -> tuple:
 
 
 def nearest_hits(
-    table: np.ndarray, origin: Origin, direction: Directions, method: str, spheres: np.ndarray
+    table: np.ndarray, direction: Directions, method: str, spheres: np.ndarray
 ) -> np.ndarray:
     """Per ray, the nearest positive t over every object; NaN when none is crossed.
 
-    The rays are render's: one camera `origin` (x, y, z) as floats, and
-    `direction` the pixels' (sx, sy, sz) as arrays.  Equals, per ray, the
-    minimum over objects of the positive `hit_parameters` of
-    `intersect_classical` or `intersect_separated` for the homogeneous ray
-    (x, y, z, 1) + t (sx, sy, sz, 0), the vectors the pair forms receive.
-    `spheres` is the bounding-sphere table of `render_tables`.  Stage 1 runs
+    The rays are render's, in its camera-relative coordinates: `direction`
+    holds the pixels' (sx, sy, sz) as arrays, and every ray starts at the
+    camera, 0.  Equals, per ray, the minimum over objects of the positive
+    `hit_parameters` of `intersect_classical` or `intersect_separated` for
+    the homogeneous ray (0, 0, 0, 1) + t (sx, sy, sz, 0), the vectors the
+    pair forms receive.  `table` and `spheres` are the tables of
+    `render_tables`.  Stage 1 runs
     per tile and roots nothing.  Every column goes through `keep_pairs`,
     except that the separated route filters the columns `cull_radii` leaves
     undecided by their discriminant with `separated.early_reject`; on the
@@ -440,23 +441,22 @@ def nearest_hits(
     max_abs = np.abs(table).max(axis=0)
     sx, sy, sz = direction
     s_sq = sx * sx + sy * sy + sz * sz
-    r_sq = cull_radii(spheres, max_abs, origin, direction)
+    r_sq = cull_radii(spheres, max_abs, direction)
     dense = ~(r_sq < np.inf) & (method == "separated")
     cull_cols, dense_cols = np.flatnonzero(~dense), np.flatnonzero(dense)
     centers, r_sq = spheres[:3, cull_cols], r_sq[cull_cols]
     dense_table = table[:, dense_cols]
-    point = (*origin, 1.0)
     out = np.full(rays, np.nan)
     culled, kept, pending = [], [], 0
     with np.errstate(all="ignore"):
         for sl in tiles(rays, table.shape[1]):
             s = _take(direction, sl)
-            ri, oi = keep_pairs(centers, r_sq, origin, s)
+            ri, oi = keep_pairs(centers, r_sq, s)
             culled.append((ri + sl.start, cull_cols[oi]))
             pending += len(ri)
             if len(dense_cols):
                 dr = (*_take(s, _COLUMN), 0.0)
-                d = factored_discriminant(dense_table, line_entries(point, dr), point, dr)
+                d = factored_discriminant(dense_table, line_entries(_CAMERA, dr), _CAMERA, dr)
                 ri, oi = np.nonzero(~early_reject(d))
                 kept.append((ri + sl.start, dense_cols[oi], d[ri, oi]))
                 pending += len(ri)
@@ -465,12 +465,12 @@ def nearest_hits(
                 d = None
                 if method == "separated":
                     dr = (*_take(direction, ri), 0.0)
-                    d = factored_discriminant(table[:, oi], line_entries(point, dr), point, dr)
+                    d = factored_discriminant(table[:, oi], line_entries(_CAMERA, dr), _CAMERA, dr)
                     survive = ~early_reject(d)
                     kept.append((ri[survive], oi[survive], d[survive]))
                     ri, oi, d = _joined(kept)
                 culled, kept, pending = [], [], 0
-                a, b, c = coefficient_terms(table[:, oi], point, (*_take(direction, ri), 0.0))
+                a, b, c = coefficient_terms(table[:, oi], _CAMERA, (*_take(direction, ri), 0.0))
                 np.fmin.at(out, ri, nearest_root(a, b, c, max_abs[oi] * s_sq[ri], d))
     return out
 

@@ -10,6 +10,10 @@ The shade of a hit at parameter t is
 
 which keeps every hit nonzero and darkens with distance.  Misses are 0.
 
+Render works in camera-relative coordinates: `kernels.render_tables`
+subtracts the camera origin from every object's centre, so every pixel's
+ray starts at 0, and the classification of a pair depends on where the
+scene lies relative to the camera, not on where it lies in the world.
 Pixels are evaluated by `kernels.nearest_hits` in two stages.  Stage 1
 tests each tile of (pixels x spheres and ellipsoids) against conservative
 bounding spheres (`kernels.render_tables`, `kernels.cull_radii`) and
@@ -18,7 +22,9 @@ pair, or on the separated route every pair its discriminant does not
 reject.  Stage 2 computes the roots of the kept pairs in one batch.  The kernels run
 the scalar kernels' own pair formulas on arrays and the cull drops only pairs
 they classify as Miss, so an image equals, byte for byte, a per-pixel loop
-over `intersect_classical` or `intersect_separated` and `hit_parameters`.
+over `intersect_classical` or `intersect_separated` and `hit_parameters`
+over the camera-relative scene: each object moved to centre c - o, each
+ray (0, 0, 0, 1) + t (s, 0).
 Pixels are computed independently, so output bytes are identical for any
 worker count.
 """
@@ -59,7 +65,7 @@ def _render_rows(
 ) -> bytes:
     x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(rows.start, rows.stop)[:, None])
     direction = (x.ravel(), y.ravel(), z.ravel())
-    nearest = nearest_hits(table, cam.origin.as_tuple(), direction, method, spheres)
+    nearest = nearest_hits(table, direction, method, spheres)
     return _pixel_values(nearest).tobytes()
 
 
@@ -68,7 +74,7 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     cam = scene.camera
-    table, spheres = render_tables(scene.objects)
+    table, spheres = render_tables(scene.objects, cam.origin.as_tuple())
     rows = map_ranges(partial(_render_rows, cam, method, table, spheres), cam.height, workers)
     return Image(width=cam.width, height=cam.height, pixels=b"".join(rows))
 

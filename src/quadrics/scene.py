@@ -26,7 +26,9 @@ check's own message.  That includes a camera whose view basis is degenerate
 (`Camera.frame`) and objects whose world matrix could overflow:
 `max|Q0| * (1 + |cx| + |cy| + |cz|)^2` must not exceed 2^1021, a bound taken
 from the kind's parameters and the center alone, so no matrix is built
-while parsing.
+while parsing.  Render builds the matrices about the camera, at the float
+centre c - o, so the same bound must hold there too; that check runs once
+the whole text is read, so the camera line may come anywhere.
 """
 from __future__ import annotations
 
@@ -179,17 +181,15 @@ def _check_rotation(m: Mat3) -> None:
         raise ValueError("xform rotation determinant is not +1")
 
 
-def _check_placement(obj: SceneObject) -> None:
-    # Every column of |T| sums to at most sqrt(3) * (1 + |cx| + |cy| + |cz|),
-    # whatever the xform, so under this bound each entry of Q0 T, T^T Q0 T and
-    # the averaged coefficients stays below 2^1024: the world matrix is finite.
-    c = obj.center
-    span = 1.0 + abs(c.x) + abs(c.y) + abs(c.z)
-    bound = obj.kind.max_abs_coefficient() * span * span
+def _check_placement(max_abs: float, x: float, y: float, z: float, terms: str) -> None:
+    # Every column of |T| sums to at most sqrt(3) * (1 + |x| + |y| + |z|) for
+    # a centre (x, y, z), whatever the xform, so under this bound each entry
+    # of Q0 T, T^T Q0 T and the averaged coefficients stays below 2^1024: the
+    # world matrix is finite.  `max_abs` is max|Q0|.
+    span = 1.0 + abs(x) + abs(y) + abs(z)
+    bound = max_abs * span * span
     if not bound <= _PLACEMENT_MAX:
-        raise ValueError(
-            f"placement overflows: max|Q0| * (1 + |cx| + |cy| + |cz|)^2 = {bound!r} exceeds 2^1021"
-        )
+        raise ValueError(f"placement overflows: max|Q0| * (1 + {terms})^2 = {bound} exceeds 2^1021")
 
 
 def parse_scene(text: str) -> Scene:
@@ -200,6 +200,7 @@ def parse_scene(text: str) -> Scene:
     """
     camera: Camera | None = None
     objects: list[SceneObject] = []
+    placed: list[tuple] = []  # each object's line, max|Q0| and centre
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -245,8 +246,10 @@ def parse_scene(text: str) -> Scene:
                     obj = SceneObject(kind=General(QuadricMatrix(*values)))
                 else:
                     obj = SceneObject(kind=kind(*values[3:]), center=Vec3(*values[:3]))
-                _check_placement(obj)
+                max_abs, center = obj.kind.max_abs_coefficient(), obj.center.as_tuple()
+                _check_placement(max_abs, *center, "|cx| + |cy| + |cz|")
                 objects.append(obj)
+                placed.append((line_no, max_abs, center))
             else:
                 raise ValueError(f"unknown directive {directive!r}")
         except ValueError as exc:
@@ -256,6 +259,12 @@ def parse_scene(text: str) -> Scene:
         raise SceneParseError(max(1, text.count("\n") + 1), "missing camera")
     if not objects:
         raise SceneParseError(max(1, text.count("\n") + 1), "scene has no objects")
+    o = camera.origin
+    for line_no, max_abs, (x, y, z) in placed:
+        try:
+            _check_placement(max_abs, x - o.x, y - o.y, z - o.z, "|cx-ox| + |cy-oy| + |cz-oz|")
+        except ValueError as exc:
+            raise SceneParseError(line_no, str(exc)) from None
     return Scene(camera=camera, objects=tuple(objects))
 
 

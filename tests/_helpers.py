@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from quadrics import HomogeneousDirection, HomogeneousPoint, Mat3, Mat4, QuadricMatrix
+from quadrics import HomogeneousDirection, HomogeneousPoint, Mat3, Mat4, QuadricMatrix, Vec3
+from quadrics.classical import TANGENT_EPS
+from quadrics.scene import Scene, SceneObject
 
 IDENTITY4 = Mat4(
     (1.0, 0.0, 0.0, 0.0,
@@ -73,15 +75,15 @@ def exact_terms(q, x, s) -> tuple[Fraction, Fraction, Fraction]:
     """a = s^T Q s, b = s^T Q x and c = x^T Q x, exactly.
 
     q holds Q's 10 coefficients in `COEFFICIENT_ORDER`, x and s are
-    homogeneous 4-vectors, all floats: every float is a rational, so
-    `Fraction` arithmetic gives the exact values of the forms for the very
-    inputs the kernels see.  Q is laid out here as its full symmetric 4x4
-    matrix, so no code is shared with either route.
+    homogeneous 4-vectors, floats or Fractions: every float is a rational,
+    so `Fraction` arithmetic gives the exact values of the forms for the
+    very inputs the kernels see.  Q is laid out here as its full symmetric
+    4x4 matrix, so no code is shared with either route.
     """
-    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = (Fraction(float(v)) for v in q)
+    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = (Fraction(v) for v in q)
     m = ((a11, a12, a13, a14), (a12, a22, a23, a24), (a13, a23, a33, a34), (a14, a24, a34, a44))
-    xf = [Fraction(float(v)) for v in x]
-    sf = [Fraction(float(v)) for v in s]
+    xf = [Fraction(v) for v in x]
+    sf = [Fraction(v) for v in s]
     ms = [sum(m[i][j] * sf[j] for j in range(4)) for i in range(4)]
     mx = [sum(m[i][j] * xf[j] for j in range(4)) for i in range(4)]
     return (
@@ -95,3 +97,51 @@ def exact_discriminant(q, x, s) -> Fraction:
     """b^2 - a*c of `exact_terms`, exactly; its sign is the true classification."""
     a, b, c = exact_terms(q, x, s)
     return b * b - a * c
+
+
+def camera_relative(objects, origin: Vec3) -> tuple[SceneObject, ...]:
+    """The objects moved to centres c - origin, the scene render's kernels see."""
+    return tuple(SceneObject(o.kind, o.center - origin, o.rot) for o in objects)
+
+
+def exact_lit_pixels(scene: Scene) -> list[bool | None]:
+    """Per pixel, row-major: whether its ray meets an object at t > 0, exactly; None in the band.
+
+    For spheres and ellipsoids (a > 0).  Each pair is solved in the
+    object's own frame, where the ray is Rot^T (o - c) + t Rot^T s, from the
+    float camera origin o, pixel direction s, centre c and rotation Rot and
+    the kind's float coefficients, in `Fraction`s: no code of either route,
+    and no camera-relative shift, is involved.  A positive root exists when
+    b^2 - a c >= 0 and b < 0 or c < 0.  A pixel no object hits is None when
+    some pair lies inside the tangency band, |b^2 - a c| <= TANGENT_EPS
+    max(b^2, |a c|), where either answer is the kernels' to give.
+    """
+    cam = scene.camera
+    origin = [Fraction(v) for v in cam.origin.as_tuple()]
+    frames = []
+    for obj in scene.objects:
+        m = obj.rot.m if obj.rot is not None else Mat3.identity().m
+        rot_t = [[Fraction(m[3 * k + i]) for k in range(3)] for i in range(3)]
+        offset = [o - Fraction(c) for o, c in zip(origin, obj.center.as_tuple())]
+        x = [sum(r * v for r, v in zip(row, offset)) for row in rot_t]
+        frames.append((obj.kind.coefficients(), rot_t, (*x, 1)))
+    lit = []
+    for row in range(cam.height):
+        for col in range(cam.width):
+            s = [Fraction(v) for v in cam.ray_direction(col, row).as_tuple()]
+            hit = band = False
+            for q, rot_t, x in frames:
+                direction = [sum(r * v for r, v in zip(row_t, s)) for row_t in rot_t]
+                a, b, c = exact_terms(q, x, (*direction, 0))
+                assert a > 0
+                d = b * b - a * c
+                hit = hit or (d >= 0 and (b < 0 or c < 0))
+                band = band or abs(d) <= Fraction(TANGENT_EPS) * max(b * b, abs(a * c))
+            lit.append(True if hit else None if band else False)
+    return lit
+
+
+def wrong_pixels(scene: Scene, pixels: bytes) -> list[int]:
+    """Indices of the pixels whose lit state differs from `exact_lit_pixels`, band pixels aside."""
+    truth = exact_lit_pixels(scene)
+    return [i for i, (v, t) in enumerate(zip(pixels, truth)) if t is not None and (v > 0) != t]

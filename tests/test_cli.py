@@ -61,11 +61,22 @@ class TestExitCodes:
         assert main(["render", str(bad), "-o", str(tmp_path / "img.pgm")]) == 2
         assert f"line 2: {message}" in capsys.readouterr().err
 
-    def test_overflowing_placement_is_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (MINIMAL + "sphere 1e200 0 0 1\n", 3),
+            # Finite at the world origin, but not about the camera, where
+            # render builds it; the camera line may come after the object.
+            ("camera 1e6 0 0 0 0 0 0 1 0 60 5 4\nquadric 1e300 1e300 1e300 -1e300 0 0 0 0 0 0\n", 2),
+            ("quadric 1e300 1e300 1e300 -1e300 0 0 0 0 0 0\ncamera 1e6 0 0 0 0 0 0 1 0 60 5 4\n", 1),
+        ],
+        ids=["world", "about-the-camera", "camera-last"],
+    )
+    def test_overflowing_placement_is_two(self, tmp_path, capsys, text, line):
         bad = tmp_path / "bad.txt"
-        bad.write_text(MINIMAL + "sphere 1e200 0 0 1\n")
+        bad.write_text(text)
         assert main(["render", str(bad), "-o", str(tmp_path / "img.pgm")]) == 2
-        assert "line 3: placement overflows" in capsys.readouterr().err
+        assert f"line {line}: placement overflows" in capsys.readouterr().err
 
     def test_check_failure_is_three(self, monkeypatch, capsys):
         failing = CheckReport(cases=1,

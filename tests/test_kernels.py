@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from _helpers import (
-    coefficient_table, exact_discriminant, random_quadric, random_ray, random_rotation,
+    camera_relative, coefficient_table, exact_discriminant, random_quadric, random_ray,
+    random_rotation,
 )
 from quadrics import (
     HomogeneousDirection,
@@ -58,21 +59,32 @@ def _split(directions) -> tuple:
     return tuple(np.array(v) for v in zip(*(s.as_tuple()[:3] for s in directions)))
 
 
+# Render's rays start at the camera, the origin of its coordinates.
+CAMERA = HomogeneousPoint(0.0, 0.0, 0.0, 1.0)
+
+
+def _relative_matrices(objects, origin) -> list:
+    """The scalar world matrices of the objects moved to c - origin, as `render_tables` moves them."""
+    return [o.world_matrix() for o in camera_relative(objects, Vec3(*origin))]
+
+
 @pytest.mark.parametrize("method", ["classical", "separated"])
 def test_nearest_hits_equal_the_scalar_kernels_from_several_origins(method, monkeypatch):
-    # Raw quadrics seen from 5 origins, one `nearest_hits` call of 5 rays
-    # each; tiles of 2 rays split each call's 5 rays unevenly.
+    # Raw quadrics seen from 5 origins, one `render_tables` and one
+    # `nearest_hits` call of 5 rays each, against the scalar kernels on the
+    # quadrics moved by -origin; tiles of 2 rays split each call's 5 rays
+    # unevenly.
     monkeypatch.setattr(kernels, "TILE_PAIRS", 2 * 12)
     rng = np.random.default_rng(3)
-    matrices = [random_quadric(rng) for _ in range(12)]
-    table = coefficient_table(matrices)
-    spheres = render_tables([SceneObject(General(q)) for q in matrices])[1]
+    objects = [SceneObject(General(random_quadric(rng))) for _ in range(12)]
     expected = []
     for _ in range(5):
-        origin = random_ray(rng)[0]
+        origin = random_ray(rng)[0].as_tuple()[:3]
         directions = [random_ray(rng)[1] for _ in range(5)]
-        got = nearest_hits(table, origin.as_tuple()[:3], _split(directions), method, spheres)
-        want = [_scalar_nearest(matrices, origin, s, method) for s in directions]
+        table, spheres = render_tables(objects, origin)
+        got = nearest_hits(table, _split(directions), method, spheres)
+        matrices = _relative_matrices(objects, origin)
+        want = [_scalar_nearest(matrices, CAMERA, s, method) for s in directions]
         assert np.array_equal(got, want, equal_nan=True)
         expected += want
     assert not np.all(np.isnan(expected))
@@ -96,13 +108,10 @@ def test_nearest_hits_cull_from_several_origins(method, tile_pairs, monkeypatch)
     origins = rng.uniform(-12.0, 12.0, size=(5, 1, 3))
     targets = np.array([o.center.as_tuple() for o in objects])[rng.integers(0, 6, (5, 8))]
     dirs = targets + rng.normal(scale=1.5, size=(5, 8, 3)) - origins
-    matrices = [o.world_matrix() for o in objects]
-    rays = [
-        (HomogeneousPoint(*o[0], 1.0), HomogeneousDirection(*d, 0.0))
+    expected = np.array([
+        _scalar_nearest(_relative_matrices(objects, o[0]), CAMERA, HomogeneousDirection(*d, 0.0), method)
         for o, ds in zip(origins.tolist(), dirs.tolist()) for d in ds
-    ]
-    expected = np.array([_scalar_nearest(matrices, p, s, method) for p, s in rays])
-    table, spheres = render_tables(objects)
+    ])
     kept = []
 
     def spy(*args):
@@ -111,10 +120,11 @@ def test_nearest_hits_cull_from_several_origins(method, tile_pairs, monkeypatch)
         return ri, oi
 
     def run() -> np.ndarray:
-        return np.concatenate([
-            nearest_hits(table, tuple(o[0]), tuple(d.T), method, spheres)
-            for o, d in zip(origins.tolist(), dirs)
-        ])
+        hits = []
+        for o, d in zip(origins.tolist(), dirs):
+            table, spheres = render_tables(objects, o[0])
+            hits.append(nearest_hits(table, tuple(d.T), method, spheres))
+        return np.concatenate(hits)
 
     monkeypatch.setattr(kernels, "keep_pairs", spy)
     assert np.array_equal(run(), expected, equal_nan=True)
@@ -126,10 +136,10 @@ def test_nearest_hits_cull_from_several_origins(method, tile_pairs, monkeypatch)
 
 @pytest.mark.parametrize("method", ["Separated", "bogus", ""])
 def test_nearest_hits_rejects_an_unknown_route(method):
-    table, spheres = render_tables([SceneObject(Sphere(1.0))])
-    origin, direction = (0.0, 0.0, 5.0), (np.array([0.0]), np.array([0.0]), np.array([-1.0]))
+    table, spheres = render_tables([SceneObject(Sphere(1.0))], (0.0, 0.0, 5.0))
+    direction = (np.array([0.0]), np.array([0.0]), np.array([-1.0]))
     with pytest.raises(ValueError, match="unknown method"):
-        nearest_hits(table, origin, direction, method, spheres)
+        nearest_hits(table, direction, method, spheres)
 
 
 @pytest.mark.parametrize("method", ["classical", "separated"])
@@ -157,14 +167,13 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
 
     monkeypatch.setattr(kernels, "coefficient_terms", spy)
     monkeypatch.setattr(kernels, "nearest_root", root_spy)
-    table, spheres = render_tables(objects)
-    got = nearest_hits(table, origin, direction, method, spheres)
+    table, spheres = render_tables(objects, origin)
+    got = nearest_hits(table, direction, method, spheres)
     assert sum(sizes) == 400 * 3 and len(sizes) > 10 and max(sizes) < 2 * 50 + 3
     assert len(roots) == len(sizes) and max(roots) < 2 * 50
-    point = HomogeneousPoint(*origin, 1.0)
-    matrices = [o.world_matrix() for o in objects]
+    matrices = _relative_matrices(objects, origin)
     expected = [
-        _scalar_nearest(matrices, point, HomogeneousDirection(*s, 0.0), method)
+        _scalar_nearest(matrices, CAMERA, HomogeneousDirection(*s, 0.0), method)
         for s in zip(*direction)
     ]
     assert np.array_equal(got, expected)
@@ -184,7 +193,7 @@ class TestBoundingSpheres:
             SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, 1.0))),
             SceneObject(General(QuadricMatrix(1.0, 0.0, 1.0, -1.0))),
         ]
-        table = render_tables(objects)[1]
+        table = render_tables(objects, (0.0, 0.0, 0.0))[1]
         assert table.shape == (7, 8)
         assert np.isnan(table[:, 3:]).all() and not np.isnan(table[:, :3]).any()
         cx, cy, cz, m, lam, tau, nu = table[:, :3]
@@ -198,17 +207,20 @@ class TestBoundingSpheres:
     def test_a_matrix_far_from_a_rotation_leaves_the_column_unbounded(self):
         skew = Mat3((1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
         near = Mat3((1.0 + 1e-9, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
-        table = render_tables([SceneObject(Sphere(1.0), rot=m) for m in (skew, near)])[1]
+        objects = [SceneObject(Sphere(1.0), rot=m) for m in (skew, near)]
+        table = render_tables(objects, (0.0, 0.0, 0.0))[1]
         assert np.isnan(table[:, 0]).all()
         # Off by 2e-9 in Rot^T Rot: the radius grows by that, not more.
         assert 1.0 < table[6, 1] / table[3, 1] < 1.0 + 1e-8
 
     def test_keep_pairs_keeps_an_origin_inside_and_nan(self):
-        centers = np.array([[0.0, 10.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        # Centres relative to a camera at (0, 0, 1) of world spheres at
+        # (0, 0, 0) and (10, 0, 0).
+        centers = np.array([[0.0, 10.0, 0.0], [0.0, 0.0, 0.0], [-1.0, -1.0, -1.0]])
         r_sq = np.array([4.0, 1.0, np.nan])
-        # From (0, 0, 1) along +y: inside the first sphere, missing the second by far.
+        # Along +y: inside the first sphere, missing the second by far.
         direction = (np.array([0.0]), np.array([1.0]), np.array([0.0]))
-        ri, oi = keep_pairs(centers, r_sq, (0.0, 0.0, 1.0), direction)
+        ri, oi = keep_pairs(centers, r_sq, direction)
         assert oi.tolist() == [0, 2] and ri.tolist() == [0, 0]
 
 
@@ -300,7 +312,9 @@ class TestWorldTable:
         for seed in range(25):
             objects = generate_scene(seed, 1 + 7 * seed, mix).objects
             _assert_bits_equal(world_table(objects), _scalar_world_table(objects))
-            _assert_bits_equal(render_tables(objects)[0], _scalar_world_table(objects))
+            # About the generated camera, at (0, 0, 30).
+            relative = camera_relative(objects, Vec3(0.0, 0.0, 30.0))
+            _assert_bits_equal(render_tables(objects, (0.0, 0.0, 30.0))[0], _scalar_world_table(relative))
 
     def test_far_placed_rotated_objects(self):
         rng = np.random.default_rng(11)
@@ -316,7 +330,9 @@ class TestWorldTable:
             rot = random_rotation(rng) if i % 3 else None
             objects.append(SceneObject(kind, center, rot))
         _assert_bits_equal(world_table(objects), _scalar_world_table(objects))
-        _assert_bits_equal(render_tables(objects)[0], _scalar_world_table(objects))
+        origin = (2.5e5, -7.0, 1e3 + 0.1)
+        relative = camera_relative(objects, Vec3(*origin))
+        _assert_bits_equal(render_tables(objects, origin)[0], _scalar_world_table(relative))
 
     def test_raw_quadric_with_negative_zeros(self):
         q = General(QuadricMatrix(-0.0, 1.0, -0.0, -1.0, a12=-0.0, a13=0.0, a14=-0.0, a34=0.5))
@@ -333,7 +349,7 @@ class TestWorldTable:
         spheres = generate_scene(3, 17, ("sphere",)).objects
         _assert_bits_equal(world_table(spheres), _scalar_world_table(spheres))
         assert world_table(()).shape == (10, 0)
-        assert [t.shape for t in render_tables(())] == [(10, 0), (7, 0)]
+        assert [t.shape for t in render_tables((), (0.0, 0.0, 0.0))] == [(10, 0), (7, 0)]
 
     @pytest.mark.parametrize(
         "obj",
@@ -349,7 +365,7 @@ class TestWorldTable:
         with pytest.raises(ValueError, match="object 1"):
             world_table([SceneObject(Sphere(1.0)), obj])
         with pytest.raises(ValueError, match="object 1"):
-            render_tables([SceneObject(Sphere(1.0)), obj])
+            render_tables([SceneObject(Sphere(1.0)), obj], (0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="object 2"):
             separated_tables([SceneObject(Sphere(1.0)), SceneObject(Ellipsoid(1.0, 2.0, 3.0)), obj])
 

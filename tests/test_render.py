@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _helpers import random_rotation
+from _helpers import camera_relative, random_rotation, wrong_pixels
 from quadrics import (
     HomogeneousDirection,
     HomogeneousPoint,
@@ -141,10 +142,14 @@ class TestPgm:
 
 
 def reference_render(scene: Scene, method: str) -> tuple[bytes, set[str]]:
-    """Per-pixel scalar loop: the image bytes and the result kinds met on the way."""
+    """Per-pixel scalar loop over the camera-relative scene: the image bytes and the result kinds met.
+
+    Render works about the camera: every object moved to c - o, every ray
+    from (0, 0, 0, 1).
+    """
     cam = scene.camera
-    origin = HomogeneousPoint.from_euclidean(cam.origin)
-    matrices = [obj.world_matrix() for obj in scene.objects]
+    origin = HomogeneousPoint(0.0, 0.0, 0.0, 1.0)
+    matrices = [obj.world_matrix() for obj in camera_relative(scene.objects, cam.origin)]
     pixels = bytearray()
     kinds = set()
     for row in range(cam.height):
@@ -229,8 +234,10 @@ class TestExtremeInputs:
                 SceneObject(Sphere(1.0), Vec3(2.0, 0.0, 0.0)),
             ),
         ),
-        # A unit sphere 1e7 from the origin: both routes still report Degenerate
-        # (a known misclassification, kept as is here).
+        # A unit sphere 1e7 from the world origin and 5 from the camera.  Render
+        # works about the camera, so both routes hit it; in world coordinates
+        # the scalar kernels call it Degenerate (ROADMAP item 2,
+        # tests/test_scale_defects.py).
         "far-sphere": Scene(
             _camera(9, 7, origin=Vec3(1e7 - 5.0, 0.5, 0.0), look_at=Vec3(1e7, 0.5, 0.0)),
             (SceneObject(Sphere(1.0), Vec3(1e7, 0.0, 0.0)),),
@@ -248,7 +255,7 @@ class TestExtremeInputs:
         assert image.pixels == expected
 
 
-def _no_cull(spheres, max_abs, origin, direction):
+def _no_cull(spheres, max_abs, direction):
     """Stand-in for `kernels.cull_radii` that leaves every column unbounded."""
     return np.full(spheres.shape[1], np.inf)
 
@@ -261,8 +268,8 @@ class _KeptPairs:
         self.inner = kernels.keep_pairs
         monkeypatch.setattr(kernels, "keep_pairs", self)
 
-    def __call__(self, centers, r_sq, origin, direction):
-        ri, oi = self.inner(centers, r_sq, origin, direction)
+    def __call__(self, centers, r_sq, direction):
+        ri, oi = self.inner(centers, r_sq, direction)
         self.tested += len(direction[0]) * len(r_sq)
         self.kept += len(ri)
         return ri, oi
@@ -330,11 +337,12 @@ CULL_SCENES = {
         ),
     ),
     "far-sphere": TestExtremeInputs.SCENES["far-sphere"],
-    # 1e-12 max|Q| |s|^2 exceeds a = |s|^2 here, so every pair takes the
-    # linear branch, and |b| is large enough for a LinearHit whether or not
-    # the line comes near the sphere: the cull must keep every pair.
+    # The sphere is 1e7 from the camera, so in render's coordinates
+    # 1e-12 max|Q| |s|^2 exceeds a = |s|^2: every pair takes the linear
+    # branch, and |b| is large enough for a LinearHit whether or not the
+    # line comes near the sphere: the cull must keep every pair.
     "far-linear": Scene(
-        _camera(9, 7, origin=Vec3(1e7 - 200.0, 0.0, 0.0), look_at=Vec3(1e7, 0.0, 0.0)),
+        _camera(9, 7, origin=Vec3(0.0, 0.0, 0.0), look_at=Vec3(1.0, 0.0, 0.0)),
         (SceneObject(Sphere(1.0), Vec3(1e7, 0.0, 0.0)),),
     ),
     "axis-ratio": Scene(
@@ -433,3 +441,44 @@ class TestBoundingCull:
         render_detection(scene, "separated")
         assert spy.tested == 64 * 64 * 200
         assert 0 < spy.kept <= 0.01 * spy.tested
+
+
+# Classical keeps the pixels that a sphere about 1e7 from the camera lights
+# on its linear branch (ROADMAP item 2): strict xfails in
+# tests/test_scale_defects.py.
+TRUTH_CASES = [
+    (name, method)
+    for name in ("grazing", "far-grazing", "far-sphere", "far-linear", "far-placed")
+    for method in ("classical", "separated")
+    if (name, method) not in {("far-linear", "classical"), ("far-placed", "classical")}
+]
+
+
+@pytest.mark.parametrize("name, method", TRUTH_CASES)
+def test_lit_pixels_equal_the_exact_truth(name, method):
+    # Tangency-band pixels aside, each route lights exactly the pixels whose
+    # ray meets an object at t > 0, solved with Fractions in each object's
+    # own frame from the world inputs.
+    scene = CULL_SCENES[name]
+    assert wrong_pixels(scene, render_detection(scene, method).pixels) == []
+
+
+class TestPlacementInvariance:
+    """Moving the camera and every object by one exact offset changes no byte (aim 3)."""
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    @pytest.mark.parametrize("name", ["mixed", "camera-inside"])
+    @pytest.mark.parametrize(
+        "offset", [(2.0 ** 20, -(2.0 ** 30), 2.0 ** 40), (-(2.0 ** 10), 2.0 ** 12, 0.0)]
+    )
+    def test_moved_scene_gives_the_same_image(self, name, method, offset):
+        scene = CULL_SCENES[name]
+        cam, d = scene.camera, Vec3(*offset)
+        for p in (cam.origin, cam.look_at, *(o.center for o in scene.objects)):
+            for v, dv in zip(p.as_tuple(), offset):
+                assert Fraction(v + dv) == Fraction(v) + Fraction(dv), (p, offset)
+        moved = Scene(
+            dataclasses.replace(cam, origin=cam.origin + d, look_at=cam.look_at + d),
+            tuple(SceneObject(o.kind, o.center + d, o.rot) for o in scene.objects),
+        )
+        assert render_detection(moved, method).pixels == render_detection(scene, method).pixels

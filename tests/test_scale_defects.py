@@ -7,7 +7,8 @@ Where both routes still get a case wrong or disagree on it, its test fails
 on an assertion and is marked xfail; the fix of item 2 has to flip them to
 passing, and `xfail_strict` makes the suite say so.  The far plain sphere
 is fixed: both bench routes refuse its world matrix, and its tests are
-plain.
+plain.  Render works about the camera, so its scenes reproduce the scale
+defect only with a sphere far from the camera.
 """
 import math
 import sys
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from _helpers import exact_terms
+from _helpers import exact_terms, wrong_pixels
 from quadrics import (
     HomogeneousDirection,
     HomogeneousPoint,
@@ -33,6 +34,7 @@ from quadrics.bench import run_benchmark
 from quadrics.quadric import General, Sphere
 from quadrics.render import render_detection
 from quadrics.scene import Camera, Scene, SceneObject
+from test_render import CULL_SCENES
 
 
 def _both_routes(q, point, direction):
@@ -117,6 +119,20 @@ def test_overflowing_coefficients_light_the_same_pixels_on_both_routes():
     scene = Scene(_CAMERA, (SceneObject(General(q)),))
     classical, separated = (render_detection(scene, m).pixels for m in ("classical", "separated"))
     assert [v > 0 for v in classical] == [v > 0 for v in separated]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: `_a_scale` judges a against a44, which carries length^2 units",
+)
+@pytest.mark.parametrize("name", ["far-placed", "far-linear"])
+def test_render_scene_with_a_far_sphere_lights_the_exact_pixels_on_classical(name):
+    # A sphere about 1e7 from the camera takes the linear branch, and the
+    # classical route lights pixels whose ray misses it: 32 of far-placed's,
+    # 62 of far-linear's.  Separated's early reject drops them, and
+    # tests/test_render.py checks its pixels.
+    scene = CULL_SCENES[name]
+    assert wrong_pixels(scene, render_detection(scene, "classical").pixels) == []
 
 
 def _bench_outcome(scene, method) -> tuple:

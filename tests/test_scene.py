@@ -7,7 +7,7 @@ import pytest
 
 from _helpers import random_quadric
 from quadrics import HomogeneousPoint, evaluate, scene
-from quadrics.kernels import world_table
+from quadrics.kernels import render_tables, world_table
 from quadrics.geometry import Vec3
 from quadrics.quadric import (
     CATALOG,
@@ -165,6 +165,8 @@ class TestParse:
             "sphere 1.6e153 1.6e153 -1.6e153 1",
             "ellipsoid 1e60 0 0 1e-100 1 1",
             "quadric 1e308 0 0 0 0 0 0 0 0 0",
+            # Under the world bound, over the one about the camera at (0, 0, 5).
+            "sphere 0 0 0 1e153",
         ],
     )
     def test_overflowing_placement_reports_line(self, line):
@@ -186,8 +188,12 @@ class TestParse:
         ],
     )
     def test_placement_under_the_bound_has_a_finite_world_matrix(self, line, xform):
-        obj = parse_scene(MINIMAL + line + "\n" + xform + "\n").objects[1]
-        assert obj.world_matrix().max_abs_coefficient() < math.inf
+        # The camera sits at the origin, where render's bound about the
+        # camera is the world bound; render's table must be finite too.
+        text = "camera 0 0 0 0 0 -1 0 1 0 60 64 64\nsphere 0 0 0 1\n" + line + "\n" + xform + "\n"
+        sc = parse_scene(text)
+        assert sc.objects[1].world_matrix().max_abs_coefficient() < math.inf
+        assert np.isfinite(render_tables(sc.objects, sc.camera.origin.as_tuple())[0]).all()
 
     def test_kind_message_passes_through(self):
         with pytest.raises(SceneParseError) as exc_info:
