@@ -2,27 +2,25 @@
 
 Both methods answer the same question per (ray, object) pair: is the
 discriminant nonnegative?  Detection runs in tiles of (rays x objects)
-through the lifted kernels of `kernels`, over a struct-of-arrays table of
-the objects' coefficients, which is the data layout the separated form is
-designed for.  Each method first lifts every ray once per call, the
-precompute phase, reading each weight off Q's layout
-(`quadric.COEFFICIENT_ENTRIES`): classical into a, b and c as linear forms
-in Q's 10 coefficients, separated into R and the 55 weights of
-s^T Q R Q x as a quadratic form in them.  Detection is then one matrix
-product per tile: classical (3 x rays, 10) @ (10, objects) and
+through the lifted kernels of `kernels`, over struct-of-arrays tables of
+the objects, which is the data layout the separated form is designed for.
+Both methods read one split, `kernels.bench_tables`: the plain spheres (a
+`Sphere` with no rotation), and a table of the other objects'
+coefficients.  Each method first lifts every ray once per call, the
+precompute phase.  On the plain spheres both lift into the same 11 weights
+(`kernels.sphere_lift`) and run the same product per tile, (rays, 11) @
+(11, spheres), so the two routes' sphere costs are equal by construction;
+a pair the product cannot decide within its rounding bound falls back to
+the route's per-pair form, `classical.sphere_terms` or
+`separated.moment_discriminant`.  On the table, each lift reads its
+weights off Q's layout (`quadric.COEFFICIENT_ENTRIES`): classical into a,
+b and c as linear forms in Q's 10 coefficients, separated into R and the
+55 weights of s^T Q R Q x as a quadratic form in them.  Detection is then
+one matrix product per tile: classical (3 x rays, 10) @ (10, objects) and
 b^2 - a*c, separated (rays, 55) @ (55, objects) against the objects'
-coefficient products.
-Plain spheres stay on the separated route's moment fast path, the
-reference's own `separated.line_moment` per ray and
-`separated.moment_discriminant` per pair (one cross product, a
-subtraction, two dot products and a multiply-add).
-Bench picks a method's tables once per call, times its lift and its
-count, and joins the results; the kernels own the layout.  Classical reads
-`kernels.world_table` of every object.  Separated reads
-`kernels.separated_tables`, which keeps the plain spheres for the fast path
-and tabulates only the other objects, and it lifts R and the weights
-(`kernels.separated_lift`) only when that table has columns, their only
-reader.
+coefficient products.  Each half is lifted only when it has objects.
+Bench times the lifts and the counts and joins the results; the kernels
+own the layout.
 
 `kernels.map_ranges` gives each worker a range of rays, as `render` does
 with image rows; a worker gets arrays, not the scene, and returns per-ray
@@ -46,12 +44,11 @@ from functools import partial
 import numpy as np
 
 from .kernels import (
-    METHODS, classical_counts, classical_lift, map_ranges, separated_counts, separated_lift,
-    separated_tables, world_table,
+    METHODS, bench_tables, classical_counts, classical_lift, map_ranges, separated_counts,
+    separated_lift, sphere_counts, sphere_lift,
 )
 from .rng import float_stream, mix64
 from .scene import Scene
-from .separated import line_moment
 
 __all__ = [
     "BenchStats",
@@ -145,26 +142,32 @@ def _detect_rays(
 ) -> tuple[np.ndarray, list[int], list[int]]:
     """Per-ray hit counts over `rays`, and each repetition's precompute and detect ns.
 
-    `tables` lead the arguments of the method's kernel.  Raises
-    AssertionError when a repetition's counts differ from the first one's.
+    `tables` are `kernels.bench_tables`: the plain spheres take the sphere
+    product on both routes, the other objects the method's lifted form;
+    each half is lifted only when it has objects.  Raises AssertionError
+    when a repetition's counts differ from the first one's.
     """
     o, d = origins[rays.start:rays.stop], dirs[rays.start:rays.stop]
     point = (o[:, 0], o[:, 1], o[:, 2], 1.0)
     direction = (d[:, 0], d[:, 1], d[:, 2], 0.0)
+    centers, r_sq, generic = tables
+    if method == "classical":
+        lift, count = classical_lift, classical_counts
+    else:
+        lift, count = separated_lift, separated_counts
     ray_hits = None
     precompute_ns: list[int] = []
     detect_ns: list[int] = []
     for _ in range(reps):
         t0 = time.perf_counter_ns()
-        if method == "classical":
-            lifted = classical_lift(point, direction)
-            t1 = time.perf_counter_ns()
-            counts = classical_counts(*tables, lifted)
-        else:
-            terms = line_moment(point, direction)
-            weights = separated_lift(point, direction) if tables[2].shape[1] else None
-            t1 = time.perf_counter_ns()
-            counts = separated_counts(*tables, direction, weights, terms)
+        spheres = sphere_lift(point, direction) if len(r_sq) else None
+        lifted = lift(point, direction) if generic.shape[1] else None
+        t1 = time.perf_counter_ns()
+        counts = np.zeros(len(o), dtype=np.int64)
+        if spheres is not None:
+            counts += sphere_counts(centers, r_sq, spheres, point, direction, method)[0]
+        if lifted is not None:
+            counts += count(generic, lifted)
         t2 = time.perf_counter_ns()
         precompute_ns.append(t1 - t0)
         detect_ns.append(t2 - t1)
@@ -178,7 +181,7 @@ def _detect_rays(
 def _run_one_method(
     scene: Scene, method: str, origins: np.ndarray, dirs: np.ndarray, reps: int, workers: int
 ) -> BenchStats:
-    """One method's stats, over the coefficient columns that method reads.
+    """One method's stats.
 
     Counts are joined in ray order; each repetition's times are summed over
     the worker ranges before the median.
@@ -186,8 +189,7 @@ def _run_one_method(
     rays = origins.shape[0]
     objs = scene.objects
     objects = len(objs)
-    tables = (world_table(objs),) if method == "classical" else separated_tables(objs)
-    worker = partial(_detect_rays, method, tables, origins, dirs, reps)
+    worker = partial(_detect_rays, method, bench_tables(objs), origins, dirs, reps)
     hit_arrays, pre_ns, det_ns = zip(*map_ranges(worker, rays, workers))
     ray_hits = np.concatenate(hit_arrays)
     detect_ns = int(statistics.median(sum(rep) for rep in zip(*det_ns)))

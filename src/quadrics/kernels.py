@@ -21,11 +21,11 @@ The pair formulas are not written here: render's tiles run the
 reference's own tuple-level forms on arrays, `classical.coefficient_terms`
 (a, b, c) and `separated.line_entries` / `factored_discriminant` (R and
 s^T Q R Q x), which unpack a (10, objects) table as they unpack a
-`QuadricMatrix`, and bench's sphere tiles run `separated.line_moment` and
-`moment_discriminant` on arrays of rays and spheres; render's separated
-early reject is `separated.early_reject`.  numpy float64 ufuncs round
-exactly as Python floats do, so each pair gets the scalar kernels' value
-bit for bit by construction.  What is batched here, the
+`QuadricMatrix`, and bench's sphere fallback runs `classical.sphere_terms`
+and `separated.line_moment` / `moment_discriminant` on arrays of pairs;
+render's separated early reject is `separated.early_reject`.  numpy
+float64 ufuncs round exactly as Python floats do, so each pair gets the
+scalar kernels' value bit for bit by construction.  What is batched here, the
 classification in `nearest_root`, keeps the operand order of `solve`, and
 the tests compare both.  The tile loops run under `np.errstate(all="ignore")`:
 overflow gives inf and NaN silently, as Python float arithmetic does, and
@@ -36,18 +36,24 @@ Bench's hit counts use lifted forms instead.  a, b, c and s^T Q R Q x are
 linear and quadratic forms in Q's 10 coefficients, so a ray becomes, once
 per call, a vector of weights (`classical_lift`, `separated_lift`), and a
 tile of rays x objects is one matrix product with the coefficient table or
-its 55 pairwise products (`pair_products`); both routes' counts run in one
-tile loop.  The lifts read each weight off Q's layout,
-`quadric.COEFFICIENT_ENTRIES`: coefficient (i, j) weighs u_i v_j + u_j v_i
-in u^T Q v, and Q_k v holds v_j in row i and v_i in row j.  A test pins
-both lifts to the reference forms run on the 10x10 unit table, number for
-number.  `separated_tables` owns the separated route's split: a `Sphere`
-with no rotation takes the moment fast path, every other object the lifted
-form.  A BLAS product sums in its own order, so these kernels are not
+its 55 pairwise products (`pair_products`).  The lifts read each weight off
+Q's layout, `quadric.COEFFICIENT_ENTRIES`: coefficient (i, j) weighs
+u_i v_j + u_j v_i in u^T Q v, and Q_k v holds v_j in row i and v_i in row
+j.  A test pins both lifts to the reference forms run on the 10x10 unit
+table, number for number.  `bench_tables` owns both routes' split: a
+`Sphere` with no rotation is a plain sphere, every other object goes into
+the coefficient table.  On a plain sphere both routes' D is one
+polynomial, linear in 11 monomials of its centre and radius
+(`sphere_monomials`), so both routes lift each ray once more into 11
+weights (`sphere_lift`) and run one product per tile of rays x spheres
+(`sphere_counts`).  Every count runs in one tile loop, `_count_tiles`.
+A BLAS product sums in its own order, so these kernels are not
 bit-identical to the scalar ones per pair.  What holds, and the tests
 check: equal hit counts with the per-pair forms on generated scenes, and
 each lifted D within a derived rounding bound of the exact b^2 - a c, so
-the same sign wherever the exact value lies outside it.
+the same sign wherever the exact value lies outside it.  The sphere
+product carries its bound: a pair it cannot decide falls back to its
+route's per-pair form, so its counts equal those forms' on every input.
 
 `nearest_hits` runs in two stages.  Stage 1 (`keep_pairs`, per tile)
 tests each pair against a conservative bounding sphere of its column and
@@ -60,17 +66,18 @@ drops only pairs whose kernel result is provably a Miss (see
 """
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
+from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms, sphere_terms
 from .quadric import COEFFICIENT_ENTRIES, Sphere
 from .separated import (
-    early_reject, factored_discriminant, line_bilinear, line_entries, moment_discriminant,
+    early_reject, factored_discriminant, line_bilinear, line_entries, line_moment,
+    moment_discriminant,
 )
 
 if TYPE_CHECKING:
@@ -87,9 +94,12 @@ __all__ = [
     "cull_radii",
     "keep_pairs",
     "nearest_hits",
+    "bench_tables",
+    "sphere_monomials",
+    "sphere_lift",
+    "sphere_counts",
     "classical_lift",
     "classical_counts",
-    "separated_tables",
     "separated_lift",
     "pair_products",
     "separated_counts",
@@ -126,22 +136,38 @@ _NON_FINITE = "world matrix: non-finite coefficient"
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`geometry.compose` on (n, 4, 4) stacks: acc = 0.0, then acc + a_ik * b_kj for k = 0..3."""
+    """`geometry.compose` on (4, 4, n) stacks: acc = 0.0, then acc + a_ik * b_kj for k = 0..3.
+
+    The objects run along the last axis, so each step is one pass over
+    contiguous rows of n objects.
+    """
     acc = np.zeros(a.shape)
     for k in range(4):
-        acc = acc + a[:, :, k, None] * b[:, None, k, :]
+        acc += a[:, k, None] * b[None, k]
     return acc
 
 
 def _placements(objects: Sequence[SceneObject]) -> tuple:
-    """Fundamental coefficients (n, 10), centres (n, 3), rotated indices, rotations (r, 3, 3)."""
-    rotated = [i for i, o in enumerate(objects) if o.rot is not None]
+    """Fundamental coefficients (n, 10), centres (n, 3), rotated mask (n,), rotations (r, 3, 3).
+
+    The rotations are those of the rotated objects, in scene order.
+    """
+    n = len(objects)
+    rotations = [o.rot.m for o in objects if o.rot is not None]
     return (
-        np.array([o.kind.coefficients() for o in objects]).reshape(-1, 10),
-        np.array([o.center.as_tuple() for o in objects]).reshape(-1, 3),
-        rotated,
-        np.array([objects[i].rot.m for i in rotated]).reshape(-1, 3, 3),
+        np.fromiter(chain.from_iterable(o.kind.coefficients() for o in objects), float, 10 * n)
+        .reshape(n, 10),
+        np.fromiter(chain.from_iterable(o.center.as_tuple() for o in objects), float, 3 * n)
+        .reshape(n, 3),
+        np.fromiter((o.rot is not None for o in objects), bool, n),
+        np.fromiter(chain.from_iterable(rotations), float, 9 * len(rotations)).reshape(-1, 3, 3),
     )
+
+
+def _subset(placed: tuple, keep: np.ndarray) -> tuple:
+    """The `_placements` of the objects where the mask `keep` is true, in order."""
+    q0, centers, rotated, rot = placed
+    return q0[keep], centers[keep], rotated[keep], rot[keep[rotated]]
 
 
 def world_table(objects: Sequence[SceneObject]) -> np.ndarray:
@@ -149,7 +175,7 @@ def world_table(objects: Sequence[SceneObject]) -> np.ndarray:
 
     T (the translation, after the transposed rotation where there is one),
     Q0 T, T^T (Q0 T) and the (i, j)/(j, i) averaging of `quadric.transform`
-    run on (objects, 4, 4) stacks through `_compose`, which keeps the scalar
+    run on (4, 4, objects) stacks through `_compose`, which keeps the scalar
     summation order and every term, products with 0 and 1 included, so
     signed zeros and rounding match the scalar build bit for bit.  Raises
     ValueError where the scalar build would: a non-finite entry of T, Q0 T
@@ -167,32 +193,32 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
     n = len(q0)
     if n == 0:
         return np.empty((10, 0))
-    q0_mat = np.empty((n, 4, 4))
-    q0_mat[:, _ROWS, _COLS] = q0_mat[:, _COLS, _ROWS] = q0
-    t = np.zeros((n, 4, 4))
-    t[:, range(4), range(4)] = 1.0
-    t[:, :3, 3] = -centers
+    q0_mat = np.empty((4, 4, n))
+    q0_mat[_ROWS, _COLS] = q0_mat[_COLS, _ROWS] = q0.T
+    t = np.zeros((4, 4, n))
+    t[range(4), range(4)] = 1.0
+    t[:3, 3] = -centers.T
     with np.errstate(all="ignore"):
-        if rotated:
+        if len(rot):
             # rotation(rot^T): the transposed 3x3 block, w row and column untouched.
-            r = np.zeros((len(rotated), 4, 4))
-            r[:, :3, :3] = rot.transpose(0, 2, 1)
-            r[:, 3, 3] = 1.0
-            t[rotated] = _compose(r, t[rotated])
-        p = _compose(t.transpose(0, 2, 1), _compose(q0_mat, t))
-        table = p[:, _ROWS, _COLS]
+            r = np.zeros((4, 4, len(rot)))
+            r[:3, :3] = rot.transpose(2, 1, 0)
+            r[3, 3] = 1.0
+            t[:, :, rotated] = _compose(r, t[:, :, rotated])
+        p = _compose(t.transpose(1, 0, 2), _compose(q0_mat, t))
+        table = p[_ROWS, _COLS]
         off = _ROWS != _COLS
-        table[:, off] = 0.5 * (table[:, off] + p[:, _COLS[off], _ROWS[off]])
+        table[off] = 0.5 * (table[off] + p[_COLS[off], _ROWS[off]])
     # One check covers T, Q0 T and the product: every entry of each reaches
     # the table through products and sums, and x * inf, x * NaN and a sum
     # with either are never finite.
     for bad, what in (
-        (~np.isfinite(table).all(axis=1), _NON_FINITE),
-        ((table == 0.0).all(axis=1), "all coefficients zero"),
+        (~np.isfinite(table).all(axis=0), _NON_FINITE),
+        ((table == 0.0).all(axis=0), "all coefficients zero"),
     ):
         if bad.any():
             raise ValueError(f"object {index[int(np.argmax(bad))]}: {what}")
-    return table.T.copy()
+    return table
 
 
 def render_tables(
@@ -278,9 +304,9 @@ def map_ranges(fn: Callable[[range], object], n: int, workers: int) -> list:
         return list(pool.map(fn, ranges))
 
 
-def _take(vec: Sequence[np.ndarray], index) -> tuple:
-    """Each per-ray array of `vec` indexed by `index`."""
-    return tuple(v[index] for v in vec)
+def _take(vec: Sequence[Component], index) -> tuple:
+    """Each per-ray array of `vec` indexed by `index`; a float component is shared by every ray."""
+    return tuple(v[index] if isinstance(v, np.ndarray) else v for v in vec)
 
 
 _COLUMN = np.s_[:, None]
@@ -475,6 +501,194 @@ def nearest_hits(
     return out
 
 
+def bench_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centres as (3, spheres), r^2, generic coefficient table): the tables of both bench routes.
+
+    A `Sphere` with no rotation is a plain sphere: its centre and its
+    r^2 = -a44, read off its fundamental coefficients (the negation is
+    exact), go to `sphere_counts`.  Every other object goes, in scene order,
+    into a (10, objects) table equal to its `world_table` columns bit for
+    bit.  Both come from one `_placements` of all objects.  Raises
+    ValueError where `world_table(objects)` would, with its message, naming
+    the first failing object by its position in `objects`: a plain sphere
+    fails when its world matrix's a44 = |c|^2 - r^2, summed in `_compose`'s
+    order, is not finite, the only coefficient of such a sphere that can
+    leave the floats.
+    """
+    placed = q0, centers, rotated, _ = _placements(objects)
+    position = np.arange(len(objects))
+    plain = np.fromiter((isinstance(o.kind, Sphere) for o in objects), bool, len(objects))
+    plain &= ~rotated
+    (x, y, z), r_sq = centers[plain].T, -q0[plain, 3]
+    with np.errstate(all="ignore"):
+        a44 = 0.0 + x * x + y * y + z * z - r_sq
+    if not np.isfinite(a44).all():
+        first = position[plain][np.argmax(~np.isfinite(a44))]
+        earlier = ~plain & (position < first)
+        _world_table(_subset(placed, earlier), position[earlier])  # names an earlier failure first
+        raise ValueError(f"object {first}: {_NON_FINITE}")
+    generic = ~plain
+    return np.array([x, y, z]), r_sq, _world_table(_subset(placed, generic), position[generic])
+
+
+def sphere_monomials(centers: np.ndarray, r_sq: np.ndarray) -> np.ndarray:
+    """(11, spheres): each sphere's monomials of `sphere_lift`.
+
+    In order: 1, c_x, c_y, c_z, c_x^2, c_y^2, c_z^2, c_x c_y, c_x c_z,
+    c_y c_z, r^2.
+    """
+    cx, cy, cz = centers
+    return np.array(
+        [np.ones_like(r_sq), cx, cy, cz, cx * cx, cy * cy, cz * cz, cx * cy, cx * cz, cy * cz, r_sq]
+    )
+
+
+def sphere_lift(point: Vec4, direction: Vec4) -> tuple[np.ndarray, np.ndarray]:
+    """Each ray's (11, rays) weights on `sphere_monomials` and (3, rays) rounding-bound terms.
+
+    Against a plain sphere (centre c, squared radius r^2), a = |s|^2,
+    b = s.(x - c) and c' = |x - c|^2 - r^2.  With m = s x x and |s|^2 from
+    `separated.line_moment`,
+
+        b^2 - a c' = r^2 |s|^2 - |m - s x c|^2
+                   = -|m|^2 + 2 (m x s).c - sum_i (s_j^2 + s_k^2) c_i^2
+                     + 2 sum_(i<j) s_i s_j c_i c_j + |s|^2 r^2
+
+    ({i, j, k} = {x, y, z}), linear in the monomials, so a ray's weights
+    times the (11, spheres) monomials are its D against every sphere.  The
+    bound terms are p, q and v of `sphere_counts`.  x and s are Euclidean
+    (w = 1, s_w = 0); components are floats or (rays,) arrays.
+    """
+    (m0, m1, m2), n2 = line_moment(point, direction)
+    s0, s1, s2, _ = direction
+    x0, x1, x2, _ = point
+    s00, s11, s22 = s0 * s0, s1 * s1, s2 * s2
+    rays = np.broadcast(*point, *direction).size
+    # Each column is written into its row as it is made, so that no more
+    # than a few (rays,) temporaries are alive at once.
+    weights = np.empty((11, rays))
+    np.negative(m0 * m0 + m1 * m1 + m2 * m2, out=weights[0])
+    for row, (u, v) in enumerate(((m1 * s2, m2 * s1), (m2 * s0, m0 * s2), (m0 * s1, m1 * s0)), 1):
+        np.multiply(2.0, u - v, out=weights[row])
+    for row, (u, v) in enumerate(((s11, s22), (s00, s22), (s00, s11)), 4):
+        np.negative(u + v, out=weights[row])
+    for row, (u, v) in enumerate(((s0, s1), (s0, s2), (s1, s2)), 7):
+        np.multiply(2.0, u * v, out=weights[row])
+    weights[10] = n2
+    xx = x0 * x0 + x1 * x1 + x2 * x2
+    terms = np.empty((3, rays))
+    terms[0] = _INFLATE * 4.0 * n2 * xx
+    terms[1] = _INFLATE * n2
+    terms[2] = 1.0 + n2 + xx
+    # A ray with a weight out of the floats gets a NaN p: each of its pairs falls back.
+    terms[0, ~np.isfinite(weights).all(axis=0)] = np.nan
+    return weights, terms
+
+
+# The rounding bound of `sphere_counts`: its factors g and h, and the
+# inflation that keeps p and q above the exact values they round.
+_SPHERE_ROUNDING = 2.0 ** -47
+_SPHERE_UNDERFLOW = 2.0 ** -1020
+_INFLATE = 1.0 + 2.0 ** -40
+
+
+def _sphere_bound(p, q, v, k):
+    """g (p + q k) + h (v + k): the rounding bound of `sphere_counts`, on arrays that broadcast."""
+    return _SPHERE_ROUNDING * (p + q * k) + _SPHERE_UNDERFLOW * (v + k)
+
+
+def _classical_sphere(center: Sequence, r_sq, x: Sequence, s: Sequence):
+    a, b, c = sphere_terms(center, r_sq, x, s)
+    return b * b - a * c
+
+
+def _moment_sphere(center: Sequence, r_sq, x: Sequence, s: Sequence):
+    moment, dir_norm_sq = line_moment(x, s)
+    return moment_discriminant(center, r_sq, moment, s[:3], dir_norm_sq)
+
+
+# Each route's per-pair sphere form, for the pairs the product leaves undecided.
+_SPHERE_FORMS = {"classical": _classical_sphere, "separated": _moment_sphere}
+
+
+def sphere_counts(
+    centers: np.ndarray, r_sq: np.ndarray, lifted: tuple, point: Vec4, direction: Vec4, method: str
+) -> tuple[np.ndarray, int]:
+    """Per ray, the number of plain spheres with D >= 0, and how many pairs fell back.
+
+    `centers` and `r_sq` are from `bench_tables`, `lifted` is
+    `sphere_lift(point, direction)`.  Each tile is one product
+    (rays, 11) @ (11, spheres) with `sphere_monomials`.  A pair whose |D|
+    is not above its rounding bound, below, falls back to the route's
+    per-pair form: `classical.sphere_terms` and b^2 - a c', or
+    `separated.moment_discriminant` on the pair's `line_moment`.  A tile
+    first tests every pair against its ray's bound at the call's largest
+    k, and only the pairs that fail it against their own.
+
+    The bound.  Written out in its terms, the product's D sums at most
+    T = |s|^2 (4 |x|^2 + k), k = 4 |c|^2 + r^2, in absolute value: -|m|^2
+    at most 2 |s|^2 |x|^2, the c_i terms 4 |s|^2 |x| |c|, the c_i c_j terms
+    2 |s|^2 |c|^2.  No term passes through more than 18 roundings (7 in
+    -|m|^2, the product, and 10 additions in any order), so D lies within
+    gamma_18 T of the exact value (Higham, lemma 3.1); the per-pair forms
+    sum no more and round at most 11 times.  Per ray, p = 4 |s|^2 |x|^2
+    and q = |s|^2, each inflated by 2^-40 so that p + q k, in floats,
+    exceeds (1 + gamma_18) T.  g = 2^-47 exceeds gamma_18 + gamma_11 with
+    room, so where |D| > g (p + q k), D, the exact value and both per-pair
+    forms have one sign: a pair decided by the product counts as the
+    per-pair forms count it.  h (v + k), h = 2^-1020 and
+    v = 1 + |s|^2 + |x|^2, covers underflow.  Overflow: a monomial leaves
+    the floats only where k does, and a ray whose weights do has p = NaN
+    (`sphere_lift`).  Otherwise every product and partial sum of D is at
+    most (1 + gamma_18) T in absolute value, so D is finite wherever
+    p + q k is.  So a NaN D fails the test, and an infinite D comes with an
+    infinite or NaN bound: both fall back.
+    """
+    weights, (p, q, v) = lifted
+    rays, spheres = weights.shape[1], len(r_sq)
+    monomials = sphere_monomials(centers, r_sq)
+    with np.errstate(all="ignore"):
+        k = 4.0 * (monomials[4] + monomials[5] + monomials[6]) + r_sq
+        coarse = _sphere_bound(p, q, v, k.max(initial=0.0))
+    pair_form = _SPHERE_FORMS[method]
+    counts = np.zeros(rays, dtype=np.int64)
+    rows = min(rays, _tile_rays(spheres))
+    # A tile of more rays than spheres is computed as (spheres, rays) and
+    # used through its transpose, so that the count of `_count_tiles` sums
+    # along rows of rays rather than along rows of a few spheres.
+    across = spheres < rows
+    product = monomials.T.copy() if across else monomials
+    buffers = np.empty(rows * spheres), np.empty(rows * spheres), np.empty(rows * spheres, bool)
+    fallbacks = 0
+
+    def discriminant(sl: slice) -> np.ndarray:
+        nonlocal fallbacks
+        w = weights[:, sl]
+        m = w.shape[1]
+        dd, size, sure = (
+            b[:m * spheres].reshape(spheres, m).T if across else b[:m * spheres].reshape(m, spheres)
+            for b in buffers
+        )
+        if across:
+            np.matmul(product, w, out=dd.T)
+        else:
+            np.matmul(w.T, product, out=dd)
+        np.abs(dd, out=size)
+        if not np.greater(size, coarse[sl, None], out=sure).all():
+            ri, si = np.nonzero(~sure)
+            ray = ri + sl.start
+            near = ~(size[ri, si] > _sphere_bound(p[ray], q[ray], v[ray], k[si]))
+            ri, si, ray = ri[near], si[near], ray[near]
+            fallbacks += len(ri)
+            dd[ri, si] = pair_form(
+                _take(centers, si), r_sq[si], _take(point, ray), _take(direction, ray)
+            )
+        return dd
+
+    _count_tiles(counts, spheres, discriminant)
+    return counts, fallbacks
+
+
 def _form_weights(u: Vec4, v: Vec4) -> list:
     """Each coefficient's weight in u^T Q v, in `COEFFICIENT_ORDER`, read off Q's layout.
 
@@ -545,39 +759,6 @@ def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     return counts
 
 
-def separated_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(centres as (3, spheres), r^2, generic coefficient table): the tables of `separated_counts`.
-
-    A `Sphere` with no rotation takes the moment fast path; every other
-    object goes, in scene order, into a (10, objects) table built as
-    `world_table` builds it.  Raises ValueError where `world_table(objects)`
-    would, with its message, naming the first failing object by its
-    position in `objects`: a fast-path sphere fails when its world matrix's
-    a44 = |c|^2 - r^2, summed in `_compose`'s order, is not finite, the only
-    coefficient of such a sphere that can leave the floats.
-    """
-    centers, r_sq, generic = [], [], []
-
-    def generic_table() -> np.ndarray:
-        return _world_table(_placements([objects[i] for i in generic]), generic)
-
-    for i, obj in enumerate(objects):
-        if isinstance(obj.kind, Sphere) and obj.rot is None:
-            x, y, z = obj.center.as_tuple()
-            r_sq.append(obj.kind.r * obj.kind.r)
-            if not math.isfinite(0.0 + x * x + y * y + z * z - r_sq[-1]):
-                generic_table()  # an earlier failing object is named first
-                raise ValueError(f"object {i}: {_NON_FINITE}")
-            centers.append((x, y, z))
-        else:
-            generic.append(i)
-    return (
-        np.array(centers, dtype=np.float64).reshape(-1, 3).T,
-        np.array(r_sq, dtype=np.float64),
-        generic_table(),
-    )
-
-
 def _applied(v: Vec4) -> np.ndarray:
     """(4, 10, rays): Q_k v for each unit quadric Q_k of Q's layout.
 
@@ -618,45 +799,20 @@ def pair_products(table: np.ndarray) -> np.ndarray:
     return table[_PAIR_A] * table[_PAIR_B]
 
 
-def separated_counts(
-    centers: np.ndarray,
-    r_sq: np.ndarray,
-    generic: np.ndarray,
-    direction: Vec4,
-    weights: np.ndarray | None,
-    terms: tuple,
-) -> np.ndarray:
-    """Per ray, the number of objects with a nonnegative separated discriminant.
+def separated_counts(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per ray of `separated_lift`, the number of objects with s^T Q R Q x >= 0.
 
-    The first three arguments are `separated_tables(objects)`.  Spheres
-    (`centers`, `r_sq`) take the moment fast path,
-    `separated.moment_discriminant` on (ray, sphere) tiles; `terms` is
-    `separated.line_moment(point, direction)`, and the sphere path needs
-    Euclidean rays.  The objects of the `generic` coefficient table take the
-    lifted form: each tile is one product `weights` @ `pair_products(generic)`
-    into a buffer allocated once per call.  `weights` is `separated_lift`,
-    read only when `generic` has columns.  Each half runs its own tiles of
-    about TILE_PAIRS pairs.
+    Each tile is one product `weights` @ `pair_products(table)`, into a
+    buffer allocated once per call.
     """
-    rays, objects = len(direction[0]), generic.shape[1]
-    moment, dir_norm_sq = terms
+    rays, objects = len(weights), table.shape[1]
     counts = np.zeros(rays, dtype=np.int64)
+    products = pair_products(table)
+    d = np.empty((min(rays, _tile_rays(objects)), objects))
 
-    def spheres(sl: slice) -> np.ndarray:
-        rows = (sl, None)
-        return moment_discriminant(
-            centers, r_sq, _take(moment, rows), _take(direction[:3], rows), dir_norm_sq[rows]
-        )
-
-    def lifted(sl: slice) -> np.ndarray:
+    def discriminant(sl: slice) -> np.ndarray:
         w = weights[sl]
         return np.matmul(w, products, out=d[:len(w)])
 
-    if len(r_sq):
-        _count_tiles(counts, len(r_sq), spheres)
-    if objects:
-        products = pair_products(generic)
-        d = np.empty((min(rays, _tile_rays(objects)), objects))
-        _count_tiles(counts, objects, lifted)
+    _count_tiles(counts, objects, discriminant)
     return counts
-

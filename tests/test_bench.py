@@ -23,14 +23,15 @@ from quadrics.bench import (
     to_csv,
 )
 from quadrics.kernels import (
-    classical_counts, classical_lift, separated_counts, separated_lift, separated_tables,
+    bench_tables, classical_counts, classical_lift, separated_counts, separated_lift,
+    sphere_counts, sphere_lift,
 )
 from quadrics.geometry import Vec3
 from quadrics.quadric import Ellipsoid, Sphere
 from quadrics.render import render_detection
 from quadrics.rng import Xorshift64Star, mix64
 from quadrics.scene import Scene, SceneObject, generate_scene
-from quadrics.separated import line_entries, line_moment
+from quadrics.separated import line_entries
 
 
 def _reference_rays(seed: int, count: int, min_norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
@@ -138,36 +139,29 @@ class TestNoScalarSetUp:
 
 
 class TestTablePerMethod:
-    """Each method builds only the coefficient columns it reads."""
+    """Both methods read one split: the plain spheres, and a table of the other objects only."""
 
     def _built_shapes(self, monkeypatch, scene, method):
-        # The shape of each coefficient table built: `world_table`'s, and
-        # the generic table of `separated_tables`.
+        # The shape of each generic coefficient table built: that of `bench_tables`.
         shapes = []
 
-        def recording_world(objects):
-            table = kernels.world_table(objects)
-            shapes.append(table.shape)
-            return table
-
-        def recording_separated(objects):
-            tables = kernels.separated_tables(objects)
+        def recording(objects):
+            tables = kernels.bench_tables(objects)
             shapes.append(tables[2].shape)
             return tables
 
-        monkeypatch.setattr(bench, "world_table", recording_world)
-        monkeypatch.setattr(bench, "separated_tables", recording_separated)
+        monkeypatch.setattr(bench, "bench_tables", recording)
         run_benchmark(scene, rays=20, method=method, seed=3)
         return shapes
 
-    def test_separated_tabulates_only_the_generic_objects(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    def test_both_routes_tabulate_only_the_generic_objects(self, monkeypatch, method):
         spheres = generate_scene(8, 12, ("sphere",))
-        assert self._built_shapes(monkeypatch, spheres, "separated") == [(10, 0)]
+        assert self._built_shapes(monkeypatch, spheres, method) == [(10, 0)]
         mixed = generate_scene(8, 12, ("sphere", "ellipsoid"))
-        generic = separated_tables(mixed.objects)[2].shape[1]
+        generic = bench_tables(mixed.objects)[2].shape[1]
         assert 0 < generic < 12
-        assert self._built_shapes(monkeypatch, mixed, "separated") == [(10, generic)]
-        assert self._built_shapes(monkeypatch, mixed, "classical") == [(10, 12)]
+        assert self._built_shapes(monkeypatch, mixed, method) == [(10, generic)]
 
     def test_separated_builds_lines_only_for_generic_objects(self, monkeypatch):
         scenes = [generate_scene(8, 12, ("sphere",)), generate_scene(8, 12, ("sphere", "ellipsoid"))]
@@ -232,17 +226,18 @@ class TestVectorizedKernelsMatchScalar:
 
     def test_separated_vectorized_counts(self, monkeypatch):
         sc = generate_scene(22, 15)
-        centers, r2, generic = separated_tables(sc.objects)
+        centers, r2, generic = bench_tables(sc.objects)
         world = [obj.world_matrix() for obj in sc.objects]
         assert len(r2) and generic.shape[1]  # both paths run
         origins, dirs = generate_rays(22, 40)
         point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
         for tile_pairs in self.TILE_SIZES:
             monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
-            weights = separated_lift(point, direction)
-            counts = separated_counts(
-                centers, r2, generic, direction, weights, line_moment(point, direction)
+            counts, fallbacks = sphere_counts(
+                centers, r2, sphere_lift(point, direction), point, direction, "separated"
             )
+            counts += separated_counts(generic, separated_lift(point, direction))
+            assert fallbacks == 0
             for i in range(40):
                 p = HomogeneousPoint(*origins[i], 1.0)
                 s = HomogeneousDirection(*dirs[i], 0.0)

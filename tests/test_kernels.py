@@ -26,10 +26,11 @@ from quadrics import (
     sphere_discriminant,
 )
 from quadrics.bench import generate_rays
-from quadrics.classical import coefficient_terms
+from quadrics.classical import coefficient_terms, sphere_terms
 from quadrics.kernels import (
-    classical_counts, classical_lift, keep_pairs, map_ranges, nearest_hits, render_tables,
-    separated_counts, separated_lift, separated_tables, world_table,
+    bench_tables, classical_counts, classical_lift, keep_pairs, map_ranges, nearest_hits,
+    render_tables, separated_counts, separated_lift, sphere_counts, sphere_lift,
+    sphere_monomials, world_table,
 )
 from quadrics.quadric import (
     Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere, apply,
@@ -242,6 +243,7 @@ def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
     centers = rng.uniform(-5.0, 5.0, size=(9, 3))
     r_sq = rng.uniform(0.1, 2.0, size=9) ** 2
     d_sphere = moment_discriminant(centers.T, r_sq, moment, direction[:3], dir_norm_sq)
+    sphere_abc = np.broadcast_arrays(*sphere_terms(centers.T, r_sq, point, direction))
     for i, (p, s) in enumerate(rays):
         cache = make_ray_cache(p, s)
         assert tuple(e[i, 0] for e in r) == cache.r.entries()
@@ -254,6 +256,8 @@ def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
             assert tuple(e[i, j] for e in qx) == apply(q, p.as_tuple())
             center = Vec3(*centers[j])
             assert d_sphere[i, j] == sphere_discriminant(center, float(np.sqrt(r_sq[j])), cache)
+            want = sphere_terms(center.as_tuple(), float(r_sq[j]), p.as_tuple(), s.as_tuple())
+            assert tuple(e[i, j] for e in sphere_abc) == want
 
 
 # (a, b, c, a_scale, separated discriminant or None): one row per branch of solve.
@@ -367,7 +371,7 @@ class TestWorldTable:
         with pytest.raises(ValueError, match="object 1"):
             render_tables([SceneObject(Sphere(1.0)), obj], (0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="object 2"):
-            separated_tables([SceneObject(Sphere(1.0)), SceneObject(Ellipsoid(1.0, 2.0, 3.0)), obj])
+            bench_tables([SceneObject(Sphere(1.0)), SceneObject(Ellipsoid(1.0, 2.0, 3.0)), obj])
 
     def test_far_plain_sphere_is_named_as_world_table_names_it(self):
         # A fast-path sphere whose a44 overflows fails with world_table's
@@ -379,7 +383,7 @@ class TestWorldTable:
             with pytest.raises(ValueError, match=first) as expected:
                 world_table(objects)
             with pytest.raises(ValueError) as got:
-                separated_tables(objects)
+                bench_tables(objects)
             assert str(got.value) == str(expected.value)
 
     def test_index_selects_and_orders_the_columns(self):
@@ -387,9 +391,13 @@ class TestWorldTable:
         full = world_table(objects)
         generic = [i for i, o in enumerate(objects) if not isinstance(o.kind, Sphere)]
         assert 0 < len(generic) < len(objects)
-        _assert_bits_equal(separated_tables(objects)[2], full[:, generic])
+        centers, r_sq, table = bench_tables(objects)
+        _assert_bits_equal(table, full[:, generic])
+        plain = [o for o in objects if isinstance(o.kind, Sphere)]
+        assert centers.tolist() == [[o.center.as_tuple()[k] for o in plain] for k in range(3)]
+        assert r_sq.tolist() == [o.kind.r * o.kind.r for o in plain]
         spheres = generate_scene(9, 10, ("sphere",)).objects
-        assert separated_tables(spheres)[2].shape == (10, 0)
+        assert bench_tables(spheres)[2].shape == (10, 0)
 
 
 def _bounds(r: range) -> tuple[int, int]:
@@ -471,8 +479,10 @@ KIND_MIXES = [
     ("hyperboloid1", "hparaboloid"),
     ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid"),
 ]
-# Rounding factors on any term of each route's lifted D; see `_rounding_bound`.
-LIFT_ROUNDINGS = {"classical": 26, "separated": 67}
+# Rounding factors on any term of each lifted D: the two routes' over a
+# coefficient table (see `_rounding_bound`) and the plain spheres' product
+# (see `_sphere_rounding_bound`).
+LIFT_ROUNDINGS = {"classical": 26, "separated": 67, "sphere": 18}
 
 
 def _columns(vec) -> tuple:
@@ -534,6 +544,60 @@ def _rounding_bound(table: np.ndarray, point, direction, route: str) -> np.ndarr
     a, b, c = coefficient_terms(q, x, s)
     n = LIFT_ROUNDINGS[route] + 1
     return n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53) * (b * b + a * c)
+
+
+def _sphere_rounding_bound(centers: np.ndarray, r_sq: np.ndarray, point, direction) -> np.ndarray:
+    """Per (ray, sphere), a bound on |lifted D - exact D| of the plain spheres' product.
+
+    gamma_n |s|^2 (4 |x|^2 + 4 |c|^2 + r^2), n = LIFT_ROUNDINGS["sphere"]:
+    written out in its terms, the product `sphere_lift` @ `sphere_monomials`
+    sums at most |s|^2 (4 |x|^2 + 4 |c|^2 + r^2) in absolute value, and no
+    term passes through more than 18 roundings (see `kernels.sphere_counts`).
+    Computed in floats from nonnegative terms, so low by a relative 2^-49
+    at most, which reading it with n + 1 covers.  No term underflows here.
+    """
+    x0, x1, x2, _ = _columns(point)
+    s0, s1, s2, _ = _columns(direction)
+    cx, cy, cz = centers
+    n = LIFT_ROUNDINGS["sphere"] + 1
+    terms = (s0 * s0 + s1 * s1 + s2 * s2) * (
+        4.0 * (x0 * x0 + x1 * x1 + x2 * x2) + 4.0 * (cx * cx + cy * cy + cz * cz) + r_sq
+    )
+    return n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53) * terms
+
+
+def _exact_sphere_discriminant(center, r_sq: float, x, s) -> Fraction:
+    """b^2 - a c, exact, of the sphere |p - center|^2 = r_sq: its world matrix in `Fraction`s."""
+    cx, cy, cz = (Fraction(float(v)) for v in center)
+    a44 = cx * cx + cy * cy + cz * cz - Fraction(float(r_sq))
+    return exact_discriminant((1, 1, 1, a44, 0, 0, 0, -cx, -cy, -cz), x, s)
+
+
+def _sphere_pair_forms(centers: np.ndarray, r_sq: np.ndarray, point, direction) -> dict:
+    """Per (ray, sphere), each route's per-pair sphere D.
+
+    Classical: b^2 - a c of `classical.sphere_terms`; separated:
+    `moment_discriminant` on the ray's `line_moment`.
+    """
+    x, s = _columns(point), _columns(direction)
+    a, b, c = sphere_terms(centers, r_sq, x, s)
+    moment, dir_norm_sq = line_moment(x, s)
+    return {
+        "classical": b * b - a * c,
+        "separated": moment_discriminant(centers, r_sq, moment, s[:3], dir_norm_sq),
+    }
+
+
+def _bench_counts(objects, point, direction, route: str) -> tuple:
+    """(per-ray counts, sphere pairs that fell back) of bench's kernels on `route`."""
+    centers, r_sq, generic = bench_tables(objects)
+    lifted = sphere_lift(point, direction)
+    counts, fallbacks = sphere_counts(centers, r_sq, lifted, point, direction, route)
+    if route == "classical":
+        counts += classical_counts(generic, classical_lift(point, direction))
+    else:
+        counts += separated_counts(generic, separated_lift(point, direction))
+    return counts, fallbacks
 
 
 def _fold(rows: np.ndarray, sign: float) -> np.ndarray:
@@ -607,8 +671,8 @@ class TestLiftedKernels:
 
     @pytest.mark.parametrize("shift", [0.0, 1e5])
     def test_signs_equal_the_exact_oracle_outside_the_rounding_bound(self, shift):
-        inside = dict.fromkeys(LIFT_ROUNDINGS, 0)
-        margin = dict.fromkeys(LIFT_ROUNDINGS, np.inf)
+        inside = dict.fromkeys(kernels.METHODS, 0)
+        margin = dict.fromkeys(kernels.METHODS, np.inf)
         pairs = 0
         for seed in (1, 2):
             objects, point, direction = _shifted_scene(seed, 12, KIND_MIXES[-1], 30, shift)
@@ -620,10 +684,7 @@ class TestLiftedKernels:
             weights = separated_lift(point, direction)
             counts = {
                 "classical": classical_counts(table, classical_lift(point, direction)),
-                "separated": separated_counts(
-                    np.empty((0, 3)), np.empty(0), table, direction, weights,
-                    line_moment(point, direction),
-                ),
+                "separated": separated_counts(table, weights),
             }
             for route, d in lifted.items():
                 for i, row in enumerate(exact):
@@ -690,8 +751,9 @@ class TestLiftedKernels:
     @pytest.mark.parametrize("tile_pairs", [kernels.TILE_PAIRS, 50])
     def test_hit_counts_equal_the_pair_forms(self, mix, tile_pairs, monkeypatch):
         # Per ray, the counts of the per-pair forms the lifted ones replace:
-        # `coefficient_terms` (classical), and the sphere fast path plus the
-        # R-factored D (separated).
+        # `coefficient_terms` on a whole table, and on each route the sphere
+        # form of `_sphere_pair_forms` for the plain spheres plus the route's
+        # per-pair form for the other objects; no generated pair falls back.
         monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
         for seed in range(1, 9):
             scene = generate_scene(seed, 20, mix)
@@ -704,18 +766,18 @@ class TestLiftedKernels:
             got = classical_counts(table, classical_lift(point, direction))
             assert np.array_equal(got, expected)
 
-            centers, r_sq, generic = separated_tables(scene.objects)
-            lines, terms = line_entries(point, direction), line_moment(point, direction)
-            moment, dir_norm_sq = terms
-            d_spheres = moment_discriminant(
-                centers, r_sq, _columns(moment), s[:3], dir_norm_sq[:, None]
-            )
-            d_generic = factored_discriminant(generic, _columns(lines), x, s)
-            expected = np.count_nonzero(d_spheres >= 0.0, axis=1)
-            expected += np.count_nonzero(d_generic >= 0.0, axis=1)
-            weights = separated_lift(point, direction)
-            got = separated_counts(centers, r_sq, generic, direction, weights, terms)
-            assert np.array_equal(got, expected)
+            centers, r_sq, generic = bench_tables(scene.objects)
+            a, b, c = coefficient_terms(generic, x, s)
+            lines = _columns(line_entries(point, direction))
+            generic_forms = {
+                "classical": b * b - a * c,
+                "separated": factored_discriminant(generic, lines, x, s),
+            }
+            for route, d_spheres in _sphere_pair_forms(centers, r_sq, point, direction).items():
+                expected = np.count_nonzero(d_spheres >= 0.0, axis=1)
+                expected += np.count_nonzero(generic_forms[route] >= 0.0, axis=1)
+                got, fallbacks = _bench_counts(scene.objects, point, direction, route)
+                assert np.array_equal(got, expected) and fallbacks == 0, route
 
     def test_shifted_disagreements_lie_inside_the_rounding_bound(self):
         # Moved 1e5 along x, the table's entries reach 1e10 and D cancels
@@ -723,7 +785,7 @@ class TestLiftedKernels:
         # per-pair form it replaces is resolved by the exact oracle; both
         # are right outside their rounding bounds, and the lifted bound is
         # the larger.
-        tally = {route: {"pairs": 0, "disagree": 0, "lifted right": 0} for route in LIFT_ROUNDINGS}
+        tally = {route: {"pairs": 0, "disagree": 0, "lifted right": 0} for route in kernels.METHODS}
         for mix in KIND_MIXES:
             for seed in range(1, 9):
                 objects, point, direction = _shifted_scene(seed, 20, mix, 60, 1e5)
@@ -744,3 +806,99 @@ class TestLiftedKernels:
                         tally[route]["disagree"] += 1
                         tally[route]["lifted right"] += (d[i, j] >= 0.0) == (truth >= 0)
         print(f"shift 1e5, lifted against the per-pair forms: {tally}")
+
+
+def _tangent_rays(objects, per_sphere: int, seed: int) -> tuple:
+    """Rays tangent to each sphere of `objects`, `per_sphere` each, in random directions.
+
+    A ray starts at c + r u - 5 s, with s random and u a unit vector normal
+    to s, so its line meets the sphere at exactly one point, up to the
+    rounding of its components.
+    """
+    rng = np.random.default_rng(seed)
+    origins, dirs = [], []
+    for obj in objects:
+        for _ in range(per_sphere):
+            s = rng.uniform(-1.0, 1.0, 3)
+            u = np.cross(s, rng.uniform(-1.0, 1.0, 3))
+            u /= np.linalg.norm(u)
+            origins.append(np.array(obj.center.as_tuple()) + obj.kind.r * u - 5.0 * s)
+            dirs.append(s)
+    origins, dirs = np.array(origins), np.array(dirs)
+    return (*origins.T, 1.0), (*dirs.T, 0.0)
+
+
+class TestSphereProduct:
+    """The plain spheres' product, (rays, 11) @ (11, spheres), and its fallback.
+
+    The product sums in BLAS's order, so its D is not the per-pair forms' D
+    bit for bit.  What holds: D within `_sphere_rounding_bound` of the exact
+    b^2 - a c, and, because a pair whose |D| is not above the kernel's
+    bound falls back to its route's per-pair form, per-ray counts equal to
+    those forms' on every input.
+    """
+
+    @pytest.mark.parametrize("shift", [0.0, 1e5])
+    def test_lifted_d_lies_within_its_rounding_bound(self, shift):
+        inside, pairs, margin = 0, 0, np.inf
+        for seed in (1, 2):
+            objects, point, direction = _shifted_scene(seed, 12, ("sphere",), 30, shift)
+            centers, r_sq, _ = bench_tables(objects)
+            d = sphere_lift(point, direction)[0].T @ sphere_monomials(centers, r_sq)
+            bound = _sphere_rounding_bound(centers, r_sq, point, direction)
+            for i in range(30):
+                x, s = _ray(point, direction, i)
+                for j in range(len(r_sq)):
+                    truth = _exact_sphere_discriminant(centers[:, j], r_sq[j], x, s)
+                    assert abs(Fraction(float(d[i, j])) - truth) <= bound[i, j], (i, j)
+                    margin = min(margin, abs(truth) / bound[i, j])
+                    if abs(truth) > bound[i, j]:
+                        assert (d[i, j] >= 0.0) == (truth >= 0), (i, j)
+                    else:
+                        inside += 1
+            pairs += d.size
+        print(f"shift {shift:g}: sphere pairs inside the rounding bound: {inside} of {pairs}")
+        print(f"shift {shift:g}: smallest |exact D| / bound: {float(margin):.3g}")
+
+    @pytest.mark.parametrize("case", ["tangent", "far"])
+    @pytest.mark.parametrize("tile_pairs", [kernels.TILE_PAIRS, 50])
+    def test_undecided_pairs_fall_back_to_the_pair_forms(self, case, tile_pairs, monkeypatch):
+        # Every tangent pair has an exact D of about 0, and falls back; so
+        # does every pair of spheres moved 1e9 along x, |c| / r >= 5e8, where
+        # the expansion cancels far beyond the product's bound.
+        monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
+        if case == "tangent":
+            objects = generate_scene(5, 12, ("sphere",)).objects
+            point, direction = _tangent_rays(objects, 3, 5)
+            undecided = 3 * len(objects)
+        else:
+            objects, point, direction = _shifted_scene(5, 12, ("sphere",), 30, 1e9)
+            undecided = 30 * len(objects)
+        centers, r_sq, _ = bench_tables(objects)
+        lifted = sphere_lift(point, direction)
+        for route, d in _sphere_pair_forms(centers, r_sq, point, direction).items():
+            counts, fallbacks = sphere_counts(centers, r_sq, lifted, point, direction, route)
+            assert fallbacks >= undecided, route
+            assert np.array_equal(counts, np.count_nonzero(d >= 0.0, axis=1)), route
+
+    def test_non_finite_d_falls_back(self):
+        # Near the overflow edge the product's terms leave the floats: D is
+        # inf or NaN, and so is its bound.
+        objects = [
+            SceneObject(Sphere(1.0), Vec3(1.3e154, 0.0, 0.0)),
+            SceneObject(Sphere(1.0), Vec3(0.9e154, -0.9e154, 0.0)),
+            SceneObject(Sphere(2.0)),
+        ]
+        origins, dirs = generate_rays(4, 50)
+        point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
+        centers, r_sq, _ = bench_tables(objects)
+        lifted = sphere_lift(point, direction)
+        with np.errstate(all="ignore"):
+            d = lifted[0].T @ sphere_monomials(centers, r_sq)
+            forms = _sphere_pair_forms(centers, r_sq, point, direction)
+        non_finite = np.count_nonzero(~np.isfinite(d))
+        assert non_finite > 0
+        for route, form in forms.items():
+            counts, fallbacks = sphere_counts(centers, r_sq, lifted, point, direction, route)
+            assert fallbacks >= non_finite, route
+            assert np.array_equal(counts, np.count_nonzero(form >= 0.0, axis=1)), route
