@@ -4,14 +4,16 @@ Both methods answer the same question per (ray, object) pair: is the
 discriminant nonnegative?  Detection runs in tiles of (rays x objects)
 through the lifted kernels of `kernels`, over struct-of-arrays tables of
 the objects, which is the data layout the separated form is designed for.
-Both methods read one split, `kernels.bench_tables`: the plain spheres (a
-`Sphere` with no rotation), and a table of the other objects'
-coefficients.  Each method first lifts every ray once per call, the
-precompute phase.  On the plain spheres both lift into the same 11 weights
-(`kernels.sphere_lift`) and run the same product per tile, (rays, 11) @
-(11, spheres), so the two routes' sphere costs are equal by construction;
-a pair the product cannot decide within its rounding bound falls back to
-the route's per-pair form, `classical.sphere_terms` or
+`run_benchmark` builds one split, `kernels.bench_tables`, once per call and
+hands it to every method: the plain spheres (a `Sphere` with no rotation)
+as an (11, spheres) table of monomials of their centres and radii, and a
+table of the other objects' coefficients.  Each method first lifts every
+ray once per call, the precompute phase.  The plain spheres take one
+route-independent kernel: both methods lift each ray into the same 11
+weights (`kernels.sphere_lift`) and run `kernels.sphere_counts`, one
+product (rays, 11) @ (11, spheres) per tile, so the two routes' sphere
+costs are equal by construction; a pair the product cannot decide within
+its rounding bound falls back to the one per-pair form,
 `separated.moment_discriminant`.  On the table, each lift reads its
 weights off Q's layout (`quadric.COEFFICIENT_ENTRIES`): classical into a,
 b and c as linear forms in Q's 10 coefficients, separated into R and the
@@ -26,13 +28,22 @@ own the layout.
 with image rows; a worker gets arrays, not the scene, and returns per-ray
 hit counts and per-repetition times.  The hit total and the checksum (an
 XOR over rays of a mix of each count with its ray index) are computed once,
-over all rays, outside the timed spans.  Identical checksums across methods,
-runs, and worker counts are the determinism contract.  A BLAS product sums
-in its own order, so a lifted discriminant is not the scalar kernels' value
-bit for bit; it lies within a derived rounding bound of the exact one, and
-the hit counts and checksums equal those of the per-pair forms on generated
-scenes.  Timing columns are wall-clock and vary run to run; every other
-column is byte-stable for a fixed seed.
+over all rays, outside the timed spans.  Identical checksums across runs
+and worker counts are the determinism contract.  Across methods, the
+per-ray counts, so the hits and checksums, are equal:
+
+- on the plain spheres, on every input, by construction: both methods run
+  the same kernel and the same fallback;
+- on the other objects, wherever each pair's lifted D lies outside its
+  rounding bound of the exact b^2 - a c, where both methods count the
+  exact sign.  That holds on generated scenes, which the tests check; a
+  constructed pair closer to tangency may count differently per method.
+
+A BLAS product sums in its own order, so a lifted discriminant is not the
+scalar kernels' value bit for bit; the hit counts and checksums equal
+those of the per-pair forms on generated scenes.  Timing columns are
+wall-clock and vary run to run; every other column is byte-stable for a
+fixed seed.
 """
 from __future__ import annotations
 
@@ -150,7 +161,7 @@ def _detect_rays(
     o, d = origins[rays.start:rays.stop], dirs[rays.start:rays.stop]
     point = (o[:, 0], o[:, 1], o[:, 2], 1.0)
     direction = (d[:, 0], d[:, 1], d[:, 2], 0.0)
-    centers, r_sq, generic = tables
+    spheres, generic = tables
     if method == "classical":
         lift, count = classical_lift, classical_counts
     else:
@@ -160,12 +171,12 @@ def _detect_rays(
     detect_ns: list[int] = []
     for _ in range(reps):
         t0 = time.perf_counter_ns()
-        spheres = sphere_lift(point, direction) if len(r_sq) else None
+        sphere_weights = sphere_lift(point, direction) if spheres.shape[1] else None
         lifted = lift(point, direction) if generic.shape[1] else None
         t1 = time.perf_counter_ns()
         counts = np.zeros(len(o), dtype=np.int64)
-        if spheres is not None:
-            counts += sphere_counts(centers, r_sq, spheres, point, direction, method)[0]
+        if sphere_weights is not None:
+            counts += sphere_counts(spheres, sphere_weights, point, direction)[0]
         if lifted is not None:
             counts += count(generic, lifted)
         t2 = time.perf_counter_ns()
@@ -179,17 +190,16 @@ def _detect_rays(
 
 
 def _run_one_method(
-    scene: Scene, method: str, origins: np.ndarray, dirs: np.ndarray, reps: int, workers: int
+    tables: tuple, method: str, origins: np.ndarray, dirs: np.ndarray, reps: int, workers: int
 ) -> BenchStats:
-    """One method's stats.
+    """One method's stats over the `kernels.bench_tables` of the scene's objects.
 
     Counts are joined in ray order; each repetition's times are summed over
     the worker ranges before the median.
     """
     rays = origins.shape[0]
-    objs = scene.objects
-    objects = len(objs)
-    worker = partial(_detect_rays, method, bench_tables(objs), origins, dirs, reps)
+    objects = tables[0].shape[1] + tables[1].shape[1]
+    worker = partial(_detect_rays, method, tables, origins, dirs, reps)
     hit_arrays, pre_ns, det_ns = zip(*map_ranges(worker, rays, workers))
     ray_hits = np.concatenate(hit_arrays)
     detect_ns = int(statistics.median(sum(rep) for rep in zip(*det_ns)))
@@ -225,8 +235,9 @@ def run_benchmark(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     origins, dirs = generate_rays(seed, rays)
+    tables = bench_tables(scene.objects)
     methods = list(METHODS) if method == "both" else [method]
-    return [_run_one_method(scene, m, origins, dirs, reps, workers) for m in methods]
+    return [_run_one_method(tables, m, origins, dirs, reps, workers) for m in methods]
 
 
 def to_csv(stats: list[BenchStats]) -> str:

@@ -28,7 +28,6 @@ __all__ = [
     "IntersectionResult",
     "coefficients",
     "coefficient_terms",
-    "sphere_terms",
     "solve",
     "intersect_classical",
     "hit_parameters",
@@ -104,26 +103,6 @@ def coefficient_terms(q: Iterable, x: Sequence, s: Sequence) -> tuple:
     or a (10, objects) table and arrays for every (line, object) pair.
     """
     return quadratic_form(q, s), bilinear_form(q, s, x), quadratic_form(q, x)
-
-
-def sphere_terms(center: Sequence, r_sq, x: Sequence, s: Sequence) -> tuple:
-    """(a, b, c) of the sphere |p - center|^2 = r_sq: |s|^2, s.(x - center), |x - center|^2 - r_sq.
-
-    The textbook sphere test: the terms `coefficient_terms` gives for the
-    sphere's world matrix, from its centre and squared radius instead of its
-    10 coefficients.  x and s are Euclidean homogeneous 4-vectors (w = 1,
-    s_w = 0), whose w is not read; components, and the centre's, are floats
-    or arrays that broadcast together.
-    """
-    cx, cy, cz = center
-    x0, x1, x2, _ = x
-    s0, s1, s2, _ = s
-    dx, dy, dz = x0 - cx, x1 - cy, x2 - cz
-    return (
-        s0 * s0 + s1 * s1 + s2 * s2,
-        s0 * dx + s1 * dy + s2 * dz,
-        dx * dx + dy * dy + dz * dz - r_sq,
-    )
 
 
 def solve(

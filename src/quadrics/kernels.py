@@ -21,13 +21,14 @@ The pair formulas are not written here: render's tiles run the
 reference's own tuple-level forms on arrays, `classical.coefficient_terms`
 (a, b, c) and `separated.line_entries` / `factored_discriminant` (R and
 s^T Q R Q x), which unpack a (10, objects) table as they unpack a
-`QuadricMatrix`, and bench's sphere fallback runs `classical.sphere_terms`
-and `separated.line_moment` / `moment_discriminant` on arrays of pairs;
-render's separated early reject is `separated.early_reject`.  numpy
-float64 ufuncs round exactly as Python floats do, so each pair gets the
-scalar kernels' value bit for bit by construction.  What is batched here, the
-classification in `nearest_root`, keeps the operand order of `solve`, and
-the tests compare both.  The tile loops run under `np.errstate(all="ignore")`:
+`QuadricMatrix`, and bench's sphere fallback runs `separated.line_moment`
+and `moment_discriminant`, the body of `separated.sphere_discriminant`, on
+arrays of pairs; render's separated early reject is
+`separated.early_reject`.  numpy float64 ufuncs round exactly as Python
+floats do, so each pair gets the scalar kernels' value bit for bit by
+construction.  What is batched here, the classification in
+`nearest_root`, keeps the operand order of `solve`, and the tests compare
+both.  The tile loops run under `np.errstate(all="ignore")`:
 overflow gives inf and NaN silently, as Python float arithmetic does, and
 the branches of `solve` that a pair does not take are evaluated for every
 pair, then discarded.
@@ -43,17 +44,19 @@ j.  A test pins both lifts to the reference forms run on the 10x10 unit
 table, number for number.  `bench_tables` owns both routes' split: a
 `Sphere` with no rotation is a plain sphere, every other object goes into
 the coefficient table.  On a plain sphere both routes' D is one
-polynomial, linear in 11 monomials of its centre and radius
-(`sphere_monomials`), so both routes lift each ray once more into 11
-weights (`sphere_lift`) and run one product per tile of rays x spheres
-(`sphere_counts`).  Every count runs in one tile loop, `_count_tiles`.
-A BLAS product sums in its own order, so these kernels are not
-bit-identical to the scalar ones per pair.  What holds, and the tests
-check: equal hit counts with the per-pair forms on generated scenes, and
-each lifted D within a derived rounding bound of the exact b^2 - a c, so
-the same sign wherever the exact value lies outside it.  The sphere
-product carries its bound: a pair it cannot decide falls back to its
-route's per-pair form, so its counts equal those forms' on every input.
+polynomial, linear in 11 monomials of its centre and radius, which
+`bench_tables` lays out as the sphere table, so both routes lift each ray
+once more into 11 weights (`sphere_lift`) and run one route-independent
+kernel, one product per tile of rays x spheres (`sphere_counts`).  Every
+count runs in one tile loop, `_count_tiles`.  A BLAS product sums in its
+own order, so these kernels are not bit-identical to the scalar ones per
+pair.  What holds, and the tests check: equal hit counts with the
+per-pair forms on generated scenes, and each lifted D within a derived
+rounding bound of the exact b^2 - a c, so the same sign wherever the
+exact value lies outside it.  The sphere product carries its bound: a
+pair it cannot decide falls back to the one per-pair form,
+`moment_discriminant`, so its counts equal that form's on every input,
+on both routes.
 
 `nearest_hits` runs in two stages.  Stage 1 (`keep_pairs`, per tile)
 tests each pair against a conservative bounding sphere of its column and
@@ -73,7 +76,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms, sphere_terms
+from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
 from .quadric import COEFFICIENT_ENTRIES, Sphere
 from .separated import (
     early_reject, factored_discriminant, line_bilinear, line_entries, line_moment,
@@ -95,7 +98,6 @@ __all__ = [
     "keep_pairs",
     "nearest_hits",
     "bench_tables",
-    "sphere_monomials",
     "sphere_lift",
     "sphere_counts",
     "classical_lift",
@@ -501,19 +503,21 @@ def nearest_hits(
     return out
 
 
-def bench_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(centres as (3, spheres), r^2, generic coefficient table): the tables of both bench routes.
+def bench_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray]:
+    """(sphere table, generic coefficient table): the tables of both bench routes.
 
-    A `Sphere` with no rotation is a plain sphere: its centre and its
+    A `Sphere` with no rotation is a plain sphere.  Its centre c and its
     r^2 = -a44, read off its fundamental coefficients (the negation is
-    exact), go to `sphere_counts`.  Every other object goes, in scene order,
-    into a (10, objects) table equal to its `world_table` columns bit for
-    bit.  Both come from one `_placements` of all objects.  Raises
-    ValueError where `world_table(objects)` would, with its message, naming
-    the first failing object by its position in `objects`: a plain sphere
-    fails when its world matrix's a44 = |c|^2 - r^2, summed in `_compose`'s
-    order, is not finite, the only coefficient of such a sphere that can
-    leave the floats.
+    exact), make its column of the (11, spheres) sphere table that
+    `sphere_lift`'s weights multiply: 1, c_x, c_y, c_z, c_x^2, c_y^2,
+    c_z^2, c_x c_y, c_x c_z, c_y c_z, r^2.  Every other object goes, in
+    scene order, into a (10, objects) table equal to its `world_table`
+    columns bit for bit.  Both come from one `_placements` of all objects.
+    Raises ValueError where `world_table(objects)` would, with its message,
+    naming the first failing object by its position in `objects`: a plain
+    sphere fails when its world matrix's a44 = |c|^2 - r^2, summed in
+    `_compose`'s order, is not finite, the only coefficient of such a
+    sphere that can leave the floats.
     """
     placed = q0, centers, rotated, _ = _placements(objects)
     position = np.arange(len(objects))
@@ -527,24 +531,16 @@ def bench_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray
         earlier = ~plain & (position < first)
         _world_table(_subset(placed, earlier), position[earlier])  # names an earlier failure first
         raise ValueError(f"object {first}: {_NON_FINITE}")
-    generic = ~plain
-    return np.array([x, y, z]), r_sq, _world_table(_subset(placed, generic), position[generic])
-
-
-def sphere_monomials(centers: np.ndarray, r_sq: np.ndarray) -> np.ndarray:
-    """(11, spheres): each sphere's monomials of `sphere_lift`.
-
-    In order: 1, c_x, c_y, c_z, c_x^2, c_y^2, c_z^2, c_x c_y, c_x c_z,
-    c_y c_z, r^2.
-    """
-    cx, cy, cz = centers
-    return np.array(
-        [np.ones_like(r_sq), cx, cy, cz, cx * cx, cy * cy, cz * cz, cx * cy, cx * cz, cy * cz, r_sq]
+    # A finite a44 keeps every monomial finite: |c_i c_j| <= max(c_i^2, c_j^2).
+    spheres = np.array(
+        [np.ones_like(r_sq), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z, r_sq]
     )
+    generic = ~plain
+    return spheres, _world_table(_subset(placed, generic), position[generic])
 
 
 def sphere_lift(point: Vec4, direction: Vec4) -> tuple[np.ndarray, np.ndarray]:
-    """Each ray's (11, rays) weights on `sphere_monomials` and (3, rays) rounding-bound terms.
+    """Each ray's (11, rays) weights on the sphere table and (3, rays) rounding-bound terms.
 
     Against a plain sphere (centre c, squared radius r^2), a = |s|^2,
     b = s.(x - c) and c' = |x - c|^2 - r^2.  With m = s x x and |s|^2 from
@@ -555,9 +551,9 @@ def sphere_lift(point: Vec4, direction: Vec4) -> tuple[np.ndarray, np.ndarray]:
                      + 2 sum_(i<j) s_i s_j c_i c_j + |s|^2 r^2
 
     ({i, j, k} = {x, y, z}), linear in the monomials, so a ray's weights
-    times the (11, spheres) monomials are its D against every sphere.  The
-    bound terms are p, q and v of `sphere_counts`.  x and s are Euclidean
-    (w = 1, s_w = 0); components are floats or (rays,) arrays.
+    times the (11, spheres) table of `bench_tables` are its D against every
+    sphere.  The bound terms are p, q and v of `sphere_counts`.  x and s
+    are Euclidean (w = 1, s_w = 0); components are floats or (rays,) arrays.
     """
     (m0, m1, m2), n2 = line_moment(point, direction)
     s0, s1, s2, _ = direction
@@ -597,49 +593,35 @@ def _sphere_bound(p, q, v, k):
     return _SPHERE_ROUNDING * (p + q * k) + _SPHERE_UNDERFLOW * (v + k)
 
 
-def _classical_sphere(center: Sequence, r_sq, x: Sequence, s: Sequence):
-    a, b, c = sphere_terms(center, r_sq, x, s)
-    return b * b - a * c
-
-
-def _moment_sphere(center: Sequence, r_sq, x: Sequence, s: Sequence):
-    moment, dir_norm_sq = line_moment(x, s)
-    return moment_discriminant(center, r_sq, moment, s[:3], dir_norm_sq)
-
-
-# Each route's per-pair sphere form, for the pairs the product leaves undecided.
-_SPHERE_FORMS = {"classical": _classical_sphere, "separated": _moment_sphere}
-
-
 def sphere_counts(
-    centers: np.ndarray, r_sq: np.ndarray, lifted: tuple, point: Vec4, direction: Vec4, method: str
+    spheres: np.ndarray, lifted: tuple, point: Vec4, direction: Vec4
 ) -> tuple[np.ndarray, int]:
     """Per ray, the number of plain spheres with D >= 0, and how many pairs fell back.
 
-    `centers` and `r_sq` are from `bench_tables`, `lifted` is
+    `spheres` is the sphere table of `bench_tables`, `lifted` is
     `sphere_lift(point, direction)`.  Each tile is one product
-    (rays, 11) @ (11, spheres) with `sphere_monomials`.  A pair whose |D|
-    is not above its rounding bound, below, falls back to the route's
-    per-pair form: `classical.sphere_terms` and b^2 - a c', or
-    `separated.moment_discriminant` on the pair's `line_moment`.  A tile
-    first tests every pair against its ray's bound at the call's largest
-    k, and only the pairs that fail it against their own: one comparison
-    per pair, where a bound per pair, even as one broadcast multiply-add,
-    made the detect workloads' sphere tiles 1.34-1.38x slower (no pair of
-    their scenes fails the first test).
+    (rays, 11) @ (11, spheres).  A pair whose |D| is not above its rounding
+    bound, below, falls back to `separated.moment_discriminant` on the
+    pair's `line_moment`, with the centre from rows 1-3 of the table and
+    r^2 from row 10: the body of the scalar `separated.sphere_discriminant`,
+    on both routes.  A tile first tests every pair against its ray's bound
+    at the call's largest k, and only the pairs that fail it against their
+    own: one comparison per pair, where a bound per pair, even as one
+    broadcast multiply-add, made the detect workloads' sphere tiles
+    1.34-1.38x slower (no pair of their scenes fails the first test).
 
     The bound.  Written out in its terms, the product's D sums at most
     T = |s|^2 (4 |x|^2 + k), k = 4 |c|^2 + r^2, in absolute value: -|m|^2
     at most 2 |s|^2 |x|^2, the c_i terms 4 |s|^2 |x| |c|, the c_i c_j terms
     2 |s|^2 |c|^2.  No term passes through more than 18 roundings (7 in
     -|m|^2, the product, and 10 additions in any order), so D lies within
-    gamma_18 T of the exact value (Higham, lemma 3.1); the per-pair forms
-    sum no more and round at most 11 times.  Per ray, p = 4 |s|^2 |x|^2
+    gamma_18 T of the exact value (Higham, lemma 3.1); the per-pair form
+    sums no more and rounds at most 11 times.  Per ray, p = 4 |s|^2 |x|^2
     and q = |s|^2, each inflated by 2^-40 so that p + q k, in floats,
     exceeds (1 + gamma_18) T.  g = 2^-47 exceeds gamma_18 + gamma_11 with
-    room, so where |D| > g (p + q k), D, the exact value and both per-pair
-    forms have one sign: a pair decided by the product counts as the
-    per-pair forms count it.  h (v + k), h = 2^-1020 and
+    room, so where |D| > g (p + q k), D, the exact value and the per-pair
+    form have one sign: a pair decided by the product counts as the
+    per-pair form counts it.  h (v + k), h = 2^-1020 and
     v = 1 + |s|^2 + |x|^2, covers underflow.  Overflow: a monomial leaves
     the floats only where k does, and a ray whose weights do has p = NaN
     (`sphere_lift`).  Otherwise every product and partial sum of D is at
@@ -648,23 +630,22 @@ def sphere_counts(
     infinite or NaN bound: both fall back.
     """
     weights, (p, q, v) = lifted
-    rays, spheres = weights.shape[1], len(r_sq)
-    monomials = sphere_monomials(centers, r_sq)
+    centers, r_sq = spheres[1:4], spheres[10]
+    rays, n = weights.shape[1], spheres.shape[1]
     with np.errstate(all="ignore"):
-        k = 4.0 * (monomials[4] + monomials[5] + monomials[6]) + r_sq
+        k = 4.0 * (spheres[4] + spheres[5] + spheres[6]) + r_sq
         coarse = _sphere_bound(p, q, v, k.max(initial=0.0))
-    pair_form = _SPHERE_FORMS[method]
     counts = np.zeros(rays, dtype=np.int64)
-    rows = min(rays, _tile_rays(spheres))
+    rows = min(rays, _tile_rays(n))
     # A tile of more rays than spheres is computed as (spheres, rays) and
     # used through its transpose, so that the count of `_count_tiles` sums
     # along rows of rays rather than along rows of a few spheres.  Timed at
     # 3000 rays, the transposed layout is faster below about 90 spheres
     # (0.74x at 20) and slower above (1.17x at 250), which is where
-    # spheres < rows changes, 8192 pairs a tile.
-    across = spheres < rows
-    product = monomials.T.copy() if across else monomials
-    buffers = np.empty(rows * spheres), np.empty(rows * spheres), np.empty(rows * spheres, bool)
+    # n < rows changes, 8192 pairs a tile.
+    across = n < rows
+    product = spheres.T.copy() if across else spheres
+    buffers = np.empty(rows * n), np.empty(rows * n), np.empty(rows * n, bool)
     fallbacks = 0
 
     def discriminant(sl: slice) -> np.ndarray:
@@ -672,8 +653,7 @@ def sphere_counts(
         w = weights[:, sl]
         m = w.shape[1]
         dd, size, sure = (
-            b[:m * spheres].reshape(spheres, m).T if across else b[:m * spheres].reshape(m, spheres)
-            for b in buffers
+            b[:m * n].reshape(n, m).T if across else b[:m * n].reshape(m, n) for b in buffers
         )
         if across:
             np.matmul(product, w, out=dd.T)
@@ -686,12 +666,12 @@ def sphere_counts(
             near = ~(size[ri, si] > _sphere_bound(p[ray], q[ray], v[ray], k[si]))
             ri, si, ray = ri[near], si[near], ray[near]
             fallbacks += len(ri)
-            dd[ri, si] = pair_form(
-                _take(centers, si), r_sq[si], _take(point, ray), _take(direction, ray)
-            )
+            s = _take(direction, ray)
+            moment, norm_sq = line_moment(_take(point, ray), s)
+            dd[ri, si] = moment_discriminant(_take(centers, si), r_sq[si], moment, s[:3], norm_sq)
         return dd
 
-    _count_tiles(counts, spheres, discriminant)
+    _count_tiles(counts, n, discriminant)
     return counts, fallbacks
 
 

@@ -147,19 +147,20 @@ class TestTablePerMethod:
 
         def recording(objects):
             tables = kernels.bench_tables(objects)
-            shapes.append(tables[2].shape)
+            shapes.append(tables[1].shape)
             return tables
 
         monkeypatch.setattr(bench, "bench_tables", recording)
         run_benchmark(scene, rays=20, method=method, seed=3)
         return shapes
 
-    @pytest.mark.parametrize("method", ["classical", "separated"])
+    @pytest.mark.parametrize("method", ["classical", "separated", "both"])
     def test_both_routes_tabulate_only_the_generic_objects(self, monkeypatch, method):
+        # One build per call, which "both" hands to every method.
         spheres = generate_scene(8, 12, ("sphere",))
         assert self._built_shapes(monkeypatch, spheres, method) == [(10, 0)]
         mixed = generate_scene(8, 12, ("sphere", "ellipsoid"))
-        generic = bench_tables(mixed.objects)[2].shape[1]
+        generic = bench_tables(mixed.objects)[1].shape[1]
         assert 0 < generic < 12
         assert self._built_shapes(monkeypatch, mixed, method) == [(10, generic)]
 
@@ -226,16 +227,15 @@ class TestVectorizedKernelsMatchScalar:
 
     def test_separated_vectorized_counts(self, monkeypatch):
         sc = generate_scene(22, 15)
-        centers, r2, generic = bench_tables(sc.objects)
+        spheres, generic = bench_tables(sc.objects)
         world = [obj.world_matrix() for obj in sc.objects]
-        assert len(r2) and generic.shape[1]  # both paths run
+        assert spheres.shape[1] and generic.shape[1]  # both paths run
         origins, dirs = generate_rays(22, 40)
         point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
         for tile_pairs in self.TILE_SIZES:
             monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
-            counts, fallbacks = sphere_counts(
-                centers, r2, sphere_lift(point, direction), point, direction, "separated"
-            )
+            lifted = sphere_lift(point, direction)
+            counts, fallbacks = sphere_counts(spheres, lifted, point, direction)
             counts += separated_counts(generic, separated_lift(point, direction))
             assert fallbacks == 0
             for i in range(40):

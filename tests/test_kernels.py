@@ -26,11 +26,10 @@ from quadrics import (
     sphere_discriminant,
 )
 from quadrics.bench import generate_rays
-from quadrics.classical import coefficient_terms, sphere_terms
+from quadrics.classical import coefficient_terms
 from quadrics.kernels import (
     bench_tables, classical_counts, classical_lift, keep_pairs, map_ranges, nearest_hits,
-    render_tables, separated_counts, separated_lift, sphere_counts, sphere_lift,
-    sphere_monomials, world_table,
+    render_tables, separated_counts, separated_lift, sphere_counts, sphere_lift, world_table,
 )
 from quadrics.quadric import (
     Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere, apply,
@@ -243,7 +242,6 @@ def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
     centers = rng.uniform(-5.0, 5.0, size=(9, 3))
     r_sq = rng.uniform(0.1, 2.0, size=9) ** 2
     d_sphere = moment_discriminant(centers.T, r_sq, moment, direction[:3], dir_norm_sq)
-    sphere_abc = np.broadcast_arrays(*sphere_terms(centers.T, r_sq, point, direction))
     for i, (p, s) in enumerate(rays):
         cache = make_ray_cache(p, s)
         assert tuple(e[i, 0] for e in r) == cache.r.entries()
@@ -256,8 +254,6 @@ def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
             assert tuple(e[i, j] for e in qx) == apply(q, p.as_tuple())
             center = Vec3(*centers[j])
             assert d_sphere[i, j] == sphere_discriminant(center, float(np.sqrt(r_sq[j])), cache)
-            want = sphere_terms(center.as_tuple(), float(r_sq[j]), p.as_tuple(), s.as_tuple())
-            assert tuple(e[i, j] for e in sphere_abc) == want
 
 
 # (a, b, c, a_scale, separated discriminant or None): one row per branch of solve.
@@ -391,13 +387,14 @@ class TestWorldTable:
         full = world_table(objects)
         generic = [i for i, o in enumerate(objects) if not isinstance(o.kind, Sphere)]
         assert 0 < len(generic) < len(objects)
-        centers, r_sq, table = bench_tables(objects)
+        spheres, table = bench_tables(objects)
         _assert_bits_equal(table, full[:, generic])
         plain = [o for o in objects if isinstance(o.kind, Sphere)]
-        assert centers.tolist() == [[o.center.as_tuple()[k] for o in plain] for k in range(3)]
-        assert r_sq.tolist() == [o.kind.r * o.kind.r for o in plain]
-        spheres = generate_scene(9, 10, ("sphere",)).objects
-        assert bench_tables(spheres)[2].shape == (10, 0)
+        x, y, z = (np.array([o.center.as_tuple()[k] for o in plain]) for k in range(3))
+        r_sq = np.array([o.kind.r * o.kind.r for o in plain])
+        monomials = [np.ones_like(x), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z, r_sq]
+        _assert_bits_equal(spheres, np.array(monomials))
+        assert bench_tables(generate_scene(9, 10, ("sphere",)).objects)[1].shape == (10, 0)
 
 
 def _bounds(r: range) -> tuple[int, int]:
@@ -550,7 +547,7 @@ def _sphere_rounding_bound(centers: np.ndarray, r_sq: np.ndarray, point, directi
     """Per (ray, sphere), a bound on |lifted D - exact D| of the plain spheres' product.
 
     gamma_n |s|^2 (4 |x|^2 + 4 |c|^2 + r^2), n = LIFT_ROUNDINGS["sphere"]:
-    written out in its terms, the product `sphere_lift` @ `sphere_monomials`
+    written out in its terms, the product of `sphere_lift` and the sphere table
     sums at most |s|^2 (4 |x|^2 + 4 |c|^2 + r^2) in absolute value, and no
     term passes through more than 18 roundings (see `kernels.sphere_counts`).
     Computed in floats from nonnegative terms, so low by a relative 2^-49
@@ -573,26 +570,31 @@ def _exact_sphere_discriminant(center, r_sq: float, x, s) -> Fraction:
     return exact_discriminant((1, 1, 1, a44, 0, 0, 0, -cx, -cy, -cz), x, s)
 
 
-def _sphere_pair_forms(centers: np.ndarray, r_sq: np.ndarray, point, direction) -> dict:
-    """Per (ray, sphere), each route's per-pair sphere D.
+def _sphere_pair_form(spheres: np.ndarray, point, direction) -> np.ndarray:
+    """Per (ray, sphere), the per-pair sphere D: `moment_discriminant` on the ray's `line_moment`.
 
-    Classical: b^2 - a c of `classical.sphere_terms`; separated:
-    `moment_discriminant` on the ray's `line_moment`.
+    `spheres` is the sphere table of `bench_tables`.
     """
     x, s = _columns(point), _columns(direction)
-    a, b, c = sphere_terms(centers, r_sq, x, s)
     moment, dir_norm_sq = line_moment(x, s)
-    return {
-        "classical": b * b - a * c,
-        "separated": moment_discriminant(centers, r_sq, moment, s[:3], dir_norm_sq),
-    }
+    return moment_discriminant(spheres[1:4], spheres[10], moment, s[:3], dir_norm_sq)
+
+
+def _scalar_sphere_counts(objects, point, direction) -> np.ndarray:
+    """Per ray, the spheres of `objects` with the scalar `sphere_discriminant` >= 0."""
+    counts = []
+    for i in range(len(point[0])):
+        x, s = _ray(point, direction, i)
+        cache = make_ray_cache(HomogeneousPoint(*x), HomogeneousDirection(*s))
+        counts.append(sum(sphere_discriminant(o.center, o.kind.r, cache) >= 0.0 for o in objects))
+    return np.array(counts)
 
 
 def _bench_counts(objects, point, direction, route: str) -> tuple:
     """(per-ray counts, sphere pairs that fell back) of bench's kernels on `route`."""
-    centers, r_sq, generic = bench_tables(objects)
+    spheres, generic = bench_tables(objects)
     lifted = sphere_lift(point, direction)
-    counts, fallbacks = sphere_counts(centers, r_sq, lifted, point, direction, route)
+    counts, fallbacks = sphere_counts(spheres, lifted, point, direction)
     if route == "classical":
         counts += classical_counts(generic, classical_lift(point, direction))
     else:
@@ -752,8 +754,10 @@ class TestLiftedKernels:
     def test_hit_counts_equal_the_pair_forms(self, mix, tile_pairs, monkeypatch):
         # Per ray, the counts of the per-pair forms the lifted ones replace:
         # `coefficient_terms` on a whole table, and on each route the sphere
-        # form of `_sphere_pair_forms` for the plain spheres plus the route's
+        # form of `_sphere_pair_form` for the plain spheres plus the route's
         # per-pair form for the other objects; no generated pair falls back.
+        # Bench's classical route also counts as `coefficient_terms` on the
+        # whole table, spheres included, does.
         monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
         for seed in range(1, 9):
             scene = generate_scene(seed, 20, mix)
@@ -762,22 +766,24 @@ class TestLiftedKernels:
             x, s = _columns(point), _columns(direction)
             table = world_table(scene.objects)
             a, b, c = coefficient_terms(table, x, s)
-            expected = np.count_nonzero(b * b - a * c >= 0.0, axis=1)
+            whole = np.count_nonzero(b * b - a * c >= 0.0, axis=1)
             got = classical_counts(table, classical_lift(point, direction))
-            assert np.array_equal(got, expected)
+            assert np.array_equal(got, whole)
 
-            centers, r_sq, generic = bench_tables(scene.objects)
+            spheres, generic = bench_tables(scene.objects)
             a, b, c = coefficient_terms(generic, x, s)
             lines = _columns(line_entries(point, direction))
             generic_forms = {
                 "classical": b * b - a * c,
                 "separated": factored_discriminant(generic, lines, x, s),
             }
-            for route, d_spheres in _sphere_pair_forms(centers, r_sq, point, direction).items():
-                expected = np.count_nonzero(d_spheres >= 0.0, axis=1)
-                expected += np.count_nonzero(generic_forms[route] >= 0.0, axis=1)
+            d_spheres = _sphere_pair_form(spheres, point, direction)
+            sphere_hits = np.count_nonzero(d_spheres >= 0.0, axis=1)
+            for route, d_generic in generic_forms.items():
+                expected = sphere_hits + np.count_nonzero(d_generic >= 0.0, axis=1)
                 got, fallbacks = _bench_counts(scene.objects, point, direction, route)
                 assert np.array_equal(got, expected) and fallbacks == 0, route
+                assert route != "classical" or np.array_equal(got, whole)
 
     def test_shifted_disagreements_lie_inside_the_rounding_bound(self):
         # Moved 1e5 along x, the table's entries reach 1e10 and D cancels
@@ -831,11 +837,11 @@ def _tangent_rays(objects, per_sphere: int, seed: int) -> tuple:
 class TestSphereProduct:
     """The plain spheres' product, (rays, 11) @ (11, spheres), and its fallback.
 
-    The product sums in BLAS's order, so its D is not the per-pair forms' D
+    The product sums in BLAS's order, so its D is not the per-pair form's D
     bit for bit.  What holds: D within `_sphere_rounding_bound` of the exact
     b^2 - a c, and, because a pair whose |D| is not above the kernel's
-    bound falls back to its route's per-pair form, per-ray counts equal to
-    those forms' on every input.
+    bound falls back to the one per-pair form, per-ray counts equal to that
+    form's on every input, and so equal on both routes.
     """
 
     @pytest.mark.parametrize("shift", [0.0, 1e5])
@@ -843,8 +849,9 @@ class TestSphereProduct:
         inside, pairs, margin = 0, 0, np.inf
         for seed in (1, 2):
             objects, point, direction = _shifted_scene(seed, 12, ("sphere",), 30, shift)
-            centers, r_sq, _ = bench_tables(objects)
-            d = sphere_lift(point, direction)[0].T @ sphere_monomials(centers, r_sq)
+            spheres, _ = bench_tables(objects)
+            centers, r_sq = spheres[1:4], spheres[10]
+            d = sphere_lift(point, direction)[0].T @ spheres
             bound = _sphere_rounding_bound(centers, r_sq, point, direction)
             for i in range(30):
                 x, s = _ray(point, direction, i)
@@ -865,21 +872,24 @@ class TestSphereProduct:
     def test_undecided_pairs_fall_back_to_the_pair_forms(self, case, tile_pairs, monkeypatch):
         # Every tangent pair has an exact D of about 0, and falls back; so
         # does every pair of spheres moved 1e9 along x, |c| / r >= 5e8, where
-        # the expansion cancels far beyond the product's bound.
+        # the expansion cancels far beyond the product's bound.  Both routes
+        # then count as the scalar `sphere_discriminant` does.
         monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
         if case == "tangent":
-            objects = generate_scene(5, 12, ("sphere",)).objects
-            point, direction = _tangent_rays(objects, 3, 5)
-            undecided = 3 * len(objects)
+            cases = []
+            for seed in (5, 6, 7):
+                objects = generate_scene(seed, 12, ("sphere",)).objects
+                cases.append((objects, *_tangent_rays(objects, 3, seed), 3 * len(objects)))
         else:
-            objects, point, direction = _shifted_scene(5, 12, ("sphere",), 30, 1e9)
-            undecided = 30 * len(objects)
-        centers, r_sq, _ = bench_tables(objects)
-        lifted = sphere_lift(point, direction)
-        for route, d in _sphere_pair_forms(centers, r_sq, point, direction).items():
-            counts, fallbacks = sphere_counts(centers, r_sq, lifted, point, direction, route)
-            assert fallbacks >= undecided, route
-            assert np.array_equal(counts, np.count_nonzero(d >= 0.0, axis=1)), route
+            cases = [(*_shifted_scene(5, 12, ("sphere",), 30, 1e9), 30 * 12)]
+        for objects, point, direction, undecided in cases:
+            d = _sphere_pair_form(bench_tables(objects)[0], point, direction)
+            scalar = _scalar_sphere_counts(objects, point, direction)
+            for route in kernels.METHODS:
+                counts, fallbacks = _bench_counts(objects, point, direction, route)
+                assert fallbacks >= undecided, route
+                assert np.array_equal(counts, np.count_nonzero(d >= 0.0, axis=1)), route
+                assert np.array_equal(counts, scalar), route
 
     def test_non_finite_d_falls_back(self):
         # Near the overflow edge the product's terms leave the floats: D is
@@ -891,14 +901,15 @@ class TestSphereProduct:
         ]
         origins, dirs = generate_rays(4, 50)
         point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
-        centers, r_sq, _ = bench_tables(objects)
-        lifted = sphere_lift(point, direction)
+        spheres, _ = bench_tables(objects)
         with np.errstate(all="ignore"):
-            d = lifted[0].T @ sphere_monomials(centers, r_sq)
-            forms = _sphere_pair_forms(centers, r_sq, point, direction)
+            d = sphere_lift(point, direction)[0].T @ spheres
+            form = _sphere_pair_form(spheres, point, direction)
         non_finite = np.count_nonzero(~np.isfinite(d))
         assert non_finite > 0
-        for route, form in forms.items():
-            counts, fallbacks = sphere_counts(centers, r_sq, lifted, point, direction, route)
+        # The scalar `sphere_discriminant` raises on a non-finite D, so both
+        # routes are held to its body, `moment_discriminant`, on arrays.
+        for route in kernels.METHODS:
+            counts, fallbacks = _bench_counts(objects, point, direction, route)
             assert fallbacks >= non_finite, route
             assert np.array_equal(counts, np.count_nonzero(form >= 0.0, axis=1)), route
