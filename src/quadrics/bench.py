@@ -14,13 +14,15 @@ weights (`kernels.sphere_lift`) and run `kernels.sphere_counts`, one
 product (rays, 11) @ (11, spheres) per tile, so the two routes' sphere
 costs are equal by construction; a pair the product cannot decide within
 its rounding bound falls back to the one per-pair form,
-`separated.moment_discriminant`.  On the table, each lift reads its
-weights off Q's layout (`quadric.COEFFICIENT_ENTRIES`): classical into a,
-b and c as linear forms in Q's 10 coefficients, separated into R and the
-55 weights of s^T Q R Q x as a quadratic form in them.  Detection is then
-one matrix product per tile: classical (3 x rays, 10) @ (10, objects) and
-b^2 - a*c, separated (rays, 55) @ (55, objects) against the objects'
-coefficient products.  Each half is lifted only when it has objects.
+`separated.moment_discriminant`.  On the table, classical lifts a ray
+into a, b and c as linear forms in Q's 10 coefficients, read off Q's
+layout (`quadric.COEFFICIENT_ENTRIES`); separated lifts it into R's six
+entries p, the line's Plucker coordinates, and the 21 weights -p_I p_J of
+s^T Q R Q x = -p^T C p, C the second compound of Q.  Detection is then one
+matrix product per tile: classical (3 x rays, 10) @ (10, objects) and
+b^2 - a*c, separated (rays, 21) @ (21, objects) against the objects'
+compound entries (`separated.compound_entries`, built once per call).
+Each half is lifted only when it has objects.
 Bench times the lifts and the counts and joins the results; the kernels
 own the layout.
 

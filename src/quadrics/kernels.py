@@ -33,22 +33,25 @@ overflow gives inf and NaN silently, as Python float arithmetic does, and
 the branches of `solve` that a pair does not take are evaluated for every
 pair, then discarded.
 
-Bench's hit counts use lifted forms instead.  a, b, c and s^T Q R Q x are
-linear and quadratic forms in Q's 10 coefficients, so a ray becomes, once
-per call, a vector of weights (`classical_lift`, `separated_lift`), and a
-tile of rays x objects is one matrix product with the coefficient table or
-its 55 pairwise products (`pair_products`).  The lifts read each weight off
-Q's layout, `quadric.COEFFICIENT_ENTRIES`: coefficient (i, j) weighs
-u_i v_j + u_j v_i in u^T Q v, and Q_k v holds v_j in row i and v_i in row
-j.  A test pins both lifts to the reference forms run on the 10x10 unit
-table, number for number.  `bench_tables` owns both routes' split: a
-`Sphere` with no rotation is a plain sphere, every other object goes into
-the coefficient table.  On a plain sphere both routes' D is one
-polynomial, linear in 11 monomials of its centre and radius, which
-`bench_tables` lays out as the sphere table, so both routes lift each ray
-once more into 11 weights (`sphere_lift`) and run one route-independent
-kernel, one product per tile of rays x spheres (`sphere_counts`).  Every
-count runs in one tile loop, `_count_tiles`.  A BLAS product sums in its
+Bench's hit counts use lifted forms instead, so a ray becomes, once per
+call, a vector of weights and a tile of rays x objects is one matrix
+product.  Classical: a, b and c are linear forms in Q's 10 coefficients,
+and `classical_lift` reads each weight off Q's layout,
+`quadric.COEFFICIENT_ENTRIES` (coefficient (i, j) weighs u_i v_j + u_j v_i
+in u^T Q v); a test pins it to `coefficient_terms` run on the 10x10 unit
+table, number for number.  Separated: R's six entries p are the line's
+Plucker coordinates, and s^T Q R Q x = -p^T C p with C Q's second
+compound, so `separated_lift` gives each ray the 21 weights -p_I p_J and
+`separated_counts` multiplies them by the (21, objects) table of
+`separated.compound_entries`, built once per call.
+
+`bench_tables` owns both routes' split: a `Sphere` with no rotation is a
+plain sphere, every other object goes into the coefficient table.  On a
+plain sphere both routes' D is one polynomial, linear in 11 monomials of
+its centre and radius, which `bench_tables` lays out as the sphere table,
+so both routes lift each ray once more into 11 weights (`sphere_lift`) and
+run one route-independent kernel, one product per tile of rays x spheres
+(`sphere_counts`).  Every count runs in one tile loop, `_count_tiles`.  A BLAS product sums in its
 own order, so these kernels are not bit-identical to the scalar ones per
 pair.  What holds, and the tests check: equal hit counts with the
 per-pair forms on generated scenes, and each lifted D within a derived
@@ -79,8 +82,8 @@ import numpy as np
 from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
 from .quadric import COEFFICIENT_ENTRIES, Sphere
 from .separated import (
-    early_reject, factored_discriminant, line_bilinear, line_entries, line_moment,
-    moment_discriminant,
+    COMPOUND_ORDER, compound_entries, early_reject, factored_discriminant, line_entries,
+    line_moment, moment_discriminant,
 )
 
 if TYPE_CHECKING:
@@ -103,7 +106,6 @@ __all__ = [
     "classical_lift",
     "classical_counts",
     "separated_lift",
-    "pair_products",
     "separated_counts",
 ]
 
@@ -117,14 +119,6 @@ METHODS = ("classical", "separated")
 # benchmark workloads 4096 was slower with 1000 objects and 16384 was no
 # faster but used more memory.
 TILE_PAIRS = 8192
-
-# The four axes e_i along the first and along the second of three axes:
-# `line_bilinear` on the two gives R's (4, 4) matrix, e_i^T R e_k, per ray.
-_AXES = tuple(np.eye(4)[i].reshape(4, 1, 1) for i in range(4))
-_AXES_ACROSS = tuple(np.eye(4)[i].reshape(1, 4, 1) for i in range(4))
-# Coefficient index pairs (a, b), a <= b, of the 55 products of `pair_products`.
-_PAIR_A, _PAIR_B = np.triu_indices(10)
-_CROSS = _PAIR_A != _PAIR_B
 
 Component = Union[float, np.ndarray]
 Vec4 = Sequence[Component]
@@ -745,60 +739,39 @@ def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _applied(v: Vec4) -> np.ndarray:
-    """(4, 10, rays): Q_k v for each unit quadric Q_k of Q's layout.
-
-    Coefficient k at (i, j) (`quadric.COEFFICIENT_ENTRIES`) puts v_j in row
-    i and v_i in row j of Q_k v, and zeros elsewhere: `quadric.apply` on
-    the unit quadric, for finite v (a zero's sign aside).
-    """
-    out = np.zeros((4, 10, np.broadcast(*v).size))
-    for k, (i, j) in enumerate(COEFFICIENT_ENTRIES):
-        out[i, k] = v[j]
-        out[j, k] = v[i]
-    return out
-
-
 def separated_lift(point: Vec4, direction: Vec4) -> np.ndarray:
-    """(rays, 55): each ray's weights on the coefficient products of `pair_products`.
+    """(rays, 21): each ray's weights on the entries of Q's second compound, `compound_entries`.
 
-    D = u^T R v with u = Q s and v = Q x, both linear in Q's coefficients,
-    so D is a quadratic form in them: D = sum over a, b of q_a q_b W_ab, with
-    W_ab = u(e_a)^T R v(e_b) over the unit quadrics e_a.  `_applied` reads
-    U and V, the u(e_a) and v(e_b) of every a, b, off Q's layout as (4, 10)
-    per ray; `separated.line_bilinear` on pairs of axes gives R as (4, 4),
-    so W = U^T R V.  Folding W_ab + W_ba (a < b) and W_aa pairs each product
-    once.  For finite rays U and V equal `quadric.apply` on the 10x10 unit
-    table, so the weights equal those of the unit-table forms, which the
-    tests check.
+    With p the line's entries (`separated.line_entries`, its Plucker
+    coordinates), s^T Q R Q x = b^2 - a c = -p^T C p, C = C_2(Q), so a
+    ray's weight on C[I, J], (I, J) in `separated.COMPOUND_ORDER`, is
+    -p_I p_J, doubled off the diagonal, where p^T C p holds both C[I, J]
+    and C[J, I]; the factors -1 and -2 are exact.  Components are floats or
+    (rays,) arrays; floats alone give one ray.
     """
-    r = line_bilinear(line_entries(point, direction), _AXES, _AXES_ACROSS)
-    u, v = _applied(direction), _applied(point)
-    w = u.transpose(2, 1, 0) @ r.transpose(2, 0, 1) @ v.transpose(2, 0, 1)
-    folded = w[:, _PAIR_A, _PAIR_B]
-    folded[:, _CROSS] += w[:, _PAIR_B[_CROSS], _PAIR_A[_CROSS]]
-    return folded
-
-
-def pair_products(table: np.ndarray) -> np.ndarray:
-    """(55, objects): the products q_a q_b, a <= b, of each column's coefficients."""
-    return table[_PAIR_A] * table[_PAIR_B]
+    p = line_entries(point, direction)
+    weights = np.empty((np.broadcast(*point, *direction).size, len(COMPOUND_ORDER)))
+    for k, (a, b) in enumerate(COMPOUND_ORDER):
+        np.multiply(p[a], (-1.0 if a == b else -2.0) * p[b], out=weights[:, k])
+    return weights
 
 
 def separated_counts(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per ray of `separated_lift`, the number of objects with s^T Q R Q x >= 0.
+    """Per ray of `separated_lift`, the number of objects with -p^T C p >= 0.
 
-    Each tile is one product `weights` @ `pair_products(table)`, into a
-    buffer allocated once per call.
+    The (21, objects) table of every column's `compound_entries` is built
+    once per call; each tile is then one product `weights` @ that table,
+    into a buffer allocated once per call.
     """
     rays, objects = len(weights), table.shape[1]
     counts = np.zeros(rays, dtype=np.int64)
-    products = pair_products(table)
+    with np.errstate(all="ignore"):
+        compound = np.array(compound_entries(table))
     d = np.empty((min(rays, _tile_rays(objects)), objects))
 
     def discriminant(sl: slice) -> np.ndarray:
         w = weights[sl]
-        return np.matmul(w, products, out=d[:len(w)])
+        return np.matmul(w, compound, out=d[:len(w)])
 
     _count_tiles(counts, objects, discriminant)
     return counts

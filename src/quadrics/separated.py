@@ -19,6 +19,11 @@ of the endpoint matrix; the three entry points share one arithmetic body,
 tuples, so the batched kernels run the same bodies on arrays of lines, of
 spheres and tables of quadrics.  The early reject that spares a pair its
 coefficient work, `early_reject`, likewise takes a float or an array.
+
+R's six entries p are the line's Plucker coordinates, so the same
+discriminant is also -p^T C p, with C the second compound of Q: 21 numbers
+per surface (`compound_entries`), which bench's lifted kernels multiply by
+21 weights per line.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ from .classical import (
     solve,
 )
 from .geometry import HomogeneousDirection, HomogeneousPoint, Vec3
-from .quadric import QuadricMatrix, apply
+from .quadric import COEFFICIENT_ENTRIES, QuadricMatrix, apply
 
 __all__ = [
     "RMatrix",
@@ -48,7 +53,8 @@ __all__ = [
     "line_entries",
     "discriminant_separated",
     "factored_discriminant",
-    "line_bilinear",
+    "COMPOUND_ORDER",
+    "compound_entries",
     "line_moment",
     "moment_discriminant",
     "sphere_discriminant",
@@ -93,10 +99,18 @@ class EndpointMatrix:
                     raise ValueError(f"EndpointMatrix: non-finite entry {v!r}")
 
 
+# The axes (i, j), i < j, of R's six entries, in the order of `line_entries`.
+_LINE_AXES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# The 21 index pairs (I, J), I <= J, into `line_entries`, in the order of
+# `compound_entries`.
+COMPOUND_ORDER = tuple((a, b) for a in range(6) for b in range(a, 6))
+
+
 def line_entries(x: Sequence, s: Sequence) -> tuple:
     """R's six entries (r12, r13, r14, r23, r24, r34), r_ij = x_i*s_j - s_i*x_j.
 
-    x and s are homogeneous 4-vectors whose components are floats or arrays
+    They are the line's Plucker coordinates, the 2x2 minors of [x s].  x
+    and s are homogeneous 4-vectors whose components are floats or arrays
     that broadcast together, so one body serves a single line and a batch.
     """
     x0, x1, x2, x3 = x
@@ -108,6 +122,27 @@ def line_entries(x: Sequence, s: Sequence) -> tuple:
         x1 * s2 - s1 * x2,
         x1 * s3 - s1 * x3,
         x2 * s3 - s2 * x3,
+    )
+
+
+def compound_entries(q: Iterable) -> tuple:
+    """Q's second compound C: its 21 entries C[I, J], (I, J) in `COMPOUND_ORDER`.
+
+    C[I, J] = q_ik q_jl - q_il q_jk for the axes I = (i, j) and J = (k, l) of
+    R's entries (`line_entries`), the 2x2 minor of Q on rows I and columns
+    J.  By Cauchy-Binet, det([x s]^T Q [x s]) = a c - b^2 = p^T C p, with p
+    the line's entries, so b^2 - a c = -p^T C p: the line enters through R
+    alone, the surface through C alone (Pottmann and Wallner, Computational
+    Line Geometry, 2001).  q unpacks into Q's 10 coefficients as
+    `quadric.apply` takes them, laid out by `quadric.COEFFICIENT_ENTRIES`;
+    floats, `Fraction`s and the rows of a (10, objects) table all serve.
+    """
+    m = [[None] * 4 for _ in range(4)]
+    for value, (i, j) in zip(q, COEFFICIENT_ENTRIES):
+        m[i][j] = m[j][i] = value
+    return tuple(
+        m[i][k] * m[j][l] - m[i][l] * m[j][k]
+        for (i, j), (k, l) in ((_LINE_AXES[a], _LINE_AXES[b]) for a, b in COMPOUND_ORDER)
     )
 
 
@@ -192,20 +227,14 @@ def discriminant_separated(q: QuadricMatrix, cache: RayCache) -> float:
 def factored_discriminant(q: Iterable, r: Sequence, x: Sequence, s: Sequence):
     """D = s^T Q R Q x as two matrix-vector products and a bilinear form in R.
 
-    Q is symmetric, so Q^T s = Q s.  q unpacks into Q's 10 coefficients as
-    `quadric.apply` takes them, r into R's six entries from `line_entries`;
-    a (10, objects) table with array components of r, x and s gives D for
-    every (line, object) pair.
+    Q is symmetric, so Q^T s = Q s, and R is antisymmetric, so u^T R v with
+    u = Q s and v = Q x pairs each entry r_ij with the minor
+    u_i v_j - u_j v_i.  q unpacks into Q's 10 coefficients as `quadric.apply`
+    takes them, r into R's six entries from `line_entries`; a (10, objects)
+    table with array components of r, x and s gives D for every (line,
+    object) pair.
     """
-    return line_bilinear(r, apply(q, s), apply(q, x))
-
-
-def line_bilinear(r: Sequence, u: Sequence, v: Sequence):
-    """u^T R v of the 4-vectors u and v, from R's six entries (`line_entries`).
-
-    R is antisymmetric, so each entry r_ij pairs with the minor
-    u_i v_j - u_j v_i.  Components broadcast, as in `factored_discriminant`.
-    """
+    u, v = apply(q, s), apply(q, x)
     r12, r13, r14, r23, r24, r34 = r
     return (
         r12 * (u[0] * v[1] - u[1] * v[0])

@@ -36,7 +36,8 @@ from quadrics.quadric import (
 )
 from quadrics.scene import SceneObject, generate_scene
 from quadrics.separated import (
-    factored_discriminant, line_entries, line_moment, moment_discriminant,
+    COMPOUND_ORDER, compound_entries, factored_discriminant, line_entries, line_moment,
+    moment_discriminant,
 )
 
 
@@ -479,7 +480,7 @@ KIND_MIXES = [
 # Rounding factors on any term of each lifted D: the two routes' over a
 # coefficient table (see `_rounding_bound`) and the plain spheres' product
 # (see `_sphere_rounding_bound`).
-LIFT_ROUNDINGS = {"classical": 26, "separated": 67, "sphere": 18}
+LIFT_ROUNDINGS = {"classical": 26, "separated": 28, "sphere": 18}
 
 
 def _columns(vec) -> tuple:
@@ -501,7 +502,7 @@ def _lifted_discriminants(table: np.ndarray, point, direction) -> dict:
     """Per pair, each route's lifted D: the kernels' per-ray lift times the whole table."""
     a, b, c = np.moveaxis(kernels.classical_lift(point, direction) @ table, 1, 0)
     w = kernels.separated_lift(point, direction)
-    return {"classical": b * b - a * c, "separated": w @ kernels.pair_products(table)}
+    return {"classical": b * b - a * c, "separated": w @ np.array(compound_entries(table))}
 
 
 def _rounding_bound(table: np.ndarray, point, direction, route: str) -> np.ndarray:
@@ -523,14 +524,22 @@ def _rounding_bound(table: np.ndarray, point, direction, route: str) -> np.ndarr
     |c_hat - c| <= gamma_11 C, and b^2 - a c, two products and a
     subtraction, carries at most 2 * 12 + 2 = 26 factors on any term.
 
-    Separated: r_ij = x_i s_j - s_i x_j (2 roundings); R's matrix from
-    `line_bilinear` on the axes holds each r_ij or its negative, exactly;
-    U and V are ray components, exactly; W = U^T R V is two products of
-    four terms, each a product and three additions (8); the fold (1); the
-    coefficient product q_a q_b (1); and the BLAS dot product of 55 terms, a
-    product and at most 54 additions (55): 67 in all.  The absolute terms sum
-    to sum_{i<j} (|x_i s_j| + |s_i x_j|)(U_i V_j + U_j V_i) with U = |Q||s|
-    and V = |Q||x|, which is at most B^2 + A C.
+    Separated: D = -p^T C p, p from `line_entries` and C from
+    `compound_entries`.  A term of its expansion, x_i s_j x_k s_l q q', passes
+    through p_I and p_J, each a product and a subtraction (2 + 2); the
+    weight p_I p_J (1; its factor -1 or -2 is exact); the entry
+    q_ik q_jl - q_il q_jk, a product and the subtraction (2 of its 3
+    operations); and the BLAS dot product of 21 terms, a product and at
+    most 20 additions (21): 28 in all.  With P_ij = |x_i s_j| + |s_i x_j|
+    and |Q| entrywise, the absolute terms sum to T, the sum over the 36
+    ordered pairs I = (i, j), J = (k, l), i < j, k < l, of
+    P_ij P_kl (|Q|_ik |Q|_jl + |Q|_il |Q|_jk): the doubled weights count
+    each off-diagonal entry twice.  The summand is unchanged when i, j or
+    k, l swap, so the sum over all (i, j, k, l), i = j and k = l included,
+    holds T four times and more.  Expanded, that sum is 4 (B^2 + A C): a
+    term of P_ij, one of P_kl and one of the |Q| pair make eight products,
+    and each sums to C A or to B^2, four of each; for one,
+    sum |x_i| |Q|_ik |x_k| |s_j| |Q|_jl |s_l| = C A.  So T <= B^2 + A C.
 
     The bound is computed in floats from nonnegative terms, so it is itself
     low by a relative 2^-47 at most, far below what gamma_(n+1) - gamma_n
@@ -602,21 +611,6 @@ def _bench_counts(objects, point, direction, route: str) -> tuple:
     return counts, fallbacks
 
 
-def _fold(rows: np.ndarray, sign: float) -> np.ndarray:
-    """(rays, 55): B_a B_b + sign A_a C_b of the rows A, B, C, folded as in `pair_products`.
-
-    Entry (a, b), a < b, is the (a, b) term plus the (b, a) term; entry (a, a)
-    is the (a, a) term alone.
-    """
-    a, b, c = np.moveaxis(rows, 1, 0)
-    m = b[:, :, None] * b[:, None, :] + sign * (a[:, :, None] * c[:, None, :])
-    i, j = np.triu_indices(10)
-    cross = i != j
-    folded = m[:, i, j]
-    folded[:, cross] += m[:, j[cross], i[cross]]
-    return folded
-
-
 def _ray(point, direction, i: int) -> tuple:
     """Ray i's point and direction as 4-tuples of floats."""
     return tuple(
@@ -624,19 +618,21 @@ def _ray(point, direction, i: int) -> tuple:
     )
 
 
-def _unit_table_lifts(point, direction, monkeypatch) -> tuple:
-    """Both lifts from the reference forms run on the 10x10 unit table.
+def _reference_lifts(point, direction) -> tuple:
+    """Both lifts from the reference forms.
 
-    Classical: `coefficient_terms` on the unit table.  Separated:
-    `separated_lift` with U and V from `quadric.apply` on the unit table.
+    Classical: `coefficient_terms` on the 10x10 unit table.  Separated:
+    -p_I p_J over the upper triangle of p p^T, p from `line_entries`, with
+    each off-diagonal entry doubled as p_I p_J + p_J p_I.
     """
     unit = np.eye(10)[:, :, None]
     terms = coefficient_terms(unit, point, direction)
     classical = np.stack(np.broadcast_arrays(*terms)).transpose(2, 0, 1)
-    with monkeypatch.context() as patch:
-        patch.setattr(kernels, "_applied", lambda v: np.stack(apply(unit, v)))
-        separated = separated_lift(point, direction)
-    return classical, separated
+    p = np.array(line_entries(point, direction)).reshape(6, -1)
+    outer = p[:, None] * p[None, :]
+    i, j = np.triu_indices(6)
+    separated = np.where((i == j)[:, None], -outer[i, j], -(outer[i, j] + outer[j, i]))
+    return classical, separated.T
 
 
 def _lift_cases() -> dict:
@@ -653,11 +649,11 @@ def _lift_cases() -> dict:
 
 
 @pytest.mark.parametrize("case", _lift_cases())
-def test_lifts_equal_the_unit_table_forms(case, monkeypatch):
+def test_lifts_equal_the_unit_table_forms(case):
     # Equal as numbers (np.array_equal): the unit table adds exact zeros, so
     # a zero weight's sign may differ, and no count reads it.
     point, direction = _lift_cases()[case]
-    classical, separated = _unit_table_lifts(point, direction, monkeypatch)
+    classical, separated = _reference_lifts(point, direction)
     assert np.array_equal(classical_lift(point, direction), classical)
     assert np.array_equal(separated_lift(point, direction), separated)
 
@@ -708,46 +704,36 @@ class TestLiftedKernels:
         print(f"shift {shift:g}: pairs inside the rounding bound, of {pairs}: {inside}")
         print(f"shift {shift:g}: smallest |exact D| / bound: {smallest}")
 
-    @pytest.mark.parametrize("shift", [0.0, 1e5])
-    def test_separated_lift_is_the_classical_rows_folded(self, shift):
-        """`separated_lift` equals B (x) B - A (x) C folded, A, B, C the rows of `classical_lift`.
+    @pytest.mark.parametrize("projective", [False, True])
+    def test_compound_form_is_the_exact_discriminant(self, projective):
+        """-p^T C p, in `Fraction`s through `compound_entries`, equals the exact b^2 - a c.
 
-        R = x s^T - s x^T has rank 2, so s^T Q R Q x = b^2 - a c as
-        polynomials in Q's coefficients, and the weight of q_a q_b is
-        2 B_a B_b - A_a C_b - A_b C_a for a < b and B_a^2 - A_a C_a for a = b.
-        Lifted, the separated route thus evaluates b^2 - a c with 55 weights
-        against classical's 30 (3 rows of 10) and 3 operations per pair.
-
-        The bound is gamma_n times the absolute terms, as in
-        `_rounding_bound`.  With A+, B+, C+ the rows of `classical_lift` on
-        |x| and |s|, and M+_ab = B+_a B+_b + A+_a C+_b, the absolute terms of
-        either side's entry (a, b) sum to T = M+_ab + M+_ba for a < b and
-        M+_aa for a = b: for the separated side, W_ab = u(e_a)^T R v(e_b) has
-        the absolute terms sum_ij |u_i| (|x_i s_j| + |s_i x_j|) |v_j|, which
-        is (|u|.|x|)(|s|.|v|) + (|u|.|s|)(|x|.|v|) = M+_ab.
-
-        Classical: an entry of A or C is a product of two ray components (1
-        rounding), one of B at most a sum of two products (2); the fold's
-        products (1), subtraction (1) and sum (1) make at most 2 + 2 + 3 = 7
-        on any term.  Separated: r_ij (2), U^T R and (U^T R) V, two products
-        of four terms (4 + 4), the fold (1): 11, as in `_rounding_bound`
-        without the coefficient product and the dot product with the table.
-        So |separated - fold| <= (gamma_11 + gamma_7) T <= gamma_18 T.  T in
-        floats is low by at most 7 roundings of nonnegative terms, and the
-        difference is rounded once; gamma_20 covers both.
+        Cauchy-Binet on M = [x s]: det(M^T Q M) = a c - b^2 is the sum over
+        I, J of det(M_I) C[I, J] det(M_J), with M_I the rows I of M, whose
+        determinants are the line's entries p_I (`line_entries`).  C is
+        symmetric, so the 36 terms fold into the 21 of `COMPOUND_ORDER`,
+        doubled off the diagonal, as `separated_lift` weighs them.  The
+        identity is exact, for projective rays (w != 1, s_w != 0) too.
         """
-        origins, dirs = generate_rays(1, 40)
-        origins[:, 0] += shift
-        point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
-        absolute = (tuple(np.abs(v) for v in point), tuple(np.abs(v) for v in direction))
-        terms = _fold(classical_lift(*absolute), 1.0)
-        folded = _fold(classical_lift(point, direction), -1.0)
-        diff = np.abs(separated_lift(point, direction) - folded)
-        n = 20
-        assert np.all(diff <= n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53) * terms)
-        assert np.count_nonzero(terms) > 0.5 * terms.size
-        worst = float((diff / np.where(terms > 0.0, terms, 1.0)).max() / 2.0 ** -53)
-        print(f"shift {shift:g}: largest |separated - fold| / terms: {worst:.3g} u")
+        rng = np.random.default_rng(21)
+        table = world_table(generate_scene(21, 12, KIND_MIXES[-1]).objects)
+        quadrics = [*table.T, *(random_quadric(rng).coefficients() for _ in range(4))]
+        origins, dirs = generate_rays(21, 10)
+        w = rng.uniform(0.5, 2.0, 10) if projective else np.ones(10)
+        s_w = rng.uniform(-0.5, 0.5, 10) if projective else np.zeros(10)
+        rays = [
+            ([Fraction(v) for v in (*o, wi)], [Fraction(v) for v in (*d, si)])
+            for o, d, wi, si in zip(origins.tolist(), dirs.tolist(), w.tolist(), s_w.tolist())
+        ]
+        for q in quadrics:
+            c = compound_entries(Fraction(float(v)) for v in q)
+            for x, s in rays:
+                p = line_entries(x, s)
+                d = -sum(
+                    (1 if a == b else 2) * p[a] * p[b] * c[k]
+                    for k, (a, b) in enumerate(COMPOUND_ORDER)
+                )
+                assert d == exact_discriminant(q, x, s)
 
     @pytest.mark.parametrize("mix", KIND_MIXES)
     @pytest.mark.parametrize("tile_pairs", [kernels.TILE_PAIRS, 50])
