@@ -67,7 +67,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     sc = _read_scene(args.scene_file)
     image = render.render_detection(sc, method=args.method, workers=args.workers)
     with open(args.output, "wb") as fp:
-        render.write_pgm(image, fp)
+        fp.write(render.pgm_bytes(image))
     print(f"wrote {args.output}: {image.width}x{image.height}, method={args.method}")
     return 0
 
@@ -116,10 +116,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except scene.SceneParseError as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

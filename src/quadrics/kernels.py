@@ -2,13 +2,14 @@
 
 Objects are a struct-of-arrays table: row k holds the k-th of the 10
 quadric coefficients, in `COEFFICIENT_ORDER`, for every object.
-`world_table` builds it from scene objects, every world matrix at once and
-bit-identical to `SceneObject.world_matrix`; Q's 4x4 layout is read from
-`quadric.COEFFICIENT_ENTRIES`.  A ray component is either an array with one
-entry per ray or a plain float shared by every ray.  Render works in
-camera-relative coordinates: `render_tables`, the one place the camera
-origin enters render's kernels, subtracts it from every centre before it
-builds its tables, so every pixel's ray starts at (0, 0, 0, 1).
+`render_tables` and `bench_tables` build it from scene objects, every world
+matrix at once and bit-identical to `SceneObject.world_matrix`; Q's 4x4
+layout is read from `quadric.COEFFICIENT_ENTRIES`.  A ray component is
+either an array with one entry per ray or a plain float shared by every
+ray.  Render works in camera-relative coordinates: `render_tables`, the
+one place the camera origin enters render's kernels, subtracts it from
+every centre before it builds its tables, so every pixel's ray starts at
+(0, 0, 0, 1).
 `nearest_hits`, `keep_pairs` and `cull_radii` take the pixel directions as
 three arrays, and the pair forms receive the rays as (0, 0, 0, 1) and
 (sx, sy, sz, 0).  Bench's rays each have an origin, in world coordinates,
@@ -92,7 +93,6 @@ if TYPE_CHECKING:
 __all__ = [
     "METHODS",
     "TILE_PAIRS",
-    "world_table",
     "render_tables",
     "tiles",
     "map_ranges",
@@ -128,7 +128,6 @@ _CAMERA = (0.0, 0.0, 0.0, 1.0)
 
 # Entry (i, j), i <= j, of each coefficient of Q's symmetric 4x4 matrix.
 _ROWS, _COLS = np.array(COEFFICIENT_ENTRIES).T
-_NON_FINITE = "world matrix: non-finite coefficient"
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,24 +165,18 @@ def _subset(placed: tuple, keep: np.ndarray) -> tuple:
     return q0[keep], centers[keep], rotated[keep], rot[keep[rotated]]
 
 
-def world_table(objects: Sequence[SceneObject]) -> np.ndarray:
-    """(10, objects) table of every `SceneObject.world_matrix()`, built at once.
+def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
+    """(10, objects) table of every `SceneObject.world_matrix()` of `placed`, built at once.
 
+    `placed` is the `_placements` of the objects at positions `index`.
     T (the translation, after the transposed rotation where there is one),
     Q0 T, T^T (Q0 T) and the (i, j)/(j, i) averaging of `quadric.transform`
     run on (4, 4, objects) stacks through `_compose`, which keeps the scalar
     summation order and every term, products with 0 and 1 included, so
     signed zeros and rounding match the scalar build bit for bit.  Raises
     ValueError where the scalar build would: a non-finite entry of T, Q0 T
-    or the product, or an object whose coefficients are all zero.
-    """
-    return _world_table(_placements(objects), range(len(objects)))
-
-
-def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
-    """`world_table` from `placed`, the `_placements` of the objects at positions `index`.
-
-    An error names its object by that position.
+    or the product, or an object whose coefficients are all zero.  The error
+    names the first such object by its position in `index`.
     """
     q0, centers, rotated, rot = placed
     n = len(q0)
@@ -209,7 +202,7 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
     # the table through products and sums, and x * inf, x * NaN and a sum
     # with either are never finite.
     for bad, what in (
-        (~np.isfinite(table).all(axis=0), _NON_FINITE),
+        (~np.isfinite(table).all(axis=0), "world matrix: non-finite coefficient"),
         ((table == 0.0).all(axis=0), "all coefficients zero"),
     ):
         if bad.any():
@@ -224,10 +217,11 @@ def render_tables(
 
     Every centre becomes c - origin, the one float subtraction of
     `Vec3.__sub__` per component (a `General` object's centre 0 becomes
-    0 - origin), so the world table equals `world_table` of the objects moved
-    to those centres bit for bit.  The bounding spheres are a (7, objects)
-    table of terms for the stage-1 cull; NaN columns are unbounded.  Both
-    tables are built from one `_placements`.
+    0 - origin), so column k equals `SceneObject.world_matrix()` of object
+    k moved to that centre, bit for bit; with origin (0, 0, 0) it is the
+    world table itself, as c - 0.0 == c for every float.  The bounding
+    spheres are a (7, objects) table of terms for the stage-1 cull; NaN
+    columns are unbounded.  Both tables are built from one `_placements`.
     """
     q0, centers, rotated, rot = _placements(objects)
     placed = (q0, centers - np.array(origin, dtype=np.float64), rotated, rot)
@@ -505,32 +499,29 @@ def bench_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray
     exact), make its column of the (11, spheres) sphere table that
     `sphere_lift`'s weights multiply: 1, c_x, c_y, c_z, c_x^2, c_y^2,
     c_z^2, c_x c_y, c_x c_z, c_y c_z, r^2.  Every other object goes, in
-    scene order, into a (10, objects) table equal to its `world_table`
+    scene order, into a (10, objects) table equal to its world-table
     columns bit for bit.  Both come from one `_placements` of all objects.
-    Raises ValueError where `world_table(objects)` would, with its message,
-    naming the first failing object by its position in `objects`: a plain
-    sphere fails when its world matrix's a44 = |c|^2 - r^2, summed in
-    `_compose`'s order, is not finite, the only coefficient of such a
-    sphere that can leave the floats.
+    Raises ValueError exactly where the world table of all objects raises,
+    with its message and the failing object's position in `objects`: the
+    only coefficient of a plain sphere that can leave the floats is its
+    world a44 = |c|^2 - r^2, summed in `_compose`'s order, so that is
+    screened first, and only a non-finite one builds the full table, which
+    then decides which object fails.
     """
     placed = q0, centers, rotated, _ = _placements(objects)
-    position = np.arange(len(objects))
     plain = np.fromiter((isinstance(o.kind, Sphere) for o in objects), bool, len(objects))
     plain &= ~rotated
     (x, y, z), r_sq = centers[plain].T, -q0[plain, 3]
     with np.errstate(all="ignore"):
         a44 = 0.0 + x * x + y * y + z * z - r_sq
     if not np.isfinite(a44).all():
-        first = position[plain][np.argmax(~np.isfinite(a44))]
-        earlier = ~plain & (position < first)
-        _world_table(_subset(placed, earlier), position[earlier])  # names an earlier failure first
-        raise ValueError(f"object {first}: {_NON_FINITE}")
+        _world_table(placed, range(len(objects)))  # raises: its a44 row sums the same terms
     # A finite a44 keeps every monomial finite: |c_i c_j| <= max(c_i^2, c_j^2).
     spheres = np.array(
         [np.ones_like(r_sq), x, y, z, x * x, y * y, z * z, x * y, x * z, y * z, r_sq]
     )
     generic = ~plain
-    return spheres, _world_table(_subset(placed, generic), position[generic])
+    return spheres, _world_table(_subset(placed, generic), np.flatnonzero(generic))
 
 
 def sphere_lift(point: Vec4, direction: Vec4) -> tuple[np.ndarray, np.ndarray]:

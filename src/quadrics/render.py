@@ -32,14 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import BinaryIO
 
 import numpy as np
 
 from .kernels import METHODS, map_ranges, nearest_hits, render_tables
 from .scene import Camera, Scene
 
-__all__ = ["Image", "render_detection", "write_pgm", "pgm_bytes"]
+__all__ = ["Image", "render_detection", "pgm_bytes"]
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,3 @@ def pgm_bytes(image: Image) -> bytes:
     """Binary PGM (P5, maxval 255)."""
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     return header + image.pixels
-
-
-def write_pgm(image: Image, fp: BinaryIO) -> None:
-    fp.write(pgm_bytes(image))

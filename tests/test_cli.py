@@ -25,6 +25,14 @@ class TestExitCodes:
         out = tmp_path / "img.pgm"
         assert main(["render", str(tmp_path / "nope.txt"), "-o", str(out)]) == 1
 
+    def test_value_error_is_one(self, tmp_path, capsys):
+        scene_file = tmp_path / "scene.txt"
+        scene_file.write_text(MINIMAL)
+        out = tmp_path / "img.pgm"
+        assert main(["render", str(scene_file), "-o", str(out), "--workers", "0"]) == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+        assert not out.exists()
+
     def test_parse_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("sphere 0 0 0 -1\n")

@@ -29,7 +29,7 @@ from quadrics.bench import generate_rays
 from quadrics.classical import coefficient_terms
 from quadrics.kernels import (
     bench_tables, classical_counts, classical_lift, keep_pairs, map_ranges, nearest_hits,
-    render_tables, separated_counts, separated_lift, sphere_counts, sphere_lift, world_table,
+    render_tables, separated_counts, separated_lift, sphere_counts, sphere_lift,
 )
 from quadrics.quadric import (
     Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere, apply,
@@ -301,7 +301,11 @@ def _assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
 
 
 class TestWorldTable:
-    """`world_table` against the scalar `SceneObject.world_matrix`, bit for bit."""
+    """`render_tables`' world table against the scalar `SceneObject.world_matrix`, bit for bit.
+
+    About the origin (0, 0, 0) it is the world table itself: c - 0.0 == c
+    for every float, -0.0 included.
+    """
 
     ALL_KINDS = ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid")
 
@@ -312,7 +316,7 @@ class TestWorldTable:
     def test_generated_scenes(self, mix):
         for seed in range(25):
             objects = generate_scene(seed, 1 + 7 * seed, mix).objects
-            _assert_bits_equal(world_table(objects), _scalar_world_table(objects))
+            _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0))[0], _scalar_world_table(objects))
             # About the generated camera, at (0, 0, 30).
             relative = camera_relative(objects, Vec3(0.0, 0.0, 30.0))
             _assert_bits_equal(render_tables(objects, (0.0, 0.0, 30.0))[0], _scalar_world_table(relative))
@@ -330,7 +334,7 @@ class TestWorldTable:
             center = Vec3(*(float(v) for v in rng.uniform(-1.0, 1.0, 3) * 10.0 ** (i % 7)))
             rot = random_rotation(rng) if i % 3 else None
             objects.append(SceneObject(kind, center, rot))
-        _assert_bits_equal(world_table(objects), _scalar_world_table(objects))
+        _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0))[0], _scalar_world_table(objects))
         origin = (2.5e5, -7.0, 1e3 + 0.1)
         relative = camera_relative(objects, Vec3(*origin))
         _assert_bits_equal(render_tables(objects, origin)[0], _scalar_world_table(relative))
@@ -339,17 +343,16 @@ class TestWorldTable:
         q = General(QuadricMatrix(-0.0, 1.0, -0.0, -1.0, a12=-0.0, a13=0.0, a14=-0.0, a34=0.5))
         rng = np.random.default_rng(12)
         objects = [SceneObject(q), SceneObject(q, rot=random_rotation(rng))]
-        _assert_bits_equal(world_table(objects), _scalar_world_table(objects))
+        _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0))[0], _scalar_world_table(objects))
         # 0.0 + (-0.0) * 1.0 is +0.0: the scalar build drops the signs, and so does the table.
-        signs = np.signbit(world_table(objects[:1])[:, 0]).tolist()
+        signs = np.signbit(render_tables(objects[:1], (0.0, 0.0, 0.0))[0][:, 0]).tolist()
         assert signs == [False, False, False, True] + [False] * 6
 
     def test_single_object_and_all_spheres(self):
         one = (SceneObject(Ellipsoid(1.0, 2.0, 3.0), Vec3(4.0, -5.0, 6.0)),)
-        _assert_bits_equal(world_table(one), _scalar_world_table(one))
+        _assert_bits_equal(render_tables(one, (0.0, 0.0, 0.0))[0], _scalar_world_table(one))
         spheres = generate_scene(3, 17, ("sphere",)).objects
-        _assert_bits_equal(world_table(spheres), _scalar_world_table(spheres))
-        assert world_table(()).shape == (10, 0)
+        _assert_bits_equal(render_tables(spheres, (0.0, 0.0, 0.0))[0], _scalar_world_table(spheres))
         assert [t.shape for t in render_tables((), (0.0, 0.0, 0.0))] == [(10, 0), (7, 0)]
 
     @pytest.mark.parametrize(
@@ -364,28 +367,26 @@ class TestWorldTable:
         with pytest.raises(ValueError):
             obj.world_matrix()
         with pytest.raises(ValueError, match="object 1"):
-            world_table([SceneObject(Sphere(1.0)), obj])
-        with pytest.raises(ValueError, match="object 1"):
             render_tables([SceneObject(Sphere(1.0)), obj], (0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="object 2"):
             bench_tables([SceneObject(Sphere(1.0)), SceneObject(Ellipsoid(1.0, 2.0, 3.0)), obj])
 
     def test_far_plain_sphere_is_named_as_world_table_names_it(self):
-        # A fast-path sphere whose a44 overflows fails with world_table's
+        # A fast-path sphere whose a44 overflows fails with the world table's
         # message, and the first failing object is named on both routes.
         far = SceneObject(Sphere(1.0), Vec3(1e200, 0.0, 0.0))
         bad = SceneObject(General(QuadricMatrix(1e308, 1.0, 1.0, 1.0, a12=1e308)))
         for objects, first in (([far, bad], "object 0"), ([bad, far], "object 0"),
                                ([SceneObject(Sphere(1.0)), far], "object 1")):
             with pytest.raises(ValueError, match=first) as expected:
-                world_table(objects)
+                render_tables(objects, (0.0, 0.0, 0.0))[0]
             with pytest.raises(ValueError) as got:
                 bench_tables(objects)
             assert str(got.value) == str(expected.value)
 
     def test_index_selects_and_orders_the_columns(self):
         objects = generate_scene(9, 6, self.ALL_KINDS).objects
-        full = world_table(objects)
+        full = render_tables(objects, (0.0, 0.0, 0.0))[0]
         generic = [i for i, o in enumerate(objects) if not isinstance(o.kind, Sphere)]
         assert 0 < len(generic) < len(objects)
         spheres, table = bench_tables(objects)
@@ -674,7 +675,7 @@ class TestLiftedKernels:
         pairs = 0
         for seed in (1, 2):
             objects, point, direction = _shifted_scene(seed, 12, KIND_MIXES[-1], 30, shift)
-            table = world_table(objects)
+            table = render_tables(objects, (0.0, 0.0, 0.0))[0]
             lifted = _lifted_discriminants(table, point, direction)
             bounds = {route: _rounding_bound(table, point, direction, route) for route in lifted}
             rays = [_ray(point, direction, i) for i in range(30)]
@@ -716,7 +717,7 @@ class TestLiftedKernels:
         identity is exact, for projective rays (w != 1, s_w != 0) too.
         """
         rng = np.random.default_rng(21)
-        table = world_table(generate_scene(21, 12, KIND_MIXES[-1]).objects)
+        table = render_tables(generate_scene(21, 12, KIND_MIXES[-1]).objects, (0.0, 0.0, 0.0))[0]
         quadrics = [*table.T, *(random_quadric(rng).coefficients() for _ in range(4))]
         origins, dirs = generate_rays(21, 10)
         w = rng.uniform(0.5, 2.0, 10) if projective else np.ones(10)
@@ -750,7 +751,7 @@ class TestLiftedKernels:
             origins, dirs = generate_rays(seed, 60)
             point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
             x, s = _columns(point), _columns(direction)
-            table = world_table(scene.objects)
+            table = render_tables(scene.objects, (0.0, 0.0, 0.0))[0]
             a, b, c = coefficient_terms(table, x, s)
             whole = np.count_nonzero(b * b - a * c >= 0.0, axis=1)
             got = classical_counts(table, classical_lift(point, direction))
@@ -781,7 +782,7 @@ class TestLiftedKernels:
         for mix in KIND_MIXES:
             for seed in range(1, 9):
                 objects, point, direction = _shifted_scene(seed, 20, mix, 60, 1e5)
-                table = world_table(objects)
+                table = render_tables(objects, (0.0, 0.0, 0.0))[0]
                 x, s = _columns(point), _columns(direction)
                 a, b, c = coefficient_terms(table, x, s)
                 lines = _columns(line_entries(point, direction))
@@ -876,6 +877,24 @@ class TestSphereProduct:
                 assert fallbacks >= undecided, route
                 assert np.array_equal(counts, np.count_nonzero(d >= 0.0, axis=1)), route
                 assert np.array_equal(counts, scalar), route
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_one_far_sphere_sends_no_near_pair_to_the_pair_form(self, seed):
+        # The sphere at 1e9 sets the call's largest k, so nearly every pair
+        # fails the coarse test; each is then decided against its own
+        # bound, and no pair falls back.  No detect workload fails the
+        # coarse test, so only this scene sees the per-pair re-test.
+        objects = [
+            *generate_scene(seed, 10, ("sphere",)).objects,
+            SceneObject(Sphere(1.0), Vec3(1e9, 0.0, 0.0)),
+        ]
+        origins, dirs = generate_rays(seed, 300)
+        point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
+        d = _sphere_pair_form(bench_tables(objects)[0], point, direction)
+        for route in kernels.METHODS:
+            counts, fallbacks = _bench_counts(objects, point, direction, route)
+            assert fallbacks == 0, route
+            assert np.array_equal(counts, np.count_nonzero(d >= 0.0, axis=1)), route
 
     def test_non_finite_d_falls_back(self):
         # Near the overflow edge the product's terms leave the floats: D is

@@ -7,7 +7,7 @@ import pytest
 
 from _helpers import random_quadric
 from quadrics import HomogeneousPoint, evaluate, scene
-from quadrics.kernels import render_tables, world_table
+from quadrics.kernels import render_tables
 from quadrics.geometry import Vec3
 from quadrics.quadric import (
     CATALOG,
@@ -469,6 +469,6 @@ class TestKindIsOneClass:
         objects = generate_scene(6, 9, ("ecylinder", "hparaboloid")).objects
         objects += parse_scene(MINIMAL + "ecylinder 1 2 3 2 1\nxform 0 0 1 0 1 0 -1 0 0\n").objects
         want = np.array([o.world_matrix().coefficients() for o in objects]).T
-        got = world_table(objects)
+        got = render_tables(objects, (0.0, 0.0, 0.0))[0]
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
