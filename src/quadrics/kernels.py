@@ -63,13 +63,15 @@ pair it cannot decide falls back to the one per-pair form,
 on both routes.
 
 `nearest_hits` runs in two stages.  Stage 1 (`keep_pairs`, per tile)
-tests each pair against a conservative bounding sphere of its column and
-keeps only those it cannot rule out; an unbounded column (see
-`render_tables`) keeps every pair.  Stage 2 roots every kept pair in one
-batch.  It runs as soon as TILE_PAIRS pairs are kept and after the last
-tile, so memory stays bounded, and once per call on most images.  The cull
-drops only pairs whose kernel result is provably a Miss (see
-`cull_radii`), so it never decides a result.
+tests each pair against a conservative sphere about its column's centre,
+of squared radius R'^2, and keeps only those it cannot rule out.
+`cull_radii` alone derives R'^2, once per call, from the camera-relative
+placements of `render_tables`; it is inf for an unbounded column, which
+keeps every pair.  Stage 2 roots every kept pair in one batch.  It runs
+as soon as TILE_PAIRS pairs are kept and after the last tile, so memory
+stays bounded, and once per call on most images.  The cull drops only
+pairs whose kernel result is provably a Miss, so it never decides a
+result.
 """
 from __future__ import annotations
 
@@ -210,57 +212,20 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
     return table
 
 
-def render_tables(
-    objects: Sequence[SceneObject], origin: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(world table, bounding spheres) of `nearest_hits`, relative to the camera at `origin`.
+def render_tables(objects: Sequence[SceneObject], origin: Sequence[float]) -> tuple[np.ndarray, tuple]:
+    """(world table, placements) of `nearest_hits`, relative to the camera at `origin`.
 
     Every centre becomes c - origin, the one float subtraction of
     `Vec3.__sub__` per component (a `General` object's centre 0 becomes
     0 - origin), so column k equals `SceneObject.world_matrix()` of object
     k moved to that centre, bit for bit; with origin (0, 0, 0) it is the
-    world table itself, as c - 0.0 == c for every float.  The bounding
-    spheres are a (7, objects) table of terms for the stage-1 cull; NaN
-    columns are unbounded.  Both tables are built from one `_placements`.
+    world table itself, as c - 0.0 == c for every float.  The placements
+    are the `_placements` the table is built from, with those centres:
+    stage 1 reads them (`cull_radii`, `keep_pairs`).
     """
     q0, centers, rotated, rot = _placements(objects)
     placed = (q0, centers - np.array(origin, dtype=np.float64), rotated, rot)
-    return _world_table(placed, range(len(objects))), _bounding_spheres(placed)
-
-
-def _bounding_spheres(placed: tuple) -> np.ndarray:
-    """(7, objects) bounding-sphere table of `render_tables` from the objects' `_placements`.
-
-    Boundedness is read off the kind's fundamental `coefficients()`: a
-    column is bounded when a11, a22, a33 > 0, a44 < 0 and the six
-    off-diagonal coefficients are 0 (spheres and ellipsoids, and a raw
-    quadric of that form).  Such a surface is (x - c)^T M (x - c) = nu with
-    M = Rot A Rot^T, A = diag(a11, a22, a33), nu = -a44 and c the centre,
-    so it lies within R^2 = nu / min(a11, a22, a33) of c when Rot is a
-    rotation.  Rot is only orthonormal within eps = max|Rot^T Rot - I|, so
-    the eigenvalues of M lie in [m (1 - k), lam (1 + k)] with k = 3 eps,
-    m = min(a_ii) and lam = max(a_ii) (Gershgorin on Rot^T Rot).
-
-    Rows: centre x, y, z, then m (1 - k), lam (1 + k), tau (1 + k) with
-    tau = a11 + a22 + a33, and nu.  k also carries 2^-45 for the rounding of
-    these products; a rotation with k > 1/4 leaves its column unbounded.
-    """
-    q0, centers, rotated, rot = placed
-    diag = q0[:, :3]
-    eps = np.zeros(len(q0))
-    eps[rotated] = abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2), initial=0.0)
-    k = 3.0 * eps + 2.0 ** -45
-    m = diag.min(axis=1)
-    bounded = (m > 0.0) & (q0[:, 3] < 0.0) & ~q0[:, 4:].any(axis=1) & (k <= 0.25)
-    table = np.array([
-        *centers.T,
-        m * (1.0 - k),
-        diag.max(axis=1) * (1.0 + k),
-        diag.sum(axis=1) * (1.0 + k),
-        -q0[:, 3],
-    ]).reshape(7, -1)
-    table[:, ~bounded] = np.nan
-    return table
+    return _world_table(placed, range(len(objects))), placed
 
 
 def _tile_rays(objects: int) -> int:
@@ -332,20 +297,31 @@ def nearest_root(a, b, c, a_scale, d=None):
     )
 
 
-def cull_radii(spheres: np.ndarray, max_abs: np.ndarray, direction: Directions) -> np.ndarray:
+def cull_radii(placed: tuple, max_abs: np.ndarray, direction: Directions) -> np.ndarray:
     """Stage-1 squared radius R'^2 of each column for these rays; +inf where every pair is kept.
 
-    `spheres` is from `render_tables`, `max_abs` each column's largest
-    |coefficient| in the kernels' table and `direction` the pixels'
-    (sx, sy, sz) arrays.  `keep_pairs` drops a pair only when its line
-    misses the sphere of radius R' about c, and R' is derived so that both
-    routes then classify the pair as Miss.  Below, t s is a ray from the
-    camera at x = 0 (render's coordinates), c the centre relative to it,
-    rho the distance from c to the line, u = 2^-53, m, lam, tau, nu the rows
-    of `spheres` and R^2 = nu / m.  |s| is taken over all the call's rays
-    (max |s|_1, min |s|^2), so R' is one number per column; the call needs
-    at least one ray.
+    `placed` is the camera-relative `_placements` of `render_tables`,
+    `max_abs` each column's largest |coefficient| in the kernels' table and
+    `direction` the pixels' (sx, sy, sz) arrays.  `keep_pairs` drops a pair
+    only when its line misses the sphere of radius R' about c, and R' is
+    derived so that both routes then classify the pair as Miss.  Below, t s
+    is a ray from the camera at x = 0 (render's coordinates), c the centre
+    relative to it, rho the distance from c to the line and u = 2^-53.
+    |s| is taken over all the call's rays (max |s|_1, min |s|^2), so R' is
+    one number per column; the call needs at least one ray.
 
+    0. Bounding sphere.  Boundedness is read off the kind's fundamental
+       coefficients: a column is bounded when a11, a22, a33 > 0, a44 < 0
+       and the six off-diagonal coefficients are 0 (spheres and ellipsoids,
+       and a raw quadric of that form); every other column keeps every
+       pair.  Such a surface is (x - c)^T M (x - c) = nu with
+       M = Rot A Rot^T, A = diag(a11, a22, a33) and nu = -a44, so it lies
+       within nu / min(a_ii) of c when Rot is a rotation.  Rot is only
+       orthonormal within eps = max|Rot^T Rot - I|, so the eigenvalues of M
+       lie in [m, lam], m = min(a_ii) (1 - k) and lam = max(a_ii) (1 + k)
+       with k = 3 eps (Gershgorin on Rot^T Rot); tau = (a11 + a22 + a33)
+       (1 + k) and R^2 = nu / m.  k also carries 2^-45 for the rounding of
+       these products; a rotation with k > 1/4 leaves its column unbounded.
     1. Exact discriminant.  In the inner product <p, q> = p^T M q, the
        quadric gives a = <s, s> >= m |s|^2, b = -<s, c>, c' = <c, c> - nu and
        b^2 - a c' = <s,c>^2 - <s,s><c,c> + nu <s,s> <= a (nu - m rho^2),
@@ -382,12 +358,23 @@ def cull_radii(spheres: np.ndarray, max_abs: np.ndarray, direction: Directions) 
     more.  The test (s.c)^2 < |s|^2 (|c|^2 - R'^2), in floats, errs by less
     than 27u |s|^2 (|c|^2 + R'^2), so R'^2 = (need + 2^-45 |c|^2)(1 + 2^-45)
     + 2^-1060 covers it, and the relative error of this function's own
-    arithmetic.  Any non-finite term makes R'^2 inf or NaN, and `keep_pairs`
-    keeps every pair of that column.
+    arithmetic.  Any non-finite term makes R'^2 inf, and `keep_pairs` keeps
+    every pair of that column.
     """
-    cx, cy, cz, m, lam, tau, nu = spheres
+    q0, centers, rotated, rot = placed
+    diag = q0[:, :3]
     sx, sy, sz = direction
     with np.errstate(all="ignore"):
+        eps = np.zeros(len(q0))
+        eps[rotated] = abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2), initial=0.0)
+        k = 3.0 * eps + 2.0 ** -45
+        m = diag.min(axis=1)
+        bounded = (m > 0.0) & (q0[:, 3] < 0.0) & ~q0[:, 4:].any(axis=1) & (k <= 0.25)
+        m = m * (1.0 - k)
+        lam = diag.max(axis=1) * (1.0 + k)
+        tau = diag.sum(axis=1) * (1.0 + k)
+        nu = -q0[:, 3]
+        cx, cy, cz = centers.T
         c_sq = cx * cx + cy * cy + cz * cz
         s_sq = (sx * sx + sy * sy + sz * sz).min()
         g = np.maximum(max_abs, 1.0) * max(1.0, (abs(sx) + abs(sy) + abs(sz)).max())
@@ -401,7 +388,7 @@ def cull_radii(spheres: np.ndarray, max_abs: np.ndarray, direction: Directions) 
         )
         r_prime_sq = (need + 2.0 ** -45 * c_sq) * (1.0 + 2.0 ** -45) + 2.0 ** -1060
         linear_free = m > LINEAR_EPS * max_abs + 2.0 ** -44 * tau + 2.0 ** -1050 * g_sq / s_sq
-        decides = linear_free & (g <= 2.0 ** 250)
+        decides = bounded & linear_free & (g <= 2.0 ** 250)
     return np.where(decides, r_prime_sq, np.inf)
 
 
@@ -414,7 +401,8 @@ def keep_pairs(centers: np.ndarray, r_sq: np.ndarray, direction: Directions) -> 
     discriminant |s|^2 R'^2 - |s x c|^2 < 0 written by the Lagrange
     identity for a line through the camera at 0; |c|^2 - R'^2 is a
     per-column term.  NaN keeps the pair, and so does a camera inside the
-    sphere.
+    sphere; an infinite R'^2 keeps every pair of its column, as
+    |c|^2 - R'^2 is then -inf, or NaN where |c|^2 overflows.
     """
     sx, sy, sz = _take(direction, _COLUMN)
     cx, cy, cz = centers
@@ -427,9 +415,7 @@ def _joined(groups: list) -> tuple:
     return tuple(np.concatenate(column) for column in zip(*groups))
 
 
-def nearest_hits(
-    table: np.ndarray, direction: Directions, method: str, spheres: np.ndarray
-) -> np.ndarray:
+def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: tuple) -> np.ndarray:
     """Per ray, the nearest positive t over every object; NaN when none is crossed.
 
     The rays are render's, in its camera-relative coordinates: `direction`
@@ -437,12 +423,13 @@ def nearest_hits(
     camera, 0.  Equals, per ray, the minimum over objects of the positive
     `hit_parameters` of `intersect_classical` or `intersect_separated` for
     the homogeneous ray (0, 0, 0, 1) + t (sx, sy, sz, 0), the vectors the
-    pair forms receive.  `table` and `spheres` are the tables of
-    `render_tables`.  Stage 1 runs
-    per tile and roots nothing.  Every column goes through `keep_pairs`,
-    except that the separated route filters the columns `cull_radii` leaves
-    undecided by their discriminant with `separated.early_reject`; on the
-    classical route their infinite R'^2 or NaN centre keeps every pair.
+    pair forms receive.  `table` and `placed` are the world table and the
+    placements of `render_tables`.  Stage 1 runs per tile and roots
+    nothing.  Every column goes through `keep_pairs`, about its centre in
+    `placed`, except that the separated route filters the columns
+    `cull_radii` leaves at inf by their discriminant with
+    `separated.early_reject`; on the classical route their infinite R'^2
+    keeps every pair.
     Stage 2 roots the kept pairs once they reach TILE_PAIRS, and after the
     last tile, so a batch holds fewer than TILE_PAIRS pairs plus one tile's.
     The separated route first gives the pairs `keep_pairs` kept their d and
@@ -457,10 +444,10 @@ def nearest_hits(
     max_abs = np.abs(table).max(axis=0)
     sx, sy, sz = direction
     s_sq = sx * sx + sy * sy + sz * sz
-    r_sq = cull_radii(spheres, max_abs, direction)
+    r_sq = cull_radii(placed, max_abs, direction)
     dense = ~(r_sq < np.inf) & (method == "separated")
     cull_cols, dense_cols = np.flatnonzero(~dense), np.flatnonzero(dense)
-    centers, r_sq = spheres[:3, cull_cols], r_sq[cull_cols]
+    centers, r_sq = placed[1][cull_cols].T, r_sq[cull_cols]
     dense_table = table[:, dense_cols]
     out = np.full(rays, np.nan)
     culled, kept, pending = [], [], 0

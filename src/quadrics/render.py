@@ -3,7 +3,7 @@
 A pixel is lit when some object is crossed at a positive line parameter.
 Ray directions are left unnormalized as forward + u*right + v*up, so t = 1
 is the image plane; `Camera.pixel_directions` gives them for a block of
-rows at once, with the same body as the per-pixel `Camera.ray_direction`.
+rows at once, or for one pixel.
 The shade of a hit at parameter t is
 
     value = max(1, round(255 / max(t, 1)))
@@ -16,7 +16,8 @@ ray starts at 0, and the classification of a pair depends on where the
 scene lies relative to the camera, not on where it lies in the world.
 Pixels are evaluated by `kernels.nearest_hits` in two stages.  Stage 1
 tests each tile of (pixels x spheres and ellipsoids) against conservative
-bounding spheres (`kernels.render_tables`, `kernels.cull_radii`) and
+bounding spheres, whose squared radii `kernels.cull_radii` derives from the
+camera-relative placements of `kernels.render_tables`, and
 keeps only the pairs it cannot rule out; the unbounded kinds keep every
 pair, or on the separated route every pair its discriminant does not
 reject.  Stage 2 computes the roots of the kept pairs in one batch.  The kernels run
@@ -59,12 +60,10 @@ def _pixel_values(nearest: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(nearest), 0.0, shade).astype(np.uint8)
 
 
-def _render_rows(
-    cam: Camera, method: str, table: np.ndarray, spheres: np.ndarray, rows: range
-) -> bytes:
+def _render_rows(cam: Camera, method: str, table: np.ndarray, placed: tuple, rows: range) -> bytes:
     x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(rows.start, rows.stop)[:, None])
     direction = (x.ravel(), y.ravel(), z.ravel())
-    nearest = nearest_hits(table, direction, method, spheres)
+    nearest = nearest_hits(table, direction, method, placed)
     return _pixel_values(nearest).tobytes()
 
 
@@ -73,8 +72,8 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     cam = scene.camera
-    table, spheres = render_tables(scene.objects, cam.origin.as_tuple())
-    rows = map_ranges(partial(_render_rows, cam, method, table, spheres), cam.height, workers)
+    table, placed = render_tables(scene.objects, cam.origin.as_tuple())
+    rows = map_ranges(partial(_render_rows, cam, method, table, placed), cam.height, workers)
     return Image(width=cam.width, height=cam.height, pixels=b"".join(rows))
 
 

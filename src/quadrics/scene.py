@@ -102,14 +102,6 @@ class Camera:
         half_h = math.tan(math.radians(self.vfov_deg) * 0.5)
         return forward, right, up, half_h * (self.width / self.height), half_h
 
-    def ray_direction(self, col: int, row: int) -> Vec3:
-        """forward + u*right + v*up through the centre of pixel (col, row), as a Vec3.
-
-        One pixel at a time; `render` calls `pixel_directions` on arrays of
-        columns and rows.
-        """
-        return Vec3(*self.pixel_directions(col, row))
-
     def pixel_directions(self, col, row) -> tuple:
         """x, y, z of (forward + u*right) + v*up through the centre of pixel (col, row).
 

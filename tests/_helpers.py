@@ -128,7 +128,7 @@ def exact_lit_pixels(scene: Scene) -> list[bool | None]:
     lit = []
     for row in range(cam.height):
         for col in range(cam.width):
-            s = [Fraction(v) for v in cam.ray_direction(col, row).as_tuple()]
+            s = [Fraction(v) for v in cam.pixel_directions(col, row)]
             hit = band = False
             for q, rot_t, x in frames:
                 direction = [sum(r * v for r, v in zip(row_t, s)) for row_t in rot_t]

@@ -26,10 +26,10 @@ from quadrics import (
     sphere_discriminant,
 )
 from quadrics.bench import generate_rays
-from quadrics.classical import coefficient_terms
+from quadrics.classical import TANGENT_EPS, coefficient_terms
 from quadrics.kernels import (
-    bench_tables, classical_counts, classical_lift, keep_pairs, map_ranges, nearest_hits,
-    render_tables, separated_counts, separated_lift, sphere_counts, sphere_lift,
+    bench_tables, classical_counts, classical_lift, cull_radii, keep_pairs, map_ranges,
+    nearest_hits, render_tables, separated_counts, separated_lift, sphere_counts, sphere_lift,
 )
 from quadrics.quadric import (
     Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere, apply,
@@ -82,8 +82,8 @@ def test_nearest_hits_equal_the_scalar_kernels_from_several_origins(method, monk
     for _ in range(5):
         origin = random_ray(rng)[0].as_tuple()[:3]
         directions = [random_ray(rng)[1] for _ in range(5)]
-        table, spheres = render_tables(objects, origin)
-        got = nearest_hits(table, _split(directions), method, spheres)
+        table, placed = render_tables(objects, origin)
+        got = nearest_hits(table, _split(directions), method, placed)
         matrices = _relative_matrices(objects, origin)
         want = [_scalar_nearest(matrices, CAMERA, s, method) for s in directions]
         assert np.array_equal(got, want, equal_nan=True)
@@ -123,24 +123,24 @@ def test_nearest_hits_cull_from_several_origins(method, tile_pairs, monkeypatch)
     def run() -> np.ndarray:
         hits = []
         for o, d in zip(origins.tolist(), dirs):
-            table, spheres = render_tables(objects, o[0])
-            hits.append(nearest_hits(table, tuple(d.T), method, spheres))
+            table, placed = render_tables(objects, o[0])
+            hits.append(nearest_hits(table, tuple(d.T), method, placed))
         return np.concatenate(hits)
 
     monkeypatch.setattr(kernels, "keep_pairs", spy)
     assert np.array_equal(run(), expected, equal_nan=True)
     assert 0 < sum(kept) < 40 * 4 and np.count_nonzero(~np.isnan(expected)) > 10
     # Cull off: every column unbounded.
-    monkeypatch.setattr(kernels, "cull_radii", lambda spheres, *_: np.full(spheres.shape[1], np.inf))
+    monkeypatch.setattr(kernels, "cull_radii", lambda placed, *_: np.full(len(placed[0]), np.inf))
     assert np.array_equal(run(), expected, equal_nan=True)
 
 
 @pytest.mark.parametrize("method", ["Separated", "bogus", ""])
 def test_nearest_hits_rejects_an_unknown_route(method):
-    table, spheres = render_tables([SceneObject(Sphere(1.0))], (0.0, 0.0, 5.0))
+    table, placed = render_tables([SceneObject(Sphere(1.0))], (0.0, 0.0, 5.0))
     direction = (np.array([0.0]), np.array([0.0]), np.array([-1.0]))
     with pytest.raises(ValueError, match="unknown method"):
-        nearest_hits(table, direction, method, spheres)
+        nearest_hits(table, direction, method, placed)
 
 
 @pytest.mark.parametrize("method", ["classical", "separated"])
@@ -168,8 +168,8 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
 
     monkeypatch.setattr(kernels, "coefficient_terms", spy)
     monkeypatch.setattr(kernels, "nearest_root", root_spy)
-    table, spheres = render_tables(objects, origin)
-    got = nearest_hits(table, direction, method, spheres)
+    table, placed = render_tables(objects, origin)
+    got = nearest_hits(table, direction, method, placed)
     assert sum(sizes) == 400 * 3 and len(sizes) > 10 and max(sizes) < 2 * 50 + 3
     assert len(roots) == len(sizes) and max(roots) < 2 * 50
     matrices = _relative_matrices(objects, origin)
@@ -180,8 +180,18 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
     assert np.array_equal(got, expected)
 
 
-class TestBoundingSpheres:
+class TestCullRadii:
     ROT = random_rotation(np.random.default_rng(2))
+    NEAR = Mat3((1.0 + 1e-9, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+    # k of NEAR: Rot^T Rot is off by 2e-9, and k = 3 eps.
+    K_NEAR = 6e-9
+
+    @staticmethod
+    def _radii(objects) -> np.ndarray:
+        """`cull_radii` of the objects about a camera at the origin, for one ray along -z."""
+        table, placed = render_tables(objects, (0.0, 0.0, 0.0))
+        direction = (np.array([0.0]), np.array([0.0]), np.array([-1.0]))
+        return cull_radii(placed, np.abs(table).max(axis=0), direction)
 
     def test_bounded_kinds_from_their_coefficients(self):
         objects = [
@@ -194,25 +204,40 @@ class TestBoundingSpheres:
             SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, 1.0))),
             SceneObject(General(QuadricMatrix(1.0, 0.0, 1.0, -1.0))),
         ]
-        table = render_tables(objects, (0.0, 0.0, 0.0))[1]
-        assert table.shape == (7, 8)
-        assert np.isnan(table[:, 3:]).all() and not np.isnan(table[:, :3]).any()
-        cx, cy, cz, m, lam, tau, nu = table[:, :3]
-        assert cx.tolist() == [1.0, -1.0, 0.0] and cy.tolist() == [2.0, 0.0, 0.0]
-        assert cz.tolist() == [3.0, 0.0, 0.0]
-        # R^2 = -a44 / min(a11, a22, a33), within the 2^-45 (and rotation) allowance.
-        assert np.allclose(nu / m, [4.0, 16.0, 8.0], rtol=1e-12, atol=0.0)
-        assert np.all(nu / m >= [4.0, 16.0, 8.0])
-        assert np.all(lam >= [1.0, 4.0, 4.0]) and np.all(tau >= [3.0, 1.0 + 1.0 / 16.0 + 4.0, 7.0])
+        r_sq = self._radii(objects)
+        assert r_sq.shape == (8,) and (r_sq[3:] == np.inf).all()
+        # R^2 = -a44 / min(a11, a22, a33), within the margin's allowance.
+        assert np.isfinite(r_sq[:3]).all() and np.all(r_sq[:3] >= [4.0, 16.0, 8.0])
+        assert np.allclose(r_sq[:3], [4.0, 16.0, 8.0], rtol=1e-9, atol=0.0)
 
     def test_a_matrix_far_from_a_rotation_leaves_the_column_unbounded(self):
         skew = Mat3((1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
-        near = Mat3((1.0 + 1e-9, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
-        objects = [SceneObject(Sphere(1.0), rot=m) for m in (skew, near)]
-        table = render_tables(objects, (0.0, 0.0, 0.0))[1]
-        assert np.isnan(table[:, 0]).all()
-        # Off by 2e-9 in Rot^T Rot: the radius grows by that, not more.
-        assert 1.0 < table[6, 1] / table[3, 1] < 1.0 + 1e-8
+        objects = [SceneObject(Sphere(1.0), rot=m) for m in (skew, self.NEAR, None)]
+        skewed, near, exact = self._radii(objects)
+        assert skewed == np.inf
+        # Off by 2e-9 in Rot^T Rot: R'^2 grows by that, not more.
+        assert 1.0 < near / exact < 1.0 + 1e-8
+
+    def test_inflation_directions_far_from_the_camera(self):
+        # Far from the camera one term carries R'^2: TANGENT_EPS lam / m |c|^2
+        # for the first quadric, 2^-44 tau (2 tau |c|^2 + nu) / m^2 for the
+        # second.  Each column's R'^2 is at least that term with the exact
+        # m = min(a_ii), lam = max(a_ii) and tau = sum(a_ii), and rotated by
+        # NEAR it grows by more than 1.5 k: so m moves down and lam and tau
+        # up, or the ratios lam / m and tau / m would not grow.
+        lam_q, c_lam = QuadricMatrix(1.0, 4.0, 2.0, -1e-6), 1e4
+        tau_q, c_tau = QuadricMatrix(1e-4, 1.0, 1.0, -1e-10), 100.0
+        objects = [
+            SceneObject(General(q), Vec3(0.0, 0.0, -c), rot)
+            for q, c in ((lam_q, c_lam), (tau_q, c_tau)) for rot in (None, self.NEAR)
+        ]
+        lam_plain, lam_near, tau_plain, tau_near = self._radii(objects)
+        lam_term = TANGENT_EPS * 4.0 / 1.0 * c_lam ** 2
+        tau = 1e-4 + 1.0 + 1.0
+        tau_term = 2.0 ** -44 * tau * (2.0 * tau * c_tau ** 2 + 1e-10) / 1e-4 / 1e-4
+        for term, plain, near in ((lam_term, lam_plain, lam_near), (tau_term, tau_plain, tau_near)):
+            assert 0.9 * plain < term <= plain
+            assert near / plain > 1.0 + 1.5 * self.K_NEAR
 
     def test_keep_pairs_keeps_an_origin_inside_and_nan(self):
         # Centres relative to a camera at (0, 0, 1) of world spheres at
@@ -223,6 +248,49 @@ class TestBoundingSpheres:
         direction = (np.array([0.0]), np.array([1.0]), np.array([0.0]))
         ri, oi = keep_pairs(centers, r_sq, direction)
         assert oi.tolist() == [0, 2] and ri.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    def test_an_infinite_radius_keeps_every_pair_about_a_finite_centre(self, method, monkeypatch):
+        # The skew sphere and the hyperboloid are unbounded: `cull_radii`
+        # leaves them at inf, and their centres stay finite.  A finite radius
+        # about those centres would drop some of their pairs, and every ray
+        # hits the hyperboloid.  The classical route keeps every one of their
+        # pairs in `keep_pairs`, the separated route filters them by their
+        # discriminant instead, and both equal the scalar kernels.
+        skew = Mat3((1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        objects = [
+            SceneObject(Sphere(1.0), Vec3(0.0, 0.0, -10.0)),
+            SceneObject(Sphere(2.0), Vec3(3.0, 0.0, -12.0), skew),
+            SceneObject(OneSheetHyperboloid(1.0, 1.0, 1.0), Vec3(0.0, 20.0, -30.0)),
+        ]
+        rng = np.random.default_rng(5)
+        direction = (*rng.uniform(-0.4, 0.4, size=(2, 60)), np.full(60, -1.0))
+        table, placed = render_tables(objects, (0.0, 0.0, 0.0))
+        r_sq = cull_radii(placed, np.abs(table).max(axis=0), direction)
+        assert np.isfinite(r_sq[0]) and (r_sq[1:] == np.inf).all() and np.isfinite(placed[1]).all()
+        _, oi = keep_pairs(placed[1].T, np.where(r_sq < np.inf, r_sq, 1.0), direction)
+        assert (np.bincount(oi, minlength=3)[1:] < 60).all()
+        kept = []
+
+        def spy(centers, r, s):
+            ri, oi = keep_pairs(centers, r, s)
+            kept.append(np.isinf(r)[oi].sum())
+            return ri, oi
+
+        monkeypatch.setattr(kernels, "keep_pairs", spy)
+        got = nearest_hits(table, direction, method, placed)
+        matrices = _relative_matrices(objects, (0.0, 0.0, 0.0))
+        expected = [
+            _scalar_nearest(matrices, CAMERA, HomogeneousDirection(*s, 0.0), method)
+            for s in zip(*direction)
+        ]
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert sum(kept) == (2 * 60 if method == "classical" else 0)
+        # |c|^2 out of the floats: |c|^2 - R'^2 is NaN, which keeps the pair too.
+        far = np.array([[1e200], [0.0], [0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ri, _ = keep_pairs(far, np.array([np.inf]), direction)
+        assert ri.tolist() == list(range(60))
 
 
 def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
@@ -353,7 +421,8 @@ class TestWorldTable:
         _assert_bits_equal(render_tables(one, (0.0, 0.0, 0.0))[0], _scalar_world_table(one))
         spheres = generate_scene(3, 17, ("sphere",)).objects
         _assert_bits_equal(render_tables(spheres, (0.0, 0.0, 0.0))[0], _scalar_world_table(spheres))
-        assert [t.shape for t in render_tables((), (0.0, 0.0, 0.0))] == [(10, 0), (7, 0)]
+        assert render_tables((), (0.0, 0.0, 0.0))[0].shape == (10, 0)
+        assert TestCullRadii._radii(()).shape == (0,)
 
     @pytest.mark.parametrize(
         "obj",

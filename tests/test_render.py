@@ -119,15 +119,15 @@ class TestImage:
 class TestPixelDirections:
     def test_arrays_equal_the_per_pixel_directions(self):
         # Render passes a row of columns against a column of rows; each
-        # entry is `ray_direction`'s Vec3 component for that pixel, exactly.
+        # entry is the same body's component for that pixel alone, exactly.
         cam = Camera(Vec3(1.5, -2.0, 4.0), Vec3(0.3, 0.2, -0.1), Vec3(0.2, 1.0, 0.1), 47.0, 7, 5)
         xyz = cam.pixel_directions(np.arange(7), np.arange(1, 5)[:, None])
         assert all(component.shape == (4, 7) for component in xyz)
         for row in range(1, 5):
             for col in range(7):
-                expected = cam.ray_direction(col, row)
-                assert isinstance(expected, Vec3)
-                assert tuple(c[row - 1, col] for c in xyz) == expected.as_tuple()
+                expected = cam.pixel_directions(col, row)
+                assert all(isinstance(c, float) for c in expected)
+                assert tuple(c[row - 1, col] for c in xyz) == expected
 
 
 class TestPgm:
@@ -154,7 +154,7 @@ def reference_render(scene: Scene, method: str) -> tuple[bytes, set[str]]:
     kinds = set()
     for row in range(cam.height):
         for col in range(cam.width):
-            direction = HomogeneousDirection.from_euclidean(cam.ray_direction(col, row))
+            direction = HomogeneousDirection.from_euclidean(Vec3(*cam.pixel_directions(col, row)))
             cache = make_ray_cache(origin, direction)
             nearest = None
             for q in matrices:
@@ -255,9 +255,9 @@ class TestExtremeInputs:
         assert image.pixels == expected
 
 
-def _no_cull(spheres, max_abs, direction):
+def _no_cull(placed, max_abs, direction):
     """Stand-in for `kernels.cull_radii` that leaves every column unbounded."""
-    return np.full(spheres.shape[1], np.inf)
+    return np.full(len(placed[0]), np.inf)
 
 
 class _KeptPairs:
@@ -286,8 +286,8 @@ def _grazing_spheres(cam: Camera, factors) -> tuple[SceneObject, ...]:
     for k, factor in enumerate(factors):
         # Grazed pixels are 3 columns and 2 rows apart, so no other sphere covers one.
         col, row = 1 + 3 * (k % 2), 1 + 2 * (k // 2)
-        center = cam.origin + 10.0 * cam.ray_direction(col + 1, row)
-        s = cam.ray_direction(col, row)
+        center = cam.origin + 10.0 * Vec3(*cam.pixel_directions(col + 1, row))
+        s = Vec3(*cam.pixel_directions(col, row))
         w = center - cam.origin
         rho = math.sqrt(cross(s, w).norm_sq() / s.norm_sq())
         objects.append(SceneObject(Sphere(rho * factor), center))
