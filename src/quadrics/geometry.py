@@ -16,6 +16,7 @@ __all__ = [
     "Mat3",
     "Mat4",
     "cross",
+    "cross_terms",
     "translation",
     "rotation",
     "compose",
@@ -165,13 +166,20 @@ class Mat4:
         return self.m[4 * i + j]
 
 
+def cross_terms(u, v) -> tuple:
+    """The right-handed cross product u x v of the first three components of u and v.
+
+    u and v are 3- or 4-vectors whose components are floats or arrays that
+    broadcast together, as in `separated.line_entries`, so one body serves
+    a single pair and a batch; a fourth component is not read.
+    """
+    (u0, u1, u2), (v0, v1, v2) = u[:3], v[:3]
+    return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+
+
 def cross(u: Vec3, v: Vec3) -> Vec3:
-    """Right-handed cross product u x v."""
-    return Vec3(
-        u.y * v.z - u.z * v.y,
-        u.z * v.x - u.x * v.z,
-        u.x * v.y - u.y * v.x,
-    )
+    """Right-handed cross product u x v, by `cross_terms`."""
+    return Vec3(*cross_terms(u.as_tuple(), v.as_tuple()))
 
 
 def translation(c: Vec3) -> Mat4:

@@ -21,10 +21,12 @@ computed once per tile, not once per pair.
 The pair formulas are not written here: render's tiles run the
 reference's own tuple-level forms on arrays, `classical.coefficient_terms`
 (a, b, c) and `separated.line_entries` / `factored_discriminant` (R and
-s^T Q R Q x), which unpack a (10, objects) table as they unpack a
+s^T Q R Q x = <x ^ s, Qs ^ Qx>, the wedge Qs ^ Qx again by
+`line_entries`), which unpack a (10, objects) table as they unpack a
 `QuadricMatrix`, and bench's sphere fallback runs `separated.line_moment`
 and `moment_discriminant`, the body of `separated.sphere_discriminant`, on
-arrays of pairs; render's separated early reject is
+arrays of pairs; every cross product among them, and in `sphere_lift`, is
+`geometry.cross_terms`.  Render's separated early reject is
 `separated.early_reject`.  numpy float64 ufuncs round exactly as Python
 floats do, so each pair gets the scalar kernels' value bit for bit by
 construction.  What is batched here, the classification in
@@ -41,10 +43,10 @@ and `classical_lift` reads each weight off Q's layout,
 `quadric.COEFFICIENT_ENTRIES` (coefficient (i, j) weighs u_i v_j + u_j v_i
 in u^T Q v); a test pins it to `coefficient_terms` run on the 10x10 unit
 table, number for number.  Separated: R's six entries p are the line's
-Plucker coordinates, and s^T Q R Q x = -p^T C p with C Q's second
-compound, so `separated_lift` gives each ray the 21 weights -p_I p_J and
-`separated_counts` multiplies them by the (21, objects) table of
-`separated.compound_entries`, built once per call.
+Plucker coordinates, and s^T Q R Q x = <p, Qs ^ Qx> = -p^T C p with C Q's
+second compound, so `separated_lift` gives each ray the 21 weights
+-p_I p_J and `separated_counts` multiplies them by the (21, objects) table
+of `separated.compound_entries`, built once per call.
 
 `bench_tables` owns both routes' split: a `Sphere` with no rotation is a
 plain sphere, every other object goes into the coefficient table.  On a
@@ -83,6 +85,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
+from .geometry import cross_terms
 from .quadric import COEFFICIENT_ENTRIES, Sphere
 from .separated import (
     COMPOUND_ORDER, compound_entries, early_reject, factored_discriminant, line_entries,
@@ -516,7 +519,7 @@ def sphere_lift(point: Vec4, direction: Vec4) -> tuple[np.ndarray, np.ndarray]:
 
     Against a plain sphere (centre c, squared radius r^2), a = |s|^2,
     b = s.(x - c) and c' = |x - c|^2 - r^2.  With m = s x x and |s|^2 from
-    `separated.line_moment`,
+    `separated.line_moment`, and m x s from `geometry.cross_terms`,
 
         b^2 - a c' = r^2 |s|^2 - |m - s x c|^2
                    = -|m|^2 + 2 (m x s).c - sum_i (s_j^2 + s_k^2) c_i^2
@@ -536,8 +539,8 @@ def sphere_lift(point: Vec4, direction: Vec4) -> tuple[np.ndarray, np.ndarray]:
     # than a few (rays,) temporaries are alive at once.
     weights = np.empty((11, rays))
     np.negative(m0 * m0 + m1 * m1 + m2 * m2, out=weights[0])
-    for row, (u, v) in enumerate(((m1 * s2, m2 * s1), (m2 * s0, m0 * s2), (m0 * s1, m1 * s0)), 1):
-        np.multiply(2.0, u - v, out=weights[row])
+    for row, term in enumerate(cross_terms((m0, m1, m2), direction), 1):
+        np.multiply(2.0, term, out=weights[row])
     for row, (u, v) in enumerate(((s11, s22), (s00, s22), (s00, s11)), 4):
         np.negative(u + v, out=weights[row])
     for row, (u, v) in enumerate(((s0, s1), (s0, s2), (s1, s2)), 7):
@@ -607,7 +610,6 @@ def sphere_counts(
     with np.errstate(all="ignore"):
         k = 4.0 * (spheres[4] + spheres[5] + spheres[6]) + r_sq
         coarse = _sphere_bound(p, q, v, k.max(initial=0.0))
-    counts = np.zeros(rays, dtype=np.int64)
     rows = min(rays, _tile_rays(n))
     # A tile of more rays than spheres is computed as (spheres, rays) and
     # used through its transpose, so that the count of `_count_tiles` sums
@@ -643,7 +645,7 @@ def sphere_counts(
             dd[ri, si] = moment_discriminant(_take(centers, si), r_sq[si], moment, s[:3], norm_sq)
         return dd
 
-    _count_tiles(counts, n, discriminant)
+    counts = _count_tiles(rays, n, discriminant)
     return counts, fallbacks
 
 
@@ -680,16 +682,18 @@ def classical_lift(point: Vec4, direction: Vec4) -> np.ndarray:
     return lifted
 
 
-def _count_tiles(counts: np.ndarray, objects: int, discriminant: Callable) -> None:
-    """Add to `counts` each ray's number of D >= 0 over `objects` objects: bench's one tile loop.
+def _count_tiles(rays: int, objects: int, discriminant: Callable) -> np.ndarray:
+    """Each ray's number of D >= 0 over `objects` objects: bench's one tile loop.
 
     The rays run in `tiles`; `discriminant(sl)` gives D on the (rays,
     objects) tile of the ray range sl.  Floating-point errors stay silent:
     overflow gives inf and NaN, and NaN counts as no hit.
     """
+    counts = np.zeros(rays, dtype=np.int64)
     with np.errstate(all="ignore"):
-        for sl in tiles(len(counts), objects):
-            counts[sl] += np.count_nonzero(discriminant(sl) >= 0.0, axis=1)
+        for sl in tiles(rays, objects):
+            counts[sl] = np.count_nonzero(discriminant(sl) >= 0.0, axis=1)
+    return counts
 
 
 def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
@@ -699,7 +703,6 @@ def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     in buffers allocated once per call.
     """
     rays, objects = len(lifted), table.shape[1]
-    counts = np.zeros(rays, dtype=np.int64)
     rows = min(rays, _tile_rays(objects))
     abc = np.empty((rows, 3, objects))
     bb, ac = np.empty((2, rows, objects))
@@ -713,8 +716,7 @@ def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
         np.multiply(a, c, out=ac[:m])
         return np.subtract(bb[:m], ac[:m], out=bb[:m])
 
-    _count_tiles(counts, objects, discriminant)
-    return counts
+    return _count_tiles(rays, objects, discriminant)
 
 
 def separated_lift(point: Vec4, direction: Vec4) -> np.ndarray:
@@ -742,7 +744,6 @@ def separated_counts(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     into a buffer allocated once per call.
     """
     rays, objects = len(weights), table.shape[1]
-    counts = np.zeros(rays, dtype=np.int64)
     with np.errstate(all="ignore"):
         compound = np.array(compound_entries(table))
     d = np.empty((min(rays, _tile_rays(objects)), objects))
@@ -751,5 +752,4 @@ def separated_counts(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
         w = weights[sl]
         return np.matmul(w, compound, out=d[:len(w)])
 
-    _count_tiles(counts, objects, discriminant)
-    return counts
+    return _count_tiles(rays, objects, discriminant)

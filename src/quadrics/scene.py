@@ -36,7 +36,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .geometry import Mat3, Vec3, compose, cross, rotation, translation
+from .geometry import Mat3, Vec3, compose, cross, cross_terms, rotation, translation
 from .quadric import CATALOG, COEFFICIENT_ORDER, General, QuadricKind, QuadricMatrix, transform
 from .rng import Xorshift64Star
 
@@ -165,10 +165,10 @@ def _check_rotation(m: Mat3) -> None:
             want = 1.0 if i == j else 0.0
             if abs(got - want) > ROTATION_TOL:
                 raise ValueError("xform rotation is not orthonormal")
+    # det = row0 . (row1 x row2).
     a = m.m
-    det = (a[0] * (a[4] * a[8] - a[5] * a[7])
-           - a[1] * (a[3] * a[8] - a[5] * a[6])
-           + a[2] * (a[3] * a[7] - a[4] * a[6]))
+    c0, c1, c2 = cross_terms(a[3:6], a[6:9])
+    det = a[0] * c0 + a[1] * c1 + a[2] * c2
     if abs(det - 1.0) > ROTATION_TOL:
         raise ValueError("xform rotation determinant is not +1")
 

@@ -20,10 +20,18 @@ tuples, so the batched kernels run the same bodies on arrays of lines, of
 spheres and tables of quadrics.  The early reject that spares a pair its
 coefficient work, `early_reject`, likewise takes a float or an array.
 
-R's six entries p are the line's Plucker coordinates, so the same
-discriminant is also -p^T C p, with C the second compound of Q: 21 numbers
-per surface (`compound_entries`), which bench's lifted kernels multiply by
-21 weights per line.
+R's six entries p are the line's Plucker coordinates, p = x ^ s, the 2x2
+minors of [x s], and the discriminant is the pairing of two such wedges,
+
+    D = <x ^ s, Qs ^ Qx>,      Qs ^ Qx = -C p,
+
+with C = C_2(Q) the second compound of Q (Pottmann and Wallner,
+Computational Line Geometry, 2001).  Both forms evaluate this one identity.
+`factored_discriminant` takes Qs ^ Qx per pair, from `line_entries` of
+(Q s, Q x); bench's lifted kernels take -C p once per object, as the 21
+numbers of `compound_entries` that they multiply by 21 weights per line.
+The cross products of the sphere path (`line_moment`,
+`moment_discriminant`) are `geometry.cross_terms`.
 """
 from __future__ import annotations
 
@@ -39,7 +47,7 @@ from .classical import (
     coefficients,
     solve,
 )
-from .geometry import HomogeneousDirection, HomogeneousPoint, Vec3
+from .geometry import HomogeneousDirection, HomogeneousPoint, Vec3, cross_terms
 from .quadric import COEFFICIENT_ENTRIES, QuadricMatrix, apply
 
 __all__ = [
@@ -206,13 +214,13 @@ def make_ray_cache(point: HomogeneousPoint, direction: HomogeneousDirection) -> 
 def line_moment(x: Sequence, s: Sequence) -> tuple:
     """(dir3 x x3, |dir3|^2) of the line through x along s, the sphere path's per-line terms.
 
-    dir3 and x3 are the first three components of s and x.  x and s are
+    dir3 and x3 are the first three components of s and x, and the cross
+    product is `geometry.cross_terms`.  x and s are
     homogeneous 4-vectors whose components are floats or arrays that
     broadcast together, as in `line_entries`; w is not read.
     """
-    x0, x1, x2, _ = x
     s0, s1, s2, _ = s
-    return (s1 * x2 - s2 * x1, s2 * x0 - s0 * x2, s0 * x1 - s1 * x0), s0 * s0 + s1 * s1 + s2 * s2
+    return cross_terms(s, x), s0 * s0 + s1 * s1 + s2 * s2
 
 
 def discriminant_separated(q: QuadricMatrix, cache: RayCache) -> float:
@@ -225,25 +233,21 @@ def discriminant_separated(q: QuadricMatrix, cache: RayCache) -> float:
 
 
 def factored_discriminant(q: Iterable, r: Sequence, x: Sequence, s: Sequence):
-    """D = s^T Q R Q x as two matrix-vector products and a bilinear form in R.
+    """D = s^T Q R Q x = <x ^ s, Qs ^ Qx>: two matrix-vector products and a pairing of wedges.
 
     Q is symmetric, so Q^T s = Q s, and R is antisymmetric, so u^T R v with
     u = Q s and v = Q x pairs each entry r_ij with the minor
-    u_i v_j - u_j v_i.  q unpacks into Q's 10 coefficients as `quadric.apply`
-    takes them, r into R's six entries from `line_entries`; a (10, objects)
-    table with array components of r, x and s gives D for every (line,
-    object) pair.
+    u_i v_j - v_i u_j of u ^ v, which `line_entries(u, v)` gives; D is
+    r12 m12 + r13 m13 + ... + r34 m34, summed left to right.  Qs ^ Qx equals
+    -C_2(Q) p for p = x ^ s, the compound form bench evaluates once per
+    object (`compound_entries`).  q unpacks into Q's 10 coefficients as
+    `quadric.apply` takes them, r into R's six entries from `line_entries`;
+    a (10, objects) table with array components of r, x and s gives D for
+    every (line, object) pair.
     """
-    u, v = apply(q, s), apply(q, x)
     r12, r13, r14, r23, r24, r34 = r
-    return (
-        r12 * (u[0] * v[1] - u[1] * v[0])
-        + r13 * (u[0] * v[2] - u[2] * v[0])
-        + r14 * (u[0] * v[3] - u[3] * v[0])
-        + r23 * (u[1] * v[2] - u[2] * v[1])
-        + r24 * (u[1] * v[3] - u[3] * v[1])
-        + r34 * (u[2] * v[3] - u[3] * v[2])
-    )
+    m12, m13, m14, m23, m24, m34 = line_entries(apply(q, s), apply(q, x))
+    return r12 * m12 + r13 * m13 + r14 * m14 + r23 * m23 + r24 * m24 + r34 * m34
 
 
 def sphere_discriminant(center: Vec3, radius: float, cache: RayCache) -> float:
@@ -273,16 +277,13 @@ def sphere_discriminant(center: Vec3, radius: float, cache: RayCache) -> float:
 def moment_discriminant(center: Sequence, r_sq, moment: Sequence, dir3: Sequence, dir_norm_sq):
     """r^2*|dir|^2 - |moment - dir x center|^2, component by component.
 
-    `moment` and `dir_norm_sq` are `line_moment`'s.  Every argument's
-    components are floats or arrays that broadcast together: (3, spheres)
-    centres against per-ray columns give every (ray, sphere) pair with no
-    (rays, spheres, 3) temporary.
+    `moment` and `dir_norm_sq` are `line_moment`'s; dir x center is
+    `geometry.cross_terms`.  Every argument's components are floats or
+    arrays that broadcast together: (3, spheres) centres against per-ray
+    columns give every (ray, sphere) pair with no (rays, spheres, 3)
+    temporary.
     """
-    cx, cy, cz = center
-    sx, sy, sz = dir3
-    mx = moment[0] - (sy * cz - sz * cy)
-    my = moment[1] - (sz * cx - sx * cz)
-    mz = moment[2] - (sx * cy - sy * cx)
+    mx, my, mz = (m - t for m, t in zip(moment, cross_terms(dir3, center)))
     return r_sq * dir_norm_sq - (mx * mx + my * my + mz * mz)
 
 

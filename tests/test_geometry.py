@@ -16,6 +16,7 @@ from quadrics import (
     translation,
     transpose,
 )
+from quadrics.geometry import cross_terms
 
 
 def _matrix(a: Mat4) -> np.ndarray:
@@ -42,6 +43,33 @@ class TestCross:
             tol_v = 1e-12 * u.norm() * v.norm() * v.norm()
             assert abs(c.dot(u)) <= tol_u
             assert abs(c.dot(v)) <= tol_v
+
+
+def _literal_cross(u: Vec3, v: Vec3) -> tuple:
+    return (u.y * v.z - u.z * v.y, u.z * v.x - u.x * v.z, u.x * v.y - u.y * v.x)
+
+
+class TestCrossTerms:
+    def test_floats_and_4_vectors_equal_cross_and_its_expansion(self):
+        # The 4-vectors carry w = NaN: a result that read it would be NaN.
+        rng = np.random.default_rng(24)
+        for _ in range(500):
+            u, v = Vec3(*rng.uniform(-10, 10, size=3)), Vec3(*rng.uniform(-10, 10, size=3))
+            got = cross_terms(u.as_tuple(), v.as_tuple())
+            assert got == cross(u, v).as_tuple() == _literal_cross(u, v)
+            assert cross_terms((*u.as_tuple(), math.nan), (*v.as_tuple(), math.nan)) == got
+
+    def test_broadcasting_arrays_equal_cross_element_by_element(self):
+        # A column of u against a row of v, and a float component shared by every pair.
+        rng = np.random.default_rng(26)
+        u = rng.uniform(-10, 10, (3, 7, 1))
+        v = rng.uniform(-10, 10, (3, 1, 5))
+        got = cross_terms((u[0], u[1], u[2], 1.0), (v[0], 0.5, v[2], 0.0))
+        assert all(g.shape == (7, 5) for g in got)
+        for i in range(7):
+            for j in range(5):
+                want = cross(Vec3(*u[:, i, 0]), Vec3(v[0, 0, j], 0.5, v[2, 0, j]))
+                assert tuple(float(g[i, j]) for g in got) == want.as_tuple()
 
 
 class TestTranslation:

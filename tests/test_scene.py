@@ -132,6 +132,26 @@ class TestParse:
         with pytest.raises(SceneParseError, match="determinant"):
             parse_scene(MINIMAL + "xform 1 0 0 0 1 0 0 0 -1\n")
 
+    @pytest.mark.parametrize("rot", [
+        (0.0, -1.0, 0.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0),
+        (0.6, -0.8, 0.0, 0.8, 0.6, 0.0, 0.0, 0.0, 1.0),
+        tuple(v / 9.0 for v in (1.0, -4.0, 8.0, 8.0, 4.0, 1.0, -4.0, 7.0, 4.0)),
+    ], ids=["axis-permutation", "3-4-5", "ninths"])
+    def test_a_rotation_scaled_past_the_determinant_tolerance(self, rot):
+        # (1 + d) R: R^T R is off by about 2d, det by about 3d.  d = 4e-9
+        # passes the orthonormality check (8e-9 < ROTATION_TOL) and fails
+        # the determinant one (1.2e-8); d = 3e-9 passes both.  The
+        # determinant is row 0 . (row 1 x row 2): a wrong sign or term in it
+        # moves det by far more than the tolerance.
+        def xform(d):
+            return MINIMAL + "xform " + " ".join(repr((1.0 + d) * v) for v in rot) + "\n"
+
+        for d in (3e-9, -3e-9):
+            assert parse_scene(xform(d)).objects[0].rot is not None
+        for d in (4e-9, -4e-9):
+            with pytest.raises(SceneParseError, match="determinant is not"):
+                parse_scene(xform(d))
+
     def test_malformed_image_size(self):
         for size in ("64.5", "+-5", "\u00b2", "6_4"):
             with pytest.raises(SceneParseError, match="malformed integer") as exc_info:
