@@ -5,11 +5,12 @@ discriminant nonnegative?  Detection runs in tiles of (rays x objects)
 through the lifted kernels of `kernels`, over struct-of-arrays tables of
 the objects, which is the data layout the separated form is designed for.
 `run_benchmark` builds one split, `kernels.bench_tables`, once per call and
-hands it to every method: the plain spheres (a `Sphere` with no rotation)
-as an (11, spheres) table of monomials of their centres and radii, and a
-table of the other objects' coefficients.  Each method first lifts every
-ray once per call, the precompute phase.  The plain spheres take one
-route-independent kernel: both methods lift each ray into the same 11
+hands it to every method: the plain spheres (each unrotated object whose
+fundamental coefficients are exactly (1, 1, 1, a44 < 0, 0, ..., 0),
+whatever its kind) as an (11, spheres) table of monomials of their centres
+and radii, and a table of the other objects' coefficients.  Each method
+first lifts every ray once per call, the precompute phase.  The plain
+spheres take one route-independent kernel: both methods lift each ray into the same 11
 weights (`kernels.sphere_lift`) and run `kernels.sphere_counts`, one
 product (rays, 11) @ (11, spheres) per tile, so the two routes' sphere
 costs are equal by construction; a pair the product cannot decide within

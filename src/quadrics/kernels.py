@@ -48,18 +48,20 @@ second compound, so `separated_lift` gives each ray the 21 weights
 -p_I p_J and `separated_counts` multiplies them by the (21, objects) table
 of `separated.compound_entries`, built once per call.
 
-`bench_tables` owns both routes' split: a `Sphere` with no rotation is a
-plain sphere, every other object goes into the coefficient table.  On a
-plain sphere both routes' D is one polynomial, linear in 11 monomials of
-its centre and radius, which `bench_tables` lays out as the sphere table,
-so both routes lift each ray once more into 11 weights (`sphere_lift`) and
-run one route-independent kernel, one product per tile of rays x spheres
-(`sphere_counts`).  Every count runs in one tile loop, `_count_tiles`.  A BLAS product sums in its
-own order, so these kernels are not bit-identical to the scalar ones per
-pair.  What holds, and the tests check: equal hit counts with the
-per-pair forms on generated scenes, and each lifted D within a derived
-rounding bound of the exact b^2 - a c, so the same sign wherever the
-exact value lies outside it.  The sphere product carries its bound: a
+`bench_tables` owns both routes' split, read off the placements: an
+unrotated object whose fundamental coefficients are (1, 1, 1, a44 < 0,
+0, ..., 0) is a plain sphere, whatever its kind, and every other object
+goes into the coefficient table.  On a plain sphere both routes' D is one
+polynomial, linear in 11 monomials of its centre and radius, which
+`bench_tables` lays out as the sphere table, so both routes lift each ray
+once more into 11 weights (`sphere_lift`) and run one route-independent
+kernel, one product per tile of rays x spheres (`sphere_counts`).  Every
+count runs in one tile loop, `_count_tiles`, which owns the tiles' buffer
+of D.  A BLAS product sums in its own order, so these kernels are not
+bit-identical to the scalar ones per pair.  What holds, and the tests
+check: equal hit counts with the per-pair forms on generated scenes, and
+each lifted D within a derived rounding bound of the exact b^2 - a c, so
+the same sign wherever the exact value lies outside it.  The sphere product carries its bound: a
 pair it cannot decide falls back to the one per-pair form,
 `moment_discriminant`, so its counts equal that form's on every input,
 on both routes.
@@ -86,7 +88,7 @@ import numpy as np
 
 from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
 from .geometry import cross_terms
-from .quadric import COEFFICIENT_ENTRIES, Sphere
+from .quadric import COEFFICIENT_ENTRIES
 from .separated import (
     COMPOUND_ORDER, compound_entries, early_reject, factored_discriminant, line_entries,
     line_moment, moment_discriminant,
@@ -246,20 +248,24 @@ def map_ranges(fn: Callable[[range], object], n: int, workers: int) -> list:
 
     Ranges hold ceil(n / workers) items, the last one the rest.  They run in
     a pool of one process per range, but never more processes than this
-    process may run on CPUs (`os.sched_getaffinity`); a pool that would hold
-    fewer than two processes is not started, and `fn` runs in this process
-    (one worker, one range, one usable CPU, or n = 0, which gives no range,
-    so []).  The ranges do not depend on the pool size.
+    process may run on CPUs (`os.sched_getaffinity`, or `os.cpu_count` where
+    the platform has no affinity call); a pool that would hold fewer than
+    two processes is not started, and `fn` runs in this process (one
+    worker, one range, one usable CPU, or n = 0, which gives no range, so
+    []).  The CPUs are counted only for two ranges or more.  The ranges do
+    not depend on the pool size.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     per = max(1, -(-n // workers))
     ranges = [range(lo, min(lo + per, n)) for lo in range(0, n, per)]
-    processes = min(len(ranges), len(os.sched_getaffinity(0)))
-    if processes < 2:
-        return [fn(r) for r in ranges]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(fn, ranges))
+    if len(ranges) > 1:
+        affinity = getattr(os, "sched_getaffinity", None)
+        processes = min(len(ranges), len(affinity(0)) if affinity else os.cpu_count() or 1)
+        if processes > 1:
+            with ProcessPoolExecutor(max_workers=processes) as pool:
+                return list(pool.map(fn, ranges))
+    return [fn(r) for r in ranges]
 
 
 def _take(vec: Sequence[Component], index) -> tuple:
@@ -484,23 +490,26 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
 def bench_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray]:
     """(sphere table, generic coefficient table): the tables of both bench routes.
 
-    A `Sphere` with no rotation is a plain sphere.  Its centre c and its
-    r^2 = -a44, read off its fundamental coefficients (the negation is
-    exact), make its column of the (11, spheres) sphere table that
-    `sphere_lift`'s weights multiply: 1, c_x, c_y, c_z, c_x^2, c_y^2,
-    c_z^2, c_x c_y, c_x c_z, c_y c_z, r^2.  Every other object goes, in
-    scene order, into a (10, objects) table equal to its world-table
-    columns bit for bit.  Both come from one `_placements` of all objects.
-    Raises ValueError exactly where the world table of all objects raises,
-    with its message and the failing object's position in `objects`: the
-    only coefficient of a plain sphere that can leave the floats is its
-    world a44 = |c|^2 - r^2, summed in `_compose`'s order, so that is
-    screened first, and only a non-finite one builds the full table, which
-    then decides which object fails.
+    The split reads the placements alone: an unrotated object whose
+    fundamental coefficients are exactly (1, 1, 1, a44 < 0, 0, ..., 0) is a
+    plain sphere, the reading of those coefficients `cull_radii` makes for
+    boundedness.  A rotated object stays generic, whatever its kind: a
+    `SceneObject` takes any `Mat3`, so only an unrotated object's
+    coefficients prove that it is a sphere.  Its centre c and its
+    r^2 = -a44 (the negation is exact) make its column of the
+    (11, spheres) sphere table that `sphere_lift`'s weights multiply: 1,
+    c_x, c_y, c_z, c_x^2, c_y^2, c_z^2, c_x c_y, c_x c_z, c_y c_z, r^2.
+    Every other object goes, in scene order, into a (10, objects) table
+    equal to its world-table columns bit for bit.  Both come from one
+    `_placements` of all objects.  Raises ValueError exactly where the
+    world table of all objects raises, with its message and the failing
+    object's position in `objects`: the only coefficient of a plain sphere
+    that can leave the floats is its world a44 = |c|^2 - r^2, summed in
+    `_compose`'s order, so that is screened first, and only a non-finite
+    one builds the full table, which then decides which object fails.
     """
     placed = q0, centers, rotated, _ = _placements(objects)
-    plain = np.fromiter((isinstance(o.kind, Sphere) for o in objects), bool, len(objects))
-    plain &= ~rotated
+    plain = ~rotated & (q0[:, :3] == 1.0).all(axis=1) & (q0[:, 3] < 0.0) & ~q0[:, 4:].any(axis=1)
     (x, y, z), r_sq = centers[plain].T, -q0[plain, 3]
     with np.errstate(all="ignore"):
         a44 = 0.0 + x * x + y * y + z * z - r_sq
@@ -616,19 +625,19 @@ def sphere_counts(
     # along rows of rays rather than along rows of a few spheres.  Timed at
     # 3000 rays, the transposed layout is faster below about 90 spheres
     # (0.74x at 20) and slower above (1.17x at 250), which is where
-    # n < rows changes, 8192 pairs a tile.
+    # n < rows changes, 8192 pairs a tile.  D goes into the tile's buffer `d`
+    # of `_count_tiles`, |D| and its test into two more; a tile across reads
+    # each leading block, which is contiguous, as (spheres, rays).
     across = n < rows
     product = spheres.T.copy() if across else spheres
-    buffers = np.empty(rows * n), np.empty(rows * n), np.empty(rows * n, bool)
+    buffers = np.empty((rows, n)), np.empty((rows, n), bool)
     fallbacks = 0
 
-    def discriminant(sl: slice) -> np.ndarray:
+    def discriminant(sl: slice, d: np.ndarray) -> np.ndarray:
         nonlocal fallbacks
         w = weights[:, sl]
         m = w.shape[1]
-        dd, size, sure = (
-            b[:m * n].reshape(n, m).T if across else b[:m * n].reshape(m, n) for b in buffers
-        )
+        dd, size, sure = (b[:m].reshape(n, m).T if across else b[:m] for b in (d, *buffers))
         if across:
             np.matmul(product, w, out=dd.T)
         else:
@@ -685,36 +694,41 @@ def classical_lift(point: Vec4, direction: Vec4) -> np.ndarray:
 def _count_tiles(rays: int, objects: int, discriminant: Callable) -> np.ndarray:
     """Each ray's number of D >= 0 over `objects` objects: bench's one tile loop.
 
-    The rays run in `tiles`; `discriminant(sl)` gives D on the (rays,
-    objects) tile of the ray range sl.  Floating-point errors stay silent:
-    overflow gives inf and NaN, and NaN counts as no hit.
+    The rays run in `tiles`; `discriminant(sl, d)` gives D on the (rays,
+    objects) tile of the ray range sl, and may write it into `d`, the
+    leading rows of one (tile rays, objects) buffer allocated once per call.
+    Floating-point errors stay silent: overflow gives inf and NaN, and NaN
+    counts as no hit.
     """
     counts = np.zeros(rays, dtype=np.int64)
+    buffer = np.empty((min(rays, _tile_rays(objects)), objects))
     with np.errstate(all="ignore"):
         for sl in tiles(rays, objects):
-            counts[sl] = np.count_nonzero(discriminant(sl) >= 0.0, axis=1)
+            d = buffer[:min(sl.stop, rays) - sl.start]
+            counts[sl] = np.count_nonzero(discriminant(sl, d) >= 0.0, axis=1)
     return counts
 
 
 def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     """Per ray of `classical_lift`, the number of objects with b^2 - a*c >= 0.
 
-    Each tile is one product (3 x rays, 10) @ (10, objects), then b^2 - a*c,
-    in buffers allocated once per call.
+    Each tile is one product (3 x rays, 10) @ (10, objects), then b^2 - a*c
+    into the tile's buffer; a, b, c and a*c go into buffers allocated once
+    per call.
     """
     rays, objects = len(lifted), table.shape[1]
     rows = min(rays, _tile_rays(objects))
     abc = np.empty((rows, 3, objects))
-    bb, ac = np.empty((2, rows, objects))
+    ac = np.empty((rows, objects))
 
-    def discriminant(sl: slice) -> np.ndarray:
+    def discriminant(sl: slice, d: np.ndarray) -> np.ndarray:
         block = lifted[sl]
         m = len(block)
         np.matmul(block.reshape(3 * m, 10), table, out=abc[:m].reshape(3 * m, objects))
         a, b, c = abc[:m, 0], abc[:m, 1], abc[:m, 2]
-        np.multiply(b, b, out=bb[:m])
+        np.multiply(b, b, out=d)
         np.multiply(a, c, out=ac[:m])
-        return np.subtract(bb[:m], ac[:m], out=bb[:m])
+        return np.subtract(d, ac[:m], out=d)
 
     return _count_tiles(rays, objects, discriminant)
 
@@ -741,15 +755,9 @@ def separated_counts(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     The (21, objects) table of every column's `compound_entries` is built
     once per call; each tile is then one product `weights` @ that table,
-    into a buffer allocated once per call.
+    into the tile's buffer.
     """
     rays, objects = len(weights), table.shape[1]
     with np.errstate(all="ignore"):
         compound = np.array(compound_entries(table))
-    d = np.empty((min(rays, _tile_rays(objects)), objects))
-
-    def discriminant(sl: slice) -> np.ndarray:
-        w = weights[sl]
-        return np.matmul(w, compound, out=d[:len(w)])
-
-    return _count_tiles(rays, objects, discriminant)
+    return _count_tiles(rays, objects, lambda sl, d: np.matmul(weights[sl], compound, out=d))

@@ -147,9 +147,12 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _floats(parts: list[str]) -> list[float]:
+    # float() also reads "3_0" and non-ASCII digits; a scene number is ASCII, with no "_".
     out = []
     for p in parts:
         try:
+            if not p.isascii() or "_" in p:
+                raise ValueError
             out.append(float(p))
         except ValueError:
             raise ValueError(f"malformed number {p!r}") from None

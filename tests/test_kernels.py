@@ -15,6 +15,7 @@ from quadrics import (
     QuadraticCoeffs,
     QuadricMatrix,
     Vec3,
+    bench,
     coefficients,
     discriminant_separated,
     hit_parameters,
@@ -442,16 +443,18 @@ class TestWorldTable:
 
     def test_far_plain_sphere_is_named_as_world_table_names_it(self):
         # A fast-path sphere whose a44 overflows fails with the world table's
-        # message, and the first failing object is named on both routes.
-        far = SceneObject(Sphere(1.0), Vec3(1e200, 0.0, 0.0))
+        # message, and the first failing object is named on both routes,
+        # whichever kind spells the unit sphere.
         bad = SceneObject(General(QuadricMatrix(1e308, 1.0, 1.0, 1.0, a12=1e308)))
-        for objects, first in (([far, bad], "object 0"), ([bad, far], "object 0"),
-                               ([SceneObject(Sphere(1.0)), far], "object 1")):
-            with pytest.raises(ValueError, match=first) as expected:
-                render_tables(objects, (0.0, 0.0, 0.0))[0]
-            with pytest.raises(ValueError) as got:
-                bench_tables(objects)
-            assert str(got.value) == str(expected.value)
+        for kind in TestPlainSplit.SPELLINGS.values():
+            far = SceneObject(kind, Vec3(1e200, 0.0, 0.0))
+            for objects, first in (([far, bad], "object 0"), ([bad, far], "object 0"),
+                                   ([SceneObject(Sphere(1.0)), far], "object 1")):
+                with pytest.raises(ValueError, match=first) as expected:
+                    render_tables(objects, (0.0, 0.0, 0.0))[0]
+                with pytest.raises(ValueError) as got:
+                    bench_tables(objects)
+                assert str(got.value) == str(expected.value), kind
 
     def test_index_selects_and_orders_the_columns(self):
         objects = generate_scene(9, 6, self.ALL_KINDS).objects
@@ -507,6 +510,15 @@ class TestMapRanges:
         assert map_ranges(_bounds, 1, 2) == [(0, 1)]
         monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0})
         assert map_ranges(_bounds, 100, 4) == [(0, 25), (25, 50), (50, 75), (75, 100)]
+
+    @pytest.mark.parametrize("workers, ranges", [(1, [(0, 10)]), (2, [(0, 5), (5, 10)])])
+    def test_runs_where_the_platform_has_no_affinity_call(self, workers, ranges, monkeypatch):
+        # macOS and Windows have no `os.sched_getaffinity`: one range runs
+        # without counting CPUs, and more fall back to `os.cpu_count`.
+        monkeypatch.delattr(kernels.os, "sched_getaffinity")
+        monkeypatch.setattr(kernels.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(kernels, "ProcessPoolExecutor", _no_pool)
+        assert map_ranges(_bounds, 10, workers) == ranges
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_is_rejected(self, workers):
@@ -987,3 +999,56 @@ class TestSphereProduct:
             counts, fallbacks = _bench_counts(objects, point, direction, route)
             assert fallbacks >= non_finite, route
             assert np.array_equal(counts, np.count_nonzero(form >= 0.0, axis=1)), route
+
+
+class TestPlainSplit:
+    """`bench_tables` reads the plain spheres off the placements, not off the kind."""
+
+    SPELLINGS = {
+        "sphere": Sphere(1.0),
+        "ellipsoid": Ellipsoid(1.0, 1.0, 1.0),
+        "quadric": General(QuadricMatrix(1.0, 1.0, 1.0, -1.0)),
+    }
+
+    @staticmethod
+    def _centers(seed: int) -> list:
+        """A generated scene's centres, every other one moved 1e4 along x."""
+        centers = [o.center for o in generate_scene(seed, 12, ("sphere",)).objects]
+        return [c + Vec3(1e4, 0.0, 0.0) if i % 2 else c for i, c in enumerate(centers)]
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_every_spelling_of_a_unit_sphere_takes_the_sphere_kernel(self, seed):
+        # The same unit spheres as `sphere`, `ellipsoid 1 1 1` and `quadric
+        # 1 1 1 -1`: one sphere table, and so one count per ray and one
+        # checksum on both routes, on rays tangent to every sphere.
+        centers = self._centers(seed)
+        point, direction = _tangent_rays([SceneObject(Sphere(1.0), c) for c in centers], 4, seed)
+        origins, dirs = np.array(point[:3]).T, np.array(direction[:3]).T
+        split = [
+            bench_tables([SceneObject(kind, c) for c in centers]) for kind in self.SPELLINGS.values()
+        ]
+        for spheres, generic in split:
+            assert generic.shape == (10, 0)
+            _assert_bits_equal(spheres, split[0][0])
+        counts = [
+            bench._detect_rays(route, tables, origins, dirs, 1, range(len(origins)))[0]
+            for tables in split for route in kernels.METHODS
+        ]
+        assert all(np.array_equal(c, counts[0]) for c in counts)
+        assert len({bench._checksum(c) for c in counts}) == 1
+
+    def test_rotated_and_non_sphere_objects_stay_generic(self):
+        rng = np.random.default_rng(3)
+        skew = Mat3((1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        objects = [
+            SceneObject(Sphere(1.0), Vec3(1.0, 2.0, 3.0), random_rotation(rng)),
+            SceneObject(Sphere(1.0), Vec3(-1.0, 0.0, 2.0), skew),
+            SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, -1.0, a12=0.5))),
+            # A point (a44 = 0) and an imaginary sphere (a44 > 0).
+            SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, 0.0)), Vec3(1.0, 0.0, 0.0)),
+            SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, 1.0))),
+            SceneObject(Sphere(2.0), Vec3(0.0, 0.0, -4.0)),
+        ]
+        spheres, generic = bench_tables(objects)
+        assert spheres.shape == (11, 1) and spheres[1:4, 0].tolist() == [0.0, 0.0, -4.0]
+        _assert_bits_equal(generic, _scalar_world_table(objects[:5]))

@@ -158,6 +158,25 @@ class TestParse:
                 parse_scene(f"camera 0 0 5 0 0 0 0 1 0 60 {size} 64\nsphere 0 0 0 1\n")
             assert exc_info.value.line == 1
 
+    @pytest.mark.parametrize("text, line", [
+        ("camera 0 0 3_0 0 0 0 0 1 0 60 64 64\nsphere 0 0 0 1\n", 1),
+        ("camera 0 0 5 0 0 0 0 1 0 60 64 64\nsphere \u0661\u0662 0 0 1\n", 2),
+        ("camera 0 0 5 0 0 0 0 1 0 60 64 64\nsphere 0 0 0 \uff11\n", 2),
+        (MINIMAL + "xform 1 0 0 0 1 0 0 0 1_0\n", 3),
+        (MINIMAL + "xform 1 0 0 0 \U0001d7cf 0 0 0 1\n", 3),
+    ], ids=["underscore", "arabic-indic", "full-width", "xform-underscore", "math-bold"])
+    def test_a_number_is_ascii_without_underscores(self, text, line):
+        # float() reads every one of these tokens; the scene format does not.
+        with pytest.raises(SceneParseError, match="malformed number") as exc_info:
+            parse_scene(text)
+        assert exc_info.value.line == line
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "+NaN"])
+    def test_non_finite_numbers_keep_their_error(self, token):
+        with pytest.raises(SceneParseError, match="non-finite") as exc_info:
+            parse_scene(f"camera 0 0 5 0 0 0 0 1 0 60 64 64\nsphere 0 {token} 0 1\n")
+        assert exc_info.value.line == 2
+
     def test_non_finite_xform_reports_line(self):
         with pytest.raises(SceneParseError, match="non-finite") as exc_info:
             parse_scene(MINIMAL + "xform nan 0 0 0 1 0 0 0 1\n")
