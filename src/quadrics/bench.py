@@ -19,7 +19,8 @@ its rounding bound falls back to the one per-pair form,
 into a, b and c as linear forms in Q's 10 coefficients, read off Q's
 layout (`quadric.COEFFICIENT_ENTRIES`); separated lifts it into R's six
 entries p, the line's Plucker coordinates, and the 21 weights -p_I p_J of
-s^T Q R Q x = -p^T C p, C the second compound of Q.  Detection is then one
+s^T Q R Q x = -p^T C p (`separated.compound_weights`), C the second
+compound of Q.  Detection is then one
 matrix product per tile: classical (3 x rays, 10) @ (10, objects) and
 b^2 - a*c, separated (rays, 21) @ (21, objects) against the objects'
 compound entries (`separated.compound_entries`, built once per call).

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .classical import (
     TANGENT_EPS,
+    Degenerate,
     LinearHit,
     Tangent,
     Two,
@@ -89,7 +90,9 @@ def oracle_check(seed: int, cases: int) -> CheckReport:
         cf = coefficients(q, point, direction)
         a, b, c = cf.a, cf.b, cf.c
         d_classical = b * b - a * c
-        d_separated = discriminant_separated(q, cache)
+        res_s = intersect_separated(q, cache)
+        linear = isinstance(res_s, (LinearHit, Degenerate))  # the results that carry no D
+        d_separated = discriminant_separated(q, cache) if linear else res_s.d
 
         tol = DISCRIMINANT_RTOL * max(1.0, abs(d_classical), b * b, abs(a * c))
         if not abs(d_separated - d_classical) <= tol:
@@ -100,7 +103,6 @@ def oracle_check(seed: int, cases: int) -> CheckReport:
 
         scale = _a_scale(q, direction)
         res_c = solve(cf, a_scale=scale)
-        res_s = intersect_separated(q, cache)
         if type(res_c) is not type(res_s):
             if _within_band(d_classical, b, a, c) and _within_band(d_separated, b, a, c):
                 report.band_ties += 1

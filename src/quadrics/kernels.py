@@ -20,21 +20,24 @@ computed once per tile, not once per pair.
 
 The pair formulas are not written here: render's tiles run the
 reference's own tuple-level forms on arrays, `classical.coefficient_terms`
-(a, b, c) and `separated.line_entries` / `factored_discriminant` (R and
-s^T Q R Q x = <x ^ s, Qs ^ Qx>, the wedge Qs ^ Qx again by
-`line_entries`), which unpack a (10, objects) table as they unpack a
-`QuadricMatrix`, and bench's sphere fallback runs `separated.line_moment`
-and `moment_discriminant`, the body of `separated.sphere_discriminant`, on
-arrays of pairs; every cross product among them, and in `sphere_lift`, is
-`geometry.cross_terms`.  Render's separated early reject is
-`separated.early_reject`.  numpy float64 ufuncs round exactly as Python
-floats do, so each pair gets the scalar kernels' value bit for bit by
-construction.  What is batched here, the classification in
-`nearest_root`, keeps the operand order of `solve`, and the tests compare
-both.  The tile loops run under `np.errstate(all="ignore")`:
-overflow gives inf and NaN silently, as Python float arithmetic does, and
-the branches of `solve` that a pair does not take are evaluated for every
-pair, then discarded.
+(a, b, c) and the separated D = -p^T C p of `separated.compound_weights`
+and `compound_entries`, which unpack a (10, objects) table as they unpack
+a `QuadricMatrix`, and bench's sphere fallback runs
+`separated.line_moment` and `moment_discriminant`, the body of
+`separated.sphere_discriminant`, on arrays of pairs; every cross product
+among them, and in `sphere_lift`, is `geometry.cross_terms`.  From the
+camera only six of the 21 weights of -p^T C p are not 0 (`_CAMERA_PAIRS`),
+so render's separated route takes those six entries of every column once
+per call, and the six weights of every ray, and adds the terms in the
+scalar order of `discriminant_separated` (`_camera_discriminant`).
+Render's separated early reject is `separated.early_reject`.  numpy
+float64 ufuncs round exactly as Python floats do, so each pair gets the
+scalar kernels' value bit for bit by construction.  What is batched here,
+the classification in `nearest_root`, keeps the operand order of `solve`,
+and the tests compare both.  The tile loops run under
+`np.errstate(all="ignore")`: overflow gives inf and NaN silently, as
+Python float arithmetic does, and the branches of `solve` that a pair does
+not take are evaluated for every pair, then discarded.
 
 Bench's hit counts use lifted forms instead, so a ray becomes, once per
 call, a vector of weights and a tile of rays x objects is one matrix
@@ -43,10 +46,11 @@ and `classical_lift` reads each weight off Q's layout,
 `quadric.COEFFICIENT_ENTRIES` (coefficient (i, j) weighs u_i v_j + u_j v_i
 in u^T Q v); a test pins it to `coefficient_terms` run on the 10x10 unit
 table, number for number.  Separated: R's six entries p are the line's
-Plucker coordinates, and s^T Q R Q x = <p, Qs ^ Qx> = -p^T C p with C Q's
-second compound, so `separated_lift` gives each ray the 21 weights
--p_I p_J and `separated_counts` multiplies them by the (21, objects) table
-of `separated.compound_entries`, built once per call.
+Plucker coordinates, and s^T Q R Q x = -p^T C p with C Q's second
+compound, so `separated_lift` gives each ray the 21 weights
+-p_I p_J of `separated.compound_weights` and `separated_counts` multiplies
+them by the (21, objects) table of `separated.compound_entries`, built
+once per call.
 
 `bench_tables` owns both routes' split, read off the placements: an
 unrotated object whose fundamental coefficients are (1, 1, 1, a44 < 0,
@@ -90,8 +94,8 @@ from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
 from .geometry import cross_terms
 from .quadric import COEFFICIENT_ENTRIES
 from .separated import (
-    COMPOUND_ORDER, compound_entries, early_reject, factored_discriminant, line_entries,
-    line_moment, moment_discriminant,
+    compound_entries, compound_weights, early_reject, line_entries, line_moment,
+    moment_discriminant,
 )
 
 if TYPE_CHECKING:
@@ -132,6 +136,10 @@ Vec4 = Sequence[Component]
 # Render's rays: the pixels' (sx, sy, sz) arrays, each from the camera at _CAMERA.
 Directions = Sequence[np.ndarray]
 _CAMERA = (0.0, 0.0, 0.0, 1.0)
+# The pairs of `separated.COMPOUND_ORDER` whose two Plucker axes, (0, 3),
+# (1, 3) and (2, 3), both hold w: from _CAMERA every other weight of
+# -p^T C p is 0, so render's separated D is these six terms.
+_CAMERA_PAIRS = ((2, 2), (2, 4), (2, 5), (4, 4), (4, 5), (5, 5))
 
 # Entry (i, j), i <= j, of each coefficient of Q's symmetric 4x4 matrix.
 _ROWS, _COLS = np.array(COEFFICIENT_ENTRIES).T
@@ -341,8 +349,17 @@ def cull_radii(placed: tuple, max_abs: np.ndarray, direction: Directions) -> np.
        within E = 2^-44 (A_sx^2 + A_s A_x) of the exact values, where A_s,
        A_sx, A_x sum the absolute terms of a, b, c' over T^T Q0 T (T the
        placement): the world-table build, the forms, and the separated
-       product s^T Q R Q x (whose absolute terms sum to at most
-       2 (A_sx^2 + A_s A_x)) account for about 150u of the 512u.  The ray
+       sum account for about 150u of the 512u.  The separated sum is the
+       six terms of `_CAMERA_PAIRS`: p = (0, 0, -s_x, 0, -s_y, -s_z)
+       exactly, so its terms are s_i s_j (a_i4 a_j4 - a44 a_ij), doubled
+       for i != j, which is b^2 - a c' term by term, and their absolute
+       values sum to A_sx^2 + A_s A_x.  A term rounds at most 9 times: 1
+       in its weight, 2 in its entry, 1 in the product and 5 in the sum,
+       whose first addition, to 0.0, is exact.  The budget was derived
+       for the wedge form <x ^ s, Qs ^ Qx>, whose terms round up to 11
+       times (3 in Q s, 2 in a minor, 1 times r and 5 in the sum) and whose
+       absolute values sum to at most 2 (A_sx^2 + A_s A_x); the six terms
+       carry less on both counts, so the 150u still holds.  The ray
        point is (0, 0, 0, 1), so T takes it to its last column, the
        rotated -c: row i < 3 of |T| takes |s| to at most sqrt(1 + k) |s|
        and the point to at most sqrt(1 + k) |c|.  So A_s <= tau |s|^2,
@@ -424,6 +441,23 @@ def _joined(groups: list) -> tuple:
     return tuple(np.concatenate(column) for column in zip(*groups))
 
 
+def _camera_discriminant(weights: np.ndarray, block: np.ndarray, finite: bool) -> np.ndarray:
+    """D = 0.0 plus weight * C[I, J] over `_CAMERA_PAIRS`, left to right: `discriminant_separated`.
+
+    `weights` and `block` are (6, ...) rows of `compound_weights` and
+    `compound_entries` that broadcast together.  The scalar sum skips a
+    zero weight; so does this one where the call's block has a non-finite
+    entry (`finite` false), whose 0 * inf would be NaN.  With a finite
+    block a zero weight gives a term of +-0, which cannot change a sum
+    that starts at +0.0, so both sums agree bit for bit either way.
+    """
+    d = 0.0
+    for w, c in zip(weights, block):
+        term = w * c
+        d += term if finite else np.where(w != 0.0, term, 0.0)
+    return d
+
+
 def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: tuple) -> np.ndarray:
     """Per ray, the nearest positive t over every object; NaN when none is crossed.
 
@@ -443,7 +477,9 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
     last tile, so a batch holds fewer than TILE_PAIRS pairs plus one tile's.
     The separated route first gives the pairs `keep_pairs` kept their d and
     the same early reject; then every pair gets a, b, c and `nearest_root`
-    in one pass, and each ray keeps its minimum.
+    in one pass, and each ray keeps its minimum.  Both stages take the
+    separated d from one (6, objects) block of `_CAMERA_PAIRS` entries and
+    one (6, rays) set of weights, built once per call.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -457,18 +493,23 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
     dense = ~(r_sq < np.inf) & (method == "separated")
     cull_cols, dense_cols = np.flatnonzero(~dense), np.flatnonzero(dense)
     centers, r_sq = placed[1][cull_cols].T, r_sq[cull_cols]
-    dense_table = table[:, dense_cols]
     out = np.full(rays, np.nan)
     culled, kept, pending = [], [], 0
     with np.errstate(all="ignore"):
+        if method == "separated":
+            block = np.array(compound_entries(table, _CAMERA_PAIRS))
+            weights = np.array(
+                compound_weights(line_entries(_CAMERA, (sx, sy, sz, 0.0)), _CAMERA_PAIRS)
+            )
+            finite = bool(np.isfinite(block).all())
+            dense_block = block[:, dense_cols]
         for sl in tiles(rays, table.shape[1]):
             s = _take(direction, sl)
             ri, oi = keep_pairs(centers, r_sq, s)
             culled.append((ri + sl.start, cull_cols[oi]))
             pending += len(ri)
             if len(dense_cols):
-                dr = (*_take(s, _COLUMN), 0.0)
-                d = factored_discriminant(dense_table, line_entries(_CAMERA, dr), _CAMERA, dr)
+                d = _camera_discriminant(weights[:, sl, None], dense_block, finite)
                 ri, oi = np.nonzero(~early_reject(d))
                 kept.append((ri + sl.start, dense_cols[oi], d[ri, oi]))
                 pending += len(ri)
@@ -476,8 +517,7 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
                 ri, oi = _joined(culled)
                 d = None
                 if method == "separated":
-                    dr = (*_take(direction, ri), 0.0)
-                    d = factored_discriminant(table[:, oi], line_entries(_CAMERA, dr), _CAMERA, dr)
+                    d = _camera_discriminant(weights[:, ri], block[:, oi], finite)
                     survive = ~early_reject(d)
                     kept.append((ri[survive], oi[survive], d[survive]))
                     ri, oi, d = _joined(kept)
@@ -739,14 +779,14 @@ def separated_lift(point: Vec4, direction: Vec4) -> np.ndarray:
     With p the line's entries (`separated.line_entries`, its Plucker
     coordinates), s^T Q R Q x = b^2 - a c = -p^T C p, C = C_2(Q), so a
     ray's weight on C[I, J], (I, J) in `separated.COMPOUND_ORDER`, is
-    -p_I p_J, doubled off the diagonal, where p^T C p holds both C[I, J]
-    and C[J, I]; the factors -1 and -2 are exact.  Components are floats or
-    (rays,) arrays; floats alone give one ray.
+    -p_I p_J, doubled off the diagonal: column k is
+    `separated.compound_weights`' k-th.  Components are floats or (rays,)
+    arrays; floats alone give one ray.
     """
-    p = line_entries(point, direction)
-    weights = np.empty((np.broadcast(*point, *direction).size, len(COMPOUND_ORDER)))
-    for k, (a, b) in enumerate(COMPOUND_ORDER):
-        np.multiply(p[a], (-1.0 if a == b else -2.0) * p[b], out=weights[:, k])
+    columns = compound_weights(line_entries(point, direction))
+    weights = np.empty((np.broadcast(*point, *direction).size, len(columns)))
+    for k, w in enumerate(columns):
+        weights[:, k] = w
     return weights
 
 

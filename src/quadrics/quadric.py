@@ -43,7 +43,6 @@ __all__ = [
     "evaluate",
     "quadratic_form",
     "bilinear_form",
-    "apply",
     "transform",
     "Sphere",
     "Ellipsoid",
@@ -118,7 +117,7 @@ def quadratic_form(q: Iterable, v: Sequence) -> float:
     Q is anything that unpacks into the 10 coefficients in
     `COEFFICIENT_ORDER`: a `QuadricMatrix`, or a (10, objects) table whose
     rows broadcast against array components of v.  The same holds for
-    `bilinear_form` and `apply`.
+    `bilinear_form`.
     """
     a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = q
     x, y, z, w = v
@@ -142,18 +141,6 @@ def bilinear_form(q: Iterable, u: Sequence, v: Sequence) -> float:
         + a14 * (ux * vw + uw * vx)
         + a24 * (uy * vw + uw * vy)
         + a34 * (uz * vw + uw * vz)
-    )
-
-
-def apply(q: Iterable, v: Sequence) -> tuple:
-    """Q . v for a length-4 vector."""
-    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = q
-    x, y, z, w = v
-    return (
-        a11 * x + a12 * y + a13 * z + a14 * w,
-        a12 * x + a22 * y + a23 * z + a24 * w,
-        a13 * x + a23 * y + a33 * z + a34 * w,
-        a14 * x + a24 * y + a34 * z + a44 * w,
     )
 
 

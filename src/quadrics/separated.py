@@ -15,26 +15,29 @@ R is kept as its six independent entries (`RMatrix`).  It can be built from
 a point and a direction, from two points, or from the 2x2 sub-determinants
 of the endpoint matrix; the three entry points share one arithmetic body,
 `line_entries`, so they agree entry for entry, exactly.  `line_entries`,
-`factored_discriminant`, `line_moment` and `moment_discriminant` take plain
-tuples, so the batched kernels run the same bodies on arrays of lines, of
-spheres and tables of quadrics.  The early reject that spares a pair its
-coefficient work, `early_reject`, likewise takes a float or an array.
+`compound_entries`, `compound_weights`, `line_moment` and
+`moment_discriminant` take plain tuples, so the batched kernels run the
+same bodies on arrays of lines, of spheres and tables of quadrics.  The
+early reject that spares a pair its coefficient work, `early_reject`,
+likewise takes a float or an array.
 
 R's six entries p are the line's Plucker coordinates, p = x ^ s, the 2x2
-minors of [x s], and the discriminant is the pairing of two such wedges,
+minors of [x s], and by Cauchy-Binet
 
-    D = <x ^ s, Qs ^ Qx>,      Qs ^ Qx = -C p,
+    D = -p^T C p,
 
 with C = C_2(Q) the second compound of Q (Pottmann and Wallner,
-Computational Line Geometry, 2001).  Both forms evaluate this one identity.
-`factored_discriminant` takes Qs ^ Qx per pair, from `line_entries` of
-(Q s, Q x); bench's lifted kernels take -C p once per object, as the 21
-numbers of `compound_entries` that they multiply by 21 weights per line.
-The cross products of the sphere path (`line_moment`,
-`moment_discriminant`) are `geometry.cross_terms`.
+Computational Line Geometry, 2001).  Every separated D is this one form,
+weight * C[I, J] over the pairs (I, J) of `COMPOUND_ORDER`, the weights
+from `compound_weights` and the entries from `compound_entries`: the
+scalar `discriminant_separated` adds the terms left to right, render's
+kernels the six its camera rays leave in the same order, and bench's
+lifted kernels multiply 21 weights per line by 21 entries per object.  The cross products of the sphere path
+(`line_moment`, `moment_discriminant`) are `geometry.cross_terms`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -48,7 +51,7 @@ from .classical import (
     solve,
 )
 from .geometry import HomogeneousDirection, HomogeneousPoint, Vec3, cross_terms
-from .quadric import COEFFICIENT_ENTRIES, QuadricMatrix, apply
+from .quadric import COEFFICIENT_ENTRIES, QuadricMatrix
 
 __all__ = [
     "RMatrix",
@@ -60,9 +63,9 @@ __all__ = [
     "r_from_subdeterminants",
     "line_entries",
     "discriminant_separated",
-    "factored_discriminant",
     "COMPOUND_ORDER",
     "compound_entries",
+    "compound_weights",
     "line_moment",
     "moment_discriminant",
     "sphere_discriminant",
@@ -112,6 +115,17 @@ _LINE_AXES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # The 21 index pairs (I, J), I <= J, into `line_entries`, in the order of
 # `compound_entries`.
 COMPOUND_ORDER = tuple((a, b) for a in range(6) for b in range(a, 6))
+# Q's entry (i, j) as a position among its 10 coefficients, either way round.
+_POSITION = {e: k for k, (i, j) in enumerate(COEFFICIENT_ENTRIES) for e in ((i, j), (j, i))}
+
+
+@functools.cache
+def _compound_terms(pairs: tuple) -> tuple:
+    """Per (I, J) of `pairs`, I = (i, j) and J = (k, l): the positions of q_ik, q_jl, q_il, q_jk."""
+    return tuple(
+        tuple(_POSITION[e] for e in ((i, k), (j, l), (i, l), (j, k)))
+        for (i, j), (k, l) in ((_LINE_AXES[a], _LINE_AXES[b]) for a, b in pairs)
+    )
 
 
 def line_entries(x: Sequence, s: Sequence) -> tuple:
@@ -133,25 +147,32 @@ def line_entries(x: Sequence, s: Sequence) -> tuple:
     )
 
 
-def compound_entries(q: Iterable) -> tuple:
-    """Q's second compound C: its 21 entries C[I, J], (I, J) in `COMPOUND_ORDER`.
+def compound_entries(q: Iterable, pairs: tuple = COMPOUND_ORDER) -> list:
+    """Q's second compound C: its entries C[I, J] for (I, J) in `pairs`, by default all 21.
 
     C[I, J] = q_ik q_jl - q_il q_jk for the axes I = (i, j) and J = (k, l) of
     R's entries (`line_entries`), the 2x2 minor of Q on rows I and columns
     J.  By Cauchy-Binet, det([x s]^T Q [x s]) = a c - b^2 = p^T C p, with p
     the line's entries, so b^2 - a c = -p^T C p: the line enters through R
     alone, the surface through C alone (Pottmann and Wallner, Computational
-    Line Geometry, 2001).  q unpacks into Q's 10 coefficients as
-    `quadric.apply` takes them, laid out by `quadric.COEFFICIENT_ENTRIES`;
-    floats, `Fraction`s and the rows of a (10, objects) table all serve.
+    Line Geometry, 2001).  q unpacks into Q's 10 coefficients in
+    `quadric.COEFFICIENT_ORDER`; floats, `Fraction`s and the rows of a
+    (10, objects) table all serve.  `pairs` is a tuple of pairs of
+    `COMPOUND_ORDER`.
     """
-    m = [[None] * 4 for _ in range(4)]
-    for value, (i, j) in zip(q, COEFFICIENT_ENTRIES):
-        m[i][j] = m[j][i] = value
-    return tuple(
-        m[i][k] * m[j][l] - m[i][l] * m[j][k]
-        for (i, j), (k, l) in ((_LINE_AXES[a], _LINE_AXES[b]) for a, b in COMPOUND_ORDER)
-    )
+    q = tuple(q)
+    return [q[ik] * q[jl] - q[il] * q[jk] for ik, jl, il, jk in _compound_terms(pairs)]
+
+
+def compound_weights(p: Sequence, pairs: Sequence = COMPOUND_ORDER) -> list:
+    """The line's weight on C[I, J] for (I, J) in `pairs`: -p^T C p = sum of weight * C[I, J].
+
+    p is the line's six entries (`line_entries`).  The weight is
+    p_I (k p_J), k = -1 on the diagonal and -2 off it, where p^T C p holds
+    both C[I, J] and C[J, I]; k's products are exact.  p's components are
+    floats, `Fraction`s or arrays that broadcast together.
+    """
+    return [p[a] * ((-1 if a == b else -2) * p[b]) for a, b in pairs]
 
 
 def r_from_point_dir(point: HomogeneousPoint, direction: HomogeneousDirection) -> RMatrix:
@@ -224,30 +245,19 @@ def line_moment(x: Sequence, s: Sequence) -> tuple:
 
 
 def discriminant_separated(q: QuadricMatrix, cache: RayCache) -> float:
-    """D = s^T Q^T R Q x_A of one line, by `factored_discriminant`.
+    """D = -p^T C p of one line: 0.0 plus weight * C[I, J], left to right in `COMPOUND_ORDER`.
 
-    Equals b^2 - a*c of the classical route up to floating-point rounding.
+    The weights are `compound_weights` of R's entries p, the entries
+    `compound_entries` of Q.  A term whose weight is exactly 0 is skipped:
+    it adds nothing in exact arithmetic, and skipping it keeps 0 * inf out
+    of D where an entry overflows.  Equals b^2 - a*c of the classical route
+    up to floating-point rounding.
     """
-    point, direction = cache.point.as_tuple(), cache.direction.as_tuple()
-    return factored_discriminant(q.coefficients(), cache.r.entries(), point, direction)
-
-
-def factored_discriminant(q: Iterable, r: Sequence, x: Sequence, s: Sequence):
-    """D = s^T Q R Q x = <x ^ s, Qs ^ Qx>: two matrix-vector products and a pairing of wedges.
-
-    Q is symmetric, so Q^T s = Q s, and R is antisymmetric, so u^T R v with
-    u = Q s and v = Q x pairs each entry r_ij with the minor
-    u_i v_j - v_i u_j of u ^ v, which `line_entries(u, v)` gives; D is
-    r12 m12 + r13 m13 + ... + r34 m34, summed left to right.  Qs ^ Qx equals
-    -C_2(Q) p for p = x ^ s, the compound form bench evaluates once per
-    object (`compound_entries`).  q unpacks into Q's 10 coefficients as
-    `quadric.apply` takes them, r into R's six entries from `line_entries`;
-    a (10, objects) table with array components of r, x and s gives D for
-    every (line, object) pair.
-    """
-    r12, r13, r14, r23, r24, r34 = r
-    m12, m13, m14, m23, m24, m34 = line_entries(apply(q, s), apply(q, x))
-    return r12 * m12 + r13 * m13 + r14 * m14 + r23 * m23 + r24 * m24 + r34 * m34
+    d = 0.0
+    for w, c in zip(compound_weights(cache.r.entries()), compound_entries(q.coefficients())):
+        if w:
+            d += w * c
+    return d
 
 
 def sphere_discriminant(center: Vec3, radius: float, cache: RayCache) -> float:

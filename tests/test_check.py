@@ -25,8 +25,9 @@ class TestOracleCheck:
         real = separated_module.r_from_point_dir
 
         def flipped(point, direction):
+            # One entry: D = -p^T C p is even in p, so negating all six is invisible.
             r = real(point, direction)
-            return RMatrix(-r.r12, -r.r13, -r.r14, -r.r23, -r.r24, -r.r34)
+            return RMatrix(r.r12, r.r13, -r.r14, r.r23, r.r24, r.r34)
 
         monkeypatch.setattr(separated_module, "r_from_point_dir", flipped)
         report = oracle_check(seed=42, cases=200)
@@ -60,8 +61,9 @@ class TestOracleCheck:
         real = separated_module.r_from_point_dir
 
         def flipped(point, direction):
+            # One entry: D = -p^T C p is even in p, so negating all six is invisible.
             r = real(point, direction)
-            return RMatrix(-r.r12, -r.r13, -r.r14, -r.r23, -r.r24, -r.r34)
+            return RMatrix(r.r12, r.r13, -r.r14, r.r23, r.r24, r.r34)
 
         monkeypatch.setattr(separated_module, "r_from_point_dir", flipped)
         report = oracle_check(seed=42, cases=100)

@@ -32,13 +32,10 @@ from quadrics.kernels import (
     bench_tables, classical_counts, classical_lift, cull_radii, keep_pairs, map_ranges,
     nearest_hits, render_tables, separated_counts, separated_lift, sphere_counts, sphere_lift,
 )
-from quadrics.quadric import (
-    Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere, apply,
-)
+from quadrics.quadric import Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere
 from quadrics.scene import SceneObject, generate_scene
 from quadrics.separated import (
-    COMPOUND_ORDER, compound_entries, factored_discriminant, line_entries, line_moment,
-    moment_discriminant,
+    compound_entries, compound_weights, line_entries, line_moment, moment_discriminant,
 )
 
 
@@ -307,21 +304,22 @@ def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
     a, b, c = coefficient_terms(table, point, direction)
     r = line_entries(point, direction)
     moment, dir_norm_sq = line_moment(point, direction)
-    d = factored_discriminant(table, r, point, direction)
-    qx = apply(table, point)
+    entries = compound_entries(table)
+    lifted = separated_lift(tuple(map(np.ravel, point)), tuple(map(np.ravel, direction)))
     centers = rng.uniform(-5.0, 5.0, size=(9, 3))
     r_sq = rng.uniform(0.1, 2.0, size=9) ** 2
     d_sphere = moment_discriminant(centers.T, r_sq, moment, direction[:3], dir_norm_sq)
+    for j, q in enumerate(matrices):
+        assert [e[j] for e in entries] == compound_entries(q)
     for i, (p, s) in enumerate(rays):
         cache = make_ray_cache(p, s)
         assert tuple(e[i, 0] for e in r) == cache.r.entries()
+        assert list(lifted[i]) == compound_weights(cache.r.entries())
         assert tuple(e[i, 0] for e in moment) == cache.moment.as_tuple()
         assert dir_norm_sq[i, 0] == cache.dir_norm_sq
         for j, q in enumerate(matrices):
             cf = coefficients(q, p, s)
             assert (a[i, j], b[i, j], c[i, j]) == (cf.a, cf.b, cf.c)
-            assert d[i, j] == discriminant_separated(q, cache)
-            assert tuple(e[i, j] for e in qx) == apply(q, p.as_tuple())
             center = Vec3(*centers[j])
             assert d_sphere[i, j] == sphere_discriminant(center, float(np.sqrt(r_sq[j])), cache)
 
@@ -587,6 +585,19 @@ def _lifted_discriminants(table: np.ndarray, point, direction) -> dict:
     return {"classical": b * b - a * c, "separated": w @ np.array(compound_entries(table))}
 
 
+def _compound_pair_form(table: np.ndarray, point, direction) -> np.ndarray:
+    """Per pair, 0.0 plus weight * C[I, J] left to right in `COMPOUND_ORDER`.
+
+    `discriminant_separated` on arrays: it skips a zero weight, which with
+    finite entries, as every generated scene's are, changes no bit.
+    """
+    d = 0.0
+    weights = compound_weights(line_entries(_columns(point), _columns(direction)))
+    for w, c in zip(weights, compound_entries(table)):
+        d = d + w * c
+    return d
+
+
 def _rounding_bound(table: np.ndarray, point, direction, route: str) -> np.ndarray:
     """Per pair, a bound on |lifted D - exact D|: gamma_n (B^2 + A C), n = LIFT_ROUNDINGS[route].
 
@@ -788,13 +799,13 @@ class TestLiftedKernels:
 
     @pytest.mark.parametrize("projective", [False, True])
     def test_compound_form_is_the_exact_discriminant(self, projective):
-        """-p^T C p, in `Fraction`s through `compound_entries`, equals the exact b^2 - a c.
+        """-p^T C p, in `Fraction`s through `compound_weights` and `compound_entries`, is b^2 - a c.
 
         Cauchy-Binet on M = [x s]: det(M^T Q M) = a c - b^2 is the sum over
         I, J of det(M_I) C[I, J] det(M_J), with M_I the rows I of M, whose
         determinants are the line's entries p_I (`line_entries`).  C is
         symmetric, so the 36 terms fold into the 21 of `COMPOUND_ORDER`,
-        doubled off the diagonal, as `separated_lift` weighs them.  The
+        doubled off the diagonal, as `compound_weights` weighs them.  The
         identity is exact, for projective rays (w != 1, s_w != 0) too.
         """
         rng = np.random.default_rng(21)
@@ -810,11 +821,7 @@ class TestLiftedKernels:
         for q in quadrics:
             c = compound_entries(Fraction(float(v)) for v in q)
             for x, s in rays:
-                p = line_entries(x, s)
-                d = -sum(
-                    (1 if a == b else 2) * p[a] * p[b] * c[k]
-                    for k, (a, b) in enumerate(COMPOUND_ORDER)
-                )
+                d = sum(w * e for w, e in zip(compound_weights(line_entries(x, s)), c))
                 assert d == exact_discriminant(q, x, s)
 
     @pytest.mark.parametrize("mix", KIND_MIXES)
@@ -840,10 +847,9 @@ class TestLiftedKernels:
 
             spheres, generic = bench_tables(scene.objects)
             a, b, c = coefficient_terms(generic, x, s)
-            lines = _columns(line_entries(point, direction))
             generic_forms = {
                 "classical": b * b - a * c,
-                "separated": factored_discriminant(generic, lines, x, s),
+                "separated": _compound_pair_form(generic, point, direction),
             }
             d_spheres = _sphere_pair_form(spheres, point, direction)
             sphere_hits = np.count_nonzero(d_spheres >= 0.0, axis=1)
@@ -852,6 +858,26 @@ class TestLiftedKernels:
                 got, fallbacks = _bench_counts(scene.objects, point, direction, route)
                 assert np.array_equal(got, expected) and fallbacks == 0, route
                 assert route != "classical" or np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("mix", KIND_MIXES)
+    def test_ray_reversal_keeps_every_count(self, mix):
+        # Bench detects lines, so s -> -s must count alike: a, c and every
+        # lifted weight keep their bits, b only flips its sign.  Generated
+        # rays, and rays tangent to the plain spheres, where signs are
+        # closest to 0.
+        for seed in range(1, 5):
+            objects = generate_scene(seed, 20, mix).objects
+            origins, dirs = generate_rays(seed, 60)
+            cases = [((*origins.T, 1.0), (*dirs.T, 0.0))]
+            spheres = [o for o in objects if isinstance(o.kind, Sphere)]
+            if spheres:
+                cases.append(_tangent_rays(spheres, 4, seed))
+            for point, direction in cases:
+                reversed_direction = tuple(-v for v in direction)
+                for route in kernels.METHODS:
+                    got = _bench_counts(objects, point, direction, route)
+                    back = _bench_counts(objects, point, reversed_direction, route)
+                    assert np.array_equal(got[0], back[0]) and got[1] == back[1], route
 
     def test_shifted_disagreements_lie_inside_the_rounding_bound(self):
         # Moved 1e5 along x, the table's entries reach 1e10 and D cancels
@@ -866,10 +892,9 @@ class TestLiftedKernels:
                 table = render_tables(objects, (0.0, 0.0, 0.0))[0]
                 x, s = _columns(point), _columns(direction)
                 a, b, c = coefficient_terms(table, x, s)
-                lines = _columns(line_entries(point, direction))
                 pair_forms = {
                     "classical": b * b - a * c,
-                    "separated": factored_discriminant(table, lines, x, s),
+                    "separated": _compound_pair_form(table, point, direction),
                 }
                 for route, d in _lifted_discriminants(table, point, direction).items():
                     bound = _rounding_bound(table, point, direction, route)

@@ -13,6 +13,7 @@ from quadrics import (
     QuadricMatrix,
     Vec3,
     cross,
+    discriminant_separated,
     hit_parameters,
     intersect_classical,
     intersect_separated,
@@ -445,12 +446,21 @@ class TestBoundingCull:
 
 # Classical keeps the pixels that a sphere about 1e7 from the camera lights
 # on its linear branch (ROADMAP item 2): strict xfails in
-# tests/test_scale_defects.py.
+# tests/test_scale_defects.py.  Radius 2^500 lights 24 wrong pixels on each
+# route, because `_a_scale` judges a against a44 (ROADMAP item 2).
 TRUTH_CASES = [
     (name, method)
-    for name in ("grazing", "far-grazing", "far-sphere", "far-linear", "far-placed")
+    for name in (
+        "grazing", "far-grazing", "far-sphere", "far-linear", "far-placed", "radius-2^-500"
+    )
     for method in ("classical", "separated")
     if (name, method) not in {("far-linear", "classical"), ("far-placed", "classical")}
+] + [
+    pytest.param(
+        "radius-2^500", method,
+        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a judged against a44"),
+    )
+    for method in ("classical", "separated")
 ]
 
 
@@ -461,6 +471,70 @@ def test_lit_pixels_equal_the_exact_truth(name, method):
     # own frame from the world inputs.
     scene = CULL_SCENES[name]
     assert wrong_pixels(scene, render_detection(scene, method).pixels) == []
+
+
+def _keep_every_pair(placed, max_abs, direction):
+    """Stand-in for `kernels.cull_radii`: a finite R'^2 so large that stage 1 keeps every pair."""
+    return np.full(len(placed[0]), np.finfo(float).max)
+
+
+_ALL_KINDS = ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid")
+
+
+class TestSeparatedPairForm:
+    """Render's separated D is `discriminant_separated`'s, bit for bit, on both stages' pairs."""
+
+    SCENES = {
+        **CULL_SCENES,
+        **TestExtremeInputs.SCENES,
+        # Generated as the render-unbounded benchmark workload builds its scenes.
+        **{
+            f"unbounded-{seed}": dataclasses.replace(
+                scene, camera=dataclasses.replace(scene.camera, width=24, height=24)
+            )
+            for seed in (1, 2)
+            for scene in [generate_scene(seed, 24, _ALL_KINDS)]
+        },
+    }
+
+    @staticmethod
+    def _render_d(scene, cull, monkeypatch) -> tuple:
+        """The d `nearest_hits` passes its early reject, on the whole image in one call.
+
+        Stage 1's dense tiles are 2-D and stage 2's pairs 1-D; each stage's
+        d arrive in order, joined into one array.
+        """
+        cam = scene.camera
+        table, placed = kernels.render_tables(scene.objects, cam.origin.as_tuple())
+        x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
+        seen = []
+        reject = kernels.early_reject
+        monkeypatch.setattr(kernels, "early_reject", lambda d: seen.append(d) or reject(d))
+        monkeypatch.setattr(kernels, "cull_radii", cull)
+        kernels.nearest_hits(table, (x.ravel(), y.ravel(), z.ravel()), "separated", placed)
+        return tuple(
+            np.concatenate([d for d in seen if d.ndim == ndim] or [np.empty((0,) * ndim)])
+            for ndim in (2, 1)
+        )
+
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    def test_both_stages(self, name, monkeypatch):
+        scene = self.SCENES[name]
+        cam = scene.camera
+        matrices = [o.world_matrix() for o in camera_relative(scene.objects, cam.origin)]
+        origin = HomogeneousPoint(0.0, 0.0, 0.0, 1.0)
+        x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
+        expected = np.array([
+            [discriminant_separated(q, make_ray_cache(origin, HomogeneousDirection(*s, 0.0)))
+             for q in matrices]
+            for s in zip(x.ravel().tolist(), y.ravel().tolist(), z.ravel().tolist())
+        ])
+        # No cull: every column takes stage 1's dense path, tile by tile.
+        stage1, stage2 = self._render_d(scene, _no_cull, monkeypatch)
+        assert stage1.tobytes() == expected.tobytes() and stage2.size == 0
+        # Every pair kept: stage 2 gets them all, ray by ray, in column order.
+        stage1, stage2 = self._render_d(scene, _keep_every_pair, monkeypatch)
+        assert stage1.size == 0 and stage2.tobytes() == expected.ravel().tobytes()
 
 
 class TestPlacementInvariance:

@@ -30,12 +30,10 @@ from quadrics import (
     translation,
 )
 from quadrics.classical import TANGENT_EPS
-from quadrics.kernels import render_tables
-from quadrics.quadric import apply
+from quadrics.quadric import QuadricMatrix
 from quadrics.rng import Xorshift64Star
-from quadrics.scene import generate_scene
 from quadrics.separated import (
-    COMPOUND_ORDER, compound_entries, early_reject, factored_discriminant, line_entries,
+    COMPOUND_ORDER, compound_entries, compound_weights, early_reject, line_entries,
 )
 
 
@@ -211,99 +209,90 @@ class TestDiscriminantSeparated:
             checked += 1
 
 
-def _six_minors(q, r, x, s):
-    """D = sum r_ij (u_i v_j - u_j v_i), u = Q s, v = Q x, each minor written out: the reference.
-
-    The form `factored_discriminant` had before it took the minors from
-    `line_entries`, kept here to pin the new body to it bit for bit.
-    """
-    u, v = apply(q, s), apply(q, x)
-    r12, r13, r14, r23, r24, r34 = r
-    return (
-        r12 * (u[0] * v[1] - u[1] * v[0])
-        + r13 * (u[0] * v[2] - u[2] * v[0])
-        + r14 * (u[0] * v[3] - u[3] * v[0])
-        + r23 * (u[1] * v[2] - u[2] * v[1])
-        + r24 * (u[1] * v[3] - u[3] * v[1])
-        + r34 * (u[2] * v[3] - u[3] * v[2])
-    )
-
-
 def _bits(value) -> bytes:
     return np.asarray(value, dtype=np.float64).tobytes()
 
 
-class TestFactoredDiscriminant:
-    def test_wedge_of_qs_and_qx_is_minus_the_compound_times_p(self):
-        """line_entries(Q s, Q x) = -C_2(Q) p, p = line_entries(x, s), exactly, in `Fraction`s.
+_AXES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-        Qs ^ Qx = C_2(Q) (s ^ x) = -C_2(Q) (x ^ s): so D = <x ^ s, Qs ^ Qx>
-        of `factored_discriminant` is bench's compound form -p^T C p, term
-        for term.  C is `compound_entries`, read as the symmetric 6x6 matrix
-        whose upper triangle it lists in `COMPOUND_ORDER`.
-        """
-        rng = np.random.default_rng(24)
-        for _ in range(200):
-            q = [Fraction(v) for v in random_quadric(rng).coefficients()]
+
+def _minors(q, pairs=COMPOUND_ORDER) -> tuple:
+    """C[I, J] for (I, J) in `pairs`, each a 2x2 minor of Q's 4x4 matrix: the reference."""
+    m = q.to_mat4()
+    return tuple(
+        m.at(i, k) * m.at(j, l) - m.at(i, l) * m.at(j, k)
+        for (i, j), (k, l) in ((_AXES[a], _AXES[b]) for a, b in pairs)
+    )
+
+
+def _compound_sum(q, p) -> float:
+    """0.0 plus -p_I p_J C[I, J], doubled off the diagonal, left to right; zero weights skipped."""
+    d = 0.0
+    for (a, b), c in zip(COMPOUND_ORDER, _minors(q)):
+        w = p[a] * ((-1.0 if a == b else -2.0) * p[b])
+        if w != 0.0:
+            d += w * c
+    return d
+
+
+class TestCompoundForm:
+    def test_entries_are_the_minors_of_q(self):
+        rng = np.random.default_rng(26)
+        matrices = [random_quadric(rng) for _ in range(300)]
+        subset = ((5, 5), (2, 4), (0, 1))
+        for q in matrices:
+            assert _bits(compound_entries(q)) == _bits(_minors(q))
+            assert _bits(compound_entries(q, subset)) == _bits(_minors(q, subset))
+        # A (10, objects) table gives every object's entries at once.
+        table = np.array([q.coefficients() for q in matrices]).T
+        assert _bits(np.array(compound_entries(table)).T) == _bits([_minors(q) for q in matrices])
+
+    def test_weights_are_minus_p_i_p_j_doubled_off_the_diagonal(self):
+        rng = np.random.default_rng(27)
+        for _ in range(100):
             point, direction = random_ray(rng)
-            x = [Fraction(v) for v in point.as_tuple()[:3]] + [Fraction(rng.uniform(0.5, 2.0))]
-            s = [Fraction(v) for v in direction.as_tuple()[:3]] + [Fraction(rng.uniform(-1.0, 1.0))]
-            entries = compound_entries(q)
-            c = {}
-            for k, (a, b) in enumerate(COMPOUND_ORDER):
-                c[a, b] = c[b, a] = entries[k]
-            p = line_entries(x, s)
-            minus_cp = tuple(-sum(c[a, b] * p[b] for b in range(6)) for a in range(6))
-            assert line_entries(apply(q, s), apply(q, x)) == minus_cp
-            assert factored_discriminant(q, p, x, s) == sum(pa * m for pa, m in zip(p, minus_cp))
+            p = line_entries(*(
+                [Fraction(v) for v in vec.as_tuple()] for vec in (point, direction)
+            ))
+            weights = compound_weights(p)
+            assert weights == [-(1 if a == b else 2) * p[a] * p[b] for a, b in COMPOUND_ORDER]
+            assert compound_weights(p, ((1, 3), (4, 4))) == [weights[8], weights[18]]
 
-    def test_equals_the_six_minor_form_on_random_floats(self):
-        rng = np.random.default_rng(2024)
+    def test_discriminant_sums_the_terms_in_compound_order(self):
+        # Random rays, and rays from the origin along the axes, where most
+        # weights are zeros of either sign.
+        rng = np.random.default_rng(28)
+        axis_rays = [
+            (HomogeneousPoint(0.0, 0.0, 0.0, 1.0), HomogeneousDirection(*v, 0.0))
+            for v in ((1.0, 0.0, 0.0), (0.0, -2.0, 0.0), (0.0, 0.5, -3.0), (-1.0, 0.0, 0.0))
+        ]
+        for k in range(2000):
+            q = random_quadric(rng)
+            point, direction = random_ray(rng) if k % 2 else axis_rays[k % 8 // 2]
+            cache = make_ray_cache(point, direction)
+            got = discriminant_separated(q, cache)
+            assert _bits(got) == _bits(_compound_sum(q, cache.r.entries()))
+
+    def test_zero_weights_keep_overflowing_entries_out(self):
+        # From the origin along x only the weight on C[(0,3), (0,3)] is not
+        # 0, and C[(1,2), (1,2)] = a22 a33 overflows: 0 * inf would make D
+        # NaN.  The exact D is b^2 - a c = 0 - 1 * (-1).
+        q = QuadricMatrix(1.0, 1e300, 1e300, -1.0)
+        cache = make_ray_cache(
+            HomogeneousPoint(0.0, 0.0, 0.0, 1.0), HomogeneousDirection(1.0, 0.0, 0.0, 0.0)
+        )
+        assert math.isinf(compound_entries(q)[COMPOUND_ORDER.index((3, 3))])
+        assert discriminant_separated(q, cache) == 1.0
+
+    def test_ray_reversal_keeps_every_bit(self):
+        # s -> -s negates p, and every weight p_I (k p_J) keeps its bits.
+        rng = np.random.default_rng(29)
         for _ in range(2000):
-            q = random_quadric(rng).coefficients()
-            point, direction = random_ray(rng)
-            x = (*point.as_tuple()[:3], float(rng.uniform(0.5, 2.0)))
-            s = (*direction.as_tuple()[:3], float(rng.uniform(-1.0, 1.0)))
-            r = line_entries(x, s)
-            assert _bits(factored_discriminant(q, r, x, s)) == _bits(_six_minors(q, r, x, s))
-
-    def test_equals_the_six_minor_form_on_signed_zeros(self):
-        # Every input from {0, -0, 1, -1, 0.5}: many minors and sums are
-        # zeros whose sign depends on each product's operand signs.
-        rng = np.random.default_rng(7)
-        values = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
-        q = rng.choice(values, (10, 4000))
-        x, s = rng.choice(values, (4, 4000)), rng.choice(values, (4, 4000))
-        r = line_entries(x, s)
-        got = factored_discriminant(q, r, x, s)
-        assert _bits(got) == _bits(_six_minors(q, r, x, s))
-        assert (np.signbit(got) & (got == 0.0)).any() and (~np.signbit(got) & (got == 0.0)).any()
-
-    def test_equals_the_six_minor_form_on_integers(self):
-        rng = Xorshift64Star(24)
-        for _ in range(500):
-            q = [rng.int_below(7) - 3 for _ in range(10)]
-            x = [rng.int_below(41) - 20 for _ in range(4)]
-            s = [rng.int_below(41) - 20 for _ in range(4)]
-            r = line_entries(x, s)
-            got = factored_discriminant(q, r, x, s)
-            assert type(got) is int and got == _six_minors(q, r, x, s)
-
-    def test_equals_the_six_minor_form_on_render_camera_rays(self):
-        # Render's pairs: the world table about the camera, every ray from
-        # (0, 0, 0, 1) along a pixel direction, one column per pixel.
-        for seed, mix in ((3, ("sphere", "ellipsoid")), (4, ("hyperboloid1", "hparaboloid"))):
-            scene = generate_scene(seed, 12, mix)
-            cam = scene.camera
-            table = render_tables(scene.objects, cam.origin.as_tuple())[0]
-            cols, rows = np.arange(0, cam.width, 6), np.arange(0, cam.height, 6)
-            dx, dy, dz = cam.pixel_directions(cols, rows[:, None])
-            x = (0.0, 0.0, 0.0, 1.0)
-            s = (dx.reshape(-1, 1), dy.reshape(-1, 1), dz.reshape(-1, 1), 0.0)
-            r = line_entries(x, s)
-            got = factored_discriminant(table, r, x, s)
-            assert got.shape == (len(cols) * len(rows), 12)
-            assert _bits(got) == _bits(_six_minors(table, r, x, s))
+            q = random_quadric(rng)
+            point, s = random_ray(rng)
+            reversed_s = HomogeneousDirection(-s.sx, -s.sy, -s.sz, -s.sw)
+            d = discriminant_separated(q, make_ray_cache(point, s))
+            assert _bits(discriminant_separated(q, make_ray_cache(point, reversed_s))) == _bits(d)
 
 
 class TestSphereDiscriminant:
