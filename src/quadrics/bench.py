@@ -119,7 +119,8 @@ def generate_rays(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     so far is dropped, since it is redrawn; the kept triples are then
     origins and directions in turn.  Short triples are rare (none among the
     benchmark's rays), so they are walked in Python.  When drops leave fewer
-    than `count` rays, a stream twice as long is drawn.
+    than `count` rays, a stream twice as long is drawn.  The directions are
+    the draws scaled once, for the length test.
     """
     if count < 1:
         raise ValueError("need at least one ray")
@@ -134,15 +135,24 @@ def generate_rays(seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
                 dropped.append(i)
         if dropped:
             draws = np.delete(draws, dropped, axis=0)
+            d = np.delete(d, dropped, axis=0)
         if len(draws) >= slots:
             break
         triples *= 2
-    return _uniform(-10.0, 10.0, draws[0:slots:2]), _uniform(-1.0, 1.0, draws[1:slots:2])
+    # A copy, so that the directions do not keep the draws of every triple alive.
+    return _uniform(-10.0, 10.0, draws[0:slots:2]), d[1:slots:2].copy()
 
 
 def _uniform(lo: float, hi: float, draws: np.ndarray) -> np.ndarray:
-    """`Xorshift64Star.uniform(lo, hi)` applied to `next_float` draws."""
-    return lo + (hi - lo) * draws
+    """`Xorshift64Star.uniform(lo, hi)` applied to `next_float` draws.
+
+    lo + (hi - lo) u is computed as u (hi - lo), then lo added in place:
+    the same bits, as float addition and multiplication commute, with one
+    new array.
+    """
+    out = draws * (hi - lo)
+    out += lo
+    return out
 
 
 def _checksum(ray_hits: np.ndarray) -> int:

@@ -18,21 +18,26 @@ arrays become columns, so numpy broadcasting evaluates all (ray, object)
 pairs of the tile at once, and a term that depends on the objects alone is
 computed once per tile, not once per pair.
 
-The pair formulas are not written here: render's tiles run the
-reference's own tuple-level forms on arrays, `classical.coefficient_terms`
-(a, b, c) and the separated D = -p^T C p of `separated.compound_weights`
-and `compound_entries`, which unpack a (10, objects) table as they unpack
-a `QuadricMatrix`, and bench's sphere fallback runs
-`separated.line_moment` and `moment_discriminant`, the body of
-`separated.sphere_discriminant`, on arrays of pairs; every cross product
-among them, and in `sphere_lift`, is `geometry.cross_terms`.  From the
-camera only six of the 21 weights of -p^T C p are not 0 (`_CAMERA_PAIRS`),
-so render's separated route takes those six entries of every column once
-per call, and the six weights of every ray, and adds the terms in the
-scalar order of `discriminant_separated` (`_camera_discriminant`).
-Render's separated early reject is `separated.early_reject`.  numpy
-float64 ufuncs round exactly as Python floats do, so each pair gets the
-scalar kernels' value bit for bit by construction.  What is batched here,
+The pair formulas are the reference's own tuple-level forms, run on
+arrays: the separated D = -p^T C p of `separated.compound_weights` and
+`compound_entries`, which unpack a (10, objects) table as they unpack a
+`QuadricMatrix`, and, in bench's sphere fallback, `separated.line_moment`
+and `moment_discriminant`, the body of `separated.sphere_discriminant`;
+every cross product among them, and in `sphere_lift`, is
+`geometry.cross_terms`.  Render's rays start at the camera, which makes
+most terms of these forms exact zeros, and render adds only the others,
+in the scalar order.  Only six of the 21 weights of -p^T C p are not 0
+(`_CAMERA_PAIRS`), so the separated route takes those six entries of
+every column once per call, and the six weights of every ray
+(`_camera_discriminant`, in the order of `discriminant_separated`).
+Only 6 terms of a, 3 of b and 1 of c of `classical.coefficient_terms`
+are not 0 (`_camera_terms`, in the operand order of
+`quadric.quadratic_form` and `bilinear_form`); it runs `coefficient_terms`
+itself on a call where a dropped term could be NaN and on a pair whose a,
+b or c is exactly 0, whose sign the dropped zeros decide.  Render's
+separated early reject is `separated.early_reject`.  numpy float64 ufuncs
+round exactly as Python floats do, so each pair gets the scalar kernels'
+value bit for bit by construction.  What is batched here,
 the classification in `nearest_root`, keeps the operand order of `solve`,
 and the tests compare both.  The tile loops run under
 `np.errstate(all="ignore")`: overflow gives inf and NaN silently, as
@@ -349,7 +354,10 @@ def cull_radii(placed: tuple, max_abs: np.ndarray, direction: Directions) -> np.
        within E = 2^-44 (A_sx^2 + A_s A_x) of the exact values, where A_s,
        A_sx, A_x sum the absolute terms of a, b, c' over T^T Q0 T (T the
        placement): the world-table build, the forms, and the separated
-       sum account for about 150u of the 512u.  The separated sum is the
+       sum account for about 150u of the 512u.  The forms are those of
+       `coefficient_terms`: `_camera_terms` drops only exact zeros and
+       gives their a, b and c bit for bit, so their rounding is counted
+       unchanged.  The separated sum is the
        six terms of `_CAMERA_PAIRS`: p = (0, 0, -s_x, 0, -s_y, -s_z)
        exactly, so its terms are s_i s_j (a_i4 a_j4 - a44 a_ij), doubled
        for i != j, which is b^2 - a c' term by term, and their absolute
@@ -458,6 +466,39 @@ def _camera_discriminant(weights: np.ndarray, block: np.ndarray, finite: bool) -
     return d
 
 
+def _camera_terms(table: np.ndarray, s: Sequence[np.ndarray], finite: bool) -> tuple:
+    """`coefficient_terms(table, _CAMERA, (*s, 0.0))` bit for bit, from the terms the camera leaves.
+
+    Column k of the (10, pairs) `table` meets ray k of `s`, the rays'
+    (sx, sy, sz).  From x = (0, 0, 0, 1) and s_w = 0 only 6 terms of a, 3
+    of b and 1 of c are not exact zeros; they keep the operand order and
+    grouping of `quadric.quadratic_form` and `bilinear_form`.  Adding a +-0
+    term leaves a nonzero partial sum as it was, so the values agree but
+    in two cases, which run `coefficient_terms` itself.  A dropped term
+    (a_k s_i) 0.0 is NaN where a_k s_i overflows: `finite` says that the
+    call's max|a_k| max|s_i| is finite, and where it is not, every pair
+    runs it.  The sign of a sum that comes out exactly 0 can depend on the
+    dropped zeros, and `solve` reads the sign of b: a pair whose a, b or c
+    is 0 runs it.
+    """
+    if not finite:
+        return coefficient_terms(table, _CAMERA, (*s, 0.0))
+    a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = table
+    sx, sy, sz = s
+    a = (
+        a11 * sx * sx + a22 * sy * sy + a33 * sz * sz
+        + 2.0 * (a12 * sx * sy + a13 * sx * sz + a23 * sy * sz)
+    )
+    b = a14 * sx + a24 * sy + a34 * sz
+    c = a44.copy()
+    zero = (a == 0.0) | (b == 0.0) | (c == 0.0)
+    if zero.any():
+        exact = coefficient_terms(table[:, zero], _CAMERA, (*_take(s, zero), 0.0))
+        for term, value in zip((a, b, c), exact):
+            term[zero] = value
+    return a, b, c
+
+
 def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: tuple) -> np.ndarray:
     """Per ray, the nearest positive t over every object; NaN when none is crossed.
 
@@ -476,10 +517,11 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
     Stage 2 roots the kept pairs once they reach TILE_PAIRS, and after the
     last tile, so a batch holds fewer than TILE_PAIRS pairs plus one tile's.
     The separated route first gives the pairs `keep_pairs` kept their d and
-    the same early reject; then every pair gets a, b, c and `nearest_root`
-    in one pass, and each ray keeps its minimum.  Both stages take the
-    separated d from one (6, objects) block of `_CAMERA_PAIRS` entries and
-    one (6, rays) set of weights, built once per call.
+    the same early reject; then every pair gets a, b, c (`_camera_terms`)
+    and `nearest_root` in one pass, and each ray keeps its minimum.  Both
+    stages take the separated d from one (6, objects) block of
+    `_CAMERA_PAIRS` entries and one (6, rays) set of weights, built once
+    per call.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -496,6 +538,8 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
     out = np.full(rays, np.nan)
     culled, kept, pending = [], [], 0
     with np.errstate(all="ignore"):
+        # Every a_k s_i of stage 2 is finite when this bound is (rounding is monotonic).
+        finite_terms = bool(np.isfinite(max_abs.max(initial=0.0) * np.abs(direction).max()))
         if method == "separated":
             block = np.array(compound_entries(table, _CAMERA_PAIRS))
             weights = np.array(
@@ -522,7 +566,7 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
                     kept.append((ri[survive], oi[survive], d[survive]))
                     ri, oi, d = _joined(kept)
                 culled, kept, pending = [], [], 0
-                a, b, c = coefficient_terms(table[:, oi], _CAMERA, (*_take(direction, ri), 0.0))
+                a, b, c = _camera_terms(table[:, oi], _take(direction, ri), finite_terms)
                 np.fmin.at(out, ri, nearest_root(a, b, c, max_abs[oi] * s_sq[ri], d))
     return out
 

@@ -20,9 +20,15 @@ bounding spheres, whose squared radii `kernels.cull_radii` derives from the
 camera-relative placements of `kernels.render_tables`, and
 keeps only the pairs it cannot rule out; the unbounded kinds keep every
 pair, or on the separated route every pair its discriminant does not
-reject.  Stage 2 computes the roots of the kept pairs in one batch.  The kernels run
-the scalar kernels' own pair formulas on arrays and the cull drops only pairs
-they classify as Miss, so an image equals, byte for byte, a per-pixel loop
+reject.  Stage 2 computes the roots of the kept pairs in one batch.  The kernels
+run the scalar kernels' own pair formulas on arrays, less the terms that are
+exact zeros for a ray from the camera: a and b from the 6 and 3 terms of
+`coefficient_terms` that such a ray leaves, c from a44, and the separated D
+from 6 of its 21 terms, each sum in the scalar order.  a, b and c come from
+`coefficient_terms` itself on a call where a dropped term could overflow into
+NaN and on a pair where one of them is exactly 0, whose sign the dropped zeros
+decide, so every pair gets the scalar values bit for bit.  The cull drops only
+pairs they classify as Miss, so an image equals, byte for byte, a per-pixel loop
 over `intersect_classical` or `intersect_separated` and `hit_parameters`
 over the camera-relative scene: each object moved to centre c - o, each
 ray (0, 0, 0, 1) + t (s, 0).

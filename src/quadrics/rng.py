@@ -155,14 +155,18 @@ def xorshift64star_stream(seed: int, n: int) -> np.ndarray:
         row ^= shift
         np.right_shift(row, _SHIFTS[2], out=shift)
         row ^= shift
-    # Lane-major: lane j holds states j*rows .. j*rows + rows - 1.
-    return grid.T.reshape(-1)[:n] * np.uint64(_MULTIPLIER)
+    # Lane-major: lane j holds states j*rows .. j*rows + rows - 1.  The
+    # product is laid out in that order, so the reshape is a view.
+    return np.multiply(grid.T, np.uint64(_MULTIPLIER), order="C").reshape(-1)[:n]
 
 
 def float_stream(seed: int, n: int) -> np.ndarray:
     """The first n `Xorshift64Star(seed).next_float()` values, as float64."""
-    top = xorshift64star_stream(seed, n) >> np.uint64(11)
-    return top.astype(np.float64) * _TWO_POW_MINUS_53
+    top = xorshift64star_stream(seed, n)
+    top >>= np.uint64(11)
+    out = top.astype(np.float64)
+    out *= _TWO_POW_MINUS_53
+    return out
 
 
 def mix64(x: int) -> int:

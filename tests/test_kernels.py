@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import test_render
 from _helpers import (
     camera_relative, coefficient_table, exact_discriminant, random_quadric, random_ray,
     random_rotation,
@@ -32,8 +33,9 @@ from quadrics.kernels import (
     bench_tables, classical_counts, classical_lift, cull_radii, keep_pairs, map_ranges,
     nearest_hits, render_tables, separated_counts, separated_lift, sphere_counts, sphere_lift,
 )
+from quadrics.render import render_detection
 from quadrics.quadric import Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere
-from quadrics.scene import SceneObject, generate_scene
+from quadrics.scene import Camera, Scene, SceneObject, generate_scene
 from quadrics.separated import (
     compound_entries, compound_weights, line_entries, line_moment, moment_discriminant,
 )
@@ -152,19 +154,19 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
     direction = tuple(rng.normal(size=(3, 400)))
     origin = (0.0, 0.0, 0.0)
     sizes, roots = [], []
-    coefficient_terms, nearest_root = kernels.coefficient_terms, kernels.nearest_root
+    camera_terms, nearest_root = kernels._camera_terms, kernels.nearest_root
 
-    def spy(table, x, s):
+    def spy(table, s, finite):
         # Stage 2 computes a, b, c once per batch, for every pair it roots.
         sizes.append(table.shape[1])
-        return coefficient_terms(table, x, s)
+        return camera_terms(table, s, finite)
 
     def root_spy(a, b, c, a_scale, d=None):
         assert len(roots) == len(sizes) - 1 and len(a) == sizes[-1]
         roots.append(len(a))
         return nearest_root(a, b, c, a_scale, d)
 
-    monkeypatch.setattr(kernels, "coefficient_terms", spy)
+    monkeypatch.setattr(kernels, "_camera_terms", spy)
     monkeypatch.setattr(kernels, "nearest_root", root_spy)
     table, placed = render_tables(objects, origin)
     got = nearest_hits(table, direction, method, placed)
@@ -176,6 +178,120 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
         for s in zip(*direction)
     ]
     assert np.array_equal(got, expected)
+
+
+class TestCameraTerms:
+    """Render's stage-2 a, b and c equal `coefficient_terms`' as bytes, so signed zeros and NaN count."""
+
+    ROT = random_rotation(np.random.default_rng(27))
+    # `CULL_SCENES`, `TestExtremeInputs.SCENES`, two render-unbounded scenes,
+    # and two render-bounded ones, generated as that workload builds them.
+    SCENES = {
+        **test_render.TestSeparatedPairForm.SCENES,
+        **{
+            f"bounded-{seed}": dataclasses.replace(
+                scene, camera=dataclasses.replace(scene.camera, width=16, height=16)
+            )
+            for seed in (1, 2)
+            for scene in [generate_scene(seed, 48, ("sphere", "ellipsoid"))]
+        },
+    }
+
+    @staticmethod
+    def _stage2(scene: Scene, method: str, monkeypatch) -> list:
+        """(table, s, finite, (a, b, c)) of each `_camera_terms` call of `nearest_hits` on the image."""
+        calls = []
+        camera_terms = kernels._camera_terms
+
+        def spy(table, s, finite):
+            terms = camera_terms(table, s, finite)
+            calls.append((table, s, finite, terms))
+            return terms
+
+        monkeypatch.setattr(kernels, "_camera_terms", spy)
+        cam = scene.camera
+        table, placed = render_tables(scene.objects, cam.origin.as_tuple())
+        x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
+        nearest_hits(table, (x.ravel(), y.ravel(), z.ravel()), method, placed)
+        return calls
+
+    @staticmethod
+    def _assert_reference_bytes(table, s, terms) -> None:
+        with np.errstate(all="ignore"):
+            want = coefficient_terms(table, kernels._CAMERA, (*s, 0.0))
+        for got, value in zip(terms, want):
+            assert got.dtype == value.dtype and got.tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("keep", ["cull", "every-pair"])
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    def test_stage2_pairs(self, name, method, keep, monkeypatch):
+        if keep == "every-pair":
+            monkeypatch.setattr(kernels, "cull_radii", test_render._keep_every_pair)
+        calls = self._stage2(self.SCENES[name], method, monkeypatch)
+        # No scene here trips the overflow check: every pair takes the camera form.
+        assert all(finite for _, _, finite, _ in calls)
+        assert calls or keep == "cull"
+        for table, s, _, terms in calls:
+            self._assert_reference_bytes(table, s, terms)
+
+    def test_random_tables_with_signed_zeros(self):
+        rng = np.random.default_rng(27)
+        n = 20000
+        table = rng.normal(size=(10, n)) * 10.0 ** rng.integers(-8, 9, size=(10, n))
+        for value, share in ((0.0, 0.3), (-0.0, 0.15)):
+            table[rng.random((10, n)) < share] = value
+        s = tuple(rng.normal(size=(3, n)))
+        for v in s:
+            for value, share in ((0.0, 0.2), (-0.0, 0.1)):
+                v[rng.random(n) < share] = value
+        with np.errstate(all="ignore"):
+            assert np.isfinite(abs(table).max() * abs(np.array(s)).max())
+            terms = kernels._camera_terms(table, s, True)
+        # Thousands of a, b and c are exact zeros, whose signs the dropped terms decide.
+        assert all((term == 0.0).sum() > 1000 for term in terms)
+        self._assert_reference_bytes(table, s, terms)
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    def test_sphere_about_the_camera(self, method, monkeypatch):
+        # Every pixel's b is exactly 0, so every pair takes `coefficient_terms`.
+        origin = Vec3(1.0, 2.0, 3.0)
+        scene = Scene(
+            Camera(origin, Vec3(0.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), 60.0, 9, 7),
+            (
+                SceneObject(Sphere(2.0), origin),
+                SceneObject(Ellipsoid(3.0, 1.0, 2.0), origin, self.ROT),
+            ),
+        )
+        calls = self._stage2(scene, method, monkeypatch)
+        assert calls and all(finite and (terms[1] == 0.0).all() for _, _, finite, terms in calls)
+        for table, s, _, terms in calls:
+            self._assert_reference_bytes(table, s, terms)
+        monkeypatch.undo()
+        expected, _ = test_render.reference_render(scene, method)
+        assert render_detection(scene, method).pixels == expected
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    def test_overflowing_bound_runs_coefficient_terms(self, method, monkeypatch):
+        # max|a_k| max|s_i| overflows at this field of view: a dropped term
+        # (a_k s_i) 0.0 would be NaN, so the call runs `coefficient_terms`.
+        huge = 2.0 ** 1020
+        scene = Scene(
+            Camera(Vec3(0.0, 0.0, 0.001), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), 179.0, 9, 7),
+            (SceneObject(General(QuadricMatrix(huge, 0.0, 0.0, -1.0, a14=huge))),),
+        )
+        ran = []
+        monkeypatch.setattr(
+            kernels, "coefficient_terms", lambda *args: ran.append(args) or coefficient_terms(*args)
+        )
+        calls = self._stage2(scene, method, monkeypatch)
+        assert calls and not any(finite for _, _, finite, _ in calls)
+        assert len(ran) == len(calls)
+        for table, s, _, terms in calls:
+            self._assert_reference_bytes(table, s, terms)
+        monkeypatch.undo()
+        expected, _ = test_render.reference_render(scene, method)
+        assert render_detection(scene, method).pixels == expected
 
 
 class TestCullRadii:
