@@ -115,7 +115,8 @@ def solve(
     small root when b^2 >> a*c.
 
     `a_scale` is the magnitude against which a ~ 0 is judged; the
-    intersection routes pass max|Q_ij|*||s||^2.  `discriminant`
+    intersection routes pass `_a_scale`, max|Q_ij|*||s||^2 over the entries
+    a reads.  `discriminant`
     substitutes an externally computed D for both classification and root
     extraction; the result then reports that value.
     """
@@ -144,9 +145,18 @@ def solve(
 
 
 def _a_scale(q: QuadricMatrix, direction: HomogeneousDirection) -> float:
-    s = direction.as_tuple()
-    s_sq = s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + s[3] * s[3]
-    return q.max_abs_coefficient() * s_sq
+    """max|Q_ij| ||s||^2 over the entries a = s^T Q s reads: Q's 3x3 block when s_w = 0.
+
+    Every entry of Q when s_w != 0.  a44 carries length^2 units and a_i4
+    length units, so judged against them a far or huge surface's a would
+    count as 0.
+    """
+    sx, sy, sz, sw = direction.as_tuple()
+    if sw == 0.0:
+        largest = max(abs(q.a11), abs(q.a22), abs(q.a33), abs(q.a12), abs(q.a13), abs(q.a23))
+    else:
+        largest = q.max_abs_coefficient()
+    return largest * (sx * sx + sy * sy + sz * sz + sw * sw)
 
 
 def intersect_classical(

@@ -75,16 +75,18 @@ pair it cannot decide falls back to the one per-pair form,
 `moment_discriminant`, so its counts equal that form's on every input,
 on both routes.
 
-`nearest_hits` runs in two stages.  Stage 1 (`keep_pairs`, per tile)
-tests each pair against a conservative sphere about its column's centre,
-of squared radius R'^2, and keeps only those it cannot rule out.
-`cull_radii` alone derives R'^2, once per call, from the camera-relative
-placements of `render_tables`; it is inf for an unbounded column, which
-keeps every pair.  Stage 2 roots every kept pair in one batch.  It runs
-as soon as TILE_PAIRS pairs are kept and after the last tile, so memory
-stays bounded, and once per call on most images.  The cull drops only
-pairs whose kernel result is provably a Miss, so it never decides a
-result.
+`nearest_hits` runs in two stages, and stage 1 has one path per route,
+run per tile over every column.  The separated route keeps the pairs its
+discriminant does not reject (`separated.early_reject`): the factored D
+is its test.  The classical route (`keep_pairs`) tests each pair against
+a conservative sphere about its column's centre, of squared radius R'^2,
+and keeps only those it cannot rule out.  `cull_radii` alone derives
+R'^2, once per classical call, from the camera-relative placements of
+`render_tables`; it is inf for an unbounded column, which keeps every
+pair.  The cull drops only pairs whose kernel result is provably a Miss,
+so it never decides a result.  Stage 2 roots every kept pair in one
+batch.  It runs as soon as TILE_PAIRS pairs are kept and after the last
+tile, so memory stays bounded, and once per call on most images.
 """
 from __future__ import annotations
 
@@ -148,6 +150,8 @@ _CAMERA_PAIRS = ((2, 2), (2, 4), (2, 5), (4, 4), (4, 5), (5, 5))
 
 # Entry (i, j), i <= j, of each coefficient of Q's symmetric 4x4 matrix.
 _ROWS, _COLS = np.array(COEFFICIENT_ENTRIES).T
+# Q's 3x3 block, the coefficients a = s^T Q s reads when s_w = 0: `classical._a_scale`'s.
+_BLOCK = [k for k, (_, j) in enumerate(COEFFICIENT_ENTRIES) if j < 3]
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,7 +243,7 @@ def render_tables(objects: Sequence[SceneObject], origin: Sequence[float]) -> tu
     k moved to that centre, bit for bit; with origin (0, 0, 0) it is the
     world table itself, as c - 0.0 == c for every float.  The placements
     are the `_placements` the table is built from, with those centres:
-    stage 1 reads them (`cull_radii`, `keep_pairs`).
+    the classical route's stage 1 reads them (`cull_radii`, `keep_pairs`).
     """
     q0, centers, rotated, rot = _placements(objects)
     placed = (q0, centers - np.array(origin, dtype=np.float64), rotated, rot)
@@ -320,17 +324,18 @@ def nearest_root(a, b, c, a_scale, d=None):
 
 
 def cull_radii(placed: tuple, max_abs: np.ndarray, direction: Directions) -> np.ndarray:
-    """Stage-1 squared radius R'^2 of each column for these rays; +inf where every pair is kept.
+    """Classical stage-1 squared radius R'^2 of each column for these rays; +inf keeps every pair.
 
     `placed` is the camera-relative `_placements` of `render_tables`,
     `max_abs` each column's largest |coefficient| in the kernels' table and
     `direction` the pixels' (sx, sy, sz) arrays.  `keep_pairs` drops a pair
     only when its line misses the sphere of radius R' about c, and R' is
-    derived so that both routes then classify the pair as Miss.  Below, t s
-    is a ray from the camera at x = 0 (render's coordinates), c the centre
-    relative to it, rho the distance from c to the line and u = 2^-53.
-    |s| is taken over all the call's rays (max |s|_1, min |s|^2), so R' is
-    one number per column; the call needs at least one ray.
+    derived so that the classical route then classifies the pair as Miss;
+    the separated route runs no cull.  Below, t s is a ray from the camera
+    at x = 0 (render's coordinates), c the centre relative to it, rho the
+    distance from c to the line and u = 2^-53.  |s| is taken over all the
+    call's rays (max |s|_1, min |s|^2), so R' is one number per column;
+    the call needs at least one ray.
 
     0. Bounding sphere.  Boundedness is read off the kind's fundamental
        coefficients: a column is bounded when a11, a22, a33 > 0, a44 < 0
@@ -350,50 +355,40 @@ def cull_radii(placed: tuple, max_abs: np.ndarray, direction: Directions) -> np.
        because <s,s><c,c> - <s,c>^2 = <s,s> min_t <t s - c, t s - c>.
     2. Tangency band.  b^2 <= a lam |c|^2 and |a c'| <= a (lam |c|^2 + nu),
        so TANGENT_EPS max(b^2, |ac'|) <= a m TANGENT_EPS (lam / m |c|^2 + R^2).
-    3. Rounding.  Both routes' d, and the b^2 and |ac'| of the band, lie
-       within E = 2^-44 (A_sx^2 + A_s A_x) of the exact values, where A_s,
-       A_sx, A_x sum the absolute terms of a, b, c' over T^T Q0 T (T the
-       placement): the world-table build, the forms, and the separated
-       sum account for about 150u of the 512u.  The forms are those of
+    3. Rounding.  d, and the b^2 and |ac'| of the band, lie within
+       E = 2^-44 (A_sx^2 + A_s A_x) of the exact values, where A_s, A_sx,
+       A_x sum the absolute terms of a, b, c' over T^T Q0 T (T the
+       placement): the world-table build and the forms account for at
+       most about 150u of the 512u.  The forms are those of
        `coefficient_terms`: `_camera_terms` drops only exact zeros and
        gives their a, b and c bit for bit, so their rounding is counted
-       unchanged.  The separated sum is the
-       six terms of `_CAMERA_PAIRS`: p = (0, 0, -s_x, 0, -s_y, -s_z)
-       exactly, so its terms are s_i s_j (a_i4 a_j4 - a44 a_ij), doubled
-       for i != j, which is b^2 - a c' term by term, and their absolute
-       values sum to A_sx^2 + A_s A_x.  A term rounds at most 9 times: 1
-       in its weight, 2 in its entry, 1 in the product and 5 in the sum,
-       whose first addition, to 0.0, is exact.  The budget was derived
-       for the wedge form <x ^ s, Qs ^ Qx>, whose terms round up to 11
-       times (3 in Q s, 2 in a minor, 1 times r and 5 in the sum) and whose
-       absolute values sum to at most 2 (A_sx^2 + A_s A_x); the six terms
-       carry less on both counts, so the 150u still holds.  The ray
-       point is (0, 0, 0, 1), so T takes it to its last column, the
-       rotated -c: row i < 3 of |T| takes |s| to at most sqrt(1 + k) |s|
-       and the point to at most sqrt(1 + k) |c|.  So A_s <= tau |s|^2,
-       A_sx <= tau |s| |c|, A_x <= tau |c|^2 + nu and
+       unchanged.  The ray point is (0, 0, 0, 1), so T takes it to its
+       last column, the rotated -c: row i < 3 of |T| takes |s| to at most
+       sqrt(1 + k) |s| and the point to at most sqrt(1 + k) |c|.  So
+       A_s <= tau |s|^2, A_sx <= tau |s| |c|, A_x <= tau |c|^2 + nu and
        E / (a m) <= 2^-44 tau (2 tau |c|^2 + nu) / m^2.  |c|^2 is summed in
        floats, at least 1 - 3u times the exact value, and 512u (1 - 3u)
        still exceeds the 150u with room, so the term stays an upper bound.
        Render's coordinates put the camera at 0, so this term grows with
        the distance from the camera, not from the world origin.
     4. Range.  With g = max(1, max|Q|) max(1, |s|_1), and the point's
-       entries at most 1 in absolute value, no intermediate of either route
+       entries at most 1 in absolute value, no intermediate of the route
        exceeds 2^5 g^4, so g <= 2^250 rules out overflow; underflow adds at
        most 2^-1050 g^4 to d and 2^-1050 g^2 to a.
     5. Linear branch.  |a| > LINEAR_EPS max|Q| |s|^2 holds for every ray when
        m > LINEAR_EPS max|Q| + 2^-44 tau + 2^-1050 g^2 / min |s|^2;
        otherwise (centres far from the camera, for one) the column keeps
-       every pair.
+       every pair.  `nearest_hits` judges a against the largest
+       |coefficient| of Q's 3x3 block, at most max|Q|, which only makes
+       this bound more conservative.
 
     So rho^2 > need = R^2 + TANGENT_EPS (lam / m |c|^2 + R^2)
     + 2^-44 tau (2 tau |c|^2 + nu) / m^2 + 2^-1050 g^4 / (m^2 min |s|^2)
-    gives d < -band: a Miss on both routes, whose early reject only rejects
-    more.  The test (s.c)^2 < |s|^2 (|c|^2 - R'^2), in floats, errs by less
-    than 27u |s|^2 (|c|^2 + R'^2), so R'^2 = (need + 2^-45 |c|^2)(1 + 2^-45)
-    + 2^-1060 covers it, and the relative error of this function's own
-    arithmetic.  Any non-finite term makes R'^2 inf, and `keep_pairs` keeps
-    every pair of that column.
+    gives d < -band: a Miss.  The test (s.c)^2 < |s|^2 (|c|^2 - R'^2), in
+    floats, errs by less than 27u |s|^2 (|c|^2 + R'^2), so
+    R'^2 = (need + 2^-45 |c|^2)(1 + 2^-45) + 2^-1060 covers it, and the
+    relative error of this function's own arithmetic.  Any non-finite term
+    makes R'^2 inf, and `keep_pairs` keeps every pair of that column.
     """
     q0, centers, rotated, rot = placed
     diag = q0[:, :3]
@@ -427,7 +422,7 @@ def cull_radii(placed: tuple, max_abs: np.ndarray, direction: Directions) -> np.
 
 
 def keep_pairs(centers: np.ndarray, r_sq: np.ndarray, direction: Directions) -> tuple:
-    """Stage 1: (ray, column) indices of the pairs whose line may meet the sphere about each centre.
+    """Classical stage 1: (ray, column) indices of the pairs whose line may meet the sphere about each centre.
 
     `centers` is (3, columns), relative to the camera, `r_sq` each column's
     R'^2 from `cull_radii` and `direction` the rays' s as three arrays.  A
@@ -508,20 +503,18 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
     `hit_parameters` of `intersect_classical` or `intersect_separated` for
     the homogeneous ray (0, 0, 0, 1) + t (sx, sy, sz, 0), the vectors the
     pair forms receive.  `table` and `placed` are the world table and the
-    placements of `render_tables`.  Stage 1 runs per tile and roots
-    nothing.  Every column goes through `keep_pairs`, about its centre in
-    `placed`, except that the separated route filters the columns
-    `cull_radii` leaves at inf by their discriminant with
-    `separated.early_reject`; on the classical route their infinite R'^2
-    keeps every pair.
-    Stage 2 roots the kept pairs once they reach TILE_PAIRS, and after the
-    last tile, so a batch holds fewer than TILE_PAIRS pairs plus one tile's.
-    The separated route first gives the pairs `keep_pairs` kept their d and
-    the same early reject; then every pair gets a, b, c (`_camera_terms`)
-    and `nearest_root` in one pass, and each ray keeps its minimum.  Both
-    stages take the separated d from one (6, objects) block of
+    placements of `render_tables`.  Stage 1 runs per tile over every
+    column and roots nothing.  The separated route evaluates D on every
+    pair (`_camera_discriminant`, from one (6, objects) block of
     `_CAMERA_PAIRS` entries and one (6, rays) set of weights, built once
-    per call.
+    per call) and keeps, with its d, each pair `separated.early_reject`
+    does not reject.  The classical route keeps the pairs of `keep_pairs`,
+    about each column's centre in `placed` with the R'^2 of `cull_radii`.
+    Stage 2 roots the kept pairs once they reach TILE_PAIRS, and after the
+    last tile, so a batch holds fewer than TILE_PAIRS pairs plus one tile's:
+    every pair gets a, b, c (`_camera_terms`) and `nearest_root` in one
+    pass, a judged against the largest |coefficient| of Q's 3x3 block, as
+    `classical._a_scale` judges it, and each ray keeps its minimum.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -529,14 +522,11 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
     if not rays:
         return np.empty(0)
     max_abs = np.abs(table).max(axis=0)
+    a_scale = np.abs(table[_BLOCK]).max(axis=0)
     sx, sy, sz = direction
     s_sq = sx * sx + sy * sy + sz * sz
-    r_sq = cull_radii(placed, max_abs, direction)
-    dense = ~(r_sq < np.inf) & (method == "separated")
-    cull_cols, dense_cols = np.flatnonzero(~dense), np.flatnonzero(dense)
-    centers, r_sq = placed[1][cull_cols].T, r_sq[cull_cols]
     out = np.full(rays, np.nan)
-    culled, kept, pending = [], [], 0
+    kept, pending = [], 0
     with np.errstate(all="ignore"):
         # Every a_k s_i of stage 2 is finite when this bound is (rounding is monotonic).
         finite_terms = bool(np.isfinite(max_abs.max(initial=0.0) * np.abs(direction).max()))
@@ -546,28 +536,23 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
                 compound_weights(line_entries(_CAMERA, (sx, sy, sz, 0.0)), _CAMERA_PAIRS)
             )
             finite = bool(np.isfinite(block).all())
-            dense_block = block[:, dense_cols]
+        else:
+            centers, r_sq = placed[1].T, cull_radii(placed, max_abs, direction)
         for sl in tiles(rays, table.shape[1]):
-            s = _take(direction, sl)
-            ri, oi = keep_pairs(centers, r_sq, s)
-            culled.append((ri + sl.start, cull_cols[oi]))
-            pending += len(ri)
-            if len(dense_cols):
-                d = _camera_discriminant(weights[:, sl, None], dense_block, finite)
+            if method == "separated":
+                d = _camera_discriminant(weights[:, sl, None], block, finite)
                 ri, oi = np.nonzero(~early_reject(d))
-                kept.append((ri + sl.start, dense_cols[oi], d[ri, oi]))
-                pending += len(ri)
+                kept.append((ri + sl.start, oi, d[ri, oi]))
+            else:
+                ri, oi = keep_pairs(centers, r_sq, _take(direction, sl))
+                kept.append((ri + sl.start, oi))
+            pending += len(ri)
             if pending >= TILE_PAIRS or (pending and sl.stop >= rays):
-                ri, oi = _joined(culled)
-                d = None
-                if method == "separated":
-                    d = _camera_discriminant(weights[:, ri], block[:, oi], finite)
-                    survive = ~early_reject(d)
-                    kept.append((ri[survive], oi[survive], d[survive]))
-                    ri, oi, d = _joined(kept)
-                culled, kept, pending = [], [], 0
+                # The classical route keeps no d: `nearest_root` computes b^2 - a c.
+                ri, oi, *d = _joined(kept)
+                kept, pending = [], 0
                 a, b, c = _camera_terms(table[:, oi], _take(direction, ri), finite_terms)
-                np.fmin.at(out, ri, nearest_root(a, b, c, max_abs[oi] * s_sq[ri], d))
+                np.fmin.at(out, ri, nearest_root(a, b, c, a_scale[oi] * s_sq[ri], *d))
     return out
 
 

@@ -338,13 +338,19 @@ CULL_SCENES = {
         ),
     ),
     "far-sphere": TestExtremeInputs.SCENES["far-sphere"],
-    # The sphere is 1e7 from the camera, so in render's coordinates
-    # 1e-12 max|Q| |s|^2 exceeds a = |s|^2: every pair takes the linear
-    # branch, and |b| is large enough for a LinearHit whether or not the
-    # line comes near the sphere: the cull must keep every pair.
+    # The sphere is 1e7 from the camera, where a44 = |c|^2 - 1 and a_i4 =
+    # -c_i dwarf the 3x3 block: a scale read off them would make a = |s|^2
+    # count as 0 on every pair and light pixels whose line misses the sphere.
     "far-linear": Scene(
         _camera(9, 7, origin=Vec3(0.0, 0.0, 0.0), look_at=Vec3(1.0, 0.0, 0.0)),
         (SceneObject(Sphere(1.0), Vec3(1e7, 0.0, 0.0)),),
+    ),
+    # The camera sits on the paraboloid's axis and the image size is odd,
+    # so the centre pixel's ray is the axis: a = a33 = 0 exactly and
+    # b = a34 s_z is not, a LinearHit on both routes.
+    "axis-linear": Scene(
+        _camera(9, 7, origin=Vec3(0.0, 0.0, 10.0)),
+        (SceneObject(HyperbolicParaboloid(1.0, 2.0)),),
     ),
     "axis-ratio": Scene(
         _camera(11, 9, origin=Vec3(0.0, 0.0, 20.0)),
@@ -405,7 +411,7 @@ class TestBoundingCull:
         monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
         kinds = self._check(CULL_SCENES[name], method, monkeypatch)
         # The scenes built to reach the tangency band and the linear branch do.
-        wanted = {"grazing": "Tangent", "far-linear": "LinearHit"}
+        wanted = {"grazing": "Tangent", "axis-linear": "LinearHit"}
         assert name not in wanted or wanted[name] in kinds
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -415,16 +421,34 @@ class TestBoundingCull:
 
     @pytest.mark.parametrize("method", ["classical", "separated"])
     def test_none_kept(self, method, monkeypatch):
+        # Classical tests every pair against the cull and keeps none; the
+        # separated route never calls it.  Either way no stage-2 batch runs.
         spy = _KeptPairs(monkeypatch)
+        batches = []
+        camera_terms = kernels._camera_terms
+        monkeypatch.setattr(
+            kernels, "_camera_terms", lambda *args: batches.append(args) or camera_terms(*args)
+        )
         image = render_detection(CULL_SCENES["none-kept"], method)
-        assert set(image.pixels) == {0}
-        assert spy.tested == 9 * 7 * 2 and spy.kept == 0
+        assert set(image.pixels) == {0} and batches == []
+        assert spy.tested == (9 * 7 * 2 if method == "classical" else 0) and spy.kept == 0
+
+    @pytest.mark.parametrize("name", sorted(CULL_SCENES))
+    def test_separated_route_runs_no_cull(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the separated route ran the cull")
+
+        scene = CULL_SCENES[name]
+        expected, _ = reference_render(scene, "separated")
+        monkeypatch.setattr(kernels, "cull_radii", refuse)
+        monkeypatch.setattr(kernels, "keep_pairs", refuse)
+        assert render_detection(scene, "separated").pixels == expected
 
     @pytest.mark.parametrize("method", ["classical", "separated"])
     def test_unbounded_columns(self, method, monkeypatch):
         # An unbounded column keeps every pair of `keep_pairs`, so the
         # classical route roots them all in stage 2; the separated route
-        # filters them by their discriminant instead.
+        # never calls it.
         scene = CULL_SCENES["all-unbounded"]
         spy = _KeptPairs(monkeypatch)
         expected, _ = reference_render(scene, method)
@@ -439,28 +463,22 @@ class TestBoundingCull:
         scene = generate_scene(3, 200)
         scene = Scene(dataclasses.replace(scene.camera, width=64, height=64), scene.objects)
         spy = _KeptPairs(monkeypatch)
-        render_detection(scene, "separated")
+        render_detection(scene, "classical")
         assert spy.tested == 64 * 64 * 200
         assert 0 < spy.kept <= 0.01 * spy.tested
 
 
-# Classical keeps the pixels that a sphere about 1e7 from the camera lights
-# on its linear branch (ROADMAP item 2): strict xfails in
-# tests/test_scale_defects.py.  Radius 2^500 lights 24 wrong pixels on each
-# route, because `_a_scale` judges a against a44 (ROADMAP item 2).
+# The classical pixels of far-linear and far-placed are checked in
+# tests/test_scale_defects.py.  Judged against a44 rather than Q's 3x3
+# block, radius-2^500 would light 24 wrong pixels on each route.
 TRUTH_CASES = [
     (name, method)
     for name in (
-        "grazing", "far-grazing", "far-sphere", "far-linear", "far-placed", "radius-2^-500"
+        "grazing", "far-grazing", "far-sphere", "far-linear", "far-placed", "radius-2^-500",
+        "radius-2^500",
     )
     for method in ("classical", "separated")
     if (name, method) not in {("far-linear", "classical"), ("far-placed", "classical")}
-] + [
-    pytest.param(
-        "radius-2^500", method,
-        marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a judged against a44"),
-    )
-    for method in ("classical", "separated")
 ]
 
 
@@ -482,7 +500,7 @@ _ALL_KINDS = ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid")
 
 
 class TestSeparatedPairForm:
-    """Render's separated D is `discriminant_separated`'s, bit for bit, on both stages' pairs."""
+    """Render's separated D is `discriminant_separated`'s, bit for bit, on every pair."""
 
     SCENES = {
         **CULL_SCENES,
@@ -498,11 +516,11 @@ class TestSeparatedPairForm:
     }
 
     @staticmethod
-    def _render_d(scene, cull, monkeypatch) -> tuple:
+    def _render_d(scene, cull, monkeypatch) -> np.ndarray:
         """The d `nearest_hits` passes its early reject, on the whole image in one call.
 
-        Stage 1's dense tiles are 2-D and stage 2's pairs 1-D; each stage's
-        d arrive in order, joined into one array.
+        Each tile's d is (tile rays, objects); they arrive in order, joined
+        into one (rays, objects) array.
         """
         cam = scene.camera
         table, placed = kernels.render_tables(scene.objects, cam.origin.as_tuple())
@@ -512,13 +530,10 @@ class TestSeparatedPairForm:
         monkeypatch.setattr(kernels, "early_reject", lambda d: seen.append(d) or reject(d))
         monkeypatch.setattr(kernels, "cull_radii", cull)
         kernels.nearest_hits(table, (x.ravel(), y.ravel(), z.ravel()), "separated", placed)
-        return tuple(
-            np.concatenate([d for d in seen if d.ndim == ndim] or [np.empty((0,) * ndim)])
-            for ndim in (2, 1)
-        )
+        return np.concatenate(seen)
 
     @pytest.mark.parametrize("name", sorted(SCENES))
-    def test_both_stages(self, name, monkeypatch):
+    def test_every_pair(self, name, monkeypatch):
         scene = self.SCENES[name]
         cam = scene.camera
         matrices = [o.world_matrix() for o in camera_relative(scene.objects, cam.origin)]
@@ -529,12 +544,11 @@ class TestSeparatedPairForm:
              for q in matrices]
             for s in zip(x.ravel().tolist(), y.ravel().tolist(), z.ravel().tolist())
         ])
-        # No cull: every column takes stage 1's dense path, tile by tile.
-        stage1, stage2 = self._render_d(scene, _no_cull, monkeypatch)
-        assert stage1.tobytes() == expected.tobytes() and stage2.size == 0
-        # Every pair kept: stage 2 gets them all, ray by ray, in column order.
-        stage1, stage2 = self._render_d(scene, _keep_every_pair, monkeypatch)
-        assert stage1.size == 0 and stage2.tobytes() == expected.ravel().tobytes()
+        # The route reads no cull: with every column unbounded or every pair
+        # kept alike, each tile gives the d of all its pairs, ray by ray.
+        for cull in (_no_cull, _keep_every_pair):
+            d = self._render_d(scene, cull, monkeypatch)
+            assert d.shape == expected.shape and d.tobytes() == expected.tobytes()
 
 
 class TestPlacementInvariance:

@@ -1,14 +1,18 @@
-"""Reproductions of the misclassifications ROADMAP item 2 describes, as strict xfails.
+"""The misclassifications ROADMAP item 2 describes: fixed ones as plain tests, the rest as strict xfails.
 
 Each test asserts the right answer, checked against the exact oracle of
 `_helpers.exact_terms` where one exists; the oracle's roots are checked in a
 plain test that must pass, so a broken set-up cannot hide inside an xfail.
+Item 2's step 1 fixed the far-placed and the huge sphere, on both routes
+and in render's far scenes: `classical._a_scale` judges a against Q's 3x3
+block, the entries a reads, not against a44, which carries length^2 units.
 Where both routes still get a case wrong or disagree on it, its test fails
-on an assertion and is marked xfail; the fix of item 2 has to flip them to
-passing, and `xfail_strict` makes the suite say so.  The far plain sphere
-is fixed: both bench routes refuse its world matrix, and its tests are
-plain.  Render works about the camera, so its scenes reproduce the scale
-defect only with a sphere far from the camera.
+on an assertion and is marked xfail: the near-tangent ray and the
+overflowing coefficients, which step 2 has to flip to passing, and
+`xfail_strict` makes the suite say so.  The far plain sphere is fixed: both
+bench routes refuse its world matrix, and its tests are plain.  Render
+works about the camera, so its scenes reproduce a scale defect only with a
+sphere far from the camera.
 """
 import math
 import sys
@@ -78,20 +82,12 @@ def _assert_two(result, roots):
     assert result.t2 == pytest.approx(roots[1], rel=1e-6)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 2: `_a_scale` judges a against a44, which carries length^2 units",
-)
 def test_far_placed_sphere_is_hit_twice():
     roots = _exact_roots(*_FAR_SPHERE)
     for result in _both_routes(*_FAR_SPHERE):
         _assert_two(result, roots)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 2: `_a_scale` judges a against a44, which carries length^2 units",
-)
 def test_huge_sphere_is_hit_twice():
     roots = _exact_roots(*_HUGE_SPHERE)
     for result in _both_routes(*_HUGE_SPHERE):
@@ -121,16 +117,12 @@ def test_overflowing_coefficients_light_the_same_pixels_on_both_routes():
     assert [v > 0 for v in classical] == [v > 0 for v in separated]
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 2: `_a_scale` judges a against a44, which carries length^2 units",
-)
 @pytest.mark.parametrize("name", ["far-placed", "far-linear"])
 def test_render_scene_with_a_far_sphere_lights_the_exact_pixels_on_classical(name):
-    # A sphere about 1e7 from the camera takes the linear branch, and the
-    # classical route lights pixels whose ray misses it: 32 of far-placed's,
-    # 62 of far-linear's.  Separated's early reject drops them, and
-    # tests/test_render.py checks its pixels.
+    # A sphere about 1e7 from the camera: judged against a44, its a would
+    # count as 0, and the classical route would light pixels whose ray
+    # misses it, 32 of far-placed's and 62 of far-linear's.
+    # tests/test_render.py checks the separated route's pixels.
     scene = CULL_SCENES[name]
     assert wrong_pixels(scene, render_detection(scene, "classical").pixels) == []
 
