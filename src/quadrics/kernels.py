@@ -34,12 +34,11 @@ Only 6 terms of a, 3 of b and 1 of c of `classical.coefficient_terms`
 are not 0 (`_camera_terms`, in the operand order of
 `quadric.quadratic_form` and `bilinear_form`); it runs `coefficient_terms`
 itself on a call where a dropped term could be NaN and on a pair whose a,
-b or c is exactly 0, whose sign the dropped zeros decide.  Render's
-separated early reject is `separated.early_reject`.  numpy float64 ufuncs
-round exactly as Python floats do, so each pair gets the scalar kernels'
-value bit for bit by construction.  What is batched here,
-the classification in `nearest_root`, keeps the operand order of `solve`,
-and the tests compare both.  The tile loops run under
+b or c is exactly 0, whose sign the dropped zeros decide.  numpy float64
+ufuncs round exactly as Python floats do, so each pair gets the scalar
+kernels' value bit for bit by construction.  What is batched here, the
+classification in `nearest_root`, keeps the operand order of `solve`, and
+the tests compare both.  The tile loops run under
 `np.errstate(all="ignore")`: overflow gives inf and NaN silently, as
 Python float arithmetic does, and the branches of `solve` that a pair does
 not take are evaluated for every pair, then discarded.
@@ -76,17 +75,21 @@ pair it cannot decide falls back to the one per-pair form,
 on both routes.
 
 `nearest_hits` runs in two stages, and stage 1 has one path per route,
-run per tile over every column.  The separated route keeps the pairs its
-discriminant does not reject (`separated.early_reject`): the factored D
-is its test.  The classical route (`keep_pairs`) tests each pair against
-a conservative sphere about its column's centre, of squared radius R'^2,
-and keeps only those it cannot rule out.  `cull_radii` alone derives
-R'^2, once per classical call, from the camera-relative placements of
-`render_tables`; it is inf for an unbounded column, which keeps every
-pair.  The cull drops only pairs whose kernel result is provably a Miss,
-so it never decides a result.  Stage 2 roots every kept pair in one
-batch.  It runs as soon as TILE_PAIRS pairs are kept and after the last
-tile, so memory stays bounded, and once per call on most images.
+run per tile over every column.  Each is a filter that never decides a
+result: it drops only pairs whose `nearest_root` result is provably a
+Miss, and Miss, Tangent and Two are decided in `nearest_root` alone, as in
+`classical.solve`.  The separated route evaluates the factored D on every
+pair and drops a pair only when d < -T, with T the bound `miss_bound`
+derives per column, once per call, relative to the column's own
+coefficients: the filter does not depend on the units of the scene.  The
+classical route (`keep_pairs`) tests each pair against a conservative
+sphere about its column's centre, of squared radius R'^2, and keeps only
+those it cannot rule out.  `cull_radii` alone derives R'^2, once per
+classical call, from the camera-relative placements of `render_tables`;
+it is inf for an unbounded column, which keeps every pair.  Stage 2 roots
+every kept pair in one batch.  It runs as soon as TILE_PAIRS pairs are
+kept and after the last tile, so memory stays bounded, and once per call
+on most images.
 """
 from __future__ import annotations
 
@@ -101,8 +104,7 @@ from .classical import LINEAR_EPS, TANGENT_EPS, coefficient_terms
 from .geometry import cross_terms
 from .quadric import COEFFICIENT_ENTRIES
 from .separated import (
-    compound_entries, compound_weights, early_reject, line_entries, line_moment,
-    moment_discriminant,
+    compound_entries, compound_weights, line_entries, line_moment, moment_discriminant,
 )
 
 if TYPE_CHECKING:
@@ -115,6 +117,7 @@ __all__ = [
     "tiles",
     "map_ranges",
     "nearest_root",
+    "miss_bound",
     "cull_radii",
     "keep_pairs",
     "nearest_hits",
@@ -152,6 +155,8 @@ _CAMERA_PAIRS = ((2, 2), (2, 4), (2, 5), (4, 4), (4, 5), (5, 5))
 _ROWS, _COLS = np.array(COEFFICIENT_ENTRIES).T
 # Q's 3x3 block, the coefficients a = s^T Q s reads when s_w = 0: `classical._a_scale`'s.
 _BLOCK = [k for k, (_, j) in enumerate(COEFFICIENT_ENTRIES) if j < 3]
+# a14, a24 and a34, the coefficients b = s^T Q x reads from the camera.
+_LINEAR = slice(7, 10)
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -321,6 +326,60 @@ def nearest_root(a, b, c, a_scale, d=None):
         _positive(linear_hit | tangent, single),
         np.fmin(_positive(two, qq / a), _positive(two, c / qq)),
     )
+
+
+def miss_bound(table: np.ndarray, a_scale: np.ndarray, max_abs: np.ndarray, s_sq: np.ndarray):
+    """Separated stage-1 bound T of each column for these rays: d < -T is a Miss, inf keeps all.
+
+    `table` is the world table of `render_tables`, `a_scale` each column's
+    largest |coefficient| of Q's 3x3 block, A, `max_abs` its largest
+    |coefficient| and `s_sq` the rays' sx^2 + sy^2 + sz^2 in floats, for
+    one ray or more; it runs under the errstate of `nearest_hits`.
+    `nearest_hits` drops a pair only when its six-term d
+    (`_camera_discriminant`) is below -T, and T is derived so that
+    `nearest_root` then returns NaN: the filter never decides a result.
+    From the camera at x = 0 a pair's exact terms are a = s^T Q s over the
+    3x3 block, b = l.s with l = (a14, a24, a34), c = a44 and
+    D = b^2 - a c.  L = max|l_i|, M = max(L^2, A |a44|), |s|_1 and |s|^2
+    are the pair's ray's, S is the largest |s|^2 of the call in floats, so
+    T is one number per column, u = 2^-53 and gamma_n = n u / (1 - n u).
+
+    0. Range.  With g = max(1, max|Q|) max(1, 4 S), max|Q| over every
+       column, at least max(1, max|Q|) max(1, |s|_1) as |s|_1^2 <= 3 |s|^2,
+       no intermediate of d, a, b, c or the band exceeds 2^5 g^4, so
+       g <= 2^250 rules out overflow (a call with g > 2^250 gets T = inf).
+       Underflow, where a product errs by at most 2^-1075 and a sum is
+       exact, moves each of d, a |a44|, b^2, the band and the terms of T
+       by less than 2^-1060 g^4.
+    1. Band.  |a| <= A |s|_1^2 and |b| <= L |s|_1 exactly, and the floats'
+       a and b sum 5 and 3 rounded terms in the scalar order, so the band,
+       TANGENT_EPS max(b^2, |a c|) in floats, is at most
+       (1 + gamma_8) TANGENT_EPS M |s|_1^2 <= 3 (1 + gamma_8) TANGENT_EPS M |s|^2.
+       d < -T, with T above that, is d < -band: neither Tangent nor Two.
+    2. Linear branch.  Where `nearest_root` takes it, |a| <= LINEAR_EPS A
+       |s|^2 (1 + gamma_5) in floats, so the exact |a| is at most
+       (LINEAR_EPS + 2^-47) A |s|^2 and D >= -|a| |a44| >=
+       -(LINEAR_EPS + 2^-47) M |s|^2.  Each product of a weight and an
+       entry in d is rounded at most 9 times, and their absolute values sum
+       to at most |s|_1^2 (A |a44| + L^2) <= 6 M |s|^2, so
+       d >= -(LINEAR_EPS + 2^-45) M |s|^2, far above -T: LINEAR_EPS is
+       TANGENT_EPS / 100, and a pair on the linear branch is never dropped.
+    3. T = 3 (1 + 2^-40) TANGENT_EPS M S + 2^-1050 g^4, in floats.  The
+       exact |s|^2 is at most S / (1 - gamma_3) and M within one rounding;
+       with the 4 roundings of T and the 8 of step 1, every factor lies
+       far inside 1 + 2^-40, and 2^-1050 g^4 covers step 0's underflow.
+
+    Multiplying the scene's lengths, or Q, by a power of two multiplies d,
+    the band and M S by one factor, exactly while no value leaves the
+    normal floats, so the pairs kept do not depend on the units.  A NaN or
+    infinite T keeps every pair, and so does a NaN d.
+    """
+    s = s_sq.max()
+    g = max(1.0, max_abs.max(initial=0.0)) * max(1.0, 4.0 * s)
+    if not g <= 2.0 ** 250:
+        return np.full(table.shape[1], np.inf)
+    m = np.maximum(abs(table[_LINEAR]).max(axis=0) ** 2, a_scale * abs(table[3]))
+    return 3.0 * (1.0 + 2.0 ** -40) * TANGENT_EPS * s * m + 2.0 ** -1050 * g ** 4
 
 
 def cull_radii(placed: tuple, max_abs: np.ndarray, direction: Directions) -> np.ndarray:
@@ -504,12 +563,14 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
     the homogeneous ray (0, 0, 0, 1) + t (sx, sy, sz, 0), the vectors the
     pair forms receive.  `table` and `placed` are the world table and the
     placements of `render_tables`.  Stage 1 runs per tile over every
-    column and roots nothing.  The separated route evaluates D on every
-    pair (`_camera_discriminant`, from one (6, objects) block of
+    column, roots nothing and decides no result: it drops only pairs that
+    `nearest_root` classifies as Miss.  The separated route evaluates D on
+    every pair (`_camera_discriminant`, from one (6, objects) block of
     `_CAMERA_PAIRS` entries and one (6, rays) set of weights, built once
-    per call) and keeps, with its d, each pair `separated.early_reject`
-    does not reject.  The classical route keeps the pairs of `keep_pairs`,
-    about each column's centre in `placed` with the R'^2 of `cull_radii`.
+    per call) and keeps, with its d, each pair but those with d < -T, T
+    the per-column bound of `miss_bound`, computed once per call.  The
+    classical route keeps the pairs of `keep_pairs`, about each column's
+    centre in `placed` with the R'^2 of `cull_radii`.
     Stage 2 roots the kept pairs once they reach TILE_PAIRS, and after the
     last tile, so a batch holds fewer than TILE_PAIRS pairs plus one tile's:
     every pair gets a, b, c (`_camera_terms`) and `nearest_root` in one
@@ -536,12 +597,13 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
                 compound_weights(line_entries(_CAMERA, (sx, sy, sz, 0.0)), _CAMERA_PAIRS)
             )
             finite = bool(np.isfinite(block).all())
+            floor = -miss_bound(table, a_scale, max_abs, s_sq)
         else:
             centers, r_sq = placed[1].T, cull_radii(placed, max_abs, direction)
         for sl in tiles(rays, table.shape[1]):
             if method == "separated":
                 d = _camera_discriminant(weights[:, sl, None], block, finite)
-                ri, oi = np.nonzero(~early_reject(d))
+                ri, oi = np.nonzero(~(d < floor))
                 kept.append((ri + sl.start, oi, d[ri, oi]))
             else:
                 ri, oi = keep_pairs(centers, r_sq, _take(direction, sl))

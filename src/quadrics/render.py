@@ -15,25 +15,28 @@ subtracts the camera origin from every object's centre, so every pixel's
 ray starts at 0, and the classification of a pair depends on where the
 scene lies relative to the camera, not on where it lies in the world.
 Pixels are evaluated by `kernels.nearest_hits` in two stages.  Stage 1
-keeps, per tile of pixels x objects, the pairs that may cross: on the
-separated route every pair its discriminant does not reject, and on the
-classical route every pair it cannot rule out against conservative
-bounding spheres, whose squared radii `kernels.cull_radii` derives from
-the camera-relative placements of `kernels.render_tables` (the unbounded
-kinds keep every pair).  Stage 2 computes the roots of the kept pairs in
-one batch.  The kernels run the scalar kernels' own pair formulas on
-arrays, less the terms that are exact zeros for a ray from the camera: a
-and b from the 6 and 3 terms of `coefficient_terms` that such a ray
-leaves, c from a44, and the separated D from 6 of its 21 terms, each sum
-in the scalar order.  a, b and c come from `coefficient_terms` itself on
-a call where a dropped term could overflow into NaN and on a pair where
-one of them is exactly 0, whose sign the dropped zeros decide, so every
-pair gets the scalar values bit for bit.  The separated early reject is
-the scalar one, and the classical cull drops only pairs that route
-classifies as Miss, so an image equals, byte for byte, a per-pixel loop
-over `intersect_classical` or `intersect_separated` and `hit_parameters`
-over the camera-relative scene: each object moved to centre c - o, each
-ray (0, 0, 0, 1) + t (s, 0).
+keeps, per tile of pixels x objects, the pairs that may cross, and decides
+no result: on the separated route every pair but those whose discriminant
+lies below -T, a bound `kernels.miss_bound` derives per object from its
+own coefficients, and on the classical route every pair it cannot rule
+out against conservative bounding spheres, whose squared radii
+`kernels.cull_radii` derives from the camera-relative placements of
+`kernels.render_tables` (the unbounded kinds keep every pair).  Either
+drops only pairs that stage 2 classifies as Miss.  Stage 2 computes the
+roots of the kept pairs in one batch.  The kernels run the scalar
+kernels' own pair formulas on arrays, less the terms that are exact zeros
+for a ray from the camera: a and b from the 6 and 3 terms of
+`coefficient_terms` that such a ray leaves, c from a44, and the separated
+D from 6 of its 21 terms, each sum in the scalar order.  a, b and c come
+from `coefficient_terms` itself on a call where a dropped term could
+overflow into NaN and on a pair where one of them is exactly 0, whose
+sign the dropped zeros decide, so every pair gets the scalar values bit
+for bit.  Miss, Tangent and Two are decided by the one relative tangency
+band of `classical.solve`, which `kernels.nearest_root` batches, on both
+routes, so an image equals, byte for byte, a per-pixel loop over
+`intersect_classical` or `intersect_separated` and `hit_parameters` over
+the camera-relative scene: each object moved to centre c - o, each ray
+(0, 0, 0, 1) + t (s, 0).
 Pixels are computed independently, so output bytes are identical for any
 worker count.
 """

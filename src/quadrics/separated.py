@@ -17,9 +17,10 @@ of the endpoint matrix; the three entry points share one arithmetic body,
 `line_entries`, so they agree entry for entry, exactly.  `line_entries`,
 `compound_entries`, `compound_weights`, `line_moment` and
 `moment_discriminant` take plain tuples, so the batched kernels run the
-same bodies on arrays of lines, of spheres and tables of quadrics.  The
-early reject that spares a pair its coefficient work, `early_reject`,
-likewise takes a float or an array.
+same bodies on arrays of lines, of spheres and tables of quadrics.
+`intersect_separated` classifies with `classical.solve`, given this D:
+Miss, Tangent and Two have one rule, the relative tangency band, on both
+routes.
 
 R's six entries p are the line's Plucker coordinates, p = x ^ s, the 2x2
 minors of [x s], and by Cauchy-Binet
@@ -42,14 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .classical import (
-    TANGENT_EPS,
-    IntersectionResult,
-    Miss,
-    _a_scale,
-    coefficients,
-    solve,
-)
+from .classical import IntersectionResult, _a_scale, coefficients, solve
 from .geometry import HomogeneousDirection, HomogeneousPoint, Vec3, cross_terms
 from .quadric import COEFFICIENT_ENTRIES, QuadricMatrix
 
@@ -70,7 +64,6 @@ __all__ = [
     "moment_discriminant",
     "sphere_discriminant",
     "sphere_discriminant_projective",
-    "early_reject",
     "intersect_separated",
 ]
 
@@ -330,23 +323,13 @@ def sphere_discriminant_projective(
     return b * b - a * c
 
 
-def early_reject(d):
-    """True where the separated discriminant d rejects its pair as a Miss: d < -TANGENT_EPS.
-
-    d is a float or an array, judged elementwise; NaN is not rejected.
-    """
-    return d < -TANGENT_EPS
-
-
 def intersect_separated(q: QuadricMatrix, cache: RayCache) -> IntersectionResult:
     """Full intersection driven by the separated discriminant.
 
-    A clearly negative D (`early_reject`) rejects the pair before any
-    coefficient work; only surviving pairs pay for a, b, c and root
-    extraction.  The reported discriminant is the separated one.
+    `classical.solve` classifies the pair and extracts its roots from the
+    coefficients with D = `discriminant_separated` in place of b^2 - a*c, so
+    Miss is decided by the one relative tangency band of the classical
+    route; the reported discriminant is the separated one.
     """
-    d = discriminant_separated(q, cache)
-    if early_reject(d):
-        return Miss(d=d)
     coeffs = coefficients(q, cache.point, cache.direction)
-    return solve(coeffs, a_scale=_a_scale(q, cache.direction), discriminant=d)
+    return solve(coeffs, _a_scale(q, cache.direction), discriminant_separated(q, cache))

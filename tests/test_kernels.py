@@ -234,7 +234,7 @@ class TestCameraTerms:
         # No scene here trips the overflow check: every pair takes the camera form.
         assert all(finite for _, _, finite, _ in calls)
         # Every pair kept by the cull reaches stage 2; the separated route
-        # reads no cull, and its early reject may leave no pair.
+        # reads no cull, and its stage 1 may leave no pair.
         assert calls or keep == "cull" or method == "separated"
         for table, s, _, terms in calls:
             self._assert_reference_bytes(table, s, terms)
@@ -296,6 +296,123 @@ class TestCameraTerms:
         monkeypatch.undo()
         expected, _ = test_render.reference_render(scene, method)
         assert render_detection(scene, method).pixels == expected
+
+
+class TestMissBound:
+    """Render's separated stage 1 drops only pairs that `nearest_root` classifies as Miss.
+
+    Each case runs the separated `nearest_hits` and reads, through spies,
+    the d of every pair and the T of `kernels.miss_bound`; every pair with
+    d < -T must root to NaN on the scalar-order a, b and c of
+    `coefficient_terms`, with that d.
+    """
+
+    @staticmethod
+    def _stage1(table, direction, monkeypatch) -> tuple:
+        """(d over every pair, T, Q's 3x3 block maximum per column, the nearest t per ray)."""
+        seen, bounds = [], []
+        camera_discriminant, miss_bound = kernels._camera_discriminant, kernels.miss_bound
+
+        def spy_d(*args):
+            seen.append(camera_discriminant(*args))
+            return seen[-1]
+
+        def spy_t(table, a_scale, max_abs, s_sq):
+            bounds.append((a_scale, miss_bound(table, a_scale, max_abs, s_sq)))
+            return bounds[-1][1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_camera_discriminant", spy_d)
+            patch.setattr(kernels, "miss_bound", spy_t)
+            nearest = nearest_hits(table, direction, "separated", None)
+        ((a_scale, t),) = bounds
+        return np.concatenate(seen), t, a_scale, nearest
+
+    @classmethod
+    def _dropped(cls, table, direction, monkeypatch) -> tuple[int, np.ndarray, np.ndarray]:
+        """(pairs dropped, d, nearest t per ray); fails if a dropped pair does not root to NaN."""
+        d, t, a_scale, nearest = cls._stage1(table, direction, monkeypatch)
+        ri, oi = np.nonzero(d < -t)
+        sx, sy, sz = (v[ri] for v in direction)
+        with np.errstate(all="ignore"):
+            a, b, c = coefficient_terms(table[:, oi], kernels._CAMERA, (sx, sy, sz, 0.0))
+            a_scale = a_scale[oi] * (sx * sx + sy * sy + sz * sz)
+            roots = kernels.nearest_root(a, b, c, a_scale, d[ri, oi])
+        rooted = ~np.isnan(roots)
+        assert not rooted.any(), list(zip(ri[rooted], oi[rooted]))
+        return len(ri), d, nearest
+
+    @pytest.mark.parametrize("name", sorted(TestCameraTerms.SCENES))
+    def test_scenes(self, name, monkeypatch):
+        # axis-linear's centre ray is a LinearHit: a = 0 exactly.
+        scene = TestCameraTerms.SCENES[name]
+        cam = scene.camera
+        table, _ = render_tables(scene.objects, cam.origin.as_tuple())
+        x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
+        self._dropped(table, (x.ravel(), y.ravel(), z.ravel()), monkeypatch)
+
+    @pytest.mark.parametrize("scale", [0, 7])
+    def test_tangent_rays(self, scale, monkeypatch):
+        # Each ray from its own origin: the table is relative to it.
+        spheres = [
+            SceneObject(Sphere(o.kind.r * 2.0 ** scale), o.center * 2.0 ** scale)
+            for o in generate_scene(5, 12, ("sphere",)).objects
+        ]
+        point, direction = _tangent_rays(spheres, 6, 5)
+        dropped = 0
+        for ray in zip(*point[:3], *direction[:3]):
+            table, _ = render_tables(spheres, ray[:3])
+            dropped += self._dropped(table, tuple(np.array([v]) for v in ray[3:]), monkeypatch)[0]
+        assert dropped > 0
+
+    def test_random_tables(self, monkeypatch):
+        # Coefficients across 2^-span to 2^span and directions across
+        # 2^+-20, each with exact zeros of both signs; a column whose
+        # coefficients and directions reach past 2^250 keeps every pair.
+        rng = np.random.default_rng(31)
+        dropped = 0
+        for span in (0, 30, 500):
+            table = rng.uniform(-1.0, 1.0, (10, 60)) * 2.0 ** rng.integers(-span, span + 1, (10, 60))
+            s = rng.uniform(-1.0, 1.0, (3, 400)) * 2.0 ** rng.integers(-20, 21, (3, 400))
+            for values in (table, s):
+                for value, share in ((0.0, 0.2), (-0.0, 0.1)):
+                    values[rng.random(values.shape) < share] = value
+            dropped += self._dropped(table, tuple(s), monkeypatch)[0]
+        assert dropped > 4000
+
+    def test_pairs_at_the_edge_of_the_bound(self, monkeypatch):
+        # Tangent pairs with |d| up to 0.99999 of the band, b^2 = 3 L^2 |s|^2
+        # and |a c| = 3 A |a44| |s|^2, the largest the bound allows: a
+        # rank-one block sigma sigma^T, l = -sigma and s = sigma, sigma in
+        # {-1, 1}^3, so a = 9, b = -3, c = 1 + delta TANGENT_EPS and
+        # d = -9 delta TANGENT_EPS exactly, with Q times 2^k.  T with a
+        # factor below 2.9999 in place of 3 (1 + 2^-40) drops the last.
+        sigma = np.array(np.meshgrid([-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0])).reshape(3, 8)
+        block = [sigma[i] * sigma[j] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+        for k in (-20, 0, 20):
+            for delta in (0.5, 0.99, 0.99999):
+                a44 = np.full(8, 1.0 + delta * TANGENT_EPS)
+                table = np.array([*block[:3], a44, *block[3:], *-sigma]) * 2.0 ** k
+                _, d, nearest = self._dropped(table, tuple(sigma), monkeypatch)
+                assert (np.diagonal(d) < 0.0).all() and (nearest == 1.0 / 3.0).all()
+        # Planes (A = 0, a44 = 2^-20) with rays nearly along them: b is a
+        # few ulps, the six-term d rounds below 0 where b^2 - a c = b^2 is
+        # not, and the pair is a LinearHit at t = -a44 / 2b > 0.  Only the
+        # L^2 of the bound keeps such a pair.
+        rng = np.random.default_rng(37)
+        table = np.zeros((10, 40))
+        table[3] = 2.0 ** -20
+        table[7], table[8] = rng.uniform(0.5, 2.0, 40), -rng.uniform(0.5, 2.0, 40)
+        s0 = rng.uniform(0.5, 1.0, (40, 50))
+        s1 = -table[7, :, None] * s0 / table[8, :, None]
+        s1 += rng.integers(-8, 9, s1.shape) * np.spacing(s1)
+        direction = (s0.ravel(), s1.ravel(), np.zeros(s0.size))
+        _, d, _ = self._dropped(table, direction, monkeypatch)
+        plane = np.arange(s0.size) // 50
+        with np.errstate(all="ignore"):
+            _, b, c = coefficient_terms(table[:, plane], kernels._CAMERA, (*direction, 0.0))
+            linear_hits = (d[np.arange(s0.size), plane] < 0.0) & (-c / (2.0 * b) > 0.0)
+        assert linear_hits.sum() > 100
 
 
 class TestCullRadii:

@@ -6,7 +6,8 @@ Multiplying by a power of two is exact while no value leaves the normal
 floats, which bounds every k below.
 
 - Power-of-two units: every length times 2^k (camera origin and look-at,
-  centres, radii and semi-axes) multiplies render's nearest t by 2^k.
+  centres, radii and semi-axes) multiplies render's nearest t by 2^k, and
+  the separated stage 1 keeps the same pairs.
 - The same surface, Q times 2^k: no classification and no root changes.
 """
 import dataclasses
@@ -14,7 +15,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quadrics import QuadricMatrix, hit_parameters, intersect_classical, intersect_separated
+from quadrics import (
+    QuadricMatrix, hit_parameters, intersect_classical, intersect_separated, kernels,
+)
 from quadrics.check import _draw_quadric, _draw_ray
 from quadrics.geometry import HomogeneousDirection, HomogeneousPoint
 from quadrics.kernels import nearest_hits, render_tables
@@ -96,23 +99,10 @@ UNIT_SCENES = {
     },
 }
 UNIT_POWERS = (-60, -30, -10, 10, 14, 17, 30, 60)
-# Classical lights 80 of axis-ratio's 99 pixels and separated 13: on 76
-# pairs of its rotated thin ellipsoid, classical finds D inside the tangency
-# band, a Tangent, and separated's absolute early reject, d < -TANGENT_EPS,
-# a Miss.  With D 2^-120 times smaller, at k = 60, separated lights 80.
-_EARLY_REJECT = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 2 step 2: the separated early reject d < -TANGENT_EPS is absolute",
-)
-UNIT_CASES = [
-    pytest.param(name, method, marks=_EARLY_REJECT)
-    if (name, method) == ("axis-ratio", "separated") else (name, method)
-    for name in sorted(UNIT_SCENES)
-    for method in METHODS
-]
 
 
-@pytest.mark.parametrize("name, method", UNIT_CASES)
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", sorted(UNIT_SCENES))
 def test_power_of_two_units_scale_every_nearest_t(name, method):
     scene = UNIT_SCENES[name]
     nearest, _, direction = _nearest(scene, method)
@@ -124,6 +114,32 @@ def test_power_of_two_units_scale_every_nearest_t(name, method):
         nonzero = np.abs(table[table != 0.0])
         assert np.isfinite(nonzero).all() and nonzero.min() >= np.finfo(float).tiny
         assert scaled.tobytes() == (nearest * 2.0 ** k).tobytes(), k
+
+
+def _kept_pairs(scene: Scene, monkeypatch) -> int:
+    """Pairs the separated stage 1 keeps on the image: those `nearest_root` roots."""
+    kept = []
+    nearest_root = kernels.nearest_root
+
+    def spy(a, *args):
+        kept.append(a.size)
+        return nearest_root(a, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "nearest_root", spy)
+        _nearest(scene, "separated")
+    return sum(kept)
+
+
+@pytest.mark.parametrize("k", [-30, -20, 20, 30])
+def test_power_of_two_units_keep_the_separated_stage_1_pairs(k, monkeypatch):
+    # The bound of `kernels.miss_bound` scales with d.  An absolute one,
+    # d < -TANGENT_EPS, kept 219 pairs of these four scenes at k = 0 and
+    # 7414, 25682, 8120 and 23689 at k = -20, -30, 20 and 30.
+    scenes = [UNIT_SCENES[f"bounded-{seed}"] for seed in range(16, 20)]
+    kept = [_kept_pairs(scene, monkeypatch) for scene in scenes]
+    assert sum(kept) > 0
+    assert [_kept_pairs(_in_units_scene(scene, k), monkeypatch) for scene in scenes] == kept
 
 
 def _classify(q: QuadricMatrix, point: HomogeneousPoint, direction: HomogeneousDirection) -> list:
@@ -145,14 +161,13 @@ def test_scaled_q_keeps_every_classification_on_random_cases(k):
         assert _classify(_scaled_q(q, k), point, direction) == _classify(q, point, direction)
 
 
-@_EARLY_REJECT
 @pytest.mark.parametrize("k", [-20, -40])
 def test_scaled_q_keeps_every_classification_on_tangent_rays(k):
     # Generated spheres with every length times 2^7, radii about 50 to 220:
     # a tangent ray's D, off 0 by rounding, falls below -TANGENT_EPS on some
-    # pairs and inside the tangency band, where classical calls it Tangent
-    # and separated's absolute early reject Miss.  Q times 2^k moves D above
-    # -TANGENT_EPS: separated then calls 23 of these pairs Tangent.
+    # pairs, inside the relative tangency band.  Q times 2^k scales D and
+    # the band alike, so no kind changes; an absolute test d < -TANGENT_EPS
+    # would call 23 of these pairs Miss at k = 0 and Tangent at k = -20.
     spheres = [
         SceneObject(_kind_in_units(o.kind, 7), o.center * 2.0 ** 7)
         for o in generate_scene(5, 12, ("sphere",)).objects

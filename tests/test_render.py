@@ -229,8 +229,8 @@ class TestExtremeInputs:
                 SceneObject(General(QuadricMatrix(1e300, 2e299, 1e298, -3e299, a12=1e299, a34=-1e300))),
                 SceneObject(General(QuadricMatrix(1e300, 1.0, 1.0, -1.0, a14=1e300))),
                 # The centre ray meets it where 0 * inf makes the separated
-                # discriminant NaN; a NaN survives the early reject, and the
-                # pair is a LinearHit.
+                # discriminant NaN; stage 1 never drops a NaN d, and the pair
+                # is a LinearHit.
                 SceneObject(General(QuadricMatrix(0.0, 0.0, 0.0, 0.0, a13=1e300, a24=1e300, a34=-1e300))),
                 SceneObject(Sphere(1.0), Vec3(2.0, 0.0, 0.0)),
             ),
@@ -259,6 +259,11 @@ class TestExtremeInputs:
 def _no_cull(placed, max_abs, direction):
     """Stand-in for `kernels.cull_radii` that leaves every column unbounded."""
     return np.full(len(placed[0]), np.inf)
+
+
+def _no_bound(table, a_scale, max_abs, s_sq):
+    """Stand-in for `kernels.miss_bound`: T = inf, so the separated stage 1 keeps every pair."""
+    return np.full(table.shape[1], np.inf)
 
 
 class _KeptPairs:
@@ -391,7 +396,11 @@ CULL_SCENES = {
 
 
 class TestBoundingCull:
-    """The stage-1 cull never changes an image: cull on, cull off and the scalar loop agree."""
+    """Stage 1 never changes an image: filter on, every pair kept and the scalar loop agree.
+
+    The filter is the bounding cull on the classical route and the bound
+    of `kernels.miss_bound` on the separated route.
+    """
 
     @staticmethod
     def _check(scene, method, monkeypatch, workers=1) -> set[str]:
@@ -399,6 +408,7 @@ class TestBoundingCull:
         on = render_detection(scene, method, workers)
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "cull_radii", _no_cull)
+            patch.setattr(kernels, "miss_bound", _no_bound)
             off = render_detection(scene, method, workers)
         assert on.pixels == off.pixels == expected
         return kinds
@@ -491,6 +501,15 @@ def test_lit_pixels_equal_the_exact_truth(name, method):
     assert wrong_pixels(scene, render_detection(scene, method).pixels) == []
 
 
+@pytest.mark.parametrize("name", sorted(CULL_SCENES))
+def test_both_routes_give_the_same_image(name):
+    # Both routes decide Miss by the one relative tangency band.  An
+    # absolute early reject on the separated route, d < -TANGENT_EPS, made
+    # axis-ratio's images differ in 73 bytes and grazing's in 1.
+    scene = CULL_SCENES[name]
+    assert render_detection(scene, "separated").pixels == render_detection(scene, "classical").pixels
+
+
 def _keep_every_pair(placed, max_abs, direction):
     """Stand-in for `kernels.cull_radii`: a finite R'^2 so large that stage 1 keeps every pair."""
     return np.full(len(placed[0]), np.finfo(float).max)
@@ -517,17 +536,22 @@ class TestSeparatedPairForm:
 
     @staticmethod
     def _render_d(scene, cull, monkeypatch) -> np.ndarray:
-        """The d `nearest_hits` passes its early reject, on the whole image in one call.
+        """The d `nearest_hits` filters in stage 1, on the whole image in one call.
 
-        Each tile's d is (tile rays, objects); they arrive in order, joined
-        into one (rays, objects) array.
+        Each tile's d, from `_camera_discriminant`, is (tile rays, objects);
+        they arrive in order, joined into one (rays, objects) array.
         """
         cam = scene.camera
         table, placed = kernels.render_tables(scene.objects, cam.origin.as_tuple())
         x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
         seen = []
-        reject = kernels.early_reject
-        monkeypatch.setattr(kernels, "early_reject", lambda d: seen.append(d) or reject(d))
+        camera_discriminant = kernels._camera_discriminant
+
+        def spy(*args):
+            seen.append(camera_discriminant(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(kernels, "_camera_discriminant", spy)
         monkeypatch.setattr(kernels, "cull_radii", cull)
         kernels.nearest_hits(table, (x.ravel(), y.ravel(), z.ravel()), "separated", placed)
         return np.concatenate(seen)

@@ -6,13 +6,14 @@ plain test that must pass, so a broken set-up cannot hide inside an xfail.
 Item 2's step 1 fixed the far-placed and the huge sphere, on both routes
 and in render's far scenes: `classical._a_scale` judges a against Q's 3x3
 block, the entries a reads, not against a44, which carries length^2 units.
-Where both routes still get a case wrong or disagree on it, its test fails
-on an assertion and is marked xfail: the near-tangent ray and the
-overflowing coefficients, which step 2 has to flip to passing, and
-`xfail_strict` makes the suite say so.  The far plain sphere is fixed: both
-bench routes refuse its world matrix, and its tests are plain.  Render
-works about the camera, so its scenes reproduce a scale defect only with a
-sphere far from the camera.
+The near-tangent ray is fixed too: both routes decide Miss by the one
+relative tangency band of `classical.solve`.  Where both routes still get a
+case wrong or disagree on it, its test fails on an assertion and is marked
+xfail: the overflowing coefficients, which item 2 has yet to flip to
+passing, and `xfail_strict` makes the suite say so.  The far plain sphere
+is fixed: both bench routes refuse its world matrix, and its tests are
+plain.  Render works about the camera, so its scenes reproduce a scale
+defect only with a sphere far from the camera.
 """
 import math
 import sys
@@ -72,7 +73,7 @@ _CAMERA = Camera(Vec3(0.0, 0.0, 10.0), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0),
     (_HUGE_SPHERE, (4e75, 6e75), {"rel": 1e-6}),
 ])
 def test_oracle_roots_of_the_two_hit_cases(case, expected, tolerance):
-    """The set-up of the two xfails below: must pass, so a broken oracle cannot hide there."""
+    """The set-up of the two tests below: must pass, so a broken oracle cannot hide there."""
     assert _exact_roots(*case) == pytest.approx(expected, **tolerance)
 
 
@@ -94,10 +95,6 @@ def test_huge_sphere_is_hit_twice():
         _assert_two(result, roots)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 2: the separated early reject d < -TANGENT_EPS is absolute, not scaled",
-)
 def test_near_tangent_ray_gets_one_kind_on_both_routes():
     # `exact_terms` puts the discriminant at -2.0e-4, inside the tangency band.
     q = sphere(1e4)

@@ -11,7 +11,6 @@ from quadrics import (
     EndpointMatrix,
     HomogeneousDirection,
     HomogeneousPoint,
-    Miss,
     Two,
     Vec3,
     coefficients,
@@ -29,12 +28,9 @@ from quadrics import (
     transform,
     translation,
 )
-from quadrics.classical import TANGENT_EPS
 from quadrics.quadric import QuadricMatrix
 from quadrics.rng import Xorshift64Star
-from quadrics.separated import (
-    COMPOUND_ORDER, compound_entries, compound_weights, early_reject, line_entries,
-)
+from quadrics.separated import COMPOUND_ORDER, compound_entries, compound_weights, line_entries
 
 
 def _materialize(r):
@@ -449,16 +445,6 @@ class TestProjectiveSignInvariance:
                 assert (d_scaled >= 0.0) == (d_base >= 0.0)
 
 
-class TestEarlyReject:
-    def test_threshold_and_nan_on_floats_and_arrays(self):
-        below = float(np.nextafter(-TANGENT_EPS, -np.inf))
-        values = [-TANGENT_EPS, below, math.nan, 0.0, -1.0, math.inf, -math.inf]
-        verdicts = [early_reject(v) for v in values]
-        assert verdicts == [False, True, False, False, True, False, True]
-        assert early_reject(np.array(values)).tolist() == verdicts
-        assert early_reject(np.array(values).reshape(7, 1)).ravel().tolist() == verdicts
-
-
 class TestIntersectSeparated:
     def test_sphere_two_hits(self):
         cache = make_ray_cache(HomogeneousPoint(2, 0, 0, 1), HomogeneousDirection(-1, 0, 0, 0))
@@ -472,24 +458,6 @@ class TestIntersectSeparated:
         assert isinstance(r, Two)
         assert r.t1 == pytest.approx(1.0, abs=1e-12)
         assert r.t2 == pytest.approx(5.0, abs=1e-12)
-
-    def test_miss_skips_coefficient_work(self, monkeypatch):
-        calls = {"n": 0}
-        real = separated_module.coefficients
-
-        def probe(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(separated_module, "coefficients", probe)
-        cache = make_ray_cache(HomogeneousPoint(2, 2, 0, 1), HomogeneousDirection(-1, 0, 0, 0))
-        r = intersect_separated(sphere(1.0), cache)
-        assert isinstance(r, Miss)
-        assert calls["n"] == 0
-
-        hit_cache = make_ray_cache(HomogeneousPoint(2, 0, 0, 1), HomogeneousDirection(-1, 0, 0, 0))
-        intersect_separated(sphere(1.0), hit_cache)
-        assert calls["n"] == 1
 
     def test_agrees_with_classical(self):
         rng = np.random.default_rng(48)
