@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 from .classical import (
     TANGENT_EPS,
-    Degenerate,
+    IntersectionResult,
     LinearHit,
+    QuadraticCoeffs,
     Tangent,
     Two,
     _a_scale,
@@ -25,7 +26,7 @@ from .classical import (
 from .geometry import HomogeneousDirection, HomogeneousPoint
 from .quadric import QuadricMatrix
 from .rng import Xorshift64Star
-from .separated import discriminant_separated, intersect_separated, make_ray_cache
+from .separated import discriminant_separated, make_ray_cache
 
 __all__ = ["DISCRIMINANT_RTOL", "CheckFailure", "CheckReport", "oracle_check", "format_report"]
 
@@ -76,6 +77,21 @@ def _within_band(d: float, b: float, a: float, c: float) -> bool:
     return abs(d) <= 4.0 * TANGENT_EPS * max(1.0, b * b, abs(a * c))
 
 
+def _classify(
+    q: QuadricMatrix, point: HomogeneousPoint, direction: HomogeneousDirection
+) -> tuple[QuadraticCoeffs, float, IntersectionResult, IntersectionResult]:
+    """(a, b and c, separated D, classical result, separated result) of one case.
+
+    a, b, c, `_a_scale` and `discriminant_separated` are computed once, and
+    `solve` classifies both routes from them, as `intersect_classical` and
+    `intersect_separated` do.
+    """
+    cf = coefficients(q, point, direction)
+    scale = _a_scale(q, direction)
+    d_separated = discriminant_separated(q, make_ray_cache(point, direction))
+    return cf, d_separated, solve(cf, a_scale=scale), solve(cf, a_scale=scale, discriminant=d_separated)
+
+
 def oracle_check(seed: int, cases: int) -> CheckReport:
     """Run `cases` random comparisons; failures carry enough detail to replay."""
     if cases < 1:
@@ -85,14 +101,9 @@ def oracle_check(seed: int, cases: int) -> CheckReport:
     for index in range(cases):
         q = _draw_quadric(rng)
         point, direction = _draw_ray(rng)
-        cache = make_ray_cache(point, direction)
-
-        cf = coefficients(q, point, direction)
+        cf, d_separated, res_c, res_s = _classify(q, point, direction)
         a, b, c = cf.a, cf.b, cf.c
         d_classical = b * b - a * c
-        res_s = intersect_separated(q, cache)
-        linear = isinstance(res_s, (LinearHit, Degenerate))  # the results that carry no D
-        d_separated = discriminant_separated(q, cache) if linear else res_s.d
 
         tol = DISCRIMINANT_RTOL * max(1.0, abs(d_classical), b * b, abs(a * c))
         if not abs(d_separated - d_classical) <= tol:
@@ -101,8 +112,6 @@ def oracle_check(seed: int, cases: int) -> CheckReport:
             )
             continue
 
-        scale = _a_scale(q, direction)
-        res_c = solve(cf, a_scale=scale)
         if type(res_c) is not type(res_s):
             if _within_band(d_classical, b, a, c) and _within_band(d_separated, b, a, c):
                 report.band_ties += 1

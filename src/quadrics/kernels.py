@@ -10,13 +10,13 @@ ray.  Render works in camera-relative coordinates: `render_tables`, the
 one place the camera origin enters render's kernels, subtracts it from
 every centre before it builds its tables, so every pixel's ray starts at
 (0, 0, 0, 1).
-`nearest_hits`, `keep_pairs` and `cull_radii` take the pixel directions as
-three arrays, and the pair forms receive the rays as (0, 0, 0, 1) and
-(sx, sy, sz, 0).  Bench's rays each have an origin, in world coordinates,
-with w = 1 and s_w = 0 as floats.  Inside a tile the per-ray
-arrays become columns, so numpy broadcasting evaluates all (ray, object)
-pairs of the tile at once, and a term that depends on the objects alone is
-computed once per tile, not once per pair.
+`nearest_hits` takes the pixel directions as three arrays, and the pair
+forms receive the rays as (0, 0, 0, 1) and (sx, sy, sz, 0).  Bench's rays
+each have an origin, in world coordinates, with w = 1 and s_w = 0 as
+floats.  Inside a tile the per-ray arrays become columns, so numpy
+broadcasting evaluates all (ray, object) pairs of the tile at once, and a
+term that depends on the objects alone is computed once per tile, not
+once per pair.
 
 The pair formulas are the reference's own tuple-level forms, run on
 arrays: the separated D = -p^T C p of `separated.compound_weights` and
@@ -74,22 +74,24 @@ pair it cannot decide falls back to the one per-pair form,
 `moment_discriminant`, so its counts equal that form's on every input,
 on both routes.
 
-`nearest_hits` runs in two stages, and stage 1 has one path per route,
-run per tile over every column.  Each is a filter that never decides a
-result: it drops only pairs whose `nearest_root` result is provably a
-Miss, and Miss, Tangent and Two are decided in `nearest_root` alone, as in
-`classical.solve`.  The separated route evaluates the factored D on every
-pair and drops a pair only when d < -T, with T the bound `miss_bound`
-derives per column, once per call, relative to the column's own
-coefficients: the filter does not depend on the units of the scene.  The
-classical route (`keep_pairs`) tests each pair against a conservative
-sphere about its column's centre, of squared radius R'^2, and keeps only
-those it cannot rule out.  `cull_radii` alone derives R'^2, once per
-classical call, from the camera-relative placements of `render_tables`;
-it is inf for an unbounded column, which keeps every pair.  Stage 2 roots
-every kept pair in one batch.  It runs as soon as TILE_PAIRS pairs are
-kept and after the last tile, so memory stays bounded, and once per call
-on most images.
+`nearest_hits` runs in two stages, and stage 1 is one rule on both
+routes, run per tile over every column: a filter that never decides a
+result.  Each route evaluates its own D on every pair, and a pair is
+dropped only when d < -T, with T the bound `miss_bound` derives per
+column, once per call, relative to the column's own coefficients, one T
+for both routes: the filter does not depend on the units of the scene,
+and it drops only pairs whose `nearest_root` result is provably a Miss.
+Miss, Tangent and Two are decided in `nearest_root` alone, as in
+`classical.solve`.  The separated D is the six-term
+`_camera_discriminant`, in the scalar order, and stage 2 reuses it.  The
+classical D is b^2 - a a44 with a and b lifted, two products per tile on
+the rays' `_form_weights` (`_lifted_discriminant`); BLAS sums in its own
+order, so stage 2 throws it away and computes b^2 - a c from the
+scalar-order a, b and c.  That is why render's classical route runs
+ahead of the separated one: only a D that stage 2 does not reuse may be
+a product in BLAS's order.  Stage 2 roots every kept pair in one batch.
+It runs as soon as TILE_PAIRS pairs are kept and after the last tile, so
+memory stays bounded, and once per call on most images.
 """
 from __future__ import annotations
 
@@ -118,8 +120,6 @@ __all__ = [
     "map_ranges",
     "nearest_root",
     "miss_bound",
-    "cull_radii",
-    "keep_pairs",
     "nearest_hits",
     "bench_tables",
     "sphere_lift",
@@ -239,20 +239,18 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
     return table
 
 
-def render_tables(objects: Sequence[SceneObject], origin: Sequence[float]) -> tuple[np.ndarray, tuple]:
-    """(world table, placements) of `nearest_hits`, relative to the camera at `origin`.
+def render_tables(objects: Sequence[SceneObject], origin: Sequence[float]) -> np.ndarray:
+    """The world table of `nearest_hits`, relative to the camera at `origin`.
 
     Every centre becomes c - origin, the one float subtraction of
     `Vec3.__sub__` per component (a `General` object's centre 0 becomes
     0 - origin), so column k equals `SceneObject.world_matrix()` of object
     k moved to that centre, bit for bit; with origin (0, 0, 0) it is the
-    world table itself, as c - 0.0 == c for every float.  The placements
-    are the `_placements` the table is built from, with those centres:
-    the classical route's stage 1 reads them (`cull_radii`, `keep_pairs`).
+    world table itself, as c - 0.0 == c for every float.
     """
     q0, centers, rotated, rot = _placements(objects)
     placed = (q0, centers - np.array(origin, dtype=np.float64), rotated, rot)
-    return _world_table(placed, range(len(objects))), placed
+    return _world_table(placed, range(len(objects)))
 
 
 def _tile_rays(objects: int) -> int:
@@ -295,9 +293,6 @@ def _take(vec: Sequence[Component], index) -> tuple:
     return tuple(v[index] if isinstance(v, np.ndarray) else v for v in vec)
 
 
-_COLUMN = np.s_[:, None]
-
-
 def _positive(mask, t):
     return np.where(mask & (t > 0.0), t, np.nan)
 
@@ -329,174 +324,73 @@ def nearest_root(a, b, c, a_scale, d=None):
 
 
 def miss_bound(table: np.ndarray, a_scale: np.ndarray, max_abs: np.ndarray, s_sq: np.ndarray):
-    """Separated stage-1 bound T of each column for these rays: d < -T is a Miss, inf keeps all.
+    """Stage-1 bound T of each column for these rays, on both routes: d < -T is a Miss, inf keeps all.
 
     `table` is the world table of `render_tables`, `a_scale` each column's
     largest |coefficient| of Q's 3x3 block, A, `max_abs` its largest
     |coefficient| and `s_sq` the rays' sx^2 + sy^2 + sz^2 in floats, for
     one ray or more; it runs under the errstate of `nearest_hits`.
-    `nearest_hits` drops a pair only when its six-term d
-    (`_camera_discriminant`) is below -T, and T is derived so that
-    `nearest_root` then returns NaN: the filter never decides a result.
-    From the camera at x = 0 a pair's exact terms are a = s^T Q s over the
-    3x3 block, b = l.s with l = (a14, a24, a34), c = a44 and
-    D = b^2 - a c.  L = max|l_i|, M = max(L^2, A |a44|), |s|_1 and |s|^2
-    are the pair's ray's, S is the largest |s|^2 of the call in floats, so
-    T is one number per column, u = 2^-53 and gamma_n = n u / (1 - n u).
+    `nearest_hits` drops a pair only when its route's stage-1 d is below
+    -T: the six-term d of `_camera_discriminant`, which stage 2 reuses, or
+    the classical route's lifted b^2 - a a44 of `_lifted_discriminant`,
+    after which stage 2 computes b^2 - a c from the scalar-order a, b and
+    c.  T is derived so that `nearest_root` then returns NaN: the filter
+    never decides a result.  From the camera at x = 0 a pair's exact terms
+    are a = s^T Q s over the 3x3 block, b = l.s with l = (a14, a24, a34),
+    c = a44 and D = b^2 - a c.  L = max|l_i|, M = max(L^2, A |a44|), |s|_1
+    and |s|^2 are the pair's ray's, S is the largest |s|^2 of the call in
+    floats, so T is one number per column, u = 2^-53 and
+    gamma_n = n u / (1 - n u).
 
     0. Range.  With g = max(1, max|Q|) max(1, 4 S), max|Q| over every
        column, at least max(1, max|Q|) max(1, |s|_1) as |s|_1^2 <= 3 |s|^2,
-       no intermediate of d, a, b, c or the band exceeds 2^5 g^4, so
+       no intermediate of either d, a, b, c or the band exceeds 2^5 g^4, so
        g <= 2^250 rules out overflow (a call with g > 2^250 gets T = inf).
        Underflow, where a product errs by at most 2^-1075 and a sum is
-       exact, moves each of d, a |a44|, b^2, the band and the terms of T
-       by less than 2^-1060 g^4.
+       exact, moves each of either d, a |a44|, b^2, the band and the terms
+       of T by less than 2^-1060 g^4.
     1. Band.  |a| <= A |s|_1^2 and |b| <= L |s|_1 exactly, and the floats'
        a and b sum 5 and 3 rounded terms in the scalar order, so the band,
        TANGENT_EPS max(b^2, |a c|) in floats, is at most
        (1 + gamma_8) TANGENT_EPS M |s|_1^2 <= 3 (1 + gamma_8) TANGENT_EPS M |s|^2.
-       d < -T, with T above that, is d < -band: neither Tangent nor Two.
+       A d below that, handed to `nearest_root`, is d < -band: neither
+       Tangent nor Two.
     2. Linear branch.  Where `nearest_root` takes it, |a| <= LINEAR_EPS A
        |s|^2 (1 + gamma_5) in floats, so the exact |a| is at most
        (LINEAR_EPS + 2^-47) A |s|^2 and D >= -|a| |a44| >=
        -(LINEAR_EPS + 2^-47) M |s|^2.  Each product of a weight and an
-       entry in d is rounded at most 9 times, and their absolute values sum
-       to at most |s|_1^2 (A |a44| + L^2) <= 6 M |s|^2, so
-       d >= -(LINEAR_EPS + 2^-45) M |s|^2, far above -T: LINEAR_EPS is
-       TANGENT_EPS / 100, and a pair on the linear branch is never dropped.
-    3. T = 3 (1 + 2^-40) TANGENT_EPS M S + 2^-1050 g^4, in floats.  The
-       exact |s|^2 is at most S / (1 - gamma_3) and M within one rounding;
-       with the 4 roundings of T and the 8 of step 1, every factor lies
-       far inside 1 + 2^-40, and 2^-1050 g^4 covers step 0's underflow.
+       entry in the six-term d is rounded at most 9 times, and their
+       absolute values sum to at most |s|_1^2 (A |a44| + L^2) <= 6 M |s|^2,
+       so that d >= -(LINEAR_EPS + 2^-45) M |s|^2, and by step 3 so is the
+       classical one: far above -T, as LINEAR_EPS is TANGENT_EPS / 100, and
+       a pair on the linear branch is never dropped.
+    3. Classical d.  The lifted a sums, in any order, 6 products of a
+       coefficient and a weight s_i s_i or 2 s_i s_j, rounded once, so it
+       lies within gamma_7 A |s|_1^2 of the exact a, and the lifted b sums
+       3 products of a coefficient and an exact s_i, within gamma_3 L |s|_1;
+       a fused multiply-add only rounds less.  With the roundings of b^2,
+       a a44 and their difference, the lifted d lies within
+       gamma_17 M |s|_1^2 of D; stage 2's b^2 - a c, from step 1's a and b,
+       within gamma_15 M |s|_1^2.  Together that is less than 2^-46 M S, so
+       where the lifted d < -T, stage 2's b^2 - a c < -T + 2^-46 M S, below
+       -band by step 1, as T carries 2^-45 M S.
+    4. T = (3 (1 + 2^-40) TANGENT_EPS + 2^-45) M S + 2^-1050 g^4, in floats.
+       The exact |s|^2 is at most S / (1 - gamma_3) and M within one
+       rounding; with the 5 roundings of T and the 8 of step 1, every factor
+       lies far inside 1 + 2^-40, and 2^-1050 g^4 covers step 0's
+       underflow.
 
-    Multiplying the scene's lengths, or Q, by a power of two multiplies d,
-    the band and M S by one factor, exactly while no value leaves the
-    normal floats, so the pairs kept do not depend on the units.  A NaN or
-    infinite T keeps every pair, and so does a NaN d.
+    Multiplying the scene's lengths, or Q, by a power of two multiplies
+    either d, the band and M S by one factor, exactly while no value leaves
+    the normal floats, so the pairs kept do not depend on the units.  A NaN
+    or infinite T keeps every pair, and so does a NaN d.
     """
     s = s_sq.max()
     g = max(1.0, max_abs.max(initial=0.0)) * max(1.0, 4.0 * s)
     if not g <= 2.0 ** 250:
         return np.full(table.shape[1], np.inf)
     m = np.maximum(abs(table[_LINEAR]).max(axis=0) ** 2, a_scale * abs(table[3]))
-    return 3.0 * (1.0 + 2.0 ** -40) * TANGENT_EPS * s * m + 2.0 ** -1050 * g ** 4
-
-
-def cull_radii(placed: tuple, max_abs: np.ndarray, direction: Directions) -> np.ndarray:
-    """Classical stage-1 squared radius R'^2 of each column for these rays; +inf keeps every pair.
-
-    `placed` is the camera-relative `_placements` of `render_tables`,
-    `max_abs` each column's largest |coefficient| in the kernels' table and
-    `direction` the pixels' (sx, sy, sz) arrays.  `keep_pairs` drops a pair
-    only when its line misses the sphere of radius R' about c, and R' is
-    derived so that the classical route then classifies the pair as Miss;
-    the separated route runs no cull.  Below, t s is a ray from the camera
-    at x = 0 (render's coordinates), c the centre relative to it, rho the
-    distance from c to the line and u = 2^-53.  |s| is taken over all the
-    call's rays (max |s|_1, min |s|^2), so R' is one number per column;
-    the call needs at least one ray.
-
-    0. Bounding sphere.  Boundedness is read off the kind's fundamental
-       coefficients: a column is bounded when a11, a22, a33 > 0, a44 < 0
-       and the six off-diagonal coefficients are 0 (spheres and ellipsoids,
-       and a raw quadric of that form); every other column keeps every
-       pair.  Such a surface is (x - c)^T M (x - c) = nu with
-       M = Rot A Rot^T, A = diag(a11, a22, a33) and nu = -a44, so it lies
-       within nu / min(a_ii) of c when Rot is a rotation.  Rot is only
-       orthonormal within eps = max|Rot^T Rot - I|, so the eigenvalues of M
-       lie in [m, lam], m = min(a_ii) (1 - k) and lam = max(a_ii) (1 + k)
-       with k = 3 eps (Gershgorin on Rot^T Rot); tau = (a11 + a22 + a33)
-       (1 + k) and R^2 = nu / m.  k also carries 2^-45 for the rounding of
-       these products; a rotation with k > 1/4 leaves its column unbounded.
-    1. Exact discriminant.  In the inner product <p, q> = p^T M q, the
-       quadric gives a = <s, s> >= m |s|^2, b = -<s, c>, c' = <c, c> - nu and
-       b^2 - a c' = <s,c>^2 - <s,s><c,c> + nu <s,s> <= a (nu - m rho^2),
-       because <s,s><c,c> - <s,c>^2 = <s,s> min_t <t s - c, t s - c>.
-    2. Tangency band.  b^2 <= a lam |c|^2 and |a c'| <= a (lam |c|^2 + nu),
-       so TANGENT_EPS max(b^2, |ac'|) <= a m TANGENT_EPS (lam / m |c|^2 + R^2).
-    3. Rounding.  d, and the b^2 and |ac'| of the band, lie within
-       E = 2^-44 (A_sx^2 + A_s A_x) of the exact values, where A_s, A_sx,
-       A_x sum the absolute terms of a, b, c' over T^T Q0 T (T the
-       placement): the world-table build and the forms account for at
-       most about 150u of the 512u.  The forms are those of
-       `coefficient_terms`: `_camera_terms` drops only exact zeros and
-       gives their a, b and c bit for bit, so their rounding is counted
-       unchanged.  The ray point is (0, 0, 0, 1), so T takes it to its
-       last column, the rotated -c: row i < 3 of |T| takes |s| to at most
-       sqrt(1 + k) |s| and the point to at most sqrt(1 + k) |c|.  So
-       A_s <= tau |s|^2, A_sx <= tau |s| |c|, A_x <= tau |c|^2 + nu and
-       E / (a m) <= 2^-44 tau (2 tau |c|^2 + nu) / m^2.  |c|^2 is summed in
-       floats, at least 1 - 3u times the exact value, and 512u (1 - 3u)
-       still exceeds the 150u with room, so the term stays an upper bound.
-       Render's coordinates put the camera at 0, so this term grows with
-       the distance from the camera, not from the world origin.
-    4. Range.  With g = max(1, max|Q|) max(1, |s|_1), and the point's
-       entries at most 1 in absolute value, no intermediate of the route
-       exceeds 2^5 g^4, so g <= 2^250 rules out overflow; underflow adds at
-       most 2^-1050 g^4 to d and 2^-1050 g^2 to a.
-    5. Linear branch.  |a| > LINEAR_EPS max|Q| |s|^2 holds for every ray when
-       m > LINEAR_EPS max|Q| + 2^-44 tau + 2^-1050 g^2 / min |s|^2;
-       otherwise (centres far from the camera, for one) the column keeps
-       every pair.  `nearest_hits` judges a against the largest
-       |coefficient| of Q's 3x3 block, at most max|Q|, which only makes
-       this bound more conservative.
-
-    So rho^2 > need = R^2 + TANGENT_EPS (lam / m |c|^2 + R^2)
-    + 2^-44 tau (2 tau |c|^2 + nu) / m^2 + 2^-1050 g^4 / (m^2 min |s|^2)
-    gives d < -band: a Miss.  The test (s.c)^2 < |s|^2 (|c|^2 - R'^2), in
-    floats, errs by less than 27u |s|^2 (|c|^2 + R'^2), so
-    R'^2 = (need + 2^-45 |c|^2)(1 + 2^-45) + 2^-1060 covers it, and the
-    relative error of this function's own arithmetic.  Any non-finite term
-    makes R'^2 inf, and `keep_pairs` keeps every pair of that column.
-    """
-    q0, centers, rotated, rot = placed
-    diag = q0[:, :3]
-    sx, sy, sz = direction
-    with np.errstate(all="ignore"):
-        eps = np.zeros(len(q0))
-        eps[rotated] = abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2), initial=0.0)
-        k = 3.0 * eps + 2.0 ** -45
-        m = diag.min(axis=1)
-        bounded = (m > 0.0) & (q0[:, 3] < 0.0) & ~q0[:, 4:].any(axis=1) & (k <= 0.25)
-        m = m * (1.0 - k)
-        lam = diag.max(axis=1) * (1.0 + k)
-        tau = diag.sum(axis=1) * (1.0 + k)
-        nu = -q0[:, 3]
-        cx, cy, cz = centers.T
-        c_sq = cx * cx + cy * cy + cz * cz
-        s_sq = (sx * sx + sy * sy + sz * sz).min()
-        g = np.maximum(max_abs, 1.0) * max(1.0, (abs(sx) + abs(sy) + abs(sz)).max())
-        g_sq = g * g
-        r_sq = nu / m
-        need = (
-            r_sq
-            + TANGENT_EPS * (lam / m * c_sq + r_sq)
-            + 2.0 ** -44 * tau * (2.0 * tau * c_sq + nu) / m / m
-            + 2.0 ** -1050 * g_sq * g_sq / m / m / s_sq
-        )
-        r_prime_sq = (need + 2.0 ** -45 * c_sq) * (1.0 + 2.0 ** -45) + 2.0 ** -1060
-        linear_free = m > LINEAR_EPS * max_abs + 2.0 ** -44 * tau + 2.0 ** -1050 * g_sq / s_sq
-        decides = bounded & linear_free & (g <= 2.0 ** 250)
-    return np.where(decides, r_prime_sq, np.inf)
-
-
-def keep_pairs(centers: np.ndarray, r_sq: np.ndarray, direction: Directions) -> tuple:
-    """Classical stage 1: (ray, column) indices of the pairs whose line may meet the sphere about each centre.
-
-    `centers` is (3, columns), relative to the camera, `r_sq` each column's
-    R'^2 from `cull_radii` and `direction` the rays' s as three arrays.  A
-    pair is dropped when (s.c)^2 < |s|^2 (|c|^2 - R'^2), the paper's sphere
-    discriminant |s|^2 R'^2 - |s x c|^2 < 0 written by the Lagrange
-    identity for a line through the camera at 0; |c|^2 - R'^2 is a
-    per-column term.  NaN keeps the pair, and so does a camera inside the
-    sphere; an infinite R'^2 keeps every pair of its column, as
-    |c|^2 - R'^2 is then -inf, or NaN where |c|^2 overflows.
-    """
-    sx, sy, sz = _take(direction, _COLUMN)
-    cx, cy, cz = centers
-    h = cx * cx + cy * cy + cz * cz - r_sq
-    sc = sx * cx + sy * cy + sz * cz
-    return np.nonzero(~(sc * sc < (sx * sx + sy * sy + sz * sz) * h))
+    return (3.0 * (1.0 + 2.0 ** -40) * TANGENT_EPS + 2.0 ** -45) * s * m + 2.0 ** -1050 * g ** 4
 
 
 def _joined(groups: list) -> tuple:
@@ -518,6 +412,20 @@ def _camera_discriminant(weights: np.ndarray, block: np.ndarray, finite: bool) -
         term = w * c
         d += term if finite else np.where(w != 0.0, term, 0.0)
     return d
+
+
+def _lifted_discriminant(w_a, w_b, block, linear, a44) -> np.ndarray:
+    """Classical stage-1 d = b^2 - a a44 of a tile, a and b each one product.
+
+    `w_a` (rays, 6) and `w_b` (rays, 3) are the rays' `_form_weights` on
+    Q's 3x3 block and on a14, a24 and a34, `block` (6, objects), `linear`
+    (3, objects) and `a44` (objects,) those rows of the world table.  BLAS
+    sums in its own order, so d is not stage 2's b^2 - a c bit for bit;
+    `miss_bound` bounds how far either lies from the exact D.
+    """
+    a = w_a @ block
+    b = w_b @ linear
+    return b * b - a * a44
 
 
 def _camera_terms(table: np.ndarray, s: Sequence[np.ndarray], finite: bool) -> tuple:
@@ -553,7 +461,7 @@ def _camera_terms(table: np.ndarray, s: Sequence[np.ndarray], finite: bool) -> t
     return a, b, c
 
 
-def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: tuple) -> np.ndarray:
+def nearest_hits(table: np.ndarray, direction: Directions, method: str) -> np.ndarray:
     """Per ray, the nearest positive t over every object; NaN when none is crossed.
 
     The rays are render's, in its camera-relative coordinates: `direction`
@@ -561,21 +469,22 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
     camera, 0.  Equals, per ray, the minimum over objects of the positive
     `hit_parameters` of `intersect_classical` or `intersect_separated` for
     the homogeneous ray (0, 0, 0, 1) + t (sx, sy, sz, 0), the vectors the
-    pair forms receive.  `table` and `placed` are the world table and the
-    placements of `render_tables`.  Stage 1 runs per tile over every
-    column, roots nothing and decides no result: it drops only pairs that
-    `nearest_root` classifies as Miss.  The separated route evaluates D on
-    every pair (`_camera_discriminant`, from one (6, objects) block of
-    `_CAMERA_PAIRS` entries and one (6, rays) set of weights, built once
-    per call) and keeps, with its d, each pair but those with d < -T, T
-    the per-column bound of `miss_bound`, computed once per call.  The
-    classical route keeps the pairs of `keep_pairs`, about each column's
-    centre in `placed` with the R'^2 of `cull_radii`.
-    Stage 2 roots the kept pairs once they reach TILE_PAIRS, and after the
-    last tile, so a batch holds fewer than TILE_PAIRS pairs plus one tile's:
-    every pair gets a, b, c (`_camera_terms`) and `nearest_root` in one
-    pass, a judged against the largest |coefficient| of Q's 3x3 block, as
-    `classical._a_scale` judges it, and each ray keeps its minimum.
+    pair forms receive.  `table` is the world table of `render_tables`.
+    Stage 1 runs per tile over every column, roots nothing and decides no
+    result: it evaluates the route's D on every pair and keeps each pair
+    but those with d < -T, T the per-column bound of `miss_bound`, computed
+    once per call, so it drops only pairs that `nearest_root` classifies
+    as Miss.  The separated D is `_camera_discriminant`, from one
+    (6, objects) block of `_CAMERA_PAIRS` entries and one (6, rays) set of
+    weights, built once per call, and each kept pair keeps its d.  The
+    classical D is `_lifted_discriminant`, from the rows of Q's 3x3 block
+    and of a14, a24 and a34 and the rays' weights on them, built once per
+    call, and is not kept.  Stage 2 roots the kept pairs once they reach
+    TILE_PAIRS, and after the last tile, so a batch holds fewer than
+    TILE_PAIRS pairs plus one tile's: every pair gets a, b, c
+    (`_camera_terms`) and `nearest_root` in one pass, a judged against the
+    largest |coefficient| of Q's 3x3 block, as `classical._a_scale` judges
+    it, and each ray keeps its minimum.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -586,31 +495,35 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str, placed: 
     a_scale = np.abs(table[_BLOCK]).max(axis=0)
     sx, sy, sz = direction
     s_sq = sx * sx + sy * sy + sz * sz
+    ray = (sx, sy, sz, 0.0)
+    separated = method == "separated"
     out = np.full(rays, np.nan)
     kept, pending = [], 0
     with np.errstate(all="ignore"):
         # Every a_k s_i of stage 2 is finite when this bound is (rounding is monotonic).
         finite_terms = bool(np.isfinite(max_abs.max(initial=0.0) * np.abs(direction).max()))
-        if method == "separated":
+        floor = -miss_bound(table, a_scale, max_abs, s_sq)
+        if separated:
             block = np.array(compound_entries(table, _CAMERA_PAIRS))
-            weights = np.array(
-                compound_weights(line_entries(_CAMERA, (sx, sy, sz, 0.0)), _CAMERA_PAIRS)
-            )
+            weights = np.array(compound_weights(line_entries(_CAMERA, ray), _CAMERA_PAIRS))
             finite = bool(np.isfinite(block).all())
-            floor = -miss_bound(table, a_scale, max_abs, s_sq)
         else:
-            centers, r_sq = placed[1].T, cull_radii(placed, max_abs, direction)
+            rows = table[_BLOCK], table[_LINEAR], table[3]
+            # With v = s + x = (sx, sy, sz, 1), s^T Q v weighs the 3x3 block
+            # as a = s^T Q s does and a14, a24, a34 as b = s^T Q x does.
+            weights = _form_weights(ray, (sx, sy, sz, 1.0))
+            w_a = np.array([weights[k] for k in _BLOCK]).T
+            w_b = np.array(weights[_LINEAR]).T
         for sl in tiles(rays, table.shape[1]):
-            if method == "separated":
+            if separated:
                 d = _camera_discriminant(weights[:, sl, None], block, finite)
-                ri, oi = np.nonzero(~(d < floor))
-                kept.append((ri + sl.start, oi, d[ri, oi]))
             else:
-                ri, oi = keep_pairs(centers, r_sq, _take(direction, sl))
-                kept.append((ri + sl.start, oi))
+                d = _lifted_discriminant(w_a[sl], w_b[sl], *rows)
+            ri, oi = np.nonzero(~(d < floor))
+            # The classical route keeps no d: `nearest_root` computes b^2 - a c.
+            kept.append((ri + sl.start, oi, d[ri, oi]) if separated else (ri + sl.start, oi))
             pending += len(ri)
             if pending >= TILE_PAIRS or (pending and sl.stop >= rays):
-                # The classical route keeps no d: `nearest_root` computes b^2 - a c.
                 ri, oi, *d = _joined(kept)
                 kept, pending = [], 0
                 a, b, c = _camera_terms(table[:, oi], _take(direction, ri), finite_terms)
@@ -623,8 +536,7 @@ def bench_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray
 
     The split reads the placements alone: an unrotated object whose
     fundamental coefficients are exactly (1, 1, 1, a44 < 0, 0, ..., 0) is a
-    plain sphere, the reading of those coefficients `cull_radii` makes for
-    boundedness.  A rotated object stays generic, whatever its kind: a
+    plain sphere.  A rotated object stays generic, whatever its kind: a
     `SceneObject` takes any `Mat3`, so only an unrotated object's
     coefficients prove that it is a sphere.  Its centre c and its
     r^2 = -a44 (the negation is exact) make its column of the

@@ -15,28 +15,27 @@ subtracts the camera origin from every object's centre, so every pixel's
 ray starts at 0, and the classification of a pair depends on where the
 scene lies relative to the camera, not on where it lies in the world.
 Pixels are evaluated by `kernels.nearest_hits` in two stages.  Stage 1
-keeps, per tile of pixels x objects, the pairs that may cross, and decides
-no result: on the separated route every pair but those whose discriminant
-lies below -T, a bound `kernels.miss_bound` derives per object from its
-own coefficients, and on the classical route every pair it cannot rule
-out against conservative bounding spheres, whose squared radii
-`kernels.cull_radii` derives from the camera-relative placements of
-`kernels.render_tables` (the unbounded kinds keep every pair).  Either
-drops only pairs that stage 2 classifies as Miss.  Stage 2 computes the
-roots of the kept pairs in one batch.  The kernels run the scalar
-kernels' own pair formulas on arrays, less the terms that are exact zeros
-for a ray from the camera: a and b from the 6 and 3 terms of
-`coefficient_terms` that such a ray leaves, c from a44, and the separated
-D from 6 of its 21 terms, each sum in the scalar order.  a, b and c come
-from `coefficient_terms` itself on a call where a dropped term could
-overflow into NaN and on a pair where one of them is exactly 0, whose
-sign the dropped zeros decide, so every pair gets the scalar values bit
-for bit.  Miss, Tangent and Two are decided by the one relative tangency
-band of `classical.solve`, which `kernels.nearest_root` batches, on both
-routes, so an image equals, byte for byte, a per-pixel loop over
-`intersect_classical` or `intersect_separated` and `hit_parameters` over
-the camera-relative scene: each object moved to centre c - o, each ray
-(0, 0, 0, 1) + t (s, 0).
+is one rule on both routes, run per tile of pixels x objects, and decides
+no result: it evaluates the route's own discriminant on every pair and
+drops a pair only when d < -T, a bound `kernels.miss_bound` derives per
+object from its own coefficients, one T for both routes.  It drops only
+pairs that stage 2 classifies as Miss.  Stage 2 computes the roots of
+the kept pairs in one batch.  The separated d is the factored form in
+the scalar order, which stage 2 reuses; the classical d takes a and b as
+two matrix products per tile, so stage 2 computes b^2 - a c afresh.  The
+kernels run the scalar kernels' own pair formulas on arrays, less the
+terms that are exact zeros for a ray from the camera: a and b from the 6
+and 3 terms of `coefficient_terms` that such a ray leaves, c from a44,
+and the separated D from 6 of its 21 terms, each sum in the scalar
+order.  a, b and c come from `coefficient_terms` itself on a call where a
+dropped term could overflow into NaN and on a pair where one of them is
+exactly 0, whose sign the dropped zeros decide, so every pair gets the
+scalar values bit for bit.  Miss, Tangent and Two are decided by the one
+relative tangency band of `classical.solve`, which `kernels.nearest_root`
+batches, on both routes, so an image equals, byte for byte, a per-pixel
+loop over `intersect_classical` or `intersect_separated` and
+`hit_parameters` over the camera-relative scene: each object moved to
+centre c - o, each ray (0, 0, 0, 1) + t (s, 0).
 Pixels are computed independently, so output bytes are identical for any
 worker count.
 """
@@ -71,10 +70,10 @@ def _pixel_values(nearest: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(nearest), 0.0, shade).astype(np.uint8)
 
 
-def _render_rows(cam: Camera, method: str, table: np.ndarray, placed: tuple, rows: range) -> bytes:
+def _render_rows(cam: Camera, method: str, table: np.ndarray, rows: range) -> bytes:
     x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(rows.start, rows.stop)[:, None])
     direction = (x.ravel(), y.ravel(), z.ravel())
-    nearest = nearest_hits(table, direction, method, placed)
+    nearest = nearest_hits(table, direction, method)
     return _pixel_values(nearest).tobytes()
 
 
@@ -83,8 +82,8 @@ def render_detection(scene: Scene, method: str = "separated", workers: int = 1) 
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     cam = scene.camera
-    table, placed = render_tables(scene.objects, cam.origin.as_tuple())
-    rows = map_ranges(partial(_render_rows, cam, method, table, placed), cam.height, workers)
+    table = render_tables(scene.objects, cam.origin.as_tuple())
+    rows = map_ranges(partial(_render_rows, cam, method, table), cam.height, workers)
     return Image(width=cam.width, height=cam.height, pixels=b"".join(rows))
 
 

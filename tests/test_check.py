@@ -2,9 +2,10 @@ import pytest
 
 import quadrics.check as check_module
 import quadrics.separated as separated_module
-from quadrics.check import format_report, oracle_check
-from quadrics.classical import Miss
-from quadrics.separated import RMatrix, discriminant_separated
+from quadrics.check import _classify, _draw_quadric, _draw_ray, format_report, oracle_check
+from quadrics.classical import Miss, intersect_classical
+from quadrics.rng import Xorshift64Star
+from quadrics.separated import RMatrix, intersect_separated, make_ray_cache
 
 
 class TestOracleCheck:
@@ -40,13 +41,27 @@ class TestOracleCheck:
         assert "50 cases" in text and "0 failures" in text
         assert f"{report.band_ties} band ties" in text
 
+    def test_results_equal_the_intersection_routes(self):
+        # One set of a, b, c, `_a_scale` and separated D per case gives each
+        # route's `intersect_*` result, on check's own draws.
+        rng = Xorshift64Star(42)
+        for _ in range(3000):
+            q = _draw_quadric(rng)
+            point, direction = _draw_ray(rng)
+            _, _, res_c, res_s = _classify(q, point, direction)
+            assert res_c == intersect_classical(q, point, direction)
+            assert res_s == intersect_separated(q, make_ray_cache(point, direction))
+
     def test_band_ties_are_counted(self, monkeypatch):
         # Every separated result becomes a Miss, so each pair classical does
         # not call a Miss is a classification mismatch: a failure at the
         # real band, a counted tie once the band covers every discriminant.
+        solve = check_module.solve
         monkeypatch.setattr(
-            check_module, "intersect_separated",
-            lambda q, cache: Miss(d=discriminant_separated(q, cache)),
+            check_module, "solve",
+            lambda cf, a_scale, discriminant=None: (
+                solve(cf, a_scale=a_scale) if discriminant is None else Miss(d=discriminant)
+            ),
         )
         narrow = oracle_check(seed=7, cases=200)
         mismatches = [f for f in narrow.failures if f.reason.startswith("classification")]

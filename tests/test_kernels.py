@@ -30,8 +30,8 @@ from quadrics import (
 from quadrics.bench import generate_rays
 from quadrics.classical import TANGENT_EPS, coefficient_terms
 from quadrics.kernels import (
-    bench_tables, classical_counts, classical_lift, cull_radii, keep_pairs, map_ranges,
-    nearest_hits, render_tables, separated_counts, separated_lift, sphere_counts, sphere_lift,
+    bench_tables, classical_counts, classical_lift, map_ranges, nearest_hits, render_tables,
+    separated_counts, separated_lift, sphere_counts, sphere_lift,
 )
 from quadrics.render import render_detection
 from quadrics.quadric import Ellipsoid, General, HyperbolicParaboloid, OneSheetHyperboloid, Sphere
@@ -82,8 +82,8 @@ def test_nearest_hits_equal_the_scalar_kernels_from_several_origins(method, monk
     for _ in range(5):
         origin = random_ray(rng)[0].as_tuple()[:3]
         directions = [random_ray(rng)[1] for _ in range(5)]
-        table, placed = render_tables(objects, origin)
-        got = nearest_hits(table, _split(directions), method, placed)
+        table = render_tables(objects, origin)
+        got = nearest_hits(table, _split(directions), method)
         matrices = _relative_matrices(objects, origin)
         want = [_scalar_nearest(matrices, CAMERA, s, method) for s in directions]
         assert np.array_equal(got, want, equal_nan=True)
@@ -93,10 +93,9 @@ def test_nearest_hits_equal_the_scalar_kernels_from_several_origins(method, monk
 
 @pytest.mark.parametrize("method", ["classical", "separated"])
 @pytest.mark.parametrize("tile_pairs", [13, kernels.TILE_PAIRS])
-def test_nearest_hits_cull_from_several_origins(method, tile_pairs, monkeypatch):
+def test_nearest_hits_stage_1_from_several_origins(method, tile_pairs, monkeypatch):
     # 40 rays, 8 from each of 5 origins, aimed near bounded and unbounded
-    # objects: the cull changes nothing, and on the classical route, the
-    # only one that runs it, it does drop pairs.
+    # objects: stage 1 drops pairs on both routes and changes nothing.
     monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
     rng = np.random.default_rng(17)
     objects = [
@@ -114,35 +113,30 @@ def test_nearest_hits_cull_from_several_origins(method, tile_pairs, monkeypatch)
         _scalar_nearest(_relative_matrices(objects, o[0]), CAMERA, HomogeneousDirection(*d, 0.0), method)
         for o, ds in zip(origins.tolist(), dirs.tolist()) for d in ds
     ])
-    kept = []
-
-    def spy(*args):
-        ri, oi = keep_pairs(*args)
-        kept.append(len(ri))
-        return ri, oi
 
     def run() -> np.ndarray:
         hits = []
         for o, d in zip(origins.tolist(), dirs):
-            table, placed = render_tables(objects, o[0])
-            hits.append(nearest_hits(table, tuple(d.T), method, placed))
+            hits.append(nearest_hits(render_tables(objects, o[0]), tuple(d.T), method))
         return np.concatenate(hits)
 
-    monkeypatch.setattr(kernels, "keep_pairs", spy)
+    rooted = test_render._rooted_pairs(monkeypatch)
     assert np.array_equal(run(), expected, equal_nan=True)
     assert np.count_nonzero(~np.isnan(expected)) > 10
-    assert (0 < sum(kept) < 40 * 4) if method == "classical" else kept == []
-    # Cull off: every column unbounded.
-    monkeypatch.setattr(kernels, "cull_radii", lambda placed, *_: np.full(len(placed[0]), np.inf))
+    assert 0 < sum(rooted) < 40 * 6
+    # Filter off: T = inf keeps every pair.
+    rooted.clear()
+    monkeypatch.setattr(kernels, "miss_bound", test_render._no_bound)
     assert np.array_equal(run(), expected, equal_nan=True)
+    assert sum(rooted) == 40 * 6
 
 
 @pytest.mark.parametrize("method", ["Separated", "bogus", ""])
 def test_nearest_hits_rejects_an_unknown_route(method):
-    table, placed = render_tables([SceneObject(Sphere(1.0))], (0.0, 0.0, 5.0))
+    table = render_tables([SceneObject(Sphere(1.0))], (0.0, 0.0, 5.0))
     direction = (np.array([0.0]), np.array([0.0]), np.array([-1.0]))
     with pytest.raises(ValueError, match="unknown method"):
-        nearest_hits(table, direction, method, placed)
+        nearest_hits(table, direction, method)
 
 
 @pytest.mark.parametrize("method", ["classical", "separated"])
@@ -170,8 +164,7 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
 
     monkeypatch.setattr(kernels, "_camera_terms", spy)
     monkeypatch.setattr(kernels, "nearest_root", root_spy)
-    table, placed = render_tables(objects, origin)
-    got = nearest_hits(table, direction, method, placed)
+    got = nearest_hits(render_tables(objects, origin), direction, method)
     assert sum(sizes) == 400 * 3 and len(sizes) > 10 and max(sizes) < 2 * 50 + 3
     assert len(roots) == len(sizes) and max(roots) < 2 * 50
     matrices = _relative_matrices(objects, origin)
@@ -212,9 +205,9 @@ class TestCameraTerms:
 
         monkeypatch.setattr(kernels, "_camera_terms", spy)
         cam = scene.camera
-        table, placed = render_tables(scene.objects, cam.origin.as_tuple())
+        table = render_tables(scene.objects, cam.origin.as_tuple())
         x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
-        nearest_hits(table, (x.ravel(), y.ravel(), z.ravel()), method, placed)
+        nearest_hits(table, (x.ravel(), y.ravel(), z.ravel()), method)
         return calls
 
     @staticmethod
@@ -224,18 +217,17 @@ class TestCameraTerms:
         for got, value in zip(terms, want):
             assert got.dtype == value.dtype and got.tobytes() == value.tobytes()
 
-    @pytest.mark.parametrize("keep", ["cull", "every-pair"])
+    @pytest.mark.parametrize("keep", ["filter", "every-pair"])
     @pytest.mark.parametrize("method", ["classical", "separated"])
     @pytest.mark.parametrize("name", sorted(SCENES))
     def test_stage2_pairs(self, name, method, keep, monkeypatch):
         if keep == "every-pair":
-            monkeypatch.setattr(kernels, "cull_radii", test_render._keep_every_pair)
+            monkeypatch.setattr(kernels, "miss_bound", test_render._no_bound)
         calls = self._stage2(self.SCENES[name], method, monkeypatch)
         # No scene here trips the overflow check: every pair takes the camera form.
         assert all(finite for _, _, finite, _ in calls)
-        # Every pair kept by the cull reaches stage 2; the separated route
-        # reads no cull, and its stage 1 may leave no pair.
-        assert calls or keep == "cull" or method == "separated"
+        # With T = inf every pair reaches stage 2; the filter may leave none.
+        assert calls or keep == "filter"
         for table, s, _, terms in calls:
             self._assert_reference_bytes(table, s, terms)
 
@@ -298,23 +290,28 @@ class TestCameraTerms:
         assert render_detection(scene, method).pixels == expected
 
 
+@pytest.mark.parametrize("method", ["classical", "separated"])
 class TestMissBound:
-    """Render's separated stage 1 drops only pairs that `nearest_root` classifies as Miss.
+    """Render's stage 1 drops only pairs that `nearest_root` classifies as Miss, on both routes.
 
-    Each case runs the separated `nearest_hits` and reads, through spies,
-    the d of every pair and the T of `kernels.miss_bound`; every pair with
+    Each case runs `nearest_hits` and reads, through spies, the stage-1 d
+    of every pair and the T of `kernels.miss_bound`; every pair with
     d < -T must root to NaN on the scalar-order a, b and c of
-    `coefficient_terms`, with that d.
+    `coefficient_terms`.  The separated d is `kernels._camera_discriminant`'s,
+    which stage 2 reuses; the classical d is `kernels._lifted_discriminant`'s,
+    and stage 2 computes b^2 - a c itself (d = None).
     """
 
-    @staticmethod
-    def _stage1(table, direction, monkeypatch) -> tuple:
+    STAGE_1 = {"separated": "_camera_discriminant", "classical": "_lifted_discriminant"}
+
+    @classmethod
+    def _stage1(cls, table, direction, method, monkeypatch) -> tuple:
         """(d over every pair, T, Q's 3x3 block maximum per column, the nearest t per ray)."""
         seen, bounds = [], []
-        camera_discriminant, miss_bound = kernels._camera_discriminant, kernels.miss_bound
+        discriminant, miss_bound = getattr(kernels, cls.STAGE_1[method]), kernels.miss_bound
 
         def spy_d(*args):
-            seen.append(camera_discriminant(*args))
+            seen.append(discriminant(*args))
             return seen[-1]
 
         def spy_t(table, a_scale, max_abs, s_sq):
@@ -322,37 +319,38 @@ class TestMissBound:
             return bounds[-1][1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(kernels, "_camera_discriminant", spy_d)
+            patch.setattr(kernels, cls.STAGE_1[method], spy_d)
             patch.setattr(kernels, "miss_bound", spy_t)
-            nearest = nearest_hits(table, direction, "separated", None)
+            nearest = nearest_hits(table, direction, method)
         ((a_scale, t),) = bounds
         return np.concatenate(seen), t, a_scale, nearest
 
     @classmethod
-    def _dropped(cls, table, direction, monkeypatch) -> tuple[int, np.ndarray, np.ndarray]:
+    def _dropped(cls, table, direction, method, monkeypatch) -> tuple[int, np.ndarray, np.ndarray]:
         """(pairs dropped, d, nearest t per ray); fails if a dropped pair does not root to NaN."""
-        d, t, a_scale, nearest = cls._stage1(table, direction, monkeypatch)
+        d, t, a_scale, nearest = cls._stage1(table, direction, method, monkeypatch)
         ri, oi = np.nonzero(d < -t)
         sx, sy, sz = (v[ri] for v in direction)
         with np.errstate(all="ignore"):
             a, b, c = coefficient_terms(table[:, oi], kernels._CAMERA, (sx, sy, sz, 0.0))
             a_scale = a_scale[oi] * (sx * sx + sy * sy + sz * sz)
-            roots = kernels.nearest_root(a, b, c, a_scale, d[ri, oi])
+            reused = d[ri, oi] if method == "separated" else None
+            roots = kernels.nearest_root(a, b, c, a_scale, reused)
         rooted = ~np.isnan(roots)
         assert not rooted.any(), list(zip(ri[rooted], oi[rooted]))
         return len(ri), d, nearest
 
     @pytest.mark.parametrize("name", sorted(TestCameraTerms.SCENES))
-    def test_scenes(self, name, monkeypatch):
+    def test_scenes(self, name, method, monkeypatch):
         # axis-linear's centre ray is a LinearHit: a = 0 exactly.
         scene = TestCameraTerms.SCENES[name]
         cam = scene.camera
-        table, _ = render_tables(scene.objects, cam.origin.as_tuple())
+        table = render_tables(scene.objects, cam.origin.as_tuple())
         x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
-        self._dropped(table, (x.ravel(), y.ravel(), z.ravel()), monkeypatch)
+        self._dropped(table, (x.ravel(), y.ravel(), z.ravel()), method, monkeypatch)
 
     @pytest.mark.parametrize("scale", [0, 7])
-    def test_tangent_rays(self, scale, monkeypatch):
+    def test_tangent_rays(self, scale, method, monkeypatch):
         # Each ray from its own origin: the table is relative to it.
         spheres = [
             SceneObject(Sphere(o.kind.r * 2.0 ** scale), o.center * 2.0 ** scale)
@@ -361,11 +359,12 @@ class TestMissBound:
         point, direction = _tangent_rays(spheres, 6, 5)
         dropped = 0
         for ray in zip(*point[:3], *direction[:3]):
-            table, _ = render_tables(spheres, ray[:3])
-            dropped += self._dropped(table, tuple(np.array([v]) for v in ray[3:]), monkeypatch)[0]
+            table = render_tables(spheres, ray[:3])
+            s = tuple(np.array([v]) for v in ray[3:])
+            dropped += self._dropped(table, s, method, monkeypatch)[0]
         assert dropped > 0
 
-    def test_random_tables(self, monkeypatch):
+    def test_random_tables(self, method, monkeypatch):
         # Coefficients across 2^-span to 2^span and directions across
         # 2^+-20, each with exact zeros of both signs; a column whose
         # coefficients and directions reach past 2^250 keeps every pair.
@@ -377,28 +376,44 @@ class TestMissBound:
             for values in (table, s):
                 for value, share in ((0.0, 0.2), (-0.0, 0.1)):
                     values[rng.random(values.shape) < share] = value
-            dropped += self._dropped(table, tuple(s), monkeypatch)[0]
+            dropped += self._dropped(table, tuple(s), method, monkeypatch)[0]
         assert dropped > 4000
 
-    def test_pairs_at_the_edge_of_the_bound(self, monkeypatch):
+    def test_pairs_at_the_edge_of_the_bound(self, method, monkeypatch):
         # Tangent pairs with |d| up to 0.99999 of the band, b^2 = 3 L^2 |s|^2
         # and |a c| = 3 A |a44| |s|^2, the largest the bound allows: a
         # rank-one block sigma sigma^T, l = -sigma and s = sigma, sigma in
         # {-1, 1}^3, so a = 9, b = -3, c = 1 + delta TANGENT_EPS and
         # d = -9 delta TANGENT_EPS exactly, with Q times 2^k.  T with a
-        # factor below 2.9999 in place of 3 (1 + 2^-40) drops the last.
+        # factor below 2.9996 in place of 3 (1 + 2^-40) drops the last.
         sigma = np.array(np.meshgrid([-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0])).reshape(3, 8)
         block = [sigma[i] * sigma[j] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
         for k in (-20, 0, 20):
             for delta in (0.5, 0.99, 0.99999):
                 a44 = np.full(8, 1.0 + delta * TANGENT_EPS)
                 table = np.array([*block[:3], a44, *block[3:], *-sigma]) * 2.0 ** k
-                _, d, nearest = self._dropped(table, tuple(sigma), monkeypatch)
+                _, d, nearest = self._dropped(table, tuple(sigma), method, monkeypatch)
                 assert (np.diagonal(d) < 0.0).all() and (nearest == 1.0 / 3.0).all()
+        # The same edge with s = c sigma, c not a power of two, and a44 a
+        # few millionths of the band either side of it: a rounds, in a
+        # different order in the lifted product than in stage 2, so the
+        # classical d and stage 2's b^2 - a c differ by about an ulp of
+        # 9 c^2, a millionth of the band.  T without its 2^-45 M S term
+        # drops classical pairs that stage 2 calls Tangent.
+        rng = np.random.default_rng(41)
+        sigmas = np.tile(sigma, 50)
+        rows = [sigmas[i] * sigmas[j] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+        hits = 0
+        for c in rng.uniform(0.5, 1.0, 20):
+            delta = np.repeat(rng.uniform(1.0 - 5e-6, 1.0 + 5e-6, 50), 8)
+            table = np.array([*rows[:3], 1.0 + delta * TANGENT_EPS, *rows[3:], *-sigmas])
+            hits += np.count_nonzero(self._dropped(table, tuple(c * sigma), method, monkeypatch)[2] > 0.0)
+        assert hits > 100
         # Planes (A = 0, a44 = 2^-20) with rays nearly along them: b is a
         # few ulps, the six-term d rounds below 0 where b^2 - a c = b^2 is
         # not, and the pair is a LinearHit at t = -a44 / 2b > 0.  Only the
-        # L^2 of the bound keeps such a pair.
+        # L^2 of the bound keeps such a pair.  The classical d is b^2
+        # exactly here, as a = 0, and is never below 0.
         rng = np.random.default_rng(37)
         table = np.zeros((10, 40))
         table[3] = 2.0 ** -20
@@ -407,125 +422,38 @@ class TestMissBound:
         s1 = -table[7, :, None] * s0 / table[8, :, None]
         s1 += rng.integers(-8, 9, s1.shape) * np.spacing(s1)
         direction = (s0.ravel(), s1.ravel(), np.zeros(s0.size))
-        _, d, _ = self._dropped(table, direction, monkeypatch)
+        _, d, _ = self._dropped(table, direction, method, monkeypatch)
         plane = np.arange(s0.size) // 50
         with np.errstate(all="ignore"):
             _, b, c = coefficient_terms(table[:, plane], kernels._CAMERA, (*direction, 0.0))
-            linear_hits = (d[np.arange(s0.size), plane] < 0.0) & (-c / (2.0 * b) > 0.0)
-        assert linear_hits.sum() > 100
+            below = d[np.arange(s0.size), plane] < 0.0
+            linear_hits = below & (-c / (2.0 * b) > 0.0)
+        if method == "separated":
+            assert linear_hits.sum() > 100
+        else:
+            assert not below.any()
 
 
-class TestCullRadii:
-    ROT = random_rotation(np.random.default_rng(2))
-    NEAR = Mat3((1.0 + 1e-9, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
-    # k of NEAR: Rot^T Rot is off by 2e-9, and k = 3 eps.
-    K_NEAR = 6e-9
-
-    @staticmethod
-    def _radii(objects) -> np.ndarray:
-        """`cull_radii` of the objects about a camera at the origin, for one ray along -z."""
-        table, placed = render_tables(objects, (0.0, 0.0, 0.0))
-        direction = (np.array([0.0]), np.array([0.0]), np.array([-1.0]))
-        return cull_radii(placed, np.abs(table).max(axis=0), direction)
-
-    def test_bounded_kinds_from_their_coefficients(self):
-        objects = [
-            SceneObject(Sphere(2.0), Vec3(1.0, 2.0, 3.0)),
-            SceneObject(Ellipsoid(1.0, 4.0, 0.5), Vec3(-1.0, 0.0, 0.0), self.ROT),
-            SceneObject(General(QuadricMatrix(4.0, 1.0, 2.0, -8.0))),
-            SceneObject(OneSheetHyperboloid(1.0, 1.0, 1.0)),
-            SceneObject(HyperbolicParaboloid(1.0, 1.0)),
-            SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, -1.0, a14=0.5))),
-            SceneObject(General(QuadricMatrix(1.0, 1.0, 1.0, 1.0))),
-            SceneObject(General(QuadricMatrix(1.0, 0.0, 1.0, -1.0))),
-        ]
-        r_sq = self._radii(objects)
-        assert r_sq.shape == (8,) and (r_sq[3:] == np.inf).all()
-        # R^2 = -a44 / min(a11, a22, a33), within the margin's allowance.
-        assert np.isfinite(r_sq[:3]).all() and np.all(r_sq[:3] >= [4.0, 16.0, 8.0])
-        assert np.allclose(r_sq[:3], [4.0, 16.0, 8.0], rtol=1e-9, atol=0.0)
-
-    def test_a_matrix_far_from_a_rotation_leaves_the_column_unbounded(self):
-        skew = Mat3((1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
-        objects = [SceneObject(Sphere(1.0), rot=m) for m in (skew, self.NEAR, None)]
-        skewed, near, exact = self._radii(objects)
-        assert skewed == np.inf
-        # Off by 2e-9 in Rot^T Rot: R'^2 grows by that, not more.
-        assert 1.0 < near / exact < 1.0 + 1e-8
-
-    def test_inflation_directions_far_from_the_camera(self):
-        # Far from the camera one term carries R'^2: TANGENT_EPS lam / m |c|^2
-        # for the first quadric, 2^-44 tau (2 tau |c|^2 + nu) / m^2 for the
-        # second.  Each column's R'^2 is at least that term with the exact
-        # m = min(a_ii), lam = max(a_ii) and tau = sum(a_ii), and rotated by
-        # NEAR it grows by more than 1.5 k: so m moves down and lam and tau
-        # up, or the ratios lam / m and tau / m would not grow.
-        lam_q, c_lam = QuadricMatrix(1.0, 4.0, 2.0, -1e-6), 1e4
-        tau_q, c_tau = QuadricMatrix(1e-4, 1.0, 1.0, -1e-10), 100.0
-        objects = [
-            SceneObject(General(q), Vec3(0.0, 0.0, -c), rot)
-            for q, c in ((lam_q, c_lam), (tau_q, c_tau)) for rot in (None, self.NEAR)
-        ]
-        lam_plain, lam_near, tau_plain, tau_near = self._radii(objects)
-        lam_term = TANGENT_EPS * 4.0 / 1.0 * c_lam ** 2
-        tau = 1e-4 + 1.0 + 1.0
-        tau_term = 2.0 ** -44 * tau * (2.0 * tau * c_tau ** 2 + 1e-10) / 1e-4 / 1e-4
-        for term, plain, near in ((lam_term, lam_plain, lam_near), (tau_term, tau_plain, tau_near)):
-            assert 0.9 * plain < term <= plain
-            assert near / plain > 1.0 + 1.5 * self.K_NEAR
-
-    def test_keep_pairs_keeps_an_origin_inside_and_nan(self):
-        # Centres relative to a camera at (0, 0, 1) of world spheres at
-        # (0, 0, 0) and (10, 0, 0).
-        centers = np.array([[0.0, 10.0, 0.0], [0.0, 0.0, 0.0], [-1.0, -1.0, -1.0]])
-        r_sq = np.array([4.0, 1.0, np.nan])
-        # Along +y: inside the first sphere, missing the second by far.
-        direction = (np.array([0.0]), np.array([1.0]), np.array([0.0]))
-        ri, oi = keep_pairs(centers, r_sq, direction)
-        assert oi.tolist() == [0, 2] and ri.tolist() == [0, 0]
-
-    @pytest.mark.parametrize("method", ["classical", "separated"])
-    def test_an_infinite_radius_keeps_every_pair_about_a_finite_centre(self, method, monkeypatch):
-        # The skew sphere and the hyperboloid are unbounded: `cull_radii`
-        # leaves them at inf, and their centres stay finite.  A finite radius
-        # about those centres would drop some of their pairs, and every ray
-        # hits the hyperboloid.  The classical route keeps every one of their
-        # pairs in `keep_pairs`, the separated route never calls it, and both
-        # equal the scalar kernels.
-        skew = Mat3((1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
-        objects = [
-            SceneObject(Sphere(1.0), Vec3(0.0, 0.0, -10.0)),
-            SceneObject(Sphere(2.0), Vec3(3.0, 0.0, -12.0), skew),
-            SceneObject(OneSheetHyperboloid(1.0, 1.0, 1.0), Vec3(0.0, 20.0, -30.0)),
-        ]
-        rng = np.random.default_rng(5)
-        direction = (*rng.uniform(-0.4, 0.4, size=(2, 60)), np.full(60, -1.0))
-        table, placed = render_tables(objects, (0.0, 0.0, 0.0))
-        r_sq = cull_radii(placed, np.abs(table).max(axis=0), direction)
-        assert np.isfinite(r_sq[0]) and (r_sq[1:] == np.inf).all() and np.isfinite(placed[1]).all()
-        _, oi = keep_pairs(placed[1].T, np.where(r_sq < np.inf, r_sq, 1.0), direction)
-        assert (np.bincount(oi, minlength=3)[1:] < 60).all()
-        kept = []
-
-        def spy(centers, r, s):
-            ri, oi = keep_pairs(centers, r, s)
-            kept.append(np.isinf(r)[oi].sum())
-            return ri, oi
-
-        monkeypatch.setattr(kernels, "keep_pairs", spy)
-        got = nearest_hits(table, direction, method, placed)
-        matrices = _relative_matrices(objects, (0.0, 0.0, 0.0))
-        expected = [
-            _scalar_nearest(matrices, CAMERA, HomogeneousDirection(*s, 0.0), method)
-            for s in zip(*direction)
-        ]
-        assert np.array_equal(got, expected, equal_nan=True)
-        assert sum(kept) == (2 * 60 if method == "classical" else 0)
-        # |c|^2 out of the floats: |c|^2 - R'^2 is NaN, which keeps the pair too.
-        far = np.array([[1e200], [0.0], [0.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            ri, _ = keep_pairs(far, np.array([np.inf]), direction)
-        assert ri.tolist() == list(range(60))
+@pytest.mark.parametrize("method", ["classical", "separated"])
+def test_nearest_hits_skewed_and_unbounded_objects(method):
+    # A sphere under a matrix that is not a rotation and a hyperboloid that
+    # every ray hits, beside a plain sphere: render's rays equal the scalar
+    # kernels.
+    skew = Mat3((1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+    objects = [
+        SceneObject(Sphere(1.0), Vec3(0.0, 0.0, -10.0)),
+        SceneObject(Sphere(2.0), Vec3(3.0, 0.0, -12.0), skew),
+        SceneObject(OneSheetHyperboloid(1.0, 1.0, 1.0), Vec3(0.0, 20.0, -30.0)),
+    ]
+    rng = np.random.default_rng(5)
+    direction = (*rng.uniform(-0.4, 0.4, size=(2, 60)), np.full(60, -1.0))
+    got = nearest_hits(render_tables(objects, (0.0, 0.0, 0.0)), direction, method)
+    matrices = _relative_matrices(objects, (0.0, 0.0, 0.0))
+    expected = [
+        _scalar_nearest(matrices, CAMERA, HomogeneousDirection(*s, 0.0), method)
+        for s in zip(*direction)
+    ]
+    assert np.array_equal(got, expected, equal_nan=True)
 
 
 def test_pair_kernels_equal_the_scalar_kernels_bit_for_bit():
@@ -620,10 +548,10 @@ class TestWorldTable:
     def test_generated_scenes(self, mix):
         for seed in range(25):
             objects = generate_scene(seed, 1 + 7 * seed, mix).objects
-            _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0))[0], _scalar_world_table(objects))
+            _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0)), _scalar_world_table(objects))
             # About the generated camera, at (0, 0, 30).
             relative = camera_relative(objects, Vec3(0.0, 0.0, 30.0))
-            _assert_bits_equal(render_tables(objects, (0.0, 0.0, 30.0))[0], _scalar_world_table(relative))
+            _assert_bits_equal(render_tables(objects, (0.0, 0.0, 30.0)), _scalar_world_table(relative))
 
     def test_far_placed_rotated_objects(self):
         rng = np.random.default_rng(11)
@@ -638,27 +566,30 @@ class TestWorldTable:
             center = Vec3(*(float(v) for v in rng.uniform(-1.0, 1.0, 3) * 10.0 ** (i % 7)))
             rot = random_rotation(rng) if i % 3 else None
             objects.append(SceneObject(kind, center, rot))
-        _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0))[0], _scalar_world_table(objects))
+        _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0)), _scalar_world_table(objects))
         origin = (2.5e5, -7.0, 1e3 + 0.1)
         relative = camera_relative(objects, Vec3(*origin))
-        _assert_bits_equal(render_tables(objects, origin)[0], _scalar_world_table(relative))
+        _assert_bits_equal(render_tables(objects, origin), _scalar_world_table(relative))
 
     def test_raw_quadric_with_negative_zeros(self):
         q = General(QuadricMatrix(-0.0, 1.0, -0.0, -1.0, a12=-0.0, a13=0.0, a14=-0.0, a34=0.5))
         rng = np.random.default_rng(12)
         objects = [SceneObject(q), SceneObject(q, rot=random_rotation(rng))]
-        _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0))[0], _scalar_world_table(objects))
+        _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0)), _scalar_world_table(objects))
         # 0.0 + (-0.0) * 1.0 is +0.0: the scalar build drops the signs, and so does the table.
-        signs = np.signbit(render_tables(objects[:1], (0.0, 0.0, 0.0))[0][:, 0]).tolist()
+        signs = np.signbit(render_tables(objects[:1], (0.0, 0.0, 0.0))[:, 0]).tolist()
         assert signs == [False, False, False, True] + [False] * 6
 
     def test_single_object_and_all_spheres(self):
         one = (SceneObject(Ellipsoid(1.0, 2.0, 3.0), Vec3(4.0, -5.0, 6.0)),)
-        _assert_bits_equal(render_tables(one, (0.0, 0.0, 0.0))[0], _scalar_world_table(one))
+        _assert_bits_equal(render_tables(one, (0.0, 0.0, 0.0)), _scalar_world_table(one))
         spheres = generate_scene(3, 17, ("sphere",)).objects
-        _assert_bits_equal(render_tables(spheres, (0.0, 0.0, 0.0))[0], _scalar_world_table(spheres))
-        assert render_tables((), (0.0, 0.0, 0.0))[0].shape == (10, 0)
-        assert TestCullRadii._radii(()).shape == (0,)
+        _assert_bits_equal(render_tables(spheres, (0.0, 0.0, 0.0)), _scalar_world_table(spheres))
+        assert render_tables((), (0.0, 0.0, 0.0)).shape == (10, 0)
+        direction = (np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([-1.0, -1.0]))
+        for method in kernels.METHODS:
+            hits = nearest_hits(render_tables((), (0.0, 0.0, 0.0)), direction, method)
+            assert hits.shape == (2,) and np.isnan(hits).all()
 
     @pytest.mark.parametrize(
         "obj",
@@ -686,14 +617,14 @@ class TestWorldTable:
             for objects, first in (([far, bad], "object 0"), ([bad, far], "object 0"),
                                    ([SceneObject(Sphere(1.0)), far], "object 1")):
                 with pytest.raises(ValueError, match=first) as expected:
-                    render_tables(objects, (0.0, 0.0, 0.0))[0]
+                    render_tables(objects, (0.0, 0.0, 0.0))
                 with pytest.raises(ValueError) as got:
                     bench_tables(objects)
                 assert str(got.value) == str(expected.value), kind
 
     def test_index_selects_and_orders_the_columns(self):
         objects = generate_scene(9, 6, self.ALL_KINDS).objects
-        full = render_tables(objects, (0.0, 0.0, 0.0))[0]
+        full = render_tables(objects, (0.0, 0.0, 0.0))
         generic = [i for i, o in enumerate(objects) if not isinstance(o.kind, Sphere)]
         assert 0 < len(generic) < len(objects)
         spheres, table = bench_tables(objects)
@@ -1004,7 +935,7 @@ class TestLiftedKernels:
         pairs = 0
         for seed in (1, 2):
             objects, point, direction = _shifted_scene(seed, 12, KIND_MIXES[-1], 30, shift)
-            table = render_tables(objects, (0.0, 0.0, 0.0))[0]
+            table = render_tables(objects, (0.0, 0.0, 0.0))
             lifted = _lifted_discriminants(table, point, direction)
             bounds = {route: _rounding_bound(table, point, direction, route) for route in lifted}
             rays = [_ray(point, direction, i) for i in range(30)]
@@ -1046,7 +977,7 @@ class TestLiftedKernels:
         identity is exact, for projective rays (w != 1, s_w != 0) too.
         """
         rng = np.random.default_rng(21)
-        table = render_tables(generate_scene(21, 12, KIND_MIXES[-1]).objects, (0.0, 0.0, 0.0))[0]
+        table = render_tables(generate_scene(21, 12, KIND_MIXES[-1]).objects, (0.0, 0.0, 0.0))
         quadrics = [*table.T, *(random_quadric(rng).coefficients() for _ in range(4))]
         origins, dirs = generate_rays(21, 10)
         w = rng.uniform(0.5, 2.0, 10) if projective else np.ones(10)
@@ -1076,7 +1007,7 @@ class TestLiftedKernels:
             origins, dirs = generate_rays(seed, 60)
             point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
             x, s = _columns(point), _columns(direction)
-            table = render_tables(scene.objects, (0.0, 0.0, 0.0))[0]
+            table = render_tables(scene.objects, (0.0, 0.0, 0.0))
             a, b, c = coefficient_terms(table, x, s)
             whole = np.count_nonzero(b * b - a * c >= 0.0, axis=1)
             got = classical_counts(table, classical_lift(point, direction))
@@ -1126,7 +1057,7 @@ class TestLiftedKernels:
         for mix in KIND_MIXES:
             for seed in range(1, 9):
                 objects, point, direction = _shifted_scene(seed, 20, mix, 60, 1e5)
-                table = render_tables(objects, (0.0, 0.0, 0.0))[0]
+                table = render_tables(objects, (0.0, 0.0, 0.0))
                 x, s = _columns(point), _columns(direction)
                 a, b, c = coefficient_terms(table, x, s)
                 pair_forms = {

@@ -7,7 +7,7 @@ floats, which bounds every k below.
 
 - Power-of-two units: every length times 2^k (camera origin and look-at,
   centres, radii and semi-axes) multiplies render's nearest t by 2^k, and
-  the separated stage 1 keeps the same pairs.
+  stage 1 keeps the same pairs on both routes.
 - The same surface, Q times 2^k: no classification and no root changes.
 """
 import dataclasses
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from quadrics import (
-    QuadricMatrix, hit_parameters, intersect_classical, intersect_separated, kernels,
+    QuadricMatrix, hit_parameters, intersect_classical, intersect_separated,
 )
 from quadrics.check import _draw_quadric, _draw_ray
 from quadrics.geometry import HomogeneousDirection, HomogeneousPoint
@@ -26,7 +26,7 @@ from quadrics.rng import Xorshift64Star
 from quadrics.scene import Scene, SceneObject, generate_scene
 from quadrics.separated import make_ray_cache
 from test_kernels import _tangent_rays
-from test_render import CULL_SCENES
+from test_render import CULL_SCENES, _rooted_pairs
 
 METHODS = ("classical", "separated")
 
@@ -71,10 +71,10 @@ def _in_units_scene(scene: Scene, k: int) -> Scene:
 def _nearest(scene: Scene, method: str) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(render's nearest t per pixel, the camera-relative world table, the pixel directions)."""
     cam = scene.camera
-    table, placed = render_tables(scene.objects, cam.origin.as_tuple())
+    table = render_tables(scene.objects, cam.origin.as_tuple())
     x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
     direction = (x.ravel(), y.ravel(), z.ravel())
-    return nearest_hits(table, direction, method, placed), table, direction
+    return nearest_hits(table, direction, method), table, direction
 
 
 # Six scenes as the render-bounded benchmark workload builds them at run
@@ -116,30 +116,25 @@ def test_power_of_two_units_scale_every_nearest_t(name, method):
         assert scaled.tobytes() == (nearest * 2.0 ** k).tobytes(), k
 
 
-def _kept_pairs(scene: Scene, monkeypatch) -> int:
-    """Pairs the separated stage 1 keeps on the image: those `nearest_root` roots."""
-    kept = []
-    nearest_root = kernels.nearest_root
-
-    def spy(a, *args):
-        kept.append(a.size)
-        return nearest_root(a, *args)
-
+def _kept_pairs(scene: Scene, method: str, monkeypatch) -> int:
+    """Pairs stage 1 keeps on the image: those `nearest_root` roots."""
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "nearest_root", spy)
-        _nearest(scene, "separated")
+        kept = _rooted_pairs(patch)
+        _nearest(scene, method)
     return sum(kept)
 
 
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("k", [-30, -20, 20, 30])
-def test_power_of_two_units_keep_the_separated_stage_1_pairs(k, monkeypatch):
-    # The bound of `kernels.miss_bound` scales with d.  An absolute one,
-    # d < -TANGENT_EPS, kept 219 pairs of these four scenes at k = 0 and
-    # 7414, 25682, 8120 and 23689 at k = -20, -30, 20 and 30.
+def test_power_of_two_units_keep_the_stage_1_pairs(k, method, monkeypatch):
+    # The bound of `kernels.miss_bound` scales with either route's d.  On
+    # the separated route an absolute one, d < -TANGENT_EPS, kept 219 pairs
+    # of these four scenes at k = 0 and 7414, 25682, 8120 and 23689 at
+    # k = -20, -30, 20 and 30.
     scenes = [UNIT_SCENES[f"bounded-{seed}"] for seed in range(16, 20)]
-    kept = [_kept_pairs(scene, monkeypatch) for scene in scenes]
+    kept = [_kept_pairs(scene, method, monkeypatch) for scene in scenes]
     assert sum(kept) > 0
-    assert [_kept_pairs(_in_units_scene(scene, k), monkeypatch) for scene in scenes] == kept
+    assert [_kept_pairs(_in_units_scene(scene, k), method, monkeypatch) for scene in scenes] == kept
 
 
 def _classify(q: QuadricMatrix, point: HomogeneousPoint, direction: HomogeneousDirection) -> list:

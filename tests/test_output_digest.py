@@ -2,8 +2,8 @@
 
 `tools/output_hash.py` hashes generated scenes only: no `xform`, no raw
 `quadric` line and a camera on the z axis at (0, 0, 30).  So the rotation
-branches of the world table and of render's cull, the parser's rotation
-check and a camera frame whose cross products round are outside its digest.
+branch of the world table, the parser's rotation check and a camera frame
+whose cross products round are outside its digest.
 This test hashes three scenes that carry them:
 
 - generated spheres and ellipsoids, each under one of four fixed rotations

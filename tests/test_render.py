@@ -256,37 +256,30 @@ class TestExtremeInputs:
         assert image.pixels == expected
 
 
-def _no_cull(placed, max_abs, direction):
-    """Stand-in for `kernels.cull_radii` that leaves every column unbounded."""
-    return np.full(len(placed[0]), np.inf)
-
-
 def _no_bound(table, a_scale, max_abs, s_sq):
-    """Stand-in for `kernels.miss_bound`: T = inf, so the separated stage 1 keeps every pair."""
+    """Stand-in for `kernels.miss_bound`: T = inf, so stage 1 keeps every pair on both routes."""
     return np.full(table.shape[1], np.inf)
 
 
-class _KeptPairs:
-    """Spy on `kernels.keep_pairs`: counts the pairs stage 1 tests and keeps."""
+def _rooted_pairs(monkeypatch) -> list:
+    """Spy on `kernels.nearest_root`: the list it returns gets the pairs of each stage-2 batch."""
+    rooted = []
+    nearest_root = kernels.nearest_root
 
-    def __init__(self, monkeypatch):
-        self.tested = self.kept = 0
-        self.inner = kernels.keep_pairs
-        monkeypatch.setattr(kernels, "keep_pairs", self)
+    def spy(a, *args):
+        rooted.append(a.size)
+        return nearest_root(a, *args)
 
-    def __call__(self, centers, r_sq, direction):
-        ri, oi = self.inner(centers, r_sq, direction)
-        self.tested += len(direction[0]) * len(r_sq)
-        self.kept += len(ri)
-        return ri, oi
+    monkeypatch.setattr(kernels, "nearest_root", spy)
+    return rooted
 
 
 def _grazing_spheres(cam: Camera, factors) -> tuple[SceneObject, ...]:
     """Spheres on a pixel's ray, radius the distance to the left neighbour's ray times a factor.
 
     At 1 - 1e-9 the ray passes just outside the sphere yet inside the
-    tangency band: a Tangent hit on the classical route, which a cull
-    without margin would drop.  1 - 1e-8 is a Miss just outside the band.
+    tangency band: a Tangent hit on the classical route, which a stage-1
+    filter without margin would drop.  1 - 1e-8 is a Miss just outside the band.
     """
     objects = []
     for k, factor in enumerate(factors):
@@ -314,7 +307,7 @@ CULL_SCENES = {
         ),
     ),
     # Half a million units out, the kernels' rounding, not the band, decides
-    # these grazing pairs: the cull's rounding term keeps them.
+    # these grazing pairs: the rounding term of the stage-1 bound keeps them.
     "far-grazing": Scene(
         _FAR_GRAZING_CAMERA,
         _grazing_spheres(
@@ -398,8 +391,8 @@ CULL_SCENES = {
 class TestBoundingCull:
     """Stage 1 never changes an image: filter on, every pair kept and the scalar loop agree.
 
-    The filter is the bounding cull on the classical route and the bound
-    of `kernels.miss_bound` on the separated route.
+    The filter is each route's own discriminant against the bound of
+    `kernels.miss_bound`; T = inf keeps every pair.
     """
 
     @staticmethod
@@ -407,7 +400,6 @@ class TestBoundingCull:
         expected, kinds = reference_render(scene, method)
         on = render_detection(scene, method, workers)
         with monkeypatch.context() as patch:
-            patch.setattr(kernels, "cull_radii", _no_cull)
             patch.setattr(kernels, "miss_bound", _no_bound)
             off = render_detection(scene, method, workers)
         assert on.pixels == off.pixels == expected
@@ -431,9 +423,7 @@ class TestBoundingCull:
 
     @pytest.mark.parametrize("method", ["classical", "separated"])
     def test_none_kept(self, method, monkeypatch):
-        # Classical tests every pair against the cull and keeps none; the
-        # separated route never calls it.  Either way no stage-2 batch runs.
-        spy = _KeptPairs(monkeypatch)
+        # Stage 1 keeps no pair, so no stage-2 batch runs.
         batches = []
         camera_terms = kernels._camera_terms
         monkeypatch.setattr(
@@ -441,41 +431,20 @@ class TestBoundingCull:
         )
         image = render_detection(CULL_SCENES["none-kept"], method)
         assert set(image.pixels) == {0} and batches == []
-        assert spy.tested == (9 * 7 * 2 if method == "classical" else 0) and spy.kept == 0
-
-    @pytest.mark.parametrize("name", sorted(CULL_SCENES))
-    def test_separated_route_runs_no_cull(self, name, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the separated route ran the cull")
-
-        scene = CULL_SCENES[name]
-        expected, _ = reference_render(scene, "separated")
-        monkeypatch.setattr(kernels, "cull_radii", refuse)
-        monkeypatch.setattr(kernels, "keep_pairs", refuse)
-        assert render_detection(scene, "separated").pixels == expected
-
-    @pytest.mark.parametrize("method", ["classical", "separated"])
-    def test_unbounded_columns(self, method, monkeypatch):
-        # An unbounded column keeps every pair of `keep_pairs`, so the
-        # classical route roots them all in stage 2; the separated route
-        # never calls it.
-        scene = CULL_SCENES["all-unbounded"]
-        spy = _KeptPairs(monkeypatch)
-        expected, _ = reference_render(scene, method)
-        assert render_detection(scene, method).pixels == expected
-        pairs = 12 * 10 * len(scene.objects) if method == "classical" else 0
-        assert spy.tested == spy.kept == pairs
 
     def test_kept_fraction(self, monkeypatch):
-        # A units or margin error that culls nothing, or leaves columns
-        # out of the cull, fails here: every column of this scene is
-        # bounded and near the origin.
+        # A units or margin error that drops nothing, or leaves columns out
+        # of the filter, fails here: every column of this scene is bounded
+        # and near the origin.  Both routes keep the same pairs.
         scene = generate_scene(3, 200)
         scene = Scene(dataclasses.replace(scene.camera, width=64, height=64), scene.objects)
-        spy = _KeptPairs(monkeypatch)
-        render_detection(scene, "classical")
-        assert spy.tested == 64 * 64 * 200
-        assert 0 < spy.kept <= 0.01 * spy.tested
+        kept = {}
+        for method in ("classical", "separated"):
+            with monkeypatch.context() as patch:
+                rooted = _rooted_pairs(patch)
+                render_detection(scene, method)
+            kept[method] = sum(rooted)
+        assert 0 < kept["classical"] == kept["separated"] <= 0.01 * 64 * 64 * 200
 
 
 # The classical pixels of far-linear and far-placed are checked in
@@ -510,11 +479,6 @@ def test_both_routes_give_the_same_image(name):
     assert render_detection(scene, "separated").pixels == render_detection(scene, "classical").pixels
 
 
-def _keep_every_pair(placed, max_abs, direction):
-    """Stand-in for `kernels.cull_radii`: a finite R'^2 so large that stage 1 keeps every pair."""
-    return np.full(len(placed[0]), np.finfo(float).max)
-
-
 _ALL_KINDS = ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid")
 
 
@@ -535,14 +499,14 @@ class TestSeparatedPairForm:
     }
 
     @staticmethod
-    def _render_d(scene, cull, monkeypatch) -> np.ndarray:
+    def _render_d(scene, monkeypatch) -> np.ndarray:
         """The d `nearest_hits` filters in stage 1, on the whole image in one call.
 
         Each tile's d, from `_camera_discriminant`, is (tile rays, objects);
         they arrive in order, joined into one (rays, objects) array.
         """
         cam = scene.camera
-        table, placed = kernels.render_tables(scene.objects, cam.origin.as_tuple())
+        table = kernels.render_tables(scene.objects, cam.origin.as_tuple())
         x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
         seen = []
         camera_discriminant = kernels._camera_discriminant
@@ -552,8 +516,7 @@ class TestSeparatedPairForm:
             return seen[-1]
 
         monkeypatch.setattr(kernels, "_camera_discriminant", spy)
-        monkeypatch.setattr(kernels, "cull_radii", cull)
-        kernels.nearest_hits(table, (x.ravel(), y.ravel(), z.ravel()), "separated", placed)
+        kernels.nearest_hits(table, (x.ravel(), y.ravel(), z.ravel()), "separated")
         return np.concatenate(seen)
 
     @pytest.mark.parametrize("name", sorted(SCENES))
@@ -568,11 +531,9 @@ class TestSeparatedPairForm:
              for q in matrices]
             for s in zip(x.ravel().tolist(), y.ravel().tolist(), z.ravel().tolist())
         ])
-        # The route reads no cull: with every column unbounded or every pair
-        # kept alike, each tile gives the d of all its pairs, ray by ray.
-        for cull in (_no_cull, _keep_every_pair):
-            d = self._render_d(scene, cull, monkeypatch)
-            assert d.shape == expected.shape and d.tobytes() == expected.tobytes()
+        # Each tile gives the d of all its pairs, ray by ray.
+        d = self._render_d(scene, monkeypatch)
+        assert d.shape == expected.shape and d.tobytes() == expected.tobytes()
 
 
 class TestPlacementInvariance:

@@ -232,7 +232,7 @@ class TestParse:
         text = "camera 0 0 0 0 0 -1 0 1 0 60 64 64\nsphere 0 0 0 1\n" + line + "\n" + xform + "\n"
         sc = parse_scene(text)
         assert sc.objects[1].world_matrix().max_abs_coefficient() < math.inf
-        assert np.isfinite(render_tables(sc.objects, sc.camera.origin.as_tuple())[0]).all()
+        assert np.isfinite(render_tables(sc.objects, sc.camera.origin.as_tuple())).all()
 
     def test_kind_message_passes_through(self):
         with pytest.raises(SceneParseError) as exc_info:
@@ -508,6 +508,6 @@ class TestKindIsOneClass:
         objects = generate_scene(6, 9, ("ecylinder", "hparaboloid")).objects
         objects += parse_scene(MINIMAL + "ecylinder 1 2 3 2 1\nxform 0 0 1 0 1 0 -1 0 0\n").objects
         want = np.array([o.world_matrix().coefficients() for o in objects]).T
-        got = render_tables(objects, (0.0, 0.0, 0.0))[0]
+        got = render_tables(objects, (0.0, 0.0, 0.0))
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
