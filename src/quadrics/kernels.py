@@ -25,11 +25,11 @@ arrays: the separated D = -p^T C p of `separated.compound_weights` and
 and `moment_discriminant`, the body of `separated.sphere_discriminant`;
 every cross product among them, and in `sphere_lift`, is
 `geometry.cross_terms`.  Render's rays start at the camera, which makes
-most terms of these forms exact zeros, and render adds only the others,
-in the scalar order.  Only six of the 21 weights of -p^T C p are not 0
-(`_CAMERA_PAIRS`), so the separated route takes those six entries of
-every column once per call, and the six weights of every ray
-(`_camera_discriminant`, in the order of `discriminant_separated`).
+most terms of these forms exact zeros, and render's stage 2 adds only
+the others, in the scalar order.  Only six of the 21 weights of
+-p^T C p are not 0 (`_CAMERA_PAIRS`), so the separated route takes those
+six entries of every column once per call, and the six weights of every
+ray (`_camera_discriminant`, in the order of `discriminant_separated`).
 Only 6 terms of a, 3 of b and 1 of c of `classical.coefficient_terms`
 are not 0 (`_camera_terms`, in the operand order of
 `quadric.quadratic_form` and `bilinear_form`); it runs `coefficient_terms`
@@ -74,24 +74,26 @@ pair it cannot decide falls back to the one per-pair form,
 `moment_discriminant`, so its counts equal that form's on every input,
 on both routes.
 
-`nearest_hits` runs in two stages, and stage 1 is one rule on both
-routes, run per tile over every column: a filter that never decides a
-result.  Each route evaluates its own D on every pair, and a pair is
-dropped only when d < -T, with T the bound `miss_bound` derives per
-column, once per call, relative to the column's own coefficients, one T
-for both routes: the filter does not depend on the units of the scene,
-and it drops only pairs whose `nearest_root` result is provably a Miss.
-Miss, Tangent and Two are decided in `nearest_root` alone, as in
-`classical.solve`.  The separated D is the six-term
-`_camera_discriminant`, in the scalar order, and stage 2 reuses it.  The
-classical D is b^2 - a a44 with a and b lifted, two products per tile on
-the rays' `_form_weights` (`_lifted_discriminant`); BLAS sums in its own
-order, so stage 2 throws it away and computes b^2 - a c from the
-scalar-order a, b and c.  That is why render's classical route runs
-ahead of the separated one: only a D that stage 2 does not reuse may be
-a product in BLAS's order.  Stage 2 roots every kept pair in one batch.
-It runs as soon as TILE_PAIRS pairs are kept and after the last tile, so
-memory stays bounded, and once per call on most images.
+`nearest_hits` runs in two stages.  Stage 1, `kept_pairs`, is one rule on
+both routes, run per tile over every column: a filter that never decides
+a result.  Each route evaluates its own D on every pair as a lifted
+product, and a pair is dropped only when d < -T, with T the bound
+`miss_bound` derives per column, once per call, relative to the column's
+own coefficients, one T for both routes: the filter does not depend on
+the units of the scene, and it drops only pairs whose `nearest_root`
+result is provably a Miss.  Miss, Tangent and Two are decided in
+`nearest_root` alone, as in `classical.solve`.  The separated d is one
+product per tile, the rays' six `_CAMERA_PAIRS` weights times the
+(6, objects) block of those entries; the classical d is b^2 - a a44 with
+a and b two products on the rays' `_form_weights`.  BLAS sums in its own
+order, so stage 1 keeps no d.  Stage 2 roots every kept pair in one
+batch: a, b and c in the scalar order (`_camera_terms`) on both routes,
+and, on the separated one, D from the six terms in the scalar order
+(`_camera_discriminant`), on the weights and entries gathered for the
+kept pairs only.  So on every pair it roots the separated route adds six
+terms where the classical one computes b^2 - a c, and it roots the same
+pairs.  Stage 2 runs as soon as TILE_PAIRS pairs are kept and after the
+last tile, so memory stays bounded, and once per call on most images.
 """
 from __future__ import annotations
 
@@ -120,6 +122,7 @@ __all__ = [
     "map_ranges",
     "nearest_root",
     "miss_bound",
+    "kept_pairs",
     "nearest_hits",
     "bench_tables",
     "sphere_lift",
@@ -330,17 +333,19 @@ def miss_bound(table: np.ndarray, a_scale: np.ndarray, max_abs: np.ndarray, s_sq
     largest |coefficient| of Q's 3x3 block, A, `max_abs` its largest
     |coefficient| and `s_sq` the rays' sx^2 + sy^2 + sz^2 in floats, for
     one ray or more; it runs under the errstate of `nearest_hits`.
-    `nearest_hits` drops a pair only when its route's stage-1 d is below
-    -T: the six-term d of `_camera_discriminant`, which stage 2 reuses, or
-    the classical route's lifted b^2 - a a44 of `_lifted_discriminant`,
-    after which stage 2 computes b^2 - a c from the scalar-order a, b and
-    c.  T is derived so that `nearest_root` then returns NaN: the filter
-    never decides a result.  From the camera at x = 0 a pair's exact terms
-    are a = s^T Q s over the 3x3 block, b = l.s with l = (a14, a24, a34),
-    c = a44 and D = b^2 - a c.  L = max|l_i|, M = max(L^2, A |a44|), |s|_1
-    and |s|^2 are the pair's ray's, S is the largest |s|^2 of the call in
-    floats, so T is one number per column, u = 2^-53 and
-    gamma_n = n u / (1 - n u).
+    `kept_pairs` drops a pair only when its route's stage-1 d, a lifted
+    product in BLAS's order, is below -T: on the separated route the six
+    terms of -p^T C p that the camera leaves, after which stage 2 hands
+    `nearest_root` the same six terms summed in the scalar order
+    (`_camera_discriminant`); on the classical route b^2 - a a44 with a
+    and b lifted, after which stage 2 computes b^2 - a c from the
+    scalar-order a, b and c.  T is derived so that `nearest_root` then
+    returns NaN: the filter never decides a result.  From the camera at
+    x = 0 a pair's exact terms are a = s^T Q s over the 3x3 block, b = l.s
+    with l = (a14, a24, a34), c = a44 and D = b^2 - a c.  L = max|l_i|,
+    M = max(L^2, A |a44|), |s|_1 and |s|^2 are the pair's ray's, S is the
+    largest |s|^2 of the call in floats, so T is one number per column,
+    u = 2^-53 and gamma_n = n u / (1 - n u).
 
     0. Range.  With g = max(1, max|Q|) max(1, 4 S), max|Q| over every
        column, at least max(1, max|Q|) max(1, |s|_1) as |s|_1^2 <= 3 |s|^2,
@@ -359,33 +364,43 @@ def miss_bound(table: np.ndarray, a_scale: np.ndarray, max_abs: np.ndarray, s_sq
        |s|^2 (1 + gamma_5) in floats, so the exact |a| is at most
        (LINEAR_EPS + 2^-47) A |s|^2 and D >= -|a| |a44| >=
        -(LINEAR_EPS + 2^-47) M |s|^2.  Each product of a weight and an
-       entry in the six-term d is rounded at most 9 times, and their
-       absolute values sum to at most |s|_1^2 (A |a44| + L^2) <= 6 M |s|^2,
-       so that d >= -(LINEAR_EPS + 2^-45) M |s|^2, and by step 3 so is the
-       classical one: far above -T, as LINEAR_EPS is TANGENT_EPS / 100, and
+       entry in the six terms of the separated D is rounded at most 9
+       times, and their absolute values sum to at most
+       |s|_1^2 (A |a44| + L^2) <= 6 M |s|^2, so by step 3 both separated
+       values are at least -(LINEAR_EPS + 2^-45) M |s|^2, and so is the
+       classical d: far above -T, as LINEAR_EPS is TANGENT_EPS / 100, and
        a pair on the linear branch is never dropped.
-    3. Classical d.  The lifted a sums, in any order, 6 products of a
-       coefficient and a weight s_i s_i or 2 s_i s_j, rounded once, so it
-       lies within gamma_7 A |s|_1^2 of the exact a, and the lifted b sums
-       3 products of a coefficient and an exact s_i, within gamma_3 L |s|_1;
-       a fused multiply-add only rounds less.  With the roundings of b^2,
-       a a44 and their difference, the lifted d lies within
-       gamma_17 M |s|_1^2 of D; stage 2's b^2 - a c, from step 1's a and b,
-       within gamma_15 M |s|_1^2.  Together that is less than 2^-46 M S, so
-       where the lifted d < -T, stage 2's b^2 - a c < -T + 2^-46 M S, below
-       -band by step 1, as T carries 2^-45 M S.
+    3. Lifted d.  Separated: the six products of step 2 and at most 5
+       additions, in any order, so each term passes through at most 14
+       roundings and the lifted d, like stage 2's scalar-order D, lies
+       within gamma_14 6 M |s|^2 of D (Higham, lemma 3.1).  Classical: the
+       lifted a sums, in any order, 6 products of a coefficient and a
+       weight s_i s_i or 2 s_i s_j, rounded once, so it lies within
+       gamma_7 A |s|_1^2 of the exact a, and the lifted b sums 3 products
+       of a coefficient and an exact s_i, within gamma_3 L |s|_1.  With the
+       roundings of b^2, a a44 and their difference, the lifted d lies
+       within gamma_17 M |s|_1^2 of D; stage 2's b^2 - a c, from step 1's
+       a and b, within gamma_15 M |s|_1^2.  A fused multiply-add only
+       rounds less.  On either route the two values lie less than
+       2^-45 M S apart (2 gamma_14 6 and gamma_32 3 are below 2^-45.5), so
+       where the lifted d < -T, stage 2's value is below -T + 2^-45 M S,
+       below -band by step 1, as T carries 2^-45 M S.
     4. T = (3 (1 + 2^-40) TANGENT_EPS + 2^-45) M S + 2^-1050 g^4, in floats.
        The exact |s|^2 is at most S / (1 - gamma_3) and M within one
        rounding; with the 5 roundings of T and the 8 of step 1, every factor
        lies far inside 1 + 2^-40, and 2^-1050 g^4 covers step 0's
        underflow.
 
-    Multiplying the scene's lengths, or Q, by a power of two multiplies
-    either d, the band and M S by one factor, exactly while no value leaves
-    the normal floats, so the pairs kept do not depend on the units.  A NaN
-    or infinite T keeps every pair, and so does a NaN d.
+    Multiplying the scene's lengths, Q or the directions by a power of two
+    multiplies every d, the band and M S by one factor, exactly while no
+    value leaves the normal floats, so the pairs kept do not depend on the
+    units.  A NaN or infinite T keeps every pair, and so does a NaN d.  A
+    separated weight or block entry leaves the floats only where g exceeds
+    2^250 (|w| <= 2 S, |C[I, J]| <= 2 max|Q|^2), so wherever BLAS's product
+    meets 0 * inf, a NaN under IEEE arithmetic, T is inf and every pair
+    is kept; stage 2's sum skips the zero weights, as the scalar one does.
     """
-    s = s_sq.max()
+    s = s_sq.max(initial=0.0)
     g = max(1.0, max_abs.max(initial=0.0)) * max(1.0, 4.0 * s)
     if not g <= 2.0 ** 250:
         return np.full(table.shape[1], np.inf)
@@ -393,39 +408,36 @@ def miss_bound(table: np.ndarray, a_scale: np.ndarray, max_abs: np.ndarray, s_sq
     return (3.0 * (1.0 + 2.0 ** -40) * TANGENT_EPS + 2.0 ** -45) * s * m + 2.0 ** -1050 * g ** 4
 
 
-def _joined(groups: list) -> tuple:
-    return tuple(np.concatenate(column) for column in zip(*groups))
+def _batches(pairs: Iterator[tuple]) -> Iterator[tuple]:
+    """The (ri, oi) of consecutive tiles, joined once they hold TILE_PAIRS pairs; the rest last."""
+    batch, pending = [], 0
+    for tile in pairs:
+        batch.append(tile)
+        pending += len(tile[0])
+        if pending >= TILE_PAIRS:
+            yield tuple(map(np.concatenate, zip(*batch)))
+            batch, pending = [], 0
+    if pending:
+        yield tuple(map(np.concatenate, zip(*batch)))
 
 
 def _camera_discriminant(weights: np.ndarray, block: np.ndarray, finite: bool) -> np.ndarray:
     """D = 0.0 plus weight * C[I, J] over `_CAMERA_PAIRS`, left to right: `discriminant_separated`.
 
-    `weights` and `block` are (6, ...) rows of `compound_weights` and
-    `compound_entries` that broadcast together.  The scalar sum skips a
-    zero weight; so does this one where the call's block has a non-finite
-    entry (`finite` false), whose 0 * inf would be NaN.  With a finite
-    block a zero weight gives a term of +-0, which cannot change a sum
-    that starts at +0.0, so both sums agree bit for bit either way.
+    `weights` and `block` are (6, pairs) rows of `compound_weights` and
+    `compound_entries`, gathered for the pairs stage 2 roots, so this is
+    the D that `nearest_root` receives on the separated route; stage 1
+    never computes it.  The scalar sum skips a zero weight; so does this
+    one where the call's block has a non-finite entry (`finite` false),
+    whose 0 * inf would be NaN.  With a finite block a zero weight gives a
+    term of +-0, which cannot change a sum that starts at +0.0, so both
+    sums agree bit for bit either way.
     """
     d = 0.0
     for w, c in zip(weights, block):
         term = w * c
         d += term if finite else np.where(w != 0.0, term, 0.0)
     return d
-
-
-def _lifted_discriminant(w_a, w_b, block, linear, a44) -> np.ndarray:
-    """Classical stage-1 d = b^2 - a a44 of a tile, a and b each one product.
-
-    `w_a` (rays, 6) and `w_b` (rays, 3) are the rays' `_form_weights` on
-    Q's 3x3 block and on a14, a24 and a34, `block` (6, objects), `linear`
-    (3, objects) and `a44` (objects,) those rows of the world table.  BLAS
-    sums in its own order, so d is not stage 2's b^2 - a c bit for bit;
-    `miss_bound` bounds how far either lies from the exact D.
-    """
-    a = w_a @ block
-    b = w_b @ linear
-    return b * b - a * a44
 
 
 def _camera_terms(table: np.ndarray, s: Sequence[np.ndarray], finite: bool) -> tuple:
@@ -461,6 +473,74 @@ def _camera_terms(table: np.ndarray, s: Sequence[np.ndarray], finite: bool) -> t
     return a, b, c
 
 
+def kept_pairs(table: np.ndarray, direction: Directions, method: str) -> tuple:
+    """Render's stage 1: the (ray, object) pairs of each tile that it keeps.
+
+    `table` is the world table of `render_tables` and `direction` the
+    rays' (sx, sy, sz) arrays, each ray from the camera at 0, as
+    `nearest_hits` takes them; `method` is one of METHODS.  Returns
+    ((a_scale, s_sq, camera), pairs); the call and `pairs` run under the
+    caller's errstate.  `pairs` yields, for each tile of
+    `tiles(rays, objects)` in order, the kept pairs' ray and object
+    indices (ri, oi), ray by ray.  The rest is what stage 2 reads too, so
+    that it is built once per call: a_scale, each column's largest
+    |coefficient| of Q's 3x3 block, s_sq, each ray's sx^2 + sy^2 + sz^2,
+    and camera, on the separated route the (6, rays) weights and
+    (6, objects) block of `_CAMERA_PAIRS`, built once per call, and
+    whether that block is finite (None on the classical route).
+
+    Each tile is one lifted product per route, and no d is kept.
+    Separated: d = (rays, 6) @ (6, objects), on the weights made
+    contiguous once per call.  Classical: d = b^2 - a a44 with a and b
+    each one product, (rays, 6) @ (6, objects) on Q's 3x3 block and
+    (rays, 3) @ (3, objects) on a14, a24 and a34, the rays' weights from
+    `_form_weights`.  BLAS sums in its own order, so neither d is the
+    scalar-order D bit for bit; `miss_bound` bounds how far each lies from
+    the exact D, and a pair is dropped when d < -T, T its column's bound.
+    The contract, which the tests check through this function:
+
+    - every pair it drops is one that `nearest_root` calls Miss, on the
+      scalar-order a, b and c of `coefficient_terms` and, on the separated
+      route, the scalar-order D of `discriminant_separated`;
+    - the kept set does not move when the scene's lengths, Q or the
+      directions are multiplied by powers of two, while every value stays
+      a normal float;
+    - T = inf keeps every pair, a NaN d included.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    max_abs = np.abs(table).max(axis=0)
+    a_scale = np.abs(table[_BLOCK]).max(axis=0)
+    sx, sy, sz = direction
+    s_sq = sx * sx + sy * sy + sz * sz
+    ray = (sx, sy, sz, 0.0)
+    floor = -miss_bound(table, a_scale, max_abs, s_sq)
+    camera = None
+    if method == "separated":
+        weights = np.array(compound_weights(line_entries(_CAMERA, ray), _CAMERA_PAIRS))
+        block = np.array(compound_entries(table, _CAMERA_PAIRS))
+        camera = weights, block, bool(np.isfinite(block).all())
+        lifted = np.ascontiguousarray(weights.T)
+    else:
+        # With v = s + x = (sx, sy, sz, 1), s^T Q v weighs the 3x3 block
+        # as a = s^T Q s does and a14, a24, a34 as b = s^T Q x does.
+        form = _form_weights(ray, (sx, sy, sz, 1.0))
+        w_a = np.array([form[k] for k in _BLOCK]).T
+        w_b = np.array(form[_LINEAR]).T
+        rows = table[_BLOCK], table[_LINEAR], table[3]
+
+    def kept(sl: slice) -> tuple:
+        if camera:
+            d = lifted[sl] @ block
+        else:
+            b = w_b[sl] @ rows[1]
+            d = b * b - (w_a[sl] @ rows[0]) * rows[2]
+        ri, oi = np.nonzero(~(d < floor))
+        return ri + sl.start, oi
+
+    return (a_scale, s_sq, camera), map(kept, tiles(len(s_sq), table.shape[1]))
+
+
 def nearest_hits(table: np.ndarray, direction: Directions, method: str) -> np.ndarray:
     """Per ray, the nearest positive t over every object; NaN when none is crossed.
 
@@ -470,64 +550,36 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str) -> np.nd
     `hit_parameters` of `intersect_classical` or `intersect_separated` for
     the homogeneous ray (0, 0, 0, 1) + t (sx, sy, sz, 0), the vectors the
     pair forms receive.  `table` is the world table of `render_tables`.
-    Stage 1 runs per tile over every column, roots nothing and decides no
-    result: it evaluates the route's D on every pair and keeps each pair
-    but those with d < -T, T the per-column bound of `miss_bound`, computed
-    once per call, so it drops only pairs that `nearest_root` classifies
-    as Miss.  The separated D is `_camera_discriminant`, from one
-    (6, objects) block of `_CAMERA_PAIRS` entries and one (6, rays) set of
-    weights, built once per call, and each kept pair keeps its d.  The
-    classical D is `_lifted_discriminant`, from the rows of Q's 3x3 block
-    and of a14, a24 and a34 and the rays' weights on them, built once per
-    call, and is not kept.  Stage 2 roots the kept pairs once they reach
-    TILE_PAIRS, and after the last tile, so a batch holds fewer than
-    TILE_PAIRS pairs plus one tile's: every pair gets a, b, c
-    (`_camera_terms`) and `nearest_root` in one pass, a judged against the
-    largest |coefficient| of Q's 3x3 block, as `classical._a_scale` judges
-    it, and each ray keeps its minimum.
+    Stage 1 is `kept_pairs`: one lifted product per tile on either route,
+    which roots nothing, decides no result and keeps no d.  Stage 2 roots
+    the kept pairs once they reach TILE_PAIRS, and after the last tile, so
+    a batch holds fewer than TILE_PAIRS pairs plus one tile's: every pair
+    gets a, b, c (`_camera_terms`, on the table's columns gathered for it)
+    and `nearest_root` in one pass, a judged against the largest
+    |coefficient| of Q's 3x3 block, as `classical._a_scale` judges it, and
+    each ray keeps its minimum.  On the separated route `nearest_root`
+    gets D from `_camera_discriminant` on the weights and block entries
+    gathered for the batch, in the scalar order; on the classical one it
+    computes b^2 - a c.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    rays = len(direction[0])
-    if not rays:
-        return np.empty(0)
-    max_abs = np.abs(table).max(axis=0)
-    a_scale = np.abs(table[_BLOCK]).max(axis=0)
-    sx, sy, sz = direction
-    s_sq = sx * sx + sy * sy + sz * sz
-    ray = (sx, sy, sz, 0.0)
-    separated = method == "separated"
-    out = np.full(rays, np.nan)
-    kept, pending = [], 0
+    out = np.full(len(direction[0]), np.nan)
     with np.errstate(all="ignore"):
+        (a_scale, s_sq, camera), pairs = kept_pairs(table, direction, method)
         # Every a_k s_i of stage 2 is finite when this bound is (rounding is monotonic).
-        finite_terms = bool(np.isfinite(max_abs.max(initial=0.0) * np.abs(direction).max()))
-        floor = -miss_bound(table, a_scale, max_abs, s_sq)
-        if separated:
-            block = np.array(compound_entries(table, _CAMERA_PAIRS))
-            weights = np.array(compound_weights(line_entries(_CAMERA, ray), _CAMERA_PAIRS))
-            finite = bool(np.isfinite(block).all())
-        else:
-            rows = table[_BLOCK], table[_LINEAR], table[3]
-            # With v = s + x = (sx, sy, sz, 1), s^T Q v weighs the 3x3 block
-            # as a = s^T Q s does and a14, a24, a34 as b = s^T Q x does.
-            weights = _form_weights(ray, (sx, sy, sz, 1.0))
-            w_a = np.array([weights[k] for k in _BLOCK]).T
-            w_b = np.array(weights[_LINEAR]).T
-        for sl in tiles(rays, table.shape[1]):
-            if separated:
-                d = _camera_discriminant(weights[:, sl, None], block, finite)
-            else:
-                d = _lifted_discriminant(w_a[sl], w_b[sl], *rows)
-            ri, oi = np.nonzero(~(d < floor))
-            # The classical route keeps no d: `nearest_root` computes b^2 - a c.
-            kept.append((ri + sl.start, oi, d[ri, oi]) if separated else (ri + sl.start, oi))
-            pending += len(ri)
-            if pending >= TILE_PAIRS or (pending and sl.stop >= rays):
-                ri, oi, *d = _joined(kept)
-                kept, pending = [], 0
-                a, b, c = _camera_terms(table[:, oi], _take(direction, ri), finite_terms)
-                np.fmin.at(out, ri, nearest_root(a, b, c, a_scale[oi] * s_sq[ri], *d))
+        bound = np.abs(table).max(initial=0.0) * np.abs(direction).max(initial=0.0)
+        finite_terms = bool(np.isfinite(bound))
+        for ri, oi in _batches(pairs):
+            # D first: its gathered weights and block are freed before the
+            # table's columns are gathered, so a batch's largest temporaries
+            # are never alive together (they page-faulted on every call).
+            d = None
+            if camera:
+                weights, block, finite = camera
+                d = _camera_discriminant(
+                    np.take(weights, ri, axis=1), np.take(block, oi, axis=1), finite
+                )
+            a, b, c = _camera_terms(np.take(table, oi, axis=1), _take(direction, ri), finite_terms)
+            np.fmin.at(out, ri, nearest_root(a, b, c, a_scale[oi] * s_sq[ri], d))
     return out
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from quadrics import HomogeneousDirection, HomogeneousPoint, Mat3, Mat4, QuadricMatrix, Vec3
+from quadrics import (
+    HomogeneousDirection, HomogeneousPoint, Mat3, Mat4, QuadricMatrix, Vec3, kernels,
+)
 from quadrics.classical import TANGENT_EPS
 from quadrics.scene import Scene, SceneObject
 
@@ -102,6 +104,30 @@ def exact_discriminant(q, x, s) -> Fraction:
 def camera_relative(objects, origin: Vec3) -> tuple[SceneObject, ...]:
     """The objects moved to centres c - origin, the scene render's kernels see."""
     return tuple(SceneObject(o.kind, o.center - origin, o.rot) for o in objects)
+
+
+def image_rays(scene: Scene) -> tuple[np.ndarray, tuple]:
+    """(world table, pixel directions) of the image as one `nearest_hits` call: render's inputs."""
+    cam = scene.camera
+    table = kernels.render_tables(scene.objects, cam.origin.as_tuple())
+    x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
+    return table, (x.ravel(), y.ravel(), z.ravel())
+
+
+def kept_mask(table: np.ndarray, direction, method: str) -> np.ndarray:
+    """Stage 1's kept pairs, from `kernels.kept_pairs`, as a (rays, objects) mask.
+
+    Checks that `kept_pairs` yields one (ri, oi) per tile of
+    `kernels.tiles`, in order, each with the tile's rays only.
+    """
+    rays, objects = len(direction[0]), table.shape[1]
+    kept = np.zeros((rays, objects), bool)
+    with np.errstate(all="ignore"):
+        _, pairs = kernels.kept_pairs(table, direction, method)
+        for sl, (ri, oi) in zip(kernels.tiles(rays, objects), pairs, strict=True):
+            assert ((sl.start <= ri) & (ri < sl.stop)).all()
+            kept[ri, oi] = True
+    return kept
 
 
 def exact_lit_pixels(scene: Scene) -> list[bool | None]:

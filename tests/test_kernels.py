@@ -6,8 +6,8 @@ import pytest
 
 import test_render
 from _helpers import (
-    camera_relative, coefficient_table, exact_discriminant, random_quadric, random_ray,
-    random_rotation,
+    camera_relative, coefficient_table, exact_discriminant, image_rays, kept_mask, random_quadric,
+    random_ray, random_rotation,
 )
 from quadrics import (
     HomogeneousDirection,
@@ -290,64 +290,58 @@ class TestCameraTerms:
         assert render_detection(scene, method).pixels == expected
 
 
+def _separated_d(table: np.ndarray, s: tuple) -> np.ndarray:
+    """`discriminant_separated` of each pair: column k of `table`, ray k of s from the camera.
+
+    0.0 plus weight * C[I, J] over all 21 entries, left to right in
+    `COMPOUND_ORDER`, a zero weight's term skipped as the scalar sum skips
+    it: adding +0.0 instead leaves a sum that starts at +0.0 as it was.
+    """
+    d = 0.0
+    p = line_entries(kernels._CAMERA, (*s, 0.0))
+    for w, c in zip(compound_weights(p), compound_entries(table)):
+        d = d + np.where(w != 0.0, w * c, 0.0)
+    return d
+
+
 @pytest.mark.parametrize("method", ["classical", "separated"])
 class TestMissBound:
     """Render's stage 1 drops only pairs that `nearest_root` classifies as Miss, on both routes.
 
-    Each case runs `nearest_hits` and reads, through spies, the stage-1 d
-    of every pair and the T of `kernels.miss_bound`; every pair with
-    d < -T must root to NaN on the scalar-order a, b and c of
-    `coefficient_terms`.  The separated d is `kernels._camera_discriminant`'s,
-    which stage 2 reuses; the classical d is `kernels._lifted_discriminant`'s,
-    and stage 2 computes b^2 - a c itself (d = None).
+    Each case calls `kernels.kept_pairs`, the stage-1 contract, and roots
+    every pair the test's way: the scalar-order a, b and c of
+    `coefficient_terms` and, on the separated route, the scalar-order D
+    of `discriminant_separated` (`_separated_d`), b^2 - a c on the
+    classical one.  Every pair stage 1 drops must root to NaN; with
+    T = inf (`test_render._no_bound`) it must keep every pair.
     """
 
-    STAGE_1 = {"separated": "_camera_discriminant", "classical": "_lifted_discriminant"}
+    @staticmethod
+    def _dropped(table, direction, method, monkeypatch) -> tuple[int, np.ndarray, np.ndarray]:
+        """(pairs dropped, every pair's scalar-order D, the nearest t per ray).
 
-    @classmethod
-    def _stage1(cls, table, direction, method, monkeypatch) -> tuple:
-        """(d over every pair, T, Q's 3x3 block maximum per column, the nearest t per ray)."""
-        seen, bounds = [], []
-        discriminant, miss_bound = getattr(kernels, cls.STAGE_1[method]), kernels.miss_bound
-
-        def spy_d(*args):
-            seen.append(discriminant(*args))
-            return seen[-1]
-
-        def spy_t(table, a_scale, max_abs, s_sq):
-            bounds.append((a_scale, miss_bound(table, a_scale, max_abs, s_sq)))
-            return bounds[-1][1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, cls.STAGE_1[method], spy_d)
-            patch.setattr(kernels, "miss_bound", spy_t)
-            nearest = nearest_hits(table, direction, method)
-        ((a_scale, t),) = bounds
-        return np.concatenate(seen), t, a_scale, nearest
-
-    @classmethod
-    def _dropped(cls, table, direction, method, monkeypatch) -> tuple[int, np.ndarray, np.ndarray]:
-        """(pairs dropped, d, nearest t per ray); fails if a dropped pair does not root to NaN."""
-        d, t, a_scale, nearest = cls._stage1(table, direction, method, monkeypatch)
-        ri, oi = np.nonzero(d < -t)
-        sx, sy, sz = (v[ri] for v in direction)
+        Fails if a pair stage 1 drops roots, or if T = inf drops one.
+        """
+        kept = kept_mask(table, direction, method)
+        rays, objects = kept.shape
+        ri, oi = np.divmod(np.arange(rays * objects), objects)
+        s = sx, sy, sz = tuple(v[ri] for v in direction)
         with np.errstate(all="ignore"):
-            a, b, c = coefficient_terms(table[:, oi], kernels._CAMERA, (sx, sy, sz, 0.0))
-            a_scale = a_scale[oi] * (sx * sx + sy * sy + sz * sz)
-            reused = d[ri, oi] if method == "separated" else None
-            roots = kernels.nearest_root(a, b, c, a_scale, reused)
-        rooted = ~np.isnan(roots)
-        assert not rooted.any(), list(zip(ri[rooted], oi[rooted]))
-        return len(ri), d, nearest
+            a, b, c = coefficient_terms(table[:, oi], kernels._CAMERA, (*s, 0.0))
+            a_scale = abs(table[kernels._BLOCK]).max(axis=0)[oi] * (sx * sx + sy * sy + sz * sz)
+            d = _separated_d(table[:, oi], s) if method == "separated" else b * b - a * c
+            rooted = ~np.isnan(kernels.nearest_root(a, b, c, a_scale, d)).reshape(kept.shape)
+        assert not (rooted & ~kept).any(), np.argwhere(rooted & ~kept)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "miss_bound", test_render._no_bound)
+            assert kept_mask(table, direction, method).all()
+        nearest = nearest_hits(table, direction, method)
+        return np.count_nonzero(~kept), d.reshape(kept.shape), nearest
 
     @pytest.mark.parametrize("name", sorted(TestCameraTerms.SCENES))
     def test_scenes(self, name, method, monkeypatch):
         # axis-linear's centre ray is a LinearHit: a = 0 exactly.
-        scene = TestCameraTerms.SCENES[name]
-        cam = scene.camera
-        table = render_tables(scene.objects, cam.origin.as_tuple())
-        x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
-        self._dropped(table, (x.ravel(), y.ravel(), z.ravel()), method, monkeypatch)
+        self._dropped(*image_rays(TestCameraTerms.SCENES[name]), method, monkeypatch)
 
     @pytest.mark.parametrize("scale", [0, 7])
     def test_tangent_rays(self, scale, method, monkeypatch):
@@ -395,11 +389,15 @@ class TestMissBound:
                 _, d, nearest = self._dropped(table, tuple(sigma), method, monkeypatch)
                 assert (np.diagonal(d) < 0.0).all() and (nearest == 1.0 / 3.0).all()
         # The same edge with s = c sigma, c not a power of two, and a44 a
-        # few millionths of the band either side of it: a rounds, in a
-        # different order in the lifted product than in stage 2, so the
-        # classical d and stage 2's b^2 - a c differ by about an ulp of
-        # 9 c^2, a millionth of the band.  T without its 2^-45 M S term
-        # drops classical pairs that stage 2 calls Tangent.
+        # few millionths of the band either side of it.  On the classical
+        # route a rounds in a different order in the lifted product than
+        # in stage 2, so the lifted d and stage 2's b^2 - a c differ by
+        # about an ulp of 9 c^2, a millionth of the band: T without its
+        # 2^-45 M S term drops classical pairs that stage 2 calls Tangent.
+        # On the separated route each entry C[I, J] takes the cancellation
+        # exactly (1 + delta TANGENT_EPS - 1), and the six terms share one
+        # sign, so the lifted d and the scalar-order D agree to an ulp of D
+        # here and that term is not what keeps these pairs.
         rng = np.random.default_rng(41)
         sigmas = np.tile(sigma, 50)
         rows = [sigmas[i] * sigmas[j] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
@@ -410,10 +408,10 @@ class TestMissBound:
             hits += np.count_nonzero(self._dropped(table, tuple(c * sigma), method, monkeypatch)[2] > 0.0)
         assert hits > 100
         # Planes (A = 0, a44 = 2^-20) with rays nearly along them: b is a
-        # few ulps, the six-term d rounds below 0 where b^2 - a c = b^2 is
+        # few ulps, the separated D rounds below 0 where b^2 - a c = b^2 is
         # not, and the pair is a LinearHit at t = -a44 / 2b > 0.  Only the
-        # L^2 of the bound keeps such a pair.  The classical d is b^2
-        # exactly here, as a = 0, and is never below 0.
+        # L^2 of the bound keeps such a pair.  The classical b^2 - a c is
+        # b^2 exactly here, as a = 0, and is never below 0.
         rng = np.random.default_rng(37)
         table = np.zeros((10, 40))
         table[3] = 2.0 ** -20
@@ -432,6 +430,21 @@ class TestMissBound:
             assert linear_hits.sum() > 100
         else:
             assert not below.any()
+
+
+# Scenes shaped as the render workloads' (48 spheres and ellipsoids at
+# 16x16, 24 objects of all kinds at 24x24), and the pairs stage 1 keeps on
+# them, the same whether the separated d is a product or the scalar-order
+# sum.  More kept pairs is more stage-2 work; fewer must still drop only
+# Misses (`TestMissBound`).
+@pytest.mark.parametrize(
+    "name, count",
+    [("bounded-1", 58), ("bounded-2", 39), ("unbounded-1", 5483), ("unbounded-2", 7005)],
+)
+def test_both_routes_keep_the_pinned_pairs(name, count):
+    table, direction = image_rays(TestCameraTerms.SCENES[name])
+    classical, separated = (kept_mask(table, direction, m) for m in ("classical", "separated"))
+    assert np.array_equal(classical, separated) and np.count_nonzero(classical) == count
 
 
 @pytest.mark.parametrize("method", ["classical", "separated"])

@@ -7,7 +7,8 @@ floats, which bounds every k below.
 
 - Power-of-two units: every length times 2^k (camera origin and look-at,
   centres, radii and semi-axes) multiplies render's nearest t by 2^k, and
-  stage 1 keeps the same pairs on both routes.
+  stage 1 keeps the same pairs on both routes, as it does with Q or the
+  directions times 2^k.
 - The same surface, Q times 2^k: no classification and no root changes.
 """
 import dataclasses
@@ -15,18 +16,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from _helpers import image_rays, kept_mask
 from quadrics import (
     QuadricMatrix, hit_parameters, intersect_classical, intersect_separated,
 )
 from quadrics.check import _draw_quadric, _draw_ray
 from quadrics.geometry import HomogeneousDirection, HomogeneousPoint
-from quadrics.kernels import nearest_hits, render_tables
+from quadrics.kernels import nearest_hits
 from quadrics.quadric import Ellipsoid, General, OneSheetHyperboloid, Sphere
 from quadrics.rng import Xorshift64Star
 from quadrics.scene import Scene, SceneObject, generate_scene
 from quadrics.separated import make_ray_cache
 from test_kernels import _tangent_rays
-from test_render import CULL_SCENES, _rooted_pairs
+from test_render import CULL_SCENES
 
 METHODS = ("classical", "separated")
 
@@ -70,10 +72,7 @@ def _in_units_scene(scene: Scene, k: int) -> Scene:
 
 def _nearest(scene: Scene, method: str) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(render's nearest t per pixel, the camera-relative world table, the pixel directions)."""
-    cam = scene.camera
-    table = render_tables(scene.objects, cam.origin.as_tuple())
-    x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
-    direction = (x.ravel(), y.ravel(), z.ravel())
+    table, direction = image_rays(scene)
     return nearest_hits(table, direction, method), table, direction
 
 
@@ -116,25 +115,26 @@ def test_power_of_two_units_scale_every_nearest_t(name, method):
         assert scaled.tobytes() == (nearest * 2.0 ** k).tobytes(), k
 
 
-def _kept_pairs(scene: Scene, method: str, monkeypatch) -> int:
-    """Pairs stage 1 keeps on the image: those `nearest_root` roots."""
-    with monkeypatch.context() as patch:
-        kept = _rooted_pairs(patch)
-        _nearest(scene, method)
-    return sum(kept)
-
-
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("k", [-30, -20, 20, 30])
-def test_power_of_two_units_keep_the_stage_1_pairs(k, method, monkeypatch):
-    # The bound of `kernels.miss_bound` scales with either route's d.  On
-    # the separated route an absolute one, d < -TANGENT_EPS, kept 219 pairs
-    # of these four scenes at k = 0 and 7414, 25682, 8120 and 23689 at
-    # k = -20, -30, 20 and 30.
-    scenes = [UNIT_SCENES[f"bounded-{seed}"] for seed in range(16, 20)]
-    kept = [_kept_pairs(scene, method, monkeypatch) for scene in scenes]
-    assert sum(kept) > 0
-    assert [_kept_pairs(_in_units_scene(scene, k), method, monkeypatch) for scene in scenes] == kept
+def test_power_of_two_units_keep_the_stage_1_pairs(k, method):
+    # The bound of `kernels.miss_bound` scales with either route's d, so
+    # `kernels.kept_pairs` keeps the same pairs with every length, with Q,
+    # or with the directions times 2^k.  On the separated route an
+    # absolute bound, d < -TANGENT_EPS, kept 219 pairs of these four
+    # scenes at k = 0 and 7414, 25682, 8120 and 23689 at k = -20, -30, 20
+    # and 30.
+    scale = 2.0 ** k
+    kept = 0
+    for seed in range(16, 20):
+        scene = UNIT_SCENES[f"bounded-{seed}"]
+        table, direction = image_rays(scene)
+        mask = kept_mask(table, direction, method)
+        kept += np.count_nonzero(mask)
+        assert np.array_equal(kept_mask(*image_rays(_in_units_scene(scene, k)), method), mask)
+        assert np.array_equal(kept_mask(table * scale, direction, method), mask)
+        assert np.array_equal(kept_mask(table, tuple(v * scale for v in direction), method), mask)
+    assert kept > 0
 
 
 def _classify(q: QuadricMatrix, point: HomogeneousPoint, direction: HomogeneousDirection) -> list:

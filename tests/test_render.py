@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _helpers import camera_relative, random_rotation, wrong_pixels
+from _helpers import camera_relative, image_rays, kept_mask, random_rotation, wrong_pixels
 from quadrics import (
     HomogeneousDirection,
     HomogeneousPoint,
@@ -483,7 +483,7 @@ _ALL_KINDS = ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid")
 
 
 class TestSeparatedPairForm:
-    """Render's separated D is `discriminant_separated`'s, bit for bit, on every pair."""
+    """The D render's separated route roots with is `discriminant_separated`'s, bit for bit."""
 
     SCENES = {
         **CULL_SCENES,
@@ -499,25 +499,21 @@ class TestSeparatedPairForm:
     }
 
     @staticmethod
-    def _render_d(scene, monkeypatch) -> np.ndarray:
-        """The d `nearest_hits` filters in stage 1, on the whole image in one call.
+    def _rooted_d(scene, monkeypatch) -> np.ndarray:
+        """The D stage 2 hands `nearest_root` on the separated route, over the whole image.
 
-        Each tile's d, from `_camera_discriminant`, is (tile rays, objects);
-        they arrive in order, joined into one (rays, objects) array.
+        The batches arrive in order, each holding its pairs ray by ray.
         """
-        cam = scene.camera
-        table = kernels.render_tables(scene.objects, cam.origin.as_tuple())
-        x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
         seen = []
-        camera_discriminant = kernels._camera_discriminant
+        nearest_root = kernels.nearest_root
 
-        def spy(*args):
-            seen.append(camera_discriminant(*args))
-            return seen[-1]
+        def spy(a, b, c, a_scale, d=None):
+            seen.append(d)
+            return nearest_root(a, b, c, a_scale, d)
 
-        monkeypatch.setattr(kernels, "_camera_discriminant", spy)
-        kernels.nearest_hits(table, (x.ravel(), y.ravel(), z.ravel()), "separated")
-        return np.concatenate(seen)
+        monkeypatch.setattr(kernels, "nearest_root", spy)
+        kernels.nearest_hits(*image_rays(scene), "separated")
+        return np.concatenate(seen) if seen else np.empty(0)
 
     @pytest.mark.parametrize("name", sorted(SCENES))
     def test_every_pair(self, name, monkeypatch):
@@ -531,9 +527,12 @@ class TestSeparatedPairForm:
              for q in matrices]
             for s in zip(x.ravel().tolist(), y.ravel().tolist(), z.ravel().tolist())
         ])
-        # Each tile gives the d of all its pairs, ray by ray.
-        d = self._render_d(scene, monkeypatch)
-        assert d.shape == expected.shape and d.tobytes() == expected.tobytes()
+        # The kept pairs, in the order stage 2 roots them.
+        kept = expected[kept_mask(*image_rays(scene), "separated")]
+        assert self._rooted_d(scene, monkeypatch).tobytes() == kept.tobytes()
+        # T = inf keeps every pair, and each reaches `nearest_root` with its D.
+        monkeypatch.setattr(kernels, "miss_bound", _no_bound)
+        assert self._rooted_d(scene, monkeypatch).tobytes() == expected.tobytes()
 
 
 class TestPlacementInvariance:
