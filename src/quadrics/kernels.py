@@ -8,8 +8,9 @@ layout is read from `quadric.COEFFICIENT_ENTRIES`.  A ray component is
 either an array with one entry per ray or a plain float shared by every
 ray.  Render works in camera-relative coordinates: `render_tables`, the
 one place the camera origin enters render's kernels, subtracts it from
-every centre before it builds its tables, so every pixel's ray starts at
-(0, 0, 0, 1).
+every centre, so every pixel's ray starts at (0, 0, 0, 1), and scales
+each column by a power of two, to a largest |coefficient| in [1, 2): the
+same surface, on which no value of render's kernels leaves the floats.
 `nearest_hits` takes the pixel directions as three arrays, and the pair
 forms receive the rays as (0, 0, 0, 1) and (sx, sy, sz, 0).  Bench's rays
 each have an origin, in world coordinates, with w = 1 and s_w = 0 as
@@ -33,8 +34,8 @@ ray (`_camera_discriminant`, in the order of `discriminant_separated`).
 Only 6 terms of a, 3 of b and 1 of c of `classical.coefficient_terms`
 are not 0 (`_camera_terms`, in the operand order of
 `quadric.quadratic_form` and `bilinear_form`); it runs `coefficient_terms`
-itself on a call where a dropped term could be NaN and on a pair whose a,
-b or c is exactly 0, whose sign the dropped zeros decide.  numpy float64
+itself on a pair whose a, b or c is exactly 0, whose sign the dropped
+zeros decide.  numpy float64
 ufuncs round exactly as Python floats do, so each pair gets the scalar
 kernels' value bit for bit by construction.  What is batched here, the
 classification in `nearest_root`, keeps the operand order of `solve`, and
@@ -79,21 +80,15 @@ both routes, run per tile over every column: a filter that never decides
 a result.  Each route evaluates its own D on every pair as a lifted
 product, and a pair is dropped only when d < -T, with T the bound
 `miss_bound` derives per column, once per call, relative to the column's
-own coefficients, one T for both routes: the filter does not depend on
-the units of the scene, and it drops only pairs whose `nearest_root`
-result is provably a Miss.  Miss, Tangent and Two are decided in
-`nearest_root` alone, as in `classical.solve`.  The separated d is one
-product per tile, the rays' six `_CAMERA_PAIRS` weights times the
-(6, objects) block of those entries; the classical d is b^2 - a a44 with
-a and b two products on the rays' `_form_weights`.  BLAS sums in its own
-order, so stage 1 keeps no d.  Stage 2 roots every kept pair in one
-batch: a, b and c in the scalar order (`_camera_terms`) on both routes,
-and, on the separated one, D from the six terms in the scalar order
-(`_camera_discriminant`), on the weights and entries gathered for the
-kept pairs only.  So on every pair it roots the separated route adds six
-terms where the classical one computes b^2 - a c, and it roots the same
-pairs.  Stage 2 runs as soon as TILE_PAIRS pairs are kept and after the
-last tile, so memory stays bounded, and once per call on most images.
+own coefficients, one T for both routes: it drops only pairs whose
+`nearest_root` result is provably a Miss, whatever the scene's units.
+Miss, Tangent and Two are decided in `nearest_root` alone, as in
+`classical.solve`.  BLAS sums in its own order, so stage 1 keeps no d.
+Stage 2 roots every kept pair in one batch, from a, b and c in the scalar
+order (`_camera_terms`) and, on the separated route, D from the six terms
+in the scalar order (`_camera_discriminant`): on every pair it roots the
+separated route adds six terms where the classical one computes
+b^2 - a c, and both root the same pairs.
 """
 from __future__ import annotations
 
@@ -243,17 +238,32 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
 
 
 def render_tables(objects: Sequence[SceneObject], origin: Sequence[float]) -> np.ndarray:
-    """The world table of `nearest_hits`, relative to the camera at `origin`.
+    """The table of `nearest_hits`: each world matrix about the camera at `origin`, scaled.
 
     Every centre becomes c - origin, the one float subtraction of
     `Vec3.__sub__` per component (a `General` object's centre 0 becomes
-    0 - origin), so column k equals `SceneObject.world_matrix()` of object
-    k moved to that centre, bit for bit; with origin (0, 0, 0) it is the
-    world table itself, as c - 0.0 == c for every float.
+    0 - origin), and `_world_table` builds each object's
+    `SceneObject.world_matrix()` at that centre, bit for bit.  Each column
+    is then multiplied by 2^(1 - e), e the binary exponent of its largest
+    |coefficient|, which puts that in [1, 2): Q and 2^k Q are one surface,
+    every a, b, c, D, band and t of render keeps the unscaled Q's bits
+    wherever those stayed normal floats, and none leaves the floats
+    (`miss_bound`, step 0).  Only this function scales.
+
+    An entry more than 2^1022 below its column's largest can become
+    subnormal or 0, and render then shows the scaled Q.  The parser allows
+    that: a `quadric` line takes any finite coefficients; shape parameters
+    in [2^-511, 2^511] (`quadric._PARAM_MAX`) let one ellipsoid's 1/a^2
+    span 2^2044 (`ellipsoid 3 2^510 2^-400` loses its 2^-1020 beside an
+    a44 near 2^807); `scene._PLACEMENT_MAX`, 2^1021, lets a far object's
+    a44 reach 2^1021 whatever its smallest 1/a^2.  An unrotated sphere
+    keeps every bit: its 3x3 block is 1 and |a44| <= 2^1022.
     """
     q0, centers, rotated, rot = _placements(objects)
     placed = (q0, centers - np.array(origin, dtype=np.float64), rotated, rot)
-    return _world_table(placed, range(len(objects)))
+    table = _world_table(placed, range(len(objects)))
+    _, e = np.frexp(np.abs(table).max(axis=0))
+    return np.ldexp(table, 1 - e, out=table)
 
 
 def _tile_rays(objects: int) -> int:
@@ -326,13 +336,15 @@ def nearest_root(a, b, c, a_scale, d=None):
     )
 
 
-def miss_bound(table: np.ndarray, a_scale: np.ndarray, max_abs: np.ndarray, s_sq: np.ndarray):
+def miss_bound(table: np.ndarray, a_scale: np.ndarray, s_sq: np.ndarray):
     """Stage-1 bound T of each column for these rays, on both routes: d < -T is a Miss, inf keeps all.
 
-    `table` is the world table of `render_tables`, `a_scale` each column's
-    largest |coefficient| of Q's 3x3 block, A, `max_abs` its largest
-    |coefficient| and `s_sq` the rays' sx^2 + sy^2 + sz^2 in floats, for
-    one ray or more; it runs under the errstate of `nearest_hits`.
+    `table` is the table of `render_tables`, so every column's largest
+    |coefficient| lies in [1, 2), `a_scale` each column's largest
+    |coefficient| of Q's 3x3 block, A, and `s_sq` the rays' sx^2 + sy^2 +
+    sz^2 in floats, for one ray or more, each ray's (sx, sy, sz) a
+    direction of `Camera.pixel_directions`; it runs under the errstate of
+    `nearest_hits`.
     `kept_pairs` drops a pair only when its route's stage-1 d, a lifted
     product in BLAS's order, is below -T: on the separated route the six
     terms of -p^T C p that the camera leaves, after which stage 2 hands
@@ -347,13 +359,18 @@ def miss_bound(table: np.ndarray, a_scale: np.ndarray, max_abs: np.ndarray, s_sq
     largest |s|^2 of the call in floats, so T is one number per column,
     u = 2^-53 and gamma_n = n u / (1 - n u).
 
-    0. Range.  With g = max(1, max|Q|) max(1, 4 S), max|Q| over every
-       column, at least max(1, max|Q|) max(1, |s|_1) as |s|_1^2 <= 3 |s|^2,
-       no intermediate of either d, a, b, c or the band exceeds 2^5 g^4, so
-       g <= 2^250 rules out overflow (a call with g > 2^250 gets T = inf).
-       Underflow, where a product errs by at most 2^-1075 and a sum is
-       exact, moves each of either d, a |a44|, b^2, the band and the terms
-       of T by less than 2^-1060 g^4.
+    0. Range.  With g = 2 max(1, 4 S), at least max(1, max|Q|) max(1, |s|_1)
+       as max|Q| < 2 and |s|_1^2 <= 3 |s|^2, no intermediate of either d,
+       a, b, c or the band exceeds 2^5 g^4, so g <= 2^250 rules out
+       overflow, and the camera bounds S: as vfov < 180, `Camera.frame`'s
+       half_h = tan(radians(vfov) / 2) <= tan(fl(pi/2)), about 1.6e16
+       < 2^54, and half_w = half_h width / height < 2^115, since a row of
+       width float64 directions fits in memory (width < 2^61).
+       `pixel_directions` gives forward + u right + v up, unit vectors with
+       |u| <= half_w and |v| <= half_h, so |s_i| < 2^116, S < 2^234 and
+       g < 2^237.  Underflow, where a product errs by at most 2^-1075 and
+       a sum is exact, moves each of either d, a |a44|, b^2, the band and
+       the terms of T by less than 2^-1060 g^4.
     1. Band.  |a| <= A |s|_1^2 and |b| <= L |s|_1 exactly, and the floats'
        a and b sum 5 and 3 rounded terms in the scalar order, so the band,
        TANGENT_EPS max(b^2, |a c|) in floats, is at most
@@ -394,16 +411,11 @@ def miss_bound(table: np.ndarray, a_scale: np.ndarray, max_abs: np.ndarray, s_sq
     Multiplying the scene's lengths, Q or the directions by a power of two
     multiplies every d, the band and M S by one factor, exactly while no
     value leaves the normal floats, so the pairs kept do not depend on the
-    units.  A NaN or infinite T keeps every pair, and so does a NaN d.  A
-    separated weight or block entry leaves the floats only where g exceeds
-    2^250 (|w| <= 2 S, |C[I, J]| <= 2 max|Q|^2), so wherever BLAS's product
-    meets 0 * inf, a NaN under IEEE arithmetic, T is inf and every pair
-    is kept; stage 2's sum skips the zero weights, as the scalar one does.
+    units.  An infinite T keeps every pair.  By step 0 no T, d, weight or
+    entry leaves the floats: |w| <= 2 S and |C[I, J]| <= 2 max|Q|^2 < 8.
     """
     s = s_sq.max(initial=0.0)
-    g = max(1.0, max_abs.max(initial=0.0)) * max(1.0, 4.0 * s)
-    if not g <= 2.0 ** 250:
-        return np.full(table.shape[1], np.inf)
+    g = 2.0 * max(1.0, 4.0 * s)
     m = np.maximum(abs(table[_LINEAR]).max(axis=0) ** 2, a_scale * abs(table[3]))
     return (3.0 * (1.0 + 2.0 ** -40) * TANGENT_EPS + 2.0 ** -45) * s * m + 2.0 ** -1050 * g ** 4
 
@@ -421,42 +433,36 @@ def _batches(pairs: Iterator[tuple]) -> Iterator[tuple]:
         yield tuple(map(np.concatenate, zip(*batch)))
 
 
-def _camera_discriminant(weights: np.ndarray, block: np.ndarray, finite: bool) -> np.ndarray:
+def _camera_discriminant(weights: np.ndarray, block: np.ndarray) -> np.ndarray:
     """D = 0.0 plus weight * C[I, J] over `_CAMERA_PAIRS`, left to right: `discriminant_separated`.
 
     `weights` and `block` are (6, pairs) rows of `compound_weights` and
     `compound_entries`, gathered for the pairs stage 2 roots, so this is
     the D that `nearest_root` receives on the separated route; stage 1
-    never computes it.  The scalar sum skips a zero weight; so does this
-    one where the call's block has a non-finite entry (`finite` false),
-    whose 0 * inf would be NaN.  With a finite block a zero weight gives a
-    term of +-0, which cannot change a sum that starts at +0.0, so both
-    sums agree bit for bit either way.
+    never computes it.  The scalar sum skips a zero weight; here the block
+    of a `render_tables` table is finite (`miss_bound`, step 0), so a zero
+    weight gives a term of +-0, which cannot change a sum that starts at
+    +0.0, and both sums agree bit for bit.
     """
     d = 0.0
     for w, c in zip(weights, block):
-        term = w * c
-        d += term if finite else np.where(w != 0.0, term, 0.0)
+        d += w * c
     return d
 
 
-def _camera_terms(table: np.ndarray, s: Sequence[np.ndarray], finite: bool) -> tuple:
+def _camera_terms(table: np.ndarray, s: Sequence[np.ndarray]) -> tuple:
     """`coefficient_terms(table, _CAMERA, (*s, 0.0))` bit for bit, from the terms the camera leaves.
 
     Column k of the (10, pairs) `table` meets ray k of `s`, the rays'
     (sx, sy, sz).  From x = (0, 0, 0, 1) and s_w = 0 only 6 terms of a, 3
     of b and 1 of c are not exact zeros; they keep the operand order and
-    grouping of `quadric.quadratic_form` and `bilinear_form`.  Adding a +-0
-    term leaves a nonzero partial sum as it was, so the values agree but
-    in two cases, which run `coefficient_terms` itself.  A dropped term
-    (a_k s_i) 0.0 is NaN where a_k s_i overflows: `finite` says that the
-    call's max|a_k| max|s_i| is finite, and where it is not, every pair
-    runs it.  The sign of a sum that comes out exactly 0 can depend on the
-    dropped zeros, and `solve` reads the sign of b: a pair whose a, b or c
-    is 0 runs it.
+    grouping of `quadric.quadratic_form` and `bilinear_form`.  A dropped
+    term (a_k s_i) 0.0 is a +-0, as a_k s_i is finite (`miss_bound`, step
+    0), and adding it leaves a nonzero partial sum as it was.  The sign of
+    a sum that comes out exactly 0 can depend on the dropped zeros, and
+    `solve` reads the sign of b: a pair whose a, b or c is 0 runs
+    `coefficient_terms` itself.
     """
-    if not finite:
-        return coefficient_terms(table, _CAMERA, (*s, 0.0))
     a11, a22, a33, a44, a12, a13, a23, a14, a24, a34 = table
     sx, sy, sz = s
     a = (
@@ -476,18 +482,16 @@ def _camera_terms(table: np.ndarray, s: Sequence[np.ndarray], finite: bool) -> t
 def kept_pairs(table: np.ndarray, direction: Directions, method: str) -> tuple:
     """Render's stage 1: the (ray, object) pairs of each tile that it keeps.
 
-    `table` is the world table of `render_tables` and `direction` the
-    rays' (sx, sy, sz) arrays, each ray from the camera at 0, as
-    `nearest_hits` takes them; `method` is one of METHODS.  Returns
-    ((a_scale, s_sq, camera), pairs); the call and `pairs` run under the
-    caller's errstate.  `pairs` yields, for each tile of
-    `tiles(rays, objects)` in order, the kept pairs' ray and object
-    indices (ri, oi), ray by ray.  The rest is what stage 2 reads too, so
-    that it is built once per call: a_scale, each column's largest
-    |coefficient| of Q's 3x3 block, s_sq, each ray's sx^2 + sy^2 + sz^2,
-    and camera, on the separated route the (6, rays) weights and
-    (6, objects) block of `_CAMERA_PAIRS`, built once per call, and
-    whether that block is finite (None on the classical route).
+    `table` is the table of `render_tables` and `direction` the rays'
+    (sx, sy, sz) arrays, each ray from the camera at 0, as `nearest_hits`
+    takes them; `method` is one of METHODS.  Returns ((a_scale, s_sq,
+    camera), pairs); the call and `pairs` run under the caller's errstate.
+    `pairs` yields, for each tile of `tiles(rays, objects)` in order, the
+    kept pairs' ray and object indices (ri, oi), ray by ray.  The rest is
+    what stage 2 reads too, built once per call: a_scale, each column's
+    largest |coefficient| of Q's 3x3 block, s_sq, each ray's sx^2 + sy^2 +
+    sz^2, and camera, on the separated route the (6, rays) weights and
+    (6, objects) block of `_CAMERA_PAIRS` (None on the classical route).
 
     Each tile is one lifted product per route, and no d is kept.
     Separated: d = (rays, 6) @ (6, objects), on the weights made
@@ -505,21 +509,20 @@ def kept_pairs(table: np.ndarray, direction: Directions, method: str) -> tuple:
     - the kept set does not move when the scene's lengths, Q or the
       directions are multiplied by powers of two, while every value stays
       a normal float;
-    - T = inf keeps every pair, a NaN d included.
+    - T = inf keeps every pair.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    max_abs = np.abs(table).max(axis=0)
     a_scale = np.abs(table[_BLOCK]).max(axis=0)
     sx, sy, sz = direction
     s_sq = sx * sx + sy * sy + sz * sz
     ray = (sx, sy, sz, 0.0)
-    floor = -miss_bound(table, a_scale, max_abs, s_sq)
+    floor = -miss_bound(table, a_scale, s_sq)
     camera = None
     if method == "separated":
         weights = np.array(compound_weights(line_entries(_CAMERA, ray), _CAMERA_PAIRS))
         block = np.array(compound_entries(table, _CAMERA_PAIRS))
-        camera = weights, block, bool(np.isfinite(block).all())
+        camera = weights, block
         lifted = np.ascontiguousarray(weights.T)
     else:
         # With v = s + x = (sx, sy, sz, 1), s^T Q v weighs the 3x3 block
@@ -549,11 +552,12 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str) -> np.nd
     camera, 0.  Equals, per ray, the minimum over objects of the positive
     `hit_parameters` of `intersect_classical` or `intersect_separated` for
     the homogeneous ray (0, 0, 0, 1) + t (sx, sy, sz, 0), the vectors the
-    pair forms receive.  `table` is the world table of `render_tables`.
-    Stage 1 is `kept_pairs`: one lifted product per tile on either route,
-    which roots nothing, decides no result and keeps no d.  Stage 2 roots
-    the kept pairs once they reach TILE_PAIRS, and after the last tile, so
-    a batch holds fewer than TILE_PAIRS pairs plus one tile's: every pair
+    pair forms receive, and the scaled matrices of `table`, the table of
+    `render_tables`.  Stage 1 is `kept_pairs`: one lifted product per tile
+    on either route, which roots nothing, decides no result and keeps no
+    d.  Stage 2 roots the kept pairs once they reach TILE_PAIRS, and after
+    the last tile, so a batch holds fewer than TILE_PAIRS pairs plus one
+    tile's: every pair
     gets a, b, c (`_camera_terms`, on the table's columns gathered for it)
     and `nearest_root` in one pass, a judged against the largest
     |coefficient| of Q's 3x3 block, as `classical._a_scale` judges it, and
@@ -565,20 +569,15 @@ def nearest_hits(table: np.ndarray, direction: Directions, method: str) -> np.nd
     out = np.full(len(direction[0]), np.nan)
     with np.errstate(all="ignore"):
         (a_scale, s_sq, camera), pairs = kept_pairs(table, direction, method)
-        # Every a_k s_i of stage 2 is finite when this bound is (rounding is monotonic).
-        bound = np.abs(table).max(initial=0.0) * np.abs(direction).max(initial=0.0)
-        finite_terms = bool(np.isfinite(bound))
         for ri, oi in _batches(pairs):
             # D first: its gathered weights and block are freed before the
             # table's columns are gathered, so a batch's largest temporaries
             # are never alive together (they page-faulted on every call).
             d = None
             if camera:
-                weights, block, finite = camera
-                d = _camera_discriminant(
-                    np.take(weights, ri, axis=1), np.take(block, oi, axis=1), finite
-                )
-            a, b, c = _camera_terms(np.take(table, oi, axis=1), _take(direction, ri), finite_terms)
+                weights, block = camera
+                d = _camera_discriminant(np.take(weights, ri, axis=1), np.take(block, oi, axis=1))
+            a, b, c = _camera_terms(np.take(table, oi, axis=1), _take(direction, ri))
             np.fmin.at(out, ri, nearest_root(a, b, c, a_scale[oi] * s_sq[ri], d))
     return out
 

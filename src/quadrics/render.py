@@ -13,7 +13,9 @@ which keeps every hit nonzero and darkens with distance.  Misses are 0.
 Render works in camera-relative coordinates: `kernels.render_tables`
 subtracts the camera origin from every object's centre, so every pixel's
 ray starts at 0, and the classification of a pair depends on where the
-scene lies relative to the camera, not on where it lies in the world.
+scene lies relative to the camera, not on where it lies in the world.  It
+then scales each object's matrix by a power of two, to a largest
+|coefficient| in [1, 2): the same surface, whose values cannot overflow.
 Pixels are evaluated by `kernels.nearest_hits` in two stages.  Stage 1
 (`kernels.kept_pairs`) is one rule on both routes, run per tile of
 pixels x objects, and decides no result: it evaluates the route's own
@@ -21,22 +23,20 @@ discriminant on every pair as matrix products, the factored form's one
 product or the classical a and b, and drops a pair only when d < -T, a
 bound `kernels.miss_bound` derives per object from its own coefficients,
 one T for both routes.  It drops only pairs that stage 2 classifies as
-Miss, and keeps no d.  Stage 2 computes the roots of the kept pairs in
-one batch, from values in the scalar order: b^2 - a c on the classical
-route and the factored form, summed afresh for the kept pairs, on the
-separated one.  Stage 2 runs the scalar kernels' own pair formulas on
-arrays, less the terms that are exact zeros for a ray from the camera: a
+Miss, and keeps no d.  Stage 2 roots the kept pairs in one batch with
+the scalar kernels' own pair formulas on arrays, less the terms that are
+exact zeros for a ray from the camera, each sum in the scalar order: a
 and b from the 6 and 3 terms of `coefficient_terms` that such a ray
-leaves, c from a44, and the separated D from 6 of its 21 terms, each sum
-in the scalar order.  a, b and c come from `coefficient_terms` itself on
-a call where a dropped term could overflow into NaN and on a pair where
-one of them is exactly 0, whose sign the dropped zeros decide, so every
-pair gets the scalar values bit for bit.  Miss, Tangent and Two are
-decided by the one relative tangency band of `classical.solve`, which
+leaves (`coefficient_terms` itself where a, b or c is exactly 0, whose
+sign the dropped zeros decide), c from a44, and, on the separated route,
+D from 6 of its 21 terms.  Miss, Tangent and Two are decided by the one
+relative tangency band of `classical.solve`, which
 `kernels.nearest_root` batches, on both routes, so an image equals, byte
 for byte, a per-pixel loop over `intersect_classical` or
-`intersect_separated` and `hit_parameters` over the camera-relative
-scene: each object moved to centre c - o, each ray (0, 0, 0, 1) + t (s, 0).
+`intersect_separated` and `hit_parameters` over the camera-relative,
+scaled scene: each object moved to centre c - o, its world matrix scaled
+as above, each ray (0, 0, 0, 1) + t (s, 0).  It equals the loop on the
+unscaled matrices too wherever that loop's values stay normal floats.
 Pixels are computed independently, so output bytes are identical for any
 worker count.
 """

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,19 @@ def exact_discriminant(q, x, s) -> Fraction:
 def camera_relative(objects, origin: Vec3) -> tuple[SceneObject, ...]:
     """The objects moved to centres c - origin, the scene render's kernels see."""
     return tuple(SceneObject(o.kind, o.center - origin, o.rot) for o in objects)
+
+
+def scaled_world_matrix(obj: SceneObject) -> QuadricMatrix:
+    """`obj.world_matrix()` times 2^(1 - e), e the binary exponent of its largest |coefficient|.
+
+    The same surface, its largest |coefficient| in [1, 2): the scale
+    `kernels.render_tables` gives each column, written here on floats with
+    `math.frexp` and `math.ldexp`, so that the scalar reference shares no
+    code with the kernels' scale.
+    """
+    q = obj.world_matrix()
+    _, e = math.frexp(max(map(abs, q)))
+    return QuadricMatrix(*(math.ldexp(c, 1 - e) for c in q))
 
 
 def image_rays(scene: Scene) -> tuple[np.ndarray, tuple]:

@@ -7,7 +7,7 @@ import pytest
 import test_render
 from _helpers import (
     camera_relative, coefficient_table, exact_discriminant, image_rays, kept_mask, random_quadric,
-    random_ray, random_rotation,
+    random_ray, random_rotation, scaled_world_matrix,
 )
 from quadrics import (
     HomogeneousDirection,
@@ -152,10 +152,10 @@ def test_stage2_batches_stay_bounded(method, monkeypatch):
     sizes, roots = [], []
     camera_terms, nearest_root = kernels._camera_terms, kernels.nearest_root
 
-    def spy(table, s, finite):
+    def spy(table, s):
         # Stage 2 computes a, b, c once per batch, for every pair it roots.
         sizes.append(table.shape[1])
-        return camera_terms(table, s, finite)
+        return camera_terms(table, s)
 
     def root_spy(a, b, c, a_scale, d=None):
         assert len(roots) == len(sizes) - 1 and len(a) == sizes[-1]
@@ -194,13 +194,13 @@ class TestCameraTerms:
 
     @staticmethod
     def _stage2(scene: Scene, method: str, monkeypatch) -> list:
-        """(table, s, finite, (a, b, c)) of each `_camera_terms` call of `nearest_hits` on the image."""
+        """(table, s, (a, b, c)) of each `_camera_terms` call of `nearest_hits` on the image."""
         calls = []
         camera_terms = kernels._camera_terms
 
-        def spy(table, s, finite):
-            terms = camera_terms(table, s, finite)
-            calls.append((table, s, finite, terms))
+        def spy(table, s):
+            terms = camera_terms(table, s)
+            calls.append((table, s, terms))
             return terms
 
         monkeypatch.setattr(kernels, "_camera_terms", spy)
@@ -224,11 +224,9 @@ class TestCameraTerms:
         if keep == "every-pair":
             monkeypatch.setattr(kernels, "miss_bound", test_render._no_bound)
         calls = self._stage2(self.SCENES[name], method, monkeypatch)
-        # No scene here trips the overflow check: every pair takes the camera form.
-        assert all(finite for _, _, finite, _ in calls)
         # With T = inf every pair reaches stage 2; the filter may leave none.
         assert calls or keep == "filter"
-        for table, s, _, terms in calls:
+        for table, s, terms in calls:
             self._assert_reference_bytes(table, s, terms)
 
     def test_random_tables_with_signed_zeros(self):
@@ -243,7 +241,7 @@ class TestCameraTerms:
                 v[rng.random(n) < share] = value
         with np.errstate(all="ignore"):
             assert np.isfinite(abs(table).max() * abs(np.array(s)).max())
-            terms = kernels._camera_terms(table, s, True)
+            terms = kernels._camera_terms(table, s)
         # Thousands of a, b and c are exact zeros, whose signs the dropped terms decide.
         assert all((term == 0.0).sum() > 1000 for term in terms)
         self._assert_reference_bytes(table, s, terms)
@@ -260,33 +258,45 @@ class TestCameraTerms:
             ),
         )
         calls = self._stage2(scene, method, monkeypatch)
-        assert calls and all(finite and (terms[1] == 0.0).all() for _, _, finite, terms in calls)
-        for table, s, _, terms in calls:
+        assert calls and all((terms[1] == 0.0).all() for _, _, terms in calls)
+        for table, s, terms in calls:
             self._assert_reference_bytes(table, s, terms)
         monkeypatch.undo()
         expected, _ = test_render.reference_render(scene, method)
         assert render_detection(scene, method).pixels == expected
 
-    @pytest.mark.parametrize("method", ["classical", "separated"])
-    def test_overflowing_bound_runs_coefficient_terms(self, method, monkeypatch):
-        # max|a_k| max|s_i| overflows at this field of view: a dropped term
-        # (a_k s_i) 0.0 would be NaN, so the call runs `coefficient_terms`.
-        huge = 2.0 ** 1020
-        scene = Scene(
+    # Coefficients of 2^1020 seen at a field of view of 179 degrees, where
+    # max|a_k| max|s_i| of the unscaled table overflows, and the scenes of
+    # `TestExtremeInputs`.
+    NO_NAN_SCENES = {
+        "2^1020-at-179-degrees": Scene(
             Camera(Vec3(0.0, 0.0, 0.001), Vec3(0.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), 179.0, 9, 7),
-            (SceneObject(General(QuadricMatrix(huge, 0.0, 0.0, -1.0, a14=huge))),),
-        )
-        ran = []
-        monkeypatch.setattr(
-            kernels, "coefficient_terms", lambda *args: ran.append(args) or coefficient_terms(*args)
-        )
-        calls = self._stage2(scene, method, monkeypatch)
-        assert calls and not any(finite for _, _, finite, _ in calls)
-        assert len(ran) == len(calls)
-        for table, s, _, terms in calls:
-            self._assert_reference_bytes(table, s, terms)
-        monkeypatch.undo()
-        expected, _ = test_render.reference_render(scene, method)
+            (SceneObject(General(QuadricMatrix(2.0 ** 1020, 0.0, 0.0, -1.0, a14=2.0 ** 1020))),),
+        ),
+        **test_render.TestExtremeInputs.SCENES,
+    }
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    @pytest.mark.parametrize("name", sorted(NO_NAN_SCENES))
+    def test_no_nan_reaches_nearest_root(self, name, method, monkeypatch):
+        # Every column's largest |coefficient| lies in [1, 2), and the
+        # camera bounds |s|^2, so no a, b, c or separated D leaves the
+        # floats, every pair's included (T = inf).
+        scene = self.NO_NAN_SCENES[name]
+        rooted = []
+        nearest_root = kernels.nearest_root
+
+        def spy(a, b, c, a_scale, d=None):
+            assert (d is None) == (method == "classical")
+            rooted.extend((a, b, c) if d is None else (a, b, c, d))
+            return nearest_root(a, b, c, a_scale, d)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "nearest_root", spy)
+            patch.setattr(kernels, "miss_bound", test_render._no_bound)
+            nearest_hits(*image_rays(scene), method)
+        assert rooted and all(np.isfinite(v).all() for v in rooted)
+        expected, _ = test_render.reference_render(scene, method, scaled_world_matrix)
         assert render_detection(scene, method).pixels == expected
 
 
@@ -360,8 +370,9 @@ class TestMissBound:
 
     def test_random_tables(self, method, monkeypatch):
         # Coefficients across 2^-span to 2^span and directions across
-        # 2^+-20, each with exact zeros of both signs; a column whose
-        # coefficients and directions reach past 2^250 keeps every pair.
+        # 2^+-20, each with exact zeros of both signs.  Each column is then
+        # scaled to a largest |coefficient| in [1, 2), as `render_tables`
+        # scales it, so at span 500 entries reach down to about 2^-990.
         rng = np.random.default_rng(31)
         dropped = 0
         for span in (0, 30, 500):
@@ -370,6 +381,7 @@ class TestMissBound:
             for values in (table, s):
                 for value, share in ((0.0, 0.2), (-0.0, 0.1)):
                     values[rng.random(values.shape) < share] = value
+            table = np.ldexp(table, 1 - np.frexp(abs(table).max(axis=0))[1])
             dropped += self._dropped(table, tuple(s), method, monkeypatch)[0]
         assert dropped > 4000
 
@@ -545,11 +557,21 @@ def _assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-class TestWorldTable:
-    """`render_tables`' world table against the scalar `SceneObject.world_matrix`, bit for bit.
+def _assert_render_table(got: np.ndarray, objects) -> None:
+    """`got` is the objects' scalar world matrices, each scaled by `scaled_world_matrix`."""
+    want = np.array([scaled_world_matrix(o).coefficients() for o in objects]).reshape(-1, 10).T
+    _assert_bits_equal(got, want)
+    top = np.abs(got).max(axis=0)
+    assert ((1.0 <= top) & (top < 2.0)).all()
 
-    About the origin (0, 0, 0) it is the world table itself: c - 0.0 == c
-    for every float, -0.0 included.
+
+class TestWorldTable:
+    """`render_tables`' table against the scalar `SceneObject.world_matrix`, scaled, bit for bit.
+
+    Each column is the object's world matrix times the power of two that
+    puts its largest |coefficient| in [1, 2) (`_helpers.scaled_world_matrix`).
+    About the origin (0, 0, 0) the objects are not moved: c - 0.0 == c for
+    every float, -0.0 included.
     """
 
     ALL_KINDS = ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid")
@@ -561,10 +583,10 @@ class TestWorldTable:
     def test_generated_scenes(self, mix):
         for seed in range(25):
             objects = generate_scene(seed, 1 + 7 * seed, mix).objects
-            _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0)), _scalar_world_table(objects))
+            _assert_render_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
             # About the generated camera, at (0, 0, 30).
             relative = camera_relative(objects, Vec3(0.0, 0.0, 30.0))
-            _assert_bits_equal(render_tables(objects, (0.0, 0.0, 30.0)), _scalar_world_table(relative))
+            _assert_render_table(render_tables(objects, (0.0, 0.0, 30.0)), relative)
 
     def test_far_placed_rotated_objects(self):
         rng = np.random.default_rng(11)
@@ -579,25 +601,25 @@ class TestWorldTable:
             center = Vec3(*(float(v) for v in rng.uniform(-1.0, 1.0, 3) * 10.0 ** (i % 7)))
             rot = random_rotation(rng) if i % 3 else None
             objects.append(SceneObject(kind, center, rot))
-        _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0)), _scalar_world_table(objects))
+        _assert_render_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
         origin = (2.5e5, -7.0, 1e3 + 0.1)
         relative = camera_relative(objects, Vec3(*origin))
-        _assert_bits_equal(render_tables(objects, origin), _scalar_world_table(relative))
+        _assert_render_table(render_tables(objects, origin), relative)
 
     def test_raw_quadric_with_negative_zeros(self):
         q = General(QuadricMatrix(-0.0, 1.0, -0.0, -1.0, a12=-0.0, a13=0.0, a14=-0.0, a34=0.5))
         rng = np.random.default_rng(12)
         objects = [SceneObject(q), SceneObject(q, rot=random_rotation(rng))]
-        _assert_bits_equal(render_tables(objects, (0.0, 0.0, 0.0)), _scalar_world_table(objects))
+        _assert_render_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
         # 0.0 + (-0.0) * 1.0 is +0.0: the scalar build drops the signs, and so does the table.
         signs = np.signbit(render_tables(objects[:1], (0.0, 0.0, 0.0))[:, 0]).tolist()
         assert signs == [False, False, False, True] + [False] * 6
 
     def test_single_object_and_all_spheres(self):
         one = (SceneObject(Ellipsoid(1.0, 2.0, 3.0), Vec3(4.0, -5.0, 6.0)),)
-        _assert_bits_equal(render_tables(one, (0.0, 0.0, 0.0)), _scalar_world_table(one))
+        _assert_render_table(render_tables(one, (0.0, 0.0, 0.0)), one)
         spheres = generate_scene(3, 17, ("sphere",)).objects
-        _assert_bits_equal(render_tables(spheres, (0.0, 0.0, 0.0)), _scalar_world_table(spheres))
+        _assert_render_table(render_tables(spheres, (0.0, 0.0, 0.0)), spheres)
         assert render_tables((), (0.0, 0.0, 0.0)).shape == (10, 0)
         direction = (np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([-1.0, -1.0]))
         for method in kernels.METHODS:
@@ -637,11 +659,12 @@ class TestWorldTable:
 
     def test_index_selects_and_orders_the_columns(self):
         objects = generate_scene(9, 6, self.ALL_KINDS).objects
-        full = render_tables(objects, (0.0, 0.0, 0.0))
+        _assert_render_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
         generic = [i for i, o in enumerate(objects) if not isinstance(o.kind, Sphere)]
         assert 0 < len(generic) < len(objects)
+        # Bench's table is the world table itself, unscaled.
         spheres, table = bench_tables(objects)
-        _assert_bits_equal(table, full[:, generic])
+        _assert_bits_equal(table, _scalar_world_table([objects[i] for i in generic]))
         plain = [o for o in objects if isinstance(o.kind, Sphere)]
         x, y, z = (np.array([o.center.as_tuple()[k] for o in plain]) for k in range(3))
         r_sq = np.array([o.kind.r * o.kind.r for o in plain])

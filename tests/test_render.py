@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _helpers import camera_relative, image_rays, kept_mask, random_rotation, wrong_pixels
+from _helpers import (
+    camera_relative, image_rays, kept_mask, random_rotation, scaled_world_matrix, wrong_pixels,
+)
 from quadrics import (
     HomogeneousDirection,
     HomogeneousPoint,
@@ -142,15 +144,18 @@ class TestPgm:
             render_detection(parse_scene(DISC_SCENE), method="fancy")
 
 
-def reference_render(scene: Scene, method: str) -> tuple[bytes, set[str]]:
+def reference_render(
+    scene: Scene, method: str, world=SceneObject.world_matrix
+) -> tuple[bytes, set[str]]:
     """Per-pixel scalar loop over the camera-relative scene: the image bytes and the result kinds met.
 
     Render works about the camera: every object moved to c - o, every ray
-    from (0, 0, 0, 1).
+    from (0, 0, 0, 1).  `world` gives each moved object's matrix: its world
+    matrix, or `scaled_world_matrix`, the one render's table holds.
     """
     cam = scene.camera
     origin = HomogeneousPoint(0.0, 0.0, 0.0, 1.0)
-    matrices = [obj.world_matrix() for obj in camera_relative(scene.objects, cam.origin)]
+    matrices = [world(obj) for obj in camera_relative(scene.objects, cam.origin)]
     pixels = bytearray()
     kinds = set()
     for row in range(cam.height):
@@ -218,8 +223,21 @@ class TestBatchedMatchesScalarLoop:
             assert render_detection(scene, method, workers=workers).pixels == expected
 
 
+def _wide_scene(ellipsoid: str) -> Scene:
+    """One parsed ellipsoid line, seen from (0, 3, 10) towards the origin at 16x16."""
+    return parse_scene(f"camera 0 3 10 0 0 0 0 1 0 60 16 16\nellipsoid {ellipsoid}\n")
+
+
 class TestExtremeInputs:
-    """Overflow must behave as in Python floats, with no numpy warning escaping."""
+    """Coefficients at the ends of the floats: no numpy warning escapes, and the scalar loop agrees.
+
+    Render scales each column of its table by a power of two, so that its
+    largest |coefficient| lies in [1, 2): the same surface, and no value of
+    either route leaves the floats.  On the scenes in OVERFLOWING the
+    scalar loop over the world matrices overflows, and the image equals
+    the loop over the scaled matrices (`scaled_world_matrix`); on the
+    others it equals the loop over the world matrices themselves.
+    """
 
     SCENES = {
         "huge-coefficients": Scene(
@@ -228,9 +246,9 @@ class TestExtremeInputs:
                 SceneObject(General(QuadricMatrix(1e300, 1e300, 1e300, -1e300))),
                 SceneObject(General(QuadricMatrix(1e300, 2e299, 1e298, -3e299, a12=1e299, a34=-1e300))),
                 SceneObject(General(QuadricMatrix(1e300, 1.0, 1.0, -1.0, a14=1e300))),
-                # The centre ray meets it where 0 * inf makes the separated
-                # discriminant NaN; stage 1 never drops a NaN d, and the pair
-                # is a LinearHit.
+                # Unscaled, the centre ray's b^2 overflows on it, and the
+                # separated D met 0 * inf, a NaN.  Scaled, every value is
+                # finite, and the pair is a LinearHit.
                 SceneObject(General(QuadricMatrix(0.0, 0.0, 0.0, 0.0, a13=1e300, a24=1e300, a34=-1e300))),
                 SceneObject(Sphere(1.0), Vec3(2.0, 0.0, 0.0)),
             ),
@@ -243,20 +261,31 @@ class TestExtremeInputs:
             _camera(9, 7, origin=Vec3(1e7 - 5.0, 0.5, 0.0), look_at=Vec3(1e7, 0.5, 0.0)),
             (SceneObject(Sphere(1.0), Vec3(1e7, 0.0, 0.0)),),
         ),
+        # A semi-axis of 2^-500 one unit ahead of the camera: 1/c^2 = 2^1000,
+        # and b^2 overflows on every pixel.  Unscaled, both routes lit none
+        # of the 256 pixels.
+        "semi-axis-2^-500": _wide_scene(f"0 3 9 2 2 {2.0 ** -500!r}"),
+        # Semi-axes 2^510 and 2^-400: one column spans past 2^1022, and
+        # scaled, its 1/b^2 = 2^-1020 becomes 0, an elliptic cylinder along
+        # y, which the ellipsoid is within the image.  Unscaled, both
+        # routes got 128 of the 256 pixels wrong.
+        "semi-axes-2^510-2^-400": _wide_scene(f"-1 0.5 0 3 {2.0 ** 510!r} {2.0 ** -400!r}"),
     }
+    OVERFLOWING = {"huge-coefficients", "semi-axis-2^-500", "semi-axes-2^510-2^-400"}
 
     @pytest.mark.parametrize("method", ["classical", "separated"])
     @pytest.mark.parametrize("name", sorted(SCENES))
     def test_matches_scalar_loop_without_warnings(self, name, method):
         scene = self.SCENES[name]
-        expected, _ = reference_render(scene, method)
+        world = scaled_world_matrix if name in self.OVERFLOWING else SceneObject.world_matrix
+        expected, _ = reference_render(scene, method, world)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             image = render_detection(scene, method)
         assert image.pixels == expected
 
 
-def _no_bound(table, a_scale, max_abs, s_sq):
+def _no_bound(table, a_scale, s_sq):
     """Stand-in for `kernels.miss_bound`: T = inf, so stage 1 keeps every pair on both routes."""
     return np.full(table.shape[1], np.inf)
 
@@ -449,12 +478,15 @@ class TestBoundingCull:
 
 # The classical pixels of far-linear and far-placed are checked in
 # tests/test_scale_defects.py.  Judged against a44 rather than Q's 3x3
-# block, radius-2^500 would light 24 wrong pixels on each route.
+# block, radius-2^500 would light 24 wrong pixels on each route.  Without
+# render's per-column scale, semi-axis-2^-500 lit 256 wrong pixels and
+# semi-axes-2^510-2^-400 128, on each route.
+_TRUTH_SCENES = {**CULL_SCENES, **TestExtremeInputs.SCENES}
 TRUTH_CASES = [
     (name, method)
     for name in (
         "grazing", "far-grazing", "far-sphere", "far-linear", "far-placed", "radius-2^-500",
-        "radius-2^500",
+        "radius-2^500", "semi-axis-2^-500", "semi-axes-2^510-2^-400",
     )
     for method in ("classical", "separated")
     if (name, method) not in {("far-linear", "classical"), ("far-placed", "classical")}
@@ -466,7 +498,7 @@ def test_lit_pixels_equal_the_exact_truth(name, method):
     # Tangency-band pixels aside, each route lights exactly the pixels whose
     # ray meets an object at t > 0, solved with Fractions in each object's
     # own frame from the world inputs.
-    scene = CULL_SCENES[name]
+    scene = _TRUTH_SCENES[name]
     assert wrong_pixels(scene, render_detection(scene, method).pixels) == []
 
 
@@ -483,7 +515,7 @@ _ALL_KINDS = ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid")
 
 
 class TestSeparatedPairForm:
-    """The D render's separated route roots with is `discriminant_separated`'s, bit for bit."""
+    """Render's separated D is `discriminant_separated`'s on the scaled Q, bit for bit."""
 
     SCENES = {
         **CULL_SCENES,
@@ -517,9 +549,10 @@ class TestSeparatedPairForm:
 
     @pytest.mark.parametrize("name", sorted(SCENES))
     def test_every_pair(self, name, monkeypatch):
+        # On the scaled matrices, the ones render's table holds.
         scene = self.SCENES[name]
         cam = scene.camera
-        matrices = [o.world_matrix() for o in camera_relative(scene.objects, cam.origin)]
+        matrices = [scaled_world_matrix(o) for o in camera_relative(scene.objects, cam.origin)]
         origin = HomogeneousPoint(0.0, 0.0, 0.0, 1.0)
         x, y, z = cam.pixel_directions(np.arange(cam.width), np.arange(cam.height)[:, None])
         expected = np.array([

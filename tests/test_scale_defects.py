@@ -1,19 +1,19 @@
-"""The misclassifications ROADMAP item 2 describes: fixed ones as plain tests, the rest as strict xfails.
+"""The scale defects ROADMAP items 2 and 19 describe, each a plain test of the right answer.
 
 Each test asserts the right answer, checked against the exact oracle of
 `_helpers.exact_terms` where one exists; the oracle's roots are checked in a
-plain test that must pass, so a broken set-up cannot hide inside an xfail.
-Item 2's step 1 fixed the far-placed and the huge sphere, on both routes
-and in render's far scenes: `classical._a_scale` judges a against Q's 3x3
-block, the entries a reads, not against a44, which carries length^2 units.
-The near-tangent ray is fixed too: both routes decide Miss by the one
-relative tangency band of `classical.solve`.  Where both routes still get a
-case wrong or disagree on it, its test fails on an assertion and is marked
-xfail: the overflowing coefficients, which item 2 has yet to flip to
-passing, and `xfail_strict` makes the suite say so.  The far plain sphere
-is fixed: both bench routes refuse its world matrix, and its tests are
-plain.  Render works about the camera, so its scenes reproduce a scale
-defect only with a sphere far from the camera.
+plain test of their own, so a broken set-up cannot hide.
+`classical._a_scale` judges a against Q's 3x3 block, the entries a reads,
+not against a44, which carries length^2 units: that fixed the far-placed
+and the huge sphere, on both routes and in render's far scenes.  Both
+routes decide Miss by the one relative tangency band of `classical.solve`,
+which fixed the near-tangent ray.  Render scales each column of its table
+so that its largest |coefficient| lies in [1, 2), the same surface, so
+coefficients near the top of the floats no longer overflow: no 0 * inf
+NaN reaches stage 1, and both routes light the same pixels.  Both bench
+routes refuse the far plain sphere's world matrix.  Render works about
+the camera, so its scenes reproduce a scale defect only with a sphere far
+from the camera.
 """
 import math
 import sys
@@ -103,11 +103,9 @@ def test_near_tangent_ray_gets_one_kind_on_both_routes():
     assert type(classical) is type(separated)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 2: NaN discriminants from overflowing coefficients count as numbers",
-)
 def test_overflowing_coefficients_light_the_same_pixels_on_both_routes():
+    # Unscaled, b^2 overflows and D is inf or NaN, which the two routes
+    # classified differently: 35 of 63 pixels lit on classical, 7 on separated.
     q = QuadricMatrix(0.0, 0.0, 0.0, 0.0, a13=1e300, a24=1e300, a34=-1e300)
     scene = Scene(_CAMERA, (SceneObject(General(q)),))
     classical, separated = (render_detection(scene, m).pixels for m in ("classical", "separated"))
