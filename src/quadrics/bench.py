@@ -8,7 +8,12 @@ the objects, which is the data layout the separated form is designed for.
 hands it to every method: the plain spheres (each unrotated object whose
 fundamental coefficients are exactly (1, 1, 1, a44 < 0, 0, ..., 0),
 whatever its kind) as an (11, spheres) table of monomials of their centres
-and radii, and a table of the other objects' coefficients.  Each method
+and radii, and the other objects' world matrices as a (10, objects) table
+whose every column is scaled by the power of two that puts its largest
+|coefficient| in [1, 2), the format of render's table
+(`kernels._world_table`): the same surfaces, so a count does not move
+when an object's Q is multiplied by a power of two, and on bench's rays
+no lifted D of that table leaves the floats.  Each method
 first lifts every ray once per call, the precompute phase.  The plain
 spheres take one route-independent kernel: both methods lift each ray into the same 11
 weights (`kernels.sphere_lift`) and run `kernels.sphere_counts`, one
@@ -41,7 +46,9 @@ per-ray counts, so the hits and checksums, are equal:
 - on the other objects, wherever each pair's lifted D lies outside its
   rounding bound of the exact b^2 - a c, where both methods count the
   exact sign.  That holds on generated scenes, which the tests check; a
-  constructed pair closer to tangency may count differently per method.
+  constructed pair closer to tangency may count differently per method,
+  and so may a thin object, on which classical's c = x^T Q x cancels in
+  world coordinates.
 
 A BLAS product sums in its own order, so a lifted discriminant is not the
 scalar kernels' value bit for bit; the hit counts and checksums equal

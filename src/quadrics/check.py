@@ -2,8 +2,10 @@
 
 Each case draws a quadric (10 coefficients uniform in [-2, 2]) and a
 Euclidean ray (origin and direction components uniform in [-10, 10]), then
-compares the two discriminants at relative tolerance 1e-9 and the full
-intersection results.  Classification may legitimately differ only inside
+compares the two discriminants at relative tolerance 1e-9, the two
+classifications and, on Two, the roots: a Tangent or LinearHit root reads
+no discriminant, so both routes compute it from the same a, b and c.
+Classification may legitimately differ only inside
 the tangency band, where miss/tangent/two-root labels are a coin toss by
 construction; the report counts those forgiven mismatches as band ties.
 """
@@ -15,9 +17,7 @@ from dataclasses import dataclass, field
 from .classical import (
     TANGENT_EPS,
     IntersectionResult,
-    LinearHit,
     QuadraticCoeffs,
-    Tangent,
     Two,
     _a_scale,
     coefficients,
@@ -129,13 +129,6 @@ def oracle_check(seed: int, cases: int) -> CheckReport:
             denom = max(abs(a) * (math.sqrt(max(d_classical, 0.0)) + math.sqrt(max(d_separated, 0.0))), 1e-300)
             t_tol = tol / denom + 1e-9 * (1.0 + max(abs(res_c.t1), abs(res_c.t2)))
             if abs(res_c.t1 - res_s.t1) > t_tol or abs(res_c.t2 - res_s.t2) > t_tol:
-                report.failures.append(
-                    CheckFailure(index, "root mismatch", d_classical, d_separated)
-                )
-        elif isinstance(res_c, (Tangent, LinearHit)):
-            t_c = res_c.t
-            t_s = res_s.t  # type: ignore[union-attr]
-            if abs(t_c - t_s) > 1e-6 * (1.0 + abs(t_c)):
                 report.failures.append(
                     CheckFailure(index, "root mismatch", d_classical, d_separated)
                 )

@@ -2,19 +2,20 @@
 
 Objects are a struct-of-arrays table: row k holds the k-th of the 10
 quadric coefficients, in `COEFFICIENT_ORDER`, for every object.
-`render_tables` and `bench_tables` build it from scene objects, every world
-matrix at once and bit-identical to `SceneObject.world_matrix`; Q's 4x4
-layout is read from `quadric.COEFFICIENT_ENTRIES`.  A ray component is
-either an array with one entry per ray or a plain float shared by every
-ray.  Render works in camera-relative coordinates: `render_tables`, the
-one place the camera origin enters render's kernels, subtracts it from
-every centre, so every pixel's ray starts at (0, 0, 0, 1), and scales
-each column by a power of two, to a largest |coefficient| in [1, 2): the
-same surface, on which no value of render's kernels leaves the floats.
-`nearest_hits` takes the pixel directions as three arrays, and the pair
-forms receive the rays as (0, 0, 0, 1) and (sx, sy, sz, 0).  Bench's rays
-each have an origin, in world coordinates, with w = 1 and s_w = 0 as
-floats.  Inside a tile the per-ray arrays become columns, so numpy
+`render_tables` and `bench_tables` build it from scene objects through
+`_world_table`, every world matrix at once, each column
+`SceneObject.world_matrix` bit for bit times the power of two that puts
+its largest |coefficient| in [1, 2): the same surface, on which no value
+of the kernels that read the table leaves the floats.  Q's 4x4 layout is
+read from `quadric.COEFFICIENT_ENTRIES`.  A ray component is either an
+array with one entry per ray or a plain float shared by every ray.
+Render works in camera-relative coordinates: `render_tables`, the one
+place the camera origin enters render's kernels, subtracts it from every
+centre, so every pixel's ray starts at (0, 0, 0, 1).  `nearest_hits`
+takes the pixel directions as three arrays, and the pair forms receive
+the rays as (0, 0, 0, 1) and (sx, sy, sz, 0).  Bench's rays each have an
+origin, in world coordinates, with w = 1 and s_w = 0 as floats.  Inside
+a tile the per-ray arrays become columns, so numpy
 broadcasting evaluates all (ray, object) pairs of the tile at once, and a
 term that depends on the objects alone is computed once per tile, not
 once per pair.
@@ -193,7 +194,7 @@ def _subset(placed: tuple, keep: np.ndarray) -> tuple:
 
 
 def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
-    """(10, objects) table of every `SceneObject.world_matrix()` of `placed`, built at once.
+    """(10, objects) table of every `SceneObject.world_matrix()` of `placed`, each scaled.
 
     `placed` is the `_placements` of the objects at positions `index`.
     T (the translation, after the transposed rotation where there is one),
@@ -204,6 +205,23 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
     ValueError where the scalar build would: a non-finite entry of T, Q0 T
     or the product, or an object whose coefficients are all zero.  The error
     names the first such object by its position in `index`.
+
+    Each column is then multiplied by 2^(1 - e), e the binary exponent of
+    its largest |coefficient|, which puts that in [1, 2): Q and 2^k Q are
+    one surface, every value the kernels form from the column keeps the
+    unscaled Q's bits, times a power of two, wherever those stayed normal
+    floats, and none leaves the floats: not in render (`miss_bound`, step
+    0), nor in bench's lifted forms on bench's rays.  Render's table and
+    bench's generic table are built here, so only this function scales.
+
+    An entry more than 2^1022 below its column's largest can become
+    subnormal or 0, and the kernels then see the scaled Q.  The parser
+    allows that: a `quadric` line takes any finite coefficients; shape
+    parameters in [2^-511, 2^511] (`quadric._PARAM_MAX`) let one
+    ellipsoid's 1/a^2 span 2^2044 (`ellipsoid 3 2^510 2^-400` loses its
+    2^-1020 beside an a44 near 2^807); `scene._PLACEMENT_MAX`, 2^1021, lets
+    a far object's a44 reach 2^1021 whatever its smallest 1/a^2.  An
+    unrotated sphere keeps every bit: its 3x3 block is 1 and |a44| <= 2^1022.
     """
     q0, centers, rotated, rot = placed
     n = len(q0)
@@ -234,36 +252,21 @@ def _world_table(placed: tuple, index: Sequence[int]) -> np.ndarray:
     ):
         if bad.any():
             raise ValueError(f"object {index[int(np.argmax(bad))]}: {what}")
-    return table
+    _, e = np.frexp(np.abs(table).max(axis=0))
+    return np.ldexp(table, 1 - e, out=table)
 
 
 def render_tables(objects: Sequence[SceneObject], origin: Sequence[float]) -> np.ndarray:
-    """The table of `nearest_hits`: each world matrix about the camera at `origin`, scaled.
+    """The table of `nearest_hits`: each scaled world matrix about the camera at `origin`.
 
     Every centre becomes c - origin, the one float subtraction of
     `Vec3.__sub__` per component (a `General` object's centre 0 becomes
     0 - origin), and `_world_table` builds each object's
-    `SceneObject.world_matrix()` at that centre, bit for bit.  Each column
-    is then multiplied by 2^(1 - e), e the binary exponent of its largest
-    |coefficient|, which puts that in [1, 2): Q and 2^k Q are one surface,
-    every a, b, c, D, band and t of render keeps the unscaled Q's bits
-    wherever those stayed normal floats, and none leaves the floats
-    (`miss_bound`, step 0).  Only this function scales.
-
-    An entry more than 2^1022 below its column's largest can become
-    subnormal or 0, and render then shows the scaled Q.  The parser allows
-    that: a `quadric` line takes any finite coefficients; shape parameters
-    in [2^-511, 2^511] (`quadric._PARAM_MAX`) let one ellipsoid's 1/a^2
-    span 2^2044 (`ellipsoid 3 2^510 2^-400` loses its 2^-1020 beside an
-    a44 near 2^807); `scene._PLACEMENT_MAX`, 2^1021, lets a far object's
-    a44 reach 2^1021 whatever its smallest 1/a^2.  An unrotated sphere
-    keeps every bit: its 3x3 block is 1 and |a44| <= 2^1022.
+    `SceneObject.world_matrix()` at that centre, bit for bit, and scales it.
     """
     q0, centers, rotated, rot = _placements(objects)
     placed = (q0, centers - np.array(origin, dtype=np.float64), rotated, rot)
-    table = _world_table(placed, range(len(objects)))
-    _, e = np.frexp(np.abs(table).max(axis=0))
-    return np.ldexp(table, 1 - e, out=table)
+    return _world_table(placed, range(len(objects)))
 
 
 def _tile_rays(objects: int) -> int:
@@ -593,8 +596,8 @@ def bench_tables(objects: Sequence[SceneObject]) -> tuple[np.ndarray, np.ndarray
     r^2 = -a44 (the negation is exact) make its column of the
     (11, spheres) sphere table that `sphere_lift`'s weights multiply: 1,
     c_x, c_y, c_z, c_x^2, c_y^2, c_z^2, c_x c_y, c_x c_z, c_y c_z, r^2.
-    Every other object goes, in scene order, into a (10, objects) table
-    equal to its world-table columns bit for bit.  Both come from one
+    Every other object goes, in scene order, into the (10, objects) table
+    of `_world_table`, its scaled world matrix.  Both come from one
     `_placements` of all objects.  Raises ValueError exactly where the
     world table of all objects raises, with its message and the failing
     object's position in `objects`: the only coefficient of a plain sphere
@@ -791,8 +794,8 @@ def _count_tiles(rays: int, objects: int, discriminant: Callable) -> np.ndarray:
     The rays run in `tiles`; `discriminant(sl, d)` gives D on the (rays,
     objects) tile of the ray range sl, and may write it into `d`, the
     leading rows of one (tile rays, objects) buffer allocated once per call.
-    Floating-point errors stay silent: overflow gives inf and NaN, and NaN
-    counts as no hit.
+    Floating-point errors stay silent: the sphere product can overflow, and
+    `sphere_counts` falls back on every pair it cannot decide.
     """
     counts = np.zeros(rays, dtype=np.int64)
     buffer = np.empty((min(rays, _tile_rays(objects)), objects))
@@ -852,6 +855,5 @@ def separated_counts(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     into the tile's buffer.
     """
     rays, objects = len(weights), table.shape[1]
-    with np.errstate(all="ignore"):
-        compound = np.array(compound_entries(table))
+    compound = np.array(compound_entries(table))
     return _count_tiles(rays, objects, lambda sl, d: np.matmul(weights[sl], compound, out=d))

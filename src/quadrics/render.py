@@ -13,9 +13,10 @@ which keeps every hit nonzero and darkens with distance.  Misses are 0.
 Render works in camera-relative coordinates: `kernels.render_tables`
 subtracts the camera origin from every object's centre, so every pixel's
 ray starts at 0, and the classification of a pair depends on where the
-scene lies relative to the camera, not on where it lies in the world.  It
-then scales each object's matrix by a power of two, to a largest
-|coefficient| in [1, 2): the same surface, whose values cannot overflow.
+scene lies relative to the camera, not on where it lies in the world.
+Its table, like bench's, holds each object's matrix scaled by a power of
+two, to a largest |coefficient| in [1, 2) (`kernels._world_table`): the
+same surface, whose values cannot overflow.
 Pixels are evaluated by `kernels.nearest_hits` in two stages.  Stage 1
 (`kernels.kept_pairs`) is one rule on both routes, run per tile of
 pixels x objects, and decides no result: it evaluates the route's own

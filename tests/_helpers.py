@@ -111,7 +111,7 @@ def scaled_world_matrix(obj: SceneObject) -> QuadricMatrix:
     """`obj.world_matrix()` times 2^(1 - e), e the binary exponent of its largest |coefficient|.
 
     The same surface, its largest |coefficient| in [1, 2): the scale
-    `kernels.render_tables` gives each column, written here on floats with
+    `kernels._world_table` gives each column, written here on floats with
     `math.frexp` and `math.ldexp`, so that the scalar reference shares no
     code with the kernels' scale.
     """

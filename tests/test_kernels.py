@@ -371,7 +371,7 @@ class TestMissBound:
     def test_random_tables(self, method, monkeypatch):
         # Coefficients across 2^-span to 2^span and directions across
         # 2^+-20, each with exact zeros of both signs.  Each column is then
-        # scaled to a largest |coefficient| in [1, 2), as `render_tables`
+        # scaled to a largest |coefficient| in [1, 2), as `_world_table`
         # scales it, so at span 500 entries reach down to about 2^-990.
         rng = np.random.default_rng(31)
         dropped = 0
@@ -548,17 +548,16 @@ def test_nearest_root_equals_solve(a, b, c, a_scale, d):
         assert np.isnan(got)
 
 
-def _scalar_world_table(objects) -> np.ndarray:
-    return np.array([o.world_matrix().coefficients() for o in objects]).reshape(-1, 10).T
-
-
 def _assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
     assert got.shape == want.shape and got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _assert_render_table(got: np.ndarray, objects) -> None:
-    """`got` is the objects' scalar world matrices, each scaled by `scaled_world_matrix`."""
+def _assert_world_table(got: np.ndarray, objects) -> None:
+    """`got` is the objects' scalar world matrices, each scaled by `scaled_world_matrix`.
+
+    Render's and bench's generic tables both hold them.
+    """
     want = np.array([scaled_world_matrix(o).coefficients() for o in objects]).reshape(-1, 10).T
     _assert_bits_equal(got, want)
     top = np.abs(got).max(axis=0)
@@ -566,7 +565,7 @@ def _assert_render_table(got: np.ndarray, objects) -> None:
 
 
 class TestWorldTable:
-    """`render_tables`' table against the scalar `SceneObject.world_matrix`, scaled, bit for bit.
+    """Render's and bench's generic tables against `SceneObject.world_matrix`, scaled, bit for bit.
 
     Each column is the object's world matrix times the power of two that
     puts its largest |coefficient| in [1, 2) (`_helpers.scaled_world_matrix`).
@@ -583,10 +582,10 @@ class TestWorldTable:
     def test_generated_scenes(self, mix):
         for seed in range(25):
             objects = generate_scene(seed, 1 + 7 * seed, mix).objects
-            _assert_render_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
+            _assert_world_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
             # About the generated camera, at (0, 0, 30).
             relative = camera_relative(objects, Vec3(0.0, 0.0, 30.0))
-            _assert_render_table(render_tables(objects, (0.0, 0.0, 30.0)), relative)
+            _assert_world_table(render_tables(objects, (0.0, 0.0, 30.0)), relative)
 
     def test_far_placed_rotated_objects(self):
         rng = np.random.default_rng(11)
@@ -601,25 +600,25 @@ class TestWorldTable:
             center = Vec3(*(float(v) for v in rng.uniform(-1.0, 1.0, 3) * 10.0 ** (i % 7)))
             rot = random_rotation(rng) if i % 3 else None
             objects.append(SceneObject(kind, center, rot))
-        _assert_render_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
+        _assert_world_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
         origin = (2.5e5, -7.0, 1e3 + 0.1)
         relative = camera_relative(objects, Vec3(*origin))
-        _assert_render_table(render_tables(objects, origin), relative)
+        _assert_world_table(render_tables(objects, origin), relative)
 
     def test_raw_quadric_with_negative_zeros(self):
         q = General(QuadricMatrix(-0.0, 1.0, -0.0, -1.0, a12=-0.0, a13=0.0, a14=-0.0, a34=0.5))
         rng = np.random.default_rng(12)
         objects = [SceneObject(q), SceneObject(q, rot=random_rotation(rng))]
-        _assert_render_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
+        _assert_world_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
         # 0.0 + (-0.0) * 1.0 is +0.0: the scalar build drops the signs, and so does the table.
         signs = np.signbit(render_tables(objects[:1], (0.0, 0.0, 0.0))[:, 0]).tolist()
         assert signs == [False, False, False, True] + [False] * 6
 
     def test_single_object_and_all_spheres(self):
         one = (SceneObject(Ellipsoid(1.0, 2.0, 3.0), Vec3(4.0, -5.0, 6.0)),)
-        _assert_render_table(render_tables(one, (0.0, 0.0, 0.0)), one)
+        _assert_world_table(render_tables(one, (0.0, 0.0, 0.0)), one)
         spheres = generate_scene(3, 17, ("sphere",)).objects
-        _assert_render_table(render_tables(spheres, (0.0, 0.0, 0.0)), spheres)
+        _assert_world_table(render_tables(spheres, (0.0, 0.0, 0.0)), spheres)
         assert render_tables((), (0.0, 0.0, 0.0)).shape == (10, 0)
         direction = (np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([-1.0, -1.0]))
         for method in kernels.METHODS:
@@ -659,12 +658,12 @@ class TestWorldTable:
 
     def test_index_selects_and_orders_the_columns(self):
         objects = generate_scene(9, 6, self.ALL_KINDS).objects
-        _assert_render_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
+        _assert_world_table(render_tables(objects, (0.0, 0.0, 0.0)), objects)
         generic = [i for i, o in enumerate(objects) if not isinstance(o.kind, Sphere)]
         assert 0 < len(generic) < len(objects)
-        # Bench's table is the world table itself, unscaled.
+        # Bench's generic table holds the same scaled world matrices.
         spheres, table = bench_tables(objects)
-        _assert_bits_equal(table, _scalar_world_table([objects[i] for i in generic]))
+        _assert_world_table(table, [objects[i] for i in generic])
         plain = [o for o in objects if isinstance(o.kind, Sphere)]
         x, y, z = (np.array([o.center.as_tuple()[k] for o in plain]) for k in range(3))
         r_sq = np.array([o.kind.r * o.kind.r for o in plain])
@@ -1280,4 +1279,4 @@ class TestPlainSplit:
         ]
         spheres, generic = bench_tables(objects)
         assert spheres.shape == (11, 1) and spheres[1:4, 0].tolist() == [0.0, 0.0, -4.0]
-        _assert_bits_equal(generic, _scalar_world_table(objects[:5]))
+        _assert_world_table(generic, objects[:5])

@@ -10,9 +10,9 @@ floats, which bounds every k below.
   stage 1 keeps the same pairs on both routes, as it does with Q or the
   directions times 2^k.
 - The same surface, Q times 2^k: no classification and no root changes,
-  and no rendered byte, even where Q times 2^k leaves the range in which
-  the scalar kernels' values stay finite: render scales each column of its
-  table to a largest |coefficient| in [1, 2).
+  and no rendered byte or bench count, even where Q times 2^k leaves the
+  range in which the scalar kernels' values stay finite: render's and
+  bench's tables scale each column to a largest |coefficient| in [1, 2).
 """
 import dataclasses
 
@@ -23,6 +23,7 @@ from _helpers import image_rays, kept_mask
 from quadrics import (
     QuadricMatrix, hit_parameters, intersect_classical, intersect_separated,
 )
+from quadrics.bench import run_benchmark
 from quadrics.check import _draw_quadric, _draw_ray
 from quadrics.geometry import HomogeneousDirection, HomogeneousPoint
 from quadrics.kernels import nearest_hits
@@ -177,6 +178,25 @@ def test_scaled_q_keeps_every_rendered_byte(k, method):
     unscaled = raw(0)
     assert any(unscaled[-24 * 24:])
     assert raw(k) == unscaled
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_scaled_q_keeps_every_bench_count(k):
+    # The scene above, through bench on both routes.  Bench's generic table
+    # takes the same per-column scale as render's, so Q times 2^k gives
+    # every method the hits and checksum of k = 0.  Unscaled, every pair
+    # counted a hit at 2^-600 (3000 of 3000 on both routes), and at 2^600
+    # classical counted 844 and separated 0, against 1654.
+    scene = generate_scene(3, 6, ("sphere", "ellipsoid", "hyperboloid1", "hparaboloid"))
+
+    def counts(k: int) -> list:
+        objects = tuple(SceneObject(General(_scaled_q(o.world_matrix(), k))) for o in scene.objects)
+        stats = run_benchmark(Scene(scene.camera, objects), 500, seed=3)
+        return [(s.method, s.hits, s.checksum) for s in stats]
+
+    expected = counts(0)
+    assert [hits for _, hits, _ in expected] == [1654, 1654]
+    assert counts(k) == expected
 
 
 @pytest.mark.parametrize("k", [-20, -40])

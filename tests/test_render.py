@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from _helpers import (
-    camera_relative, image_rays, kept_mask, random_rotation, scaled_world_matrix, wrong_pixels,
+    camera_relative, exact_discriminant, image_rays, kept_mask, random_rotation,
+    scaled_world_matrix, wrong_pixels,
 )
 from quadrics import (
     HomogeneousDirection,
@@ -29,6 +30,7 @@ from quadrics.quadric import (
     OneSheetHyperboloid,
     Sphere,
 )
+from quadrics.bench import generate_rays, run_benchmark
 from quadrics.render import Image, pgm_bytes, render_detection
 from quadrics.scene import Camera, Scene, SceneObject, generate_scene, parse_scene, serialize_scene
 
@@ -283,6 +285,34 @@ class TestExtremeInputs:
             warnings.simplefilter("error")
             image = render_detection(scene, method)
         assert image.pixels == expected
+
+    # Bench's count of each scene, 200 rays of seed 7, against the exact
+    # sign of b^2 - a c on the unscaled world matrices.
+    EXACT_HITS = {
+        "far-sphere": 0, "huge-coefficients": 444, "semi-axes-2^510-2^-400": 49,
+        "semi-axis-2^-500": 6,
+    }
+    THIN = {"semi-axes-2^510-2^-400", "semi-axis-2^-500"}
+
+    @pytest.mark.parametrize("method", ["classical", "separated"])
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    def test_bench_counts_the_exact_sign(self, name, method, request):
+        if method == "classical" and name in self.THIN:
+            # c = x^T Q x cancels in world coordinates on a thin ellipsoid,
+            # so classical's lifted D has the wrong sign on many pairs (146
+            # and 133 hits); separated's does not.
+            request.applymarker(pytest.mark.xfail(strict=True, reason="c cancels"))
+        objects = self.SCENES[name].objects
+        origins, dirs = generate_rays(7, 200)
+        exact = sum(
+            exact_discriminant(o.world_matrix(), (*x, 1.0), (*s, 0.0)) >= 0
+            for x, s in zip(origins.tolist(), dirs.tolist()) for o in objects
+        )
+        assert exact == self.EXACT_HITS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (stats,) = run_benchmark(self.SCENES[name], 200, method, seed=7)
+        assert stats.hits == exact
 
 
 def _no_bound(table, a_scale, s_sq):

@@ -23,11 +23,12 @@ def test_code_lines_prints_code_and_raw_lines(tmp_path):
 
 # The digest of every output bit `tools/output_hash.py` covers: scene text,
 # PGMs of both routes, bench hits, detections and checksums, on generated
-# scenes.  A change that alters outputs on purpose (ROADMAP item 2 will)
-# updates this pin and names each changed PGM or hit count in CHANGES.md; any
-# other change must leave it as it is.  Render's camera-relative coordinates
-# (ROADMAP item 8) left it unchanged: they move only pixels the exact truth
-# says were wrong, and the generated scenes had none.
+# scenes.  A change that alters outputs on purpose updates this pin and names
+# each changed PGM or hit count in CHANGES.md; any other change must leave it
+# as it is.  Render's camera-relative coordinates (ROADMAP item 8) and the
+# world table's per-column scale (item 19) left it unchanged: they move only
+# pixels and counts whose values were wrong or left the floats, and the
+# generated scenes had none.
 OUTPUT_DIGEST = "ca2b19e3f7fff2fbe32fc2f79e90c5cbba607dee69dcd0c940ac3447b89aa5f2"
 
 
