@@ -51,12 +51,14 @@ product.  Classical: a, b and c are linear forms in Q's 10 coefficients,
 and `classical_lift` reads each weight off Q's layout,
 `quadric.COEFFICIENT_ENTRIES` (coefficient (i, j) weighs u_i v_j + u_j v_i
 in u^T Q v); a test pins it to `coefficient_terms` run on the 10x10 unit
-table, number for number.  Separated: R's six entries p are the line's
-Plucker coordinates, and s^T Q R Q x = -p^T C p with C Q's second
-compound, so `separated_lift` gives each ray the 21 weights
--p_I p_J of `separated.compound_weights` and `separated_counts` multiplies
-them by the (21, objects) table of `separated.compound_entries`, built
-once per call.
+table, number for number.  `classical_counts` copies each tile's rows into
+a rows, then b, then c, so its one product gives a, b and c as three
+contiguous (rays, objects) blocks, on which b^2 - a c runs.  Separated:
+R's six entries p are the line's Plucker coordinates, and s^T Q R Q x =
+-p^T C p with C Q's second compound, so `separated_lift` gives each ray
+the 21 weights -p_I p_J of `separated.compound_weights` and
+`separated_counts` multiplies them by the (21, objects) table of
+`separated.compound_entries`, built once per call.
 
 `bench_tables` owns both routes' split, read off the placements: an
 unrotated object whose fundamental coefficients are (1, 1, 1, a44 < 0,
@@ -133,11 +135,12 @@ __all__ = [
 METHODS = ("classical", "separated")
 
 # Pairs evaluated per tile.  A tile is whole rays against every object, so
-# it holds max(1, TILE_PAIRS // objects) rays, and a float64 temporary is 64
-# KiB.  `nearest_hits` roots its kept pairs once they reach TILE_PAIRS, so a
-# stage-2 batch holds fewer than TILE_PAIRS pairs plus one tile's.  On the
-# benchmark workloads 4096 was slower with 1000 objects and 16384 was no
-# faster but used more memory.
+# it holds max(1, TILE_PAIRS // objects) rays, a float64 (tile rays, objects)
+# array is 64 KiB, and `classical_counts`' buffer of a, b and c is three of
+# them, 192 KiB.  `nearest_hits` roots its kept pairs once they reach
+# TILE_PAIRS, so a stage-2 batch holds fewer than TILE_PAIRS pairs plus one
+# tile's.  On the benchmark workloads 4096 was slower with 1000 objects and
+# 16384 was no faster but used more memory.
 TILE_PAIRS = 8192
 
 Component = Union[float, np.ndarray]
@@ -770,17 +773,19 @@ def classical_lift(point: Vec4, direction: Vec4) -> np.ndarray:
 
     Entry (k, i) is the weight of coefficient i in the ray's k-th term:
     `_form_weights` of (s, s), (s, x) and (x, x), so a ray's rows times a
-    (10, objects) table are its a, b and c against every object.  Components
-    are floats or (rays,) arrays; floats alone give one ray.  For finite
-    rays the weights equal `classical.coefficient_terms` run on the 10x10
-    unit table (a zero weight's sign aside), which the tests check: the
-    unit table only adds exact zeros to these products and sums, and
-    2 (u_i u_j) = u_i u_j + u_j u_i exactly.
+    (10, objects) table are its a, b and c against every object; rays are
+    the outer axis, and `classical_counts` regroups each tile's rows by
+    term before its product.  Components are floats or (rays,) arrays;
+    floats alone give one ray.  For finite rays the weights equal
+    `classical.coefficient_terms` run on the 10x10 unit table (a zero
+    weight's sign aside), which the tests check: the unit table only adds
+    exact zeros to these products and sums, and 2 (u_i u_j) = u_i u_j +
+    u_j u_i exactly.
     """
-    # Filled in place, in the layout `classical_counts` reads: a transposed
-    # copy allocated a second buffer, 720 KiB at 3000 rays, above glibc's
-    # mmap threshold, which page-faulted afresh on each call (0.7 ms of a
-    # 2.7 ms bench call).
+    # Filled in place, ray by ray: a transposed copy of the whole lift
+    # allocated a second buffer, 720 KiB at 3000 rays, above glibc's mmap
+    # threshold, which page-faulted afresh on each call (0.7 ms of a 2.7 ms
+    # bench call).
     lifted = np.empty((np.broadcast(*point, *direction).size, 3, 10))
     for row, (u, v) in enumerate(((direction, direction), (direction, point), (point, point))):
         for k, weight in enumerate(_form_weights(u, v)):
@@ -809,23 +814,24 @@ def _count_tiles(rays: int, objects: int, discriminant: Callable) -> np.ndarray:
 def classical_counts(table: np.ndarray, lifted: np.ndarray) -> np.ndarray:
     """Per ray of `classical_lift`, the number of objects with b^2 - a*c >= 0.
 
-    Each tile is one product (3 x rays, 10) @ (10, objects), then b^2 - a*c
-    into the tile's buffer; a, b, c and a*c go into buffers allocated once
-    per call.
+    Each tile's lift rows are copied a rows first, then b, then c, into a
+    (3 x tile rays, 10) buffer, so the one product (3 x rays, 10) @ (10,
+    objects) lays a, b and c out as three contiguous (rays, objects) blocks
+    of one buffer; b^2 - a*c then runs on those blocks (a*c over a) into the
+    tile's buffer.  Both buffers are allocated once per call.
     """
     rays, objects = len(lifted), table.shape[1]
-    rows = min(rays, _tile_rays(objects))
-    abc = np.empty((rows, 3, objects))
-    ac = np.empty((rows, objects))
+    rows = 3 * min(rays, _tile_rays(objects))
+    weights, abc = np.empty((rows, 10)), np.empty((rows, objects))
 
     def discriminant(sl: slice, d: np.ndarray) -> np.ndarray:
         block = lifted[sl]
         m = len(block)
-        np.matmul(block.reshape(3 * m, 10), table, out=abc[:m].reshape(3 * m, objects))
-        a, b, c = abc[:m, 0], abc[:m, 1], abc[:m, 2]
+        np.copyto(weights[:3 * m].reshape(3, m, 10), block.transpose(1, 0, 2))
+        a, b, c = np.matmul(weights[:3 * m], table, out=abc[:3 * m]).reshape(3, m, objects)
         np.multiply(b, b, out=d)
-        np.multiply(a, c, out=ac[:m])
-        return np.subtract(d, ac[:m], out=d)
+        np.multiply(a, c, out=a)
+        return np.subtract(d, a, out=d)
 
     return _count_tiles(rays, objects, discriminant)
 

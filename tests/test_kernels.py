@@ -1110,6 +1110,51 @@ class TestLiftedKernels:
         print(f"shift 1e5, lifted against the per-pair forms: {tally}")
 
 
+class TestClassicalTiles:
+    """`classical_counts` regroups each tile's lift rows into a, b and c blocks.
+
+    Whatever the tiles, it counts as one product of the whole lift and
+    table does, b^2 - a*c >= 0 pair by pair.
+    """
+
+    def test_overflow_counts_as_the_subtraction_does(self):
+        # Origins 2^600 out overflow b^2 and a*c.  From (2^600 u, 0, 0) only
+        # x_1^2 overflows in c's weights, so against an ellipsoid (a > 0,
+        # a11 > 0) both b^2 and a*c are +inf: inf - inf is NaN, no hit, where
+        # b*b >= a*c would count one.
+        _, table = bench_tables(generate_scene(3, 60, KIND_MIXES[-1]).objects)
+        origins, dirs = generate_rays(3, 40)
+        origins[:20] *= 2.0**600
+        origins[20:] = np.outer(np.sign(origins[20:, 0]), [2.0**600, 0.0, 0.0])
+        point, direction = (*origins.T, 1.0), (*dirs.T, 0.0)
+        with np.errstate(all="ignore"):
+            lifted = classical_lift(point, direction)
+            a, b, c = np.moveaxis(lifted @ table, 1, 0)
+            bb, ac = b * b, a * c
+            assert np.any((bb == np.inf) & (ac == np.inf))
+            expected = np.count_nonzero(bb - ac >= 0.0, axis=1)
+            assert not np.array_equal(np.count_nonzero(bb >= ac, axis=1), expected)
+        assert np.array_equal(classical_counts(table, lifted), expected)
+
+    @pytest.mark.parametrize("objects", [150, 8193])
+    def test_tile_edges_count_as_the_whole_table(self, objects):
+        # Ray counts one below, at and one above a multiple of the tile's
+        # rays; 8193 columns (the generic table repeated) are wider than
+        # TILE_PAIRS, so each tile holds one ray.
+        _, table = bench_tables(generate_scene(5, 200, KIND_MIXES[-1]).objects)
+        table = np.tile(table, objects // table.shape[1] + 1)[:, :objects]
+        step = kernels._tile_rays(objects)
+        assert (step == 1) == (objects > kernels.TILE_PAIRS)
+        origins, dirs = generate_rays(5, 2 * step + 1)
+        for k in (1, 2):
+            for rays in (k * step - 1, k * step, k * step + 1):
+                point = (*origins[:rays].T, 1.0)
+                direction = (*dirs[:rays].T, 0.0)
+                whole = _lifted_discriminants(table, point, direction)["classical"]
+                got = classical_counts(table, classical_lift(point, direction))
+                assert np.array_equal(got, np.count_nonzero(whole >= 0.0, axis=1)), rays
+
+
 def _tangent_rays(objects, per_sphere: int, seed: int) -> tuple:
     """Rays tangent to each sphere of `objects`, `per_sphere` each, in random directions.
 
