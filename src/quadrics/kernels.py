@@ -134,13 +134,22 @@ __all__ = [
 # The two routes every detection entry point (render, bench, CLI) accepts.
 METHODS = ("classical", "separated")
 
-# Pairs evaluated per tile.  A tile is whole rays against every object, so
-# it holds max(1, TILE_PAIRS // objects) rays, a float64 (tile rays, objects)
-# array is 64 KiB, and `classical_counts`' buffer of a, b and c is three of
-# them, 192 KiB.  `nearest_hits` roots its kept pairs once they reach
+# Pairs evaluated per tile.  A tile is whole rays against every object:
+# `_tile_rays` gives it TILE_PAIRS // objects rays, but at least
+# TILE_PAIRS // 256 (32) and, unless it is one ray, at most 4 * TILE_PAIRS
+# pairs.  So scenes of up to 256 objects have tiles of about TILE_PAIRS
+# pairs, a float64 (tile rays, objects) array of 64 KiB, and the largest
+# buffer, `classical_counts`' a, b and c, holds at most 3 * 4 * TILE_PAIRS
+# floats, 768 KiB.  The floor spreads a tile's fixed cost (its product,
+# comparison and count) over more rays: at 750 objects, on a 2-core Xeon,
+# the separated product cost 1.06 ns a pair at 10 rays and 0.83 at 32, the
+# count 0.95 and 0.70.  A larger TILE_PAIRS alone does not serve: 16384 and
+# 32768 made 10 spheres x 3000 rays slower (x0.93-0.98), their tiles of
+# 1638-3000 rows passing glibc's 128 KiB mmap threshold.  The cap keeps the
+# a, b, c buffer small: a 64-ray floor made it 1.15 MB and classical lost
+# its gain.  `nearest_hits` roots its kept pairs once they reach
 # TILE_PAIRS, so a stage-2 batch holds fewer than TILE_PAIRS pairs plus one
-# tile's.  On the benchmark workloads 4096 was slower with 1000 objects and
-# 16384 was no faster but used more memory.
+# tile's.
 TILE_PAIRS = 8192
 
 Component = Union[float, np.ndarray]
@@ -273,11 +282,13 @@ def render_tables(objects: Sequence[SceneObject], origin: Sequence[float]) -> np
 
 
 def _tile_rays(objects: int) -> int:
-    return max(1, TILE_PAIRS // max(1, objects))
+    """A tile's rays against `objects` objects: the rule of the `TILE_PAIRS` comment."""
+    objects = max(1, objects)
+    return max(1, min(max(TILE_PAIRS // objects, TILE_PAIRS // 256), 4 * TILE_PAIRS // objects))
 
 
 def tiles(rays: int, objects: int) -> Iterator[slice]:
-    """Consecutive ray ranges of about TILE_PAIRS pairs each."""
+    """Consecutive ray ranges of `_tile_rays(objects)` rays each, the last one the rest."""
     step = _tile_rays(objects)
     return (slice(lo, lo + step) for lo in range(0, rays, step))
 
@@ -725,9 +736,11 @@ def sphere_counts(
     # along rows of rays rather than along rows of a few spheres.  Timed at
     # 3000 rays, the transposed layout is faster below about 90 spheres
     # (0.74x at 20) and slower above (1.17x at 250), which is where
-    # n < rows changes, 8192 pairs a tile.  D goes into the tile's buffer `d`
-    # of `_count_tiles`, |D| and its test into two more; a tile across reads
-    # each leading block, which is contiguous, as (spheres, rays).
+    # n < rows changes, TILE_PAIRS pairs a tile (above 256 spheres a tile
+    # has `_tile_rays`' floor of rows, and the plain layout).  D goes into
+    # the tile's buffer `d` of `_count_tiles`, |D| and its test into two
+    # more; a tile across reads each leading block, which is contiguous, as
+    # (spheres, rays).
     across = n < rows
     product = spheres.T.copy() if across else spheres
     buffers = np.empty((rows, n)), np.empty((rows, n), bool)

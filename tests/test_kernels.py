@@ -1136,15 +1136,18 @@ class TestClassicalTiles:
             assert not np.array_equal(np.count_nonzero(bb >= ac, axis=1), expected)
         assert np.array_equal(classical_counts(table, lifted), expected)
 
-    @pytest.mark.parametrize("objects", [150, 8193])
+    @pytest.mark.parametrize("objects", [150, 750, 8193, 32769])
     def test_tile_edges_count_as_the_whole_table(self, objects):
         # Ray counts one below, at and one above a multiple of the tile's
-        # rays; 8193 columns (the generic table repeated) are wider than
-        # TILE_PAIRS, so each tile holds one ray.
+        # rays, on the generic table repeated: 150 columns get
+        # TILE_PAIRS // 150 rays a tile, 750 (detect-wide's generic width)
+        # the floor's TILE_PAIRS // 256, 8193 the cap's 4 * TILE_PAIRS // 8193,
+        # and 32769, wider than 4 * TILE_PAIRS, one ray.
         _, table = bench_tables(generate_scene(5, 200, KIND_MIXES[-1]).objects)
         table = np.tile(table, objects // table.shape[1] + 1)[:, :objects]
         step = kernels._tile_rays(objects)
-        assert (step == 1) == (objects > kernels.TILE_PAIRS)
+        pairs = kernels.TILE_PAIRS
+        assert step == {150: pairs // 150, 750: pairs // 256, 8193: 4 * pairs // 8193, 32769: 1}[objects]
         origins, dirs = generate_rays(5, 2 * step + 1)
         for k in (1, 2):
             for rays in (k * step - 1, k * step, k * step + 1):
@@ -1153,6 +1156,32 @@ class TestClassicalTiles:
                 whole = _lifted_discriminants(table, point, direction)["classical"]
                 got = classical_counts(table, classical_lift(point, direction))
                 assert np.array_equal(got, np.count_nonzero(whole >= 0.0, axis=1)), rays
+
+
+class TestTileRays:
+    """`_tile_rays`: TILE_PAIRS // objects rays, at least TILE_PAIRS // 256, at most 4 * TILE_PAIRS pairs.
+
+    Every tile loop reads it: `tiles`, `_count_tiles`, `classical_counts`'
+    buffer, `sphere_counts`' rows and render's `kept_pairs`.
+    """
+
+    def test_default_tiles(self):
+        pairs = kernels.TILE_PAIRS
+        for objects in range(1, 257):
+            assert kernels._tile_rays(objects) == pairs // objects, objects
+        for objects in range(1, 1025):
+            assert kernels._tile_rays(objects) >= pairs // 256, objects
+        for objects in range(1, 5 * pairs):
+            rays = kernels._tile_rays(objects)
+            assert rays >= 1 and (rays == 1 or rays * objects <= 4 * pairs), objects
+
+    @pytest.mark.parametrize("tile_pairs", [13, 24, 50])
+    def test_small_tile_pairs_keep_their_pair_count(self, tile_pairs, monkeypatch):
+        # The values the tests patch in: the floor, TILE_PAIRS // 256, is 0,
+        # so their tiles split rays as TILE_PAIRS // objects says.
+        monkeypatch.setattr(kernels, "TILE_PAIRS", tile_pairs)
+        for objects in range(1, 5 * tile_pairs):
+            assert kernels._tile_rays(objects) == max(1, tile_pairs // objects), objects
 
 
 def _tangent_rays(objects, per_sphere: int, seed: int) -> tuple:
@@ -1249,6 +1278,25 @@ class TestSphereProduct:
             counts, fallbacks = _bench_counts(objects, point, direction, route)
             assert fallbacks == 0, route
             assert np.array_equal(counts, np.count_nonzero(d >= 0.0, axis=1)), route
+
+    def test_tile_edges_count_as_the_whole_product(self):
+        # 300 plain spheres, more than 256: each tile has `_tile_rays`'
+        # floor of rows, in the (rays, spheres) layout.  Ray counts one
+        # below, at and one above a multiple of the rows count as one
+        # product of every ray with every sphere, and no pair falls back.
+        spheres, generic = bench_tables(generate_scene(6, 300, ("sphere",)).objects)
+        n = spheres.shape[1]
+        rows = kernels._tile_rays(n)
+        assert n == 300 and generic.shape[1] == 0
+        assert rows == kernels.TILE_PAIRS // 256 > kernels.TILE_PAIRS // n and n >= rows
+        origins, dirs = generate_rays(6, 2 * rows + 1)
+        for k in (1, 2):
+            for rays in (k * rows - 1, k * rows, k * rows + 1):
+                point, direction = (*origins[:rays].T, 1.0), (*dirs[:rays].T, 0.0)
+                lifted = sphere_lift(point, direction)
+                whole = np.count_nonzero(lifted[0].T @ spheres >= 0.0, axis=1)
+                counts, fallbacks = sphere_counts(spheres, lifted, point, direction)
+                assert fallbacks == 0 and np.array_equal(counts, whole), rays
 
     def test_non_finite_d_falls_back(self):
         # Near the overflow edge the product's terms leave the floats: D is
